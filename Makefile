@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint bench bench-engine bench-quick bench-parallel bench-guard bench-guard-parallel bench-profile replay-smoke decision-smoke check
+.PHONY: build test race vet lint bench bench-engine bench-quick bench-parallel bench-guard bench-guard-parallel bench-profile bench-repo bench-compare bench-smoke replay-smoke decision-smoke check
 
 build:
 	$(GO) build ./...
@@ -57,7 +57,7 @@ bench-parallel:
 # every PR; >15% ns/op regression on the engine hot path fails the build).
 bench-guard:
 	$(MAKE) bench-quick | tee bench-quick.txt
-	$(GO) run ./tools/benchguard -baseline BENCH_PR10.json -max-regress 0.15 \
+	$(GO) run ./tools/benchguard -baseline BENCH_PR12.json -max-regress 0.15 \
 		-require 'BenchmarkEngineRaw,BenchmarkFig09Enterprise' bench-quick.txt
 
 # Gate the space-parallel scale cells: events/op exact per worker count,
@@ -66,7 +66,7 @@ bench-guard:
 # gates still pin determinism).
 bench-guard-parallel:
 	$(MAKE) bench-parallel | tee bench-parallel.txt
-	$(GO) run ./tools/benchguard -baseline BENCH_PR10.json \
+	$(GO) run ./tools/benchguard -baseline BENCH_PR12.json \
 		-require 'BenchmarkScale256Leaves40G,BenchmarkScale256Leaves40GParallel2,BenchmarkScale256Leaves40GParallel4,BenchmarkScale256Leaves40GParallel8' \
 		-speedup 'BenchmarkScale256Leaves40GParallel8:BenchmarkScale256Leaves40G:2.5' \
 		bench-parallel.txt
@@ -77,6 +77,22 @@ bench-guard-parallel:
 bench-profile:
 	$(GO) test -bench 'BenchmarkFig09Enterprise$$' -benchtime 1x -run '^$$' \
 		-cpuprofile fig09.cpu.prof .
+
+# The repository benchmark (BENCHMARK.json, bench/README.md): one timed set
+# of every workload, each in its own child process (~2.5 min), written to
+# bench/out/report.json.
+bench-repo:
+	$(GO) run ./bench -out bench/out/report.json
+
+# Compare two report files against the end-to-end bounds:
+# make bench-compare A=before.json B=after.json
+bench-compare:
+	$(GO) run ./bench -compare $(A) $(B)
+
+# Benchmark harness smoke (~15 s): one short scale256 run whose result line
+# (the last one) must report a correct, digest-stable run.
+bench-smoke:
+	$(GO) run ./bench -workload scale256 -seconds 3 | tail -n 1 | grep -q '"correct":true'
 
 # End-to-end record/replay smoke (~1 min): record a workload trace with
 # congasim, verify congatrace reads its header back, replay the identical

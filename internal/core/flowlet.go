@@ -16,19 +16,16 @@ import "conga/internal/sim"
 // In GapModeTimestamp the table instead records a last-packet timestamp per
 // entry and expires lazily on lookup; see GapMode for why both exist.
 type FlowletTable struct {
-	port  []int16
-	valid []bool
-	age   []bool
-	last  []sim.Time // GapModeTimestamp only
+	entries []flowletEntry
+	last    []sim.Time // GapModeTimestamp only
 	// GapModeAgeBit keeps an index list of entries that may need sweeping,
 	// so Sweep walks the handful of live flowlets instead of all 64K slots.
-	// Invariant: valid[i] ⇒ listed[i]; listed[i] is cleared only when the
-	// sweep drops i from the list.
+	// Invariant: flValid ⇒ flListed; flListed is cleared only when the
+	// sweep drops the entry from the list.
 	active []int32
-	listed []bool
 	mode   GapMode
 	tfl    sim.Time
-	mask   uint64 // len(port)-1 when the size is a power of two, else 0
+	mask   uint64 // len(entries)-1 when the size is a power of two, else 0
 	// Expired counts entries invalidated by gap detection; Collisions is
 	// not observable (hash collisions are indistinguishable from flowlet
 	// reuse by design), but Installs and Hits support the concurrency
@@ -40,39 +37,48 @@ type FlowletTable struct {
 	live                            int // valid-entry count, maintained O(1)
 }
 
+// flowletEntry is one table slot, packed like the ASIC's (§3.4: a port
+// number, a valid bit and an age bit) so a lookup touches one cache line.
+// The zero value means "empty, no previous port": a fresh table needs no
+// initialization pass, and pages of slots no flow ever hashes to are never
+// written.
+type flowletEntry struct {
+	port  uint16 // uplink + 1; 0 = no flowlet has used this slot yet
+	flags uint8  // flValid | flAge | flListed
+}
+
+const (
+	flValid  = 1 << iota // a flowlet is active on port
+	flAge                // no packet since the last sweep (GapModeAgeBit)
+	flListed             // slot is on the sweep's active list
+)
+
 // NewFlowletTable returns a table with p.FlowletTableSize entries using
 // p.GapMode for gap detection.
 func NewFlowletTable(p Params) *FlowletTable {
 	n := p.FlowletTableSize
 	t := &FlowletTable{
-		port:  make([]int16, n),
-		valid: make([]bool, n),
-		mode:  p.GapMode,
-		tfl:   p.Tfl,
-	}
-	for i := range t.port {
-		t.port[i] = -1
+		entries: make([]flowletEntry, n),
+		mode:    p.GapMode,
+		tfl:     p.Tfl,
 	}
 	if n&(n-1) == 0 {
 		t.mask = uint64(n - 1)
 	}
-	if p.GapMode == GapModeAgeBit {
-		t.age = make([]bool, n)
-		t.listed = make([]bool, n)
-	} else {
+	if p.GapMode != GapModeAgeBit {
 		t.last = make([]sim.Time, n)
 	}
 	return t
 }
 
 // Len returns the number of entries.
-func (t *FlowletTable) Len() int { return len(t.port) }
+func (t *FlowletTable) Len() int { return len(t.entries) }
 
 func (t *FlowletTable) index(hash uint64) int {
 	if t.mask != 0 {
 		return int(hash & t.mask)
 	}
-	return int(hash % uint64(len(t.port)))
+	return int(hash % uint64(len(t.entries)))
 }
 
 // Lookup processes a packet of the flow identified by hash. If the flowlet
@@ -84,39 +90,48 @@ func (t *FlowletTable) index(hash uint64) int {
 // better uplink exists.
 func (t *FlowletTable) Lookup(hash uint64, now sim.Time) (port int, active bool) {
 	i := t.index(hash)
-	if t.mode == GapModeTimestamp && t.valid[i] && now-t.last[i] > t.tfl {
-		t.valid[i] = false
+	e := &t.entries[i]
+	if t.mode == GapModeTimestamp && e.flags&flValid != 0 && now-t.last[i] > t.tfl {
+		e.flags &^= flValid
 		t.Expired++
 		t.live--
 	}
-	if t.valid[i] {
+	if e.flags&flValid != 0 {
 		t.Hits++
 		if t.mode == GapModeAgeBit {
-			t.age[i] = false
+			e.flags &^= flAge
 		} else {
 			t.last[i] = now
 		}
-		return int(t.port[i]), true
+		return int(e.port) - 1, true
 	}
-	return int(t.port[i]), false
+	return int(e.port) - 1, false
+}
+
+// valid reports whether the entry hash maps to currently holds an active
+// flowlet, without touching its age state or the counters. Right after a
+// Lookup of the same hash it equals that Lookup's active result.
+func (t *FlowletTable) valid(hash uint64) bool {
+	return t.entries[t.index(hash)].flags&flValid != 0
 }
 
 // Install caches the decision for a new flowlet: sets the port, the valid
 // bit, and clears the age bit.
 func (t *FlowletTable) Install(hash uint64, port int, now sim.Time) {
 	i := t.index(hash)
-	t.port[i] = int16(port)
-	if t.valid[i] {
+	e := &t.entries[i]
+	e.port = uint16(port + 1)
+	if e.flags&flValid != 0 {
 		t.Evicts++
 	} else {
-		t.valid[i] = true
+		e.flags |= flValid
 		t.live++
 	}
 	t.Installs++
 	if t.mode == GapModeAgeBit {
-		t.age[i] = false
-		if !t.listed[i] {
-			t.listed[i] = true
+		e.flags &^= flAge
+		if e.flags&flListed == 0 {
+			e.flags |= flListed
 			t.active = append(t.active, int32(i))
 		}
 	} else {
@@ -136,17 +151,16 @@ func (t *FlowletTable) Sweep() {
 	// every live flowlet; expired entries are compacted out in place.
 	kept := t.active[:0]
 	for _, i := range t.active {
-		if !t.valid[i] {
-			t.listed[i] = false
-			continue
-		}
-		if t.age[i] {
-			t.valid[i] = false
-			t.listed[i] = false
+		e := &t.entries[i]
+		switch {
+		case e.flags&flValid == 0:
+			e.flags &^= flListed
+		case e.flags&flAge != 0:
+			e.flags &^= flValid | flListed
 			t.Expired++
 			t.live--
-		} else {
-			t.age[i] = true
+		default:
+			e.flags |= flAge
 			kept = append(kept, i)
 		}
 	}
@@ -164,8 +178,8 @@ func (t *FlowletTable) Live() int { return t.live }
 // loaded leaves.
 func (t *FlowletTable) Active() int {
 	n := 0
-	for _, v := range t.valid {
-		if v {
+	for i := range t.entries {
+		if t.entries[i].flags&flValid != 0 {
 			n++
 		}
 	}

@@ -161,35 +161,63 @@ func NewLeaf(id, numLeaves, numUplinks int, p Params, rng *sim.Rand) *Leaf {
 // quantized DRE values of this leaf's uplinks, and allowed marks uplinks
 // that are up (nil = all). It returns the chosen uplink and whether this
 // packet started a new flowlet. A return of −1 means no uplink is usable.
+//
+// It is StickyUplink followed, on a miss, by NewFlowletUplink. Callers for
+// whom localMetrics is expensive to gather (the fabric reads one DRE per
+// uplink) call the two halves themselves and gather only on a miss — as
+// the ASIC does, which consults the congestion tables for the first packet
+// of a flowlet only (§3.5).
 func (l *Leaf) SelectUplink(flowHash uint64, dstLeaf int, localMetrics []uint8, allowed []bool, now sim.Time) (uplink int, newFlowlet bool) {
+	port, sticky := l.StickyUplink(flowHash, dstLeaf, allowed, now)
+	if sticky {
+		return port, false
+	}
+	return l.NewFlowletUplink(flowHash, dstLeaf, localMetrics, allowed, port, now), true
+}
+
+// StickyUplink is the per-packet half of the decision: the flowlet table
+// lookup. If the packet continues a live flowlet whose uplink is still
+// allowed it returns (that uplink, true). Otherwise it returns (prev,
+// false), prev being the uplink the entry's previous flowlet used (−1 if
+// none), and the caller must pass prev to NewFlowletUplink.
+func (l *Leaf) StickyUplink(flowHash uint64, dstLeaf int, allowed []bool, now sim.Time) (port int, sticky bool) {
 	port, active := l.Flowlets.Lookup(flowHash, now)
 	if active && (allowed == nil || (port < len(allowed) && allowed[port])) {
 		if l.Hooks != nil {
 			l.Hooks.Decision(now, dstLeaf, port, telemetry.ReasonSticky, -1, nil)
 		}
-		return port, false
+		return port, true
 	}
+	return port, false
+}
+
+// NewFlowletUplink is the per-flowlet half: the congestion-aware choice for
+// a packet StickyUplink just missed on (prev is what it returned), which it
+// installs in the flowlet table. A return of −1 means no uplink is allowed.
+func (l *Leaf) NewFlowletUplink(flowHash uint64, dstLeaf int, localMetrics []uint8, allowed []bool, prev int, now sim.Time) int {
 	remote := l.ToLeaf.Metrics(dstLeaf, now, l.remoteBuf)
-	choice := DecideMetric(l.Params.PathMetric, localMetrics, remote, allowed, port, l.rng)
+	choice := DecideMetric(l.Params.PathMetric, localMetrics, remote, allowed, prev, l.rng)
 	if choice < 0 {
-		return -1, true
+		return -1
 	}
 	l.Decisions++
-	if port >= 0 && choice != port {
+	if prev >= 0 && choice != prev {
 		l.Moves++
 	}
 	if l.Hooks != nil {
-		l.recordDecision(dstLeaf, choice, port, active, localMetrics, remote, now)
+		// Still valid after the miss means the flowlet was live but its
+		// uplink is no longer allowed.
+		l.recordDecision(dstLeaf, choice, prev, l.Flowlets.valid(flowHash), localMetrics, remote, now)
 	}
 	l.Flowlets.Install(flowHash, choice, now)
-	return choice, true
+	return choice
 }
 
 // recordDecision reports one congestion-aware pick through the hook seam:
 // the reason (new-flowlet / expired / evicted), the candidate vector the
 // decision minimized over, and the feedback age of the winning uplink's
-// remote metric. Kept out of the inline path so the hooks-off SelectUplink
-// body stays small; only runs when Hooks != nil.
+// remote metric. Kept out of the inline path so the hooks-off
+// NewFlowletUplink body stays small; only runs when Hooks != nil.
 func (l *Leaf) recordDecision(dstLeaf, choice, port int, active bool, localMetrics, remote []uint8, now sim.Time) {
 	reason := telemetry.ReasonNewFlowlet
 	switch {

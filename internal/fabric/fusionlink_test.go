@@ -15,6 +15,7 @@ type failRunStats struct {
 	tx       uint64
 	txBytes  uint64
 	drops    uint64
+	dropB    uint64
 	executed uint64
 }
 
@@ -52,6 +53,7 @@ func runFailScenario(t *testing.T, disableFusion bool, up int, failAt, restoreAt
 		st.tx += l.TxPackets
 		st.txBytes += l.TxBytes
 		st.drops += l.Drops
+		st.dropB += l.DropBytes
 	}
 	return st
 }

@@ -1,0 +1,277 @@
+package fabric
+
+import (
+	"testing"
+	"unsafe"
+
+	"conga/internal/core"
+	"conga/internal/sim"
+	"conga/internal/telemetry"
+)
+
+// TestPacketLayout pins the hot-state layout of DESIGN.md §3.10 so a later
+// field addition cannot silently undo it: every field a switch or link
+// reads on a hop ends within the first cache line, and the whole packet
+// stays at 176 bytes.
+func TestPacketLayout(t *testing.T) {
+	var p Packet
+	hot := map[string]uintptr{
+		"lbHash":  unsafe.Offsetof(p.lbHash) + unsafe.Sizeof(p.lbHash),
+		"DstHost": unsafe.Offsetof(p.DstHost) + unsafe.Sizeof(p.DstHost),
+		"Payload": unsafe.Offsetof(p.Payload) + unsafe.Sizeof(p.Payload),
+		"SrcLeaf": unsafe.Offsetof(p.SrcLeaf) + unsafe.Sizeof(p.SrcLeaf),
+		"DstLeaf": unsafe.Offsetof(p.DstLeaf) + unsafe.Sizeof(p.DstLeaf),
+		"Hdr":     unsafe.Offsetof(p.Hdr) + unsafe.Sizeof(p.Hdr),
+		"Ctrl":    unsafe.Offsetof(p.Ctrl) + unsafe.Sizeof(p.Ctrl),
+		"IsAck":   unsafe.Offsetof(p.IsAck) + unsafe.Sizeof(p.IsAck),
+		"pooled":  unsafe.Offsetof(p.pooled) + unsafe.Sizeof(p.pooled),
+	}
+	for name, end := range hot {
+		if end > 64 {
+			t.Errorf("hop-hot field %s ends at byte %d, past the first cache line", name, end)
+		}
+	}
+	if s := unsafe.Sizeof(p); s > 176 {
+		t.Errorf("Packet is %d bytes, want ≤ 176", s)
+	}
+}
+
+// reachModel is the test's own record of which cables it pulled, from which
+// it derives PathUsable by definition — uplink up, and some parallel link
+// from that spine down to the destination up — without consulting the
+// fabric's links or its cache.
+type reachModel struct {
+	cfg  Config
+	down map[[3]int]bool // (leaf, spine, k) failed
+}
+
+func (m *reachModel) usable(leaf, dst, uplink int) bool {
+	s, k := uplink/m.cfg.LinksPerSpine, uplink%m.cfg.LinksPerSpine
+	if m.down[[3]int{leaf, s, k}] {
+		return false
+	}
+	for kk := 0; kk < m.cfg.LinksPerSpine; kk++ {
+		if !m.down[[3]int{dst, s, kk}] {
+			return true
+		}
+	}
+	return false
+}
+
+func (m *reachModel) check(t *testing.T, n *Network, step int, leaf, dst int) {
+	t.Helper()
+	got := n.Leaves[leaf].PathUsable(dst)
+	for u := range got {
+		if want := m.usable(leaf, dst, u); got[u] != want {
+			t.Fatalf("step %d: leaf %d → leaf %d uplink %d usable = %v, want %v (down: %v)",
+				step, leaf, dst, u, got[u], want, m.down)
+		}
+	}
+}
+
+// TestPathUsableCacheMatchesDefinition applies random FailLink/RestoreLink
+// sequences and compares the cached rows with the model. Between changes
+// only a few random rows are read, so most rows sit stale across several
+// generations before their next use; every so often all rows are checked.
+// The scripted prefix covers the two structural cases: every parallel link
+// from one spine to one leaf down (the spine is withdrawn for that
+// destination only), and every uplink of a leaf down.
+func TestPathUsableCacheMatchesDefinition(t *testing.T) {
+	cfg := smallTestConfig(SchemeECMP)
+	cfg.NumLeaves, cfg.NumSpines, cfg.LinksPerSpine = 4, 3, 2
+	n := MustNetwork(sim.New(), cfg)
+	m := &reachModel{cfg: cfg, down: map[[3]int]bool{}}
+	set := func(leaf, spine, k int, fail bool) {
+		if fail {
+			n.FailLink(leaf, spine, k)
+		} else {
+			n.RestoreLink(leaf, spine, k)
+		}
+		m.down[[3]int{leaf, spine, k}] = fail
+	}
+	checkAll := func(step int) {
+		for leaf := range n.Leaves {
+			for dst := range n.Leaves {
+				m.check(t, n, step, leaf, dst)
+			}
+		}
+	}
+
+	checkAll(-1)
+	set(2, 1, 0, true)
+	set(2, 1, 1, true) // spine 1 has no link left to leaf 2
+	checkAll(-2)
+	if u := n.Leaves[0].PathUsable(2); u[2] || u[3] || !u[0] || !u[4] {
+		t.Fatalf("spine 1 not withdrawn toward leaf 2: %v", u)
+	}
+	if u := n.Leaves[0].PathUsable(3); !u[2] || !u[3] {
+		t.Fatalf("spine 1 withdrawn toward leaf 3 too: %v", u)
+	}
+	for s := 0; s < cfg.NumSpines; s++ {
+		for k := 0; k < cfg.LinksPerSpine; k++ {
+			set(1, s, k, true) // leaf 1 is cut off entirely
+		}
+	}
+	checkAll(-3)
+	for _, ok := range n.Leaves[1].PathUsable(0) {
+		if ok {
+			t.Fatal("isolated leaf still reports a usable uplink")
+		}
+	}
+	for _, ok := range n.Leaves[0].PathUsable(1) {
+		if ok {
+			t.Fatal("a leaf reports a path to an isolated leaf")
+		}
+	}
+
+	rng := sim.NewRand(11)
+	for step := 0; step < 2000; step++ {
+		leaf, s, k := rng.Intn(cfg.NumLeaves), rng.Intn(cfg.NumSpines), rng.Intn(cfg.LinksPerSpine)
+		set(leaf, s, k, !m.down[[3]int{leaf, s, k}])
+		for i := 0; i < 3; i++ {
+			m.check(t, n, step, rng.Intn(cfg.NumLeaves), rng.Intn(cfg.NumLeaves))
+		}
+		if step%97 == 0 {
+			checkAll(step)
+		}
+	}
+	checkAll(2000)
+}
+
+// TestStickyFlowletMovesWhenPathLost fails, mid-run, the spine downlink
+// behind the uplink a live flowlet is riding. The uplink itself stays up,
+// so only the reachability row says the path is gone: the very next packet
+// must take it from a recomputed row, leave the sticky port and move. Only
+// packets already past the leaf when the cable went may be lost.
+func TestStickyFlowletMovesWhenPathLost(t *testing.T) {
+	eng := sim.New()
+	n := MustNetwork(eng, smallTestConfig(SchemeCONGA))
+	sink := &testSink{}
+	dst := n.Hosts[4]
+	dst.Bind(7777, sink)
+	flood(eng, n, 1, n.Hosts[0], dst, 7777, 1000, 5e8, 0, 300*sim.Microsecond)
+
+	ls := n.Leaves[0]
+	var riding int
+	var txAtFail [2]uint64
+	var rxAtFail int
+	eng.At(100*sim.Microsecond, func(sim.Time) {
+		a, b := ls.uplinks[0].TxPackets, ls.uplinks[1].TxPackets
+		if (a == 0) == (b == 0) {
+			t.Fatalf("one flowlet should ride one uplink before the failure, tx = %d/%d", a, b)
+		}
+		if b > 0 {
+			riding = 1
+		}
+		n.Spines[ls.uplinkSpine[riding]].down[1][0].SetUp(false)
+		txAtFail = [2]uint64{a, b}
+		rxAtFail = sink.packets
+	})
+	eng.Run(400 * sim.Microsecond)
+
+	if got := ls.uplinks[riding].TxPackets; got != txAtFail[riding] {
+		t.Fatalf("uplink %d carried %d more packets after its path was lost", riding, got-txAtFail[riding])
+	}
+	if got := ls.uplinks[1-riding].TxPackets; got == 0 {
+		t.Fatal("flow never moved to the surviving uplink")
+	}
+	if sink.packets <= rxAtFail {
+		t.Fatal("no deliveries after the failure")
+	}
+	// At 50% load at most one packet is on the uplink and one on the
+	// spine's downlink at any instant.
+	if lost := int(n.Hosts[0].out.TxPackets) - sink.packets; lost > 2 {
+		t.Fatalf("%d packets lost; only those in flight past the leaf may be", lost)
+	}
+	if cs := ls.strategy.(*congaStrategy).leaf; cs.Moves == 0 {
+		t.Fatal("leaf recorded no move")
+	}
+}
+
+// dropViews is every place a link's drops are visible, plus its transmit
+// totals and what reached the sink.
+type dropViews struct {
+	drops, dropBytes uint64
+	telDrops, traced uint64 // zero when unobserved
+	tx, txBytes      uint64
+	queued           int // queue length when the link failed
+	delivered        int
+}
+
+// runSetUpDropScenario drives two hosts at line rate into leaf 0's only
+// uplink (same rate), so that at 200 µs it holds a queue and a packet on
+// the wire, fails it there and keeps sending into the dead link. observed
+// attaches counters and a packet trace, which forces the unfused path.
+func runSetUpDropScenario(t *testing.T, observed, disableFusion bool) dropViews {
+	t.Helper()
+	eng := sim.New()
+	cfg := smallTestConfig(SchemeCONGA)
+	cfg.NumSpines = 1
+	cfg.DisableFusion = disableFusion
+	if observed {
+		cfg.Telemetry = telemetry.New(telemetry.Options{Counters: true, Trace: true, TraceCap: 1 << 16})
+	}
+	n := MustNetwork(eng, cfg)
+	up := n.Leaves[0].uplinks[0]
+	sink := &testSink{}
+	n.Hosts[4].Bind(900, sink)
+	flood(eng, n, 1, n.Hosts[0], n.Hosts[4], 900, 1400, 1e9, 0, sim.Millisecond)
+	flood(eng, n, 2, n.Hosts[1], n.Hosts[4], 900, 1400, 1e9, 0, sim.Millisecond)
+
+	var v dropViews
+	eng.At(200*sim.Microsecond, func(now sim.Time) {
+		v.queued = len(up.queue) - up.qhead
+		if v.queued == 0 || (up.txPkt == nil && !(up.fusedPkt != nil && up.freeAt > now)) {
+			t.Fatalf("scenario needs a queue and a packet in service: queued %d", v.queued)
+		}
+		up.SetUp(false)
+	})
+	eng.Run(2 * sim.Millisecond)
+
+	v.drops, v.dropBytes, v.tx, v.txBytes = up.Drops, up.DropBytes, up.TxPackets, up.TxBytes
+	v.delivered = sink.packets
+	if observed {
+		v.telDrops = up.tel.Drops
+		for _, ev := range cfg.Telemetry.Trace().Events() {
+			if ev.Kind == telemetry.TraceDrop && ev.Where == up.Name {
+				v.traced++
+			}
+		}
+	}
+	return v
+}
+
+// TestSetUpDropAccountingAgrees fails a link holding a queue and a packet
+// mid-serialization and requires the four views of its drops — Drops,
+// DropBytes, the telemetry counter and the packet trace — to tell the same
+// story: the flushed queue, the packet killed on the wire, and everything
+// sent into the dead link afterwards, each counted once in every view. The
+// fused and unfused transmit paths must agree on the link's own totals.
+func TestSetUpDropAccountingAgrees(t *testing.T) {
+	v := runSetUpDropScenario(t, true, false)
+	if v.drops != v.telDrops || v.drops != v.traced {
+		t.Fatalf("drop views disagree: Drops %d, telemetry %d, trace %d", v.drops, v.telDrops, v.traced)
+	}
+	if v.drops < uint64(v.queued)+1 {
+		t.Fatalf("Drops = %d, want at least the %d flushed + 1 on the wire", v.drops, v.queued)
+	}
+	// Every packet of the two flows has the same fabric wire size.
+	wire := uint64(1400 + HeaderOverhead + core.EncapOverhead)
+	if v.dropBytes != v.drops*wire {
+		t.Fatalf("DropBytes = %d, want %d drops × %d bytes", v.dropBytes, v.drops, wire)
+	}
+	// The wire victim is both counted as transmitted and dropped; every
+	// other transmitted packet reached the sink.
+	if uint64(v.delivered)+1 != v.tx {
+		t.Fatalf("uplink transmitted %d, sink got %d + 1 killed on the wire", v.tx, v.delivered)
+	}
+
+	v.telDrops, v.traced = 0, 0
+	slow := runSetUpDropScenario(t, false, true)
+	if fused := runSetUpDropScenario(t, false, false); fused != slow {
+		t.Fatalf("fused %+v != unfused %+v", fused, slow)
+	}
+	if v != slow {
+		t.Fatalf("observed run %+v differs from unobserved %+v", v, slow)
+	}
+}

@@ -18,13 +18,18 @@ type LeafSwitch struct {
 
 	uplinks     []*Link // index = LBTag
 	uplinkSpine []int   // spine ID per uplink
-	downlinks   []*Link // per local host, indexed by position under this leaf
-	hostIndex   map[int]int
+	downlinks   []*Link // per local host, indexed by host ID − firstHost
+	firstHost   int     // ID of the first local host; hosts are numbered densely per leaf
 
-	strategy  Strategy
-	vni       uint32
-	pool      *PacketPool // owning domain's pool (== net.pool when sequential)
-	usableBuf []bool
+	strategy Strategy
+	vni      uint32
+	pool     *PacketPool // owning domain's pool (== net.pool when sequential)
+
+	// Reachability cache: usable[dstLeaf*len(uplinks):][:len(uplinks)] is
+	// the PathUsable row for dstLeaf, valid iff usableGen[dstLeaf] equals
+	// net.linkGen (which starts at 1, so zeroed rows start out stale).
+	usable    []bool
+	usableGen []uint64
 
 	// decisions feeds the decision-plane path load matrix with payload
 	// bytes per (uplink, dstLeaf); nil when telemetry is off or the leaf
@@ -51,11 +56,24 @@ func (ls *LeafSwitch) UplinkSpine(uplink int) int { return ls.uplinkSpine[uplink
 // dstLeaf: the uplink itself must be up and its spine must retain at least
 // one live downlink to dstLeaf. This models routing convergence after a
 // failure — a fabric withdraws a spine from the ECMP group of leaves it
-// can no longer reach. The returned slice is reused across calls.
+// can no longer reach. The row is a pure function of the fabric's link
+// up/down state, so it is cached per destination and recomputed only after
+// some Link.SetUp moved the network's link generation. The returned slice
+// is the cache row: callers must not modify it, and it is valid until the
+// next SetUp.
 func (ls *LeafSwitch) PathUsable(dstLeaf int) []bool {
-	if ls.usableBuf == nil {
-		ls.usableBuf = make([]bool, len(ls.uplinks))
+	n := len(ls.uplinks)
+	row := ls.usable[dstLeaf*n : (dstLeaf+1)*n : (dstLeaf+1)*n]
+	if gen := ls.net.linkGen; ls.usableGen[dstLeaf] != gen {
+		ls.usableGen[dstLeaf] = gen
+		ls.computeUsable(dstLeaf, row)
 	}
+	return row
+}
+
+// computeUsable fills row with dstLeaf's reachability from the links'
+// current state; it is the uncached definition of PathUsable.
+func (ls *LeafSwitch) computeUsable(dstLeaf int, row []bool) {
 	for i, l := range ls.uplinks {
 		ok := l.Up()
 		if ok {
@@ -67,15 +85,14 @@ func (ls *LeafSwitch) PathUsable(dstLeaf int) []bool {
 				}
 			}
 		}
-		ls.usableBuf[i] = ok
+		row[i] = ok
 	}
-	return ls.usableBuf
 }
 
 // Downlink returns the link toward a local host, or nil if the host is not
 // under this leaf.
 func (ls *LeafSwitch) Downlink(host int) *Link {
-	if i, ok := ls.hostIndex[host]; ok {
+	if i := host - ls.firstHost; uint(i) < uint(len(ls.downlinks)) {
 		return ls.downlinks[i]
 	}
 	return nil

@@ -81,6 +81,11 @@ type Link struct {
 	dreNotify func(*Link)
 	dreListed bool
 
+	// gen points at the owning network's link-state generation (fabric
+	// links of a Network only; nil otherwise). SetUp bumps it so the
+	// leaves' cached reachability rows are recomputed.
+	gen *uint64
+
 	// Counters, exported for the stats collectors.
 	TxPackets uint64
 	TxBytes   uint64 // wire bytes actually serialized
@@ -151,15 +156,23 @@ func (l *Link) Up() bool { return l.up }
 
 // SetUp administratively raises or fails the link. Failing a link drops
 // everything queued (as pulling a cable does) and resets its DRE.
+//
+// A fabric link's SetUp also bumps its network's link-state generation,
+// which every leaf's PathUsable reads. Under the parallel engine that is
+// one more word shared across domains next to the links' up flags
+// PathUsable has always read: call SetUp between runs or from a point where
+// all domains are quiescent. A SetUp racing another domain's window is as
+// undefined as it was before the generation counter existed — no more, no
+// less.
 func (l *Link) SetUp(up bool) {
 	l.up = up
+	if l.gen != nil {
+		*l.gen++
+	}
 	if !up {
+		now := l.eng.Now()
 		for _, p := range l.queue[l.qhead:] {
-			l.Drops++
-			if l.tel != nil {
-				l.tel.Drops++
-			}
-			l.pool.Put(p)
+			l.drop(p, now)
 		}
 		l.queue = l.queue[:0]
 		l.qhead = 0
@@ -184,7 +197,7 @@ func (l *Link) SetUp(up bool) {
 			if l.tel != nil {
 				l.tel.Dequeues++
 			}
-		} else if l.fusedPkt != nil && l.freeAt > l.eng.Now() {
+		} else if l.fusedPkt != nil && l.freeAt > now {
 			victim = l.fusedPkt
 		}
 		l.fusedPkt = nil
@@ -212,8 +225,7 @@ func (l *Link) SetUp(up bool) {
 			// left this domain's reach; it delivers (the packet was fully
 			// committed to the wire when the window closed).
 			if found {
-				l.noteDrop(victim, l.eng.Now())
-				l.pool.Put(victim)
+				l.drop(victim, now)
 			}
 		}
 	}
@@ -250,10 +262,7 @@ func (l *Link) wireSize(p *Packet) int {
 // path when the link allows fusion.
 func (l *Link) Send(p *Packet, now sim.Time) {
 	if !l.up {
-		l.Drops++
-		l.DropBytes += uint64(l.wireSize(p))
-		l.noteDrop(p, now)
-		l.pool.Put(p)
+		l.drop(p, now)
 		return
 	}
 	// A claim ending exactly now still blocks senders ordered before the
@@ -262,10 +271,7 @@ func (l *Link) Send(p *Packet, now sim.Time) {
 	if l.busy || l.freeAt > now || l.qhead < len(l.queue) ||
 		(l.fuse && l.freeAt == now && l.eng.CurSeq() < l.claimSeq) {
 		if l.qlen+l.wireSize(p) > l.maxQ {
-			l.Drops++
-			l.DropBytes += uint64(l.wireSize(p))
-			l.noteDrop(p, now)
-			l.pool.Put(p)
+			l.drop(p, now)
 			return
 		}
 		l.queue = append(l.queue, p)
@@ -368,9 +374,14 @@ func (l *Link) drain(now sim.Time) {
 	l.next(now)
 }
 
-// noteDrop feeds the telemetry hooks on a drop; both hooks are nil with
-// telemetry off, making this two predictable branches on the drop path.
-func (l *Link) noteDrop(p *Packet, now sim.Time) {
+// drop is the one place a link loses a packet — sent into a downed link,
+// tail-dropped, or flushed / killed on the wire by SetUp(false) — so the
+// link counters, the telemetry counter and the packet trace always agree.
+// Both hooks are nil with telemetry off, making them two predictable
+// branches on the drop path. The packet goes back to the pool.
+func (l *Link) drop(p *Packet, now sim.Time) {
+	l.Drops++
+	l.DropBytes += uint64(l.wireSize(p))
 	if l.tel != nil {
 		l.tel.Drops++
 	}
@@ -378,6 +389,7 @@ func (l *Link) noteDrop(p *Packet, now sim.Time) {
 		l.trace.Record(now, telemetry.TraceDrop, l.Name, p.FlowID,
 			p.SrcHost, p.DstHost, p.SrcPort, p.DstPort, p.Seq, p.Payload)
 	}
+	l.pool.Put(p)
 }
 
 func (l *Link) transmit(p *Packet, now sim.Time) {

@@ -174,8 +174,15 @@ type Network struct {
 	Spines []*SpineSwitch
 
 	fabricLinks []*Link
+	hostLeaf    []int32 // host ID → leaf ID, flat so HostLeaf is one load
 	rng         *sim.Rand
 	pool        *PacketPool // pools[0]; the only pool when sequential
+
+	// linkGen is the link-state generation: every fabric link's SetUp
+	// bumps it, and each leaf's PathUsable rows are valid only for the
+	// generation they were computed under. It starts at 1 so a zeroed row
+	// is stale.
+	linkGen uint64
 
 	// Space-parallel partition state (see partition.go). A network built by
 	// NewNetwork has one domain: engines = [Engine], pools = [pool], no
@@ -406,7 +413,7 @@ func (n *Network) newStrategy(ls *LeafSwitch) Strategy {
 func (n *Network) NumLeaves() int { return len(n.Leaves) }
 
 // HostLeaf returns the leaf a host attaches to.
-func (n *Network) HostLeaf(host int) int { return n.Hosts[host].Leaf }
+func (n *Network) HostLeaf(host int) int { return int(n.hostLeaf[host]) }
 
 // Host returns host i.
 func (n *Network) Host(i int) *Host { return n.Hosts[i] }

@@ -29,20 +29,46 @@ const (
 
 // Packet is the simulated unit of transfer. One struct serves both data and
 // ACK segments; transports interpret the sequence fields.
+//
+// Field order is part of the design (DESIGN.md §3.10): everything a switch
+// or link reads on a hop — the hash, the destination, the sizes behind
+// WireSize, the overlay header — sits in the first 56 bytes, so a hop on a
+// packet that fell out of cache costs one line fill instead of four.
+// Transport state, which only the two end hosts read, follows. A layout
+// test pins both the hot prefix and the total size.
 type Packet struct {
-	// Flow identity. FlowID is unique per (sub)flow and is what ECMP and
-	// the flowlet table hash.
+	// lbHash memoizes the load-balancing flow hash (see strategy.go's
+	// flowHash): the hashed identity fields are immutable once the packet
+	// enters the fabric, and every hop's strategy would otherwise recompute
+	// the same 40-round byte hash. Zero means "not yet computed"; the pool
+	// clears it on recycle.
+	lbHash uint64
+
+	DstHost int
+	Payload int // payload bytes carried (0 for pure ACKs)
+
+	// Overlay state, valid while the packet is inside the fabric.
+	SrcLeaf int
+	DstLeaf int
+	Hdr     core.Header
+	// Ctrl marks a leaf-to-leaf control packet (explicit CONGA feedback):
+	// it terminates at the destination TEP instead of a host.
+	Ctrl  bool
+	IsAck bool
+	// pooled marks packets allocated from a PacketPool; only those are
+	// recycled on release (see PacketPool).
+	pooled bool
+
+	// Flow identity (with DstHost above). FlowID is unique per (sub)flow
+	// and is what ECMP and the flowlet table hash.
 	FlowID  uint64
 	SrcHost int
-	DstHost int
 	SrcPort int
 	DstPort int
 
-	// Transport state.
-	Seq     int64 // first payload byte's offset
-	Payload int   // payload bytes carried (0 for pure ACKs)
-	IsAck   bool
-	AckNo   int64 // cumulative ACK (valid when IsAck)
+	// Transport state (with Payload and IsAck above).
+	Seq   int64 // first payload byte's offset
+	AckNo int64 // cumulative ACK (valid when IsAck)
 	// Sack carries up to SackN selective-acknowledgement ranges
 	// [start, end) above AckNo, mirroring the TCP SACK option's 3-block
 	// limit when a timestamp option is present. A fixed array keeps pure
@@ -53,27 +79,8 @@ type Packet struct {
 	// data packet's SentAt in the ACK.
 	EchoTS sim.Time
 
-	// Overlay state, valid while the packet is inside the fabric.
-	Hdr     core.Header
-	SrcLeaf int
-	DstLeaf int
-	// Ctrl marks a leaf-to-leaf control packet (explicit CONGA feedback):
-	// it terminates at the destination TEP instead of a host.
-	Ctrl bool
-
 	// Measurement.
 	SentAt sim.Time
-
-	// lbHash memoizes the load-balancing flow hash (see strategy.go's
-	// flowHash): the hashed identity fields are immutable once the packet
-	// enters the fabric, and every hop's strategy would otherwise recompute
-	// the same 40-round byte hash. Zero means "not yet computed"; the pool
-	// clears it on recycle.
-	lbHash uint64
-
-	// pooled marks packets allocated from a PacketPool; only those are
-	// recycled on release (see PacketPool).
-	pooled bool
 }
 
 // SetLBHash stamps the packet's memoized load-balancing flow hash. h must

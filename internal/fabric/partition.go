@@ -201,7 +201,7 @@ func (n *Network) DomainEngine(d int) *sim.Engine { return n.engines[d] }
 func (n *Network) LeafDomain(leaf int) int { return leaf % n.domains }
 
 // HostDomain returns the domain owning host.
-func (n *Network) HostDomain(host int) int { return n.LeafDomain(n.Hosts[host].Leaf) }
+func (n *Network) HostDomain(host int) int { return n.LeafDomain(n.HostLeaf(host)) }
 
 // DomainPool returns domain d's packet pool.
 func (n *Network) DomainPool(d int) *PacketPool { return n.pools[d] }
@@ -247,6 +247,7 @@ func NewPartitionedNetwork(engines []*sim.Engine, cfg Config) (*Network, error) 
 		rng:     sim.NewRand(cfg.Seed),
 		engines: engines,
 		domains: P,
+		linkGen: 1,
 	}
 	n.pools = make([]*PacketPool, P)
 	for d := range n.pools {
@@ -276,7 +277,7 @@ func NewPartitionedNetwork(engines []*sim.Engine, cfg Config) (*Network, error) 
 	for leaf := 0; leaf < cfg.NumLeaves; leaf++ {
 		dom := leaf % P
 		eng, pool := engines[dom], n.pools[dom]
-		ls := &LeafSwitch{ID: leaf, net: n, vni: cfg.VNI, pool: pool, hostIndex: make(map[int]int)}
+		ls := &LeafSwitch{ID: leaf, net: n, vni: cfg.VNI, pool: pool, firstHost: leaf * cfg.HostsPerLeaf}
 		n.Leaves = append(n.Leaves, ls)
 		n.domLeafIdx[dom] = append(n.domLeafIdx[dom], leaf)
 		for i := 0; i < cfg.HostsPerLeaf; i++ {
@@ -300,9 +301,9 @@ func NewPartitionedNetwork(engines []*sim.Engine, cfg Config) (*Network, error) 
 				Pool:      pool,
 			}, h)
 			down.dom = dom
-			ls.hostIndex[hostID] = len(ls.downlinks)
 			ls.downlinks = append(ls.downlinks, down)
 			n.Hosts = append(n.Hosts, h)
+			n.hostLeaf = append(n.hostLeaf, int32(leaf))
 		}
 	}
 
@@ -346,6 +347,9 @@ func NewPartitionedNetwork(engines []*sim.Engine, cfg Config) (*Network, error) 
 					Pool:      n.pools[sd],
 				}, ls)
 				down.dom = sd
+				// A state change on either invalidates every leaf's
+				// reachability rows (see LeafSwitch.PathUsable).
+				up.gen, down.gen = &n.linkGen, &n.linkGen
 				if ld != sd {
 					up.xq = n.mail[ld][sd]
 					down.xq = n.mail[sd][ld]
@@ -360,10 +364,12 @@ func NewPartitionedNetwork(engines []*sim.Engine, cfg Config) (*Network, error) 
 		}
 	}
 
-	// Strategies (need uplinks wired first). The RNG split sequence runs in
+	// Reachability rows and strategies (both need uplinks wired first). The RNG split sequence runs in
 	// leaf ID order regardless of P, so per-leaf strategies are seeded
 	// identically at any partition count.
 	for _, ls := range n.Leaves {
+		ls.usable = make([]bool, cfg.NumLeaves*len(ls.uplinks))
+		ls.usableGen = make([]uint64, cfg.NumLeaves)
 		ls.strategy = n.newStrategy(ls)
 	}
 

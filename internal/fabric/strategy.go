@@ -174,7 +174,6 @@ type congaStrategy struct {
 	leaf     *core.Leaf
 	name     string
 	localBuf []uint8
-	allowed  []bool
 	// Explicit feedback (optional, §3.3 discussion): sentTo tracks which
 	// leaves this leaf piggybacked feedback to since the last Tick; a
 	// leaf with pending changed metrics and no reverse traffic gets a
@@ -192,7 +191,6 @@ func newCongaStrategy(ls *LeafSwitch, name string, p core.Params, rng *sim.Rand,
 		leaf:     core.NewLeaf(ls.ID, ls.net.NumLeaves(), n, p, rng),
 		name:     name,
 		localBuf: make([]uint8, n),
-		allowed:  make([]bool, n),
 		explicit: explicit,
 		sentTo:   make([]bool, ls.net.NumLeaves()),
 	}
@@ -207,14 +205,20 @@ func (s *congaStrategy) Core() *core.Leaf { return s.leaf }
 // without one simply don't implement the method (see Network.wireTelemetry).
 func (s *congaStrategy) FlowletTable() *core.FlowletTable { return s.leaf.Flowlets }
 
+// SelectUplink is core.Leaf.SelectUplink with the local DRE metrics
+// gathered between its two halves: only the first packet of a flowlet
+// reads them.
 func (s *congaStrategy) SelectUplink(p *Packet, dstLeaf int, now sim.Time) int {
+	hash := flowHash(p)
 	usable := s.ls.PathUsable(dstLeaf)
+	port, sticky := s.leaf.StickyUplink(hash, dstLeaf, usable, now)
+	if sticky {
+		return port
+	}
 	for i, l := range s.ls.uplinks {
 		s.localBuf[i] = l.Metric()
-		s.allowed[i] = usable[i]
 	}
-	up, _ := s.leaf.SelectUplink(flowHash(p), dstLeaf, s.localBuf, s.allowed, now)
-	return up
+	return s.leaf.NewFlowletUplink(hash, dstLeaf, s.localBuf, usable, port, now)
 }
 
 func (s *congaStrategy) PrepareHeader(p *Packet, dstLeaf, uplink int, now sim.Time) {
@@ -254,7 +258,6 @@ type localStrategy struct {
 	rng      *sim.Rand
 	localBuf []uint8
 	zeros    []uint8
-	allowed  []bool
 }
 
 func newLocalStrategy(ls *LeafSwitch, p core.Params, rng *sim.Rand) *localStrategy {
@@ -265,7 +268,6 @@ func newLocalStrategy(ls *LeafSwitch, p core.Params, rng *sim.Rand) *localStrate
 		rng:      rng,
 		localBuf: make([]uint8, n),
 		zeros:    make([]uint8, n),
-		allowed:  make([]bool, n),
 	}
 }
 
@@ -283,9 +285,8 @@ func (s *localStrategy) SelectUplink(p *Packet, dstLeaf int, now sim.Time) int {
 	}
 	for i, l := range s.ls.uplinks {
 		s.localBuf[i] = l.Metric()
-		s.allowed[i] = usable[i]
 	}
-	choice := core.Decide(s.localBuf, s.zeros, s.allowed, port, s.rng)
+	choice := core.Decide(s.localBuf, s.zeros, usable, port, s.rng)
 	if choice >= 0 {
 		s.flowlets.Install(hash, choice, now)
 	}
