@@ -57,7 +57,7 @@ bench-parallel:
 # every PR; >15% ns/op regression on the engine hot path fails the build).
 bench-guard:
 	$(MAKE) bench-quick | tee bench-quick.txt
-	$(GO) run ./tools/benchguard -baseline BENCH_PR12.json -max-regress 0.15 \
+	$(GO) run ./tools/benchguard -baseline BENCH_PR13.json -max-regress 0.15 \
 		-require 'BenchmarkEngineRaw,BenchmarkFig09Enterprise' bench-quick.txt
 
 # Gate the space-parallel scale cells: events/op exact per worker count,
@@ -66,7 +66,7 @@ bench-guard:
 # gates still pin determinism).
 bench-guard-parallel:
 	$(MAKE) bench-parallel | tee bench-parallel.txt
-	$(GO) run ./tools/benchguard -baseline BENCH_PR12.json \
+	$(GO) run ./tools/benchguard -baseline BENCH_PR13.json \
 		-require 'BenchmarkScale256Leaves40G,BenchmarkScale256Leaves40GParallel2,BenchmarkScale256Leaves40GParallel4,BenchmarkScale256Leaves40GParallel8' \
 		-speedup 'BenchmarkScale256Leaves40GParallel8:BenchmarkScale256Leaves40G:2.5' \
 		bench-parallel.txt
@@ -89,10 +89,12 @@ bench-repo:
 bench-compare:
 	$(GO) run ./bench -compare $(A) $(B)
 
-# Benchmark harness smoke (~15 s): one short scale256 run whose result line
-# (the last one) must report a correct, digest-stable run.
+# Benchmark harness smoke (~30 s): one short scale256 run and one short
+# observed run (every probe on, CSV+NDJSON flushed) whose result lines (the
+# last ones) must each report a correct run.
 bench-smoke:
 	$(GO) run ./bench -workload scale256 -seconds 3 | tail -n 1 | grep -q '"correct":true'
+	$(GO) run ./bench -workload fig09_observed -seconds 3 | tail -n 1 | grep -q '"correct":true'
 
 # End-to-end record/replay smoke (~1 min): record a workload trace with
 # congasim, verify congatrace reads its header back, replay the identical

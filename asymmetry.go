@@ -117,7 +117,7 @@ func runLongLivedLoad(topo Topology, scheme Scheme, seed uint64, pairs []pair,
 	upStart := make([][]uint64, topo.Leaves)
 	for leaf := range upStart {
 		for _, l := range net.Leaves[leaf].Uplinks() {
-			upStart[leaf] = append(upStart[leaf], l.TxBytes)
+			upStart[leaf] = append(upStart[leaf], l.TxBytes())
 		}
 	}
 	eng.Run(2 * half)
@@ -135,7 +135,7 @@ func runLongLivedLoad(topo Topology, scheme Scheme, seed uint64, pairs []pair,
 	}
 	for leaf := 0; leaf < topo.Leaves; leaf++ {
 		for i, l := range net.Leaves[leaf].Uplinks() {
-			gbps := float64(l.TxBytes-upStart[leaf][i]) * 8 / window / 1e9
+			gbps := float64(l.TxBytes()-upStart[leaf][i]) * 8 / window / 1e9
 			res.LeafUplinkGbps[leaf] = append(res.LeafUplinkGbps[leaf], gbps)
 		}
 	}
@@ -146,7 +146,7 @@ func spineTxBytes(net *fabric.Network, s, leaves int) uint64 {
 	var total uint64
 	for leaf := 0; leaf < leaves; leaf++ {
 		for _, l := range net.Spines[s].Downlinks(leaf) {
-			total += l.TxBytes
+			total += l.TxBytes()
 		}
 	}
 	return total

@@ -176,7 +176,7 @@ func readCSV(path string, f *os.File) error {
 }
 
 // parseCaptureComment parses the "# capture=head cap=65536 recorded=..."
-// line CSVSink writes as the first line of trace.csv.
+// line the CSV FileSink writes as the first line of trace.csv.
 func parseCaptureComment(line string, c *capture) {
 	for _, tok := range strings.Fields(strings.TrimPrefix(line, "#")) {
 		k, v, ok := strings.Cut(tok, "=")

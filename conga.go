@@ -150,12 +150,6 @@ type Topology struct {
 	// EdgeBufBytes / FabricBufBytes override the switch buffer per port.
 	EdgeBufBytes   int
 	FabricBufBytes int
-
-	// DisableFusion turns off the idle-path event-fusion fast path and
-	// runs every hop through discrete transmit/txDone/deliver events.
-	// Results are bit-identical either way (only the executed-event count
-	// differs); the switch exists for equivalence testing and debugging.
-	DisableFusion bool
 }
 
 // Testbed returns the paper's baseline testbed topology explicitly.
@@ -204,7 +198,6 @@ func (t Topology) fabricConfig(scheme Scheme, params core.Params, wcmpWeights []
 		WCMPWeights:    wcmpWeights,
 		Seed:           seed,
 		Telemetry:      tel,
-		DisableFusion:  t.DisableFusion,
 	}
 	if t.FabricLinkGbps != nil {
 		f := t.FabricLinkGbps

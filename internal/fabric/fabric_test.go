@@ -137,7 +137,7 @@ func TestIntraLeafDeliveryBypassesFabric(t *testing.T) {
 		t.Fatal("no local delivery")
 	}
 	for _, l := range n.FabricLinks() {
-		if l.TxPackets != 0 {
+		if l.TxPackets() != 0 {
 			t.Fatalf("intra-rack traffic leaked onto fabric link %s", l.Name)
 		}
 	}
@@ -350,7 +350,7 @@ func TestCongaAvoidsCongestedRemotePath(t *testing.T) {
 	eng.Run(20 * sim.Millisecond)
 
 	up := n.Leaves[0].Uplinks()
-	fast, slow := float64(up[0].TxBytes), float64(up[1].TxBytes)
+	fast, slow := float64(up[0].TxBytes()), float64(up[1].TxBytes())
 	if fast < slow*1.4 {
 		t.Fatalf("CONGA did not favour the fast path: fast=%.0f slow=%.0f bytes", fast, slow)
 	}

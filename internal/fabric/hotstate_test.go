@@ -156,7 +156,7 @@ func TestStickyFlowletMovesWhenPathLost(t *testing.T) {
 	var txAtFail [2]uint64
 	var rxAtFail int
 	eng.At(100*sim.Microsecond, func(sim.Time) {
-		a, b := ls.uplinks[0].TxPackets, ls.uplinks[1].TxPackets
+		a, b := ls.uplinks[0].txPackets, ls.uplinks[1].txPackets // started, not yet all serialized
 		if (a == 0) == (b == 0) {
 			t.Fatalf("one flowlet should ride one uplink before the failure, tx = %d/%d", a, b)
 		}
@@ -169,10 +169,10 @@ func TestStickyFlowletMovesWhenPathLost(t *testing.T) {
 	})
 	eng.Run(400 * sim.Microsecond)
 
-	if got := ls.uplinks[riding].TxPackets; got != txAtFail[riding] {
+	if got := ls.uplinks[riding].txPackets; got != txAtFail[riding] {
 		t.Fatalf("uplink %d carried %d more packets after its path was lost", riding, got-txAtFail[riding])
 	}
-	if got := ls.uplinks[1-riding].TxPackets; got == 0 {
+	if got := ls.uplinks[1-riding].TxPackets(); got == 0 {
 		t.Fatal("flow never moved to the surviving uplink")
 	}
 	if sink.packets <= rxAtFail {
@@ -180,7 +180,7 @@ func TestStickyFlowletMovesWhenPathLost(t *testing.T) {
 	}
 	// At 50% load at most one packet is on the uplink and one on the
 	// spine's downlink at any instant.
-	if lost := int(n.Hosts[0].out.TxPackets) - sink.packets; lost > 2 {
+	if lost := int(n.Hosts[0].out.TxPackets()) - sink.packets; lost > 2 {
 		t.Fatalf("%d packets lost; only those in flight past the leaf may be", lost)
 	}
 	if cs := ls.strategy.(*congaStrategy).leaf; cs.Moves == 0 {
@@ -201,13 +201,12 @@ type dropViews struct {
 // runSetUpDropScenario drives two hosts at line rate into leaf 0's only
 // uplink (same rate), so that at 200 µs it holds a queue and a packet on
 // the wire, fails it there and keeps sending into the dead link. observed
-// attaches counters and a packet trace, which forces the unfused path.
-func runSetUpDropScenario(t *testing.T, observed, disableFusion bool) dropViews {
+// attaches counters and a packet trace.
+func runSetUpDropScenario(t *testing.T, observed bool) dropViews {
 	t.Helper()
 	eng := sim.New()
 	cfg := smallTestConfig(SchemeCONGA)
 	cfg.NumSpines = 1
-	cfg.DisableFusion = disableFusion
 	if observed {
 		cfg.Telemetry = telemetry.New(telemetry.Options{Counters: true, Trace: true, TraceCap: 1 << 16})
 	}
@@ -221,14 +220,14 @@ func runSetUpDropScenario(t *testing.T, observed, disableFusion bool) dropViews 
 	var v dropViews
 	eng.At(200*sim.Microsecond, func(now sim.Time) {
 		v.queued = len(up.queue) - up.qhead
-		if v.queued == 0 || (up.txPkt == nil && !(up.fusedPkt != nil && up.freeAt > now)) {
+		if v.queued == 0 || up.serSize == 0 || !up.claimed(now) {
 			t.Fatalf("scenario needs a queue and a packet in service: queued %d", v.queued)
 		}
 		up.SetUp(false)
 	})
 	eng.Run(2 * sim.Millisecond)
 
-	v.drops, v.dropBytes, v.tx, v.txBytes = up.Drops, up.DropBytes, up.TxPackets, up.TxBytes
+	v.drops, v.dropBytes, v.tx, v.txBytes = up.Drops, up.DropBytes, up.TxPackets(), up.TxBytes()
 	v.delivered = sink.packets
 	if observed {
 		v.telDrops = up.tel.Drops
@@ -246,9 +245,10 @@ func runSetUpDropScenario(t *testing.T, observed, disableFusion bool) dropViews 
 // DropBytes, the telemetry counter and the packet trace — to tell the same
 // story: the flushed queue, the packet killed on the wire, and everything
 // sent into the dead link afterwards, each counted once in every view. The
-// fused and unfused transmit paths must agree on the link's own totals.
+// link's own totals are pinned to what PR 12's discrete transmit path
+// counted, and observing the run must not change them.
 func TestSetUpDropAccountingAgrees(t *testing.T) {
-	v := runSetUpDropScenario(t, true, false)
+	v := runSetUpDropScenario(t, true)
 	if v.drops != v.telDrops || v.drops != v.traced {
 		t.Fatalf("drop views disagree: Drops %d, telemetry %d, trace %d", v.drops, v.telDrops, v.traced)
 	}
@@ -267,11 +267,11 @@ func TestSetUpDropAccountingAgrees(t *testing.T) {
 	}
 
 	v.telDrops, v.traced = 0, 0
-	slow := runSetUpDropScenario(t, false, true)
-	if fused := runSetUpDropScenario(t, false, false); fused != slow {
-		t.Fatalf("fused %+v != unfused %+v", fused, slow)
+	want := dropViews{drops: 17, dropBytes: 25704, tx: 16, txBytes: 24192, queued: 16, delivered: 15}
+	if v != want {
+		t.Fatalf("observed run %+v, the discrete link counted %+v", v, want)
 	}
-	if v != slow {
-		t.Fatalf("observed run %+v differs from unobserved %+v", v, slow)
+	if plain := runSetUpDropScenario(t, false); plain != want {
+		t.Fatalf("unobserved run %+v differs from observed %+v", plain, want)
 	}
 }

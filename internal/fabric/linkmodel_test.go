@@ -1,0 +1,359 @@
+package fabric
+
+import (
+	"reflect"
+	"testing"
+	"unsafe"
+
+	"conga/internal/core"
+	"conga/internal/sim"
+	"conga/internal/telemetry"
+)
+
+// modelRec is one observation of a link model run: a delivery ('d': time,
+// packet, CE), a drop ('x': time, packet) or a probe ('p': time, then
+// TxPackets, TxBytes, QueuedBytes).
+type modelRec struct {
+	kind    byte
+	at      sim.Time
+	a, b, c int64
+}
+
+// txLink is what the schedule drives: fabric.Link and the reference model.
+type txLink interface {
+	Send(p *Packet, now sim.Time)
+	SetUp(up bool)
+	TxPackets() uint64
+	TxBytes() uint64
+	QueuedBytes() int
+}
+
+// refLink is the discrete link this package shipped through PR 12 — one
+// tx-done and one delivery event per packet, a sending flag, counters bumped
+// when tx-done fires — kept as the oracle Link's virtual-time claim has to
+// match event for event. It takes engine sequence numbers in the same
+// order Link does (tx-done, then delivery), so same-instant ties break the
+// same way on both engines.
+type refLink struct {
+	eng         *sim.Engine
+	rate        float64
+	prop        sim.Time
+	maxQ, qlen  int
+	fab         bool
+	dre         *core.DRE
+	up, sending bool
+	queue       []*Packet
+	txPkt       *Packet
+	txSize      int
+	inflight    []*Packet
+	txPackets   uint64
+	txBytes     uint64
+	log         *[]modelRec
+}
+
+func (r *refLink) TxPackets() uint64 { return r.txPackets }
+func (r *refLink) TxBytes() uint64   { return r.txBytes }
+func (r *refLink) QueuedBytes() int  { return r.qlen }
+
+func (r *refLink) size(p *Packet) int {
+	if r.fab {
+		return p.FabricWireSize()
+	}
+	return p.WireSize()
+}
+
+func (r *refLink) drop(p *Packet, now sim.Time) {
+	*r.log = append(*r.log, modelRec{kind: 'x', at: now, a: p.Seq})
+}
+
+func (r *refLink) Send(p *Packet, now sim.Time) {
+	switch {
+	case !r.up:
+		r.drop(p, now)
+	case !r.sending:
+		r.transmit(p, now)
+	case r.qlen+r.size(p) > r.maxQ:
+		r.drop(p, now)
+	default:
+		r.queue = append(r.queue, p)
+		r.qlen += r.size(p)
+	}
+}
+
+func (r *refLink) transmit(p *Packet, now sim.Time) {
+	r.sending = true
+	size := r.size(p)
+	if r.fab {
+		p.Hdr.CE = core.MarkCE(core.PathMetricMax, p.Hdr.CE, r.dre.Quantized())
+		r.dre.Add(size)
+	}
+	r.txPkt, r.txSize = p, size
+	serEnd := now + sim.Time(float64(size)*8/r.rate*float64(sim.Second))
+	r.eng.At(serEnd, r.txDone)
+	r.inflight = append(r.inflight, p)
+	r.eng.At(serEnd+r.prop, r.deliver)
+}
+
+func (r *refLink) txDone(now sim.Time) {
+	if r.txPkt != nil { // nil: killed by a mid-serialization SetUp
+		r.txPkt = nil
+		r.txPackets++
+		r.txBytes += uint64(r.txSize)
+	}
+	r.sending = false
+	if len(r.queue) > 0 {
+		p := r.queue[0]
+		r.queue = r.queue[1:]
+		r.qlen -= r.size(p)
+		r.transmit(p, now)
+	}
+}
+
+func (r *refLink) deliver(now sim.Time) {
+	p := r.inflight[0]
+	r.inflight = r.inflight[1:]
+	if p != nil {
+		*r.log = append(*r.log, modelRec{kind: 'd', at: now, a: p.Seq, b: int64(p.Hdr.CE)})
+	}
+}
+
+func (r *refLink) SetUp(up bool) {
+	r.up = up
+	if up {
+		return
+	}
+	now := r.eng.Now()
+	for _, p := range r.queue {
+		r.drop(p, now)
+	}
+	r.queue, r.qlen = nil, 0
+	if r.fab {
+		r.dre.Reset()
+	}
+	if r.txPkt != nil {
+		r.txPackets++
+		r.txBytes += uint64(r.txSize)
+		r.inflight[len(r.inflight)-1] = nil
+		r.drop(r.txPkt, now)
+		r.txPkt = nil
+	}
+}
+
+// recNode is Link's destination in the model test: it logs deliveries.
+type recNode struct{ log *[]modelRec }
+
+func (n recNode) handle(p *Packet, _ *Link, now sim.Time) {
+	*n.log = append(*n.log, modelRec{kind: 'd', at: now, a: p.Seq, b: int64(p.Hdr.CE)})
+}
+
+// modelOp is one scheduled action. Sends with chase > 0 also schedule a
+// second send and a probe, from inside the event, chase serialization times
+// later: if the first found the link idle, they arrive exactly as its claim
+// expires, ordered after the claim's reserved sequence number — the other
+// side of the tie from the pre-scheduled ops, which all order before it.
+type modelOp struct {
+	at      sim.Time
+	kind    byte // 's' send, 'f' fail, 'r' restore, 'p' probe
+	payload int
+	chase   int
+}
+
+// runModel plays ops against one link model on a fresh engine and returns
+// everything it observed, drops merged in by the caller's hook.
+func runModel(ops []modelOp, rate float64, fab bool, until sim.Time, build func(*sim.Engine, *[]modelRec) (txLink, *core.DRE)) []modelRec {
+	eng := sim.New()
+	var log []modelRec
+	l, dre := build(eng, &log)
+	if fab {
+		sim.NewTicker(eng, 3*sim.Microsecond, func(sim.Time) { dre.Decay() })
+	}
+	seq := int64(0)
+	send := func(payload int, now sim.Time) sim.Time {
+		seq++
+		p := &Packet{Seq: seq, Payload: payload}
+		size := p.WireSize()
+		if fab {
+			size = p.FabricWireSize()
+		}
+		l.Send(p, now)
+		return sim.Time(float64(size) * 8 / rate * float64(sim.Second))
+	}
+	probe := func(now sim.Time) {
+		log = append(log, modelRec{'p', now, int64(l.TxPackets()), int64(l.TxBytes()), int64(l.QueuedBytes())})
+	}
+	for _, op := range ops {
+		op := op
+		eng.At(op.at, func(now sim.Time) {
+			switch op.kind {
+			case 's':
+				ser := send(op.payload, now)
+				if op.chase > 0 {
+					eng.At(now+sim.Time(op.chase)*ser, func(now sim.Time) {
+						send(op.payload, now)
+						probe(now)
+					})
+				}
+			case 'f':
+				l.SetUp(false)
+			case 'r':
+				l.SetUp(true)
+			case 'p':
+				probe(now)
+			}
+		})
+	}
+	eng.Run(until)
+	probe(until) // outside any event: the instant with all its events done
+	return log
+}
+
+// TestLinkMatchesReferenceModel drives Link and the discrete reference link
+// with the same seeded random schedules — back-to-back bursts, sends landing
+// exactly on a claim's expiry from both sides of its sequence number, tail
+// drops into a two-packet buffer, cables pulled and restored
+// mid-serialization and mid-queue, counter probes at random instants — and
+// requires identical delivery times, CE marks, drop sets and probe values.
+func TestLinkMatchesReferenceModel(t *testing.T) {
+	const rate, prop = 8e9, 700 * sim.Nanosecond
+	payloads := []int{6, 442, 1442} // wire 64, 500, 1500 bytes: 64, 500, 1500 ns at 8 Gb/s
+	var dropped, queued int
+	for seed := uint64(1); seed <= 400; seed++ {
+		rng := sim.NewRand(seed)
+		fab := seed%2 == 0
+		unit := sim.Time(500)
+		if fab {
+			unit = 554 // 500 + EncapOverhead
+		}
+		var ops []modelOp
+		at := sim.Time(0)
+		for i := 0; i < 60; i++ {
+			// Mostly grid-aligned instants, so busy periods end where other
+			// ops sit; sometimes an arbitrary one.
+			switch rng.Intn(4) {
+			case 0:
+				at += sim.Time(rng.Intn(3000))
+			case 1: // same instant as the previous op: a burst
+			default:
+				at += unit * sim.Time(rng.Intn(4))
+			}
+			op := modelOp{at: at, kind: 's', payload: payloads[rng.Intn(3)]}
+			switch r := rng.Intn(20); {
+			case r < 2:
+				op.kind = 'f'
+			case r < 4:
+				op.kind = 'r'
+			case r < 8:
+				op.kind = 'p'
+			case r < 12:
+				op.chase = 1 + rng.Intn(2)
+			}
+			ops = append(ops, op)
+		}
+		until := at + 20*sim.Microsecond
+		maxQ := 2*1554 + rng.Intn(1554)
+
+		tr := telemetry.New(telemetry.Options{Trace: true, TraceCap: 256}).Trace()
+		got := runModel(ops, rate, fab, until, func(eng *sim.Engine, log *[]modelRec) (txLink, *core.DRE) {
+			link := NewLink(eng, LinkConfig{Name: "dut", RateBps: rate, PropDelay: prop,
+				BufBytes: maxQ, Fabric: fab, Params: core.DefaultParams()}, recNode{log})
+			link.trace = tr
+			return link, link.DRE()
+		})
+		for _, e := range tr.Events() {
+			got = append(got, modelRec{kind: 'x', at: e.T, a: e.Seq})
+		}
+		want := runModel(ops, rate, fab, until, func(eng *sim.Engine, log *[]modelRec) (txLink, *core.DRE) {
+			r := &refLink{eng: eng, rate: rate, prop: prop, maxQ: maxQ, fab: fab, up: true, log: log}
+			if fab {
+				r.dre = NewLinkDRE(rate, core.DefaultParams())
+			}
+			return r, r.dre
+		})
+		// Link's drops come from its trace, appended after the rest; give
+		// the reference log the same shape before comparing.
+		var rest, drops []modelRec
+		for _, r := range want {
+			if r.kind == 'x' {
+				drops = append(drops, r)
+			} else {
+				rest = append(rest, r)
+			}
+		}
+		want = append(rest, drops...)
+		if !reflect.DeepEqual(got, want) {
+			for i := range got {
+				if i >= len(want) || got[i] != want[i] {
+					t.Fatalf("seed %d (fabric %v): record %d differs\nlink:      %+v\nreference: %+v", seed, fab, i, got[i], want[min(i, len(want)-1)])
+				}
+			}
+			t.Fatalf("seed %d: link logged %d records, reference %d", seed, len(got), len(want))
+		}
+		dropped += len(drops)
+		for _, r := range got {
+			if r.kind == 'p' && r.c > 0 {
+				queued++
+			}
+		}
+	}
+	if dropped == 0 || queued == 0 {
+		t.Fatalf("schedules too tame: %d drops, %d probes that saw a queue", dropped, queued)
+	}
+}
+
+// TestLinkLayout pins the hot-state layout of DESIGN.md §3.10: everything
+// Send, start and deliver touch per packet sits in the struct's first four
+// cache lines — claim and queue header in the first — and the cold fields
+// (names, pools, set-up wiring, drop counters, trace hook) come after them.
+func TestLinkLayout(t *testing.T) {
+	var l Link
+	end := func(off, size uintptr) uintptr { return off + size }
+	first := map[string]uintptr{
+		"freeAt":   end(unsafe.Offsetof(l.freeAt), unsafe.Sizeof(l.freeAt)),
+		"claimSeq": end(unsafe.Offsetof(l.claimSeq), unsafe.Sizeof(l.claimSeq)),
+		"up":       end(unsafe.Offsetof(l.up), unsafe.Sizeof(l.up)),
+		"eng":      end(unsafe.Offsetof(l.eng), unsafe.Sizeof(l.eng)),
+		"queue":    end(unsafe.Offsetof(l.queue), unsafe.Sizeof(l.queue)),
+		"qhead":    end(unsafe.Offsetof(l.qhead), unsafe.Sizeof(l.qhead)),
+	}
+	for name, e := range first {
+		if e > 64 {
+			t.Errorf("send-path field %s ends at byte %d, past the first cache line", name, e)
+		}
+	}
+	hot := map[string]uintptr{
+		"rate":      end(unsafe.Offsetof(l.rate), unsafe.Sizeof(l.rate)),
+		"prop":      end(unsafe.Offsetof(l.prop), unsafe.Sizeof(l.prop)),
+		"dst":       end(unsafe.Offsetof(l.dst), unsafe.Sizeof(l.dst)),
+		"chain":     end(unsafe.Offsetof(l.chain), unsafe.Sizeof(l.chain)),
+		"xq":        end(unsafe.Offsetof(l.xq), unsafe.Sizeof(l.xq)),
+		"inflight":  end(unsafe.Offsetof(l.inflight), unsafe.Sizeof(l.inflight)),
+		"deliverFn": end(unsafe.Offsetof(l.deliverFn), unsafe.Sizeof(l.deliverFn)),
+		"txBytes":   end(unsafe.Offsetof(l.txBytes), unsafe.Sizeof(l.txBytes)),
+		"tel":       end(unsafe.Offsetof(l.tel), unsafe.Sizeof(l.tel)),
+		"dre":       end(unsafe.Offsetof(l.dre), unsafe.Sizeof(l.dre)),
+		"dreListed": end(unsafe.Offsetof(l.dreListed), unsafe.Sizeof(l.dreListed)),
+	}
+	for name, e := range hot {
+		if e > 256 {
+			t.Errorf("per-packet field %s ends at byte %d, past the fourth cache line", name, e)
+		}
+	}
+	cold := map[string]uintptr{
+		"Name":      unsafe.Offsetof(l.Name),
+		"pool":      unsafe.Offsetof(l.pool),
+		"drainFn":   unsafe.Offsetof(l.drainFn),
+		"dom":       unsafe.Offsetof(l.dom),
+		"gen":       unsafe.Offsetof(l.gen),
+		"Drops":     unsafe.Offsetof(l.Drops),
+		"DropBytes": unsafe.Offsetof(l.DropBytes),
+		"trace":     unsafe.Offsetof(l.trace),
+	}
+	for name, off := range cold {
+		if off < 256 {
+			t.Errorf("cold field %s at byte %d sits among the per-packet fields", name, off)
+		}
+	}
+	if s := unsafe.Sizeof(l); s > 328 {
+		t.Errorf("Link is %d bytes, want ≤ 328", s)
+	}
+}

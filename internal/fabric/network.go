@@ -63,16 +63,6 @@ type Config struct {
 	// scheduled, so the executed-event count is identical with telemetry
 	// on or off). The registry must be private to this network's engine.
 	Telemetry *telemetry.Registry
-
-	// DisableFusion turns off the idle-path cut-through fast path
-	// (DESIGN.md §3.9) and runs every hop through the full
-	// transmit→txDone→deliver event chain. Results are bit-identical
-	// either way — fusion only reduces the executed-event count — so this
-	// exists for the equivalence tests and for A/B measurement. Fusion is
-	// also forced off when the telemetry registry carries a packet trace
-	// or a live tap, whose mid-serialization snapshots would otherwise
-	// observe the inlined tx-done counters early.
-	DisableFusion bool
 }
 
 // WithDefaults returns cfg with unset fields filled in.
@@ -200,8 +190,7 @@ type Network struct {
 	deliv      []*deliverer // per-domain cross-arrival injector; nil when sequential
 
 	// chainFlags[d] marks, while domain d executes a pure-arrival event,
-	// that idle sends may chain hops synchronously; nil when fusion is off
-	// (see Config.DisableFusion and Link.fastTransmit).
+	// that idle sends may chain hops synchronously (see Link.start).
 	chainFlags []*chainFlag
 
 	// Telemetry series, parallel to fabricLinks / Leaves; all nil when
@@ -249,26 +238,25 @@ func (n *Network) wireTelemetry(reg *telemetry.Registry) {
 	}
 	n.tel = reg
 	tr := reg.Trace()
-	hook := func(l *Link) {
+	n.eachLink(func(l *Link) {
 		l.tel = reg.Link(l.Name)
 		l.trace = tr
-	}
-	for _, l := range n.fabricLinks {
-		hook(l)
+	})
+	if reg.Options().Counters {
+		// Dequeues is pulled, not pushed: it is the link's as-of-now tx
+		// count, so a tap snapshot taken mid-serialization shows what the
+		// wire has carried and the hot path bumps one counter, not two.
+		reg.AddCollector(func() {
+			n.eachLink(func(l *Link) { l.tel.Dequeues = l.TxPackets() })
+		})
 	}
 	for _, h := range n.Hosts {
-		hook(h.out)
 		// Per-domain shard so concurrent domains never share a counter
 		// cache line; shard 0 is the registry's own TCP block, so a
 		// sequential network is wired exactly as before.
 		h.tcpTel = reg.TCPShard(h.Leaf % n.domains)
 		h.trace = tr
 		h.traceName = fmt.Sprintf("h%d", h.ID)
-	}
-	for _, ls := range n.Leaves {
-		for _, l := range ls.downlinks {
-			hook(l)
-		}
 	}
 
 	series := reg.Options().Series
@@ -446,20 +434,28 @@ func (n *Network) linkPair(leaf, spine, k int) (up, down *Link) {
 	return n.Leaves[leaf].uplinks[uplinkIdx], n.Spines[spine].down[leaf][k]
 }
 
+// eachLink visits every link of the fabric: leaf↔spine links, host uplinks
+// and leaf→host downlinks.
+func (n *Network) eachLink(fn func(*Link)) {
+	for _, l := range n.fabricLinks {
+		fn(l)
+	}
+	for _, h := range n.Hosts {
+		fn(h.out)
+	}
+	for _, ls := range n.Leaves {
+		for _, l := range ls.downlinks {
+			fn(l)
+		}
+	}
+}
+
 // TotalDrops sums packet drops over every link in the fabric, including
 // access links.
 func (n *Network) TotalDrops() uint64 {
 	var d uint64
-	for _, l := range n.fabricLinks {
-		d += l.Drops
-	}
-	for _, h := range n.Hosts {
-		d += h.out.Drops
-	}
+	n.eachLink(func(l *Link) { d += l.Drops })
 	for _, ls := range n.Leaves {
-		for _, l := range ls.downlinks {
-			d += l.Drops
-		}
 		d += ls.NoRouteDrops
 	}
 	for _, ss := range n.Spines {

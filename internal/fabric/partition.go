@@ -12,7 +12,7 @@ import (
 // A partitioned network splits the fabric into P domains, one engine each:
 // leaf l (with its hosts and access links) belongs to domain l mod P, and
 // spine s to domain s mod P. Every link is owned by the domain of its
-// *transmitting* node — the side that runs Send/transmit/txDone and owns the
+// *transmitting* node — the side that runs Send/start/drain and owns the
 // queue, DRE, and counters — so the only cross-domain edges are leaf↔spine
 // links whose two ends hash to different domains. Those carry at least
 // FabricPropDelay of propagation, which is exactly the lookahead the window
@@ -21,7 +21,7 @@ import (
 // i.e. never inside the window being executed.
 //
 // Cross-domain links do not schedule their delivery event directly (the
-// destination's engine belongs to another goroutine). Instead txDone drops
+// destination's engine belongs to another goroutine). Instead start drops
 // the packet into the link's mailbox — one per (src domain, dst domain)
 // pair, written only by the source worker during window execution and read
 // only by the destination worker during the exchange phase, so the barrier
@@ -72,17 +72,17 @@ type pendingArrival struct {
 // the engine as a single sorted stream (sim.Engine.Splice) instead of one
 // heap insertion per entry. Within a batch the splice preserves the merge
 // order exactly (consecutive engine seqs), and across batches the engine's
-// (time, seq) order decides: batches may overlap in time once fused sends
-// commit arrivals with long serialization tails crossing a window
-// boundary, which is why each batch carries its own queue and bound event
-// rather than sharing one ring.
+// (time, seq) order decides: batches may overlap in time because links
+// commit arrivals at serialization start, with tails that can cross a
+// window boundary, which is why each batch carries its own queue and bound
+// event rather than sharing one ring.
 type deliverer struct {
 	eng   *sim.Engine
 	merge []xArrival // scratch buffer reused across exchanges
 	times []sim.Time // scratch splice times, reused across exchanges
 	free  []*xBatch  // recycled batches
 	last  *xBatch    // most recently spliced batch, for tests
-	chain *chainFlag // owning domain's arrival-context flag; nil without fusion
+	chain *chainFlag // owning domain's arrival-context flag
 }
 
 // xBatch is one exchanged window's worth of arrivals: queue[head:] pairs
@@ -94,8 +94,8 @@ type xBatch struct {
 	fn    sim.Event
 }
 
-func newDeliverer(eng *sim.Engine) *deliverer {
-	return &deliverer{eng: eng}
+func newDeliverer(eng *sim.Engine, chain *chainFlag) *deliverer {
+	return &deliverer{eng: eng, chain: chain}
 }
 
 func (dv *deliverer) getBatch() *xBatch {
@@ -119,15 +119,13 @@ func (b *xBatch) deliver(now sim.Time) {
 		b.head = 0
 		b.dv.free = append(b.dv.free, b)
 	}
-	if c := b.dv.chain; c != nil && !e.link.dstIsHost {
-		// Same switch-arrival chain context as Link.deliver: the handler
-		// is this firing's tail, so downstream idle hops may fuse into it.
-		c.active = true
-		e.link.dst.handle(e.p, e.link, now)
-		c.active = false
-		return
-	}
+	// Cross-domain links join switches, so this is the same switch-arrival
+	// chain context as Link.deliver: the handler is this firing's tail and
+	// downstream idle hops may chain into it.
+	c := b.dv.chain
+	c.active = true
 	e.link.dst.handle(e.p, e.link, now)
+	c.active = false
 }
 
 // Exchange drains every mailbox destined for domain d and schedules the
@@ -149,7 +147,7 @@ func (n *Network) Exchange(d int, windowEnd sim.Time) {
 			if e.p != nil {
 				merge = append(merge, xArrival{p: e.p, at: e.at, link: e.link, src: int32(s), seq: int32(i)})
 			}
-			// A nil p is a tombstone: a fused packet killed by a
+			// A nil p is a tombstone: a packet killed by a
 			// mid-serialization link failure before the window closed
 			// (Link.SetUp). It simply doesn't merge.
 			*e = mailEntry{}
@@ -254,6 +252,10 @@ func NewPartitionedNetwork(engines []*sim.Engine, cfg Config) (*Network, error) 
 		n.pools[d] = &PacketPool{}
 	}
 	n.pool = n.pools[0]
+	n.chainFlags = make([]*chainFlag, P)
+	for d := range n.chainFlags {
+		n.chainFlags[d] = &chainFlag{}
+	}
 	n.dreActive = make([][]*Link, P)
 	n.domFabIdx = make([][]int, P)
 	n.domLeafIdx = make([][]int, P)
@@ -269,14 +271,14 @@ func NewPartitionedNetwork(engines []*sim.Engine, cfg Config) (*Network, error) 
 		}
 		n.deliv = make([]*deliverer, P)
 		for d := range n.deliv {
-			n.deliv[d] = newDeliverer(engines[d])
+			n.deliv[d] = newDeliverer(engines[d], n.chainFlags[d])
 		}
 	}
 
 	// Hosts and leaves. Leaf l and everything below it live in domain l%P.
 	for leaf := 0; leaf < cfg.NumLeaves; leaf++ {
 		dom := leaf % P
-		eng, pool := engines[dom], n.pools[dom]
+		eng, pool, chain := engines[dom], n.pools[dom], n.chainFlags[dom]
 		ls := &LeafSwitch{ID: leaf, net: n, vni: cfg.VNI, pool: pool, firstHost: leaf * cfg.HostsPerLeaf}
 		n.Leaves = append(n.Leaves, ls)
 		n.domLeafIdx[dom] = append(n.domLeafIdx[dom], leaf)
@@ -290,6 +292,7 @@ func NewPartitionedNetwork(engines []*sim.Engine, cfg Config) (*Network, error) 
 				BufBytes:  cfg.HostBufBytes,
 				Params:    cfg.Params,
 				Pool:      pool,
+				chain:     chain,
 			}, ls)
 			h.out.dom = dom
 			down := NewLink(eng, LinkConfig{
@@ -299,6 +302,7 @@ func NewPartitionedNetwork(engines []*sim.Engine, cfg Config) (*Network, error) 
 				BufBytes:  cfg.EdgeBufBytes,
 				Params:    cfg.Params,
 				Pool:      pool,
+				chain:     chain,
 			}, h)
 			down.dom = dom
 			ls.downlinks = append(ls.downlinks, down)
@@ -335,6 +339,7 @@ func NewPartitionedNetwork(engines []*sim.Engine, cfg Config) (*Network, error) 
 					Fabric:    true,
 					Params:    cfg.Params,
 					Pool:      n.pools[ld],
+					chain:     n.chainFlags[ld],
 				}, ss)
 				up.dom = ld
 				down := NewLink(engines[sd], LinkConfig{
@@ -345,6 +350,7 @@ func NewPartitionedNetwork(engines []*sim.Engine, cfg Config) (*Network, error) 
 					Fabric:    true,
 					Params:    cfg.Params,
 					Pool:      n.pools[sd],
+					chain:     n.chainFlags[sd],
 				}, ls)
 				down.dom = sd
 				// A state change on either invalidates every leaf's
@@ -376,45 +382,9 @@ func NewPartitionedNetwork(engines []*sim.Engine, cfg Config) (*Network, error) 
 	// Telemetry hooks and series (no-op when cfg.Telemetry is nil).
 	n.wireTelemetry(cfg.Telemetry)
 
-	// Idle-path cut-through: enabled unless explicitly disabled or a
-	// packet trace / live tap is attached (those observe per-event timing
-	// that fusion compresses; see DESIGN.md §3.9). The decision is static
-	// for the run, so the hot path tests a plain bool per send.
-	fuse := !cfg.DisableFusion
-	if cfg.Telemetry != nil {
-		o := cfg.Telemetry.Options()
-		if o.Trace || o.Tap || o.Hub != nil {
-			fuse = false
-		}
-	}
-	if fuse {
-		n.chainFlags = make([]*chainFlag, P)
-		for d := range n.chainFlags {
-			n.chainFlags[d] = &chainFlag{}
-		}
-		wire := func(l *Link) {
-			l.fuse = true
-			l.chain = n.chainFlags[l.dom]
-		}
-		for _, l := range n.fabricLinks {
-			wire(l)
-		}
-		for _, h := range n.Hosts {
-			wire(h.out)
-		}
-		for _, ls := range n.Leaves {
-			for _, l := range ls.downlinks {
-				wire(l)
-			}
-		}
-		for d := range n.deliv {
-			n.deliv[d].chain = n.chainFlags[d]
-		}
-	}
-
 	// DRE decay: one ticker per domain drives the estimators of that
 	// domain's links that carried traffic recently. Links register
-	// themselves on first transmission (Link.transmit) onto their owning
+	// themselves on first transmission (Link.start) onto their owning
 	// domain's dirty-list and are dropped once their register decays to
 	// zero, so an idle fabric does no per-link work per period. Telemetry
 	// rides this ticker for its queue/DRE samples instead of scheduling its

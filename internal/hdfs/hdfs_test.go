@@ -114,7 +114,7 @@ func TestReplicaPlacementCrossesRacks(t *testing.T) {
 	eng.Run(sim.MaxTime)
 	var fabricBytes uint64
 	for _, l := range n.FabricLinks() {
-		fabricBytes += l.TxBytes
+		fabricBytes += l.TxBytes()
 	}
 	if fabricBytes == 0 {
 		t.Fatal("no replication traffic crossed the fabric")

@@ -98,8 +98,8 @@ func TestSubflowsSpreadAcrossPaths(t *testing.T) {
 		t.Fatal("no completion")
 	}
 	up := n.Leaves[0].Uplinks()
-	if up[0].TxPackets == 0 || up[1].TxPackets == 0 {
-		t.Fatalf("subflows did not spread: uplink tx = %d, %d", up[0].TxPackets, up[1].TxPackets)
+	if up[0].TxPackets() == 0 || up[1].TxPackets() == 0 {
+		t.Fatalf("subflows did not spread: uplink tx = %d, %d", up[0].TxPackets(), up[1].TxPackets())
 	}
 }
 

@@ -180,8 +180,8 @@ type Engine struct {
 	runUntil Time
 
 	// curSeq is the sequence number of the event currently executing. The
-	// fabric's cut-through fast path compares it against reserved sequence
-	// numbers to replay the slow path's exact tie-breaking (see ReserveSeq).
+	// fabric's links compare it against the sequence numbers their claims
+	// reserved to break same-instant ties (see ReserveSeq).
 	curSeq uint64
 }
 
@@ -310,8 +310,9 @@ func (e *Engine) At(t Time, fn Event) EventHandle {
 	return e.schedule(t, fn, false)
 }
 
-// CurSeq returns the sequence number of the event currently executing. It
-// is only meaningful inside an event callback.
+// CurSeq returns the sequence number of the event currently executing.
+// Between Run calls it orders after every number handed out so far: a
+// reader outside any callback sees the instant with all its events done.
 func (e *Engine) CurSeq() uint64 { return e.curSeq }
 
 // SetCurSeq overrides the executing event's logical sequence number and
@@ -329,10 +330,10 @@ func (e *Engine) SetCurSeq(s uint64) uint64 {
 // ReserveSeq allocates and returns the next sequence number without
 // scheduling anything. A reserved number may later back an AtSeq call (at
 // most once) or be left unused; holes in the sequence space are harmless
-// because tie-breaking only needs uniqueness and monotonicity. The fabric's
-// idle-path fusion reserves the sequence numbers its skipped slow-path
-// events would have consumed, which keeps every (time, seq) tie in the
-// fused run identical to the unfused one.
+// because tie-breaking only needs uniqueness and monotonicity. A fabric link
+// reserves one per transmitter claim — the point in (time, seq) order where
+// the claim expires — and only schedules an event under it if packets queue
+// behind the claim.
 func (e *Engine) ReserveSeq() uint64 {
 	s := e.nextSeq
 	e.nextSeq++
@@ -370,7 +371,7 @@ func (e *Engine) AtSeq(t Time, fn Event, seq uint64) EventHandle {
 // restoreBucketOrder moves ev — just appended to its wheel bucket's tail —
 // backward past any higher-seq entries, restoring the buckets' seq-sorted
 // invariant after an out-of-order AtSeq insert. Far-heap events order
-// themselves. Reserved-seq inserts are rare (a fused link claim turning
+// themselves. Reserved-seq inserts are rare (a link claim turning
 // contended), so the backward walk is not on the hot path.
 func (e *Engine) restoreBucketOrder(ev *scheduledEvent) {
 	if ev.lvl == locFar || ev.lvl == locNone {
@@ -693,7 +694,7 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) Run(until Time) Time {
 	e.stopped = false
 	e.runUntil = until
-	defer func() { e.runUntil = 0 }()
+	defer func() { e.runUntil, e.curSeq = 0, e.nextSeq }()
 	for e.pending > 0 && !e.stopped {
 		// With no live (non-daemon) work left, an unbounded run is done:
 		// only periodic housekeeping remains and it would tick forever.

@@ -323,7 +323,7 @@ func NewImbalanceSampler(links []*fabric.Link, window sim.Time) *ImbalanceSample
 // Start begins periodic sampling on the engine.
 func (s *ImbalanceSampler) Start(eng *sim.Engine) {
 	for i, l := range s.links {
-		s.prev[i] = l.TxBytes
+		s.prev[i] = l.TxBytes()
 	}
 	sim.NewTicker(eng, s.Window, func(sim.Time) { s.take() })
 }
@@ -331,8 +331,9 @@ func (s *ImbalanceSampler) Start(eng *sim.Engine) {
 func (s *ImbalanceSampler) take() {
 	min, max, sum := math.MaxFloat64, 0.0, 0.0
 	for i, l := range s.links {
-		d := float64(l.TxBytes - s.prev[i])
-		s.prev[i] = l.TxBytes
+		tx := l.TxBytes()
+		d := float64(tx - s.prev[i])
+		s.prev[i] = tx
 		if d < min {
 			min = d
 		}

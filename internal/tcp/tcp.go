@@ -716,7 +716,7 @@ func (s *Sender) onDupAck(now sim.Time) {
 			s.reorderArmed = s.sndUna
 			// At(now+...), not After: transport handlers schedule relative
 			// to their logical now, never the engine clock (the two could
-			// drift if a handler ever ran under a fused hop chain).
+			// drift if a handler ever ran under a hop chain).
 			s.reorderTimer = s.eng.At(now+s.cfg.ReorderWindow, s.onReorderFn)
 		}
 		return

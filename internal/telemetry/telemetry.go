@@ -127,13 +127,14 @@ func (o Options) withDefaults() Options {
 }
 
 // LinkCounters is the per-link hook struct. The owning link bumps the
-// fields directly; with telemetry off the link's pointer is nil and each
-// site is one branch.
+// fields directly (Dequeues excepted); with telemetry off the link's
+// pointer is nil and each site is one branch.
 type LinkCounters struct {
 	Name string
 	// Enqueues counts packets accepted for transmission (queued or put
 	// straight into service); Dequeues counts packets whose serialization
-	// finished; Drops counts tail drops, down-link drops and queue flushes.
+	// finished, pulled from the link's as-of-now tx count by a collector;
+	// Drops counts tail drops, down-link drops and queue flushes.
 	Enqueues, Dequeues, Drops uint64
 	// CEMarks counts transits that raised the packet's CONGA CE field
 	// (fabric links only).
@@ -464,11 +465,8 @@ func (r *Registry) FlushTo(dir string) error {
 		return nil
 	}
 	r.Collect()
-	for _, sink := range []Sink{
-		CSVSink{Dir: dir, Provenance: r.provenance},
-		NDJSONSink{Dir: dir, Provenance: r.provenance},
-	} {
-		if err := r.flushSink(sink); err != nil {
+	for _, ndjson := range []bool{false, true} {
+		if err := r.flushSink(FileSink{Dir: dir, Provenance: r.provenance, NDJSON: ndjson}); err != nil {
 			return err
 		}
 	}

@@ -136,13 +136,8 @@ func TestLiveTapConcurrentEngines(t *testing.T) {
 // mid-run, AND a triggered flight-recorder trace must produce results
 // bit-identical to the same seeded run with telemetry off entirely.
 func TestLiveObservabilityDoesNotPerturb(t *testing.T) {
-	// The tap and trace force the fused fast path off, so pin the baseline
-	// to the same slow path — otherwise only the executed-event count would
-	// differ (see TestFusionEquivalence for the fused-vs-unfused contract).
-	topo := liveTopo
-	topo.DisableFusion = true
 	cfg := FCTConfig{
-		Topology: topo, Scheme: SchemeCONGA, Workload: WorkloadEnterprise,
+		Topology: liveTopo, Scheme: SchemeCONGA, Workload: WorkloadEnterprise,
 		Load: 0.6, Duration: 10 * time.Millisecond, MaxFlows: 120, Seed: 7,
 	}
 	off, err := RunFCT(cfg)

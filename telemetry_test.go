@@ -18,14 +18,8 @@ import (
 func TestTelemetryDoesNotPerturbSimulation(t *testing.T) {
 	for _, scheme := range []Scheme{SchemeECMP, SchemeCONGA, SchemeMPTCPMarker} {
 		cfg := FCTConfig{
-			// TelemetryAll includes the packet trace, which forces the fused
-			// fast path off (its mid-serialization snapshots would observe
-			// the early-applied tx counters); pin the baseline to the same
-			// slow path so the executed-event count compares bit-for-bit
-			// too. Fused-vs-unfused equivalence has its own test
-			// (TestFusionEquivalence).
 			Topology: Topology{Leaves: 2, Spines: 2, HostsPerLeaf: 4, LinksPerSpine: 1,
-				AccessGbps: 10, FabricGbps: 10, DisableFusion: true},
+				AccessGbps: 10, FabricGbps: 10},
 			Scheme:   scheme,
 			Workload: WorkloadEnterprise,
 			Load:     0.6,
@@ -163,11 +157,8 @@ func TestDecisionTraceRejectedUnderParallel(t *testing.T) {
 // the Incast micro-benchmark.
 func TestTelemetryDoesNotPerturbIncast(t *testing.T) {
 	cfg := IncastConfig{
-		// Fusion off on both sides: the traced run would fall back to the
-		// slow path anyway and the event counts would differ by design
-		// (TestFusionEquivalenceIncast covers fused-vs-unfused identity).
 		Topology: Topology{Leaves: 2, Spines: 2, HostsPerLeaf: 8, LinksPerSpine: 1,
-			AccessGbps: 10, FabricGbps: 10, DisableFusion: true},
+			AccessGbps: 10, FabricGbps: 10},
 		Scheme: SchemeCONGA,
 		Fanout: 8,
 		Rounds: 2,
