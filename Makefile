@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint bench bench-engine bench-quick bench-parallel bench-guard bench-guard-parallel bench-profile bench-repo bench-compare bench-smoke replay-smoke decision-smoke check
+.PHONY: build test race vet lint fuzz-smoke bench bench-engine bench-quick bench-parallel bench-guard bench-guard-parallel bench-profile bench-repo bench-compare bench-smoke replay-smoke decision-smoke check
 
 build:
 	$(GO) build ./...
@@ -25,6 +25,15 @@ lint: vet
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
+
+# Native fuzzing smoke (~45 s): the timing wheel against a sorted (time, seq)
+# model, and the packed congestion-table entry against the three-field one
+# it replaced. Their seed corpora already run under plain `go test`; this
+# lets the mutator look past them. One target per invocation is a go test
+# rule.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzWheelMatchesHeap -fuzztime 20s ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzMetricAgePacking -fuzztime 20s ./internal/core
 
 # Full paper-artifact benchmarks (minutes).
 bench:
@@ -57,7 +66,7 @@ bench-parallel:
 # every PR; >15% ns/op regression on the engine hot path fails the build).
 bench-guard:
 	$(MAKE) bench-quick | tee bench-quick.txt
-	$(GO) run ./tools/benchguard -baseline BENCH_PR13.json -max-regress 0.15 \
+	$(GO) run ./tools/benchguard -baseline BENCH_PR14.json -max-regress 0.15 \
 		-require 'BenchmarkEngineRaw,BenchmarkFig09Enterprise' bench-quick.txt
 
 # Gate the space-parallel scale cells: events/op exact per worker count,
@@ -66,7 +75,7 @@ bench-guard:
 # gates still pin determinism).
 bench-guard-parallel:
 	$(MAKE) bench-parallel | tee bench-parallel.txt
-	$(GO) run ./tools/benchguard -baseline BENCH_PR13.json \
+	$(GO) run ./tools/benchguard -baseline BENCH_PR14.json \
 		-require 'BenchmarkScale256Leaves40G,BenchmarkScale256Leaves40GParallel2,BenchmarkScale256Leaves40GParallel4,BenchmarkScale256Leaves40GParallel8' \
 		-speedup 'BenchmarkScale256Leaves40GParallel8:BenchmarkScale256Leaves40G:2.5' \
 		bench-parallel.txt

@@ -311,6 +311,13 @@ func printTelemetry(reg *conga.TelemetryRegistry, dir string) {
 	creates, expires, evicts := reg.FlowletTotals()
 	fmt.Printf("telemetry: links enq %d deq %d drops %d ce-marks %d; tcp retx %d rto %d dupacks %d; flowlets created %d expired %d evicted %d\n",
 		enq, deq, drops, ce, tcp.Retransmits, tcp.Timeouts, tcp.DupAcks, creates, expires, evicts)
+	if rows := reg.EngineRows(); len(rows) > 0 {
+		fmt.Print("engine:")
+		for _, row := range rows {
+			fmt.Printf(" %s %d", row.Counter, row.Value)
+		}
+		fmt.Println()
+	}
 	dest := dir
 	if dest == "" {
 		dest = "(in memory)"

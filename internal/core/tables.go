@@ -1,31 +1,48 @@
 package core
 
-import "conga/internal/sim"
+import (
+	"fmt"
+	"math/bits"
+
+	"conga/internal/sim"
+)
 
 // metricAge tracks a quantized congestion metric together with its last
 // update time so stale values can decay (§3.3, "metric aging"). A metric
 // untouched for AgeTimeout decays linearly to zero over a further
 // AgeTimeout, which both prevents routing on stale state and guarantees
 // that a path that looked congested is eventually probed again.
-type metricAge struct {
-	value   uint8
-	updated sim.Time
-	touched bool
-}
+//
+// It is one word — touched (bit 63), the value (bits 55–62) and the update
+// time in nanoseconds (bits 0–54, 417 days of virtual time) — so a peer
+// leaf's whole row of 8 uplinks is one cache line.
+type metricAge uint64
+
+const (
+	ageTimeBits = 55
+	ageTimeMask = 1<<ageTimeBits - 1
+	ageTouched  = 1 << 63
+)
 
 func (m *metricAge) set(v uint8, now sim.Time) {
-	m.value = v
-	m.updated = now
-	m.touched = true
+	if uint64(now) > ageTimeMask {
+		panic(fmt.Sprintf("core: metric timestamp %d ns outside the packed entry's 55 bits", int64(now)))
+	}
+	*m = metricAge(ageTouched | uint64(v)<<ageTimeBits | uint64(now))
 }
 
-func (m *metricAge) get(now sim.Time, ageTimeout sim.Time) uint8 {
-	if !m.touched || m.value == 0 {
+func (m metricAge) touched() bool     { return m&ageTouched != 0 }
+func (m metricAge) value() uint8      { return uint8(m >> ageTimeBits) }
+func (m metricAge) updated() sim.Time { return sim.Time(m & ageTimeMask) }
+
+func (m metricAge) get(now sim.Time, ageTimeout sim.Time) uint8 {
+	v := m.value() // zero for an untouched entry
+	if v == 0 {
 		return 0
 	}
-	idle := now - m.updated
+	idle := now - m.updated()
 	if idle <= ageTimeout {
-		return m.value
+		return v
 	}
 	// Linear decay from full value at ageTimeout to zero at 2·ageTimeout.
 	excess := idle - ageTimeout
@@ -33,7 +50,7 @@ func (m *metricAge) get(now sim.Time, ageTimeout sim.Time) uint8 {
 		return 0
 	}
 	remain := float64(ageTimeout-excess) / float64(ageTimeout)
-	return uint8(float64(m.value) * remain)
+	return uint8(float64(v) * remain)
 }
 
 // CongestionToLeaf is the source-side table (§3): for each destination leaf
@@ -41,7 +58,8 @@ func (m *metricAge) get(now sim.Time, ageTimeout sim.Time) uint8 {
 // path(s) that start at that uplink, as learned from feedback. The LB
 // decision takes the max of this remote metric and the local uplink DRE.
 type CongestionToLeaf struct {
-	metrics    [][]metricAge // [destLeaf][uplink]
+	metrics    []metricAge // destLeaf·n + uplink: one contiguous row per peer
+	n          int         // uplinks
 	ageTimeout sim.Time
 }
 
@@ -49,34 +67,36 @@ type CongestionToLeaf struct {
 // numUplinks local uplinks. Remote metrics start at zero: an unknown path
 // is assumed uncongested, which is what makes new paths get probed.
 func NewCongestionToLeaf(numLeaves, numUplinks int, p Params) *CongestionToLeaf {
-	t := &CongestionToLeaf{
-		metrics:    make([][]metricAge, numLeaves),
+	return &CongestionToLeaf{
+		metrics:    make([]metricAge, numLeaves*numUplinks),
+		n:          numUplinks,
 		ageTimeout: p.AgeTimeout,
 	}
-	for i := range t.metrics {
-		t.metrics[i] = make([]metricAge, numUplinks)
-	}
-	return t
+}
+
+// row returns destLeaf's entries, one per uplink.
+func (t *CongestionToLeaf) row(destLeaf int) []metricAge {
+	return t.metrics[destLeaf*t.n : (destLeaf+1)*t.n]
 }
 
 // Update records feedback: the path to destLeaf via uplink has congestion
 // metric value.
 func (t *CongestionToLeaf) Update(destLeaf, uplink int, value uint8, now sim.Time) {
-	t.metrics[destLeaf][uplink].set(value, now)
+	t.row(destLeaf)[uplink].set(value, now)
 }
 
 // Metric returns the (aged) remote congestion metric for destLeaf via
 // uplink.
 func (t *CongestionToLeaf) Metric(destLeaf, uplink int, now sim.Time) uint8 {
-	return t.metrics[destLeaf][uplink].get(now, t.ageTimeout)
+	return t.row(destLeaf)[uplink].get(now, t.ageTimeout)
 }
 
 // Metrics fills dst with the aged metrics for every uplink toward destLeaf
 // and returns it; dst must have length ≥ the uplink count.
 func (t *CongestionToLeaf) Metrics(destLeaf int, now sim.Time, dst []uint8) []uint8 {
-	row := t.metrics[destLeaf]
-	for i := range row {
-		dst[i] = row[i].get(now, t.ageTimeout)
+	row := t.row(destLeaf)
+	for i, m := range row {
+		dst[i] = m.get(now, t.ageTimeout)
 	}
 	return dst[:len(row)]
 }
@@ -86,11 +106,11 @@ func (t *CongestionToLeaf) Metrics(destLeaf int, now sim.Time, dst []uint8) []ui
 // only by Update, i.e. the feedback path). ok is false when the entry has
 // never been fed back — the decision plane reports such picks as "cold".
 func (t *CongestionToLeaf) FeedbackAge(destLeaf, uplink int, now sim.Time) (age sim.Time, ok bool) {
-	m := &t.metrics[destLeaf][uplink]
-	if !m.touched {
+	m := t.row(destLeaf)[uplink]
+	if !m.touched() {
 		return 0, false
 	}
-	return now - m.updated, true
+	return now - m.updated(), true
 }
 
 // MaxMetric returns the largest aged metric for the given uplink across all
@@ -99,8 +119,8 @@ func (t *CongestionToLeaf) FeedbackAge(destLeaf, uplink int, now sim.Time) (age 
 // metrics but never mutates the table.
 func (t *CongestionToLeaf) MaxMetric(uplink int, now sim.Time) uint8 {
 	var max uint8
-	for i := range t.metrics {
-		if v := t.metrics[i][uplink].get(now, t.ageTimeout); v > max {
+	for i := uplink; i < len(t.metrics); i += t.n {
+		if v := t.metrics[i].get(now, t.ageTimeout); v > max {
 			max = v
 		}
 	}
@@ -108,12 +128,7 @@ func (t *CongestionToLeaf) MaxMetric(uplink int, now sim.Time) uint8 {
 }
 
 // Uplinks returns the number of local uplinks the table covers.
-func (t *CongestionToLeaf) Uplinks() int {
-	if len(t.metrics) == 0 {
-		return 0
-	}
-	return len(t.metrics[0])
-}
+func (t *CongestionToLeaf) Uplinks() int { return t.n }
 
 // CongestionFromLeaf is the destination-side table (§3.3 step 3): per
 // source leaf, per LBTag, the latest CE metric seen on arriving packets,
@@ -121,37 +136,42 @@ func (t *CongestionToLeaf) Uplinks() int {
 // which entries changed since they were last fed back so feedback selection
 // can favour fresh information.
 type CongestionFromLeaf struct {
-	metrics [][]metricAge // [srcLeaf][lbTag]
-	changed [][]bool
-	nChg    []int // per-srcLeaf count of set changed bits, so HasChanged is O(1)
-	rr      []int // per-srcLeaf round-robin cursor
+	metrics []metricAge // srcLeaf·n + lbTag: one contiguous row per peer
+	peers   []peerState
+	n       int // LBTag values
 	ageOut  sim.Time
+}
+
+// peerState is what feedback selection needs of a peer's row besides the
+// picked entry: bit j of touched says LBTag j was ever observed, changed ⊆
+// touched that its value moved since last fed back; next is the cursor.
+type peerState struct {
+	changed, touched uint16 // LBTags are 4 bits wide
+	next             uint8
 }
 
 // NewCongestionFromLeaf returns a table covering numLeaves sources and
 // numTags LBTag values.
 func NewCongestionFromLeaf(numLeaves, numTags int, p Params) *CongestionFromLeaf {
-	t := &CongestionFromLeaf{
-		metrics: make([][]metricAge, numLeaves),
-		changed: make([][]bool, numLeaves),
-		nChg:    make([]int, numLeaves),
-		rr:      make([]int, numLeaves),
+	if numTags > maxLBTag+1 {
+		panic(fmt.Sprintf("core: %d LBTags exceed the header's %d", numTags, maxLBTag+1))
+	}
+	return &CongestionFromLeaf{
+		metrics: make([]metricAge, numLeaves*numTags),
+		peers:   make([]peerState, numLeaves),
+		n:       numTags,
 		ageOut:  p.AgeTimeout,
 	}
-	for i := range t.metrics {
-		t.metrics[i] = make([]metricAge, numTags)
-		t.changed[i] = make([]bool, numTags)
-	}
-	return t
 }
 
 // Observe records the CE metric of a packet that arrived from srcLeaf with
 // the given LBTag.
 func (t *CongestionFromLeaf) Observe(srcLeaf int, lbTag uint8, ce uint8, now sim.Time) {
-	m := &t.metrics[srcLeaf][lbTag]
-	if (!m.touched || m.value != ce) && !t.changed[srcLeaf][lbTag] {
-		t.changed[srcLeaf][lbTag] = true
-		t.nChg[srcLeaf]++
+	m := &t.metrics[srcLeaf*t.n : (srcLeaf+1)*t.n][lbTag] // a tag past the row panics
+	if !m.touched() || m.value() != ce {
+		ps := &t.peers[srcLeaf]
+		ps.changed |= 1 << lbTag
+		ps.touched |= 1 << lbTag
 	}
 	m.set(ce, now)
 }
@@ -159,54 +179,33 @@ func (t *CongestionFromLeaf) Observe(srcLeaf int, lbTag uint8, ce uint8, now sim
 // PickFeedback selects one (LBTag, metric) pair to piggyback on a packet
 // going to dstLeaf (the leaf that originally sent us the observed traffic).
 // Selection is round-robin over LBTags, favouring entries whose value has
-// changed since they were last fed back (§3.3 step 4). It returns ok=false
-// when nothing has ever been observed from that leaf.
+// changed since they were last fed back (§3.3 step 4); with none changed —
+// the steady state of a call made for every data packet — plain round-robin
+// over touched entries keeps metrics refreshing (and re-arms aging). It
+// returns ok=false when nothing has ever been observed from that leaf.
 func (t *CongestionFromLeaf) PickFeedback(dstLeaf int, now sim.Time) (lbTag uint8, metric uint8, ok bool) {
-	row := t.metrics[dstLeaf]
-	n := len(row)
-	start := t.rr[dstLeaf]
-	// First pass: the next changed entry in round-robin order. The nChg
-	// counter says whether the row has any changed entry at all, which in
-	// steady state (metrics stable between feedback rounds) skips the scan
-	// entirely — this runs for every data packet leaving the leaf.
-	if t.nChg[dstLeaf] > 0 {
-		ch := t.changed[dstLeaf]
-		for i, j := 0, start; i < n; i++ {
-			if row[j].touched && ch[j] {
-				return t.emit(dstLeaf, j, now)
-			}
-			if j++; j == n {
-				j = 0
-			}
+	ps := &t.peers[dstLeaf]
+	set := ps.changed
+	if set == 0 {
+		if set = ps.touched; set == 0 {
+			return 0, 0, false
 		}
 	}
-	// Second pass: plain round-robin over touched entries, so metrics keep
-	// refreshing (and re-arm aging) even in steady state.
-	for i, j := 0, start; i < n; i++ {
-		if row[j].touched {
-			return t.emit(dstLeaf, j, now)
-		}
-		if j++; j == n {
-			j = 0
-		}
+	// First member of set at or after the cursor, wrapping around.
+	j := uint8(bits.TrailingZeros16(set))
+	if at := set >> ps.next; at != 0 {
+		j = ps.next + uint8(bits.TrailingZeros16(at))
 	}
-	return 0, 0, false
+	ps.changed &^= 1 << j
+	if ps.next = j + 1; int(ps.next) == t.n {
+		ps.next = 0
+	}
+	return j, t.metrics[dstLeaf*t.n+int(j)].get(now, t.ageOut), true
 }
 
 // HasChanged reports whether any metric observed from srcLeaf has changed
 // since it was last fed back — i.e. whether feedback toward that leaf is
 // worth sending explicitly when no reverse traffic exists.
 func (t *CongestionFromLeaf) HasChanged(srcLeaf int) bool {
-	// A changed bit is only ever set together with touched (Observe), so
-	// the counter alone answers the question.
-	return t.nChg[srcLeaf] > 0
-}
-
-func (t *CongestionFromLeaf) emit(leaf, j int, now sim.Time) (uint8, uint8, bool) {
-	t.rr[leaf] = (j + 1) % len(t.metrics[leaf])
-	if t.changed[leaf][j] {
-		t.changed[leaf][j] = false
-		t.nChg[leaf]--
-	}
-	return uint8(j), t.metrics[leaf][j].get(now, t.ageOut), true
+	return t.peers[srcLeaf].changed != 0
 }

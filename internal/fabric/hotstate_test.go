@@ -10,11 +10,15 @@ import (
 )
 
 // TestPacketLayout pins the hot-state layout of DESIGN.md §3.10 so a later
-// field addition cannot silently undo it: every field a switch or link
-// reads on a hop ends within the first cache line, and the whole packet
-// stays at 176 bytes.
+// field addition cannot silently undo it: the node a pop reads and the link
+// its firing follows fill the first cache line, every field a switch or
+// link reads on a hop ends within the second, and the whole packet stays at
+// 240 bytes (PR 12's 176 plus the node and the link).
 func TestPacketLayout(t *testing.T) {
 	var p Packet
+	if end := unsafe.Offsetof(p.link) + unsafe.Sizeof(p.link); unsafe.Offsetof(p.ev) != 0 || end != 64 {
+		t.Errorf("node and link end at byte %d, want exactly the first cache line", end)
+	}
 	hot := map[string]uintptr{
 		"lbHash":  unsafe.Offsetof(p.lbHash) + unsafe.Sizeof(p.lbHash),
 		"DstHost": unsafe.Offsetof(p.DstHost) + unsafe.Sizeof(p.DstHost),
@@ -27,12 +31,12 @@ func TestPacketLayout(t *testing.T) {
 		"pooled":  unsafe.Offsetof(p.pooled) + unsafe.Sizeof(p.pooled),
 	}
 	for name, end := range hot {
-		if end > 64 {
-			t.Errorf("hop-hot field %s ends at byte %d, past the first cache line", name, end)
+		if end > 128 {
+			t.Errorf("hop-hot field %s ends at byte %d, past the second cache line", name, end)
 		}
 	}
-	if s := unsafe.Sizeof(p); s > 176 {
-		t.Errorf("Packet is %d bytes, want ≤ 176", s)
+	if s := unsafe.Sizeof(p); s > 240 {
+		t.Errorf("Packet is %d bytes, want ≤ 240", s)
 	}
 }
 

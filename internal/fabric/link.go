@@ -23,69 +23,72 @@ import (
 // and against which same-instant senders and counter reads are ordered.
 //
 // Fields are ordered by temperature (DESIGN.md §3.10, pinned by
-// TestLinkLayout): what Send, start and deliver touch per packet leads, what
-// only drops, failures and set-up touch trails.
+// TestLinkLayout): what Send, start and an arrival touch per packet leads,
+// what only drops, failures and set-up touch trails.
 type Link struct {
-	freeAt     sim.Time
-	claimSeq   uint64
-	serSize    int32 // wire size of the packet holding the claim; 0 once it counts as transmitted
-	up         bool
-	fab        bool // fabric link: encap overhead + DRE + CE marking
-	dstIsHost  bool // chains never extend into transport endpoints
-	drainArmed bool
-	eng        *sim.Engine
-	queue      []*Packet
-	qhead      int
-	qlen       int     // queued bytes
-	maxQ       int     // queue capacity in bytes (excluding the packet in service)
-	rate       float64 // bits per second
-	prop       sim.Time
-	dst        node
-	chain      *chainFlag // owning domain's arrival-context flag
+	freeAt    sim.Time
+	claimSeq  uint64
+	serSize   int32 // wire size of the packet holding the claim; 0 once it counts as transmitted
+	up        bool
+	fab       bool // fabric link: encap overhead + DRE + CE marking
+	dstIsHost bool // chains never extend into transport endpoints
+	// dreListed is owned by the network's decay ticker, which only visits
+	// links with a nonzero DRE register: start sets it (and calls dreNotify
+	// to get onto the ticker's dirty-list) on the first traffic after the
+	// register hit zero, the ticker clears it when it drops the drained link.
+	dreListed bool
+	eng       *sim.Engine
+	queue     []*Packet
+	qhead     int
+	qlen      int     // queued bytes
+	maxQ      int     // queue capacity in bytes (excluding the packet in service)
+	rate      float64 // bits per second
+	prop      sim.Time
+	dst       node
+	chain     *chainFlag // owning domain's arrival-context flag
 	// xq, when non-nil, marks a cross-domain link whose deliveries go
 	// through a window-exchange mailbox instead of a directly scheduled
 	// event (see partition.go).
 	xq *mailbox
 
-	// FIFO of packets in propagation. Delivery events are one bound method
-	// value created at construction, so the per-packet path schedules no
-	// closures; the ring maps each firing back to its packet.
-	inflight  []*Packet
-	infHead   int
-	deliverFn sim.Event
-
+	// Arrivals ride the packets' own nodes. wire is the packet whose
+	// arrival start scheduled last, which is the one serializing for as
+	// long as serSize is nonzero and the claim holds — the only time SetUp
+	// reads it.
+	wire *Packet
 	// Transmit counters, bumped when a packet starts; read them through
-	// TxPackets/TxBytes, which leave out a packet still on the wire.
+	// TxPackets/TxBytes, which leave out a packet still on the wire. chained
+	// and drained count the starts that collapsed the next hop into the
+	// running event and the starts made by drain; the rest found the link
+	// idle and scheduled (or mailboxed) an arrival.
 	txPackets uint64
 	txBytes   uint64 // wire bytes
+	chained   uint64
+	drained   uint64
 	// tel is nil when telemetry is off: every instrumentation site is a
 	// single nil check (see internal/telemetry).
-	tel *telemetry.LinkCounters
-
-	dre        core.DRE // fabric links only
+	tel        *telemetry.LinkCounters
 	pathMetric core.PathMetric
-	// The owning network's decay ticker only visits links with a nonzero
-	// DRE register. dreNotify (set by the network) registers this link on
-	// its dirty-list the first time traffic arrives after the register hit
-	// zero; dreListed is owned by the ticker, which clears it when it
-	// drops the drained link from the list.
-	dreNotify func(*Link)
-	dreListed bool
+	dreNotify  func(*Link)
+	dre        core.DRE // fabric links only
 
-	// Cold from here on.
-	Name    string
-	pool    *PacketPool
-	drainFn sim.Event
-	// dom is the partition domain of the transmitting node, which owns eng,
-	// pool, queue, DRE and counters (0 on sequential networks).
-	dom int
+	// Cold from here on, except drainEv: the one event of its own a link
+	// can have pending, armed where the current claim expires. It sits inside
+	// the fifth cache line (only the trace hook beside it), so a pop of a
+	// drain costs one line fill.
+	Drops     uint64
+	DropBytes uint64
 	// gen points at the owning network's link-state generation (fabric
 	// links of a Network only; nil otherwise). SetUp bumps it so the
 	// leaves' cached reachability rows are recomputed.
-	gen       *uint64
-	Drops     uint64
-	DropBytes uint64
-	trace     *telemetry.PacketTrace // nil unless a packet trace is attached
+	gen     *uint64
+	drainEv sim.Node
+	trace   *telemetry.PacketTrace // nil unless a packet trace is attached
+	Name    string
+	pool    *PacketPool
+	// dom is the partition domain of the transmitting node, which owns eng,
+	// pool, queue, DRE and counters (0 on sequential networks).
+	dom int
 }
 
 // LinkConfig parameterizes NewLink.
@@ -130,8 +133,6 @@ func NewLink(eng *sim.Engine, cfg LinkConfig, dst node) *Link {
 		maxQ:  cfg.BufBytes,
 		chain: cfg.chain,
 	}
-	l.deliverFn = l.deliver
-	l.drainFn = l.drain
 	_, l.dstIsHost = dst.(*Host)
 	if cfg.Fabric {
 		l.dre = *NewLinkDRE(cfg.RateBps, cfg.Params)
@@ -180,19 +181,16 @@ func (l *Link) SetUp(up bool) {
 	if l.fab {
 		l.dre.Reset()
 	}
-	// A packet still serializing when the cable is pulled dies on the wire.
-	// Its arrival was committed when it started, so the committed entry —
-	// the newest one this link made, the transmitter being serial — is
-	// tombstoned and the arrival fires as a no-op. The victim counts as
-	// transmitted from the kill on; the claim itself stands, so a restored
-	// link stays busy until freeAt. A chained packet (serSize 0) was fully
-	// delivered inside its arrival event: any failure event in the interval
-	// would have blocked the chain.
+	// A packet still serializing when the cable is pulled dies on the wire:
+	// its arrival, committed when it started, is cancelled and the packet
+	// dropped. The victim counts as transmitted from the kill on; the claim
+	// itself stands, so a restored link stays busy until freeAt. A chained
+	// packet (serSize 0) was fully delivered inside its arrival event: any
+	// failure event in the interval would have blocked the chain.
 	if l.serSize == 0 || !l.claimed(now) {
 		return
 	}
 	l.serSize = 0
-	var victim *Packet
 	if l.xq != nil {
 		// An entry already drained by a window exchange has left this
 		// domain's reach; it delivers (the packet was fully committed to
@@ -200,16 +198,19 @@ func (l *Link) SetUp(up bool) {
 		es := l.xq.entries
 		for i := len(es) - 1; i >= 0; i-- {
 			if es[i].link == l {
-				victim, es[i].p = es[i].p, nil
+				victim := es[i].p
+				es[i].p = nil
+				l.drop(victim, now)
 				break
 			}
 		}
-	} else if n := len(l.inflight); n > l.infHead {
-		victim, l.inflight[n-1] = l.inflight[n-1], nil
+		return
 	}
-	if victim != nil {
-		l.drop(victim, now)
+	victim := l.wire
+	if victim.link != l || !l.eng.CancelNode(&victim.ev) {
+		panic(fmt.Sprintf("fabric: link %s lost track of the packet it is serializing", l.Name))
 	}
+	l.drop(victim, now)
 }
 
 // DRE returns the link's rate estimator (nil for access links).
@@ -287,7 +288,7 @@ func (l *Link) Send(p *Packet, now sim.Time) {
 		if l.tel != nil {
 			l.tel.Enqueues++
 		}
-		if !l.drainArmed {
+		if !l.drainEv.Pending() {
 			l.armDrain()
 		}
 		return
@@ -352,18 +353,14 @@ func (l *Link) start(p *Packet, now sim.Time) {
 		// event — sampler or failure — can fall inside the serialization,
 		// so the packet counts as transmitted already.
 		l.serSize = 0
+		l.chained++
 		prev := l.eng.SetCurSeq(l.eng.ReserveSeq())
 		l.dst.handle(p, l, arrival)
 		l.eng.SetCurSeq(prev)
 		return
 	}
-	// Delivery events for this link all share l.deliverFn; the inflight
-	// FIFO maps each firing back to its packet. That pairing is sound
-	// because serialization keeps arrival times strictly increasing,
-	// propagation delay is constant, and the engine breaks time ties in
-	// scheduling order.
-	l.inflight = append(l.inflight, p)
-	l.eng.At(arrival, l.deliverFn)
+	p.link, l.wire = l, p
+	l.eng.AtNode(arrival, &p.ev, (*arrivalEvent)(p))
 }
 
 // drain fires when a claim with packets queued behind it expires — at
@@ -371,7 +368,6 @@ func (l *Link) start(p *Packet, now sim.Time) {
 // the new claim only while packets remain, so a busy period of k queued
 // packets costs k drains and an idle link none.
 func (l *Link) drain(now sim.Time) {
-	l.drainArmed = false
 	if l.qhead == len(l.queue) {
 		return // flushed by SetUp(false) after the drain was armed
 	}
@@ -385,6 +381,7 @@ func (l *Link) drain(now sim.Time) {
 		l.qhead = 0
 	}
 	l.qlen -= l.wireSize(p)
+	l.drained++
 	l.start(p, now)
 	if l.qhead < len(l.queue) {
 		l.armDrain()
@@ -393,9 +390,17 @@ func (l *Link) drain(now sim.Time) {
 
 // armDrain schedules drain where the current claim expires.
 func (l *Link) armDrain() {
-	l.drainArmed = true
-	l.eng.AtSeq(l.freeAt, l.drainFn, l.claimSeq)
+	l.eng.AtNodeSeq(l.freeAt, &l.drainEv, (*drainEvent)(l), l.claimSeq)
 }
+
+// drainEvent and arrivalEvent are Link and Packet seen as event handlers,
+// which keeps Fire off the two types' exported method sets.
+type (
+	drainEvent   Link
+	arrivalEvent Packet
+)
+
+func (d *drainEvent) Fire(now sim.Time) { (*Link)(d).drain(now) }
 
 // drop is the one place a link loses a packet — sent into a downed link,
 // tail-dropped, or flushed / killed on the wire by SetUp(false) — so the
@@ -415,21 +420,10 @@ func (l *Link) drop(p *Packet, now sim.Time) {
 	l.pool.Put(p)
 }
 
-func (l *Link) deliver(now sim.Time) {
-	p := l.inflight[l.infHead]
-	l.inflight[l.infHead] = nil
-	l.infHead++
-	if l.infHead > 32 && l.infHead*2 >= len(l.inflight) {
-		n := copy(l.inflight, l.inflight[l.infHead:])
-		l.inflight = l.inflight[:n]
-		l.infHead = 0
-	}
-	if p == nil {
-		// Tombstone: a packet killed by a mid-serialization link failure
-		// (SetUp). The arrival slot still had to fire to keep the ring's
-		// FIFO pairing intact.
-		return
-	}
+// Fire delivers the packet to the far end of the link it crossed.
+func (a *arrivalEvent) Fire(now sim.Time) {
+	p := (*Packet)(a)
+	l := p.link
 	if l.dstIsHost {
 		// Host arrivals never open a chain context: a transport may emit
 		// several packets and keep computing after each send, which is not

@@ -301,19 +301,22 @@ func TestLinkMatchesReferenceModel(t *testing.T) {
 }
 
 // TestLinkLayout pins the hot-state layout of DESIGN.md §3.10: everything
-// Send, start and deliver touch per packet sits in the struct's first four
-// cache lines — claim and queue header in the first — and the cold fields
-// (names, pools, set-up wiring, drop counters, trace hook) come after them.
+// Send, start and an arrival touch per packet sits in the struct's first
+// four cache lines — claim and queue header in the first, the DRE alone
+// spilling into the fourth — the drain's node sits inside the fifth, and
+// the cold fields (names, pools, set-up wiring, drop counters, trace hook)
+// stay clear of the first three.
 func TestLinkLayout(t *testing.T) {
 	var l Link
 	end := func(off, size uintptr) uintptr { return off + size }
 	first := map[string]uintptr{
-		"freeAt":   end(unsafe.Offsetof(l.freeAt), unsafe.Sizeof(l.freeAt)),
-		"claimSeq": end(unsafe.Offsetof(l.claimSeq), unsafe.Sizeof(l.claimSeq)),
-		"up":       end(unsafe.Offsetof(l.up), unsafe.Sizeof(l.up)),
-		"eng":      end(unsafe.Offsetof(l.eng), unsafe.Sizeof(l.eng)),
-		"queue":    end(unsafe.Offsetof(l.queue), unsafe.Sizeof(l.queue)),
-		"qhead":    end(unsafe.Offsetof(l.qhead), unsafe.Sizeof(l.qhead)),
+		"freeAt":    end(unsafe.Offsetof(l.freeAt), unsafe.Sizeof(l.freeAt)),
+		"claimSeq":  end(unsafe.Offsetof(l.claimSeq), unsafe.Sizeof(l.claimSeq)),
+		"up":        end(unsafe.Offsetof(l.up), unsafe.Sizeof(l.up)),
+		"dreListed": end(unsafe.Offsetof(l.dreListed), unsafe.Sizeof(l.dreListed)),
+		"eng":       end(unsafe.Offsetof(l.eng), unsafe.Sizeof(l.eng)),
+		"queue":     end(unsafe.Offsetof(l.queue), unsafe.Sizeof(l.queue)),
+		"qhead":     end(unsafe.Offsetof(l.qhead), unsafe.Sizeof(l.qhead)),
 	}
 	for name, e := range first {
 		if e > 64 {
@@ -321,27 +324,31 @@ func TestLinkLayout(t *testing.T) {
 		}
 	}
 	hot := map[string]uintptr{
-		"rate":      end(unsafe.Offsetof(l.rate), unsafe.Sizeof(l.rate)),
-		"prop":      end(unsafe.Offsetof(l.prop), unsafe.Sizeof(l.prop)),
-		"dst":       end(unsafe.Offsetof(l.dst), unsafe.Sizeof(l.dst)),
-		"chain":     end(unsafe.Offsetof(l.chain), unsafe.Sizeof(l.chain)),
-		"xq":        end(unsafe.Offsetof(l.xq), unsafe.Sizeof(l.xq)),
-		"inflight":  end(unsafe.Offsetof(l.inflight), unsafe.Sizeof(l.inflight)),
-		"deliverFn": end(unsafe.Offsetof(l.deliverFn), unsafe.Sizeof(l.deliverFn)),
-		"txBytes":   end(unsafe.Offsetof(l.txBytes), unsafe.Sizeof(l.txBytes)),
-		"tel":       end(unsafe.Offsetof(l.tel), unsafe.Sizeof(l.tel)),
-		"dre":       end(unsafe.Offsetof(l.dre), unsafe.Sizeof(l.dre)),
-		"dreListed": end(unsafe.Offsetof(l.dreListed), unsafe.Sizeof(l.dreListed)),
+		"rate":       end(unsafe.Offsetof(l.rate), unsafe.Sizeof(l.rate)),
+		"prop":       end(unsafe.Offsetof(l.prop), unsafe.Sizeof(l.prop)),
+		"dst":        end(unsafe.Offsetof(l.dst), unsafe.Sizeof(l.dst)),
+		"chain":      end(unsafe.Offsetof(l.chain), unsafe.Sizeof(l.chain)),
+		"xq":         end(unsafe.Offsetof(l.xq), unsafe.Sizeof(l.xq)),
+		"wire":       end(unsafe.Offsetof(l.wire), unsafe.Sizeof(l.wire)),
+		"txBytes":    end(unsafe.Offsetof(l.txBytes), unsafe.Sizeof(l.txBytes)),
+		"drained":    end(unsafe.Offsetof(l.drained), unsafe.Sizeof(l.drained)),
+		"tel":        end(unsafe.Offsetof(l.tel), unsafe.Sizeof(l.tel)),
+		"pathMetric": end(unsafe.Offsetof(l.pathMetric), unsafe.Sizeof(l.pathMetric)),
 	}
 	for name, e := range hot {
-		if e > 256 {
-			t.Errorf("per-packet field %s ends at byte %d, past the fourth cache line", name, e)
+		if e > 192 {
+			t.Errorf("per-packet field %s ends at byte %d, past the third cache line", name, e)
 		}
+	}
+	if e := end(unsafe.Offsetof(l.dre), unsafe.Sizeof(l.dre)); e > 256 {
+		t.Errorf("dre ends at byte %d, past the fourth cache line", e)
+	}
+	if off := unsafe.Offsetof(l.drainEv); off%64+unsafe.Sizeof(l.drainEv) > 64 {
+		t.Errorf("drainEv at byte %d straddles a cache line", off)
 	}
 	cold := map[string]uintptr{
 		"Name":      unsafe.Offsetof(l.Name),
 		"pool":      unsafe.Offsetof(l.pool),
-		"drainFn":   unsafe.Offsetof(l.drainFn),
 		"dom":       unsafe.Offsetof(l.dom),
 		"gen":       unsafe.Offsetof(l.gen),
 		"Drops":     unsafe.Offsetof(l.Drops),
@@ -349,11 +356,12 @@ func TestLinkLayout(t *testing.T) {
 		"trace":     unsafe.Offsetof(l.trace),
 	}
 	for name, off := range cold {
-		if off < 256 {
+		if off < 192 {
 			t.Errorf("cold field %s at byte %d sits among the per-packet fields", name, off)
 		}
 	}
-	if s := unsafe.Sizeof(l); s > 328 {
-		t.Errorf("Link is %d bytes, want ≤ 328", s)
+	// PR 13's 328 bytes plus one node, less the ring and bound methods.
+	if s := unsafe.Sizeof(l); s > 328+unsafe.Sizeof(sim.Node{}) {
+		t.Errorf("Link is %d bytes, want ≤ 328 + one node", s)
 	}
 }

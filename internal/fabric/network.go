@@ -146,6 +146,9 @@ func (cfg Config) Validate() error {
 	case len(c.LeafSchemes) > c.NumLeaves:
 		return fmt.Errorf("fabric: %d per-leaf schemes for %d leaves", len(c.LeafSchemes), c.NumLeaves)
 	}
+	if _, ok := schemeNames[c.Scheme]; !ok {
+		return fmt.Errorf("fabric: unknown scheme %v", c.Scheme)
+	}
 	for i, s := range c.LeafSchemes {
 		if _, ok := schemeNames[s]; !ok {
 			return fmt.Errorf("fabric: unknown scheme %v for leaf %d", s, i)
@@ -245,9 +248,22 @@ func (n *Network) wireTelemetry(reg *telemetry.Registry) {
 	if reg.Options().Counters {
 		// Dequeues is pulled, not pushed: it is the link's as-of-now tx
 		// count, so a tap snapshot taken mid-serialization shows what the
-		// wire has carried and the hot path bumps one counter, not two.
+		// wire has carried and the hot path bumps one counter, not two. The
+		// same walk totals how the links' starts were made — chained into the
+		// running arrival event, made by a drain after queueing behind a
+		// claim, or (the rest) scheduled or mailboxed from an idle link — the
+		// first entries of the registry's engine group.
 		reg.AddCollector(func() {
-			n.eachLink(func(l *Link) { l.tel.Dequeues = l.TxPackets() })
+			var started, chained, drained uint64
+			n.eachLink(func(l *Link) {
+				l.tel.Dequeues = l.TxPackets()
+				started += l.txPackets
+				chained += l.chained
+				drained += l.drained
+			})
+			reg.RecordEngine("link_starts", started)
+			reg.RecordEngine("link_starts_chained", chained)
+			reg.RecordEngine("link_starts_drained", drained)
 		})
 	}
 	for _, h := range n.Hosts {
@@ -393,7 +409,8 @@ func (n *Network) newStrategy(ls *LeafSwitch) Strategy {
 	case SchemeWCMP:
 		return newWCMPStrategy(ls, n.Cfg.WCMPWeights)
 	default:
-		panic(fmt.Sprintf("fabric: unknown scheme %v", n.Cfg.Scheme))
+		// Config.Validate has checked Scheme and every LeafSchemes entry.
+		panic(fmt.Sprintf("fabric: no strategy for scheme %v of leaf %d", scheme, ls.ID))
 	}
 }
 

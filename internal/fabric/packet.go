@@ -30,13 +30,19 @@ const (
 // Packet is the simulated unit of transfer. One struct serves both data and
 // ACK segments; transports interpret the sequence fields.
 //
-// Field order is part of the design (DESIGN.md §3.10): everything a switch
-// or link reads on a hop — the hash, the destination, the sizes behind
-// WireSize, the overlay header — sits in the first 56 bytes, so a hop on a
-// packet that fell out of cache costs one line fill instead of four.
+// Field order is part of the design (DESIGN.md §3.10). A packet is its own
+// event: the first cache line is the queue node of the one delivery it can
+// have pending plus the link it is crossing, which is all a pop and the
+// firing read. Everything a switch or link then reads on the hop — the
+// hash, the destination, the sizes behind WireSize, the overlay header —
+// fills the second line, so a hop on a packet that fell out of cache costs
+// two adjacent line fills and no event object or ring slot beside them.
 // Transport state, which only the two end hosts read, follows. A layout
-// test pins both the hot prefix and the total size.
+// test pins both lines and the total size.
 type Packet struct {
+	ev   sim.Node
+	link *Link // the link ev's arrival is for; meaningful while ev is pending
+
 	// lbHash memoizes the load-balancing flow hash (see strategy.go's
 	// flowHash): the hashed identity fields are immutable once the packet
 	// enters the fabric, and every hop's strategy would otherwise recompute

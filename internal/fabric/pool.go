@@ -1,5 +1,7 @@
 package fabric
 
+import "fmt"
+
 // PacketPool recycles Packet objects within one engine's fabric. The
 // simulator is single-threaded per engine, so the pool needs no locking;
 // parallelism across experiments uses one network (and pool) per goroutine.
@@ -38,9 +40,17 @@ func (pp *PacketPool) Get() *Packet {
 }
 
 // Put releases a packet back to the pool. Packets not allocated by Get
-// (or already released) are left alone.
+// (or already released) are left alone. Releasing a packet whose arrival is
+// still pending would hand the engine's queue a zeroed element, so it
+// panics: cancel the arrival first (Link.SetUp does).
 func (pp *PacketPool) Put(p *Packet) {
-	if pp == nil || p == nil || !p.pooled {
+	if p == nil {
+		return
+	}
+	if p.ev.Pending() {
+		panic(fmt.Sprintf("fabric: packet released while its arrival on %s is pending", p.link.Name))
+	}
+	if pp == nil || !p.pooled {
 		return
 	}
 	*p = Packet{}

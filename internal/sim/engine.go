@@ -16,11 +16,12 @@
 // the wheel (or behind its base after a window advance). Push and pop are
 // O(1) on the wheel; the heap is consulted only by comparing its root
 // against the wheel minimum, so the (time, seq) execution order is exact no
-// matter where an event is stored. Executed or cancelled events are
-// recycled through a per-engine free list, so the steady-state hot path
-// (schedule → run → recycle) does not allocate. Handles stay safe across
-// recycling via a per-event generation counter. See DESIGN.md for the
-// bucket-sizing and determinism argument.
+// matter where an event is stored. The queue's element is the Node, owned
+// by whoever schedules it: a model object embeds one per event it can have
+// pending. Closures (At, AtSeq, AtDaemon) ride the same path on a pooled
+// Node, recycled through a per-engine free list; their handles stay safe
+// across recycling because every scheduling takes a fresh sequence number.
+// See DESIGN.md for the bucket-sizing and determinism argument.
 package sim
 
 import (
@@ -73,64 +74,70 @@ const (
 	numLvls = 3 // overflow levels: ~2.1 ms, ~1.07 s, ~9.2 min horizons
 )
 
-// Event location markers (scheduledEvent.lvl).
+// Node locations (Node.loc): idle, wheel level k as locL0+k, or the far heap.
 const (
-	locNone = -1          // not queued
-	locFar  = numLvls + 1 // 4-ary fallback heap
+	locNone = 0
+	locL0   = 1
+	locFar  = locL0 + numLvls + 1
 )
 
-// scheduledEvent is pooled: after an event runs or is cancelled the engine
-// bumps gen and pushes the object onto its free list, so outstanding
-// EventHandles (which captured the old gen) can never act on the recycled
-// slot's next occupant.
-type scheduledEvent struct {
-	at  Time
-	seq uint64 // insertion order; breaks ties deterministically
-	fn  Event
-	gen uint64 // incremented on recycle; invalidates stale handles
+// Handler is what a Node fires. Fire runs with the node already idle, so it
+// may re-arm the node it was fired through.
+type Handler interface{ Fire(now Time) }
 
-	prev, next *scheduledEvent // intrusive wheel-bucket list links
+// Fire makes a closure a Handler: At, AtSeq and AtDaemon are AtNode on a
+// node from the engine's pool with the closure itself as the handler.
+func (fn Event) Fire(now Time) { fn(now) }
 
-	idx    int32 // far-heap index (locFar only)
-	slot   int32 // wheel slot index (levels 0..numLvls)
-	lvl    int8  // locNone, 0..numLvls (wheel level), or locFar
-	daemon bool  // housekeeping; does not keep Run(MaxTime) alive
+// Node is the event queue's element. The zero value is idle. Whoever
+// schedules a node owns it: it must stay at one address and must not be
+// overwritten or released while Pending, and it holds at most one firing at
+// a time (AtNode on a pending node panics). An owner that embeds it pays no
+// event object, and no cache line beyond its own, per pending firing.
+type Node struct {
+	at         Time
+	seq        uint64 // insertion order; breaks ties deterministically
+	next, prev *Node  // intrusive wheel-bucket list links
+	h          Handler
+	slot       int32 // wheel slot index, or far-heap index at locFar
+	loc        int8
+	daemon     bool // housekeeping; does not keep Run(MaxTime) alive
+	pooled     bool // from the engine's pool (At, AtSeq, AtDaemon); Run recycles it once fired
 }
 
-// bucket is one timing-wheel slot: a FIFO doubly-linked list of events.
-type bucket struct{ head, tail *scheduledEvent }
+// Pending reports whether the node is scheduled to fire.
+func (n *Node) Pending() bool { return n.loc != locNone }
 
-// EventHandle identifies a scheduled event so it can be cancelled.
-// The zero value is not a valid handle.
+// bucket is one timing-wheel slot: a FIFO doubly-linked list of nodes.
+type bucket struct{ head, tail *Node }
+
+// EventHandle identifies a scheduled closure so it can be cancelled. The
+// zero value is not a valid handle. The sequence number doubles as the pooled
+// node's generation: every scheduling takes a fresh one, so a handle kept
+// past its event can never act on the recycled node's next occupant.
 type EventHandle struct {
 	eng *Engine
-	ev  *scheduledEvent
-	gen uint64
+	ev  *Node
+	seq uint64
 }
 
 // Cancel prevents the event from running. The event is removed from the
-// queue immediately — its closure is dropped and the slot recycled, so a
+// queue immediately — its closure is dropped and the node recycled, so a
 // cancelled event retains no memory until its time arrives. Cancelling an
 // already-executed or already-cancelled event is a no-op. It reports whether
 // the event was still pending.
 func (h EventHandle) Cancel() bool {
-	ev := h.ev
-	if ev == nil || ev.gen != h.gen || ev.lvl == locNone {
+	n := h.ev
+	if n == nil || n.seq != h.seq || !h.eng.CancelNode(n) {
 		return false
 	}
-	e := h.eng
-	if !ev.daemon {
-		e.live--
-	}
-	e.remove(ev)
-	e.pending--
-	e.recycle(ev)
+	h.eng.recycle(n)
 	return true
 }
 
 // Pending reports whether the event is still scheduled to run.
 func (h EventHandle) Pending() bool {
-	return h.ev != nil && h.ev.gen == h.gen && h.ev.lvl != locNone
+	return h.ev != nil && h.ev.seq == h.seq && h.ev.Pending()
 }
 
 // Engine is a discrete-event simulator. The zero value is ready to use; New
@@ -162,9 +169,9 @@ type Engine struct {
 	// wheel base after a cascade overshot a bounded Run — as a 4-ary
 	// min-heap on (at, seq). Its root is compared against the wheel
 	// minimum at every pop, so placement never affects execution order.
-	far []*scheduledEvent
+	far []*Node
 
-	free []*scheduledEvent // recycled event objects
+	free []*Node // idle pooled nodes
 
 	// Splice streams: batches of pre-sorted same-callback firings that
 	// bypass per-event wheel insertion (see Splice). Streams are consulted
@@ -307,7 +314,7 @@ func (e *Engine) dropStream(i int) {
 // it is always a model bug, and silently reordering time would corrupt every
 // downstream measurement.
 func (e *Engine) At(t Time, fn Event) EventHandle {
-	return e.schedule(t, fn, false)
+	return e.atFn(t, fn, e.ReserveSeq(), false)
 }
 
 // CurSeq returns the sequence number of the event currently executing.
@@ -328,12 +335,12 @@ func (e *Engine) SetCurSeq(s uint64) uint64 {
 }
 
 // ReserveSeq allocates and returns the next sequence number without
-// scheduling anything. A reserved number may later back an AtSeq call (at
-// most once) or be left unused; holes in the sequence space are harmless
-// because tie-breaking only needs uniqueness and monotonicity. A fabric link
-// reserves one per transmitter claim — the point in (time, seq) order where
-// the claim expires — and only schedules an event under it if packets queue
-// behind the claim.
+// scheduling anything. A reserved number may later back an AtSeq or
+// AtNodeSeq call (at most once) or be left unused; holes in the sequence
+// space are harmless because tie-breaking only needs uniqueness and
+// monotonicity. A fabric link reserves one per transmitter claim — the point
+// in (time, seq) order where the claim expires — and only schedules an event
+// under it if packets queue behind the claim.
 func (e *Engine) ReserveSeq() uint64 {
 	s := e.nextSeq
 	e.nextSeq++
@@ -344,62 +351,9 @@ func (e *Engine) ReserveSeq() uint64 {
 // obtained from ReserveSeq. t may equal Now: the event then runs within the
 // current instant, ordered against the instant's remaining events by seq.
 // The event is non-daemon. Each reserved number must back at most one AtSeq
-// call.
+// or AtNodeSeq call.
 func (e *Engine) AtSeq(t Time, fn Event, seq uint64) EventHandle {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
-	var ev *scheduledEvent
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-	} else {
-		ev = &scheduledEvent{}
-	}
-	ev.at, ev.seq, ev.fn, ev.daemon = t, seq, fn, false
-	e.live++
-	e.pending++
-	if e.wheel == 0 {
-		e.anchor()
-	}
-	e.place(ev)
-	e.restoreBucketOrder(ev)
-	return EventHandle{eng: e, ev: ev, gen: ev.gen}
-}
-
-// restoreBucketOrder moves ev — just appended to its wheel bucket's tail —
-// backward past any higher-seq entries, restoring the buckets' seq-sorted
-// invariant after an out-of-order AtSeq insert. Far-heap events order
-// themselves. Reserved-seq inserts are rare (a link claim turning
-// contended), so the backward walk is not on the hot path.
-func (e *Engine) restoreBucketOrder(ev *scheduledEvent) {
-	if ev.lvl == locFar || ev.lvl == locNone {
-		return
-	}
-	var b *bucket
-	if ev.lvl == 0 {
-		b = &e.l0[ev.slot]
-	} else {
-		b = &e.lvl[ev.lvl-1][ev.slot]
-	}
-	for ev.prev != nil && ev.prev.seq > ev.seq {
-		p := ev.prev
-		p.next = ev.next
-		if ev.next != nil {
-			ev.next.prev = p
-		} else {
-			b.tail = p
-		}
-		ev.prev = p.prev
-		if p.prev != nil {
-			p.prev.next = ev
-		} else {
-			b.head = ev
-		}
-		ev.next = p
-		p.prev = ev
-	}
+	return e.atFn(t, fn, seq, false)
 }
 
 // AtDaemon schedules a housekeeping event: it runs like any other, but
@@ -407,35 +361,105 @@ func (e *Engine) restoreBucketOrder(ev *scheduledEvent) {
 // infrastructure (DRE decay, flowlet sweeps) uses daemon events so "run
 // until the workload finishes" terminates.
 func (e *Engine) AtDaemon(t Time, fn Event) EventHandle {
-	return e.schedule(t, fn, true)
+	return e.atFn(t, fn, e.ReserveSeq(), true)
 }
 
-func (e *Engine) schedule(t Time, fn Event, daemon bool) EventHandle {
+// atFn schedules fn on a node from the pool.
+func (e *Engine) atFn(t Time, fn Event, seq uint64, daemon bool) EventHandle {
+	var n *Node
+	if k := len(e.free); k > 0 {
+		n = e.free[k-1]
+		e.free = e.free[:k-1]
+	} else {
+		n = &Node{pooled: true}
+	}
+	e.insert(t, n, fn, seq, daemon)
+	return EventHandle{eng: e, ev: n, seq: seq}
+}
+
+// recycle returns a fired or cancelled pooled node to the free list,
+// dropping its closure so a spent node retains nothing while it waits.
+func (e *Engine) recycle(n *Node) {
+	n.h = nil
+	e.free = append(e.free, n)
+}
+
+// AtNode schedules h.Fire at absolute time t on the caller's idle node: a
+// non-daemon event under the next sequence number, exactly as At's.
+func (e *Engine) AtNode(t Time, n *Node, h Handler) {
+	e.insert(t, n, h, e.ReserveSeq(), false)
+}
+
+// AtNodeSeq is AtNode under a sequence number from ReserveSeq (see AtSeq).
+func (e *Engine) AtNodeSeq(t Time, n *Node, h Handler, seq uint64) {
+	e.insert(t, n, h, seq, false)
+}
+
+// CancelNode removes n from the queue and reports whether it was pending.
+func (e *Engine) CancelNode(n *Node) bool {
+	if n.loc == locNone {
+		return false
+	}
+	if !n.daemon {
+		e.live--
+	}
+	e.remove(n)
+	e.pending--
+	return true
+}
+
+// insert is the one way into the queue: every scheduling call ends here.
+func (e *Engine) insert(t Time, n *Node, h Handler, seq uint64, daemon bool) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
-	var ev *scheduledEvent
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-	} else {
-		ev = &scheduledEvent{}
+	if n.loc != locNone {
+		panic(fmt.Sprintf("sim: node already pending at %v, rescheduled for %v", n.at, t))
 	}
-	ev.at, ev.seq, ev.fn, ev.daemon = t, e.nextSeq, fn, daemon
-	e.nextSeq++
+	n.at, n.seq, n.h, n.daemon = t, seq, h, daemon
 	if !daemon {
 		e.live++
 	}
 	e.pending++
 	if e.wheel == 0 {
-		// The wheel is empty, so its windows can be re-anchored at the
-		// clock for free. This keeps the near horizon tight across
-		// drain/refill cycles and makes the zero-value Engine work.
+		// An empty wheel re-anchors at the clock for free, which keeps the
+		// near horizon tight across drain/refill cycles and makes the
+		// zero-value Engine work.
 		e.anchor()
 	}
-	e.place(ev)
-	return EventHandle{eng: e, ev: ev, gen: ev.gen}
+	e.place(n)
+	if p := n.prev; p != nil && p.seq > seq {
+		e.restoreBucketOrder(n)
+	}
+}
+
+// restoreBucketOrder moves n — just appended to its wheel bucket's tail —
+// backward past the higher-seq entries before it, restoring the buckets'
+// seq-sorted invariant after an out-of-order reserved-seq insert (a link
+// claim turning contended) or a bounded Run putting back the minimum it
+// popped. Far-heap nodes order themselves and have no list links.
+func (e *Engine) restoreBucketOrder(n *Node) {
+	b := &e.l0[n.slot]
+	if n.loc != locL0 {
+		b = &e.lvl[n.loc-locL0-1][n.slot]
+	}
+	for n.prev != nil && n.prev.seq > n.seq {
+		p := n.prev
+		p.next = n.next
+		if n.next != nil {
+			n.next.prev = p
+		} else {
+			b.tail = p
+		}
+		n.prev = p.prev
+		if p.prev != nil {
+			p.prev.next = n
+		} else {
+			b.head = n
+		}
+		n.next = p
+		p.prev = n
+	}
 }
 
 // anchor positions every wheel window so that level k's window is the
@@ -449,12 +473,12 @@ func (e *Engine) anchor() {
 
 // place routes ev into the wheel level whose window covers ev.at, or into
 // the far heap when no window does. It does not touch live/pending.
-func (e *Engine) place(ev *scheduledEvent) {
+func (e *Engine) place(ev *Node) {
 	t := ev.at
 	if t < e.winEnd[0] {
 		if t >= e.winEnd[0]-l0Size {
 			s := int32(t & (l0Size - 1))
-			ev.lvl, ev.slot = 0, s
+			ev.loc, ev.slot = locL0, s
 			b := &e.l0[s]
 			if b.tail == nil {
 				b.head = ev
@@ -479,7 +503,7 @@ func (e *Engine) place(ev *scheduledEvent) {
 		if t < e.winEnd[k] {
 			shift := uint(l0Bits + (k-1)*lvlBits)
 			s := int32((t >> shift) & (lvlSize - 1))
-			ev.lvl, ev.slot = int8(k), s
+			ev.loc, ev.slot = int8(locL0+k), s
 			b := &e.lvl[k-1][s]
 			if b.tail == nil {
 				b.head = ev
@@ -499,18 +523,18 @@ func (e *Engine) place(ev *scheduledEvent) {
 }
 
 // remove unlinks ev from wherever it is queued (wheel bucket or far heap).
-func (e *Engine) remove(ev *scheduledEvent) {
-	if ev.lvl == locFar {
-		e.farRemove(int(ev.idx))
-		ev.lvl = locNone
+func (e *Engine) remove(ev *Node) {
+	if ev.loc == locFar {
+		e.farRemove(int(ev.slot))
+		ev.loc = locNone
 		return
 	}
 	var b *bucket
 	s := ev.slot
-	if ev.lvl == 0 {
+	if ev.loc == locL0 {
 		b = &e.l0[s]
 	} else {
-		b = &e.lvl[ev.lvl-1][s]
+		b = &e.lvl[ev.loc-locL0-1][s]
 	}
 	if ev.prev != nil {
 		ev.prev.next = ev.next
@@ -523,17 +547,17 @@ func (e *Engine) remove(ev *scheduledEvent) {
 		b.tail = ev.prev
 	}
 	if b.head == nil {
-		if ev.lvl == 0 {
+		if ev.loc == locL0 {
 			e.l0words[s>>6] &^= 1 << (uint32(s) & 63)
 			if e.l0words[s>>6] == 0 {
 				e.l0sum &^= 1 << (uint32(s) >> 6)
 			}
 		} else {
-			e.lvlWords[ev.lvl-1][s>>6] &^= 1 << (uint32(s) & 63)
+			e.lvlWords[ev.loc-locL0-1][s>>6] &^= 1 << (uint32(s) & 63)
 		}
 	}
 	ev.prev, ev.next = nil, nil
-	ev.lvl = locNone
+	ev.loc = locNone
 	e.wheel--
 }
 
@@ -542,7 +566,7 @@ func (e *Engine) remove(ev *scheduledEvent) {
 // Within a level, slot index order is time order (each window is a suffix
 // of one aligned block) and bucket FIFO order is seq order, so the head of
 // the lowest occupied level-0 slot is the exact (time, seq) minimum.
-func (e *Engine) wheelMin() *scheduledEvent {
+func (e *Engine) wheelMin() *Node {
 	for {
 		if e.l0sum != 0 {
 			w := bits.TrailingZeros64(e.l0sum)
@@ -603,8 +627,8 @@ func (e *Engine) cascade() bool {
 
 // nextEvent returns the earliest pending event without removing it (the
 // wheel may cascade as a side effect), or nil when nothing is pending.
-func (e *Engine) nextEvent() *scheduledEvent {
-	var w *scheduledEvent
+func (e *Engine) nextEvent() *Node {
+	var w *Node
 	if e.wheel > 0 {
 		w = e.wheelMin()
 	}
@@ -623,8 +647,8 @@ func (e *Engine) nextEvent() *scheduledEvent {
 // occupied level-0 slot, which unlinks with two stores and at most two
 // bitmap clears — none of remove's generic prev/level dispatch. It does
 // not touch pending; the caller owns that bookkeeping, as with remove.
-func (e *Engine) popMin() *scheduledEvent {
-	var w *scheduledEvent
+func (e *Engine) popMin() *Node {
+	var w *Node
 	var ws int32
 	if e.wheel > 0 {
 		for {
@@ -643,7 +667,7 @@ func (e *Engine) popMin() *scheduledEvent {
 		f := e.far[0]
 		if w == nil || eventLess(f, w) {
 			e.farRemove(0)
-			f.lvl = locNone
+			f.loc = locNone
 			return f
 		}
 	}
@@ -662,7 +686,7 @@ func (e *Engine) popMin() *scheduledEvent {
 		}
 	}
 	w.next = nil
-	w.lvl = locNone
+	w.loc = locNone
 	e.wheel--
 	return w
 }
@@ -673,14 +697,6 @@ func (e *Engine) After(d Time, fn Event) EventHandle {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
 	return e.At(e.now+d, fn)
-}
-
-// recycle returns an executed or cancelled event to the free list,
-// invalidating any handles that still point at it.
-func (e *Engine) recycle(ev *scheduledEvent) {
-	ev.fn = nil
-	ev.gen++
-	e.free = append(e.free, ev)
 }
 
 // Stop makes Run return after the current event completes.
@@ -701,7 +717,7 @@ func (e *Engine) Run(until Time) Time {
 		if until == MaxTime && e.live == 0 {
 			break
 		}
-		var next *scheduledEvent
+		var next *Node
 		if len(e.streams) > 0 {
 			// Splice streams are live (a parallel window): peek, compare
 			// against the stream minimum, and only then remove.
@@ -742,23 +758,24 @@ func (e *Engine) Run(until Time) Time {
 			if next.at > until {
 				e.now = until
 				e.place(next)
-				e.restoreBucketOrder(next)
+				if next.prev != nil {
+					e.restoreBucketOrder(next)
+				}
 				return e.now
 			}
 		}
 		e.pending--
 		e.now = next.at
 		e.curSeq = next.seq
-		fn := next.fn
 		if !next.daemon {
 			e.live--
 		}
 		e.executed++
-		// Recycle before running: the handle's generation no longer
-		// matches, so fn cancelling its own (spent) handle is a no-op, and
-		// events fn schedules can reuse the slot immediately.
-		e.recycle(next)
-		fn(e.now)
+		// The node is idle from here on: its owner's Fire may re-arm it.
+		next.h.Fire(e.now)
+		if next.pooled {
+			e.recycle(next)
+		}
 	}
 	// When the queue drains before until, advance the clock to until so
 	// callers can express "idle until the end of the window" — except for
@@ -776,30 +793,17 @@ func (e *Engine) Run(until Time) Time {
 // the heap is almost always tiny; its root is compared against the wheel
 // minimum at every pop, which keeps the global (time, seq) order exact.
 
-func eventLess(a, b *scheduledEvent) bool {
+func eventLess(a, b *Node) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-func (e *Engine) farPush(ev *scheduledEvent) {
-	ev.lvl = locFar
+func (e *Engine) farPush(ev *Node) {
+	ev.loc = locFar
 	e.far = append(e.far, ev)
 	e.siftUp(len(e.far)-1, ev)
-}
-
-// farPopRoot removes the minimum far event.
-func (e *Engine) farPopRoot() {
-	q := e.far
-	q[0].lvl = locNone
-	n := len(q) - 1
-	last := q[n]
-	q[n] = nil
-	e.far = q[:n]
-	if n > 0 {
-		e.siftDown(0, last)
-	}
 }
 
 // farRemove deletes the far event at index i, restoring heap order.
@@ -821,7 +825,7 @@ func (e *Engine) farRemove(i int) {
 
 // siftUp places ev at index i or above. The slot at i is treated as a hole:
 // ev is only written once its final position is known.
-func (e *Engine) siftUp(i int, ev *scheduledEvent) {
+func (e *Engine) siftUp(i int, ev *Node) {
 	q := e.far
 	for i > 0 {
 		parent := (i - 1) >> 2
@@ -830,15 +834,15 @@ func (e *Engine) siftUp(i int, ev *scheduledEvent) {
 			break
 		}
 		q[i] = pe
-		pe.idx = int32(i)
+		pe.slot = int32(i)
 		i = parent
 	}
 	q[i] = ev
-	ev.idx = int32(i)
+	ev.slot = int32(i)
 }
 
 // siftDown places ev at index i or below.
-func (e *Engine) siftDown(i int, ev *scheduledEvent) {
+func (e *Engine) siftDown(i int, ev *Node) {
 	q := e.far
 	n := len(q)
 	for {
@@ -862,11 +866,11 @@ func (e *Engine) siftDown(i int, ev *scheduledEvent) {
 			break
 		}
 		q[i] = best
-		best.idx = int32(i)
+		best.slot = int32(i)
 		i = m
 	}
 	q[i] = ev
-	ev.idx = int32(i)
+	ev.slot = int32(i)
 }
 
 // Ticker invokes fn every period until cancelled. It is the building block

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestEngineRunsEventsInTimeOrder(t *testing.T) {
@@ -337,5 +338,59 @@ func TestCancelLiveEventAllowsMaxTimeRunToEnd(t *testing.T) {
 	e.Run(MaxTime) // must not hang: the only live event was cancelled
 	if e.Executed() != 0 {
 		t.Fatalf("executed %d events, want 0", e.Executed())
+	}
+}
+
+// countNode is a caller-owned node the way a model object embeds one.
+type countNode struct {
+	Node
+	fired []Time
+}
+
+func (c *countNode) Fire(now Time) { c.fired = append(c.fired, now) }
+
+// TestNodeOwnership covers the rules a caller-owned node lives by: the zero
+// value is idle, one firing at a time (AtNode on a pending node panics
+// rather than corrupting the bucket it sits in), CancelNode reports whether
+// there was anything to cancel, and a fired or cancelled node can be
+// scheduled again.
+func TestNodeOwnership(t *testing.T) {
+	e := New()
+	var n countNode
+	if n.Pending() || e.CancelNode(&n.Node) {
+		t.Fatal("zero node is not idle")
+	}
+	e.AtNode(10, &n.Node, &n)
+	if !n.Pending() || e.Pending() != 1 || e.Live() != 1 {
+		t.Fatalf("after AtNode: pending %v, engine %d/%d", n.Pending(), e.Pending(), e.Live())
+	}
+	for _, again := range []func(){
+		func() { e.AtNode(20, &n.Node, &n) },
+		func() { e.AtNodeSeq(20, &n.Node, &n, e.ReserveSeq()) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("scheduling a pending node did not panic")
+				}
+			}()
+			again()
+		}()
+	}
+	if !e.CancelNode(&n.Node) || n.Pending() || e.Pending() != 0 || e.Live() != 0 {
+		t.Fatal("CancelNode did not remove the pending node")
+	}
+	if e.CancelNode(&n.Node) {
+		t.Fatal("second CancelNode reported a pending node")
+	}
+	e.AtNode(30, &n.Node, &n)
+	e.Run(MaxTime)
+	e.AtNode(40, &n.Node, &n) // fired: idle again
+	e.Run(MaxTime)
+	if len(n.fired) != 2 || n.fired[0] != 30 || n.fired[1] != 40 {
+		t.Fatalf("fired at %v, want [30 40]", n.fired)
+	}
+	if unsafe.Sizeof(n.Node) > 64 {
+		t.Fatalf("Node is %d bytes, want ≤ 64", unsafe.Sizeof(n.Node))
 	}
 }

@@ -1,0 +1,291 @@
+package sim
+
+import (
+	"testing"
+)
+
+// wheelModel is the oracle for FuzzWheelMatchesHeap: every pending firing in
+// one unsorted slice, popped by a linear scan for the (time, seq) minimum.
+// It hands out sequence numbers at exactly the calls the engine does.
+type wheelModel struct {
+	now      Time
+	nextSeq  uint64
+	executed uint64
+	q        []modelEnt
+	fired    []int
+	// rearm[k] > 0 makes node k schedule itself again, rearmBy[k] later,
+	// from inside its own firing.
+	rearm   [fuzzNodes]int
+	rearmBy [fuzzNodes]Time
+}
+
+type modelEnt struct {
+	at     Time
+	seq    uint64
+	id     int // what the firing records
+	daemon bool
+	node   int // owning caller node, −1 for closures and splice entries
+}
+
+const (
+	fuzzNodes  = 4
+	nodeIDBase = 1 << 20 // node k records nodeIDBase+k; closures count up from 0
+)
+
+func (m *wheelModel) reserve() uint64 {
+	s := m.nextSeq
+	m.nextSeq++
+	return s
+}
+
+func (m *wheelModel) add(at Time, seq uint64, id int, daemon bool, node int) {
+	m.q = append(m.q, modelEnt{at, seq, id, daemon, node})
+}
+
+// remove deletes the entry recording id and reports whether it was pending.
+func (m *wheelModel) remove(id int) bool {
+	for i, e := range m.q {
+		if e.id == id {
+			m.q = append(m.q[:i], m.q[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
+
+func (m *wheelModel) live() int {
+	n := 0
+	for _, e := range m.q {
+		if !e.daemon {
+			n++
+		}
+	}
+	return n
+}
+
+func (m *wheelModel) min() int {
+	best := -1
+	for i, e := range m.q {
+		if best < 0 || e.at < m.q[best].at || (e.at == m.q[best].at && e.seq < m.q[best].seq) {
+			best = i
+		}
+	}
+	return best
+}
+
+// run is Engine.Run for a bounded until.
+func (m *wheelModel) run(until Time) {
+	for {
+		i := m.min()
+		if i < 0 || m.q[i].at > until {
+			break
+		}
+		e := m.q[i]
+		m.q = append(m.q[:i], m.q[i+1:]...)
+		m.now = e.at
+		m.executed++
+		m.fired = append(m.fired, e.id)
+		if k := e.node; k >= 0 && m.rearm[k] > 0 {
+			m.rearm[k]--
+			m.add(m.now+m.rearmBy[k], m.reserve(), e.id, false, k)
+		}
+	}
+	m.now = until
+}
+
+// fuzzNode is a caller-owned node with its handler, as a model object
+// would embed them.
+type fuzzNode struct {
+	Node
+	eng     *Engine
+	id      int
+	fired   *[]int
+	rearm   int
+	rearmBy Time
+}
+
+func (n *fuzzNode) Fire(now Time) {
+	*n.fired = append(*n.fired, n.id)
+	if n.Pending() {
+		panic("node pending inside its own Fire")
+	}
+	if n.rearm > 0 {
+		n.rearm--
+		n.eng.AtNode(now+n.rearmBy, &n.Node, n)
+	}
+}
+
+// fuzzDeltas reach every wheel level, both sides of each level boundary,
+// and the far heap.
+var fuzzDeltas = [16]Time{0, 1, 2, 100, 4095, 4096, 4097, 50 * Microsecond,
+	2 * Millisecond, 3 * Millisecond, 500 * Millisecond, 2 * Second,
+	8 * 60 * Second, 10 * 60 * Second, 3600 * Second, 7}
+
+// FuzzWheelMatchesHeap plays an op stream — closures, daemons, reserved
+// sequence numbers, caller-owned nodes (scheduled, cancelled, re-armed from
+// inside their own Fire), splices, cancels of live and stale handles, and
+// bounded runs that stop short of the next event — against the engine and
+// the model, and requires the same firing order, clock, Pending, Live,
+// Executed, NextAt and cancel results throughout.
+func FuzzWheelMatchesHeap(f *testing.F) {
+	f.Add([]byte{})
+	// A node re-arming itself across a level boundary between two closures.
+	f.Add([]byte{8, 0, 3, 0x15, 4, 0, 0x04, 0, 0x05, 0, 0x06, 9, 0x08, 9, 0x0b})
+	// Reserved sequence numbers used late, at the current instant and ahead.
+	f.Add([]byte{2, 2, 0, 0x03, 0, 0x03, 3, 0x03, 5, 1, 0x03, 9, 0x02, 3, 0x00, 9, 0x04})
+	// Cancels of pending, fired and recycled closures; CancelNode both ways.
+	f.Add([]byte{0, 0x01, 0, 0x07, 6, 0, 6, 0, 9, 0x03, 6, 1, 0, 0x02, 6, 1, 4, 2, 0x09, 7, 2, 7, 2})
+	// A bounded run that pops past its horizon, then schedules into the gap.
+	f.Add([]byte{0, 0x07, 9, 0x05, 0, 0x03, 0, 0x06, 4, 1, 0x05, 11, 9, 0x07, 9, 0x09})
+	// Splices interleaved with same-time closures and a daemon.
+	f.Add([]byte{0, 0x03, 10, 0x03, 0x23, 1, 0x03, 10, 0x02, 0x31, 0, 0x03, 9, 0x04, 9, 0x08})
+	rng := NewRand(14)
+	for i := 0; i < 24; i++ {
+		ops := make([]byte, 40+rng.Intn(400))
+		for j := range ops {
+			ops[j] = byte(rng.Uint64())
+		}
+		f.Add(ops)
+	}
+
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		e := New()
+		m := &wheelModel{}
+		var fired []int
+		next := func() byte {
+			if len(ops) == 0 {
+				return 0
+			}
+			b := ops[0]
+			ops = ops[1:]
+			return b
+		}
+		delta := func() Time {
+			b := next()
+			return fuzzDeltas[b&15] + Time(b>>4)
+		}
+		var nodes [fuzzNodes]fuzzNode
+		for k := range nodes {
+			nodes[k] = fuzzNode{eng: e, id: nodeIDBase + k, fired: &fired}
+		}
+		var handles []EventHandle // handles[id] scheduled closure id
+		var reserved []uint64
+		closure := func(id int) Event { return func(Time) { fired = append(fired, id) } }
+		check := func(step string) {
+			t.Helper()
+			if len(fired) != len(m.fired) {
+				t.Fatalf("%s: engine fired %d events, model %d", step, len(fired), len(m.fired))
+			}
+			for i := range fired {
+				if fired[i] != m.fired[i] {
+					t.Fatalf("%s: firing %d is %d, model %d", step, i, fired[i], m.fired[i])
+				}
+			}
+			if e.Now() != m.now || e.Pending() != len(m.q) || e.Live() != m.live() || e.Executed() != m.executed {
+				t.Fatalf("%s: engine now %v pending %d live %d executed %d, model %v %d %d %d", step,
+					e.Now(), e.Pending(), e.Live(), e.Executed(), m.now, len(m.q), m.live(), m.executed)
+			}
+			at, ok := e.NextAt()
+			if i := m.min(); ok != (i >= 0) || (ok && at != m.q[i].at) {
+				t.Fatalf("%s: NextAt = (%v, %v), model has %d pending", step, at, ok, len(m.q))
+			}
+			for k := range nodes {
+				pending := false
+				for _, en := range m.q {
+					pending = pending || en.node == k
+				}
+				if nodes[k].Pending() != pending {
+					t.Fatalf("%s: node %d pending %v, model %v", step, k, nodes[k].Pending(), pending)
+				}
+			}
+		}
+		for step := 0; len(ops) > 0 && step < 2000; step++ {
+			switch op := next() % 12; op {
+			case 0, 1: // At, AtDaemon
+				at, id := e.Now()+delta(), len(handles)
+				if op == 0 {
+					handles = append(handles, e.At(at, closure(id)))
+				} else {
+					handles = append(handles, e.AtDaemon(at, closure(id)))
+				}
+				m.add(at, m.reserve(), id, op == 1, -1)
+			case 2:
+				reserved = append(reserved, e.ReserveSeq())
+				if s := m.reserve(); s != reserved[len(reserved)-1] {
+					t.Fatalf("ReserveSeq = %d, model %d", reserved[len(reserved)-1], s)
+				}
+			case 3: // AtSeq under the oldest unused reservation
+				if len(reserved) == 0 {
+					continue
+				}
+				at, id, seq := e.Now()+delta(), len(handles), reserved[0]
+				reserved = reserved[1:]
+				handles = append(handles, e.AtSeq(at, closure(id), seq))
+				m.add(at, seq, id, false, -1)
+			case 4, 5: // AtNode, AtNodeSeq
+				k := int(next()) % fuzzNodes
+				at := e.Now() + delta()
+				if nodes[k].Pending() || (op == 5 && len(reserved) == 0) {
+					continue
+				}
+				if op == 4 {
+					e.AtNode(at, &nodes[k].Node, &nodes[k])
+					m.add(at, m.reserve(), nodeIDBase+k, false, k)
+				} else {
+					e.AtNodeSeq(at, &nodes[k].Node, &nodes[k], reserved[0])
+					m.add(at, reserved[0], nodeIDBase+k, false, k)
+					reserved = reserved[1:]
+				}
+			case 6: // Cancel a closure: pending, spent or recycled
+				if len(handles) == 0 {
+					continue
+				}
+				id := int(next()) % len(handles)
+				if handles[id] == (EventHandle{}) {
+					continue // a splice: not cancellable
+				}
+				if got, want := handles[id].Cancel(), m.remove(id); got != want {
+					t.Fatalf("step %d: Cancel(closure %d) = %v, model %v", step, id, got, want)
+				}
+				if handles[id].Pending() {
+					t.Fatalf("step %d: closure %d pending after Cancel", step, id)
+				}
+			case 7:
+				k := int(next()) % fuzzNodes
+				if got, want := e.CancelNode(&nodes[k].Node), m.remove(nodeIDBase+k); got != want {
+					t.Fatalf("step %d: CancelNode(%d) = %v, model %v", step, k, got, want)
+				}
+			case 8: // arm node k to reschedule itself from inside Fire
+				k, b := int(next())%fuzzNodes, next()
+				nodes[k].rearm, m.rearm[k] = int(b>>4)%4, int(b>>4)%4
+				nodes[k].rearmBy, m.rearmBy[k] = fuzzDeltas[b&15], fuzzDeltas[b&15]
+			case 9:
+				until := e.Now() + delta()
+				e.Run(until)
+				m.run(until)
+				check("Run")
+			case 10: // Splice up to four ascending firings
+				at, b := e.Now()+delta(), next()
+				times := []Time{at}
+				for i := 0; i < int(b>>4)%4; i++ {
+					times = append(times, times[i]+fuzzDeltas[b&15]*Time(i%2))
+				}
+				id := len(handles)
+				handles = append(handles, EventHandle{}) // not cancellable
+				e.Splice(times, closure(id))
+				for _, ti := range times {
+					m.add(ti, m.reserve(), id, false, -1)
+				}
+			case 11:
+				check("probe")
+			}
+		}
+		until := e.Now() + 12*3600*Second
+		e.Run(until)
+		m.run(until)
+		check("drain")
+		if e.Pending() != 0 {
+			t.Fatalf("%d events left after the drain", e.Pending())
+		}
+	})
+}

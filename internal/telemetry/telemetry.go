@@ -190,6 +190,7 @@ type Registry struct {
 	tcpShards []*TCPCounters
 
 	flowlets []FlowletRow
+	engine   []CounterRow
 
 	series  []*Series
 	byName  map[string]*Series
@@ -354,6 +355,33 @@ func (r *Registry) RecordFlowlets(leaf int, creates, expires, evicts uint64) {
 		}
 	}
 	r.flowlets = append(r.flowlets, FlowletRow{Leaf: leaf, Creates: creates, Expires: expires, Evicts: evicts})
+}
+
+// RecordEngine stores (overwriting any previous value) one counter of the
+// "engine" group, which describes the simulator — how it executed the run —
+// rather than the simulated network. The group is read through EngineRows
+// and is not part of CounterRows, so the files a flush writes stay what
+// TestSinkFilesGolden pins.
+func (r *Registry) RecordEngine(counter string, v uint64) {
+	if r == nil {
+		return
+	}
+	for i := range r.engine {
+		if r.engine[i].Counter == counter {
+			r.engine[i].Value = v
+			return
+		}
+	}
+	r.engine = append(r.engine, CounterRow{Group: "engine", Counter: counter, Value: v})
+}
+
+// EngineRows returns the engine group in recording order (valid after
+// Collect).
+func (r *Registry) EngineRows() []CounterRow {
+	if r == nil {
+		return nil
+	}
+	return r.engine
 }
 
 // CounterRows returns every counter as flat rows in deterministic order:

@@ -268,6 +268,17 @@ func TestObservationCostsNoEvents(t *testing.T) {
 	if on.Events != off.Events {
 		t.Fatalf("observation changed the event count: %d observed vs %d unobserved", on.Events, off.Events)
 	}
+	// The engine group (how the links' starts were made) is pulled from
+	// counters the links keep anyway, by the collector that pulls Dequeues.
+	eng := map[string]uint64{}
+	for _, row := range on.Telemetry.EngineRows() {
+		eng[row.Counter] = row.Value
+	}
+	_, deq, _, _ := on.Telemetry.LinkTotals()
+	if len(eng) != 3 || eng["link_starts"] != deq || eng["link_starts_drained"] == 0 ||
+		eng["link_starts_chained"]+eng["link_starts_drained"] > deq {
+		t.Fatalf("engine group %v, want three counters with link_starts = %d dequeues", eng, deq)
+	}
 	a, b := *on, *off
 	a.Telemetry = nil
 	a.Wall, b.Wall = 0, 0
