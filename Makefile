@@ -55,8 +55,8 @@ bench-quick:
 	$(GO) test -bench 'BenchmarkScale64Leaves40G$$' -benchtime 1x -run '^$$' .
 
 # Space-parallel scale benchmarks: the largest 40G cell sequential and at
-# 2/4/8 domains. ns/op ratios are the PR 7 speedup claim; events/op is
-# deterministic per worker count.
+# 2/4/8 domains. events/op is deterministic per domain count; the ns/op
+# ratios are the measured cost of the space-parallel engine.
 bench-parallel:
 	$(GO) test -bench 'BenchmarkScale256Leaves40G(Parallel[248])?$$' -benchtime 1x -run '^$$' .
 
@@ -66,18 +66,16 @@ bench-parallel:
 # every PR; >15% ns/op regression on the engine hot path fails the build).
 bench-guard:
 	$(MAKE) bench-quick | tee bench-quick.txt
-	$(GO) run ./tools/benchguard -baseline BENCH_PR14.json -max-regress 0.15 \
+	$(GO) run ./tools/benchguard -baseline BENCH_PR16.json -max-regress 0.15 \
 		-require 'BenchmarkEngineRaw,BenchmarkFig09Enterprise' bench-quick.txt
 
-# Gate the space-parallel scale cells: events/op exact per worker count,
-# and ≥2.5× ns/op speedup at 8 workers over sequential (auto-skipped with
-# a warning on machines with fewer than 8 procs, where the events/op exact
-# gates still pin determinism).
+# Gate the space-parallel scale cells: events/op exact per domain count,
+# which pins determinism. No speedup is gated: no recorded baseline has
+# shown a domain count faster than sequential (DESIGN.md §3.6).
 bench-guard-parallel:
 	$(MAKE) bench-parallel | tee bench-parallel.txt
-	$(GO) run ./tools/benchguard -baseline BENCH_PR14.json \
+	$(GO) run ./tools/benchguard -baseline BENCH_PR16.json \
 		-require 'BenchmarkScale256Leaves40G,BenchmarkScale256Leaves40GParallel2,BenchmarkScale256Leaves40GParallel4,BenchmarkScale256Leaves40GParallel8' \
-		-speedup 'BenchmarkScale256Leaves40GParallel8:BenchmarkScale256Leaves40G:2.5' \
 		bench-parallel.txt
 
 # One Fig09 run under the CPU profiler (~0.5 s of profiled simulation).

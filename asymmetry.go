@@ -5,7 +5,6 @@ import (
 
 	"conga/internal/fabric"
 	"conga/internal/sim"
-	"conga/internal/tcp"
 )
 
 // AsymmetryResult reports the §2.4 scenarios: sustained throughput of
@@ -82,34 +81,33 @@ type pair struct {
 // of the run (the first half is TCP/CONGA convergence warm-up).
 func runLongLivedLoad(topo Topology, scheme Scheme, seed uint64, pairs []pair,
 	dur time.Duration) (*AsymmetryResult, error) {
-	fabScheme, _, err := schemeForFabric(scheme, TransportTCP)
+	r, err := newRun(topo, scheme, nil, TransportConfig{}.withDefaults(), nil, seed, nil, 1)
 	if err != nil {
 		return nil, err
 	}
-	eng := sim.New()
-	net, err := topo.build(eng, fabScheme, DefaultParams(), nil, seed, nil)
-	if err != nil {
-		return nil, err
-	}
-	tcpCfg := TransportConfig{}.withDefaults().tcpConfig()
-	tcpCfg.MinRTO = 10 * sim.Millisecond
-	tcpCfg.InitRTO = 50 * sim.Millisecond
+	eng, net := r.doms[0].eng, r.net
+	r.transport = TransportTCP // these scenarios are TCP under every scheme label
+	r.tcpCfg.MinRTO = 10 * sim.Millisecond
+	r.tcpCfg.InitRTO = 50 * sim.Millisecond
 
 	id := uint64(1)
 	for _, pr := range pairs {
 		pr := pr
 		eng.At(sim.Duration(pr.startAt), func(sim.Time) {
 			for i := 0; i < pr.flows; i++ {
-				src := net.Host(pr.srcLeaf*topo.HostsPerLeaf + i%topo.HostsPerLeaf)
-				dst := net.Host(pr.dstLeaf*topo.HostsPerLeaf + i%topo.HostsPerLeaf)
-				tcp.StartFlow(eng, src, dst, id, 1<<40, tcpCfg, nil) // effectively infinite
+				r.start(0, arrival{
+					src:    pr.srcLeaf*topo.HostsPerLeaf + i%topo.HostsPerLeaf,
+					dst:    pr.dstLeaf*topo.HostsPerLeaf + i%topo.HostsPerLeaf,
+					flowID: id,
+					size:   1 << 40, // effectively infinite
+				})
 				id++
 			}
 		})
 	}
 
 	half := sim.Duration(dur) / 2
-	eng.Run(half)
+	r.exec(half)
 	spineStart := make([]uint64, topo.Spines)
 	for s := range spineStart {
 		spineStart[s] = spineTxBytes(net, s, topo.Leaves)
@@ -120,7 +118,7 @@ func runLongLivedLoad(topo Topology, scheme Scheme, seed uint64, pairs []pair,
 			upStart[leaf] = append(upStart[leaf], l.TxBytes())
 		}
 	}
-	eng.Run(2 * half)
+	r.exec(2 * half)
 
 	res := &AsymmetryResult{
 		Scheme:         SchemeName(scheme),

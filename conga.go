@@ -208,17 +208,12 @@ func (t Topology) fabricConfig(scheme Scheme, params core.Params, wcmpWeights []
 	return cfg
 }
 
-// build instantiates the network and applies link failures. tel (nil when
-// telemetry is off) is wired through the fabric before any event runs.
-func (t Topology) build(eng *sim.Engine, scheme Scheme, params core.Params, wcmp []float64, seed uint64, tel *telemetry.Registry) (*fabric.Network, error) {
-	return t.buildPartitioned([]*sim.Engine{eng}, scheme, params, wcmp, seed, tel)
-}
-
-// buildPartitioned is build across one engine per partition domain, for
-// the space-parallel runner (see parallel_fct.go). Link failures are
-// applied before the run starts, so the up/down flags are immutable while
-// domains execute concurrently.
-func (t Topology) buildPartitioned(engines []*sim.Engine, scheme Scheme, params core.Params, wcmp []float64, seed uint64, tel *telemetry.Registry) (*fabric.Network, error) {
+// build instantiates the network across one engine per partition domain
+// (one engine is the sequential fabric) and applies link failures. They
+// are applied before the run starts, so the up/down flags are immutable
+// while domains execute concurrently. tel (nil when telemetry is off) is
+// wired through the fabric before any event runs.
+func (t Topology) build(engines []*sim.Engine, scheme Scheme, params core.Params, wcmp []float64, seed uint64, tel *telemetry.Registry) (*fabric.Network, error) {
 	n, err := fabric.NewPartitionedNetwork(engines, t.fabricConfig(scheme, params, wcmp, seed, tel))
 	if err != nil {
 		return nil, err

@@ -7,7 +7,6 @@ import (
 
 	"conga/internal/core"
 	"conga/internal/fabric"
-	"conga/internal/mptcp"
 	"conga/internal/replay"
 	"conga/internal/sim"
 	"conga/internal/stats"
@@ -92,10 +91,12 @@ type FCTConfig struct {
 
 	// SampleCap, when > 0, bounds every statistics buffer (FCT samples,
 	// imbalance and queue samplers) to at most SampleCap retained
-	// observations via reservoir sampling, so million-flow sweeps run at
-	// fixed memory. Means, counts and extrema stay exact; quantiles and
-	// CDFs become reservoir estimates. The reservoirs use their own
-	// seeded PRNGs, so simulation outcomes are unaffected.
+	// observations via reservoir sampling, so million-flow sweeps keep
+	// their statistics at fixed memory. Means, counts and extrema stay
+	// exact; quantiles and CDFs become reservoir estimates. The reservoirs
+	// use their own seeded PRNGs, so simulation outcomes are unaffected.
+	// The arrival list itself is materialized before the run (MaxFlows ×
+	// ~100 B) and is not bounded by SampleCap.
 	SampleCap int
 
 	WCMPWeights []float64
@@ -123,18 +124,14 @@ type FCTConfig struct {
 	// Parallel, when > 1, runs this single experiment space-parallel: the
 	// fabric is partitioned into Parallel domains (one engine and worker
 	// goroutine each; see internal/fabric/partition.go) executed in bounded
-	// time windows by sim.ParallelEngine. Results are deterministic for a
-	// fixed Parallel value, and Parallel <= 1 keeps the exact sequential
-	// code path. Parallel mode rejects the options that need a single
-	// engine: CollectImbalance, CollectQueues, SampleCap, and telemetry
-	// traces/taps.
+	// time windows by sim.ParallelEngine. Parallel <= 1 is the one-domain
+	// case of the same path. Results are deterministic for a fixed Parallel
+	// value but differ between values: several domains interleave
+	// same-timestamp events differently and keep every receiver bound for
+	// the whole run (see run.inject). Several domains reject the options
+	// that need a single engine: CollectImbalance, CollectQueues,
+	// SampleCap, and telemetry traces/taps.
 	Parallel int
-
-	// testFlowHook, when set, observes every completed flow as
-	// (domain, flowID, fct) from that domain's goroutine; parallel-mode
-	// determinism tests use it to capture per-flow FCT vectors. The hook
-	// must be safe for concurrent calls from different domains.
-	testFlowHook func(domain int, flowID uint64, fct sim.Time)
 }
 
 func (c FCTConfig) withDefaults() FCTConfig {
@@ -264,9 +261,8 @@ func OptimalFCT(t Topology, transport TransportConfig, size int64) time.Duration
 	return time.Duration((transmit + 2*prop + ack) * 1e9)
 }
 
-// RunFCT executes one FCT experiment. With cfg.Parallel > 1 the run is
-// space-parallel across domain engines (see parallel_fct.go); otherwise it
-// executes on the single sequential engine below.
+// RunFCT executes one FCT experiment, on cfg.Parallel partition domains
+// (one when Parallel <= 1).
 func RunFCT(cfg FCTConfig) (*FCTResult, error) {
 	start := time.Now()
 	res, err := runFCT(cfg)
@@ -276,133 +272,85 @@ func RunFCT(cfg FCTConfig) (*FCTResult, error) {
 	return res, err
 }
 
+// checkParallel rejects, up front and naming the sequential alternative,
+// the options that structurally need one engine.
+func (cfg FCTConfig) checkParallel() error {
+	t := cfg.Telemetry
+	switch {
+	case cfg.CollectImbalance:
+		return fmt.Errorf("conga: CollectImbalance is not supported with Parallel=%d (its sampler ticks on one engine but reads uplinks across domains); collect it on a sequential run", cfg.Parallel)
+	case cfg.CollectQueues:
+		return fmt.Errorf("conga: CollectQueues is not supported with Parallel=%d (its sampler reads fabric links across domains); collect it on a sequential run", cfg.Parallel)
+	case cfg.SampleCap > 0:
+		return fmt.Errorf("conga: SampleCap is not supported with Parallel=%d (per-domain reservoirs cannot merge into a uniform sample); use a sequential run or unbounded samples", cfg.Parallel)
+	case t != nil && (t.Trace || t.Tap || t.Hub != nil):
+		return fmt.Errorf("conga: telemetry traces and live taps are not supported with Parallel=%d (they interleave events from all domains in one stream); counters and series remain available", cfg.Parallel)
+	case t != nil && t.Decisions && t.DecisionTrace:
+		// The per-leaf decision hooks themselves are fine at any P (leaves
+		// are domain-owned, flush merges them in leaf order); only the
+		// single shared audit buffer has no deterministic parallel merge.
+		return fmt.Errorf("conga: the decision trace is not supported with Parallel=%d (one bounded audit buffer cannot merge per-domain decision streams deterministically); run sequentially for the audit trail — decision counters, path matrices and staleness series remain available", cfg.Parallel)
+	}
+	return nil
+}
+
+// fctShard is one domain's share of an FCT run's results. Each domain's
+// completions land in its own shard, in its engine's execution order, and
+// the shards merge in domain order after the run — so results are
+// deterministic for a fixed domain count regardless of goroutine
+// scheduling, and one domain merges nothing.
+type fctShard struct {
+	rec            *stats.FCTRecorder
+	retx, timeouts uint64
+	flows          []FlowFCT // populated when CollectFlows is set
+}
+
 func runFCT(cfg FCTConfig) (*FCTResult, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Replay != nil && cfg.Replay.Header.DurationNs > 0 {
-		// The replayed horizon is the recording's, not the caller's: an
-		// arrival window shorter than the trace span would truncate it.
-		cfg.Duration = time.Duration(cfg.Replay.Header.DurationNs)
+	if cfg.Replay != nil {
+		if err := cfg.checkReplay(); err != nil {
+			return nil, err
+		}
+		if cfg.Replay.Header.DurationNs > 0 {
+			// The replayed horizon is the recording's, not the caller's: an
+			// arrival window shorter than the trace span would truncate it.
+			cfg.Duration = time.Duration(cfg.Replay.Header.DurationNs)
+		}
 	}
 	if cfg.Parallel > 1 {
-		return runFCTParallel(cfg)
+		if err := cfg.checkParallel(); err != nil {
+			return nil, err
+		}
 	}
-	fabScheme, transport, err := schemeForFabric(cfg.Scheme, cfg.Transport.Kind)
+	r, err := newRun(cfg.Topology, cfg.Scheme, cfg.Params, cfg.Transport, cfg.WCMPWeights, cfg.Seed, cfg.Telemetry, cfg.Parallel)
 	if err != nil {
 		return nil, err
 	}
-	params := DefaultParams()
-	if cfg.Scheme == SchemeCONGAFlow {
-		params = core.CongaFlowParams()
-	}
-	if cfg.Params != nil {
-		params = *cfg.Params
-	}
-
-	eng := sim.New()
-	var reg *telemetry.Registry
-	if cfg.Telemetry != nil {
-		reg = telemetry.New(*cfg.Telemetry)
-	}
-	net, err := cfg.Topology.build(eng, fabScheme, params, cfg.WCMPWeights, cfg.Seed, reg)
-	if err != nil {
-		return nil, err
-	}
+	eng0 := r.doms[0].eng // where the one-engine collectors tick
 
 	dist := cfg.Custom
 	if dist == nil {
 		dist = cfg.Workload.Dist()
 	}
 
-	var rec *stats.FCTRecorder
-	if cfg.SampleCap > 0 {
-		rec = stats.NewFCTRecorder(0)
-		rec.Bound(cfg.SampleCap, cfg.Seed)
-	} else {
-		rec = stats.NewFCTRecorder(cfg.MaxFlows)
-	}
-	var retx, timeouts uint64
-	tcpCfg := cfg.Transport.tcpConfig()
-	mpCfg := mptcp.Config{Subflows: cfg.Transport.Subflows, TCP: tcpCfg, ChunkSegments: 4}
-
-	stride := uint64(1)
-	if transport == TransportMPTCP {
-		stride = uint64(cfg.Transport.Subflows)
-	}
-
-	// Per-engine object pools: flows, endpoints and MPTCP connections
-	// recycle for the whole run, so the steady state of the workload loop
-	// allocates nothing. The completion callbacks are created once per run
-	// (not per flow) and recompute the per-flow optimal FCT from f.Size —
-	// OptimalFCT is pure, so moving it from start to completion changes no
-	// simulation event.
-	pool := tcp.NewFlowPool()
-	mpool := mptcp.NewPool()
-	var flowLog []FlowFCT
-	tcpDone := func(f *tcp.Flow, now sim.Time) {
-		opt := sim.Duration(OptimalFCT(cfg.Topology, cfg.Transport, f.Size))
-		rec.Record(f.Size, f.FCT(now), opt)
-		st := f.Sender.Stats()
-		retx += st.RetxSegments
-		timeouts += st.Timeouts
-		if cfg.CollectFlows {
-			flowLog = append(flowLog, FlowFCT{ID: f.Sender.FlowID(), Size: f.Size, FCT: time.Duration(f.FCT(now))})
-		}
-	}
-	mptcpDone := func(f *mptcp.Flow, now sim.Time) {
-		opt := sim.Duration(OptimalFCT(cfg.Topology, cfg.Transport, f.Size))
-		rec.Record(f.Size, f.FCT(now), opt)
-		subs := f.Conn.Subflows()
-		for _, s := range subs {
-			st := s.Stats()
-			retx += st.RetxSegments
-			timeouts += st.Timeouts
-		}
-		if cfg.CollectFlows {
-			flowLog = append(flowLog, FlowFCT{ID: subs[0].FlowID(), Size: f.Size, FCT: time.Duration(f.FCT(now))})
-		}
-	}
-	starter := func(src, dst *fabric.Host, id uint64, size int64) {
-		switch transport {
-		case TransportMPTCP:
-			mpool.StartFlow(eng, src, dst, id, size, mpCfg, mptcpDone)
-		default:
-			pool.StartFlow(eng, src, dst, id, size, tcpCfg, tcpDone)
-		}
-	}
-
-	// The workload source is either a live Poisson generator or a replay
-	// injector; both schedule one engine event per arrival whose body
-	// starts the flow and then schedules the next arrival, so a replayed
-	// run creates events in the identical order its recording did.
-	var traceRec *replay.Recorder
-	if cfg.Record {
-		traceRec = &replay.Recorder{Header: cfg.traceHeader(dist.Name())}
-	}
-	var startSource func()
-	var generated func() int
+	// The arrival sequence is fully materialized before the run: lifted
+	// out of the replay trace, or drawn from the generator's private RNG
+	// stream in exactly the order a live Poisson process would consume it.
+	header := cfg.traceHeader(dist.Name())
+	var flows []replay.Flow
+	var provenance string
 	if cfg.Replay != nil {
-		if err := cfg.checkReplay(); err != nil {
-			return nil, err
-		}
-		var obs func(replay.Flow)
-		if traceRec != nil {
-			// Re-recording a replay preserves the original workload
-			// provenance; only scheme/seed describe the current run.
-			traceRec.Header.Workload = cfg.Replay.Header.Workload
-			traceRec.Header.Load = cfg.Replay.Header.Load
-			obs = func(f replay.Flow) { traceRec.Add(f) }
-		}
-		inj := newReplayInjector(eng, net, cfg.Replay.Flows, starter, obs)
-		startSource = inj.Start
-		generated = func() int { return inj.Generated }
+		flows = cfg.Replay.Flows
+		// Re-recording a replay preserves the original kinds and workload
+		// provenance; only scheme/seed describe the current run.
+		header.Workload, header.Load = cfg.Replay.Header.Workload, cfg.Replay.Header.Load
+		provenance = traceProvenance("replay", cfg.Replay.Header)
 	} else {
-		var observe func(workload.Arrival)
-		if traceRec != nil {
-			observe = func(a workload.Arrival) {
-				traceRec.Add(replay.Flow{At: a.At, Src: a.Src, Dst: a.Dst, FlowID: a.FlowID, Size: a.Size, Kind: replay.KindWorkload})
-			}
+		stride := uint64(1)
+		if r.transport == TransportMPTCP {
+			stride = uint64(cfg.Transport.Subflows)
 		}
-		gen, err := workload.NewGenerator(eng, net, workload.GenConfig{
+		gen, err := workload.NewGenerator(eng0, r.net, workload.GenConfig{
 			Load:          cfg.Load,
 			Dist:          dist,
 			Duration:      sim.Duration(cfg.Duration),
@@ -410,14 +358,54 @@ func runFCT(cfg FCTConfig) (*FCTResult, error) {
 			InterLeafOnly: true,
 			Stride:        stride,
 			Seed:          cfg.Seed,
-			Observe:       observe,
-		}, starter)
+		}, nil)
 		if err != nil {
 			return nil, err
 		}
-		startSource = gen.Start
-		generated = func() int { return gen.Generated }
+		drawn := gen.Pregenerate()
+		flows = make([]replay.Flow, 0, len(drawn))
+		for _, a := range drawn {
+			flows = append(flows, replay.Flow{At: a.At, Src: a.Src, Dst: a.Dst, FlowID: a.FlowID, Size: a.Size, Kind: replay.KindWorkload})
+		}
 	}
+	var trace *replay.Trace
+	if cfg.Record {
+		rec := &replay.Recorder{Header: header}
+		for _, f := range flows {
+			rec.Add(f)
+		}
+		trace = rec.Trace()
+		if cfg.Replay == nil {
+			provenance = traceProvenance("record", trace.Header)
+		}
+	}
+	// Stamp trace ancestry into the sink headers: flushed telemetry from a
+	// replayed (or recording) run names the workload behind it.
+	r.reg.SetProvenance(provenance)
+
+	// The completion callback is bound once per run (not per flow) and
+	// recomputes the per-flow optimal FCT from the size — OptimalFCT is
+	// pure, so computing it at completion changes no simulation event.
+	shards := make([]*fctShard, len(r.doms))
+	reserve := cfg.MaxFlows / len(shards)
+	if cfg.SampleCap > 0 {
+		reserve = 0
+	}
+	for d := range shards {
+		shards[d] = &fctShard{rec: stats.NewFCTRecorder(reserve)}
+	}
+	if cfg.SampleCap > 0 {
+		shards[0].rec.Bound(cfg.SampleCap, cfg.Seed) // one domain: see checkParallel
+	}
+	r.onFlowDone(func(d int, flowID uint64, size int64, fct sim.Time, retx, timeouts uint64) {
+		sh := shards[d]
+		sh.rec.Record(size, fct, sim.Duration(OptimalFCT(cfg.Topology, cfg.Transport, size)))
+		sh.retx += retx
+		sh.timeouts += timeouts
+		if cfg.CollectFlows {
+			sh.flows = append(sh.flows, FlowFCT{ID: flowID, Size: size, FCT: time.Duration(fct)})
+		}
+	})
 
 	// The samplers tick at fixed periods over a known horizon, so their
 	// buffers can be sized exactly instead of growing during the run —
@@ -426,17 +414,17 @@ func runFCT(cfg FCTConfig) (*FCTResult, error) {
 	horizon := sim.Duration(cfg.Duration) + sim.Duration(cfg.DrainTimeout)
 	var imb *stats.ImbalanceSampler
 	if cfg.CollectImbalance {
-		imb = stats.NewImbalanceSampler(net.Leaves[0].Uplinks(), 10*sim.Millisecond)
+		imb = stats.NewImbalanceSampler(r.net.Leaves[0].Uplinks(), 10*sim.Millisecond)
 		if cfg.SampleCap > 0 {
 			imb.Values.Reservoir(cfg.SampleCap, cfg.Seed+101)
 		} else {
 			imb.Values.Reserve(int(horizon / (10 * sim.Millisecond)))
 		}
-		imb.Start(eng)
+		imb.Start(eng0)
 	}
 	var qs *stats.QueueSampler
 	if cfg.CollectQueues {
-		qs = stats.NewQueueSampler(net.FabricLinks(), 100*sim.Microsecond)
+		qs = stats.NewQueueSampler(r.net.FabricLinks(), 100*sim.Microsecond)
 		if cfg.SampleCap > 0 {
 			qs.All.Reservoir(cfg.SampleCap, cfg.Seed+201)
 			for i := range qs.PerLink {
@@ -444,33 +432,44 @@ func runFCT(cfg FCTConfig) (*FCTResult, error) {
 			}
 		} else {
 			samples := int(horizon / (100 * sim.Microsecond))
-			qs.All.Reserve(samples * len(net.FabricLinks()))
+			qs.All.Reserve(samples * len(r.net.FabricLinks()))
 			for i := range qs.PerLink {
 				qs.PerLink[i].Reserve(samples)
 			}
 		}
-		qs.Start(eng)
+		qs.Start(eng0)
 	}
 
 	// The streaming tap surfaces run progress in its snapshots; the
-	// closure runs on the engine goroutine at publish safe points, so the
-	// plain reads need no synchronization.
-	reg.SetProgress(func() telemetry.Progress {
+	// closure runs on the engine goroutine at publish safe points (taps
+	// need one domain), so the plain reads need no synchronization.
+	rec := shards[0].rec
+	r.reg.SetProgress(func() telemetry.Progress {
 		return telemetry.Progress{
-			FlowsGenerated: generated(),
+			FlowsGenerated: r.started(),
 			FlowsCompleted: rec.Flows,
-			Events:         eng.Executed(),
+			Events:         eng0.Executed(),
 		}
 	})
 
-	startSource()
-	eng.Run(sim.Duration(cfg.Duration) + sim.Duration(cfg.DrainTimeout))
+	r.inject(flows)
+	endAt := r.exec(sim.Duration(cfg.Duration) + sim.Duration(cfg.DrainTimeout))
 
+	var retx, timeouts uint64
+	var flowLog []FlowFCT
+	for d, sh := range shards {
+		if d > 0 {
+			rec.Merge(sh.rec)
+		}
+		retx += sh.retx
+		timeouts += sh.timeouts
+		flowLog = append(flowLog, sh.flows...)
+	}
 	res := &FCTResult{
 		Scheme:         SchemeName(cfg.Scheme),
 		Workload:       dist.Name(),
 		Load:           cfg.Load,
-		Generated:      generated(),
+		Generated:      r.started(),
 		Completed:      rec.Flows,
 		AvgFCT:         time.Duration(rec.Overall.Mean() * 1e9),
 		P99FCT:         time.Duration(rec.Overall.Quantile(0.99) * 1e9),
@@ -480,30 +479,15 @@ func runFCT(cfg FCTConfig) (*FCTResult, error) {
 		LargeAvgFCT:    time.Duration(rec.Large.Mean() * 1e9),
 		SmallCount:     rec.Small.N(),
 		LargeCount:     rec.Large.N(),
-		Drops:          net.TotalDrops(),
+		Drops:          r.net.TotalDrops(),
 		Retransmits:    retx,
 		Timeouts:       timeouts,
-		SimTime:        time.Duration(eng.Now()),
-		Events:         eng.Executed(),
+		SimTime:        time.Duration(endAt),
+		Events:         r.events(),
+		Trace:          trace,
 	}
-	if reg != nil {
-		// Stamp trace ancestry into the sink headers: flushed telemetry
-		// from a replayed (or recording) run names the workload behind it.
-		if cfg.Replay != nil {
-			reg.SetProvenance(traceProvenance("replay", cfg.Replay.Header))
-		} else if traceRec != nil {
-			reg.SetProvenance(traceProvenance("record", traceRec.Trace().Header))
-		}
-		reg.Collect()
-		reg.FinishTap(eng.Now())
-		if err := reg.Flush(); err != nil {
-			return nil, fmt.Errorf("conga: telemetry flush: %w", err)
-		}
-		reg.ArchiveToHub()
-		res.Telemetry = reg
-	}
-	if traceRec != nil {
-		res.Trace = traceRec.Trace()
+	if res.Telemetry, err = r.finish(endAt); err != nil {
+		return nil, err
 	}
 	if cfg.CollectFlows {
 		sort.Slice(flowLog, func(i, j int) bool { return flowLog[i].ID < flowLog[j].ID })
@@ -514,10 +498,10 @@ func runFCT(cfg FCTConfig) (*FCTResult, error) {
 		res.ImbalanceMean = imb.Values.Mean()
 	}
 	if qs != nil {
-		res.QueueCDFs = make(map[string]CDF, len(net.FabricLinks()))
-		res.AvgQueueByLink = make(map[string]float64, len(net.FabricLinks()))
+		res.QueueCDFs = make(map[string]CDF, len(r.net.FabricLinks()))
+		res.AvgQueueByLink = make(map[string]float64, len(r.net.FabricLinks()))
 		hotIdx, hotMean := -1, -1.0
-		for i, l := range net.FabricLinks() {
+		for i, l := range r.net.FabricLinks() {
 			res.QueueCDFs[l.Name] = qs.PerLink[i].CDF()
 			m := qs.PerLink[i].Mean()
 			res.AvgQueueByLink[l.Name] = m

@@ -1,16 +1,13 @@
 package conga
 
 import (
-	"fmt"
 	"time"
 
 	"conga/internal/fabric"
 	"conga/internal/hdfs"
-	"conga/internal/mptcp"
 	"conga/internal/replay"
 	"conga/internal/sim"
 	"conga/internal/stats"
-	"conga/internal/tcp"
 	"conga/internal/telemetry"
 	"conga/internal/workload"
 )
@@ -126,22 +123,14 @@ func RunHDFS(cfg HDFSConfig) (*HDFSResult, error) {
 
 func runHDFS(cfg HDFSConfig) (*HDFSResult, error) {
 	cfg = cfg.withDefaults()
-	fabScheme, transport, err := schemeForFabric(cfg.Scheme, cfg.Transport.Kind)
+	r, err := newRun(cfg.Topology, cfg.Scheme, nil, cfg.Transport, nil, cfg.Seed, cfg.Telemetry, 1)
 	if err != nil {
 		return nil, err
 	}
-	eng := sim.New()
-	var reg *TelemetryRegistry
-	if cfg.Telemetry != nil {
-		reg = telemetry.New(*cfg.Telemetry)
-	}
-	net, err := cfg.Topology.build(eng, fabScheme, DefaultParams(), nil, cfg.Seed, reg)
-	if err != nil {
-		return nil, err
-	}
-
-	tcpCfg := cfg.Transport.tcpConfig()
-	mpCfg := mptcp.Config{Subflows: cfg.Transport.Subflows, TCP: tcpCfg, ChunkSegments: 4}
+	// One engine and one set of pools, shared by the background workload
+	// and the HDFS replication pipeline below so every flow recycles
+	// through the same free lists.
+	eng, net := r.doms[0].eng, r.net
 
 	// Background enterprise traffic for the whole trial window. With
 	// SampleCap set, completion times go into a bounded reservoir; the
@@ -152,28 +141,17 @@ func runHDFS(cfg HDFSConfig) (*HDFSResult, error) {
 	if cfg.SampleCap > 0 {
 		bg.Reservoir(cfg.SampleCap, cfg.Seed+401)
 	}
-	// Per-engine pools, shared by the background workload and the HDFS
-	// replication pipeline below so every flow on this engine recycles
-	// through the same free lists.
-	pool := tcp.NewFlowPool()
-	mpool := mptcp.NewPool()
 	var gen *workload.Generator
 	var traceRec *replay.Recorder
 	if cfg.BackgroundLoad > 0 {
-		record := func(fct sim.Time) {
+		r.onFlowDone(func(_ int, _ uint64, _ int64, fct sim.Time, _, _ uint64) {
 			bgDone++
 			if cfg.SampleCap > 0 {
 				bg.Add(fct.Seconds())
 			}
-		}
-		tcpDone := func(f *tcp.Flow, now sim.Time) { record(f.FCT(now)) }
-		mptcpDone := func(f *mptcp.Flow, now sim.Time) { record(f.FCT(now)) }
+		})
 		starter := func(src, dst *fabric.Host, id uint64, size int64) {
-			if transport == TransportMPTCP {
-				mpool.StartFlow(eng, src, dst, id, size, mpCfg, mptcpDone)
-			} else {
-				pool.StartFlow(eng, src, dst, id, size, tcpCfg, tcpDone)
-			}
+			r.start(0, arrival{src: src.ID, dst: dst.ID, flowID: id, size: size})
 		}
 		var observe func(workload.Arrival)
 		if cfg.Record {
@@ -205,16 +183,15 @@ func runHDFS(cfg HDFSConfig) (*HDFSResult, error) {
 
 	// The job itself replicates with TCP regardless of the background
 	// transport, as HDFS does.
-	jobTCP := tcpCfg
 	jobRes, err := hdfs.Run(eng, net, hdfs.Config{
 		Writers:        cfg.Writers,
 		BytesPerWriter: cfg.BytesPerWriter,
 		BlockBytes:     cfg.BlockBytes,
 		DiskBps:        cfg.DiskMBps * 8e6,
-		TCP:            jobTCP,
-		Pool:           pool,
+		TCP:            r.tcpCfg,
+		Pool:           r.doms[0].pool,
 		Seed:           cfg.Seed,
-	}, func(r *hdfs.Result, now sim.Time) {
+	}, func(*hdfs.Result, sim.Time) {
 		// Stop promptly once the job completes; lingering background
 		// flows don't affect the measurement.
 		eng.Stop()
@@ -223,7 +200,7 @@ func runHDFS(cfg HDFSConfig) (*HDFSResult, error) {
 		return nil, err
 	}
 
-	reg.SetProgress(func() telemetry.Progress {
+	r.reg.SetProgress(func() telemetry.Progress {
 		p := telemetry.Progress{FlowsCompleted: bgDone, Events: eng.Executed()}
 		if gen != nil {
 			p.FlowsGenerated = gen.Generated
@@ -231,13 +208,13 @@ func runHDFS(cfg HDFSConfig) (*HDFSResult, error) {
 		return p
 	})
 
-	eng.Run(sim.Duration(cfg.Timeout))
+	endAt := r.exec(sim.Duration(cfg.Timeout))
 
 	res := &HDFSResult{
 		Scheme:       SchemeName(cfg.Scheme),
 		Blocks:       jobRes.Blocks,
 		ReplicaBytes: jobRes.ReplicaBytes,
-		Events:       eng.Executed(),
+		Events:       r.events(),
 	}
 	if gen != nil {
 		res.BackgroundFlows = gen.Generated
@@ -253,14 +230,8 @@ func runHDFS(cfg HDFSConfig) (*HDFSResult, error) {
 	} else {
 		res.JobCompletion = cfg.Timeout
 	}
-	if reg != nil {
-		reg.Collect()
-		reg.FinishTap(eng.Now())
-		if err := reg.Flush(); err != nil {
-			return nil, fmt.Errorf("conga: telemetry flush: %w", err)
-		}
-		reg.ArchiveToHub()
-		res.Telemetry = reg
+	if res.Telemetry, err = r.finish(endAt); err != nil {
+		return nil, err
 	}
 	if traceRec != nil {
 		res.Trace = traceRec.Trace()

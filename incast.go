@@ -115,39 +115,27 @@ func RunIncast(cfg IncastConfig) (*IncastResult, error) {
 
 func runIncast(cfg IncastConfig) (*IncastResult, error) {
 	cfg = cfg.withDefaults()
-	fabScheme, transport, err := schemeForFabric(cfg.Scheme, cfg.Transport.Kind)
-	if err != nil {
-		return nil, err
-	}
 	totalHosts := cfg.Topology.Leaves * cfg.Topology.HostsPerLeaf
 	if cfg.Fanout >= totalHosts {
 		return nil, fmt.Errorf("conga: fanout %d needs more than %d hosts", cfg.Fanout, totalHosts)
 	}
-
-	eng := sim.New()
-	var reg *TelemetryRegistry
-	if cfg.Telemetry != nil {
-		reg = telemetry.New(*cfg.Telemetry)
-	}
-	net, err := cfg.Topology.build(eng, fabScheme, DefaultParams(), nil, cfg.Seed, reg)
+	r, err := newRun(cfg.Topology, cfg.Scheme, nil, cfg.Transport, nil, cfg.Seed, cfg.Telemetry, 1)
 	if err != nil {
 		return nil, err
 	}
+	eng, net, pool := r.doms[0].eng, r.net, r.doms[0].pool
 
 	client := net.Host(0)
 	perServer := cfg.RequestBytes / int64(cfg.Fanout)
 	if perServer < 1 {
 		perServer = 1
 	}
-	tcpCfg := cfg.Transport.tcpConfig()
-	mpCfg := mptcp.Config{Subflows: cfg.Transport.Subflows, TCP: tcpCfg, ChunkSegments: 4}
 
 	// Persistent connections: one sender per server, created up front, so
 	// RTT estimators are warm when the synchronized burst hits — matching
 	// the benchmark applications the paper cites. They live for the whole
 	// run, so the per-engine pool only uniformizes construction here; the
 	// rounds themselves allocate nothing.
-	pool := tcp.NewFlowPool()
 	type server struct {
 		tcpSend *tcp.Sender
 		mpConn  *mptcp.Connection
@@ -181,16 +169,16 @@ func runIncast(cfg IncastConfig) (*IncastResult, error) {
 
 	for i := 0; i < cfg.Fanout; i++ {
 		srcHost := net.Host(i + 1)
-		switch transport {
+		switch r.transport {
 		case TransportMPTCP:
 			// The connection allocates and owns its client-side receivers.
-			conn := mptcp.Dial(eng, srcHost, client, uint64(1000+i*16), mpCfg)
+			conn := mptcp.Dial(eng, srcHost, client, uint64(1000+i*16), r.mpCfg)
 			conn.OnComplete = onServerDone
 			servers[i].mpConn = conn
 		default:
 			port := client.AllocPort()
 			pool.NewReceiver(client, port)
-			s := pool.NewSender(eng, srcHost, uint64(1000+i*16), client.ID, port, tcpCfg)
+			s := pool.NewSender(eng, srcHost, uint64(1000+i*16), client.ID, port, r.tcpCfg)
 			s.OnAllAcked = onServerDone
 			servers[i].tcpSend = s
 		}
@@ -223,7 +211,7 @@ func runIncast(cfg IncastConfig) (*IncastResult, error) {
 			}
 		}
 	}
-	reg.SetProgress(func() telemetry.Progress {
+	r.reg.SetProgress(func() telemetry.Progress {
 		return telemetry.Progress{
 			FlowsGenerated: cfg.Rounds,
 			FlowsCompleted: roundsDone,
@@ -232,7 +220,7 @@ func runIncast(cfg IncastConfig) (*IncastResult, error) {
 	})
 
 	eng.At(0, func(now sim.Time) { startRound(now) })
-	eng.Run(sim.Duration(cfg.Timeout))
+	endAt := r.exec(sim.Duration(cfg.Timeout))
 
 	var rtos uint64
 	for _, sv := range servers {
@@ -248,8 +236,8 @@ func runIncast(cfg IncastConfig) (*IncastResult, error) {
 	res := &IncastResult{
 		Fanout:          cfg.Fanout,
 		CompletedRounds: roundsDone,
-		TotalTime:       time.Duration(eng.Now()),
-		Events:          eng.Executed(),
+		TotalTime:       time.Duration(endAt),
+		Events:          r.events(),
 		Drops:           net.Leaves[0].Downlink(client.ID).Drops,
 		Timeouts:        rtos,
 		RoundTimeMean:   time.Duration(roundTimes.Mean() * 1e9),
@@ -260,14 +248,8 @@ func runIncast(cfg IncastConfig) (*IncastResult, error) {
 		goodput := bytes * 8 / busyTime.Seconds()
 		res.GoodputFraction = goodput / (cfg.Topology.AccessGbps * 1e9)
 	}
-	if reg != nil {
-		reg.Collect()
-		reg.FinishTap(eng.Now())
-		if err := reg.Flush(); err != nil {
-			return nil, fmt.Errorf("conga: telemetry flush: %w", err)
-		}
-		reg.ArchiveToHub()
-		res.Telemetry = reg
+	if res.Telemetry, err = r.finish(endAt); err != nil {
+		return nil, err
 	}
 	if traceRec != nil {
 		res.Trace = traceRec.Trace()

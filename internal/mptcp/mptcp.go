@@ -71,14 +71,28 @@ type Connection struct {
 // Dial creates an MPTCP connection from src to dst. flowIDBase seeds the
 // subflow flow IDs (flowIDBase+i); keep bases Subflows apart.
 func Dial(eng *sim.Engine, src, dst *fabric.Host, flowIDBase uint64, cfg Config) *Connection {
+	return dial(eng, src, dst, flowIDBase, dst.ID, 0, cfg)
+}
+
+// dial builds a connection either way round. With dst non-nil the
+// connection allocates and owns one receiver per subflow on dst (per
+// subflow the destination port first, then the sender's source port) and
+// Close unbinds them. With dst nil the receivers are the caller's, already
+// bound at dstHost ports dstPortBase+i, and stay bound: the connection
+// carries senders only, so Close's receiver loop walks an empty slice.
+func dial(eng *sim.Engine, src, dst *fabric.Host, flowIDBase uint64,
+	dstHost, dstPortBase int, cfg Config) *Connection {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	c := &Connection{eng: eng, cfg: cfg, Started: eng.Now()}
 	for i := 0; i < cfg.Subflows; i++ {
-		port := dst.AllocPort()
-		c.receivers = append(c.receivers, tcp.NewReceiver(dst, port))
-		s := tcp.NewSender(eng, src, flowIDBase+uint64(i), dst.ID, port, cfg.TCP)
+		port := dstPortBase + i
+		if dst != nil {
+			port = dst.AllocPort()
+			c.receivers = append(c.receivers, tcp.NewReceiver(dst, port))
+		}
+		s := tcp.NewSender(eng, src, flowIDBase+uint64(i), dstHost, port, cfg.TCP)
 		idx := i
 		// These closures capture only (c, idx), both of which survive pool
 		// recycling unchanged, so they are bound once per Connection object
@@ -93,10 +107,11 @@ func Dial(eng *sim.Engine, src, dst *fabric.Host, flowIDBase uint64, cfg Config)
 // rebind resets a closed, recycled connection onto a new transfer: every
 // subflow endpoint is re-addressed and protocol-reset through the tcp
 // Rebind path (which preserves the LIA/scheduler callbacks bound at
-// construction), and the scheduler state is zeroed. Port allocation order
-// matches Dial exactly: per subflow, the destination port first, then the
-// sender's source port.
-func (c *Connection) rebind(eng *sim.Engine, src, dst *fabric.Host, flowIDBase uint64, cfg Config) {
+// construction), and the scheduler state is zeroed. Addressing and port
+// allocation order match dial exactly; dst must be non-nil exactly when
+// the connection has receivers (Pool.dial's recycling rule).
+func (c *Connection) rebind(eng *sim.Engine, src, dst *fabric.Host, flowIDBase uint64,
+	dstHost, dstPortBase int, cfg Config) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -107,9 +122,12 @@ func (c *Connection) rebind(eng *sim.Engine, src, dst *fabric.Host, flowIDBase u
 	c.Started = eng.Now()
 	c.closed = false
 	for i, s := range c.senders {
-		port := dst.AllocPort()
-		c.receivers[i].Rebind(dst, port)
-		s.Rebind(eng, src, flowIDBase+uint64(i), dst.ID, port, cfg.TCP)
+		port := dstPortBase + i
+		if dst != nil {
+			port = dst.AllocPort()
+			c.receivers[i].Rebind(dst, port)
+		}
+		s.Rebind(eng, src, flowIDBase+uint64(i), dstHost, port, cfg.TCP)
 	}
 }
 
@@ -249,18 +267,16 @@ func (f *Flow) finish(now sim.Time) {
 // FCT returns the flow completion time given the completion timestamp.
 func (f *Flow) FCT(done sim.Time) sim.Time { return done - f.Started }
 
-// Pool recycles Connections (with their subflow senders and receivers
-// attached) and Flows within one engine, the MPTCP counterpart of
-// tcp.FlowPool. A connection's per-subflow LIA and scheduler closures are
-// bound once at construction and survive recycling — the whole point of
-// keeping endpoints attached to their connection — while the tcp Rebind
-// path fully resets per-transfer protocol state. A nil *Pool is valid
-// everywhere and falls back to fresh allocation.
+// Pool recycles Connections (with their subflow senders and, when they own
+// them, receivers attached) and Flows within one engine, the MPTCP
+// counterpart of tcp.FlowPool. A connection's per-subflow LIA and scheduler
+// closures are bound once at construction and survive recycling — the
+// whole point of keeping endpoints attached to their connection — while
+// the tcp Rebind path fully resets per-transfer protocol state. A nil
+// *Pool is valid everywhere and falls back to fresh allocation.
 type Pool struct {
-	conns      []*Connection
-	splitConns []*Connection // sender-only connections for cross-domain flows (split.go)
-	flows      []*Flow
-	halves     []*HalfFlow
+	conns []*Connection
+	flows []*Flow
 
 	// Allocs counts pool misses; Recycled counts connections reused.
 	ConnAllocs   uint64
@@ -270,27 +286,29 @@ type Pool struct {
 // NewPool returns an empty pool for one engine.
 func NewPool() *Pool { return &Pool{} }
 
-// Dial is mptcp.Dial drawing from the pool; a nil pool allocates fresh. A
-// recycled connection whose subflow count no longer matches cfg is
-// discarded (the configuration changed mid-run, which real harnesses
-// never do).
-func (p *Pool) Dial(eng *sim.Engine, src, dst *fabric.Host, flowIDBase uint64, cfg Config) *Connection {
+// dial is mptcp's dial drawing from the pool; a nil pool allocates fresh.
+// A recycled connection is reused only if its shape fits the request: the
+// subflow count matches cfg and it has receivers exactly when the caller
+// wants them owned (dst non-nil). Anything else is discarded — the
+// configuration changed mid-run, which real harnesses never do.
+func (p *Pool) dial(eng *sim.Engine, src, dst *fabric.Host, flowIDBase uint64,
+	dstHost, dstPortBase int, cfg Config) *Connection {
 	if p != nil {
 		for n := len(p.conns); n > 0; n = len(p.conns) {
 			c := p.conns[n-1]
 			p.conns[n-1] = nil
 			p.conns = p.conns[:n-1]
 			c.inPool = false
-			if len(c.senders) != cfg.Subflows {
+			if len(c.senders) != cfg.Subflows || (len(c.receivers) > 0) != (dst != nil) {
 				continue
 			}
 			p.ConnRecycled++
-			c.rebind(eng, src, dst, flowIDBase, cfg)
+			c.rebind(eng, src, dst, flowIDBase, dstHost, dstPortBase, cfg)
 			return c
 		}
 		p.ConnAllocs++
 	}
-	return Dial(eng, src, dst, flowIDBase, cfg)
+	return dial(eng, src, dst, flowIDBase, dstHost, dstPortBase, cfg)
 }
 
 // PutConn releases a closed connection to the pool. Connections that are
@@ -310,13 +328,26 @@ func (p *Pool) PutConn(c *Connection) {
 // or its connection.
 func (p *Pool) StartFlow(eng *sim.Engine, src, dst *fabric.Host, flowIDBase uint64, size int64,
 	cfg Config, onDone func(f *Flow, now sim.Time)) *Flow {
+	return p.start(eng, src, dst, flowIDBase, dst.ID, 0, size, cfg, onDone)
+}
+
+// StartFlowTo is StartFlow toward receivers the caller already bound at
+// dstHost ports dstPortBase+i (subflow i) and keeps, mirroring
+// tcp.FlowPool.StartFlowTo: the connection carries senders only.
+func (p *Pool) StartFlowTo(eng *sim.Engine, src *fabric.Host, flowIDBase uint64,
+	dstHost, dstPortBase int, size int64, cfg Config, onDone func(f *Flow, now sim.Time)) *Flow {
+	return p.start(eng, src, nil, flowIDBase, dstHost, dstPortBase, size, cfg, onDone)
+}
+
+func (p *Pool) start(eng *sim.Engine, src, dst *fabric.Host, flowIDBase uint64,
+	dstHost, dstPortBase int, size int64, cfg Config, onDone func(f *Flow, now sim.Time)) *Flow {
 	if size <= 0 {
 		size = 1
 	}
 	f := p.getFlow()
 	f.pool = p
 	f.onDone = onDone
-	f.Conn = p.Dial(eng, src, dst, flowIDBase, cfg)
+	f.Conn = p.dial(eng, src, dst, flowIDBase, dstHost, dstPortBase, cfg)
 	f.Size = size
 	f.Started = eng.Now()
 	f.Conn.OnComplete = f.onCompleteFn

@@ -10,7 +10,7 @@ import (
 // create one Flow per arrival — or recycle one through a FlowPool.
 type Flow struct {
 	Sender   *Sender
-	Receiver *Receiver
+	Receiver *Receiver // nil when the caller owns the receiver (StartFlowTo)
 	Size     int64
 	Started  sim.Time
 
@@ -34,11 +34,28 @@ func StartFlow(eng *sim.Engine, src, dst *fabric.Host, flowID uint64, size int64
 }
 
 // StartFlow is tcp.StartFlow drawing the Flow and both endpoints from the
-// pool (nil pool = fresh allocation). When pooled, the flow returns to the
-// pool right after onDone, so the callback must not retain the *Flow or
-// its endpoints.
+// pool (nil pool = fresh allocation): it binds a receiver on dst — the
+// destination port is allocated first, then the sender's — and closes it
+// when the flow completes. When pooled, the flow returns to the pool right
+// after onDone, so the callback must not retain the *Flow or its
+// endpoints.
 func (p *FlowPool) StartFlow(eng *sim.Engine, src, dst *fabric.Host, flowID uint64, size int64,
 	cfg Config, onDone func(f *Flow, now sim.Time)) *Flow {
+	dstPort := dst.AllocPort()
+	recv := p.NewReceiver(dst, dstPort)
+	f := p.StartFlowTo(eng, src, flowID, dst.ID, dstPort, size, cfg, onDone)
+	f.Receiver = recv
+	return f
+}
+
+// StartFlowTo is StartFlow toward a receiver the caller already bound at
+// (dstHost, dstPort) and keeps: the flow has no receiver side, so only the
+// sender closes at completion. The space-parallel harness uses it for
+// receivers that live in another partition domain (see DESIGN.md §3.6);
+// a receiver is purely reactive, so one left bound re-ACKs a late
+// retransmit exactly as a lingering endpoint would.
+func (p *FlowPool) StartFlowTo(eng *sim.Engine, src *fabric.Host, flowID uint64,
+	dstHost, dstPort int, size int64, cfg Config, onDone func(f *Flow, now sim.Time)) *Flow {
 	if size <= 0 {
 		size = 1
 	}
@@ -48,9 +65,7 @@ func (p *FlowPool) StartFlow(eng *sim.Engine, src, dst *fabric.Host, flowID uint
 	f.onDone = onDone
 	f.Size = size
 	f.Started = now
-	dstPort := dst.AllocPort()
-	f.Receiver = p.NewReceiver(dst, dstPort)
-	f.Sender = p.NewSender(eng, src, flowID, dst.ID, dstPort, cfg)
+	f.Sender = p.NewSender(eng, src, flowID, dstHost, dstPort, cfg)
 	f.Sender.OnAllAcked = f.onAllAckedFn
 	f.Sender.Queue(size, now)
 	return f
@@ -61,7 +76,9 @@ func (p *FlowPool) StartFlow(eng *sim.Engine, src, dst *fabric.Host, flowID uint
 // the caller's callback, then hand everything back to the pool.
 func (f *Flow) finish(now sim.Time) {
 	f.Sender.Close()
-	f.Receiver.Close()
+	if f.Receiver != nil {
+		f.Receiver.Close()
+	}
 	if f.onDone != nil {
 		f.onDone(f, now)
 	}

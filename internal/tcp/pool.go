@@ -32,7 +32,6 @@ import (
 // so tcp.StartFlow keeps its historical semantics.
 type FlowPool struct {
 	flows     []*Flow
-	halves    []*HalfFlow // sender-only shells for cross-domain flows (split.go)
 	senders   []*Sender
 	receivers []*Receiver
 

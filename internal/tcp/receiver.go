@@ -22,7 +22,8 @@ type Receiver struct {
 	// ACK flow-hash cache. The reverse-direction 5-tuple is fixed per
 	// sender, so the fabric LB hash is computed once and stamped on every
 	// ACK. The identity key matters: a receiver port can serve many
-	// senders (incast half-flows), and each has its own reverse tuple.
+	// senders (a caller-bound receiver, see StartFlowTo), and each has its own
+	// reverse tuple.
 	ackFlowID uint64
 	ackSrc    int // data packet's SrcHost the cache was computed for
 	ackPort   int // data packet's SrcPort likewise

@@ -148,6 +148,14 @@ func (g *Generator) arrive(t sim.Time) {
 }
 
 func (g *Generator) launch(now sim.Time) {
+	a := g.draw(now)
+	g.start(g.net.Host(a.Src), g.net.Host(a.Dst), a.FlowID, a.Size)
+}
+
+// draw makes the arrival at time at — source, destination, then size, the
+// RNG order both the live process and Pregenerate must share — bumps the
+// counters and shows it to Observe.
+func (g *Generator) draw(at sim.Time) Arrival {
 	src := g.pickHost(-1)
 	var dst *fabric.Host
 	if g.cfg.InterLeafOnly {
@@ -156,16 +164,15 @@ func (g *Generator) launch(now sim.Time) {
 		for dst = g.pickHost(-1); dst == src; dst = g.pickHost(-1) {
 		}
 	}
-	size := g.cfg.Dist.Sample(g.rng)
-	id := g.nextID
+	a := Arrival{At: at, Src: src.ID, Dst: dst.ID, FlowID: g.nextID, Size: g.cfg.Dist.Sample(g.rng)}
 	g.nextID += g.cfg.Stride
 	g.created++
 	g.Generated++
-	g.OfferedBytes += size
+	g.OfferedBytes += a.Size
 	if g.cfg.Observe != nil {
-		g.cfg.Observe(Arrival{At: now, Src: src.ID, Dst: dst.ID, FlowID: id, Size: size})
+		g.cfg.Observe(a)
 	}
-	g.start(src, dst, id, size)
+	return a
 }
 
 // Arrival is one pregenerated flow arrival.
@@ -180,8 +187,8 @@ type Arrival struct {
 // Pregenerate draws the entire arrival sequence up front instead of
 // scheduling live events, consuming the RNG in exactly the order the live
 // process would (gap, then source, destination and size per arrival), so a
-// pregenerated run offers the identical workload to a Started one. The
-// space-parallel harness uses it to distribute arrivals across per-domain
+// pregenerated run offers the identical workload to a Started one. The FCT
+// harness uses it to materialize the arrival list it routes to per-domain
 // engines before the run begins. Counters (Generated, OfferedBytes) are
 // updated as if the flows had launched; a pregenerated generator must not
 // also be Started.
@@ -197,25 +204,7 @@ func (g *Generator) Pregenerate() []Arrival {
 		if next > g.cfg.Duration {
 			break
 		}
-		src := g.pickHost(-1)
-		var dst *fabric.Host
-		if g.cfg.InterLeafOnly {
-			dst = g.pickHost(src.Leaf)
-		} else {
-			for dst = g.pickHost(-1); dst == src; dst = g.pickHost(-1) {
-			}
-		}
-		size := g.cfg.Dist.Sample(g.rng)
-		id := g.nextID
-		g.nextID += g.cfg.Stride
-		g.created++
-		g.Generated++
-		g.OfferedBytes += size
-		a := Arrival{At: next, Src: src.ID, Dst: dst.ID, FlowID: id, Size: size}
-		if g.cfg.Observe != nil {
-			g.cfg.Observe(a)
-		}
-		out = append(out, a)
+		out = append(out, g.draw(next))
 		now = next
 	}
 	return out

@@ -50,6 +50,12 @@ func linkModelCells() []struct {
 	scale64.CollectFlows = true
 	scale64.Seed = 3
 
+	// The same cell over MPTCP (ECMP fabric, 8 subflows per flow): the
+	// transport whose connections own or borrow their receivers depending
+	// on the domain count.
+	fig09mp := fig09
+	fig09mp.Scheme = SchemeMPTCPMarker
+
 	fig12 := fig09
 	fig12.Duration = 40 * time.Millisecond
 	fig12.MaxFlows = 400
@@ -62,6 +68,7 @@ func linkModelCells() []struct {
 		cfg      FCTConfig
 	}{
 		{"Fig09", []int{1, 2}, fig09},
+		{"Fig09MPTCP", []int{1, 2}, fig09mp},
 		{"Fig11", []int{1}, fig11},
 		{"Scale64", []int{1, 2}, scale64},
 		{"Fig12", []int{1}, fig12},
@@ -129,12 +136,14 @@ func fctFingerprint(r *FCTResult) uint64 {
 // those runs, sequentially and across two domains.
 func TestLinkModelGolden(t *testing.T) {
 	want := map[string]uint64{
-		"Fig09/p1":   0xc9bad4369451c472,
-		"Fig09/p2":   0x6e927c5dccb5e181,
-		"Fig11/p1":   0xc4df7aff834d5489,
-		"Scale64/p1": 0xadd76d3276e8ece4,
-		"Scale64/p2": 0x57c2c57aeeec14a3,
-		"Fig12/p1":   0x1dc067fe99b32cc1,
+		"Fig09/p1":      0xc9bad4369451c472,
+		"Fig09/p2":      0x6e927c5dccb5e181,
+		"Fig09MPTCP/p1": 0x54d2c47c19f71aa4, // recorded at PR 14, as are the HDFS rows below
+		"Fig09MPTCP/p2": 0x3775f9cb62319bb3,
+		"Fig11/p1":      0xc4df7aff834d5489,
+		"Scale64/p1":    0xadd76d3276e8ece4,
+		"Scale64/p2":    0x57c2c57aeeec14a3,
+		"Fig12/p1":      0x1dc067fe99b32cc1,
 	}
 	for _, cell := range linkModelCells() {
 		for _, par := range cell.parallel {
@@ -201,6 +210,43 @@ func TestLinkModelGoldenIncast(t *testing.T) {
 	}
 	if enq, _, _, _ := reg.LinkTotals(); enq == 0 {
 		t.Fatal("counters observed nothing; the comparison proves nothing")
+	}
+}
+
+// TestLinkModelGoldenHDFS is the Fig14 leg: one trial each with TCP and
+// MPTCP background traffic, the closed-loop job and the open-loop
+// generator sharing one engine and one set of pools. Values recorded at
+// PR 14, before the harnesses moved onto the shared run pipeline.
+func TestLinkModelGoldenHDFS(t *testing.T) {
+	for _, want := range []struct {
+		kind          Transport
+		job           time.Duration
+		events        uint64
+		bgDone, bgGen int
+	}{
+		{TransportTCP, 18356586, 425449, 104, 114},
+		{TransportMPTCP, 28568988, 680377, 165, 175},
+	} {
+		res, err := RunHDFS(HDFSConfig{
+			Topology:       benchTopo(),
+			Scheme:         SchemeCONGA,
+			Transport:      TransportConfig{Kind: want.kind, MinRTO: 10 * time.Millisecond},
+			Writers:        8,
+			BytesPerWriter: 1 << 20,
+			BlockBytes:     256 << 10,
+			DiskMBps:       200,
+			BackgroundLoad: 0.3,
+			Seed:           5,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.JobCompletion != want.job || res.Events != want.events ||
+			res.BackgroundCompleted != want.bgDone || res.BackgroundFlows != want.bgGen {
+			t.Errorf("%v background: job %d events %d background %d/%d, want %d %d %d/%d", want.kind,
+				res.JobCompletion, res.Events, res.BackgroundCompleted, res.BackgroundFlows,
+				want.job, want.events, want.bgDone, want.bgGen)
+		}
 	}
 }
 

@@ -1,11 +1,8 @@
 package conga
 
 import (
-	"sort"
 	"testing"
 	"time"
-
-	"conga/internal/sim"
 )
 
 // scaleCell returns the FCTConfig of one 40G scale-sweep cell at the given
@@ -27,12 +24,17 @@ func scaleCell(leaves, maxFlows int, dur time.Duration) FCTConfig {
 }
 
 // TestParallelMatchesSequential checks that a space-parallel run offers the
-// identical workload to the sequential run (same generated flow count, all
-// completing) and lands within the accepted ±2% normalized-FCT band —
-// parallel runs are deterministic but not bit-identical to sequential ones,
-// because same-timestamp events in different domains interleave differently.
+// identical workload to the sequential run — flow for flow, the same
+// (ID, size) list, all completing — and lands within the accepted
+// normalized-FCT band. Completion times are deterministic per domain count
+// but not equal across counts: same-timestamp events in different domains
+// interleave differently, and with several domains every receiver stays
+// bound for the whole run at a pre-assigned port (see run.inject), so flows
+// hash onto different paths and a late retransmit is re-ACKed rather than
+// dropped at a closed port.
 func TestParallelMatchesSequential(t *testing.T) {
 	seqCfg := scaleCell(8, 200, 4*time.Millisecond)
+	seqCfg.CollectFlows = true
 	seq, err := RunFCT(seqCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -48,50 +50,39 @@ func TestParallelMatchesSequential(t *testing.T) {
 	if par.Generated != seq.Generated {
 		t.Fatalf("generated: parallel %d, sequential %d", par.Generated, seq.Generated)
 	}
-	if par.Completed != seq.Completed {
-		t.Fatalf("completed: parallel %d, sequential %d", par.Completed, seq.Completed)
+	if seq.Completed != seq.Generated || len(par.FlowFCTs) != len(seq.FlowFCTs) {
+		t.Fatalf("completed: parallel %d, sequential %d of %d generated", len(par.FlowFCTs), seq.Completed, seq.Generated)
+	}
+	for i, s := range seq.FlowFCTs {
+		if p := par.FlowFCTs[i]; p.ID != s.ID || p.Size != s.Size {
+			t.Fatalf("flow %d: parallel (id %d, %d B), sequential (id %d, %d B)", i, p.ID, p.Size, s.ID, s.Size)
+		}
 	}
 	if seq.NormFCT <= 0 || par.NormFCT <= 0 {
 		t.Fatalf("norm FCT: parallel %v, sequential %v", par.NormFCT, seq.NormFCT)
 	}
-	// Parallel mode pre-assigns receiver ports, so flows hash onto
-	// different paths than the sequential run — statistically equivalent,
-	// not per-flow identical. At this test's 200-flow scale the band is
-	// loose; the benchmark-scale ±2% gate lives in tools/benchguard.
+	// At this test's 200-flow scale the band is loose; the benchmark-scale
+	// ±2% gate lives in tools/benchguard.
 	if diff := par.NormFCT/seq.NormFCT - 1; diff > 0.10 || diff < -0.10 {
 		t.Fatalf("norm FCT drifted %+.2f%%: parallel %v, sequential %v",
 			diff*100, par.NormFCT, seq.NormFCT)
 	}
 }
 
-// flowFCT is one completed flow observed through the test hook.
-type flowFCT struct {
-	id  uint64
-	fct sim.Time
-}
-
 // runParallelVector runs one parallel experiment and returns its per-flow
-// FCT vector sorted by flow ID.
-func runParallelVector(t *testing.T, cfg FCTConfig, workers int) []flowFCT {
+// (ID, size, FCT) vector sorted by flow ID.
+func runParallelVector(t *testing.T, cfg FCTConfig, workers int) []FlowFCT {
 	t.Helper()
-	vecs := make([][]flowFCT, workers)
 	cfg.Parallel = workers
-	cfg.testFlowHook = func(dom int, id uint64, fct sim.Time) {
-		vecs[dom] = append(vecs[dom], flowFCT{id, fct})
-	}
+	cfg.CollectFlows = true
 	res, err := RunFCT(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var all []flowFCT
-	for _, v := range vecs {
-		all = append(all, v...)
+	if len(res.FlowFCTs) != res.Completed {
+		t.Fatalf("CollectFlows kept %d flows, result reports %d", len(res.FlowFCTs), res.Completed)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].id < all[j].id })
-	if len(all) != res.Completed {
-		t.Fatalf("hook saw %d flows, result reports %d", len(all), res.Completed)
-	}
-	return all
+	return res.FlowFCTs
 }
 
 // TestParallelDeterministic256 is the -race stress test: a 256-leaf fabric
@@ -185,7 +176,7 @@ func TestParallelTelemetryCounters(t *testing.T) {
 		}
 	}
 
-	cfg.testFlowHook = nil
+	cfg.Parallel = 4
 	res, err := RunFCT(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -3,16 +3,14 @@ package conga
 import (
 	"fmt"
 
-	"conga/internal/fabric"
 	"conga/internal/replay"
-	"conga/internal/sim"
-	"conga/internal/workload"
 )
 
 // This file glues internal/replay to the FCT harness: fingerprinting the
-// topology, building trace headers, and re-injecting a recorded arrival
-// sequence with the exact event structure of the live generator so that
-// same-scheme replay is bit-identical (same events/op, same per-flow FCTs).
+// topology, building trace headers and validating a trace before its
+// arrivals are injected. Drawn and recorded arrival lists go through the
+// same injector (run.inject), which is why same-scheme replay is
+// bit-identical (same events/op, same per-flow FCTs).
 
 // fingerprintDesc canonically describes the fabric *shape* — the fields
 // that make recorded host IDs meaningful. Scheme, transport, link
@@ -59,65 +57,6 @@ func (cfg FCTConfig) checkReplay() error {
 		}
 	}
 	return nil
-}
-
-// replayInjector re-injects a recorded arrival sequence. It mirrors the
-// live generator's event structure exactly — one engine event per arrival
-// whose body starts the flow and then schedules the next arrival — so a
-// same-scheme replay creates events in the identical order the recording
-// run did. (The live generator's RNG is a private stream; not consuming it
-// changes nothing else.)
-type replayInjector struct {
-	eng     *sim.Engine
-	net     *fabric.Network
-	flows   []replay.Flow
-	next    int
-	start   workload.Starter
-	observe func(replay.Flow) // re-recording during replay (tests use this)
-	startFn sim.Event         // bound once; walks flows allocation-free
-
-	// Generated and OfferedBytes mirror workload.Generator's counters.
-	Generated    int
-	OfferedBytes int64
-}
-
-func newReplayInjector(eng *sim.Engine, net *fabric.Network, flows []replay.Flow, start workload.Starter, observe func(replay.Flow)) *replayInjector {
-	r := &replayInjector{eng: eng, net: net, flows: flows, start: start, observe: observe}
-	r.startFn = r.inject
-	return r
-}
-
-// Start schedules the first arrival (as Generator.Start schedules the
-// first live arrival before the engine runs).
-func (r *replayInjector) Start() {
-	if len(r.flows) > 0 {
-		r.eng.At(r.flows[0].At, r.startFn)
-	}
-}
-
-func (r *replayInjector) inject(now sim.Time) {
-	f := &r.flows[r.next]
-	r.next++
-	r.Generated++
-	r.OfferedBytes += f.Size
-	if r.observe != nil {
-		r.observe(*f)
-	}
-	r.start(r.net.Host(f.Src), r.net.Host(f.Dst), f.FlowID, f.Size)
-	if r.next < len(r.flows) {
-		r.eng.At(r.flows[r.next].At, r.startFn)
-	}
-}
-
-// traceFromArrivals seals a trace from a fully materialized arrival list
-// (the parallel path, which pregenerates; the sequential path records live
-// through an Observe hook instead).
-func (cfg FCTConfig) traceFromArrivals(workloadName string, arrivals []workload.Arrival) *replay.Trace {
-	rec := &replay.Recorder{Header: cfg.traceHeader(workloadName)}
-	for _, a := range arrivals {
-		rec.Add(replay.Flow{At: a.At, Src: a.Src, Dst: a.Dst, FlowID: a.FlowID, Size: a.Size, Kind: replay.KindWorkload})
-	}
-	return rec.Trace()
 }
 
 // traceProvenance is the one-line run ancestry string stamped into
