@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint fuzz-smoke bench bench-engine bench-quick bench-parallel bench-guard bench-guard-parallel bench-profile bench-repo bench-compare bench-smoke replay-smoke decision-smoke check
+.PHONY: build test race vet lint fuzz-smoke bench bench-engine bench-quick bench-parallel bench-guard bench-guard-parallel bench-profile bench-repo bench-compare bench-smoke replay-smoke decision-smoke read-both check
 
 build:
 	$(GO) build ./...
@@ -66,7 +66,7 @@ bench-parallel:
 # every PR; >15% ns/op regression on the engine hot path fails the build).
 bench-guard:
 	$(MAKE) bench-quick | tee bench-quick.txt
-	$(GO) run ./tools/benchguard -baseline BENCH_PR16.json -max-regress 0.15 \
+	$(GO) run ./tools/benchguard -baseline BENCH_PR17.json -max-regress 0.15 \
 		-require 'BenchmarkEngineRaw,BenchmarkFig09Enterprise' bench-quick.txt
 
 # Gate the space-parallel scale cells: events/op exact per domain count,
@@ -74,7 +74,7 @@ bench-guard:
 # shown a domain count faster than sequential (DESIGN.md §3.6).
 bench-guard-parallel:
 	$(MAKE) bench-parallel | tee bench-parallel.txt
-	$(GO) run ./tools/benchguard -baseline BENCH_PR16.json \
+	$(GO) run ./tools/benchguard -baseline BENCH_PR17.json \
 		-require 'BenchmarkScale256Leaves40G,BenchmarkScale256Leaves40GParallel2,BenchmarkScale256Leaves40GParallel4,BenchmarkScale256Leaves40GParallel8' \
 		bench-parallel.txt
 
@@ -127,8 +127,19 @@ decision-smoke:
 		-fail 0,1,0 -telemetry decision-smoke.tel -decisions
 	test -s decision-smoke.tel/decisions.csv
 	test -s decision-smoke.tel/paths.csv
-	$(GO) run ./cmd/congatrace -read decision-smoke.tel/decisions.csv
+	$(MAKE) read-both DIR=decision-smoke.tel FILE=decisions
 	$(GO) run ./cmd/congaplot -heatmap -dir decision-smoke.tel -out decision-heatmap.svg
 	test -s decision-heatmap.svg
+
+# Summarize one sink file of a telemetry directory with congatrace from its
+# CSV and from its NDJSON form and require the two reports to agree below
+# their first line (which names the file), so the two readers cannot drift:
+# make read-both DIR=decision-smoke.tel FILE=decisions
+read-both:
+	@csv=$$($(GO) run ./cmd/congatrace -read $(DIR)/$(FILE).csv) && echo "$$csv" && \
+	ndjson=$$($(GO) run ./cmd/congatrace -read $(DIR)/$(FILE).ndjson) && \
+	if [ "$$(echo "$$csv" | tail -n +2)" != "$$(echo "$$ndjson" | tail -n +2)" ]; then \
+		echo "$(FILE).ndjson reads differently:"; echo "$$ndjson"; exit 1; \
+	fi
 
 check: build vet test race

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -69,7 +70,7 @@ func isDecisionFile(path string) bool {
 // readDecisions summarizes a flowlet routing audit trail flushed by the
 // telemetry decision plane: capture policy and suppression accounting,
 // the routing-reason mix, and the hottest (srcLeaf, uplink, dstLeaf) paths.
-func readDecisions(path string) error {
+func readDecisions(w io.Writer, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -95,7 +96,7 @@ func readDecisions(path string) error {
 	if err := sc.Err(); err != nil {
 		return err
 	}
-	printDecisionReport(path, cap, sum)
+	printDecisionReport(w, path, cap, sum)
 	return nil
 }
 
@@ -132,25 +133,7 @@ func scanDecisionCSV(line string, cap *capture, sum *decisionSummary) {
 }
 
 func scanDecisionJSON(line string, cap *capture, sum *decisionSummary) {
-	if strings.HasPrefix(line, `{"provenance":`) {
-		var meta struct {
-			Provenance string `json:"provenance"`
-		}
-		if err := json.Unmarshal([]byte(line), &meta); err == nil {
-			cap.provenance = meta.Provenance
-		}
-		return
-	}
-	if strings.HasPrefix(line, `{"capture":`) {
-		var meta struct {
-			Capture capture `json:"capture"`
-		}
-		if err := json.Unmarshal([]byte(line), &meta); err == nil {
-			prov := cap.provenance
-			*cap = meta.Capture
-			cap.present = true
-			cap.provenance = prov
-		}
+	if scanMetaJSON(line, cap) {
 		return
 	}
 	var ev struct {
@@ -167,28 +150,28 @@ func scanDecisionJSON(line string, cap *capture, sum *decisionSummary) {
 	sum.add(ev.TimeNs, ev.SrcLeaf, ev.DstLeaf, ev.Uplink, ev.Reason, *ev.AgeNs)
 }
 
-func printDecisionReport(path string, c capture, sum *decisionSummary) {
-	fmt.Printf("decision trail: %s\n", path)
+func printDecisionReport(w io.Writer, path string, c capture, sum *decisionSummary) {
+	fmt.Fprintf(w, "decision trail: %s\n", path)
 	if c.provenance != "" {
-		fmt.Printf("provenance: %s\n", c.provenance)
+		fmt.Fprintf(w, "provenance: %s\n", c.provenance)
 	}
 	if !c.present {
-		fmt.Println("capture: unknown (no capture header)")
+		fmt.Fprintln(w, "capture: unknown (no capture header)")
 	} else {
-		fmt.Printf("capture: %s, capacity %d decisions\n", c.Mode, c.Cap)
-		fmt.Printf("  recorded %d of %d decisions seen; %d suppressed by the %s policy\n",
+		fmt.Fprintf(w, "capture: %s, capacity %d decisions\n", c.Mode, c.Cap)
+		fmt.Fprintf(w, "  recorded %d of %d decisions seen; %d suppressed by the %s policy\n",
 			c.Recorded, c.Seen, c.Suppressed, c.Mode)
 		if c.Recorded+c.Suppressed != c.Seen {
-			fmt.Printf("  WARNING: recorded+suppressed = %d != seen %d (file truncated or mixed?)\n",
+			fmt.Fprintf(w, "  WARNING: recorded+suppressed = %d != seen %d (file truncated or mixed?)\n",
 				c.Recorded+c.Suppressed, c.Seen)
 		}
 	}
 	if !sum.haveAny {
-		fmt.Println("decisions: none recorded")
+		fmt.Fprintln(w, "decisions: none recorded")
 		return
 	}
 	span := time.Duration(sum.tMax - sum.tMin)
-	fmt.Printf("decisions: %d recorded over %v (%v .. %v)\n",
+	fmt.Fprintf(w, "decisions: %d recorded over %v (%v .. %v)\n",
 		sum.total, span, time.Duration(sum.tMin), time.Duration(sum.tMax))
 
 	reasons := make([]string, 0, len(sum.reasons))
@@ -198,14 +181,14 @@ func printDecisionReport(path string, c capture, sum *decisionSummary) {
 	sort.Slice(reasons, func(i, j int) bool { return sum.reasons[reasons[i]] > sum.reasons[reasons[j]] })
 	for _, k := range reasons {
 		n := sum.reasons[k]
-		fmt.Printf("  %-12s %10d  (%5.1f%%)\n", k, n, float64(n)/float64(sum.total)*100)
+		fmt.Fprintf(w, "  %-12s %10d  (%5.1f%%)\n", k, n, float64(n)/float64(sum.total)*100)
 	}
 
 	if sum.ageN > 0 {
-		fmt.Printf("feedback age of winning remote metric: mean %v, max %v over %d routed flowlets (%d cold — never fed back)\n",
+		fmt.Fprintf(w, "feedback age of winning remote metric: mean %v, max %v over %d routed flowlets (%d cold — never fed back)\n",
 			time.Duration(sum.ageSum/sum.ageN), time.Duration(sum.ageMax), sum.ageN, sum.cold)
 	} else if sum.cold > 0 {
-		fmt.Printf("feedback age: all %d routed flowlets chose uplinks with no feedback yet (cold table)\n", sum.cold)
+		fmt.Fprintf(w, "feedback age: all %d routed flowlets chose uplinks with no feedback yet (cold table)\n", sum.cold)
 	}
 
 	if len(sum.paths) == 0 {
@@ -231,8 +214,8 @@ func printDecisionReport(path string, c capture, sum *decisionSummary) {
 	if top > 10 {
 		top = 10
 	}
-	fmt.Printf("hottest paths (of %d used): src leaf × uplink → dst leaf\n", len(hots))
+	fmt.Fprintf(w, "hottest paths (of %d used): src leaf × uplink → dst leaf\n", len(hots))
 	for _, h := range hots[:top] {
-		fmt.Printf("  l%d up%d -> l%d %10d flowlets\n", h.key[0], h.key[1], h.key[2], h.n)
+		fmt.Fprintf(w, "  l%d up%d -> l%d %10d flowlets\n", h.key[0], h.key[1], h.key[2], h.n)
 	}
 }

@@ -51,7 +51,7 @@ func main() {
 	flag.Parse()
 
 	if *read != "" {
-		if err := readTrace(*read); err != nil {
+		if err := readTrace(os.Stdout, *read); err != nil {
 			fmt.Fprintln(os.Stderr, "congatrace:", err)
 			os.Exit(1)
 		}

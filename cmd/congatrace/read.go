@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -21,12 +22,12 @@ import (
 // cap=... suppressed=...") or trace.ndjson (leading {"capture":{...}}
 // meta object). Older files without the header still summarize; the
 // capture section just reports "unknown (no capture header)".
-func readTrace(path string) error {
+func readTrace(w io.Writer, path string) error {
 	if replay.IsTraceFile(path) {
-		return readReplayTrace(path)
+		return readReplayTrace(w, path)
 	}
 	if isDecisionFile(path) {
-		return readDecisions(path)
+		return readDecisions(w, path)
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -35,24 +36,24 @@ func readTrace(path string) error {
 	defer f.Close()
 
 	if strings.HasSuffix(path, ".ndjson") || strings.HasSuffix(path, ".json") {
-		return readNDJSON(path, f)
+		return readNDJSON(w, path, f)
 	}
-	return readCSV(path, f)
+	return readCSV(w, path, f)
 }
 
 // readReplayTrace summarizes a workload replay trace: provenance header,
 // compatibility fingerprint, and the arrival mix.
-func readReplayTrace(path string) error {
+func readReplayTrace(w io.Writer, path string) error {
 	tr, err := replay.Read(path)
 	if err != nil {
 		return err
 	}
 	h := tr.Header
-	fmt.Printf("replay trace: %s (format version %d)\n", path, h.Version)
-	fmt.Printf("recorded by: %s harness, scheme %s, workload %s, load %.0f%%, seed %d\n",
+	fmt.Fprintf(w, "replay trace: %s (format version %d)\n", path, h.Version)
+	fmt.Fprintf(w, "recorded by: %s harness, scheme %s, workload %s, load %.0f%%, seed %d\n",
 		h.Harness, h.Scheme, h.Workload, h.Load*100, h.Seed)
-	fmt.Printf("topology: %s (fingerprint %016x — replay requires this fabric shape)\n", h.Topo, h.TopoFP)
-	fmt.Printf("flows: %d arrivals, %.1f MB offered, spanning %v of a %v window\n",
+	fmt.Fprintf(w, "topology: %s (fingerprint %016x — replay requires this fabric shape)\n", h.Topo, h.TopoFP)
+	fmt.Fprintf(w, "flows: %d arrivals, %.1f MB offered, spanning %v of a %v window\n",
 		h.Flows, float64(h.Bytes)/1e6, time.Duration(h.SpanNs), time.Duration(h.DurationNs))
 	if len(tr.Flows) == 0 {
 		return nil
@@ -81,9 +82,9 @@ func readReplayTrace(path string) error {
 		if name == "" {
 			name = "(untagged)"
 		}
-		fmt.Printf("  %-12s %8d arrivals, %10.1f MB\n", name, kinds[k], float64(kindBytes[k])/1e6)
+		fmt.Fprintf(w, "  %-12s %8d arrivals, %10.1f MB\n", name, kinds[k], float64(kindBytes[k])/1e6)
 	}
-	fmt.Printf("sizes: %d B .. %.1f MB, mean %.1f KB\n",
+	fmt.Fprintf(w, "sizes: %d B .. %.1f MB, mean %.1f KB\n",
 		minSize, float64(maxSize)/1e6, float64(h.Bytes)/float64(h.Flows)/1e3)
 	return nil
 }
@@ -133,7 +134,7 @@ func (s *eventSummary) add(tNs int64, kind string, flow int64) {
 	s.haveAny = true
 }
 
-func readCSV(path string, f *os.File) error {
+func readCSV(w io.Writer, path string, f *os.File) error {
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var cap capture
@@ -171,7 +172,7 @@ func readCSV(path string, f *os.File) error {
 	if err := sc.Err(); err != nil {
 		return err
 	}
-	printTraceReport(path, cap, sum)
+	printTraceReport(w, path, cap, sum)
 	return nil
 }
 
@@ -206,7 +207,34 @@ func parseCaptureComment(line string, c *capture) {
 	}
 }
 
-func readNDJSON(path string, f *os.File) error {
+// scanMetaJSON folds an NDJSON meta line — {"provenance":…} or {"capture":…},
+// which a sink file carries ahead of its rows — into c and reports whether
+// line was one. The capture object replaces the policy fields only: the
+// provenance line comes first in the file and must survive it.
+func scanMetaJSON(line string, c *capture) bool {
+	switch {
+	case strings.HasPrefix(line, `{"provenance":`):
+		var meta struct {
+			Provenance string `json:"provenance"`
+		}
+		if err := json.Unmarshal([]byte(line), &meta); err == nil {
+			c.provenance = meta.Provenance
+		}
+	case strings.HasPrefix(line, `{"capture":`):
+		var meta struct {
+			Capture capture `json:"capture"`
+		}
+		if err := json.Unmarshal([]byte(line), &meta); err == nil {
+			meta.Capture.present, meta.Capture.provenance = true, c.provenance
+			*c = meta.Capture
+		}
+	default:
+		return false
+	}
+	return true
+}
+
+func readNDJSON(w io.Writer, path string, f *os.File) error {
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var cap capture
@@ -216,23 +244,7 @@ func readNDJSON(path string, f *os.File) error {
 		if line == "" {
 			continue
 		}
-		if strings.HasPrefix(line, `{"provenance":`) {
-			var meta struct {
-				Provenance string `json:"provenance"`
-			}
-			if err := json.Unmarshal([]byte(line), &meta); err == nil {
-				cap.provenance = meta.Provenance
-			}
-			continue
-		}
-		if strings.HasPrefix(line, `{"capture":`) {
-			var meta struct {
-				Capture capture `json:"capture"`
-			}
-			if err := json.Unmarshal([]byte(line), &meta); err == nil {
-				cap = meta.Capture
-				cap.present = true
-			}
+		if scanMetaJSON(line, &cap) {
 			continue
 		}
 		var ev struct {
@@ -248,37 +260,37 @@ func readNDJSON(path string, f *os.File) error {
 	if err := sc.Err(); err != nil {
 		return err
 	}
-	printTraceReport(path, cap, sum)
+	printTraceReport(w, path, cap, sum)
 	return nil
 }
 
-func printTraceReport(path string, c capture, sum *eventSummary) {
-	fmt.Printf("trace: %s\n", path)
+func printTraceReport(w io.Writer, path string, c capture, sum *eventSummary) {
+	fmt.Fprintf(w, "trace: %s\n", path)
 	if c.provenance != "" {
-		fmt.Printf("provenance: %s\n", c.provenance)
+		fmt.Fprintf(w, "provenance: %s\n", c.provenance)
 	}
 	if !c.present {
-		fmt.Println("capture: unknown (no capture header; pre-policy trace, assumed keep-head)")
+		fmt.Fprintln(w, "capture: unknown (no capture header; pre-policy trace, assumed keep-head)")
 	} else {
-		fmt.Printf("capture: %s, capacity %d events\n", c.Mode, c.Cap)
-		fmt.Printf("  recorded %d of %d matching events seen; %d suppressed by the %s policy\n",
+		fmt.Fprintf(w, "capture: %s, capacity %d events\n", c.Mode, c.Cap)
+		fmt.Fprintf(w, "  recorded %d of %d matching events seen; %d suppressed by the %s policy\n",
 			c.Recorded, c.Seen, c.Suppressed, c.Mode)
 		switch {
 		case c.Trigger == "" || c.Trigger == "none":
-			fmt.Println("  trigger: none")
+			fmt.Fprintln(w, "  trigger: none")
 		case c.Triggered:
-			fmt.Printf("  trigger: %s — FIRED at %v (%s); trace frozen\n",
+			fmt.Fprintf(w, "  trigger: %s — FIRED at %v (%s); trace frozen\n",
 				c.Trigger, time.Duration(c.AtNs), c.Reason)
 		default:
-			fmt.Printf("  trigger: %s — armed, never fired\n", c.Trigger)
+			fmt.Fprintf(w, "  trigger: %s — armed, never fired\n", c.Trigger)
 		}
 	}
 	if !sum.haveAny {
-		fmt.Println("events: none recorded")
+		fmt.Fprintln(w, "events: none recorded")
 		return
 	}
 	span := time.Duration(sum.tMax - sum.tMin)
-	fmt.Printf("events: %d recorded over %v (%v .. %v), %d distinct flows\n",
+	fmt.Fprintf(w, "events: %d recorded over %v (%v .. %v), %d distinct flows\n",
 		sum.total, span, time.Duration(sum.tMin), time.Duration(sum.tMax), len(sum.flows))
 	kinds := make([]string, 0, len(sum.kinds))
 	for k := range sum.kinds {
@@ -287,6 +299,6 @@ func printTraceReport(path string, c capture, sum *eventSummary) {
 	sort.Slice(kinds, func(i, j int) bool { return sum.kinds[kinds[i]] > sum.kinds[kinds[j]] })
 	for _, k := range kinds {
 		n := sum.kinds[k]
-		fmt.Printf("  %-12s %10d  (%5.1f%%)\n", k, n, float64(n)/float64(sum.total)*100)
+		fmt.Fprintf(w, "  %-12s %10d  (%5.1f%%)\n", k, n, float64(n)/float64(sum.total)*100)
 	}
 }

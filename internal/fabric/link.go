@@ -15,9 +15,9 @@ import (
 //
 // The transmitter is modelled in virtual time (DESIGN.md §3.9). Starting a
 // packet claims the transmitter until freeAt, its serialization end, and
-// commits the next-hop arrival at once — chained into the running arrival
-// event, scheduled, or mailboxed — so an uncontended hop costs at most one
-// event. claimSeq is an engine sequence number reserved with the claim: the
+// commits the next-hop arrival at once — scheduled, or mailboxed on a
+// cross-domain link — so an uncontended hop costs exactly one event.
+// claimSeq is an engine sequence number reserved with the claim: the
 // claim expires at (freeAt, claimSeq), which is where the one event a
 // contended link needs — the drain that starts the queue head — is armed,
 // and against which same-instant senders and counter reads are ordered.
@@ -26,12 +26,11 @@ import (
 // TestLinkLayout): what Send, start and an arrival touch per packet leads,
 // what only drops, failures and set-up touch trails.
 type Link struct {
-	freeAt    sim.Time
-	claimSeq  uint64
-	serSize   int32 // wire size of the packet holding the claim; 0 once it counts as transmitted
-	up        bool
-	fab       bool // fabric link: encap overhead + DRE + CE marking
-	dstIsHost bool // chains never extend into transport endpoints
+	freeAt   sim.Time
+	claimSeq uint64
+	serSize  int32 // wire size of the packet holding the claim; 0 once it counts as transmitted
+	up       bool
+	fab      bool // fabric link: encap overhead + DRE + CE marking
 	// dreListed is owned by the network's decay ticker, which only visits
 	// links with a nonzero DRE register: start sets it (and calls dreNotify
 	// to get onto the ticker's dirty-list) on the first traffic after the
@@ -45,7 +44,6 @@ type Link struct {
 	rate      float64 // bits per second
 	prop      sim.Time
 	dst       node
-	chain     *chainFlag // owning domain's arrival-context flag
 	// xq, when non-nil, marks a cross-domain link whose deliveries go
 	// through a window-exchange mailbox instead of a directly scheduled
 	// event (see partition.go).
@@ -57,13 +55,10 @@ type Link struct {
 	// reads it.
 	wire *Packet
 	// Transmit counters, bumped when a packet starts; read them through
-	// TxPackets/TxBytes, which leave out a packet still on the wire. chained
-	// and drained count the starts that collapsed the next hop into the
-	// running event and the starts made by drain; the rest found the link
-	// idle and scheduled (or mailboxed) an arrival.
+	// TxPackets/TxBytes, which leave out a packet still on the wire. drained
+	// counts the starts made by drain; the rest found the link idle.
 	txPackets uint64
 	txBytes   uint64 // wire bytes
-	chained   uint64
 	drained   uint64
 	// tel is nil when telemetry is off: every instrumentation site is a
 	// single nil check (see internal/telemetry).
@@ -73,19 +68,18 @@ type Link struct {
 	dre        core.DRE // fabric links only
 
 	// Cold from here on, except drainEv: the one event of its own a link
-	// can have pending, armed where the current claim expires. It sits inside
-	// the fifth cache line (only the trace hook beside it), so a pop of a
-	// drain costs one line fill.
+	// can have pending, armed where the current claim expires. It opens the
+	// fifth cache line, so a pop of a drain costs one line fill.
 	Drops     uint64
 	DropBytes uint64
 	// gen points at the owning network's link-state generation (fabric
 	// links of a Network only; nil otherwise). SetUp bumps it so the
 	// leaves' cached reachability rows are recomputed.
 	gen     *uint64
-	drainEv sim.Node
 	trace   *telemetry.PacketTrace // nil unless a packet trace is attached
-	Name    string
 	pool    *PacketPool
+	drainEv sim.Node
+	Name    string
 	// dom is the partition domain of the transmitting node, which owns eng,
 	// pool, queue, DRE and counters (0 on sequential networks).
 	dom int
@@ -102,11 +96,6 @@ type LinkConfig struct {
 	// Pool, when set, receives packets the link drops. Links built by
 	// NewNetwork share the network's pool.
 	Pool *PacketPool
-
-	// chain is the owning domain's arrival-context flag. A link built
-	// outside a network gets a private one, which nothing ever raises, so it
-	// never chains.
-	chain *chainFlag
 }
 
 // NewLink creates a link delivering to dst. Fabric links get a DRE sized to
@@ -118,22 +107,17 @@ func NewLink(eng *sim.Engine, cfg LinkConfig, dst node) *Link {
 	if cfg.BufBytes <= 0 {
 		panic(fmt.Sprintf("fabric: link %q buffer %d must be positive", cfg.Name, cfg.BufBytes))
 	}
-	if cfg.chain == nil {
-		cfg.chain = &chainFlag{}
-	}
 	l := &Link{
-		Name:  cfg.Name,
-		eng:   eng,
-		pool:  cfg.Pool,
-		rate:  cfg.RateBps,
-		prop:  cfg.PropDelay,
-		dst:   dst,
-		fab:   cfg.Fabric,
-		up:    true,
-		maxQ:  cfg.BufBytes,
-		chain: cfg.chain,
+		Name: cfg.Name,
+		eng:  eng,
+		pool: cfg.Pool,
+		rate: cfg.RateBps,
+		prop: cfg.PropDelay,
+		dst:  dst,
+		fab:  cfg.Fabric,
+		up:   true,
+		maxQ: cfg.BufBytes,
 	}
-	_, l.dstIsHost = dst.(*Host)
 	if cfg.Fabric {
 		l.dre = *NewLinkDRE(cfg.RateBps, cfg.Params)
 		l.pathMetric = cfg.Params.PathMetric
@@ -184,9 +168,7 @@ func (l *Link) SetUp(up bool) {
 	// A packet still serializing when the cable is pulled dies on the wire:
 	// its arrival, committed when it started, is cancelled and the packet
 	// dropped. The victim counts as transmitted from the kill on; the claim
-	// itself stands, so a restored link stays busy until freeAt. A chained
-	// packet (serSize 0) was fully delivered inside its arrival event: any
-	// failure event in the interval would have blocked the chain.
+	// itself stands, so a restored link stays busy until freeAt.
 	if l.serSize == 0 || !l.claimed(now) {
 		return
 	}
@@ -342,23 +324,6 @@ func (l *Link) start(p *Packet, now sim.Time) {
 		l.xq.push(p, arrival, l)
 		return
 	}
-	if c := l.chain; c.active && !l.dstIsHost && l.eng.ChainableTo(arrival) {
-		// Hop chain: nothing is pending in (now, arrival], the arrival
-		// handler is the tail of the current (pure-arrival) event, and the
-		// destination is a switch whose handler reads only the explicit
-		// time — so running it here is indistinguishable from the engine
-		// executing a scheduled arrival. The handler runs under the
-		// sequence number its delivery event would have carried, so any
-		// same-instant claims it races against resolve identically. No
-		// event — sampler or failure — can fall inside the serialization,
-		// so the packet counts as transmitted already.
-		l.serSize = 0
-		l.chained++
-		prev := l.eng.SetCurSeq(l.eng.ReserveSeq())
-		l.dst.handle(p, l, arrival)
-		l.eng.SetCurSeq(prev)
-		return
-	}
 	p.link, l.wire = l, p
 	l.eng.AtNode(arrival, &p.ev, (*arrivalEvent)(p))
 }
@@ -423,26 +388,5 @@ func (l *Link) drop(p *Packet, now sim.Time) {
 // Fire delivers the packet to the far end of the link it crossed.
 func (a *arrivalEvent) Fire(now sim.Time) {
 	p := (*Packet)(a)
-	l := p.link
-	if l.dstIsHost {
-		// Host arrivals never open a chain context: a transport may emit
-		// several packets and keep computing after each send, which is not
-		// a pure tail.
-		l.dst.handle(p, l, now)
-		return
-	}
-	// Switch-arrival context: while the destination handler runs,
-	// downstream idle sends may collapse the next hop into this event (see
-	// start). Switch handlers forward at most one packet and do it as their
-	// final action, so the handler is this event's tail and the flag covers
-	// exactly the chainable region.
-	l.chain.active = true
-	l.dst.handle(p, l, now)
-	l.chain.active = false
+	p.link.dst.handle(p, p.link, now)
 }
-
-// chainFlag marks, per partition domain, that the currently executing
-// event is a pure packet arrival — its only remaining work is the
-// destination handler — which is the context where idle-path sends may
-// legally chain hops synchronously.
-type chainFlag struct{ active bool }

@@ -327,7 +327,6 @@ func TestLinkLayout(t *testing.T) {
 		"rate":       end(unsafe.Offsetof(l.rate), unsafe.Sizeof(l.rate)),
 		"prop":       end(unsafe.Offsetof(l.prop), unsafe.Sizeof(l.prop)),
 		"dst":        end(unsafe.Offsetof(l.dst), unsafe.Sizeof(l.dst)),
-		"chain":      end(unsafe.Offsetof(l.chain), unsafe.Sizeof(l.chain)),
 		"xq":         end(unsafe.Offsetof(l.xq), unsafe.Sizeof(l.xq)),
 		"wire":       end(unsafe.Offsetof(l.wire), unsafe.Sizeof(l.wire)),
 		"txBytes":    end(unsafe.Offsetof(l.txBytes), unsafe.Sizeof(l.txBytes)),
@@ -360,8 +359,42 @@ func TestLinkLayout(t *testing.T) {
 			t.Errorf("cold field %s at byte %d sits among the per-packet fields", name, off)
 		}
 	}
-	// PR 13's 328 bytes plus one node, less the ring and bound methods.
-	if s := unsafe.Sizeof(l); s > 328+unsafe.Sizeof(sim.Node{}) {
-		t.Errorf("Link is %d bytes, want ≤ 328 + one node", s)
+	if s := unsafe.Sizeof(l); s > 336 {
+		t.Errorf("Link is %d bytes, want ≤ 336", s)
+	}
+}
+
+// TestHopCostsOneEvent pins the event contract of DESIGN.md §3.9: every
+// start commits exactly one arrival event, plus one drain per start made
+// from the queue. One packet from host 0 to host 63 across an otherwise
+// empty testbed finds all four links idle — the case the deleted hop chain
+// collapsed into the arrival before it — and, run through the first DRE
+// decay tick, executes the injector, one arrival per hop and that tick.
+func TestHopCostsOneEvent(t *testing.T) {
+	reg := telemetry.New(telemetry.Options{Counters: true})
+	eng := sim.New()
+	params := core.DefaultParams()
+	n := MustNetwork(eng, Config{NumLeaves: 2, NumSpines: 2, HostsPerLeaf: 32, LinksPerSpine: 2,
+		AccessRateBps: 10e9, FabricRateBps: 40e9, Scheme: SchemeCONGA,
+		Params: params, Seed: 1, Telemetry: reg})
+	sink := &testSink{}
+	n.Hosts[63].Bind(7777, sink)
+	eng.At(0, func(now sim.Time) {
+		n.Hosts[0].Send(&Packet{FlowID: 1, DstHost: 63, SrcPort: 1, DstPort: 7777, Payload: 1000}, now)
+	})
+	eng.Run(params.TDRE)
+	if sink.packets != 1 {
+		t.Fatalf("delivered %d packets, want 1", sink.packets)
+	}
+	if got := eng.Executed(); got != 6 {
+		t.Errorf("executed %d events, want 6: the injector, four arrivals and one tick", got)
+	}
+	reg.Collect()
+	starts := map[string]uint64{}
+	for _, row := range reg.EngineRows() {
+		starts[row.Counter] = row.Value
+	}
+	if len(starts) != 2 || starts["link_starts"] != 4 || starts["link_starts_drained"] != 0 {
+		t.Errorf("engine group %v, want link_starts 4 and link_starts_drained 0", starts)
 	}
 }

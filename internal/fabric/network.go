@@ -192,10 +192,6 @@ type Network struct {
 	mail       [][]*mailbox // mail[src][dst]; nil diagonal; nil when sequential
 	deliv      []*deliverer // per-domain cross-arrival injector; nil when sequential
 
-	// chainFlags[d] marks, while domain d executes a pure-arrival event,
-	// that idle sends may chain hops synchronously (see Link.start).
-	chainFlags []*chainFlag
-
 	// Telemetry series, parallel to fabricLinks / Leaves; all nil when
 	// series probes are off. Samples are taken inside the existing ticker
 	// callbacks (see NewNetwork) so telemetry adds no events.
@@ -249,20 +245,17 @@ func (n *Network) wireTelemetry(reg *telemetry.Registry) {
 		// Dequeues is pulled, not pushed: it is the link's as-of-now tx
 		// count, so a tap snapshot taken mid-serialization shows what the
 		// wire has carried and the hot path bumps one counter, not two. The
-		// same walk totals how the links' starts were made — chained into the
-		// running arrival event, made by a drain after queueing behind a
-		// claim, or (the rest) scheduled or mailboxed from an idle link — the
-		// first entries of the registry's engine group.
+		// same walk totals how the links' starts were made — by a drain after
+		// queueing behind a claim, or (the rest) from an idle link — the first
+		// entries of the registry's engine group.
 		reg.AddCollector(func() {
-			var started, chained, drained uint64
+			var started, drained uint64
 			n.eachLink(func(l *Link) {
 				l.tel.Dequeues = l.TxPackets()
 				started += l.txPackets
-				chained += l.chained
 				drained += l.drained
 			})
 			reg.RecordEngine("link_starts", started)
-			reg.RecordEngine("link_starts_chained", chained)
 			reg.RecordEngine("link_starts_drained", drained)
 		})
 	}

@@ -82,7 +82,6 @@ type deliverer struct {
 	times []sim.Time // scratch splice times, reused across exchanges
 	free  []*xBatch  // recycled batches
 	last  *xBatch    // most recently spliced batch, for tests
-	chain *chainFlag // owning domain's arrival-context flag
 }
 
 // xBatch is one exchanged window's worth of arrivals: queue[head:] pairs
@@ -92,10 +91,6 @@ type xBatch struct {
 	queue []pendingArrival
 	head  int
 	fn    sim.Event
-}
-
-func newDeliverer(eng *sim.Engine, chain *chainFlag) *deliverer {
-	return &deliverer{eng: eng, chain: chain}
 }
 
 func (dv *deliverer) getBatch() *xBatch {
@@ -119,13 +114,7 @@ func (b *xBatch) deliver(now sim.Time) {
 		b.head = 0
 		b.dv.free = append(b.dv.free, b)
 	}
-	// Cross-domain links join switches, so this is the same switch-arrival
-	// chain context as Link.deliver: the handler is this firing's tail and
-	// downstream idle hops may chain into it.
-	c := b.dv.chain
-	c.active = true
 	e.link.dst.handle(e.p, e.link, now)
-	c.active = false
 }
 
 // Exchange drains every mailbox destined for domain d and schedules the
@@ -252,10 +241,6 @@ func NewPartitionedNetwork(engines []*sim.Engine, cfg Config) (*Network, error) 
 		n.pools[d] = &PacketPool{}
 	}
 	n.pool = n.pools[0]
-	n.chainFlags = make([]*chainFlag, P)
-	for d := range n.chainFlags {
-		n.chainFlags[d] = &chainFlag{}
-	}
 	n.dreActive = make([][]*Link, P)
 	n.domFabIdx = make([][]int, P)
 	n.domLeafIdx = make([][]int, P)
@@ -271,14 +256,14 @@ func NewPartitionedNetwork(engines []*sim.Engine, cfg Config) (*Network, error) 
 		}
 		n.deliv = make([]*deliverer, P)
 		for d := range n.deliv {
-			n.deliv[d] = newDeliverer(engines[d], n.chainFlags[d])
+			n.deliv[d] = &deliverer{eng: engines[d]}
 		}
 	}
 
 	// Hosts and leaves. Leaf l and everything below it live in domain l%P.
 	for leaf := 0; leaf < cfg.NumLeaves; leaf++ {
 		dom := leaf % P
-		eng, pool, chain := engines[dom], n.pools[dom], n.chainFlags[dom]
+		eng, pool := engines[dom], n.pools[dom]
 		ls := &LeafSwitch{ID: leaf, net: n, vni: cfg.VNI, pool: pool, firstHost: leaf * cfg.HostsPerLeaf}
 		n.Leaves = append(n.Leaves, ls)
 		n.domLeafIdx[dom] = append(n.domLeafIdx[dom], leaf)
@@ -292,7 +277,6 @@ func NewPartitionedNetwork(engines []*sim.Engine, cfg Config) (*Network, error) 
 				BufBytes:  cfg.HostBufBytes,
 				Params:    cfg.Params,
 				Pool:      pool,
-				chain:     chain,
 			}, ls)
 			h.out.dom = dom
 			down := NewLink(eng, LinkConfig{
@@ -302,7 +286,6 @@ func NewPartitionedNetwork(engines []*sim.Engine, cfg Config) (*Network, error) 
 				BufBytes:  cfg.EdgeBufBytes,
 				Params:    cfg.Params,
 				Pool:      pool,
-				chain:     chain,
 			}, h)
 			down.dom = dom
 			ls.downlinks = append(ls.downlinks, down)
@@ -339,7 +322,6 @@ func NewPartitionedNetwork(engines []*sim.Engine, cfg Config) (*Network, error) 
 					Fabric:    true,
 					Params:    cfg.Params,
 					Pool:      n.pools[ld],
-					chain:     n.chainFlags[ld],
 				}, ss)
 				up.dom = ld
 				down := NewLink(engines[sd], LinkConfig{
@@ -350,7 +332,6 @@ func NewPartitionedNetwork(engines []*sim.Engine, cfg Config) (*Network, error) 
 					Fabric:    true,
 					Params:    cfg.Params,
 					Pool:      n.pools[sd],
-					chain:     n.chainFlags[sd],
 				}, ls)
 				down.dom = sd
 				// A state change on either invalidates every leaf's

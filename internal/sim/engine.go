@@ -180,12 +180,6 @@ type Engine struct {
 	streams  []spliceStream
 	timeBufs [][]Time // recycled stream time buffers
 
-	// runUntil is the bound of the Run call currently executing (MaxTime
-	// for unbounded runs, 0 outside Run). ChainableTo uses it so callers
-	// collapsing future work into the current event can never run work the
-	// bounded Run would have left pending.
-	runUntil Time
-
 	// curSeq is the sequence number of the event currently executing. The
 	// fabric's links compare it against the sequence numbers their claims
 	// reserved to break same-instant ties (see ReserveSeq).
@@ -236,22 +230,6 @@ func (e *Engine) NextAt() (Time, bool) {
 		}
 	}
 	return t, ok
-}
-
-// ChainableTo reports whether executing work for time t synchronously from
-// within the current event is indistinguishable from scheduling it: the
-// interval (Now, t] holds no pending event (daemon ticks included) and t is
-// within the current Run bound, so nothing could have interleaved with —
-// or cut off — the collapsed work. It is the legality test for the fabric's
-// idle-path cut-through chains.
-func (e *Engine) ChainableTo(t Time) bool {
-	if t > e.runUntil {
-		return false
-	}
-	if at, ok := e.NextAt(); ok && at <= t {
-		return false
-	}
-	return true
 }
 
 // Splice schedules one firing of fn per entry of times, which must be
@@ -321,18 +299,6 @@ func (e *Engine) At(t Time, fn Event) EventHandle {
 // Between Run calls it orders after every number handed out so far: a
 // reader outside any callback sees the instant with all its events done.
 func (e *Engine) CurSeq() uint64 { return e.curSeq }
-
-// SetCurSeq overrides the executing event's logical sequence number and
-// returns the previous value. The fabric's cut-through chains use it to run
-// a collapsed arrival handler under the sequence number the handler's
-// scheduled event would have carried, so any tie-sensitive decisions the
-// handler makes match the uncollapsed execution exactly. Callers must
-// restore the previous value before returning.
-func (e *Engine) SetCurSeq(s uint64) uint64 {
-	prev := e.curSeq
-	e.curSeq = s
-	return prev
-}
 
 // ReserveSeq allocates and returns the next sequence number without
 // scheduling anything. A reserved number may later back an AtSeq or
@@ -709,8 +675,7 @@ func (e *Engine) Stop() { e.stopped = true }
 // or until, whichever is smaller.
 func (e *Engine) Run(until Time) Time {
 	e.stopped = false
-	e.runUntil = until
-	defer func() { e.runUntil, e.curSeq = 0, e.nextSeq }()
+	defer func() { e.curSeq = e.nextSeq }()
 	for e.pending > 0 && !e.stopped {
 		// With no live (non-daemon) work left, an unbounded run is done:
 		// only periodic housekeeping remains and it would tick forever.

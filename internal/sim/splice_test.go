@@ -101,49 +101,3 @@ func TestSpliceRejectsUnsorted(t *testing.T) {
 		t.Fatal("empty splice must not count")
 	}
 }
-
-// TestChainableTo pins the cut-through legality test: chainable exactly
-// when (now, t] is event-free — daemon events included — and t does not
-// cross the Run bound.
-func TestChainableTo(t *testing.T) {
-	e := New()
-	var got []bool
-	e.At(10, func(Time) {
-		got = append(got,
-			e.ChainableTo(14), // nothing until 15: ok
-			e.ChainableTo(15), // event exactly at 15 blocks
-			e.ChainableTo(60), // past it too
-		)
-	})
-	e.At(15, func(Time) {})
-	e.AtDaemon(30, func(now Time) {
-		got = append(got,
-			e.ChainableTo(35), // nothing pending at all, within bound
-			e.ChainableTo(50), // exactly the Run bound: ok (closed interval)
-			e.ChainableTo(51), // past the Run bound
-		)
-	})
-	e.Run(50)
-	want := []bool{true, false, false, true, true, false}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ChainableTo results %v, want %v", got, want)
-		}
-	}
-	// Outside Run nothing is chainable (runUntil is reset).
-	if e.ChainableTo(100) {
-		t.Fatal("ChainableTo must be false outside Run")
-	}
-	// Spliced entries must block chains like ordinary events.
-	e2 := New()
-	e2.At(5, func(Time) {
-		if e2.ChainableTo(20) {
-			t.Fatal("spliced entry at 20 should block ChainableTo(20)")
-		}
-		if !e2.ChainableTo(19) {
-			t.Fatal("nothing before 20: ChainableTo(19) should hold")
-		}
-	})
-	e2.Splice([]Time{20}, func(Time) {})
-	e2.Run(MaxTime)
-}

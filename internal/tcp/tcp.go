@@ -715,8 +715,7 @@ func (s *Sender) onDupAck(now sim.Time) {
 			}
 			s.reorderArmed = s.sndUna
 			// At(now+...), not After: transport handlers schedule relative
-			// to their logical now, never the engine clock (the two could
-			// drift if a handler ever ran under a hop chain).
+			// to the time they were handed, never the engine clock.
 			s.reorderTimer = s.eng.At(now+s.cfg.ReorderWindow, s.onReorderFn)
 		}
 		return

@@ -1,0 +1,152 @@
+package telemetry
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"conga/internal/sim"
+)
+
+// reservoirKept is what Algorithm R retains, at capacity 8 and under
+// reservoirSeed, of offers 1..200 and 1..1000 — recorded from the two
+// hand-written rings PacketTrace and DecisionTrace carried before they
+// shared one (both drew the same stream, so one set serves both).
+var reservoirKept = map[int][]sim.Time{
+	200:  {9, 12, 15, 28, 52, 170, 171, 192},
+	1000: {9, 52, 170, 395, 468, 546, 579, 876},
+}
+
+// ringUnderTest drives one instantiation of the capture ring through the
+// surface its owner exposes: offer i is an event at time i (a drop when
+// drop is set, which only the packet trace can tell apart).
+type ringUnderTest struct {
+	offer func(i int, drop bool)
+	times func() ([]sim.Time, error)
+	info  func() CaptureInfo
+}
+
+func packetRing(capacity int, mode CaptureMode, trigger Trigger, stopAfter int) ringUnderTest {
+	tr := newPacketTrace(capacity, MatchAll(), mode, trigger, stopAfter)
+	return ringUnderTest{
+		offer: func(i int, drop bool) {
+			kind := TraceSend
+			if drop {
+				kind = TraceDrop
+			}
+			rec(tr, sim.Time(i), kind)
+		},
+		times: func() ([]sim.Time, error) {
+			var ts []sim.Time
+			for _, e := range tr.Events() {
+				if e.Seq != int64(e.T) {
+					return nil, fmt.Errorf("event at t=%d carries seq %d", e.T, e.Seq)
+				}
+				ts = append(ts, e.T)
+			}
+			return ts, nil
+		},
+		info: tr.Info,
+	}
+}
+
+// decisionRing offers a metric vector derived from the time into a buffer
+// it scribbles over afterwards, so a retained slot that aliased the caller's
+// slice, or kept its evictee's bytes, shows up as a mismatch.
+func decisionRing(capacity int, mode CaptureMode) ringUnderTest {
+	tr := newDecisionTrace(capacity, mode)
+	buf := make([]uint8, 2)
+	return ringUnderTest{
+		offer: func(i int, _ bool) {
+			buf[0], buf[1] = uint8(i), uint8(i>>8)
+			tr.record(sim.Time(i), 0, 1, i%2, ReasonNewFlowlet, int64(i), buf)
+			buf[0], buf[1] = 0xff, 0xff
+		},
+		times: func() ([]sim.Time, error) {
+			var ts []sim.Time
+			for _, e := range tr.Events() {
+				if want := []uint8{uint8(e.T), uint8(e.T >> 8)}; !reflect.DeepEqual(e.Metrics, want) {
+					return nil, fmt.Errorf("event at t=%d carries metrics %v, want %v", e.T, e.Metrics, want)
+				}
+				ts = append(ts, e.T)
+			}
+			return ts, nil
+		},
+		info: tr.Info,
+	}
+}
+
+// TestCaptureRingMatchesModel holds both instantiations of the capture ring,
+// in every mode, against a model that keeps everything: of offers 1..n the
+// ring retains the first cap (head), the last cap (tail) or the recorded
+// Algorithm R sample (reservoir), hands them back in time order, and counts
+// every other offer as suppressed. A packet trace frozen by a trigger retains
+// what its mode keeps of the offers up to the freeze, whether or not the
+// buffer had filled before the trigger fired.
+func TestCaptureRingMatchesModel(t *testing.T) {
+	const capacity = 8
+	seq := func(from, to int) []sim.Time {
+		var ts []sim.Time
+		for i := from; i <= to; i++ {
+			ts = append(ts, sim.Time(i))
+		}
+		return ts
+	}
+	model := func(mode CaptureMode, n int) []sim.Time {
+		switch {
+		case n <= capacity:
+			return seq(1, n)
+		case mode == CaptureHead:
+			return seq(1, capacity)
+		case mode == CaptureTail:
+			return seq(n-capacity+1, n)
+		}
+		return reservoirKept[n]
+	}
+	cases := []struct {
+		name   string
+		offers int
+		// dropAt, when nonzero, arms TriggerFirstDrop with a countdown of
+		// stopAfter and makes that offer a drop: offers past dropAt+stopAfter
+		// find the buffer frozen.
+		dropAt, stopAfter int
+	}{
+		{name: "underfull", offers: 5},
+		{name: "exactly full", offers: capacity},
+		{name: "200 offers", offers: 200},
+		{name: "1000 offers", offers: 1000},
+		{name: "trigger before full", offers: 1000, dropAt: 3, stopAfter: 2},
+		{name: "trigger after full", offers: 1000, dropAt: 198, stopAfter: 2},
+	}
+	for _, mode := range []CaptureMode{CaptureHead, CaptureTail, CaptureReservoir} {
+		for _, c := range cases {
+			// Only the packet trace has triggers; the other cases run on both.
+			rings := []ringUnderTest{packetRing(capacity, mode, 0, 0), decisionRing(capacity, mode)}
+			live := c.offers
+			if c.dropAt != 0 {
+				rings = []ringUnderTest{packetRing(capacity, mode, TriggerFirstDrop, c.stopAfter)}
+				live = c.dropAt + c.stopAfter
+			}
+			for i, r := range rings {
+				who := [...]string{"packet", "decision"}[i]
+				t.Run(fmt.Sprintf("%s/%s/%s", who, mode, c.name), func(t *testing.T) {
+					for i := 1; i <= c.offers; i++ {
+						r.offer(i, i == c.dropAt)
+					}
+					got, err := r.times()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := model(mode, live); !reflect.DeepEqual(got, want) {
+						t.Fatalf("retained %v, want %v", got, want)
+					}
+					info := r.info()
+					if info.Mode != mode || info.Cap != capacity || info.Recorded != len(got) ||
+						info.Seen != c.offers || int(info.Suppressed) != c.offers-len(got) {
+						t.Fatalf("info %+v after %d offers with %d retained", info, c.offers, len(got))
+					}
+				})
+			}
+		}
+	}
+}

@@ -74,75 +74,24 @@ type DecisionEvent struct {
 	Metrics []uint8
 }
 
-// DecisionTrace is a bounded buffer of decision events with the same
-// head/tail/reservoir capture policies as PacketTrace, minus filters and
-// triggers. recorded+suppressed always equals the number of decisions seen.
-type DecisionTrace struct {
-	mode   CaptureMode
-	events []DecisionEvent
-	// Suppressed counts decisions not present in the retained set.
-	Suppressed uint64
-	seen       int
-
-	start   int       // tail mode: ring index of the oldest retained event
-	resSeen int       // reservoir mode: events offered to the reservoir
-	rng     *sim.Rand // reservoir mode: private PRNG, never the engine's
-}
+// DecisionTrace is a capture buffer of decision events: PacketTrace's
+// head/tail/reservoir policies without its filter and triggers.
+type DecisionTrace struct{ capture[DecisionEvent] }
 
 func newDecisionTrace(capacity int, mode CaptureMode) *DecisionTrace {
-	tr := &DecisionTrace{
-		mode:   mode,
-		events: make([]DecisionEvent, 0, capacity),
-	}
-	if mode == CaptureReservoir {
-		tr.rng = sim.NewRand(reservoirSeed)
-	}
-	return tr
+	return &DecisionTrace{newCapture[DecisionEvent](capacity, mode)}
 }
 
-// record offers an event. metrics is copied into retained slots (reusing
-// the evictee's backing array on overwrite, so a full trace stops
-// allocating).
+// record offers an event. metrics is copied into the retained slot, over
+// the evictee's backing array when there is one, so a full trace stops
+// allocating.
 func (tr *DecisionTrace) record(t sim.Time, srcLeaf, dstLeaf, uplink int, reason DecisionReason, ageNs int64, metrics []uint8) {
 	if tr == nil {
 		return
 	}
-	tr.seen++
-	ev := DecisionEvent{T: t, SrcLeaf: srcLeaf, DstLeaf: dstLeaf,
-		Uplink: uplink, Reason: reason, AgeNs: ageNs}
-	switch tr.mode {
-	case CaptureTail:
-		if len(tr.events) < cap(tr.events) {
-			ev.Metrics = append([]uint8(nil), metrics...)
-			tr.events = append(tr.events, ev)
-		} else {
-			ev.Metrics = append(tr.events[tr.start].Metrics[:0], metrics...)
-			tr.events[tr.start] = ev
-			tr.start++
-			if tr.start == len(tr.events) {
-				tr.start = 0
-			}
-			tr.Suppressed++ // the evicted oldest event
-		}
-	case CaptureReservoir:
-		tr.resSeen++
-		if len(tr.events) < cap(tr.events) {
-			ev.Metrics = append([]uint8(nil), metrics...)
-			tr.events = append(tr.events, ev)
-		} else {
-			if j := tr.rng.Intn(tr.resSeen); j < len(tr.events) {
-				ev.Metrics = append(tr.events[j].Metrics[:0], metrics...)
-				tr.events[j] = ev
-			}
-			tr.Suppressed++
-		}
-	default: // CaptureHead
-		if len(tr.events) < cap(tr.events) {
-			ev.Metrics = append([]uint8(nil), metrics...)
-			tr.events = append(tr.events, ev)
-		} else {
-			tr.Suppressed++
-		}
+	if ev := tr.offer(); ev != nil {
+		*ev = DecisionEvent{T: t, SrcLeaf: srcLeaf, DstLeaf: dstLeaf, Uplink: uplink,
+			Reason: reason, AgeNs: ageNs, Metrics: append(ev.Metrics[:0], metrics...)}
 	}
 }
 
@@ -154,27 +103,13 @@ func (tr *DecisionTrace) Mode() CaptureMode {
 	return tr.mode
 }
 
-// Events returns the recorded events in time order (same rotation/sorting
-// contract as PacketTrace.Events).
+// Events returns the recorded events in time order (same aliasing contract
+// as PacketTrace.Events).
 func (tr *DecisionTrace) Events() []DecisionEvent {
 	if tr == nil {
 		return nil
 	}
-	switch tr.mode {
-	case CaptureTail:
-		if tr.start == 0 {
-			return tr.events
-		}
-		out := make([]DecisionEvent, 0, len(tr.events))
-		out = append(out, tr.events[tr.start:]...)
-		out = append(out, tr.events[:tr.start]...)
-		return out
-	case CaptureReservoir:
-		out := append([]DecisionEvent(nil), tr.events...)
-		sort.SliceStable(out, func(i, j int) bool { return out[i].T < out[j].T })
-		return out
-	}
-	return tr.events
+	return tr.ordered(func(e *DecisionEvent) sim.Time { return e.T })
 }
 
 // Len returns the number of recorded events.
@@ -192,13 +127,7 @@ func (tr *DecisionTrace) Info() CaptureInfo {
 	if tr == nil {
 		return CaptureInfo{}
 	}
-	return CaptureInfo{
-		Mode:       tr.mode,
-		Cap:        cap(tr.events),
-		Recorded:   len(tr.events),
-		Seen:       tr.seen,
-		Suppressed: tr.Suppressed,
-	}
+	return tr.info()
 }
 
 // DecisionHooks is the per-leaf decision-plane hook struct: core.Leaf holds

@@ -13,18 +13,6 @@ import (
 	"unicode/utf8"
 )
 
-// Sink receives a registry's probes at flush time. Sinks run only after the
-// engine has stopped, so their cost never perturbs simulation order.
-type Sink interface {
-	Counters(rows []CounterRow) error
-	Series(s *Series) error
-	Trace(tr *PacketTrace) error
-	// Decisions receives the bounded decision trace; Paths receives the
-	// path load matrix cells plus per-leaf balance summaries.
-	Decisions(tr *DecisionTrace) error
-	Paths(rows []PathRow, sums []PathSummary) error
-}
-
 // sanitizeName makes a probe name filesystem-safe: "->" collapses to "-",
 // any other character outside [A-Za-z0-9._-] becomes "-".
 func sanitizeName(name string) string {
@@ -39,7 +27,9 @@ func sanitizeName(name string) string {
 	}, name)
 }
 
-// FileSink writes one file per probe into Dir (created if missing), as CSV
+// FileSink writes a registry's probes at flush time, which is after the
+// engine has stopped, so its cost never perturbs simulation order. It writes
+// one file per probe into Dir (created if missing), as CSV
 // — counters.csv, series_<name>.csv (columns time_ns,value), trace.csv,
 // decisions.csv, paths.csv — or, with NDJSON set, as newline-delimited JSON
 // under the same names, one object per row keyed by the CSV column names.
@@ -84,7 +74,7 @@ var (
 	pathTable     = newTable(0, "leaf", "uplink", "dst_leaf", "flowlets", "bytes")
 )
 
-// Counters implements Sink.
+// Counters writes the flat counter rows.
 func (s FileSink) Counters(rows []CounterRow) error {
 	return s.write("counters", counterTable, func(w *rowWriter) {
 		w.provenance(s.Provenance)
@@ -99,7 +89,7 @@ func (s FileSink) Counters(rows []CounterRow) error {
 	})
 }
 
-// Series implements Sink.
+// Series writes one series' points.
 func (s FileSink) Series(sr *Series) error {
 	return s.write("series_"+sanitizeName(sr.Name()), seriesTable, func(w *rowWriter) {
 		w.leadValues(sr.Name(), sr.Unit())
@@ -112,7 +102,7 @@ func (s FileSink) Series(sr *Series) error {
 	})
 }
 
-// Trace implements Sink.
+// Trace writes the packet trace under its capture header.
 func (s FileSink) Trace(tr *PacketTrace) error {
 	return s.write("trace", traceTable, func(w *rowWriter) {
 		w.provenance(s.Provenance)
@@ -129,7 +119,7 @@ func (s FileSink) Trace(tr *PacketTrace) error {
 	})
 }
 
-// Decisions implements Sink with one row per retained SelectUplink outcome;
+// Decisions writes one row per retained SelectUplink outcome;
 // the candidate metric vector is "3|0|7|2" inside one CSV field ("" for
 // sticky hits, which carry none) and an array in NDJSON.
 func (s FileSink) Decisions(tr *DecisionTrace) error {
@@ -147,7 +137,7 @@ func (s FileSink) Decisions(tr *DecisionTrace) error {
 	})
 }
 
-// Paths implements Sink: the non-empty matrix cells, after one summary line
+// Paths writes the non-empty path load matrix cells, after one summary line
 // per leaf carrying the balance figures.
 func (s FileSink) Paths(rows []PathRow, sums []PathSummary) error {
 	return s.write("paths", pathTable, func(w *rowWriter) {

@@ -511,16 +511,7 @@ func (r *Registry) SetProvenance(s string) {
 	r.provenance = s
 }
 
-// FlushSink runs Collect and writes every probe through a single sink.
-func (r *Registry) FlushSink(sink Sink) error {
-	if r == nil {
-		return nil
-	}
-	r.Collect()
-	return r.flushSink(sink)
-}
-
-func (r *Registry) flushSink(sink Sink) error {
+func (r *Registry) flushSink(sink FileSink) error {
 	if r.opts.Counters {
 		if err := sink.Counters(r.CounterRows()); err != nil {
 			return err

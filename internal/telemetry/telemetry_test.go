@@ -140,23 +140,6 @@ func TestTraceFilter(t *testing.T) {
 	}
 }
 
-func TestTraceSampleEvery(t *testing.T) {
-	f := MatchAll()
-	f.SampleEvery = 4
-	tr := newPacketTrace(100, f, CaptureHead, 0, 0)
-	for i := 0; i < 20; i++ {
-		tr.Record(sim.Time(i), TraceSend, "h0", 1, 0, 1, 1, 1, int64(i), 1)
-	}
-	if tr.Len() != 5 {
-		t.Fatalf("recorded %d of 20 at SampleEvery=4, want 5", tr.Len())
-	}
-	for i, ev := range tr.Events() {
-		if ev.Seq != int64(i*4) {
-			t.Fatalf("event %d has seq %d, want %d", i, ev.Seq, i*4)
-		}
-	}
-}
-
 func TestTraceCapAndSuppressed(t *testing.T) {
 	tr := newPacketTrace(4, MatchAll(), CaptureHead, 0, 0)
 	for i := 0; i < 10; i++ {

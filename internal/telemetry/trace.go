@@ -35,30 +35,24 @@ func (k TraceKind) String() string {
 
 // Filter restricts the packet trace by flow 5-tuple. Negative fields match
 // anything; the zero value is normalized to match-all (flow IDs and host
-// indices of 0 are never used as filter targets via a zero value — set
-// SampleEvery or a field explicitly to opt in).
+// indices of 0 are never used as filter targets via a zero value — start
+// from MatchAll and set a field to opt in).
 type Filter struct {
 	// FlowID matches Packet.FlowID when >= 0.
 	FlowID int64
 	// SrcHost, DstHost, SrcPort, DstPort match the corresponding packet
 	// fields when >= 0.
 	SrcHost, DstHost, SrcPort, DstPort int
-	// SampleEvery keeps 1 of every N matching events (0 and 1 both mean
-	// every event).
-	SampleEvery int
 }
 
 // MatchAll returns the filter that keeps every event.
 func MatchAll() Filter {
-	return Filter{FlowID: -1, SrcHost: -1, DstHost: -1, SrcPort: -1, DstPort: -1, SampleEvery: 1}
+	return Filter{FlowID: -1, SrcHost: -1, DstHost: -1, SrcPort: -1, DstPort: -1}
 }
 
 func (f Filter) normalized() Filter {
 	if f == (Filter{}) {
 		return MatchAll()
-	}
-	if f.SampleEvery < 1 {
-		f.SampleEvery = 1
 	}
 	return f
 }
@@ -174,38 +168,121 @@ type TraceEvent struct {
 }
 
 // reservoirSeed is the fixed seed for the reservoir's private PRNG. The
-// stream is independent of every engine PRNG (the trace never consumes
-// engine randomness), so reservoir tracing cannot perturb the simulation,
-// and a fixed seed keeps the retained sample reproducible across runs.
+// stream is independent of every engine PRNG (a trace never consumes engine
+// randomness), so reservoir capture cannot perturb the simulation, and a
+// fixed seed keeps the retained sample reproducible across runs.
 const reservoirSeed = 0x9e3779b97f4a7c15
 
-// PacketTrace is a bounded buffer of packet events matched by a Filter.
-// What happens when it fills depends on the CaptureMode: head stops
-// recording, tail overwrites the oldest event, reservoir keeps a uniform
-// sample. Every retained-set eviction (and every event recorded-then-
-// overwritten) bumps Suppressed, so recorded+suppressed always equals the
-// number of matching events seen.
+// capture is the bounded buffer under PacketTrace and DecisionTrace. What a
+// full buffer does with the next event is its CaptureMode: head turns it
+// away, tail overwrites the oldest retained event, reservoir keeps a uniform
+// sample. Every event that is not in the retained set — turned away, evicted,
+// or counted by the owner without being offered — is in Suppressed, so
+// recorded + suppressed is the number of events seen.
+type capture[T any] struct {
+	mode   CaptureMode
+	events []T
+	// Suppressed counts the events seen that are not in the retained set.
+	Suppressed uint64
+	start      int       // tail mode: ring index of the oldest retained event
+	rng        *sim.Rand // reservoir mode: private PRNG, never the engine's
+	// headFull is set by the first offer a full head buffer turns away, so
+	// that every later one — nearly all the offers of a long run — is a
+	// counter bump inlined into the caller.
+	headFull bool
+}
+
+func newCapture[T any](capacity int, mode CaptureMode) capture[T] {
+	c := capture[T]{mode: mode, events: make([]T, 0, capacity)}
+	if mode == CaptureReservoir {
+		c.rng = sim.NewRand(reservoirSeed)
+	}
+	return c
+}
+
+// offer accounts for one event and returns the slot the caller fills with
+// it, or nil when the mode does not retain it. A slot being overwritten
+// still holds its evictee, whose buffers the caller may reuse.
+func (c *capture[T]) offer() *T {
+	if c.headFull {
+		c.Suppressed++
+		return nil
+	}
+	return c.take()
+}
+
+// take is offer for every buffer but a head buffer known to be full.
+func (c *capture[T]) take() *T {
+	if n := len(c.events); n < cap(c.events) {
+		c.events = c.events[:n+1]
+		return &c.events[n]
+	}
+	// Whether the event is turned away or takes a slot, one event more is
+	// outside the retained set.
+	c.Suppressed++
+	switch c.mode {
+	case CaptureHead:
+		c.headFull = true
+	case CaptureTail:
+		slot := &c.events[c.start]
+		if c.start++; c.start == len(c.events) {
+			c.start = 0
+		}
+		return slot
+	case CaptureReservoir:
+		// Algorithm R: the n-th event seen replaces a uniform slot with
+		// probability cap/n.
+		if j := c.rng.Intn(c.seen()); j < len(c.events) {
+			return &c.events[j]
+		}
+	}
+	return nil
+}
+
+func (c *capture[T]) seen() int { return len(c.events) + int(c.Suppressed) }
+
+// ordered returns the retained events in time order; at reads an event's
+// time. Head mode, and a tail ring that has not wrapped, hand out the buffer
+// itself, which callers must not modify; a wrapped ring is returned as a
+// rotated copy (oldest first) and a reservoir, whose replacements scramble
+// slots, as a time-sorted copy with ties in slot order — deterministic for
+// the fixed seed.
+func (c *capture[T]) ordered(at func(*T) sim.Time) []T {
+	switch {
+	case c.mode == CaptureTail && c.start != 0:
+		out := make([]T, 0, len(c.events))
+		out = append(out, c.events[c.start:]...)
+		return append(out, c.events[:c.start]...)
+	case c.mode == CaptureReservoir:
+		out := append([]T(nil), c.events...)
+		sort.SliceStable(out, func(i, j int) bool { return at(&out[i]) < at(&out[j]) })
+		return out
+	}
+	return c.events
+}
+
+func (c *capture[T]) info() CaptureInfo {
+	return CaptureInfo{
+		Mode:       c.mode,
+		Cap:        cap(c.events),
+		Recorded:   len(c.events),
+		Seen:       c.seen(),
+		Suppressed: c.Suppressed,
+	}
+}
+
+// PacketTrace is a capture buffer of the packet events matched by a Filter.
 //
 // A Trigger freezes the buffer when its condition first fires (after
-// recording StopAfter further events), answering "what happened right
-// before the collapse" without post-processing.
+// StopAfter further matching events), answering "what happened right before
+// the collapse" without post-processing. Matching events that arrive after
+// the freeze count as suppressed.
 type PacketTrace struct {
+	capture[TraceEvent]
 	filter Filter
-	mode   CaptureMode
-	events []TraceEvent
-	// Suppressed counts matching events not present in the retained set:
-	// capacity-suppressed (head), ring-evicted (tail), not-retained
-	// (reservoir), and events arriving after a trigger froze the buffer.
-	Suppressed uint64
-	seen       int // matching events observed, for SampleEvery
-
-	start   int       // tail mode: ring index of the oldest retained event
-	resSeen int       // reservoir mode: events offered to the reservoir
-	rng     *sim.Rand // reservoir mode: private PRNG, never the engine's
 
 	trigger   Trigger
-	stopAfter int // events still recorded after the trigger fires
-	frozen    bool
+	stopAfter int // matching events still let through once Triggered
 
 	// Triggered reports whether a trigger condition fired; TriggeredAt and
 	// TriggerReason record when and which ("first-drop", "first-rto", or a
@@ -216,19 +293,12 @@ type PacketTrace struct {
 }
 
 func newPacketTrace(capacity int, f Filter, mode CaptureMode, trigger Trigger, stopAfter int) *PacketTrace {
-	tr := &PacketTrace{
-		filter:  f,
-		mode:    mode,
-		events:  make([]TraceEvent, 0, capacity),
-		trigger: trigger,
+	return &PacketTrace{
+		capture:   newCapture[TraceEvent](capacity, mode),
+		filter:    f,
+		trigger:   trigger,
+		stopAfter: max(stopAfter, 0),
 	}
-	if stopAfter > 0 {
-		tr.stopAfter = stopAfter
-	}
-	if mode == CaptureReservoir {
-		tr.rng = sim.NewRand(reservoirSeed)
-	}
-	return tr
 }
 
 // Mode returns the trace's capture mode.
@@ -248,102 +318,34 @@ func (tr *PacketTrace) Record(t sim.Time, kind TraceKind, where string, flowID u
 	if tr == nil {
 		return
 	}
-	firedNow := false
-	if kind == TraceDrop && tr.trigger&TriggerFirstDrop != 0 && !tr.Triggered {
-		// Fire but don't freeze yet: the triggering drop itself is the
-		// event of interest and must be retained (when it matches the
-		// filter) before the countdown starts.
-		tr.Triggered = true
-		tr.TriggeredAt = t
-		tr.TriggerReason = "first-drop"
-		firedNow = true
+	// Read before this event can fire the trigger: the triggering drop
+	// itself is the event of interest and is retained (when it matches the
+	// filter) even by a trace that freezes on it.
+	frozen := tr.Frozen()
+	firedNow := kind == TraceDrop && tr.trigger&TriggerFirstDrop != 0 && !tr.Triggered
+	if firedNow {
+		tr.fire(t, "first-drop")
 	}
-	f := &tr.filter
-	match := true
-	switch {
-	case f.FlowID >= 0 && uint64(f.FlowID) != flowID:
-		match = false
-	case f.SrcHost >= 0 && f.SrcHost != src:
-		match = false
-	case f.DstHost >= 0 && f.DstHost != dst:
-		match = false
-	case f.SrcPort >= 0 && f.SrcPort != sport:
-		match = false
-	case f.DstPort >= 0 && f.DstPort != dport:
-		match = false
-	}
-	if !match {
-		// A triggering drop outside the filter still freezes the buffer
-		// once its countdown is spent.
-		if firedNow && tr.stopAfter == 0 {
-			tr.frozen = true
-		}
+	if f := &tr.filter; f.FlowID >= 0 && uint64(f.FlowID) != flowID ||
+		f.SrcHost >= 0 && f.SrcHost != src || f.DstHost >= 0 && f.DstHost != dst ||
+		f.SrcPort >= 0 && f.SrcPort != sport || f.DstPort >= 0 && f.DstPort != dport {
 		return
 	}
-	tr.seen++
-	if f.SampleEvery > 1 && (tr.seen-1)%f.SampleEvery != 0 {
-		if firedNow && tr.stopAfter == 0 {
-			tr.frozen = true
-		}
-		return
-	}
-	if tr.frozen {
+	if frozen {
 		tr.Suppressed++
 		return
 	}
-	ev := TraceEvent{
-		T: t, Kind: kind, Where: where, FlowID: flowID,
-		Src: src, Dst: dst, SrcPort: sport, DstPort: dport,
-		Seq: seq, Payload: payload,
-	}
-	switch tr.mode {
-	case CaptureTail:
-		if len(tr.events) < cap(tr.events) {
-			tr.events = append(tr.events, ev)
-		} else {
-			tr.events[tr.start] = ev
-			tr.start++
-			if tr.start == len(tr.events) {
-				tr.start = 0
-			}
-			tr.Suppressed++ // the evicted oldest event
-		}
-	case CaptureReservoir:
-		tr.resSeen++
-		if len(tr.events) < cap(tr.events) {
-			tr.events = append(tr.events, ev)
-		} else {
-			// Algorithm R: replace a uniform slot with probability
-			// cap/resSeen. Either the current event or the one it evicts
-			// ends up outside the retained set, so Suppressed++ both ways.
-			if j := tr.rng.Intn(tr.resSeen); j < len(tr.events) {
-				tr.events[j] = ev
-			}
-			tr.Suppressed++
-		}
-	default: // CaptureHead
-		if len(tr.events) < cap(tr.events) {
-			tr.events = append(tr.events, ev)
-		} else {
-			tr.Suppressed++
-			return
+	if ev := tr.offer(); ev != nil {
+		*ev = TraceEvent{
+			T: t, Kind: kind, Where: where, FlowID: flowID,
+			Src: src, Dst: dst, SrcPort: sport, DstPort: dport,
+			Seq: seq, Payload: payload,
 		}
 	}
-	if tr.Triggered {
-		// The triggering event itself does not consume the countdown:
-		// StopAfter counts further events recorded past the trigger.
-		if firedNow {
-			if tr.stopAfter == 0 {
-				tr.frozen = true
-			}
-			return
-		}
-		if tr.stopAfter > 0 {
-			tr.stopAfter--
-		}
-		if tr.stopAfter == 0 {
-			tr.frozen = true
-		}
+	// The countdown runs on every matching event past the trigger, retained
+	// or not; the triggering event itself does not consume it.
+	if tr.Triggered && !firedNow && tr.stopAfter > 0 {
+		tr.stopAfter--
 	}
 }
 
@@ -371,42 +373,21 @@ func (tr *PacketTrace) fire(now sim.Time, reason string) {
 	tr.Triggered = true
 	tr.TriggeredAt = now
 	tr.TriggerReason = reason
-	if tr.stopAfter == 0 {
-		tr.frozen = true
-	}
 }
 
-// Frozen reports whether a trigger has stopped the trace.
+// Frozen reports whether a trigger has stopped the trace: one fired and its
+// countdown is spent.
 func (tr *PacketTrace) Frozen() bool {
-	return tr != nil && tr.frozen
+	return tr != nil && tr.Triggered && tr.stopAfter == 0
 }
 
-// Events returns the recorded events in time order. In head and reservoir
-// mode before rotation is needed the slice may alias the buffer; callers
-// must not modify it. Tail mode returns a rotated copy (oldest first);
-// reservoir mode returns a time-sorted copy.
+// Events returns the recorded events in time order; see capture.ordered for
+// when the slice aliases the buffer.
 func (tr *PacketTrace) Events() []TraceEvent {
 	if tr == nil {
 		return nil
 	}
-	switch tr.mode {
-	case CaptureTail:
-		if tr.start == 0 {
-			return tr.events
-		}
-		out := make([]TraceEvent, 0, len(tr.events))
-		out = append(out, tr.events[tr.start:]...)
-		out = append(out, tr.events[:tr.start]...)
-		return out
-	case CaptureReservoir:
-		// Events enter in time order but replacements scramble slots;
-		// re-sort by time for presentation. Ties keep slot order, which is
-		// deterministic for a fixed seed.
-		out := append([]TraceEvent(nil), tr.events...)
-		sort.SliceStable(out, func(i, j int) bool { return out[i].T < out[j].T })
-		return out
-	}
-	return tr.events
+	return tr.ordered(func(e *TraceEvent) sim.Time { return e.T })
 }
 
 // Len returns the number of recorded events.
@@ -423,7 +404,7 @@ type CaptureInfo struct {
 	Mode          CaptureMode
 	Cap           int
 	Recorded      int
-	Seen          int // matching events observed (before SampleEvery)
+	Seen          int // matching events observed
 	Suppressed    uint64
 	Trigger       Trigger
 	Triggered     bool
@@ -437,15 +418,10 @@ func (tr *PacketTrace) Info() CaptureInfo {
 	if tr == nil {
 		return CaptureInfo{}
 	}
-	return CaptureInfo{
-		Mode:          tr.mode,
-		Cap:           cap(tr.events),
-		Recorded:      len(tr.events),
-		Seen:          tr.seen,
-		Suppressed:    tr.Suppressed,
-		Trigger:       tr.trigger,
-		Triggered:     tr.Triggered,
-		TriggeredAt:   tr.TriggeredAt,
-		TriggerReason: tr.TriggerReason,
-	}
+	info := tr.info()
+	info.Trigger = tr.trigger
+	info.Triggered = tr.Triggered
+	info.TriggeredAt = tr.TriggeredAt
+	info.TriggerReason = tr.TriggerReason
+	return info
 }

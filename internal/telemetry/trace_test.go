@@ -134,6 +134,27 @@ func TestTriggerFirstDropImmediate(t *testing.T) {
 	checkInvariant(t, tr)
 }
 
+// TestTriggerAfterHeadFull pins the one countdown rule: it runs on every
+// matching event past the trigger, retained or not, so a trigger that fires
+// after a head buffer filled still freezes the trace.
+func TestTriggerAfterHeadFull(t *testing.T) {
+	tr := newPacketTrace(2, MatchAll(), CaptureHead, TriggerFirstDrop, 1)
+	for i := 1; i <= 3; i++ {
+		rec(tr, sim.Time(i), TraceSend)
+	}
+	rec(tr, 4, TraceDrop)
+	if !tr.Triggered || tr.Frozen() {
+		t.Fatalf("after the drop: triggered %v frozen %v, want fired with the countdown still to run", tr.Triggered, tr.Frozen())
+	}
+	rec(tr, 5, TraceSend)
+	if !tr.Frozen() {
+		t.Fatal("the countdown did not run on an event the full head buffer turned away")
+	}
+	if info := tr.Info(); info.Recorded != 2 || info.Suppressed != 3 {
+		t.Fatalf("recorded %d suppressed %d, want 2 and 3", info.Recorded, info.Suppressed)
+	}
+}
+
 // TestTriggerDropOutsideFilter pins the flight-recorder contract: a trace
 // filtered to one flow still freezes on the first drop anywhere in the
 // fabric — the drop event itself just isn't retained.

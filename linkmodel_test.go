@@ -321,9 +321,9 @@ func TestObservationCostsNoEvents(t *testing.T) {
 		eng[row.Counter] = row.Value
 	}
 	_, deq, _, _ := on.Telemetry.LinkTotals()
-	if len(eng) != 3 || eng["link_starts"] != deq || eng["link_starts_drained"] == 0 ||
-		eng["link_starts_chained"]+eng["link_starts_drained"] > deq {
-		t.Fatalf("engine group %v, want three counters with link_starts = %d dequeues", eng, deq)
+	if len(eng) != 2 || eng["link_starts"] != deq || eng["link_starts_drained"] == 0 ||
+		eng["link_starts_drained"] > deq {
+		t.Fatalf("engine group %v, want two counters with link_starts = %d dequeues", eng, deq)
 	}
 	a, b := *on, *off
 	a.Telemetry = nil
