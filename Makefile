@@ -66,7 +66,7 @@ bench-parallel:
 # every PR; >15% ns/op regression on the engine hot path fails the build).
 bench-guard:
 	$(MAKE) bench-quick | tee bench-quick.txt
-	$(GO) run ./tools/benchguard -baseline BENCH_PR17.json -max-regress 0.15 \
+	$(GO) run ./tools/benchguard -baseline BENCH_PR20.json -max-regress 0.15 \
 		-require 'BenchmarkEngineRaw,BenchmarkFig09Enterprise' bench-quick.txt
 
 # Gate the space-parallel scale cells: events/op exact per domain count,
@@ -74,7 +74,7 @@ bench-guard:
 # shown a domain count faster than sequential (DESIGN.md §3.6).
 bench-guard-parallel:
 	$(MAKE) bench-parallel | tee bench-parallel.txt
-	$(GO) run ./tools/benchguard -baseline BENCH_PR17.json \
+	$(GO) run ./tools/benchguard -baseline BENCH_PR20.json \
 		-require 'BenchmarkScale256Leaves40G,BenchmarkScale256Leaves40GParallel2,BenchmarkScale256Leaves40GParallel4,BenchmarkScale256Leaves40GParallel8' \
 		bench-parallel.txt
 
@@ -96,11 +96,13 @@ bench-repo:
 bench-compare:
 	$(GO) run ./bench -compare $(A) $(B)
 
-# Benchmark harness smoke (~30 s): one short scale256 run and one short
+# Benchmark harness smoke (~45 s): one short scale256 run, the same cell on
+# two partition domains (the mailbox/Exchange path end to end) and one short
 # observed run (every probe on, CSV+NDJSON flushed) whose result lines (the
 # last ones) must each report a correct run.
 bench-smoke:
 	$(GO) run ./bench -workload scale256 -seconds 3 | tail -n 1 | grep -q '"correct":true'
+	$(GO) run ./bench -workload scale256_p2 -seconds 3 | tail -n 1 | grep -q '"correct":true'
 	$(GO) run ./bench -workload fig09_observed -seconds 3 | tail -n 1 | grep -q '"correct":true'
 
 # End-to-end record/replay smoke (~1 min): record a workload trace with

@@ -112,30 +112,18 @@ func main() {
 		die(fmt.Errorf("unknown transport %q", *transport))
 	}
 
-	var tel *conga.TelemetryOptions
-	if *telemetryDir != "" || *serveAddr != "" {
-		tel = conga.TelemetryAll(*telemetryDir)
-		if *telemetryFlow >= 0 {
-			tel.TraceFilter.FlowID = *telemetryFlow
-			tel.TraceFilter.SrcHost, tel.TraceFilter.DstHost = -1, -1
-			tel.TraceFilter.SrcPort, tel.TraceFilter.DstPort = -1, -1
-		}
-		tel.TraceMode, err = telemetry.ParseCaptureMode(*traceMode)
-		die(err)
-		tel.TraceTrigger, err = telemetry.ParseTrigger(*traceTrigger)
-		die(err)
-		tel.TraceStopAfter = *traceStop
-		// The decision plane is opt-in on the CLI: the audit trail and path
-		// matrices only appear with -decisions. Under -parallel the per-leaf
-		// hooks stay on but the single shared audit buffer must go.
-		tel.Decisions, tel.DecisionTrace = *decisions, *decisions
-		tel.DecisionMode = tel.TraceMode
-		if *decisions && *parallel > 1 {
-			tel.DecisionTrace = false
-			fmt.Printf("decisions: audit trail disabled under -parallel %d (no deterministic merge); path matrices and staleness series remain on\n", *parallel)
-		}
-	} else if *decisions {
-		die(fmt.Errorf("-decisions needs telemetry enabled; add -telemetry DIR or -serve ADDR"))
+	domains := 1 // only fct mode partitions the fabric
+	if *mode == "fct" {
+		domains = *parallel
+	}
+	tel, notices, err := telemetryFlags{
+		dir: *telemetryDir, serve: *serveAddr, flow: *telemetryFlow,
+		traceMode: *traceMode, traceTrigger: *traceTrigger, traceStop: *traceStop,
+		decisions: *decisions, parallel: domains,
+	}.options()
+	die(err)
+	for _, note := range notices {
+		fmt.Println(note)
 	}
 
 	// -serve exposes the run live: the engine publishes tap snapshots at
@@ -222,6 +210,57 @@ func main() {
 		}
 		srv.Close()
 	}
+}
+
+// telemetryFlags are the flags that decide what a run observes.
+type telemetryFlags struct {
+	dir, serve              string
+	flow                    int64
+	traceMode, traceTrigger string
+	traceStop               int
+	decisions               bool
+	parallel                int
+}
+
+// options resolves the flags into the run's telemetry options — nil with
+// neither -telemetry nor -serve — plus a notice for each probe -parallel
+// switched off. The packet trace and the decision audit trail are single
+// shared buffers with no deterministic merge across domains, so under
+// -parallel > 1 they go and the counters, series, path matrices and
+// staleness series stay. -serve's tap is not dropped: RunFCT rejects it.
+func (f telemetryFlags) options() (tel *conga.TelemetryOptions, notices []string, err error) {
+	if f.dir == "" && f.serve == "" {
+		if f.decisions {
+			return nil, nil, fmt.Errorf("-decisions needs telemetry enabled; add -telemetry DIR or -serve ADDR")
+		}
+		return nil, nil, nil
+	}
+	tel = conga.TelemetryAll(f.dir)
+	if f.flow >= 0 {
+		tel.TraceFilter.FlowID = f.flow
+		tel.TraceFilter.SrcHost, tel.TraceFilter.DstHost = -1, -1
+		tel.TraceFilter.SrcPort, tel.TraceFilter.DstPort = -1, -1
+	}
+	if tel.TraceMode, err = telemetry.ParseCaptureMode(f.traceMode); err != nil {
+		return nil, nil, err
+	}
+	if tel.TraceTrigger, err = telemetry.ParseTrigger(f.traceTrigger); err != nil {
+		return nil, nil, err
+	}
+	tel.TraceStopAfter = f.traceStop
+	// The decision plane is opt-in on the CLI: the audit trail and path
+	// matrices only appear with -decisions.
+	tel.Decisions, tel.DecisionTrace = f.decisions, f.decisions
+	tel.DecisionMode = tel.TraceMode
+	if f.parallel > 1 {
+		tel.Trace = false
+		notices = append(notices, fmt.Sprintf("telemetry: packet trace disabled under -parallel %d (no deterministic merge); counters and series remain on", f.parallel))
+		if f.decisions {
+			tel.DecisionTrace = false
+			notices = append(notices, fmt.Sprintf("decisions: audit trail disabled under -parallel %d (no deterministic merge); path matrices and staleness series remain on", f.parallel))
+		}
+	}
+	return tel, notices, nil
 }
 
 func printFCT(r *conga.FCTResult) {

@@ -101,9 +101,9 @@ func TestDREDecayIsMultiplicative(t *testing.T) {
 	}
 }
 
-// TestDREReactsFasterThanEWMARemembersBursts verifies the §3.2 claim that
-// the DRE responds immediately to bursts: right after a burst the register
-// reflects the full burst, before any timer tick.
+// TestDREBurstVisibleImmediately verifies the §3.2 claim that the DRE
+// responds immediately to bursts: right after a burst the register reflects
+// the full burst, before any timer tick.
 func TestDREBurstVisibleImmediately(t *testing.T) {
 	p := testParams()
 	d := NewDRE(10e9, p)

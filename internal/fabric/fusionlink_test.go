@@ -92,26 +92,22 @@ func TestExchangeAcceptsBoundaryArrival(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls := n.Leaves[0]
-	var l *Link
-	for i, up := range ls.uplinks {
-		if ls.uplinkSpine[i] == 1 {
-			l = up
-		}
-	}
-	if l == nil || l.xq == nil {
-		t.Fatal("expected a cross-domain uplink l0->s1")
-	}
+	l := crossUplink(t, n)
+	eng1 := n.DomainEngine(1)
+	log := &arrivalLog{eng: eng1}
+	l.dst = log
 	p := n.DomainPool(0).Get()
+	p.link = l
 	const we = sim.Time(2000)
-	n.mail[0][1].push(p, we, l) // arrival == windowEnd: the legal edge
-	n.Exchange(1, we)           // must not panic
+	n.mail[0][1].push(p, we) // arrival == windowEnd: the legal edge
+	n.Exchange(1, we)        // must not panic
 
-	b := n.deliv[1].last
-	if b == nil || len(b.queue) != 1 || b.queue[0].p != p {
-		t.Fatalf("boundary arrival not queued: %+v", b)
+	if next, ok := eng1.NextAt(); !ok || next != we || eng1.Live() != 1 {
+		t.Fatalf("boundary arrival scheduled at %v (ok=%v, %d live), want %v", next, ok, eng1.Live(), we)
 	}
-	if next, ok := n.DomainEngine(1).NextAt(); !ok || next != we {
-		t.Fatalf("boundary arrival scheduled at %v (ok=%v), want %v", next, ok, we)
+	base := eng1.Executed()
+	eng1.Run(we) // the closed interval includes the boundary tick
+	if len(log.recs) != 1 || log.recs[0] != (arrivalRec{p, we, base + 1}) {
+		t.Fatalf("deliveries %+v, want the boundary arrival at %v as one event", log.recs, we)
 	}
 }

@@ -50,7 +50,7 @@ type Link struct {
 	xq *mailbox
 
 	// Arrivals ride the packets' own nodes. wire is the packet whose
-	// arrival start scheduled last, which is the one serializing for as
+	// arrival start committed last, which is the one serializing for as
 	// long as serSize is nonzero and the claim holds — the only time SetUp
 	// reads it.
 	wire *Packet
@@ -179,10 +179,9 @@ func (l *Link) SetUp(up bool) {
 		// the wire when the window closed).
 		es := l.xq.entries
 		for i := len(es) - 1; i >= 0; i-- {
-			if es[i].link == l {
-				victim := es[i].p
+			if es[i].p == l.wire {
 				es[i].p = nil
-				l.drop(victim, now)
+				l.drop(l.wire, now)
 				break
 			}
 		}
@@ -314,6 +313,7 @@ func (l *Link) start(p *Packet, now sim.Time) {
 	l.serSize = int32(size)
 	l.freeAt = serEnd
 	l.claimSeq = l.eng.ReserveSeq()
+	p.link, l.wire = l, p
 	if l.xq != nil {
 		// Cross-domain hop: the destination's engine belongs to another
 		// worker goroutine, so the arrival goes to the (srcDomain,
@@ -321,10 +321,9 @@ func (l *Link) start(p *Packet, now sim.Time) {
 		// is scheduled there during the next window exchange. The
 		// propagation delay is at least the window size, so it always lands
 		// beyond the window being executed.
-		l.xq.push(p, arrival, l)
+		l.xq.push(p, arrival)
 		return
 	}
-	p.link, l.wire = l, p
 	l.eng.AtNode(arrival, &p.ev, (*arrivalEvent)(p))
 }
 

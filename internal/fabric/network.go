@@ -190,7 +190,7 @@ type Network struct {
 	domFabIdx  [][]int
 	domLeafIdx [][]int
 	mail       [][]*mailbox // mail[src][dst]; nil diagonal; nil when sequential
-	deliv      []*deliverer // per-domain cross-arrival injector; nil when sequential
+	deliv      []*deliverer // per-domain engine + merge scratch for Exchange; nil when sequential
 
 	// Telemetry series, parallel to fabricLinks / Leaves; all nil when
 	// series probes are off. Samples are taken inside the existing ticker

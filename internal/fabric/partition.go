@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -28,14 +29,15 @@ import (
 // ordering makes locks unnecessary. The destination then merges all its
 // incoming mailboxes in (time, srcDomain, srcSeq) order, a total order
 // independent of goroutine scheduling, which keeps parallel runs
-// bit-reproducible for a fixed partition.
+// bit-reproducible for a fixed partition, and schedules each merged entry
+// as what it would have been on an intra-domain link: an arrival event on
+// the packet's own node.
 
-// mailEntry is one cross-domain packet in transit: it left its link's
-// transmitter and must be handed to the link's destination node at time at.
+// mailEntry is one cross-domain packet in transit: it left the transmitter
+// of p.link and must be handed to that link's destination node at time at.
 type mailEntry struct {
-	p    *Packet
-	at   sim.Time
-	link *Link
+	p  *Packet
+	at sim.Time
 }
 
 // mailbox buffers packets from one source domain to one destination domain
@@ -45,80 +47,31 @@ type mailbox struct {
 	entries []mailEntry
 }
 
-func (mb *mailbox) push(p *Packet, at sim.Time, l *Link) {
-	mb.entries = append(mb.entries, mailEntry{p: p, at: at, link: l})
+func (mb *mailbox) push(p *Packet, at sim.Time) {
+	mb.entries = append(mb.entries, mailEntry{p: p, at: at})
 }
 
 // xArrival is a mailbox entry tagged with its deterministic merge key
 // (at, src, seq). The key is unique — one source domain produces one seq
 // sequence — so even an unstable sort yields exactly one order.
 type xArrival struct {
-	p    *Packet
-	at   sim.Time
-	link *Link
-	src  int32
-	seq  int32
+	p   *Packet
+	at  sim.Time
+	src int32
+	seq int32
 }
 
-// pendingArrival pairs a merged packet with the link it arrived on until
-// its delivery event fires.
-type pendingArrival struct {
-	p    *Packet
-	link *Link
-}
-
-// deliverer injects merged cross-domain arrivals into one domain's engine.
-// Each window's merge becomes one xBatch — a FIFO of arrivals spliced into
-// the engine as a single sorted stream (sim.Engine.Splice) instead of one
-// heap insertion per entry. Within a batch the splice preserves the merge
-// order exactly (consecutive engine seqs), and across batches the engine's
-// (time, seq) order decides: batches may overlap in time because links
-// commit arrivals at serialization start, with tails that can cross a
-// window boundary, which is why each batch carries its own queue and bound
-// event rather than sharing one ring.
+// deliverer is one domain's end of the exchange: its engine and the merge
+// scratch buffer, reused across windows.
 type deliverer struct {
 	eng   *sim.Engine
-	merge []xArrival // scratch buffer reused across exchanges
-	times []sim.Time // scratch splice times, reused across exchanges
-	free  []*xBatch  // recycled batches
-	last  *xBatch    // most recently spliced batch, for tests
-}
-
-// xBatch is one exchanged window's worth of arrivals: queue[head:] pairs
-// one-to-one, in order, with the remaining firings of its spliced stream.
-type xBatch struct {
-	dv    *deliverer
-	queue []pendingArrival
-	head  int
-	fn    sim.Event
-}
-
-func (dv *deliverer) getBatch() *xBatch {
-	if n := len(dv.free); n > 0 {
-		b := dv.free[n-1]
-		dv.free[n-1] = nil
-		dv.free = dv.free[:n-1]
-		return b
-	}
-	b := &xBatch{dv: dv}
-	b.fn = b.deliver
-	return b
-}
-
-func (b *xBatch) deliver(now sim.Time) {
-	e := b.queue[b.head]
-	b.queue[b.head] = pendingArrival{}
-	b.head++
-	if b.head == len(b.queue) {
-		b.queue = b.queue[:0]
-		b.head = 0
-		b.dv.free = append(b.dv.free, b)
-	}
-	e.link.dst.handle(e.p, e.link, now)
+	merge []xArrival
 }
 
 // Exchange drains every mailbox destined for domain d and schedules the
-// deliveries on d's engine in (time, srcDomain, srcSeq) order. It is the
+// arrivals on d's engine in (time, srcDomain, srcSeq) order: consecutive
+// sequence numbers, so the engine's (time, seq) order is the merge order
+// and, against d's own events, that of the exchange call. It is the
 // per-window exchange callback for sim.ParallelEngine: it runs on domain
 // d's worker goroutine after all domains have reached the window edge, and
 // every drained arrival must be at or after windowEnd (the lookahead
@@ -134,7 +87,7 @@ func (n *Network) Exchange(d int, windowEnd sim.Time) {
 		for i := range mb.entries {
 			e := &mb.entries[i]
 			if e.p != nil {
-				merge = append(merge, xArrival{p: e.p, at: e.at, link: e.link, src: int32(s), seq: int32(i)})
+				merge = append(merge, xArrival{p: e.p, at: e.at, src: int32(s), seq: int32(i)})
 			}
 			// A nil p is a tombstone: a packet killed by a
 			// mid-serialization link failure before the window closed
@@ -143,37 +96,17 @@ func (n *Network) Exchange(d int, windowEnd sim.Time) {
 		}
 		mb.entries = mb.entries[:0]
 	}
-	if len(merge) == 0 {
-		dv.merge = merge[:0]
-		return
-	}
 	slices.SortFunc(merge, func(a, b xArrival) int {
-		switch {
-		case a.at != b.at:
-			return int(a.at - b.at)
-		case a.src != b.src:
-			return int(a.src - b.src)
-		default:
-			return int(a.seq - b.seq)
-		}
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.src, b.src), cmp.Compare(a.seq, b.seq))
 	})
-	b := dv.getBatch()
-	times := dv.times[:0]
 	for i := range merge {
 		a := &merge[i]
 		if a.at < windowEnd {
 			panic(fmt.Sprintf("fabric: cross-domain arrival on %s at %v inside window ending %v (lookahead violated)",
-				a.link.Name, a.at, windowEnd))
+				a.p.link.Name, a.at, windowEnd))
 		}
-		b.queue = append(b.queue, pendingArrival{p: a.p, link: a.link})
-		times = append(times, a.at)
+		dv.eng.AtNode(a.at, &a.p.ev, (*arrivalEvent)(a.p))
 	}
-	// One sorted splice for the whole window instead of len(merge) heap
-	// pushes; the entries take consecutive engine seqs, preserving the
-	// deterministic (time, srcDomain, srcSeq) merge order exactly.
-	dv.eng.Splice(times, b.fn)
-	dv.last = b
-	dv.times = times[:0]
 	dv.merge = merge[:0]
 }
 

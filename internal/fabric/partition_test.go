@@ -24,6 +24,38 @@ func partEngines(p int) []*sim.Engine {
 	return engines
 }
 
+// crossUplink returns leaf 0's uplink to spine 1, which on a two-domain
+// network crosses from domain 0 to domain 1.
+func crossUplink(t *testing.T, n *Network) *Link {
+	t.Helper()
+	ls := n.Leaves[0]
+	for i, up := range ls.uplinks {
+		if ls.uplinkSpine[i] == 1 && up.xq != nil {
+			return up
+		}
+	}
+	t.Fatal("expected a cross-domain uplink l0->s1")
+	return nil
+}
+
+// arrivalLog stands in for a link's destination node and records what the
+// engine delivers to it: the packet, the time, and how many events the
+// engine had executed once the arrival fired.
+type arrivalLog struct {
+	eng  *sim.Engine
+	recs []arrivalRec
+}
+
+type arrivalRec struct {
+	p        *Packet
+	at       sim.Time
+	executed uint64
+}
+
+func (a *arrivalLog) handle(p *Packet, _ *Link, now sim.Time) {
+	a.recs = append(a.recs, arrivalRec{p, now, a.eng.Executed()})
+}
+
 // TestPartitionAssignment checks the ownership rules: leaf l and everything
 // below it in domain l%P, spine s in s%P, every link owned by its
 // transmitter's domain, and a mailbox on exactly the links whose two ends
@@ -92,47 +124,57 @@ func TestSequentialBuildHasNoPartitionMachinery(t *testing.T) {
 	}
 }
 
-// TestExchangeMergeOrder white-boxes the deterministic merge: entries from
-// several source domains with equal and unequal timestamps must be
-// scheduled in (time, srcDomain, srcSeq) order, regardless of drain order.
+// TestExchangeMergeOrder checks the deterministic merge: entries from
+// several source domains with equal and unequal timestamps must fire on the
+// destination engine in (time, srcDomain, srcSeq) order, regardless of
+// drain order, one event each.
 func TestExchangeMergeOrder(t *testing.T) {
 	n, err := NewPartitionedNetwork(partEngines(3), partCfg(3, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng := n.DomainEngine(2)
+	log := &arrivalLog{eng: eng}
 	l := n.Leaves[0].uplinks[0]
+	l.dst = log
 	mk := func(id uint64) *Packet {
 		p := n.DomainPool(0).Get()
-		p.FlowID = id
+		p.FlowID, p.link = id, l
 		return p
 	}
 	const we = sim.Time(2000) // windowEnd
 	// Source domain 0: out-of-time-order entries (seq still per-mailbox).
-	n.mail[0][2].push(mk(1), 5000, l)
-	n.mail[0][2].push(mk(2), 3000, l)
+	n.mail[0][2].push(mk(1), 5000)
+	n.mail[0][2].push(mk(2), 3000)
 	// Source domain 1: a tie at 3000 with domain 0 and an earlier arrival.
-	n.mail[1][2].push(mk(3), 3000, l)
-	n.mail[1][2].push(mk(4), 3000, l)
-	n.mail[1][2].push(mk(5), 2000, l)
+	n.mail[1][2].push(mk(3), 3000)
+	n.mail[1][2].push(mk(4), 3000)
+	n.mail[1][2].push(mk(5), 2000)
 
 	n.Exchange(2, we)
 
 	want := []uint64{5, 2, 3, 4, 1} // (2000,s1) (3000,s0) (3000,s1,q0) (3000,s1,q1) (5000,s0)
-	b := n.deliv[2].last
-	if b == nil || len(b.queue) != len(want) {
-		t.Fatalf("exchange batch queued %v arrivals, want %d", b, len(want))
-	}
-	for i, w := range want {
-		if got := b.queue[i].p.FlowID; got != w {
-			t.Fatalf("merge position %d: flow %d, want %d", i, got, w)
-		}
-	}
-	if got := n.DomainEngine(2).Live(); got != len(want) {
+	wantAt := []sim.Time{2000, 3000, 3000, 3000, 5000}
+	if got := eng.Live(); got != len(want) {
 		t.Fatalf("engine 2 has %d live delivery events, want %d", got, len(want))
+	}
+	if next, ok := eng.NextAt(); !ok || next != we {
+		t.Fatalf("first arrival scheduled at %v (ok=%v), want %v", next, ok, we)
 	}
 	for s := 0; s < 3; s++ {
 		if s != 2 && len(n.mail[s][2].entries) != 0 {
 			t.Fatalf("mailbox %d->2 not drained", s)
+		}
+	}
+	base := eng.Executed()
+	eng.Run(sim.MaxTime)
+	if len(log.recs) != len(want) || eng.Live() != 0 {
+		t.Fatalf("%d arrivals fired, %d live left, want %d and 0", len(log.recs), eng.Live(), len(want))
+	}
+	for i, r := range log.recs {
+		if r.p.FlowID != want[i] || r.at != wantAt[i] || r.executed != base+uint64(i)+1 {
+			t.Fatalf("firing %d: flow %d at %v as event %d, want flow %d at %v as event %d",
+				i, r.p.FlowID, r.at, r.executed-base, want[i], wantAt[i], i+1)
 		}
 	}
 }
@@ -144,7 +186,9 @@ func TestExchangeLookaheadViolationPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.mail[0][1].push(n.DomainPool(0).Get(), 100, n.Leaves[0].uplinks[0])
+	p := n.DomainPool(0).Get()
+	p.link = n.Leaves[0].uplinks[0]
+	n.mail[0][1].push(p, 100)
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -167,17 +211,10 @@ func TestExportSurvivesLinkFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// leaf0's uplink to spine1 crosses domain 0 -> 1.
-	ls := n.Leaves[0]
-	var l *Link
-	for i, up := range ls.uplinks {
-		if ls.uplinkSpine[i] == 1 {
-			l = up
-		}
-	}
-	if l == nil || l.xq == nil {
-		t.Fatal("expected a cross-domain uplink l0->s1")
-	}
+	l := crossUplink(t, n)
+	eng1 := n.DomainEngine(1)
+	log := &arrivalLog{eng: eng1}
+	l.dst = log
 
 	p := n.DomainPool(0).Get()
 	p.Payload = 1000
@@ -198,12 +235,101 @@ func TestExportSurvivesLinkFailure(t *testing.T) {
 	}
 
 	n.Exchange(1, window)
-	b := n.deliv[1].last
-	if b == nil || len(b.queue) != 1 || b.queue[0].p != p {
-		t.Fatalf("exported packet not queued for delivery: %+v", b)
+	if next, ok := eng1.NextAt(); !ok || next != exportAt || eng1.Live() != 1 {
+		t.Fatalf("delivery scheduled at %v (ok=%v, %d live), want %v", next, ok, eng1.Live(), exportAt)
 	}
-	if next, ok := n.DomainEngine(1).NextAt(); !ok || next != exportAt {
-		t.Fatalf("delivery scheduled at %v (ok=%v), want %v", next, ok, exportAt)
+	base := eng1.Executed()
+	eng1.Run(sim.MaxTime)
+	if len(log.recs) != 1 || log.recs[0] != (arrivalRec{p, exportAt, base + 1}) {
+		t.Fatalf("deliveries %+v, want the exported packet at %v as one event", log.recs, exportAt)
+	}
+}
+
+// TestCrossDomainArrivalRidesPacketNode checks that a cross-domain hop ends
+// the way an intra-domain one does: after the exchange each packet's own
+// node is pending on the destination engine for the link it crossed, so a
+// window that ends between two arrivals of one exchange fires the first
+// and leaves the second queued for the next.
+func TestCrossDomainArrivalRidesPacketNode(t *testing.T) {
+	n, err := NewPartitionedNetwork(partEngines(2), partCfg(2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := crossUplink(t, n)
+	eng0, eng1 := n.DomainEngine(0), n.DomainEngine(1)
+	log := &arrivalLog{eng: eng1}
+	l.dst = log
+
+	var ps [2]*Packet
+	for i := range ps {
+		ps[i] = n.DomainPool(0).Get()
+		ps[i].Payload = 1000
+	}
+	// The second packet queues behind the first; both leave inside window 0.
+	eng0.At(0, func(now sim.Time) { l.Send(ps[0], now); l.Send(ps[1], now) })
+	window := n.Cfg.FabricPropDelay
+	eng0.Run(window - 1)
+	eng1.Run(window - 1)
+	if len(l.xq.entries) != 2 || ps[0].ev.Pending() || ps[1].ev.Pending() {
+		t.Fatalf("mailbox has %d entries before the exchange, want 2 with idle nodes", len(l.xq.entries))
+	}
+	at := [2]sim.Time{l.xq.entries[0].at, l.xq.entries[1].at}
+	if at[0] >= at[1] {
+		t.Fatalf("arrivals at %v and %v, want the queued packet later", at[0], at[1])
+	}
+
+	n.Exchange(1, window)
+	for i, p := range ps {
+		if !p.ev.Pending() || p.link != l {
+			t.Fatalf("packet %d after the exchange: pending %v on %v, want its own node pending on %s",
+				i, p.ev.Pending(), p.link, l.Name)
+		}
+	}
+	if next, ok := eng1.NextAt(); !ok || next != at[0] || eng1.Live() != 2 {
+		t.Fatalf("NextAt %v (ok=%v) with %d live, want %v and 2", next, ok, eng1.Live(), at[0])
+	}
+
+	base := eng1.Executed()
+	eng1.Run(at[1] - 1) // a window edge between the two arrivals
+	if len(log.recs) != 1 || log.recs[0] != (arrivalRec{ps[0], at[0], base + 1}) {
+		t.Fatalf("deliveries %+v, want only the first packet at %v", log.recs, at[0])
+	}
+	if ps[0].ev.Pending() || !ps[1].ev.Pending() || eng1.Live() != 1 {
+		t.Fatalf("after the bounded run: pending %v/%v, %d live; want the later arrival still queued",
+			ps[0].ev.Pending(), ps[1].ev.Pending(), eng1.Live())
+	}
+	if next, ok := eng1.NextAt(); !ok || next != at[1] {
+		t.Fatalf("NextAt %v (ok=%v), want the put-back arrival at %v", next, ok, at[1])
+	}
+	eng1.Run(at[1] + window) // the next window
+	if len(log.recs) != 2 || log.recs[1] != (arrivalRec{ps[1], at[1], base + 2}) || eng1.Live() != 0 {
+		t.Fatalf("deliveries %+v, want the second packet at %v as the next event", log.recs, at[1])
+	}
+}
+
+// TestCrossDomainKillTombstonesMailEntry pulls the cable while a packet is
+// serializing on a cross-domain link: the arrival already sits in the
+// mailbox, so the kill blanks that entry and the exchange schedules nothing.
+func TestCrossDomainKillTombstonesMailEntry(t *testing.T) {
+	n, err := NewPartitionedNetwork(partEngines(2), partCfg(2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := crossUplink(t, n)
+	eng0, eng1 := n.DomainEngine(0), n.DomainEngine(1)
+	p := n.DomainPool(0).Get()
+	p.Payload = 1000
+	eng0.At(0, func(now sim.Time) { l.Send(p, now) })
+	eng0.At(100, func(sim.Time) { l.SetUp(false) }) // mid-serialization
+	window := n.Cfg.FabricPropDelay
+	eng0.Run(window - 1)
+	if len(l.xq.entries) != 1 || l.xq.entries[0].p != nil || l.Drops != 1 || l.TxPackets() != 1 {
+		t.Fatalf("after the kill: entries %+v, drops %d, tx %d; want one tombstone, 1 and 1",
+			l.xq.entries, l.Drops, l.TxPackets())
+	}
+	n.Exchange(1, window)
+	if eng1.Live() != 0 || len(l.xq.entries) != 0 {
+		t.Fatalf("exchange scheduled %d arrivals from a tombstone, %d entries left", eng1.Live(), len(l.xq.entries))
 	}
 }
 

@@ -18,7 +18,7 @@
 // against the wheel minimum, so the (time, seq) execution order is exact no
 // matter where an event is stored. The queue's element is the Node, owned
 // by whoever schedules it: a model object embeds one per event it can have
-// pending. Closures (At, AtSeq, AtDaemon) ride the same path on a pooled
+// pending. Closures (At, AtDaemon) ride the same path on a pooled
 // Node, recycled through a per-engine free list; their handles stay safe
 // across recycling because every scheduling takes a fresh sequence number.
 // See DESIGN.md for the bucket-sizing and determinism argument.
@@ -85,7 +85,7 @@ const (
 // may re-arm the node it was fired through.
 type Handler interface{ Fire(now Time) }
 
-// Fire makes a closure a Handler: At, AtSeq and AtDaemon are AtNode on a
+// Fire makes a closure a Handler: At and AtDaemon are AtNode on a
 // node from the engine's pool with the closure itself as the handler.
 func (fn Event) Fire(now Time) { fn(now) }
 
@@ -102,7 +102,7 @@ type Node struct {
 	slot       int32 // wheel slot index, or far-heap index at locFar
 	loc        int8
 	daemon     bool // housekeeping; does not keep Run(MaxTime) alive
-	pooled     bool // from the engine's pool (At, AtSeq, AtDaemon); Run recycles it once fired
+	pooled     bool // from the engine's pool (At, AtDaemon); Run recycles it once fired
 }
 
 // Pending reports whether the node is scheduled to fire.
@@ -173,27 +173,10 @@ type Engine struct {
 
 	free []*Node // idle pooled nodes
 
-	// Splice streams: batches of pre-sorted same-callback firings that
-	// bypass per-event wheel insertion (see Splice). Streams are consulted
-	// alongside the wheel/heap minimum at every pop, so their entries
-	// execute in exact (time, seq) order relative to ordinary events.
-	streams  []spliceStream
-	timeBufs [][]Time // recycled stream time buffers
-
 	// curSeq is the sequence number of the event currently executing. The
 	// fabric's links compare it against the sequence numbers their claims
 	// reserved to break same-instant ties (see ReserveSeq).
 	curSeq uint64
-}
-
-// spliceStream is one Splice batch: len(times)-head firings of fn at
-// ascending times, holding the consecutive sequence numbers seq0+head… so
-// the whole batch preserves its submission order against ordinary events.
-type spliceStream struct {
-	times []Time
-	head  int
-	seq0  uint64
-	fn    Event
 }
 
 // New returns an engine with the clock at zero.
@@ -215,84 +198,20 @@ func (e *Engine) Pending() int { return e.pending }
 func (e *Engine) Live() int { return e.live }
 
 // NextAt returns the timestamp of the earliest pending event (daemon or
-// not, scheduled or spliced) and whether one exists. Peeking may cascade
-// the timing wheel but never reorders or executes anything.
+// not) and whether one exists. Peeking may cascade the timing wheel but
+// never reorders or executes anything.
 func (e *Engine) NextAt() (Time, bool) {
-	var t Time
-	ok := false
 	if ev := e.nextEvent(); ev != nil {
-		t, ok = ev.at, true
+		return ev.at, true
 	}
-	for i := range e.streams {
-		st := &e.streams[i]
-		if at := st.times[st.head]; !ok || at < t {
-			t, ok = at, true
-		}
-	}
-	return t, ok
-}
-
-// Splice schedules one firing of fn per entry of times, which must be
-// ascending (ties allowed) and not in the past. The whole batch costs one
-// buffer copy instead of len(times) queue insertions, and the entries take
-// consecutive sequence numbers as if scheduled back-to-back at the call —
-// so interleaving with ordinary events is exactly that of a loop over At,
-// only cheaper. Entries are non-daemon and cannot be cancelled. times is
-// copied; the caller may reuse it immediately.
-func (e *Engine) Splice(times []Time, fn Event) {
-	n := len(times)
-	if n == 0 {
-		return
-	}
-	prev := e.now
-	for _, t := range times {
-		if t < prev {
-			panic(fmt.Sprintf("sim: Splice times must be ascending and not before now %v (got %v after %v)", e.now, t, prev))
-		}
-		prev = t
-	}
-	var buf []Time
-	if k := len(e.timeBufs); k > 0 {
-		buf = e.timeBufs[k-1]
-		e.timeBufs = e.timeBufs[:k-1]
-	}
-	buf = append(buf[:0], times...)
-	e.streams = append(e.streams, spliceStream{times: buf, seq0: e.nextSeq, fn: fn})
-	e.nextSeq += uint64(n)
-	e.live += n
-	e.pending += n
-}
-
-// streamMinIdx returns the index of the stream whose head entry is the
-// (time, seq) minimum across all active streams, or −1 when none exist.
-func (e *Engine) streamMinIdx() int {
-	best := -1
-	var bt Time
-	var bs uint64
-	for i := range e.streams {
-		st := &e.streams[i]
-		at, seq := st.times[st.head], st.seq0+uint64(st.head)
-		if best < 0 || at < bt || (at == bt && seq < bs) {
-			best, bt, bs = i, at, seq
-		}
-	}
-	return best
-}
-
-// dropStream recycles stream i's buffer once its entries are spent.
-func (e *Engine) dropStream(i int) {
-	e.timeBufs = append(e.timeBufs, e.streams[i].times[:0])
-	last := len(e.streams) - 1
-	e.streams[i] = e.streams[last]
-	e.streams[last] = spliceStream{}
-	e.streams = e.streams[:last]
+	return 0, false
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it is always a model bug, and silently reordering time would corrupt every
 // downstream measurement.
 func (e *Engine) At(t Time, fn Event) EventHandle {
-	return e.atFn(t, fn, e.ReserveSeq(), false)
+	return e.atFn(t, fn, false)
 }
 
 // CurSeq returns the sequence number of the event currently executing.
@@ -301,25 +220,16 @@ func (e *Engine) At(t Time, fn Event) EventHandle {
 func (e *Engine) CurSeq() uint64 { return e.curSeq }
 
 // ReserveSeq allocates and returns the next sequence number without
-// scheduling anything. A reserved number may later back an AtSeq or
-// AtNodeSeq call (at most once) or be left unused; holes in the sequence
-// space are harmless because tie-breaking only needs uniqueness and
-// monotonicity. A fabric link reserves one per transmitter claim — the point
-// in (time, seq) order where the claim expires — and only schedules an event
-// under it if packets queue behind the claim.
+// scheduling anything. A reserved number may later back one AtNodeSeq call
+// or be left unused; holes in the sequence space are harmless because
+// tie-breaking only needs uniqueness and monotonicity. A fabric link
+// reserves one per transmitter claim — the point in (time, seq) order where
+// the claim expires — and only schedules an event under it if packets queue
+// behind the claim.
 func (e *Engine) ReserveSeq() uint64 {
 	s := e.nextSeq
 	e.nextSeq++
 	return s
-}
-
-// AtSeq schedules fn at absolute time t under a sequence number previously
-// obtained from ReserveSeq. t may equal Now: the event then runs within the
-// current instant, ordered against the instant's remaining events by seq.
-// The event is non-daemon. Each reserved number must back at most one AtSeq
-// or AtNodeSeq call.
-func (e *Engine) AtSeq(t Time, fn Event, seq uint64) EventHandle {
-	return e.atFn(t, fn, seq, false)
 }
 
 // AtDaemon schedules a housekeeping event: it runs like any other, but
@@ -327,11 +237,11 @@ func (e *Engine) AtSeq(t Time, fn Event, seq uint64) EventHandle {
 // infrastructure (DRE decay, flowlet sweeps) uses daemon events so "run
 // until the workload finishes" terminates.
 func (e *Engine) AtDaemon(t Time, fn Event) EventHandle {
-	return e.atFn(t, fn, e.ReserveSeq(), true)
+	return e.atFn(t, fn, true)
 }
 
-// atFn schedules fn on a node from the pool.
-func (e *Engine) atFn(t Time, fn Event, seq uint64, daemon bool) EventHandle {
+// atFn schedules fn on a node from the pool under the next sequence number.
+func (e *Engine) atFn(t Time, fn Event, daemon bool) EventHandle {
 	var n *Node
 	if k := len(e.free); k > 0 {
 		n = e.free[k-1]
@@ -339,6 +249,7 @@ func (e *Engine) atFn(t Time, fn Event, seq uint64, daemon bool) EventHandle {
 	} else {
 		n = &Node{pooled: true}
 	}
+	seq := e.ReserveSeq()
 	e.insert(t, n, fn, seq, daemon)
 	return EventHandle{eng: e, ev: n, seq: seq}
 }
@@ -356,7 +267,9 @@ func (e *Engine) AtNode(t Time, n *Node, h Handler) {
 	e.insert(t, n, h, e.ReserveSeq(), false)
 }
 
-// AtNodeSeq is AtNode under a sequence number from ReserveSeq (see AtSeq).
+// AtNodeSeq is AtNode under a sequence number from ReserveSeq, which must
+// back at most this one call. t may equal Now: the event then runs within
+// the current instant, ordered against its remaining events by seq.
 func (e *Engine) AtNodeSeq(t Time, n *Node, h Handler, seq uint64) {
 	e.insert(t, n, h, seq, false)
 }
@@ -527,24 +440,6 @@ func (e *Engine) remove(ev *Node) {
 	e.wheel--
 }
 
-// wheelMin returns the earliest event resident in the wheel, cascading
-// overflow buckets toward level 0 as needed; nil when the wheel is empty.
-// Within a level, slot index order is time order (each window is a suffix
-// of one aligned block) and bucket FIFO order is seq order, so the head of
-// the lowest occupied level-0 slot is the exact (time, seq) minimum.
-func (e *Engine) wheelMin() *Node {
-	for {
-		if e.l0sum != 0 {
-			w := bits.TrailingZeros64(e.l0sum)
-			s := w<<6 + bits.TrailingZeros64(e.l0words[w])
-			return e.l0[s].head
-		}
-		if !e.cascade() {
-			return nil
-		}
-	}
-}
-
 // cascade moves the earliest occupied bucket of the lowest non-empty
 // overflow level down one level, advancing the windows below it. It
 // reports whether any bucket moved.
@@ -593,10 +488,20 @@ func (e *Engine) cascade() bool {
 
 // nextEvent returns the earliest pending event without removing it (the
 // wheel may cascade as a side effect), or nil when nothing is pending.
+// Within a level, slot index order is time order (each window is a suffix
+// of one aligned block) and bucket FIFO order is seq order, so the head of
+// the lowest occupied level-0 slot is the wheel's exact (time, seq) minimum.
 func (e *Engine) nextEvent() *Node {
 	var w *Node
-	if e.wheel > 0 {
-		w = e.wheelMin()
+	for e.wheel > 0 {
+		if e.l0sum != 0 {
+			wd := bits.TrailingZeros64(e.l0sum)
+			w = e.l0[wd<<6+bits.TrailingZeros64(e.l0words[wd])].head
+			break
+		}
+		if !e.cascade() {
+			break
+		}
 	}
 	if len(e.far) > 0 {
 		f := e.far[0]
@@ -682,52 +587,17 @@ func (e *Engine) Run(until Time) Time {
 		if until == MaxTime && e.live == 0 {
 			break
 		}
-		var next *Node
-		if len(e.streams) > 0 {
-			// Splice streams are live (a parallel window): peek, compare
-			// against the stream minimum, and only then remove.
-			next = e.nextEvent()
-			if si := e.streamMinIdx(); si >= 0 {
-				st := &e.streams[si]
-				at := st.times[st.head]
-				if next == nil || at < next.at || (at == next.at && st.seq0+uint64(st.head) < next.seq) {
-					if at > until {
-						e.now = until
-						return e.now
-					}
-					fn := st.fn
-					e.curSeq = st.seq0 + uint64(st.head)
-					st.head++
-					if st.head == len(st.times) {
-						e.dropStream(si)
-					}
-					e.pending--
-					e.live--
-					e.now = at
-					e.executed++
-					fn(e.now)
-					continue
-				}
+		// If the minimum lies beyond the bounded run it goes back into the
+		// wheel (restoring its bucket-head position — it was the minimum, so
+		// it re-enters its slot with the smallest seq) for a later Run to find.
+		next := e.popMin()
+		if next.at > until {
+			e.now = until
+			e.place(next)
+			if next.prev != nil {
+				e.restoreBucketOrder(next)
 			}
-			if next.at > until {
-				e.now = until
-				return e.now
-			}
-			e.remove(next)
-		} else {
-			// No streams: pop the minimum directly. If it lies beyond the
-			// bounded run it goes back into the wheel (restoring its
-			// bucket-head position — it was the minimum, so it re-enters
-			// its slot with the smallest seq) for a later Run to find.
-			next = e.popMin()
-			if next.at > until {
-				e.now = until
-				e.place(next)
-				if next.prev != nil {
-					e.restoreBucketOrder(next)
-				}
-				return e.now
-			}
+			return e.now
 		}
 		e.pending--
 		e.now = next.at

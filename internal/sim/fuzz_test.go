@@ -24,7 +24,7 @@ type modelEnt struct {
 	seq    uint64
 	id     int // what the firing records
 	daemon bool
-	node   int // owning caller node, −1 for closures and splice entries
+	node   int // owning caller node, −1 for closures
 }
 
 const (
@@ -123,10 +123,12 @@ var fuzzDeltas = [16]Time{0, 1, 2, 100, 4095, 4096, 4097, 50 * Microsecond,
 
 // FuzzWheelMatchesHeap plays an op stream — closures, daemons, reserved
 // sequence numbers, caller-owned nodes (scheduled, cancelled, re-armed from
-// inside their own Fire), splices, cancels of live and stale handles, and
-// bounded runs that stop short of the next event — against the engine and
-// the model, and requires the same firing order, clock, Pending, Live,
-// Executed, NextAt and cancel results throughout.
+// inside their own Fire), cancels of live and stale handles, and bounded
+// runs that stop short of the next event — against the engine and the
+// model, and requires the same firing order, clock, Pending, Live, Executed,
+// NextAt and cancel results throughout. Ops 3 and 10 drove two scheduling
+// calls the engine no longer has; they still consume their operands and a
+// closure id, so every recorded stream means what it did to the other ten.
 func FuzzWheelMatchesHeap(f *testing.F) {
 	f.Add([]byte{})
 	// A node re-arming itself across a level boundary between two closures.
@@ -137,7 +139,7 @@ func FuzzWheelMatchesHeap(f *testing.F) {
 	f.Add([]byte{0, 0x01, 0, 0x07, 6, 0, 6, 0, 9, 0x03, 6, 1, 0, 0x02, 6, 1, 4, 2, 0x09, 7, 2, 7, 2})
 	// A bounded run that pops past its horizon, then schedules into the gap.
 	f.Add([]byte{0, 0x07, 9, 0x05, 0, 0x03, 0, 0x06, 4, 1, 0x05, 11, 9, 0x07, 9, 0x09})
-	// Splices interleaved with same-time closures and a daemon.
+	// Same-time closures and a daemon around two retired ops.
 	f.Add([]byte{0, 0x03, 10, 0x03, 0x23, 1, 0x03, 10, 0x02, 0x31, 0, 0x03, 9, 0x04, 9, 0x08})
 	rng := NewRand(14)
 	for i := 0; i < 24; i++ {
@@ -214,14 +216,13 @@ func FuzzWheelMatchesHeap(f *testing.F) {
 				if s := m.reserve(); s != reserved[len(reserved)-1] {
 					t.Fatalf("ReserveSeq = %d, model %d", reserved[len(reserved)-1], s)
 				}
-			case 3: // AtSeq under the oldest unused reservation
+			case 3: // retired: the oldest reservation stays unused, a hole in the sequence
 				if len(reserved) == 0 {
 					continue
 				}
-				at, id, seq := e.Now()+delta(), len(handles), reserved[0]
+				delta()
 				reserved = reserved[1:]
-				handles = append(handles, e.AtSeq(at, closure(id), seq))
-				m.add(at, seq, id, false, -1)
+				handles = append(handles, EventHandle{})
 			case 4, 5: // AtNode, AtNodeSeq
 				k := int(next()) % fuzzNodes
 				at := e.Now() + delta()
@@ -242,7 +243,7 @@ func FuzzWheelMatchesHeap(f *testing.F) {
 				}
 				id := int(next()) % len(handles)
 				if handles[id] == (EventHandle{}) {
-					continue // a splice: not cancellable
+					continue // a retired op's id: nothing was scheduled
 				}
 				if got, want := handles[id].Cancel(), m.remove(id); got != want {
 					t.Fatalf("step %d: Cancel(closure %d) = %v, model %v", step, id, got, want)
@@ -264,18 +265,10 @@ func FuzzWheelMatchesHeap(f *testing.F) {
 				e.Run(until)
 				m.run(until)
 				check("Run")
-			case 10: // Splice up to four ascending firings
-				at, b := e.Now()+delta(), next()
-				times := []Time{at}
-				for i := 0; i < int(b>>4)%4; i++ {
-					times = append(times, times[i]+fuzzDeltas[b&15]*Time(i%2))
-				}
-				id := len(handles)
-				handles = append(handles, EventHandle{}) // not cancellable
-				e.Splice(times, closure(id))
-				for _, ti := range times {
-					m.add(ti, m.reserve(), id, false, -1)
-				}
+			case 10: // retired
+				delta()
+				next()
+				handles = append(handles, EventHandle{})
 			case 11:
 				check("probe")
 			}

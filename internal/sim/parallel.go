@@ -82,9 +82,6 @@ func NewParallelEngine(engines []*Engine, window Time) *ParallelEngine {
 // Engines returns the per-domain engines.
 func (pe *ParallelEngine) Engines() []*Engine { return pe.engines }
 
-// Window returns the window (lookahead) size.
-func (pe *ParallelEngine) Window() Time { return pe.window }
-
 // SetExchange installs domain d's cross-domain merge callback. It runs on
 // domain d's worker goroutine once per window, after every domain has
 // reached the window edge, and must schedule any deliveries destined for

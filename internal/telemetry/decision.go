@@ -41,21 +41,6 @@ func (d DecisionReason) String() string {
 	return "?"
 }
 
-// ParseDecisionReason inverts String.
-func ParseDecisionReason(s string) (DecisionReason, bool) {
-	switch s {
-	case "sticky":
-		return ReasonSticky, true
-	case "new-flowlet":
-		return ReasonNewFlowlet, true
-	case "expired":
-		return ReasonExpired, true
-	case "evicted":
-		return ReasonEvicted, true
-	}
-	return 0, false
-}
-
 // DecisionEvent is one recorded SelectUplink outcome.
 type DecisionEvent struct {
 	T       sim.Time
