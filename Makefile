@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint fuzz-smoke bench bench-engine bench-quick bench-parallel bench-guard bench-guard-parallel bench-profile bench-repo bench-compare bench-smoke replay-smoke decision-smoke read-both check
+.PHONY: build test race vet lint fuzz-smoke bench bench-engine bench-quick bench-parallel bench-guard bench-guard-parallel bench-profile bench-repo bench-compare bench-smoke replay-smoke decision-smoke check
 
 build:
 	$(GO) build ./...
@@ -26,14 +26,16 @@ lint: vet
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 
-# Native fuzzing smoke (~45 s): the timing wheel against a sorted (time, seq)
-# model, and the packed congestion-table entry against the three-field one
-# it replaced. Their seed corpora already run under plain `go test`; this
-# lets the mutator look past them. One target per invocation is a go test
-# rule.
+# Native fuzzing smoke (~70 s): the timing wheel against a sorted (time, seq)
+# model, the packed congestion-table entry against the three-field one it
+# replaced, and the sink-file reader against the writer (whatever it reads
+# must re-encode to bytes that read back equal). Their seed corpora already
+# run under plain `go test`; this lets the mutator look past them. One target
+# per invocation is a go test rule.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzWheelMatchesHeap -fuzztime 20s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzMetricAgePacking -fuzztime 20s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzReadSinkFile -fuzztime 20s ./internal/telemetry
 
 # Full paper-artifact benchmarks (minutes).
 bench:
@@ -121,27 +123,18 @@ replay-smoke:
 
 # End-to-end decision-plane smoke (~30 s): a short CONGA run with one
 # failed link and -decisions on, then assert the audit trail and path
-# matrix sinks are non-empty, summarize the trail with congatrace, and
-# render the path-utilization heatmap. CI uploads the sinks and figure.
+# matrix sinks are non-empty, summarize the trail with congatrace from both
+# encodings, and render the path-utilization heatmap. CI uploads the sinks
+# and figure.
 decision-smoke:
 	$(GO) build -o /tmp/congasim ./cmd/congasim
 	/tmp/congasim -scheme conga -duration 20ms -maxflows 500 -minrto 10ms \
 		-fail 0,1,0 -telemetry decision-smoke.tel -decisions
 	test -s decision-smoke.tel/decisions.csv
 	test -s decision-smoke.tel/paths.csv
-	$(MAKE) read-both DIR=decision-smoke.tel FILE=decisions
+	$(GO) run ./cmd/congatrace -read decision-smoke.tel/decisions.csv
+	$(GO) run ./cmd/congatrace -read decision-smoke.tel/decisions.ndjson
 	$(GO) run ./cmd/congaplot -heatmap -dir decision-smoke.tel -out decision-heatmap.svg
 	test -s decision-heatmap.svg
-
-# Summarize one sink file of a telemetry directory with congatrace from its
-# CSV and from its NDJSON form and require the two reports to agree below
-# their first line (which names the file), so the two readers cannot drift:
-# make read-both DIR=decision-smoke.tel FILE=decisions
-read-both:
-	@csv=$$($(GO) run ./cmd/congatrace -read $(DIR)/$(FILE).csv) && echo "$$csv" && \
-	ndjson=$$($(GO) run ./cmd/congatrace -read $(DIR)/$(FILE).ndjson) && \
-	if [ "$$(echo "$$csv" | tail -n +2)" != "$$(echo "$$ndjson" | tail -n +2)" ]; then \
-		echo "$(FILE).ndjson reads differently:"; echo "$$ndjson"; exit 1; \
-	fi
 
 check: build vet test race

@@ -1,11 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"conga/internal/plot"
@@ -15,9 +14,8 @@ import (
 // renderHeatmap draws the path-utilization figure from the decision plane's
 // flushed path load matrix: one row per (srcLeaf, uplink), one column per
 // destination leaf, cell heat = bytes routed (flowlet counts when the run
-// recorded no bytes). Input is paths.ndjson (preferred) or paths.csv from a
-// congasim -decisions run.
-func renderHeatmap(dir, out, title string, width int) error {
+// recorded no bytes). Input is the paths file of a congasim -decisions run.
+func renderHeatmap(stdout io.Writer, dir, out, title string, width int) error {
 	rows, sums, err := loadPaths(dir)
 	if err != nil {
 		return err
@@ -45,120 +43,26 @@ func renderHeatmap(dir, out, title string, width int) error {
 	if err := os.WriteFile(out, []byte(svg), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("congaplot: wrote %s (%d paths, %d leaves)\n", out, len(rows), len(sums))
+	fmt.Fprintf(stdout, "congaplot: wrote %s (%d paths, %d leaves)\n", out, len(rows), len(sums))
 	return nil
 }
 
-// loadPaths reads the path load matrix sink files back into rows and
-// per-leaf summaries.
+// loadPaths reads the path load matrix sink file of dir, whichever encoding
+// it was flushed in, back into rows and per-leaf summaries.
 func loadPaths(dir string) ([]telemetry.PathRow, []telemetry.PathSummary, error) {
-	if p := filepath.Join(dir, "paths.ndjson"); fileExists(p) {
-		return loadPathsNDJSON(p)
-	}
-	if p := filepath.Join(dir, "paths.csv"); fileExists(p) {
-		return loadPathsCSV(p)
-	}
-	return nil, nil, fmt.Errorf("no paths.ndjson or paths.csv in %s (run congasim with -decisions)", dir)
-}
-
-func fileExists(p string) bool {
-	st, err := os.Stat(p)
-	return err == nil && st.Mode().IsRegular()
-}
-
-func loadPathsNDJSON(path string) ([]telemetry.PathRow, []telemetry.PathSummary, error) {
-	data, err := os.ReadFile(path)
+	paths, err := filepath.Glob(filepath.Join(dir, "paths.*"))
 	if err != nil {
 		return nil, nil, err
 	}
-	var rows []telemetry.PathRow
-	var sums []telemetry.PathSummary
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, `{"provenance":`) {
-			continue
-		}
-		if strings.HasPrefix(line, `{"summary":`) {
-			var meta struct {
-				Summary telemetry.PathSummary `json:"summary"`
-			}
-			if err := json.Unmarshal([]byte(line), &meta); err != nil {
-				return nil, nil, fmt.Errorf("%s: %w", path, err)
-			}
-			sums = append(sums, meta.Summary)
-			continue
-		}
-		var r telemetry.PathRow
-		if err := json.Unmarshal([]byte(line), &r); err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", path, err)
-		}
-		rows = append(rows, r)
+	if len(paths) == 0 {
+		return nil, nil, fmt.Errorf("no paths file in %s (run congasim with -decisions)", dir)
 	}
-	return rows, sums, nil
-}
-
-func loadPathsCSV(path string) ([]telemetry.PathRow, []telemetry.PathSummary, error) {
-	data, err := os.ReadFile(path)
+	f, err := telemetry.ReadSinkFile(paths[0])
 	if err != nil {
 		return nil, nil, err
 	}
-	var rows []telemetry.PathRow
-	var sums []telemetry.PathSummary
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		switch {
-		case line == "", strings.HasPrefix(line, "leaf,"):
-			continue
-		case strings.HasPrefix(line, "# summary "):
-			sums = append(sums, parseSummaryComment(line))
-			continue
-		case strings.HasPrefix(line, "#"):
-			continue
-		}
-		fields := strings.Split(line, ",")
-		if len(fields) != 5 {
-			return nil, nil, fmt.Errorf("%s: bad row %q", path, line)
-		}
-		var nums [5]int64
-		for i, f := range fields {
-			v, err := strconv.ParseInt(f, 10, 64)
-			if err != nil {
-				return nil, nil, fmt.Errorf("%s: bad row %q: %w", path, line, err)
-			}
-			nums[i] = v
-		}
-		rows = append(rows, telemetry.PathRow{
-			Leaf: int(nums[0]), Uplink: int(nums[1]), DstLeaf: int(nums[2]),
-			Flowlets: uint64(nums[3]), Bytes: uint64(nums[4]),
-		})
+	if f.Table != telemetry.PathTable {
+		return nil, nil, fmt.Errorf("%s is not a paths file", paths[0])
 	}
-	return rows, sums, nil
-}
-
-// parseSummaryComment parses "# summary leaf=0 flowlets=12 bytes=345
-// imbalance=1.2 entropy=0.9" back into a PathSummary.
-func parseSummaryComment(line string) telemetry.PathSummary {
-	var sm telemetry.PathSummary
-	for _, tok := range strings.Fields(strings.TrimPrefix(line, "#")) {
-		k, v, ok := strings.Cut(tok, "=")
-		if !ok {
-			continue
-		}
-		switch k {
-		case "leaf":
-			n, _ := strconv.Atoi(v)
-			sm.Leaf = n
-		case "flowlets":
-			n, _ := strconv.ParseUint(v, 10, 64)
-			sm.Flowlets = n
-		case "bytes":
-			n, _ := strconv.ParseUint(v, 10, 64)
-			sm.Bytes = n
-		case "imbalance":
-			sm.Imbalance, _ = strconv.ParseFloat(v, 64)
-		case "entropy":
-			sm.Entropy, _ = strconv.ParseFloat(v, 64)
-		}
-	}
-	return sm
+	return f.Paths, f.Summaries, nil
 }

@@ -17,15 +17,19 @@
 //	congasim -telemetry out/tel -decisions
 //	congaplot -heatmap -dir out/tel -out heatmap.svg
 //
-// With -heatmap the input is the decision plane's path load matrix
-// (paths.ndjson or paths.csv from a congasim -decisions run) and the figure
-// is a (srcLeaf, uplink) × dstLeaf heatmap of bytes routed per path, with
-// each leaf's imbalance and entropy figures in the subtitle.
+// With -heatmap the input is the decision plane's path load matrix (the
+// paths file of a congasim -decisions run) and the figure is a
+// (srcLeaf, uplink) × dstLeaf heatmap of bytes routed per path, with each
+// leaf's imbalance and entropy figures in the subtitle.
+//
+// Files are read through telemetry.ReadSinkFile, which takes CSV and NDJSON
+// alike and hands back the same probe names, units and values from either; a
+// directory flushed in both encodings yields each series once.
 //
 // The chart is a single-axis line chart: all selected series must share a
 // unit (mixing units would need a second y-axis, which congaplot refuses
 // by design — run it twice and get two figures instead). With -cdf the
-// inputs are cdf_*.csv distribution files (value,fraction rows from
+// inputs are cdf_* distribution files (value,fraction rows from
 // congasim -cdfout) and the y axis is the fixed [0,1] cumulative fraction
 // — the form of the paper's Figure 12 (throughput imbalance) and 11b
 // (hotspot queue depth).
@@ -42,72 +46,85 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
-	"strconv"
 	"strings"
 
 	"conga/internal/plot"
+	"conga/internal/telemetry"
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "congaplot:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("congaplot", flag.ContinueOnError)
 	var (
-		dir     = flag.String("dir", "", "telemetry directory flushed by a -telemetry run (reads series_*.ndjson, falling back to series_*.csv); with -cdf, a directory of cdf_*.csv files")
-		liveURL = flag.String("url", "", "base URL of a live -serve endpoint (e.g. http://localhost:8080) instead of -dir")
-		run     = flag.String("run", "", "run name on the live endpoint (default: first attached run)")
-		sel     = flag.String("series", ".", "regexp selecting which series to plot, matched against probe names")
-		out     = flag.String("out", "congaplot.svg", "output SVG path")
-		title   = flag.String("title", "", "chart title (default: derived from the selected series)")
-		width   = flag.Int("width", 860, "SVG width in px")
-		height  = flag.Int("height", 440, "SVG height in px")
-		list    = flag.Bool("list", false, "list available series names and exit")
-		cdf     = flag.Bool("cdf", false, "CDF input mode: read cdf_*.csv distribution files (value,fraction) and plot cumulative fraction on a [0,1] axis")
-		heatmap = flag.Bool("heatmap", false, "heatmap input mode: read the decision plane's paths.ndjson/paths.csv (congasim -decisions) and render the path-utilization matrix")
-		tMin    = flag.Duration("tmin", 0, "clip points before this sim time (time-series mode only)")
-		tMax    = flag.Duration("tmax", 0, "clip points after this sim time (0 = no clip; time-series mode only)")
+		dir     = fs.String("dir", "", "telemetry directory flushed by a -telemetry run (its series_* files, CSV or NDJSON); with -cdf, a directory of cdf_* files")
+		liveURL = fs.String("url", "", "base URL of a live -serve endpoint (e.g. http://localhost:8080) instead of -dir")
+		runName = fs.String("run", "", "run name on the live endpoint (default: first attached run)")
+		sel     = fs.String("series", ".", "regexp selecting which series to plot, matched against probe names")
+		out     = fs.String("out", "congaplot.svg", "output SVG path")
+		title   = fs.String("title", "", "chart title (default: derived from the selected series)")
+		width   = fs.Int("width", 860, "SVG width in px")
+		height  = fs.Int("height", 440, "SVG height in px")
+		list    = fs.Bool("list", false, "list available series names and exit")
+		cdf     = fs.Bool("cdf", false, "CDF input mode: read cdf_* distribution files (value,fraction) and plot cumulative fraction on a [0,1] axis")
+		heatmap = fs.Bool("heatmap", false, "heatmap input mode: read the decision plane's paths file (congasim -decisions) and render the path-utilization matrix")
+		tMin    = fs.Duration("tmin", 0, "clip points before this sim time (time-series mode only)")
+		tMax    = fs.Duration("tmax", 0, "clip points after this sim time (0 = no clip; time-series mode only)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if (*dir == "") == (*liveURL == "") {
-		die(fmt.Errorf("exactly one of -dir or -url is required"))
+		return fmt.Errorf("exactly one of -dir or -url is required")
 	}
 	if *cdf && *liveURL != "" {
-		die(fmt.Errorf("-cdf reads distribution files; use it with -dir"))
+		return fmt.Errorf("-cdf reads distribution files; use it with -dir")
 	}
 	if *heatmap {
 		if *liveURL != "" {
-			die(fmt.Errorf("-heatmap reads path matrix files; use it with -dir"))
+			return fmt.Errorf("-heatmap reads path matrix files; use it with -dir")
 		}
 		if *cdf {
-			die(fmt.Errorf("-heatmap and -cdf are separate figures; pick one"))
+			return fmt.Errorf("-heatmap and -cdf are separate figures; pick one")
 		}
-		die(renderHeatmap(*dir, *out, *title, *width))
-		return
+		return renderHeatmap(stdout, *dir, *out, *title, *width)
 	}
 	re, err := regexp.Compile(*sel)
-	die(err)
+	if err != nil {
+		return err
+	}
 
 	var all []plot.Series
 	switch {
 	case *cdf:
-		all, err = loadCDFDir(*dir)
+		all, err = loadDir(*dir, "cdf_", telemetry.CDFTable)
 	case *dir != "":
-		all, err = loadDir(*dir)
+		all, err = loadDir(*dir, "series_", telemetry.SeriesTable)
 	default:
-		all, err = loadURL(*liveURL, *run)
+		all, err = loadURL(*liveURL, *runName)
 	}
-	die(err)
+	if err != nil {
+		return err
+	}
 	if len(all) == 0 {
 		if *cdf {
-			die(fmt.Errorf("no cdf_*.csv files found (generate them with congasim -cdfout)"))
+			return fmt.Errorf("no cdf_* files found (generate them with congasim -cdfout)")
 		}
-		die(fmt.Errorf("no series found (is this a telemetry directory with series enabled?)"))
+		return fmt.Errorf("no series found (is this a telemetry directory with series enabled?)")
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].Name < all[j].Name })
 
 	if *list {
 		for _, s := range all {
-			fmt.Printf("%-40s %8d points  unit=%s\n", s.Name, len(s.Points), s.Unit)
+			fmt.Fprintf(stdout, "%-40s %8d points  unit=%s\n", s.Name, len(s.Points), s.Unit)
 		}
-		return
+		return nil
 	}
 
 	var picked []plot.Series
@@ -120,7 +137,7 @@ func main() {
 		}
 	}
 	if len(picked) == 0 {
-		die(fmt.Errorf("no series match %q (use -list to see names)", *sel))
+		return fmt.Errorf("no series match %q (use -list to see names)", *sel)
 	}
 
 	// One axis: refuse mixed units rather than inventing a second scale.
@@ -134,8 +151,8 @@ func main() {
 			names = append(names, u)
 		}
 		sort.Strings(names)
-		die(fmt.Errorf("selected series mix units (%s); narrow -series and render one figure per unit",
-			strings.Join(names, ", ")))
+		return fmt.Errorf("selected series mix units (%s); narrow -series and render one figure per unit",
+			strings.Join(names, ", "))
 	}
 
 	// The palette has 8 fixed slots; beyond that the chart would be
@@ -161,12 +178,15 @@ func main() {
 	} else {
 		svg = plot.Line(picked, spec)
 	}
-	die(os.WriteFile(*out, []byte(svg), 0o644))
-	fmt.Printf("congaplot: wrote %s (%d series", *out, len(picked))
-	if dropped > 0 {
-		fmt.Printf(", %d dropped — narrow -series", dropped)
+	if err := os.WriteFile(*out, []byte(svg), 0o644); err != nil {
+		return err
 	}
-	fmt.Println(")")
+	fmt.Fprintf(stdout, "congaplot: wrote %s (%d series", *out, len(picked))
+	if dropped > 0 {
+		fmt.Fprintf(stdout, ", %d dropped — narrow -series", dropped)
+	}
+	fmt.Fprintln(stdout, ")")
+	return nil
 }
 
 // clipWindow keeps points with tMin <= t <= tMax (tMax 0 = unbounded).
@@ -199,127 +219,44 @@ func defaultTitle(picked []plot.Series) string {
 	return prefix
 }
 
-// loadDir reads series from a flushed telemetry directory, preferring the
-// NDJSON files (they carry probe name and unit inline) and falling back to
-// CSV (probe name reconstructed from the filename, unit from the "# unit="
-// comment when present).
-func loadDir(dir string) ([]plot.Series, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "series_*.ndjson"))
+// loadDir reads the sink files of dir named prefix*, which must all hold the
+// wanted table (series or cdf), as plot series. A directory flushed in both
+// encodings holds every probe twice, as <stem>.csv and <stem>.ndjson, which
+// read back the same: one file per stem is read. A series with no points has
+// nothing to list or plot and is left out (its NDJSON file is empty, so only
+// its CSV file could name it).
+func loadDir(dir, prefix string, table *telemetry.Table) ([]plot.Series, error) {
+	paths, err := filepath.Glob(filepath.Join(dir, prefix+"*"))
 	if err != nil {
 		return nil, err
 	}
-	if len(paths) > 0 {
-		var out []plot.Series
-		for _, p := range paths {
-			s, err := loadNDJSON(p)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", p, err)
-			}
+	var out []plot.Series
+	seen := map[string]bool{}
+	for _, p := range paths {
+		stem := strings.TrimSuffix(p, filepath.Ext(p))
+		if seen[stem] {
+			continue
+		}
+		seen[stem] = true
+		f, err := telemetry.ReadSinkFile(p)
+		if err != nil {
+			return nil, err
+		}
+		if f.Table != table && f.Table != nil {
+			return nil, fmt.Errorf("%s holds the %s table, not %s", p, f.Table.Name, table.Name)
+		}
+		s := plot.Series{Name: f.Probe, Unit: f.Unit, Points: f.CDF}
+		if s.Name == "" { // a file older than the "# probe=" line
+			s.Name = strings.TrimPrefix(filepath.Base(stem), prefix)
+		}
+		for _, pt := range f.Points {
+			s.Points = append(s.Points, [2]float64{float64(pt.T), pt.V})
+		}
+		if len(s.Points) > 0 {
 			out = append(out, s)
 		}
-		return out, nil
-	}
-	paths, err = filepath.Glob(filepath.Join(dir, "series_*.csv"))
-	if err != nil {
-		return nil, err
-	}
-	var out []plot.Series
-	for _, p := range paths {
-		s, err := loadCSV(p, "series_")
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", p, err)
-		}
-		out = append(out, s)
 	}
 	return out, nil
-}
-
-// loadCDFDir reads the cdf_*.csv distribution files congasim -cdfout
-// writes: a "# unit=..." comment, a value,fraction header, then rows.
-func loadCDFDir(dir string) ([]plot.Series, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "cdf_*.csv"))
-	if err != nil {
-		return nil, err
-	}
-	var out []plot.Series
-	for _, p := range paths {
-		s, err := loadCSV(p, "cdf_")
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", p, err)
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
-
-func loadNDJSON(path string) (plot.Series, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return plot.Series{}, err
-	}
-	s := plot.Series{Name: seriesNameFromFile(path, "series_", ".ndjson")}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		var row struct {
-			Probe  string  `json:"probe"`
-			Unit   string  `json:"unit"`
-			TimeNs int64   `json:"time_ns"`
-			Value  float64 `json:"value"`
-		}
-		if err := json.Unmarshal([]byte(line), &row); err != nil {
-			return plot.Series{}, err
-		}
-		if row.Probe != "" {
-			s.Name = row.Probe
-		}
-		if row.Unit != "" {
-			s.Unit = row.Unit
-		}
-		s.Points = append(s.Points, [2]float64{float64(row.TimeNs), row.Value})
-	}
-	return s, nil
-}
-
-// loadCSV reads a two-column CSV (time_ns,value or value,fraction),
-// skipping the header row and "#" comment lines; a "# unit=..." comment
-// sets the series unit.
-func loadCSV(path, prefix string) (plot.Series, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return plot.Series{}, err
-	}
-	s := plot.Series{Name: seriesNameFromFile(path, prefix, ".csv")}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		switch {
-		case line == "", strings.HasPrefix(line, "time_ns"), strings.HasPrefix(line, "value"):
-			continue
-		case strings.HasPrefix(line, "#"):
-			if u, ok := strings.CutPrefix(strings.TrimSpace(strings.TrimPrefix(line, "#")), "unit="); ok {
-				s.Unit = u
-			}
-			continue
-		}
-		aStr, bStr, ok := strings.Cut(line, ",")
-		if !ok {
-			continue
-		}
-		a, err1 := strconv.ParseFloat(aStr, 64)
-		b, err2 := strconv.ParseFloat(bStr, 64)
-		if err1 != nil || err2 != nil {
-			return plot.Series{}, fmt.Errorf("bad row %q", line)
-		}
-		s.Points = append(s.Points, [2]float64{a, b})
-	}
-	return s, nil
-}
-
-func seriesNameFromFile(path, prefix, ext string) string {
-	base := strings.TrimSuffix(filepath.Base(path), ext)
-	return strings.TrimPrefix(base, prefix)
 }
 
 // loadURL reads series from a live -serve endpoint: /series for the name
@@ -375,11 +312,4 @@ func getJSON(u string, v any) error {
 		return fmt.Errorf("GET %s: %s: %s", u, resp.Status, strings.TrimSpace(string(body)))
 	}
 	return json.NewDecoder(resp.Body).Decode(v)
-}
-
-func die(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "congaplot:", err)
-		os.Exit(1)
-	}
 }

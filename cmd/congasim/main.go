@@ -18,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -296,8 +295,9 @@ func writeTrace(path string, tr *replay.Trace) {
 		tr.Header.Flows, float64(tr.Header.Bytes)/1e6, path)
 }
 
-// writeCDFs emits the run's collected CDFs as value,fraction CSVs that
-// congaplot -cdf renders (paper Figures 12 and 11b).
+// writeCDFs emits the run's collected CDFs as the sink's cdf_* files
+// (value,fraction rows), which congaplot -cdf renders (paper Figures 12 and
+// 11b).
 func writeCDFs(dir string, r *conga.FCTResult) {
 	if dir == "" {
 		return
@@ -306,39 +306,19 @@ func writeCDFs(dir string, r *conga.FCTResult) {
 		fmt.Println("cdfout: no CDFs collected (pass -imbalance and/or -queues)")
 		return
 	}
-	die(os.MkdirAll(dir, 0o755))
+	sink, n := telemetry.FileSink{Dir: dir}, 0
 	write := func(name, unit string, cdf conga.CDF) {
-		if cdf == nil {
-			return
+		if cdf != nil {
+			die(sink.Write(&telemetry.SinkFile{Table: telemetry.CDFTable, Probe: name, Unit: unit, CDF: cdf}))
+			n++
 		}
-		f, err := os.Create(filepath.Join(dir, name))
-		die(err)
-		fmt.Fprintf(f, "# unit=%s\n", unit)
-		fmt.Fprintln(f, "value,fraction")
-		for _, p := range cdf {
-			fmt.Fprintf(f, "%g,%g\n", p[0], p[1])
-		}
-		die(f.Close())
-		fmt.Printf("cdfout: wrote %s\n", filepath.Join(dir, name))
 	}
-	write("cdf_imbalance.csv", "ratio", r.ImbalanceCDF)
-	write("cdf_queue_hotspot.csv", "bytes", r.HotspotQueueCDF)
+	write("imbalance", "ratio", r.ImbalanceCDF)
+	write("queue_hotspot", "bytes", r.HotspotQueueCDF)
 	for name, cdf := range r.QueueCDFs {
-		write("cdf_queue_"+sanitize(name)+".csv", "bytes", cdf)
+		write("queue_"+name, "bytes", cdf)
 	}
-}
-
-// sanitize mirrors the telemetry sinks' filename rules.
-func sanitize(name string) string {
-	name = strings.ReplaceAll(name, "->", "-")
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '.', r == '_', r == '-':
-			return r
-		}
-		return '-'
-	}, name)
+	fmt.Printf("cdfout: wrote %d cdf_*.csv files to %s\n", n, dir)
 }
 
 func printTelemetry(reg *conga.TelemetryRegistry, dir string) {

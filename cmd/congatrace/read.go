@@ -1,44 +1,41 @@
 package main
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"conga/internal/replay"
+	"conga/internal/telemetry"
 )
 
 // readTrace prints a summary of any trace file this repo produces: a
 // workload replay trace (internal/replay, either format — header with
-// version, fingerprint and flow count), a flowlet routing audit trail
-// (decisions.csv / decisions.ndjson from a -decisions run), or a packet
-// trace flushed by internal/telemetry: trace.csv (header comment line "# capture=...
-// cap=... suppressed=...") or trace.ndjson (leading {"capture":{...}}
-// meta object). Older files without the header still summarize; the
-// capture section just reports "unknown (no capture header)".
+// version, fingerprint and flow count), or a packet trace or flowlet routing
+// audit trail flushed by internal/telemetry, in either encoding and under any
+// file name: telemetry.ReadSinkFile says which table the file holds. Files
+// older than the capture header still summarize; the capture section just
+// reports "unknown (no capture header)".
 func readTrace(w io.Writer, path string) error {
 	if replay.IsTraceFile(path) {
 		return readReplayTrace(w, path)
 	}
-	if isDecisionFile(path) {
-		return readDecisions(w, path)
-	}
-	f, err := os.Open(path)
+	f, err := telemetry.ReadSinkFile(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-
-	if strings.HasSuffix(path, ".ndjson") || strings.HasSuffix(path, ".json") {
-		return readNDJSON(w, path, f)
+	switch f.Table {
+	case telemetry.TraceTable:
+		printTraceReport(w, path, f)
+	case telemetry.DecisionTable:
+		printDecisionReport(w, path, f)
+	case nil:
+		return fmt.Errorf("%s: no rows and no capture header: neither a packet trace nor a decision trail", path)
+	default:
+		return fmt.Errorf("%s holds the %s table, not a packet trace or a decision trail", path, f.Table.Name)
 	}
-	return readCSV(w, path, f)
+	return nil
 }
 
 // readReplayTrace summarizes a workload replay trace: provenance header,
@@ -89,216 +86,69 @@ func readReplayTrace(w io.Writer, path string) error {
 	return nil
 }
 
-// capture is the policy block both formats carry. Fields mirror
-// telemetry.CaptureInfo but are parsed from the file so the reader works
-// on traces produced by other builds.
-type capture struct {
-	present    bool
-	provenance string
-	Mode       string `json:"mode"`
-	Cap        int64  `json:"cap"`
-	Recorded   int64  `json:"recorded"`
-	Seen       int64  `json:"seen"`
-	Suppressed int64  `json:"suppressed"`
-	Trigger    string `json:"trigger"`
-	Triggered  bool   `json:"triggered"`
-	AtNs       int64  `json:"triggered_at_ns"`
-	Reason     string `json:"reason"`
-}
-
-// eventSummary accumulates per-kind counts and the time span while
-// scanning event rows.
-type eventSummary struct {
-	total   int64
-	kinds   map[string]int64
-	flows   map[int64]struct{}
-	tMin    int64
-	tMax    int64
-	haveAny bool
-}
-
-func newEventSummary() *eventSummary {
-	return &eventSummary{kinds: map[string]int64{}, flows: map[int64]struct{}{}}
-}
-
-func (s *eventSummary) add(tNs int64, kind string, flow int64) {
-	s.total++
-	s.kinds[kind]++
-	s.flows[flow] = struct{}{}
-	if !s.haveAny || tNs < s.tMin {
-		s.tMin = tNs
-	}
-	if !s.haveAny || tNs > s.tMax {
-		s.tMax = tNs
-	}
-	s.haveAny = true
-}
-
-func readCSV(w io.Writer, path string, f *os.File) error {
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var cap capture
-	sum := newEventSummary()
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		switch {
-		case line == "" || strings.HasPrefix(line, "time_ns,"):
-			continue
-		case strings.HasPrefix(line, "# provenance="):
-			cap.provenance = strings.TrimPrefix(line, "# provenance=")
-			continue
-		case strings.HasPrefix(line, "#"):
-			parseCaptureComment(line, &cap)
-			continue
-		}
-		// time_ns,event,where,flow,... — time and event are never quoted;
-		// flow is field 3 when "where" is unquoted (link and host names
-		// contain no commas; a quoted where just loses the flow count for
-		// that row, nothing else).
-		fields := strings.Split(line, ",")
-		if len(fields) < 4 {
-			continue
-		}
-		tNs, err := strconv.ParseInt(fields[0], 10, 64)
-		if err != nil {
-			continue
-		}
-		flow := int64(-1)
-		if v, err := strconv.ParseInt(fields[3], 10, 64); err == nil {
-			flow = v
-		}
-		sum.add(tNs, fields[1], flow)
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	printTraceReport(w, path, cap, sum)
-	return nil
-}
-
-// parseCaptureComment parses the "# capture=head cap=65536 recorded=..."
-// line the CSV FileSink writes as the first line of trace.csv.
-func parseCaptureComment(line string, c *capture) {
-	for _, tok := range strings.Fields(strings.TrimPrefix(line, "#")) {
-		k, v, ok := strings.Cut(tok, "=")
-		if !ok {
-			continue
-		}
-		switch k {
-		case "capture":
-			c.Mode, c.present = v, true
-		case "cap":
-			c.Cap, _ = strconv.ParseInt(v, 10, 64)
-		case "recorded":
-			c.Recorded, _ = strconv.ParseInt(v, 10, 64)
-		case "seen":
-			c.Seen, _ = strconv.ParseInt(v, 10, 64)
-		case "suppressed":
-			c.Suppressed, _ = strconv.ParseInt(v, 10, 64)
-		case "trigger":
-			c.Trigger = v
-		case "triggered":
-			c.Triggered = v == "true"
-		case "triggered_at_ns":
-			c.AtNs, _ = strconv.ParseInt(v, 10, 64)
-		case "reason":
-			c.Reason = v
-		}
+// warnRecorded flags a capture header whose recorded count is not the number
+// of rows under it.
+func warnRecorded(w io.Writer, c *telemetry.CaptureInfo, rows int) {
+	if c.Recorded != rows {
+		fmt.Fprintf(w, "  WARNING: header says recorded %d but the file holds %d rows (file truncated or mixed?)\n", c.Recorded, rows)
 	}
 }
 
-// scanMetaJSON folds an NDJSON meta line — {"provenance":…} or {"capture":…},
-// which a sink file carries ahead of its rows — into c and reports whether
-// line was one. The capture object replaces the policy fields only: the
-// provenance line comes first in the file and must survive it.
-func scanMetaJSON(line string, c *capture) bool {
-	switch {
-	case strings.HasPrefix(line, `{"provenance":`):
-		var meta struct {
-			Provenance string `json:"provenance"`
-		}
-		if err := json.Unmarshal([]byte(line), &meta); err == nil {
-			c.provenance = meta.Provenance
-		}
-	case strings.HasPrefix(line, `{"capture":`):
-		var meta struct {
-			Capture capture `json:"capture"`
-		}
-		if err := json.Unmarshal([]byte(line), &meta); err == nil {
-			meta.Capture.present, meta.Capture.provenance = true, c.provenance
-			*c = meta.Capture
-		}
-	default:
-		return false
-	}
-	return true
-}
-
-func readNDJSON(w io.Writer, path string, f *os.File) error {
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var cap capture
-	sum := newEventSummary()
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if scanMetaJSON(line, &cap) {
-			continue
-		}
-		var ev struct {
-			TimeNs int64  `json:"time_ns"`
-			Event  string `json:"event"`
-			Flow   int64  `json:"flow"`
-		}
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			continue
-		}
-		sum.add(ev.TimeNs, ev.Event, ev.Flow)
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	printTraceReport(w, path, cap, sum)
-	return nil
-}
-
-func printTraceReport(w io.Writer, path string, c capture, sum *eventSummary) {
+func printTraceReport(w io.Writer, path string, f *telemetry.SinkFile) {
 	fmt.Fprintf(w, "trace: %s\n", path)
-	if c.provenance != "" {
-		fmt.Fprintf(w, "provenance: %s\n", c.provenance)
+	if f.Provenance != "" {
+		fmt.Fprintf(w, "provenance: %s\n", f.Provenance)
 	}
-	if !c.present {
+	if c := f.Capture; c == nil {
 		fmt.Fprintln(w, "capture: unknown (no capture header; pre-policy trace, assumed keep-head)")
 	} else {
 		fmt.Fprintf(w, "capture: %s, capacity %d events\n", c.Mode, c.Cap)
 		fmt.Fprintf(w, "  recorded %d of %d matching events seen; %d suppressed by the %s policy\n",
 			c.Recorded, c.Seen, c.Suppressed, c.Mode)
+		warnRecorded(w, c, len(f.Trace))
 		switch {
-		case c.Trigger == "" || c.Trigger == "none":
+		case c.Trigger == 0:
 			fmt.Fprintln(w, "  trigger: none")
 		case c.Triggered:
 			fmt.Fprintf(w, "  trigger: %s — FIRED at %v (%s); trace frozen\n",
-				c.Trigger, time.Duration(c.AtNs), c.Reason)
+				c.Trigger, time.Duration(c.TriggeredAt), c.TriggerReason)
 		default:
 			fmt.Fprintf(w, "  trigger: %s — armed, never fired\n", c.Trigger)
 		}
 	}
-	if !sum.haveAny {
+	if len(f.Trace) == 0 {
 		fmt.Fprintln(w, "events: none recorded")
 		return
 	}
-	span := time.Duration(sum.tMax - sum.tMin)
+	counts := map[telemetry.TraceKind]int{}
+	flows := map[uint64]struct{}{}
+	tMin, tMax := f.Trace[0].T, f.Trace[0].T
+	for _, e := range f.Trace {
+		counts[e.Kind]++
+		flows[e.FlowID] = struct{}{}
+		tMin, tMax = min(tMin, e.T), max(tMax, e.T)
+	}
 	fmt.Fprintf(w, "events: %d recorded over %v (%v .. %v), %d distinct flows\n",
-		sum.total, span, time.Duration(sum.tMin), time.Duration(sum.tMax), len(sum.flows))
-	kinds := make([]string, 0, len(sum.kinds))
-	for k := range sum.kinds {
+		len(f.Trace), time.Duration(tMax-tMin), time.Duration(tMin), time.Duration(tMax), len(flows))
+	printMix(w, counts, len(f.Trace))
+}
+
+// printMix prints one line per kind of row, most frequent first.
+func printMix[K interface {
+	~uint8
+	String() string
+}](w io.Writer, counts map[K]int, total int) {
+	kinds := make([]K, 0, len(counts))
+	for k := range counts {
 		kinds = append(kinds, k)
 	}
-	sort.Slice(kinds, func(i, j int) bool { return sum.kinds[kinds[i]] > sum.kinds[kinds[j]] })
+	sort.Slice(kinds, func(i, j int) bool {
+		if counts[kinds[i]] != counts[kinds[j]] {
+			return counts[kinds[i]] > counts[kinds[j]]
+		}
+		return kinds[i] < kinds[j]
+	})
 	for _, k := range kinds {
-		n := sum.kinds[k]
-		fmt.Fprintf(w, "  %-12s %10d  (%5.1f%%)\n", k, n, float64(n)/float64(sum.total)*100)
+		fmt.Fprintf(w, "  %-12s %10d  (%5.1f%%)\n", k, counts[k], float64(counts[k])/float64(total)*100)
 	}
 }

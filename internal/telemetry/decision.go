@@ -26,20 +26,10 @@ const (
 	ReasonEvicted
 )
 
+var reasonNames = []string{"sticky", "new-flowlet", "expired", "evicted"}
+
 // String returns the reason name used in flushed decision files.
-func (d DecisionReason) String() string {
-	switch d {
-	case ReasonSticky:
-		return "sticky"
-	case ReasonNewFlowlet:
-		return "new-flowlet"
-	case ReasonExpired:
-		return "expired"
-	case ReasonEvicted:
-		return "evicted"
-	}
-	return "?"
-}
+func (d DecisionReason) String() string { return nameOf(reasonNames, d) }
 
 // DecisionEvent is one recorded SelectUplink outcome.
 type DecisionEvent struct {

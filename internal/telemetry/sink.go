@@ -3,6 +3,7 @@ package telemetry
 import (
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"math"
 	"os"
@@ -11,6 +12,8 @@ import (
 	"strings"
 	"sync"
 	"unicode/utf8"
+
+	"conga/internal/sim"
 )
 
 // sanitizeName makes a probe name filesystem-safe: "->" collapses to "-",
@@ -27,35 +30,52 @@ func sanitizeName(name string) string {
 	}, name)
 }
 
-// FileSink writes a registry's probes at flush time, which is after the
-// engine has stopped, so its cost never perturbs simulation order. It writes
-// one file per probe into Dir (created if missing), as CSV
-// — counters.csv, series_<name>.csv (columns time_ns,value), trace.csv,
-// decisions.csv, paths.csv — or, with NDJSON set, as newline-delimited JSON
-// under the same names, one object per row keyed by the CSV column names.
-// When Provenance is set every file but the series opens with a line naming
-// the workload that drove the run. Provenance, a trace's capture policy and
-// the per-leaf balance summaries are "# key=value" comment lines in CSV
-// (parsed back by cmd/congatrace -read) and {"provenance":…}, {"capture":…},
-// {"summary":…} meta lines in NDJSON, which readers skip by key.
+// FileSink writes sink files into Dir (created if missing), as CSV or, with
+// NDJSON set, as newline-delimited JSON. A registry flushes through it after
+// the engine has stopped, so its cost never perturbs simulation order.
 type FileSink struct {
-	Dir        string
-	Provenance string
-	NDJSON     bool
+	Dir    string
+	NDJSON bool
 }
 
-// table is one record type's column schema. CSV prints the names once as a
-// header line; NDJSON repeats them as the keys of every row. The first lead
+// SinkFile is one sink file in memory: what FileSink.Write encodes and
+// ReadSinkFile decodes; DESIGN.md §3.3 tabulates the bytes in between.
+type SinkFile struct {
+	// Table says which of the row slices below is in use. An NDJSON file
+	// with no rows and no capture or summary line names no table and reads
+	// back with Table nil.
+	Table *Table
+	// Provenance, when set, names the workload that drove the run.
+	Provenance string
+	// Capture is a trace's or decision trail's capture header; nil when the
+	// file has none (files older than the capture policies).
+	Capture *CaptureInfo
+	// Probe and Unit are the lead columns of a series or CDF file.
+	Probe, Unit string
+
+	Counters  []CounterRow
+	Points    []Point      // series
+	CDF       [][2]float64 // (value, cumulative fraction)
+	Trace     []TraceEvent
+	Decisions []DecisionEvent // Metrics is empty for sticky hits, which carry none
+	Summaries []PathSummary   // paths: one per leaf, ahead of the rows
+	Paths     []PathRow
+}
+
+// Table is one record type's column schema. CSV prints the names once as a
+// column line; NDJSON repeats them as the keys of every row. The first lead
 // columns are constant per file (a series' probe name and unit): NDJSON
-// carries them on every row, CSV leaves them to the file name.
-type table struct {
+// carries them on every row, CSV as "# probe=…" lines ahead of the column
+// line.
+type Table struct {
+	Name string // and the file's: counters.csv, series_<probe>.ndjson
 	cols []string
 	lead int
 	keys []string // `{"a":`, `,"b":`, … — the NDJSON text before each value
 }
 
-func newTable(lead int, cols ...string) *table {
-	t := &table{cols: cols, lead: lead}
+func newTable(name string, lead int, cols ...string) *Table {
+	t := &Table{Name: name, cols: cols, lead: lead}
 	for i, c := range cols {
 		open := ","
 		if i == 0 {
@@ -66,108 +86,184 @@ func newTable(lead int, cols ...string) *table {
 	return t
 }
 
+// The column names live here and nowhere else; SinkFile.row and the two
+// header functions below say which field each one is.
 var (
-	counterTable  = newTable(0, "group", "name", "counter", "value")
-	seriesTable   = newTable(2, "probe", "unit", "time_ns", "value")
-	traceTable    = newTable(0, "time_ns", "event", "where", "flow", "src", "dst", "sport", "dport", "seq", "payload")
-	decisionTable = newTable(0, "time_ns", "src_leaf", "dst_leaf", "uplink", "reason", "age_ns", "metrics")
-	pathTable     = newTable(0, "leaf", "uplink", "dst_leaf", "flowlets", "bytes")
+	CounterTable  = newTable("counters", 0, "group", "name", "counter", "value")
+	SeriesTable   = newTable("series", 2, "probe", "unit", "time_ns", "value")
+	CDFTable      = newTable("cdf", 2, "probe", "unit", "value", "fraction")
+	TraceTable    = newTable("trace", 0, "time_ns", "event", "where", "flow", "src", "dst", "sport", "dport", "seq", "payload")
+	DecisionTable = newTable("decisions", 0, "time_ns", "src_leaf", "dst_leaf", "uplink", "reason", "age_ns", "metrics")
+	PathTable     = newTable("paths", 0, "leaf", "uplink", "dst_leaf", "flowlets", "bytes")
+
+	tables = []*Table{CounterTable, SeriesTable, CDFTable, TraceTable, DecisionTable, PathTable}
+
+	// The capture and summary header lines are rows of these two, nested
+	// under the table's name in NDJSON and spelled "# summary leaf=0 …" in
+	// CSV. A decision trail has no trigger: its NDJSON capture line stops
+	// after captureCore fields.
+	captureMeta = newTable("capture", 0, "mode", "cap", "recorded", "seen", "suppressed", "trigger", "triggered", "triggered_at_ns", "reason")
+	summaryMeta = newTable("summary", 0, "leaf", "flowlets", "bytes", "imbalance", "entropy")
 )
 
-// Counters writes the flat counter rows.
-func (s FileSink) Counters(rows []CounterRow) error {
-	return s.write("counters", counterTable, func(w *rowWriter) {
-		w.provenance(s.Provenance)
-		w.header()
-		for _, r := range rows {
-			w.token(r.Group)
-			w.str(r.Name)
-			w.token(r.Counter)
-			w.uint(r.Value)
-			w.end()
+const captureCore = 5
+
+// row returns pointers to the columns of the i-th row of f's table, in the
+// table's column order (lead columns aside), for the encoder to read through
+// and the decoder to write through. With grow, a row one past the last is
+// appended first; without, it is nil.
+func (f *SinkFile) row(i int, grow bool, to []any) []any {
+	switch f.Table {
+	case CounterTable:
+		if r := at(&f.Counters, i, grow); r != nil {
+			return append(to, &r.Group, &r.Name, &r.Counter, &r.Value)
 		}
-	})
+	case SeriesTable:
+		if p := at(&f.Points, i, grow); p != nil {
+			return append(to, &p.T, &p.V)
+		}
+	case CDFTable:
+		if p := at(&f.CDF, i, grow); p != nil {
+			return append(to, &p[0], &p[1])
+		}
+	case TraceTable:
+		if e := at(&f.Trace, i, grow); e != nil {
+			return append(to, &e.T, &e.Kind, &e.Where, &e.FlowID, &e.Src, &e.Dst, &e.SrcPort, &e.DstPort, &e.Seq, &e.Payload)
+		}
+	case DecisionTable:
+		if e := at(&f.Decisions, i, grow); e != nil {
+			return append(to, &e.T, &e.SrcLeaf, &e.DstLeaf, &e.Uplink, &e.Reason, &e.AgeNs, &e.Metrics)
+		}
+	case PathTable:
+		if r := at(&f.Paths, i, grow); r != nil {
+			return append(to, &r.Leaf, &r.Uplink, &r.DstLeaf, &r.Flowlets, &r.Bytes)
+		}
+	}
+	return nil
 }
 
-// Series writes one series' points.
-func (s FileSink) Series(sr *Series) error {
-	return s.write("series_"+sanitizeName(sr.Name()), seriesTable, func(w *rowWriter) {
-		w.leadValues(sr.Name(), sr.Unit())
-		w.header()
-		for _, p := range sr.Points() {
-			w.ints(int64(p.T))
-			w.float(p.V)
-			w.end()
+func at[T any](rows *[]T, i int, grow bool) *T {
+	if i == len(*rows) {
+		if !grow {
+			return nil
 		}
-	})
+		*rows = append(*rows, *new(T))
+	}
+	return &(*rows)[i]
 }
 
-// Trace writes the packet trace under its capture header.
-func (s FileSink) Trace(tr *PacketTrace) error {
-	return s.write("trace", traceTable, func(w *rowWriter) {
-		w.provenance(s.Provenance)
-		w.capture(tr.Info(), true)
-		w.header()
-		for _, e := range tr.Events() {
-			w.ints(int64(e.T))
-			w.token(e.Kind.String())
-			w.str(e.Where)
-			w.uint(e.FlowID)
-			w.ints(int64(e.Src), int64(e.Dst), int64(e.SrcPort), int64(e.DstPort), e.Seq, int64(e.Payload))
-			w.end()
-		}
-	})
+// captureRow and summaryRow are row for the header tables.
+func captureRow(c *CaptureInfo, to []any) []any {
+	return append(to, &c.Mode, &c.Cap, &c.Recorded, &c.Seen, &c.Suppressed, &c.Trigger, &c.Triggered, &c.TriggeredAt, &c.TriggerReason)
 }
 
-// Decisions writes one row per retained SelectUplink outcome;
-// the candidate metric vector is "3|0|7|2" inside one CSV field ("" for
-// sticky hits, which carry none) and an array in NDJSON.
-func (s FileSink) Decisions(tr *DecisionTrace) error {
-	return s.write("decisions", decisionTable, func(w *rowWriter) {
-		w.provenance(s.Provenance)
-		w.capture(tr.Info(), false)
-		w.header()
-		for _, e := range tr.Events() {
-			w.ints(int64(e.T), int64(e.SrcLeaf), int64(e.DstLeaf), int64(e.Uplink))
-			w.token(e.Reason.String())
-			w.ints(e.AgeNs)
-			w.metrics(e.Metrics)
-			w.end()
-		}
-	})
+func summaryRow(s *PathSummary, to []any) []any {
+	return append(to, &s.Leaf, &s.Flowlets, &s.Bytes, &s.Imbalance, &s.Entropy)
 }
 
-// Paths writes the non-empty path load matrix cells, after one summary line
-// per leaf carrying the balance figures.
-func (s FileSink) Paths(rows []PathRow, sums []PathSummary) error {
-	return s.write("paths", pathTable, func(w *rowWriter) {
-		w.provenance(s.Provenance)
-		for _, sm := range sums {
-			w.summary(sm)
+// Write creates Dir/<table>[_<probe>].{csv,ndjson} and encodes f, whose Table
+// must be set, into it.
+// The directory is only created when the create fails for want of it, so a
+// flush of hundreds of series files pays for it once.
+func (s FileSink) Write(f *SinkFile) error {
+	base, ext := f.Table.Name, ".csv"
+	if f.Table.lead > 0 {
+		base += "_" + sanitizeName(f.Probe)
+	}
+	if s.NDJSON {
+		ext = ".ndjson"
+	}
+	path := filepath.Join(s.Dir, base+ext)
+	out, err := os.Create(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		if err = os.MkdirAll(s.Dir, 0o755); err == nil {
+			out, err = os.Create(path)
 		}
-		w.header()
-		for _, r := range rows {
-			w.ints(int64(r.Leaf), int64(r.Uplink), int64(r.DstLeaf))
-			w.uint(r.Flowlets)
-			w.uint(r.Bytes)
-			w.end()
-		}
-	})
+	}
+	if err != nil {
+		return err
+	}
+	err = f.encode(out, s.NDJSON)
+	if cerr := out.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
-// rowWriter encodes rows of one table into one file, as CSV or NDJSON. Each
-// value method appends the column's separator or key and then the value
-// with strconv.Append*, so a row costs no allocation and no reflection; the
-// buffer is handed to the file in large writes and recycled across files.
+// encode writes the header lines — provenance, capture, summaries, lead
+// columns, the CSV column line — and then the rows of f's table.
+func (f *SinkFile) encode(out io.Writer, ndjson bool) error {
+	w := rowWriters.Get().(*rowWriter)
+	*w = rowWriter{buf: w.buf[:0], rowStart: w.rowStart[:0], t: f.Table, json: ndjson, col: f.Table.lead, out: out}
+	switch {
+	case f.Provenance == "":
+	case ndjson:
+		w.buf = append(appendJSONString(append(w.buf, `{"provenance":`...), f.Provenance), "}\n"...)
+	default:
+		w.buf = append(w.buf, "# provenance="+f.Provenance+"\n"...)
+	}
+	if f.Capture != nil {
+		info, n := *f.Capture, len(captureMeta.cols)
+		if ndjson && f.Table != TraceTable {
+			n = captureCore
+		} else if !ndjson { // no quoting in a "# …" line
+			info.TriggerReason = sanitizeName(info.TriggerReason)
+		}
+		w.headerLine(captureMeta, captureRow(&info, nil)[:n])
+	}
+	for i := range f.Summaries {
+		w.headerLine(summaryMeta, summaryRow(&f.Summaries[i], nil))
+	}
+	for i, v := range []string{f.Probe, f.Unit}[:w.t.lead] {
+		if ndjson {
+			w.rowStart = appendJSONString(append(w.rowStart, w.t.keys[i]...), v)
+		} else {
+			// The value runs to the end of its line, so only a newline (and
+			// the backslash that escapes it) needs escaping.
+			w.buf = append(w.buf, "# "+w.t.cols[i]+"="+leadEscaper.Replace(v)+"\n"...)
+		}
+	}
+	if !ndjson {
+		w.buf = append(w.buf, strings.Join(w.t.cols[w.t.lead:], ",")+"\n"...)
+	}
+	// cols stays out of the pooled writer: its pointers would keep f's rows
+	// alive into the next run.
+	var cols []any
+	for i := 0; ; i++ {
+		if cols = f.row(i, false, cols[:0]); cols == nil {
+			break
+		}
+		w.values(cols)
+		w.end()
+	}
+	w.flush()
+	err := w.err
+	w.out = nil
+	rowWriters.Put(w)
+	return err
+}
+
+var (
+	leadEscaper   = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+	leadUnescaper = strings.NewReplacer(`\\`, `\`, `\n`, "\n")
+)
+
+// rowWriter encodes rows of one table into one file, as CSV or NDJSON: before
+// each value its separator or key, then the value with strconv.Append*, so a
+// row costs no allocation and no reflection; the buffer is handed to the file
+// in large writes and recycled across files.
 type rowWriter struct {
 	buf  []byte
-	t    *table
+	t    *Table
 	json bool
-	col  int
+	// header is set inside a capture or summary line, whose CSV form is
+	// " key=value" fields.
+	header bool
+	col    int
 	// rowStart is what every NDJSON row opens with when the table has lead
 	// columns: `{"probe":"…","unit":"…"`, encoded once per file.
 	rowStart []byte
-	f        *os.File
+	out      io.Writer
 	err      error
 }
 
@@ -175,128 +271,75 @@ const rowFlushAt = 60 << 10
 
 var rowWriters = sync.Pool{New: func() any { return &rowWriter{buf: make([]byte, 0, 64<<10)} }}
 
-// write creates Dir/base.{csv,ndjson}, runs emit against it and closes it.
-// The directory is only created when the create fails for want of it, so a
-// flush of hundreds of series files pays for it once.
-func (s FileSink) write(base string, t *table, emit func(w *rowWriter)) error {
-	ext := ".csv"
-	if s.NDJSON {
-		ext = ".ndjson"
-	}
-	path := filepath.Join(s.Dir, base+ext)
-	f, err := os.Create(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		if err = os.MkdirAll(s.Dir, 0o755); err == nil {
-			f, err = os.Create(path)
-		}
-	}
-	if err != nil {
-		return err
-	}
-	w := rowWriters.Get().(*rowWriter)
-	*w = rowWriter{buf: w.buf[:0], rowStart: w.rowStart[:0], t: t, json: s.NDJSON, col: t.lead, f: f}
-	emit(w)
-	w.flush()
-	err = w.err
-	w.f = nil
-	rowWriters.Put(w)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
 func (w *rowWriter) flush() {
 	if w.err == nil {
-		_, w.err = w.f.Write(w.buf)
+		_, w.err = w.out.Write(w.buf)
 	}
 	w.buf = w.buf[:0]
 }
 
-// next appends what precedes the next value of the row.
-func (w *rowWriter) next() {
-	switch {
-	case w.json:
-		if w.col == w.t.lead {
-			w.buf = append(w.buf, w.rowStart...)
-		}
-		w.buf = append(w.buf, w.t.keys[w.col]...)
-	case w.col > w.t.lead:
-		w.buf = append(w.buf, ',')
-	}
-	w.col++
-}
-
-func (w *rowWriter) ints(vs ...int64) {
-	for _, v := range vs {
-		w.next()
-		w.buf = strconv.AppendInt(w.buf, v, 10)
-	}
-}
-
-func (w *rowWriter) uint(v uint64) { w.next(); w.buf = strconv.AppendUint(w.buf, v, 10) }
-
-func (w *rowWriter) float(v float64) { w.next(); w.buf = appendFloat(w.buf, v, w.json) }
-
-// appendFloat appends v in shortest round-trip form; JSON turns NaN and
-// ±Inf into null (probes never produce them, but the output must stay
-// parseable).
-func appendFloat(b []byte, v float64, json bool) []byte {
-	if json && (math.IsNaN(v) || math.IsInf(v, 0)) {
-		return append(b, "null"...)
-	}
-	return strconv.AppendFloat(b, v, 'g', -1, 64)
-}
-
-// token appends a string from a closed vocabulary (counter groups, event
-// kinds, decision reasons): bare in CSV, quoted in NDJSON.
-func (w *rowWriter) token(s string) {
-	w.next()
+// headerLine writes one row of a header table ahead of the file's rows.
+func (w *rowWriter) headerLine(m *Table, cols []any) {
+	t := w.t
+	w.t, w.col, w.header = m, 0, true
 	if w.json {
-		w.buf = appendJSONString(w.buf, s)
+		w.buf = append(w.buf, `{"`+m.Name+`":`...)
 	} else {
-		w.buf = append(w.buf, s...)
+		w.buf = append(w.buf, "# "+m.Name...)
 	}
+	w.values(cols)
+	if w.t, w.header = t, false; w.json {
+		w.buf = append(w.buf, '}')
+	}
+	w.end()
 }
 
-// str appends a free-form name, escaped as the format requires. Link names
-// like "l0->s0.0" are clean, but probe names are arbitrary.
-func (w *rowWriter) str(s string) {
-	w.next()
-	switch {
-	case w.json:
-		w.buf = appendJSONString(w.buf, s)
-	case strings.ContainsAny(s, ",\"\n"):
-		w.buf = append(w.buf, '"')
-		w.buf = append(w.buf, strings.ReplaceAll(s, `"`, `""`)...)
-		w.buf = append(w.buf, '"')
-	default:
-		w.buf = append(w.buf, s...)
-	}
-}
-
-func (w *rowWriter) metrics(m []uint8) {
-	w.next()
-	sep := byte('|')
-	if w.json {
-		sep = ','
-		w.buf = append(w.buf, '[')
-	}
-	for i, v := range m {
-		if i > 0 {
-			w.buf = append(w.buf, sep)
+// values appends a row's columns: before each what precedes it, then the
+// value as the Go type behind its pointer is written.
+func (w *rowWriter) values(cols []any) {
+	for _, p := range cols {
+		switch {
+		case w.json:
+			if w.col == w.t.lead {
+				w.buf = append(w.buf, w.rowStart...)
+			}
+			w.buf = append(w.buf, w.t.keys[w.col]...)
+		case w.header && (w.t != captureMeta || w.col > 0):
+			w.buf = append(w.buf, " "+w.t.cols[w.col]+"="...)
+		case w.header: // "# capture=head cap=…": this line's name is also its first key
+			w.buf = append(w.buf, '=')
+		case w.col > w.t.lead:
+			w.buf = append(w.buf, ',')
 		}
-		w.buf = strconv.AppendUint(w.buf, uint64(v), 10)
-	}
-	if w.json {
-		w.buf = append(w.buf, ']')
-	}
-}
-
-// leadValues sets the table's lead columns for the whole file.
-func (w *rowWriter) leadValues(vals ...string) {
-	for i, v := range vals {
-		w.rowStart = appendJSONString(append(w.rowStart, w.t.keys[i]...), v)
+		w.col++
+		switch p := p.(type) {
+		case *int:
+			w.buf = strconv.AppendInt(w.buf, int64(*p), 10)
+		case *int64:
+			w.buf = strconv.AppendInt(w.buf, *p, 10)
+		case *sim.Time:
+			w.buf = strconv.AppendInt(w.buf, int64(*p), 10)
+		case *uint64:
+			w.buf = strconv.AppendUint(w.buf, *p, 10)
+		case *bool:
+			w.buf = strconv.AppendBool(w.buf, *p)
+		case *float64:
+			// Shortest round-trip form; JSON turns NaN and ±Inf into null
+			// (probes never produce them, but the output must stay parseable).
+			if w.json && (math.IsNaN(*p) || math.IsInf(*p, 0)) {
+				w.buf = append(w.buf, "null"...)
+			} else {
+				w.buf = strconv.AppendFloat(w.buf, *p, 'g', -1, 64)
+			}
+		case *string:
+			w.str(*p)
+		case fmt.Stringer: // an event kind, decision reason, capture mode or trigger
+			w.str(p.String())
+		case *[]uint8:
+			w.metrics(*p)
+		default:
+			panic(fmt.Sprintf("telemetry: no encoding for a %T column", p))
+		}
 	}
 }
 
@@ -311,50 +354,36 @@ func (w *rowWriter) end() {
 	}
 }
 
-// header writes the CSV column line; NDJSON rows name their own columns.
-func (w *rowWriter) header() {
-	if !w.json {
-		w.buf = append(w.buf, strings.Join(w.t.cols[w.t.lead:], ",")...)
-		w.buf = append(w.buf, '\n')
-	}
-}
-
-func (w *rowWriter) provenance(p string) {
+// str appends a name, escaped as the encoding requires: link names like
+// "l0->s0.0" are clean, but probe names are arbitrary.
+func (w *rowWriter) str(s string) {
 	switch {
-	case p == "":
 	case w.json:
-		w.buf = append(appendJSONString(append(w.buf, `{"provenance":`...), p), "}\n"...)
+		w.buf = appendJSONString(w.buf, s)
+	case strings.ContainsAny(s, ",\"\n"):
+		w.buf = append(w.buf, `"`+strings.ReplaceAll(s, `"`, `""`)+`"`...)
 	default:
-		w.buf = append(append(append(w.buf, "# provenance="...), p...), '\n')
+		w.buf = append(w.buf, s...)
 	}
 }
 
-// capture writes a trace's capture policy ahead of its rows; the decision
-// trace has no trigger, so its NDJSON form leaves those fields out.
-func (w *rowWriter) capture(info CaptureInfo, trigger bool) {
-	q := func(s string) []byte { return appendJSONString(nil, s) }
-	switch {
-	case !w.json:
-		w.buf = fmt.Appendf(w.buf, "# capture=%s cap=%d recorded=%d seen=%d suppressed=%d trigger=%s triggered=%t triggered_at_ns=%d reason=%s\n",
-			info.Mode, info.Cap, info.Recorded, info.Seen, info.Suppressed,
-			info.Trigger, info.Triggered, int64(info.TriggeredAt), sanitizeName(info.TriggerReason))
-	case trigger:
-		w.buf = fmt.Appendf(w.buf, `{"capture":{"mode":%s,"cap":%d,"recorded":%d,"seen":%d,"suppressed":%d,"trigger":%s,"triggered":%t,"triggered_at_ns":%d,"reason":%s}}`+"\n",
-			q(info.Mode.String()), info.Cap, info.Recorded, info.Seen, info.Suppressed,
-			q(info.Trigger.String()), info.Triggered, int64(info.TriggeredAt), q(info.TriggerReason))
-	default:
-		w.buf = fmt.Appendf(w.buf, `{"capture":{"mode":%s,"cap":%d,"recorded":%d,"seen":%d,"suppressed":%d}}`+"\n",
-			q(info.Mode.String()), info.Cap, info.Recorded, info.Seen, info.Suppressed)
-	}
-}
-
-func (w *rowWriter) summary(sm PathSummary) {
-	format := "# summary leaf=%d flowlets=%d bytes=%d imbalance=%s entropy=%s\n"
+// metrics appends a decision's candidate metric vector: "3|0|7|2" inside one
+// CSV field ("" for sticky hits, which carry none), an array in NDJSON.
+func (w *rowWriter) metrics(m []uint8) {
+	sep := byte('|')
 	if w.json {
-		format = `{"summary":{"leaf":%d,"flowlets":%d,"bytes":%d,"imbalance":%s,"entropy":%s}}` + "\n"
+		sep = ','
+		w.buf = append(w.buf, '[')
 	}
-	w.buf = fmt.Appendf(w.buf, format, sm.Leaf, sm.Flowlets, sm.Bytes,
-		appendFloat(nil, sm.Imbalance, w.json), appendFloat(nil, sm.Entropy, w.json))
+	for i, v := range m {
+		if i > 0 {
+			w.buf = append(w.buf, sep)
+		}
+		w.buf = strconv.AppendUint(w.buf, uint64(v), 10)
+	}
+	if w.json {
+		w.buf = append(w.buf, ']')
+	}
 }
 
 // appendJSONString quotes s for JSON: quotes, backslashes and control

@@ -487,57 +487,49 @@ func (r *Registry) Flush() error {
 }
 
 // FlushTo runs Collect and writes every probe into dir (created if needed)
-// as one CSV and one NDJSON file per probe.
+// as one CSV and one NDJSON file per probe. Every file but the series opens
+// with the provenance line, when one is set.
 func (r *Registry) FlushTo(dir string) error {
 	if r == nil {
 		return nil
 	}
 	r.Collect()
+	var files []*SinkFile
+	if r.opts.Counters {
+		files = append(files, &SinkFile{Table: CounterTable, Provenance: r.provenance, Counters: r.CounterRows()})
+	}
+	for _, s := range r.series {
+		files = append(files, &SinkFile{Table: SeriesTable, Probe: s.name, Unit: s.unit, Points: s.pts})
+	}
+	if r.trace != nil {
+		info := r.trace.Info()
+		files = append(files, &SinkFile{Table: TraceTable, Provenance: r.provenance, Capture: &info, Trace: r.trace.Events()})
+	}
+	if r.decTrace != nil {
+		info := r.decTrace.Info()
+		files = append(files, &SinkFile{Table: DecisionTable, Provenance: r.provenance, Capture: &info, Decisions: r.decTrace.Events()})
+	}
+	if len(r.decisions) > 0 {
+		files = append(files, &SinkFile{Table: PathTable, Provenance: r.provenance, Summaries: r.PathSummaries(), Paths: r.PathRows()})
+	}
 	for _, ndjson := range []bool{false, true} {
-		if err := r.flushSink(FileSink{Dir: dir, Provenance: r.provenance, NDJSON: ndjson}); err != nil {
-			return err
+		for _, f := range files {
+			if err := (FileSink{Dir: dir, NDJSON: ndjson}).Write(f); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
 // SetProvenance records a one-line ancestry string for the run's data —
-// typically the identity of the replay trace that drove it — which the
-// flush sinks stamp into counters and trace headers. Safe on nil.
+// typically the identity of the replay trace that drove it — which FlushTo
+// stamps into every file but the series. Safe on nil.
 func (r *Registry) SetProvenance(s string) {
 	if r == nil {
 		return
 	}
 	r.provenance = s
-}
-
-func (r *Registry) flushSink(sink FileSink) error {
-	if r.opts.Counters {
-		if err := sink.Counters(r.CounterRows()); err != nil {
-			return err
-		}
-	}
-	for _, s := range r.series {
-		if err := sink.Series(s); err != nil {
-			return err
-		}
-	}
-	if r.trace != nil {
-		if err := sink.Trace(r.trace); err != nil {
-			return err
-		}
-	}
-	if r.decTrace != nil {
-		if err := sink.Decisions(r.decTrace); err != nil {
-			return err
-		}
-	}
-	if len(r.decisions) > 0 {
-		if err := sink.Paths(r.PathRows(), r.PathSummaries()); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // ArchiveToHub registers the registry's flushed directory on its Hub, so

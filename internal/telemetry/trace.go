@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -21,16 +22,27 @@ const (
 )
 
 // String returns the event name used in flushed trace files.
-func (k TraceKind) String() string {
-	switch k {
-	case TraceSend:
-		return "send"
-	case TraceRecv:
-		return "recv"
-	case TraceDrop:
-		return "drop"
+func (k TraceKind) String() string { return nameOf(traceKindNames, k) }
+
+var (
+	traceKindNames   = []string{"send", "recv", "drop"}
+	captureModeNames = []string{"head", "tail", "reservoir"}
+)
+
+// nameOf and valueOf take an enumeration's values to the names flushed files
+// and CLI flags use for them, and back.
+func nameOf[T ~uint8](names []string, v T) string {
+	if int(v) < len(names) {
+		return names[v]
 	}
 	return "?"
+}
+
+func valueOf[T ~uint8](names []string, s string) (T, error) {
+	if i := slices.Index(names, s); i >= 0 {
+		return T(i), nil
+	}
+	return 0, fmt.Errorf("telemetry: unknown %T %q (want %s)", T(0), s, strings.Join(names, ", "))
 }
 
 // Filter restricts the packet trace by flow 5-tuple. Negative fields match
@@ -75,30 +87,15 @@ const (
 )
 
 // String returns the mode name used in flushed trace headers.
-func (m CaptureMode) String() string {
-	switch m {
-	case CaptureHead:
-		return "head"
-	case CaptureTail:
-		return "tail"
-	case CaptureReservoir:
-		return "reservoir"
-	}
-	return "?"
-}
+func (m CaptureMode) String() string { return nameOf(captureModeNames, m) }
 
-// ParseCaptureMode parses "head", "tail" or "reservoir" (as accepted by the
-// CLI -trace-mode flags and emitted by String).
+// ParseCaptureMode parses "head" (or ""), "tail" or "reservoir" (as accepted
+// by the CLI -trace-mode flags and emitted by String).
 func ParseCaptureMode(s string) (CaptureMode, error) {
-	switch s {
-	case "head", "":
+	if s == "" {
 		return CaptureHead, nil
-	case "tail":
-		return CaptureTail, nil
-	case "reservoir":
-		return CaptureReservoir, nil
 	}
-	return 0, fmt.Errorf("telemetry: unknown capture mode %q (want head, tail or reservoir)", s)
+	return valueOf[CaptureMode](captureModeNames, s)
 }
 
 // Trigger is a bitmask of conditions that freeze the trace (after an
