@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint fuzz-smoke bench bench-engine bench-quick bench-parallel bench-guard bench-guard-parallel bench-profile bench-repo bench-compare bench-smoke replay-smoke decision-smoke check
+.PHONY: build test race vet lint memlat fuzz-smoke bench bench-engine bench-quick bench-parallel bench-guard bench-guard-parallel bench-profile bench-repo bench-compare bench-smoke replay-smoke decision-smoke check
 
 build:
 	$(GO) build ./...
@@ -19,12 +19,24 @@ vet:
 
 # Minimal lint: vet plus a gofmt cleanliness check. Deliberately no
 # third-party linters — the build must work with nothing but the Go
-# toolchain (no network, no staticcheck install).
+# toolchain (no network, no staticcheck install). The two cross-compiles
+# cover what the host's own build cannot: vet's asmdecl check of the arm64
+# prefetch stub against its Go prototype (the amd64 one is checked by the
+# plain vet on an amd64 host, and vice versa), and a build for an
+# architecture that gets the empty fallback.
 lint: vet
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
+	GOARCH=amd64 $(GO) vet ./internal/prefetch
+	GOARCH=arm64 $(GO) vet ./internal/prefetch
+	GOARCH=riscv64 $(GO) build ./...
+
+# Pointer-chase latency of this host's memory hierarchy (~30 s, 128 MB
+# peak): what an unoverlapped first touch costs at each level.
+memlat:
+	$(GO) run ./tools/memlat
 
 # Native fuzzing smoke (~70 s): the timing wheel against a sorted (time, seq)
 # model, the packed congestion-table entry against the three-field one it
@@ -68,7 +80,7 @@ bench-parallel:
 # every PR; >15% ns/op regression on the engine hot path fails the build).
 bench-guard:
 	$(MAKE) bench-quick | tee bench-quick.txt
-	$(GO) run ./tools/benchguard -baseline BENCH_PR20.json -max-regress 0.15 \
+	$(GO) run ./tools/benchguard -baseline BENCH_PR24.json -max-regress 0.15 \
 		-require 'BenchmarkEngineRaw,BenchmarkFig09Enterprise' bench-quick.txt
 
 # Gate the space-parallel scale cells: events/op exact per domain count,
@@ -76,7 +88,7 @@ bench-guard:
 # shown a domain count faster than sequential (DESIGN.md §3.6).
 bench-guard-parallel:
 	$(MAKE) bench-parallel | tee bench-parallel.txt
-	$(GO) run ./tools/benchguard -baseline BENCH_PR20.json \
+	$(GO) run ./tools/benchguard -baseline BENCH_PR24.json \
 		-require 'BenchmarkScale256Leaves40G,BenchmarkScale256Leaves40GParallel2,BenchmarkScale256Leaves40GParallel4,BenchmarkScale256Leaves40GParallel8' \
 		bench-parallel.txt
 

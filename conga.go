@@ -218,7 +218,11 @@ func (t Topology) build(engines []*sim.Engine, scheme Scheme, params core.Params
 	if err != nil {
 		return nil, err
 	}
-	for _, f := range t.FailedLinks {
+	for i, f := range t.FailedLinks {
+		if !n.HasLink(f[0], f[1], f[2]) { // FailLink would panic
+			return nil, fmt.Errorf("conga: Topology.FailedLinks[%d] = (leaf %d, spine %d, k %d) names no link of a %d-leaf, %d-spine fabric with %d links per pair",
+				i, f[0], f[1], f[2], len(n.Leaves), len(n.Spines), n.Cfg.LinksPerSpine)
+		}
 		n.FailLink(f[0], f[1], f[2])
 	}
 	return n, nil

@@ -307,6 +307,9 @@ type fctShard struct {
 
 func runFCT(cfg FCTConfig) (*FCTResult, error) {
 	cfg = cfg.withDefaults()
+	if cfg.MaxFlows < 0 {
+		return nil, fmt.Errorf("conga: MaxFlows %d must not be negative (0 means the default, 10000)", cfg.MaxFlows)
+	}
 	if cfg.Replay != nil {
 		if err := cfg.checkReplay(); err != nil {
 			return nil, err

@@ -115,6 +115,14 @@ func RunIncast(cfg IncastConfig) (*IncastResult, error) {
 
 func runIncast(cfg IncastConfig) (*IncastResult, error) {
 	cfg = cfg.withDefaults()
+	switch {
+	case cfg.Fanout < 0:
+		return nil, fmt.Errorf("conga: Fanout %d must not be negative (0 means the default, 16)", cfg.Fanout)
+	case cfg.RequestBytes < 0:
+		return nil, fmt.Errorf("conga: RequestBytes %d must not be negative (0 means the default, 10 MB)", cfg.RequestBytes)
+	case cfg.Rounds < 0:
+		return nil, fmt.Errorf("conga: Rounds %d must not be negative (0 means the default, 5)", cfg.Rounds)
+	}
 	totalHosts := cfg.Topology.Leaves * cfg.Topology.HostsPerLeaf
 	if cfg.Fanout >= totalHosts {
 		return nil, fmt.Errorf("conga: fanout %d needs more than %d hosts", cfg.Fanout, totalHosts)

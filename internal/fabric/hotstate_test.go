@@ -12,8 +12,10 @@ import (
 // TestPacketLayout pins the hot-state layout of DESIGN.md §3.10 so a later
 // field addition cannot silently undo it: the node a pop reads and the link
 // its firing follows fill the first cache line, every field a switch or
-// link reads on a hop ends within the second, and the whole packet stays at
-// 240 bytes (PR 12's 176 plus the node and the link).
+// link reads on a hop ends within the second — byte 128, which is also the
+// end of the span Engine.Run and Link.drain prefetch at a packet's node
+// (prefetch.Lines2), so one hint covers the whole hop — and the whole packet
+// stays at 240 bytes (PR 12's 176 plus the node and the link).
 func TestPacketLayout(t *testing.T) {
 	var p Packet
 	if end := unsafe.Offsetof(p.link) + unsafe.Sizeof(p.link); unsafe.Offsetof(p.ev) != 0 || end != 64 {
@@ -32,7 +34,7 @@ func TestPacketLayout(t *testing.T) {
 	}
 	for name, end := range hot {
 		if end > 128 {
-			t.Errorf("hop-hot field %s ends at byte %d, past the second cache line", name, end)
+			t.Errorf("hop-hot field %s ends at byte %d, past the second cache line and the prefetched span", name, end)
 		}
 	}
 	if s := unsafe.Sizeof(p); s > 240 {

@@ -2,8 +2,10 @@ package fabric
 
 import (
 	"fmt"
+	"unsafe"
 
 	"conga/internal/core"
+	"conga/internal/prefetch"
 	"conga/internal/sim"
 	"conga/internal/telemetry"
 )
@@ -62,24 +64,30 @@ type Link struct {
 	drained   uint64
 	// tel is nil when telemetry is off: every instrumentation site is a
 	// single nil check (see internal/telemetry).
-	tel        *telemetry.LinkCounters
+	tel       *telemetry.LinkCounters
+	dreNotify func(*Link)
+	// serMemo is serTime's two-entry move-to-front memo, wire size →
+	// serialization ns. Size 0 (no packet has it) marks an empty entry.
+	serMemoSize [2]int32
+	serMemoNs   [2]sim.Time
+	// Fabric links only: the fourth line, which an access link's send never
+	// touches.
+	dre        core.DRE
 	pathMetric core.PathMetric
-	dreNotify  func(*Link)
-	dre        core.DRE // fabric links only
 
 	// Cold from here on, except drainEv: the one event of its own a link
 	// can have pending, armed where the current claim expires. It opens the
 	// fifth cache line, so a pop of a drain costs one line fill.
 	Drops     uint64
 	DropBytes uint64
+	drainEv   sim.Node
 	// gen points at the owning network's link-state generation (fabric
 	// links of a Network only; nil otherwise). SetUp bumps it so the
 	// leaves' cached reachability rows are recomputed.
-	gen     *uint64
-	trace   *telemetry.PacketTrace // nil unless a packet trace is attached
-	pool    *PacketPool
-	drainEv sim.Node
-	Name    string
+	gen   *uint64
+	trace *telemetry.PacketTrace // nil unless a packet trace is attached
+	pool  *PacketPool
+	Name  string
 	// dom is the partition domain of the transmitting node, which owns eng,
 	// pool, queue, DRE and counters (0 on sequential networks).
 	dom int
@@ -306,7 +314,7 @@ func (l *Link) start(p *Packet, now sim.Time) {
 			l.dreNotify(l)
 		}
 	}
-	serEnd := now + sim.Time(float64(size)*8/l.rate*float64(sim.Second))
+	serEnd := now + l.serTime(size)
 	arrival := serEnd + l.prop
 	l.txPackets++
 	l.txBytes += uint64(size)
@@ -325,6 +333,25 @@ func (l *Link) start(p *Packet, now sim.Time) {
 		return
 	}
 	l.eng.AtNode(arrival, &p.ev, (*arrivalEvent)(p))
+}
+
+// serTime returns the serialization time of size wire bytes. A link carries
+// almost only full segments and ACKs, so the two sizes seen last (most
+// recent first) answer without the dependent float divide; rate never
+// changes after NewLink, so a hit is the very value the formula gave on the
+// miss.
+func (l *Link) serTime(size int) sim.Time {
+	s := int32(size)
+	if l.serMemoSize[0] == s {
+		return l.serMemoNs[0]
+	}
+	ns := l.serMemoNs[1]
+	if l.serMemoSize[1] != s {
+		ns = sim.Time(float64(size) * 8 / l.rate * float64(sim.Second))
+	}
+	l.serMemoSize[1], l.serMemoNs[1] = l.serMemoSize[0], l.serMemoNs[0]
+	l.serMemoSize[0], l.serMemoNs[0] = s, ns
+	return ns
 }
 
 // drain fires when a claim with packets queued behind it expires — at
@@ -348,6 +375,9 @@ func (l *Link) drain(now sim.Time) {
 	l.drained++
 	l.start(p, now)
 	if l.qhead < len(l.queue) {
+		// The next drain reads the new head's Payload one serialization time
+		// from now; the packet has sat untouched since it was enqueued.
+		prefetch.Lines2(unsafe.Pointer(l.queue[l.qhead]))
 		l.armDrain()
 	}
 }

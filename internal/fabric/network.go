@@ -133,6 +133,13 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("fabric: need at least 1 host per leaf, have %d", c.HostsPerLeaf)
 	case c.LinksPerSpine < 1:
 		return fmt.Errorf("fabric: need at least 1 link per leaf-spine pair, have %d", c.LinksPerSpine)
+	case !(c.AccessRateBps > 0):
+		return fmt.Errorf("fabric: AccessRateBps %v must be positive", c.AccessRateBps)
+	case !(c.FabricRateBps > 0):
+		return fmt.Errorf("fabric: FabricRateBps %v must be positive", c.FabricRateBps)
+	case c.EdgeBufBytes < 0 || c.FabricBufBytes < 0 || c.HostBufBytes < 0:
+		return fmt.Errorf("fabric: buffer sizes (edge %d, fabric %d, host %d bytes) must not be negative",
+			c.EdgeBufBytes, c.FabricBufBytes, c.HostBufBytes)
 	case c.NumSpines*c.LinksPerSpine > c.Params.MaxUplinks:
 		return fmt.Errorf("fabric: %d uplinks per leaf exceeds LBTag space %d",
 			c.NumSpines*c.LinksPerSpine, c.Params.MaxUplinks)
@@ -247,7 +254,8 @@ func (n *Network) wireTelemetry(reg *telemetry.Registry) {
 		// wire has carried and the hot path bumps one counter, not two. The
 		// same walk totals how the links' starts were made — by a drain after
 		// queueing behind a claim, or (the rest) from an idle link — the first
-		// entries of the registry's engine group.
+		// entries of the registry's engine group, followed by what the event
+		// queues and the packet pools did, summed over domains.
 		reg.AddCollector(func() {
 			var started, drained uint64
 			n.eachLink(func(l *Link) {
@@ -257,6 +265,17 @@ func (n *Network) wireTelemetry(reg *telemetry.Registry) {
 			})
 			reg.RecordEngine("link_starts", started)
 			reg.RecordEngine("link_starts_drained", drained)
+			var cascades, farPushes, allocs, recycled uint64
+			for d, eng := range n.engines {
+				cascades += eng.Cascades()
+				farPushes += eng.FarPushes()
+				allocs += n.pools[d].Allocs
+				recycled += n.pools[d].Recycled
+			}
+			reg.RecordEngine("cascades", cascades)
+			reg.RecordEngine("far_pushes", farPushes)
+			reg.RecordEngine("packet_allocs", allocs)
+			reg.RecordEngine("packet_recycled", recycled)
 		})
 	}
 	for _, h := range n.Hosts {
@@ -435,9 +454,15 @@ func (n *Network) RestoreLink(leaf, spine, k int) {
 	down.SetUp(true)
 }
 
+// HasLink reports whether the fabric has a parallel link k between leaf and
+// spine: the arguments FailLink and RestoreLink accept.
+func (n *Network) HasLink(leaf, spine, k int) bool {
+	return leaf >= 0 && leaf < len(n.Leaves) && spine >= 0 && spine < len(n.Spines) &&
+		k >= 0 && k < n.Cfg.LinksPerSpine
+}
+
 func (n *Network) linkPair(leaf, spine, k int) (up, down *Link) {
-	if leaf < 0 || leaf >= len(n.Leaves) || spine < 0 || spine >= len(n.Spines) ||
-		k < 0 || k >= n.Cfg.LinksPerSpine {
+	if !n.HasLink(leaf, spine, k) {
 		panic(fmt.Sprintf("fabric: no link (leaf=%d, spine=%d, k=%d)", leaf, spine, k))
 	}
 	uplinkIdx := spine*n.Cfg.LinksPerSpine + k

@@ -29,6 +29,9 @@ import (
 	"math"
 	"math/bits"
 	"time"
+	"unsafe"
+
+	"conga/internal/prefetch"
 )
 
 // Time is a point in virtual time, in nanoseconds since the start of the
@@ -177,6 +180,11 @@ type Engine struct {
 	// fabric's links compare it against the sequence numbers their claims
 	// reserved to break same-instant ties (see ReserveSeq).
 	curSeq uint64
+
+	// How the queue did its work, for the run's self-description: buckets
+	// moved down a level and events that missed the wheel. Neither is on
+	// the per-event path.
+	cascades, farPushes uint64
 }
 
 // New returns an engine with the clock at zero.
@@ -187,6 +195,12 @@ func (e *Engine) Now() Time { return e.now }
 
 // Executed returns the number of events that have run so far.
 func (e *Engine) Executed() uint64 { return e.executed }
+
+// Cascades returns how many overflow buckets the wheel has moved down a
+// level, and FarPushes how many events landed in the far heap instead of
+// the wheel.
+func (e *Engine) Cascades() uint64  { return e.cascades }
+func (e *Engine) FarPushes() uint64 { return e.farPushes }
 
 // Pending returns the number of events waiting in the queue. Cancelled
 // events are removed eagerly, so they never linger in this count.
@@ -474,6 +488,7 @@ func (e *Engine) cascade() bool {
 		// order.
 		b.head, b.tail = nil, nil
 		e.lvlWords[k-1][s>>6] &^= 1 << (uint(s) & 63)
+		e.cascades++
 		for ev := head; ev != nil; {
 			next := ev.next
 			ev.prev, ev.next = nil, nil
@@ -486,6 +501,12 @@ func (e *Engine) cascade() bool {
 	return false
 }
 
+// l0Min returns the lowest occupied level-0 slot; l0sum must be nonzero.
+func (e *Engine) l0Min() int32 {
+	wd := bits.TrailingZeros64(e.l0sum)
+	return int32(wd<<6 + bits.TrailingZeros64(e.l0words[wd]))
+}
+
 // nextEvent returns the earliest pending event without removing it (the
 // wheel may cascade as a side effect), or nil when nothing is pending.
 // Within a level, slot index order is time order (each window is a suffix
@@ -495,8 +516,7 @@ func (e *Engine) nextEvent() *Node {
 	var w *Node
 	for e.wheel > 0 {
 		if e.l0sum != 0 {
-			wd := bits.TrailingZeros64(e.l0sum)
-			w = e.l0[wd<<6+bits.TrailingZeros64(e.l0words[wd])].head
+			w = e.l0[e.l0Min()].head
 			break
 		}
 		if !e.cascade() {
@@ -524,8 +544,7 @@ func (e *Engine) popMin() *Node {
 	if e.wheel > 0 {
 		for {
 			if e.l0sum != 0 {
-				wd := bits.TrailingZeros64(e.l0sum)
-				ws = int32(wd<<6 + bits.TrailingZeros64(e.l0words[wd]))
+				ws = e.l0Min()
 				w = e.l0[ws].head
 				break
 			}
@@ -606,6 +625,14 @@ func (e *Engine) Run(until Time) Time {
 			e.live--
 		}
 		e.executed++
+		// Second pipeline stage: start filling the lines of the event after
+		// this one while this one's handler runs. The peek reads level 0 only
+		// — no cascade, no far-heap compare, nothing written — so when the
+		// handler cancels, overtakes or recycles the peeked node the hint was
+		// wasted and nothing else.
+		if e.l0sum != 0 {
+			prefetch.Lines2(unsafe.Pointer(e.l0[e.l0Min()].head))
+		}
 		// The node is idle from here on: its owner's Fire may re-arm it.
 		next.h.Fire(e.now)
 		if next.pooled {
@@ -637,6 +664,7 @@ func eventLess(a, b *Node) bool {
 
 func (e *Engine) farPush(ev *Node) {
 	ev.loc = locFar
+	e.farPushes++
 	e.far = append(e.far, ev)
 	e.siftUp(len(e.far)-1, ev)
 }

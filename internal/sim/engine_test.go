@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
+
+	"conga/internal/prefetch"
 )
 
 func TestEngineRunsEventsInTimeOrder(t *testing.T) {
@@ -392,5 +395,122 @@ func TestNodeOwnership(t *testing.T) {
 	}
 	if unsafe.Sizeof(n.Node) > 64 {
 		t.Fatalf("Node is %d bytes, want ≤ 64", unsafe.Sizeof(n.Node))
+	}
+}
+
+// firingLog records (time, id) per firing; logNode is a caller-owned node
+// that logs itself.
+type firing struct {
+	at Time
+	id int
+}
+
+type firingLog []firing
+
+func (l *firingLog) closure(id int) Event {
+	return func(now Time) { *l = append(*l, firing{now, id}) }
+}
+
+type logNode struct {
+	Node
+	id  int
+	log *firingLog
+}
+
+func (n *logNode) Fire(now Time) { *n.log = append(*n.log, firing{now, n.id}) }
+
+// TestHandlerMayChangeThePeekedNode: before Run fires event i it peeks the
+// level-0 minimum — event i+1 as things stand — and prefetches it. The peek
+// is only a hint: event i's handler may cancel that node, re-arm it earlier
+// or later, or (a pooled closure node) get it recycled and reused, and the
+// firing order must stay the (time, seq) order a sorted queue gives.
+func TestHandlerMayChangeThePeekedNode(t *testing.T) {
+	const a, b, c, d = 1, 2, 3, 4
+	cases := []struct {
+		name string
+		// change runs inside a's firing at t=10, with b — scheduled for bAt —
+		// the queue's minimum; c waits at t=60.
+		bAt    Time
+		change func(e *Engine, nb *logNode)
+		want   []firing
+	}{
+		{"cancel", 11, func(e *Engine, nb *logNode) { e.CancelNode(&nb.Node) },
+			[]firing{{10, a}, {60, c}}},
+		{"re-arm earlier", 50, func(e *Engine, nb *logNode) { e.CancelNode(&nb.Node); e.AtNode(20, &nb.Node, nb) },
+			[]firing{{10, a}, {20, b}, {60, c}}},
+		{"re-arm at the current instant", 50, func(e *Engine, nb *logNode) { e.CancelNode(&nb.Node); e.AtNode(10, &nb.Node, nb) },
+			[]firing{{10, a}, {10, b}, {60, c}}},
+		{"re-arm later, past level 0", 11, func(e *Engine, nb *logNode) { e.CancelNode(&nb.Node); e.AtNode(5000, &nb.Node, nb) },
+			[]firing{{10, a}, {60, c}, {5000, b}}},
+		{"re-arm later, into the far heap", 11, func(e *Engine, nb *logNode) { e.CancelNode(&nb.Node); e.AtNode(3600*Second, &nb.Node, nb) },
+			[]firing{{10, a}, {60, c}, {3600 * Second, b}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New()
+			var log firingLog
+			nb := &logNode{id: b, log: &log}
+			e.At(10, func(now Time) {
+				log.closure(a)(now)
+				tc.change(e, nb)
+			})
+			e.AtNode(tc.bAt, &nb.Node, nb)
+			e.At(60, log.closure(c))
+			e.Run(MaxTime)
+			if !slices.Equal(log, tc.want) {
+				t.Fatalf("fired %v, want %v", log, tc.want)
+			}
+		})
+	}
+
+	// The peeked node is a pooled closure node: a's firing cancels it, which
+	// recycles it, and schedules d, which takes the very node — now holding
+	// a different closure, time and sequence number — while Run's hint is in
+	// flight. d fires once, at its own time; b never does.
+	t.Run("pooled node recycled and reused", func(t *testing.T) {
+		e := New()
+		var log firingLog
+		var hb, hd EventHandle
+		e.At(10, func(now Time) {
+			log.closure(a)(now)
+			if !hb.Cancel() {
+				t.Error("peeked closure was not pending")
+			}
+			hd = e.At(70, log.closure(d))
+		})
+		hb = e.At(11, log.closure(b))
+		e.At(60, log.closure(c))
+		e.Run(MaxTime)
+		if hd.ev != hb.ev {
+			t.Fatal("scenario lost: d did not reuse b's pooled node")
+		}
+		if want := []firing{{10, a}, {60, c}, {70, d}}; !slices.Equal(log, want) {
+			t.Fatalf("fired %v, want %v", log, want)
+		}
+		if hb.Pending() || hb.Cancel() {
+			t.Fatal("stale handle still acts on the reused node")
+		}
+	})
+}
+
+// TestPrefetchOfRecycledNodeIsHarmless: Run's hint may land on a pooled node
+// that has since fired and gone back to the free list — 56 bytes, so the
+// hinted span also runs past its end. Nothing faults and the node keeps its
+// state.
+func TestPrefetchOfRecycledNodeIsHarmless(t *testing.T) {
+	e := New()
+	h := e.At(5, func(Time) {})
+	e.Run(MaxTime)
+	if len(e.free) != 1 || e.free[0] != h.ev {
+		t.Fatal("fired closure node was not recycled")
+	}
+	before := *h.ev
+	prefetch.Lines2(unsafe.Pointer(h.ev))
+	if *h.ev != before {
+		t.Fatalf("node changed under the hint: %+v, was %+v", *h.ev, before)
+	}
+	e.At(9, func(Time) {})
+	if e.Run(MaxTime) != 9 {
+		t.Fatal("engine did not run on after the hint")
 	}
 }

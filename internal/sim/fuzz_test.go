@@ -17,6 +17,27 @@ type wheelModel struct {
 	// from inside its own firing.
 	rearm   [fuzzNodes]int
 	rearmBy [fuzzNodes]Time
+	// act[k] != 0 makes node k's next firing act on whatever is then the
+	// queue's minimum — the event Run has just peeked and prefetched.
+	act   [fuzzNodes]int
+	actBy [fuzzNodes]Time
+}
+
+// What a firing does to the queue's minimum: cancel it, or (caller-owned
+// nodes only; a closure is just cancelled, which recycles its pooled node)
+// re-arm it halfway nearer or actBy later.
+const (
+	actCancel = 1 + iota
+	actEarlier
+	actLater
+)
+
+// actAt is where a node scheduled for at moves under act at time now.
+func actAt(act int, now, at, by Time) Time {
+	if act == actEarlier {
+		return now + (at-now)/2
+	}
+	return at + by
 }
 
 type modelEnt struct {
@@ -85,6 +106,17 @@ func (m *wheelModel) run(until Time) {
 		m.now = e.at
 		m.executed++
 		m.fired = append(m.fired, e.id)
+		if k := e.node; k >= 0 && m.act[k] != 0 {
+			act := m.act[k]
+			m.act[k] = 0
+			if i := m.min(); i >= 0 {
+				target := m.q[i]
+				m.q = append(m.q[:i], m.q[i+1:]...)
+				if target.node >= 0 && act != actCancel {
+					m.add(actAt(act, m.now, target.at, m.actBy[k]), m.reserve(), target.id, false, target.node)
+				}
+			}
+		}
 		if k := e.node; k >= 0 && m.rearm[k] > 0 {
 			m.rearm[k]--
 			m.add(m.now+m.rearmBy[k], m.reserve(), e.id, false, k)
@@ -102,12 +134,19 @@ type fuzzNode struct {
 	fired   *[]int
 	rearm   int
 	rearmBy Time
+	act     int
+	actBy   Time
+	onMin   func(act int, by, now Time) // the harness's side of act
 }
 
 func (n *fuzzNode) Fire(now Time) {
 	*n.fired = append(*n.fired, n.id)
 	if n.Pending() {
 		panic("node pending inside its own Fire")
+	}
+	if act := n.act; act != 0 {
+		n.act = 0
+		n.onMin(act, n.actBy, now)
 	}
 	if n.rearm > 0 {
 		n.rearm--
@@ -123,12 +162,14 @@ var fuzzDeltas = [16]Time{0, 1, 2, 100, 4095, 4096, 4097, 50 * Microsecond,
 
 // FuzzWheelMatchesHeap plays an op stream — closures, daemons, reserved
 // sequence numbers, caller-owned nodes (scheduled, cancelled, re-armed from
-// inside their own Fire), cancels of live and stale handles, and bounded
-// runs that stop short of the next event — against the engine and the
-// model, and requires the same firing order, clock, Pending, Live, Executed,
-// NextAt and cancel results throughout. Ops 3 and 10 drove two scheduling
-// calls the engine no longer has; they still consume their operands and a
-// closure id, so every recorded stream means what it did to the other ten.
+// inside their own Fire), firings that cancel or move the queue's current
+// minimum (the node Run peeked and prefetched before the handler ran),
+// cancels of live and stale handles, and bounded runs that stop short of the
+// next event — against the engine and the model, and requires the same
+// firing order, clock, Pending, Live, Executed, NextAt and cancel results
+// throughout. Ops 3 and 10 drove two scheduling calls the engine no longer
+// has. Op 3 still only consumes its operands and a closure id; op 10 does
+// too, and its two operand bytes now arm a node's act on the minimum.
 func FuzzWheelMatchesHeap(f *testing.F) {
 	f.Add([]byte{})
 	// A node re-arming itself across a level boundary between two closures.
@@ -139,8 +180,15 @@ func FuzzWheelMatchesHeap(f *testing.F) {
 	f.Add([]byte{0, 0x01, 0, 0x07, 6, 0, 6, 0, 9, 0x03, 6, 1, 0, 0x02, 6, 1, 4, 2, 0x09, 7, 2, 7, 2})
 	// A bounded run that pops past its horizon, then schedules into the gap.
 	f.Add([]byte{0, 0x07, 9, 0x05, 0, 0x03, 0, 0x06, 4, 1, 0x05, 11, 9, 0x07, 9, 0x09})
-	// Same-time closures and a daemon around two retired ops.
+	// Same-time closures and a daemon around two op-10 arms (no node fires).
 	f.Add([]byte{0, 0x03, 10, 0x03, 0x23, 1, 0x03, 10, 0x02, 0x31, 0, 0x03, 9, 0x04, 9, 0x08})
+	// Node 0's firing cancels the peeked minimum: node 1, then a closure
+	// (whose pooled node the next At reuses while a later closure waits).
+	f.Add([]byte{10, 0, 0x04, 4, 0, 0x01, 4, 1, 0x02, 0, 0x03, 9, 0x03, 9, 0x03})
+	f.Add([]byte{10, 0, 0x04, 4, 0, 0x01, 0, 0x02, 0, 0x03, 9, 0x01, 0, 0x02, 9, 0x03})
+	// It re-arms the peeked node 1 earlier, and later across a level boundary.
+	f.Add([]byte{10, 0, 0x08, 4, 0, 0x01, 4, 1, 0x03, 0, 0x04, 9, 0x04})
+	f.Add([]byte{10, 0x05, 0x0c, 4, 0, 0x01, 4, 1, 0x02, 0, 0x03, 9, 0x06})
 	rng := NewRand(14)
 	for i := 0; i < 24; i++ {
 		ops := make([]byte, 40+rng.Intn(400))
@@ -172,6 +220,37 @@ func FuzzWheelMatchesHeap(f *testing.F) {
 		}
 		var handles []EventHandle // handles[id] scheduled closure id
 		var reserved []uint64
+		// onMin finds the engine's minimum among everything this harness has
+		// scheduled — by the (time, seq) the engine stamped on each node, not
+		// by asking the wheel — and cancels or moves it.
+		onMin := func(act int, by, now Time) {
+			var min *Node
+			node, id := -1, -1
+			for k := range nodes {
+				if n := &nodes[k].Node; n.Pending() && (min == nil || eventLess(n, min)) {
+					min, node = n, k
+				}
+			}
+			for i, h := range handles {
+				if h.Pending() && (min == nil || eventLess(h.ev, min)) {
+					min, node, id = h.ev, -1, i
+				}
+			}
+			switch {
+			case min == nil:
+			case node < 0:
+				handles[id].Cancel()
+			default:
+				at := min.at
+				e.CancelNode(min)
+				if act != actCancel {
+					e.AtNode(actAt(act, now, at, by), min, &nodes[node])
+				}
+			}
+		}
+		for k := range nodes {
+			nodes[k].onMin = onMin
+		}
 		closure := func(id int) Event { return func(Time) { fired = append(fired, id) } }
 		check := func(step string) {
 			t.Helper()
@@ -265,10 +344,12 @@ func FuzzWheelMatchesHeap(f *testing.F) {
 				e.Run(until)
 				m.run(until)
 				check("Run")
-			case 10: // retired
-				delta()
-				next()
-				handles = append(handles, EventHandle{})
+			case 10: // arm node k to act on the minimum from inside its next Fire
+				by, b := delta(), next()
+				k, act := int(b)%fuzzNodes, int(b>>2)%4
+				nodes[k].act, m.act[k] = act, act
+				nodes[k].actBy, m.actBy[k] = by, by
+				handles = append(handles, EventHandle{}) // the retired op's closure id
 			case 11:
 				check("probe")
 			}

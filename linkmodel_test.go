@@ -314,16 +314,18 @@ func TestObservationCostsNoEvents(t *testing.T) {
 	if on.Events != off.Events {
 		t.Fatalf("observation changed the event count: %d observed vs %d unobserved", on.Events, off.Events)
 	}
-	// The engine group (how the links' starts were made) is pulled from
-	// counters the links keep anyway, by the collector that pulls Dequeues.
+	// The engine group (how the links' starts were made, what the wheel and
+	// the packet pool did) is pulled from counters the links, the engine and
+	// the pool keep anyway, by the collector that pulls Dequeues.
 	eng := map[string]uint64{}
 	for _, row := range on.Telemetry.EngineRows() {
 		eng[row.Counter] = row.Value
 	}
 	_, deq, _, _ := on.Telemetry.LinkTotals()
-	if len(eng) != 2 || eng["link_starts"] != deq || eng["link_starts_drained"] == 0 ||
-		eng["link_starts_drained"] > deq {
-		t.Fatalf("engine group %v, want two counters with link_starts = %d dequeues", eng, deq)
+	if len(eng) != 6 || eng["link_starts"] != deq || eng["link_starts_drained"] == 0 ||
+		eng["link_starts_drained"] > deq || eng["cascades"] == 0 || eng["far_pushes"] != 0 ||
+		eng["packet_allocs"] == 0 || eng["packet_recycled"] == 0 {
+		t.Fatalf("engine group %v, want six counters with link_starts = %d dequeues, cascades and a pool that allocated and recycled, and nothing past the wheel", eng, deq)
 	}
 	a, b := *on, *off
 	a.Telemetry = nil

@@ -80,6 +80,14 @@ func newRun(topo Topology, scheme Scheme, params *Params, tc TransportConfig, wc
 	}
 	r := &run{transport: transport, tcpCfg: tc.tcpConfig()}
 	r.mpCfg = mptcp.Config{Subflows: tc.Subflows, TCP: r.tcpCfg, ChunkSegments: 4}
+	// The transports panic on a config they cannot run; a caller's typo is
+	// an error here instead, before anything is built.
+	if r.tcpCfg.MSS <= 0 {
+		return nil, fmt.Errorf("conga: Transport.MTU %d leaves no room for payload (MSS %d)", tc.MTU, r.tcpCfg.MSS)
+	}
+	if err := r.mpCfg.Validate(); err != nil {
+		return nil, fmt.Errorf("conga: Transport (MinRTO %v, Subflows %d): %w", tc.MinRTO, tc.Subflows, err)
+	}
 	// Per-engine object pools: flows, endpoints and MPTCP connections
 	// recycle for the whole run, so the steady state of a workload loop
 	// allocates nothing.

@@ -108,3 +108,68 @@ func TestParallelRecordingProvenance(t *testing.T) {
 		t.Errorf("sink headers differ for the same cell:\n  Parallel=2: %s\n  sequential: %s", par, seq)
 	}
 }
+
+// TestHostileConfigsReturnErrors: a config no run can honour comes back as
+// an error naming the offending field — not a panic from inside the fabric
+// or the transport, and not a nil error over an empty result.
+func TestHostileConfigsReturnErrors(t *testing.T) {
+	fct := func(edit func(*FCTConfig)) func() error {
+		return func() error {
+			cfg := quickFCT(SchemeCONGA, WorkloadEnterprise, 0.4)
+			cfg.MaxFlows = 5
+			edit(&cfg)
+			_, err := RunFCT(cfg)
+			return err
+		}
+	}
+	incast := func(edit func(*IncastConfig)) func() error {
+		return func() error {
+			cfg := IncastConfig{Topology: quickTopo(), Fanout: 4, RequestBytes: 1 << 16, Rounds: 1,
+				Transport: TransportConfig{MinRTO: 10 * time.Millisecond}}
+			edit(&cfg)
+			_, err := RunIncast(cfg)
+			return err
+		}
+	}
+	rows := []struct {
+		name, want string
+		run        func() error
+	}{
+		{"Topology.AccessGbps < 0", "AccessRateBps", fct(func(c *FCTConfig) { c.Topology.AccessGbps = -1 })},
+		{"Topology.FabricGbps < 0", "FabricRateBps", fct(func(c *FCTConfig) { c.Topology.FabricGbps = -40 })},
+		{"Topology.EdgeBufBytes < 0", "buffer", fct(func(c *FCTConfig) { c.Topology.EdgeBufBytes = -1 })},
+		{"Topology.FabricBufBytes < 0", "buffer", incast(func(c *IncastConfig) { c.Topology.FabricBufBytes = -1 })},
+		{"Topology.FailedLinks out of range", "FailedLinks[1]", fct(func(c *FCTConfig) { c.Topology.FailedLinks = [][3]int{{0, 1, 0}, {9, 9, 9}} })},
+		{"Topology.FailedLinks negative", "FailedLinks[0]", incast(func(c *IncastConfig) { c.Topology.FailedLinks = [][3]int{{0, -1, 0}} })},
+		{"Topology.Leaves = 1", "leaves", fct(func(c *FCTConfig) { c.Topology.Leaves = 1 })},
+		{"Transport.MTU too small", "MTU", fct(func(c *FCTConfig) { c.Transport.MTU = 10 })},
+		{"Transport.MTU too small (incast)", "MTU", incast(func(c *IncastConfig) { c.Transport.MTU = 40 })},
+		{"Transport.MinRTO < 0", "MinRTO", fct(func(c *FCTConfig) { c.Transport.MinRTO = -time.Second })},
+		{"Transport.Subflows < 0", "Subflows", fct(func(c *FCTConfig) { c.Transport.Subflows = -2 })},
+		{"FCTConfig.Load = 0", "load", fct(func(c *FCTConfig) { c.Load = 0 })},
+		{"FCTConfig.Load < 0", "load", fct(func(c *FCTConfig) { c.Load = -0.5 })},
+		{"FCTConfig.MaxFlows < 0", "MaxFlows", fct(func(c *FCTConfig) { c.MaxFlows = -1 })},
+		{"FCTConfig.Params.Q = 0", "Q", fct(func(c *FCTConfig) { p := DefaultParams(); p.Q = 0; c.Params = &p })},
+		{"FCTConfig.Params.Tfl = 0", "Tfl", fct(func(c *FCTConfig) { p := DefaultParams(); p.Tfl = 0; c.Params = &p })},
+		{"IncastConfig.Fanout < 0", "Fanout", incast(func(c *IncastConfig) { c.Fanout = -1 })},
+		{"IncastConfig.Fanout ≥ hosts", "fanout", incast(func(c *IncastConfig) { c.Fanout = 16 })},
+		{"IncastConfig.RequestBytes < 0", "RequestBytes", incast(func(c *IncastConfig) { c.RequestBytes = -1 })},
+		{"IncastConfig.Rounds < 0", "Rounds", incast(func(c *IncastConfig) { c.Rounds = -3 })},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked instead of returning an error: %v", r)
+				}
+			}()
+			err := row.run()
+			if err == nil {
+				t.Fatal("accepted")
+			}
+			if !strings.Contains(err.Error(), row.want) {
+				t.Fatalf("error %q does not name %q", err, row.want)
+			}
+		})
+	}
+}
