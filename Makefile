@@ -57,14 +57,16 @@ bench:
 bench-engine:
 	$(GO) test -bench BenchmarkEngineRaw -run '^$$' .
 
-# Quick smoke benchmark for CI and pre-commit: the engine hot path at a
-# fixed iteration count (so ns/op is stable enough for the benchguard
-# regression gate), one full figure experiment, and one large-fabric scale
-# cell (64 leaves, ~17M events) at a single iteration. Catches gross perf
-# or allocation regressions in about a minute without the full artifact
-# sweep.
+# Quick smoke benchmark for CI and pre-commit: the engine hot path and the
+# idle fabric (tickers only, every event brought down by the wheel's
+# re-anchor path) at fixed iteration counts (so ns/op is stable enough for
+# the benchguard regression gate), one full figure experiment, and one
+# large-fabric scale cell (64 leaves, ~17M events) at a single iteration.
+# Catches gross perf or allocation regressions in about a minute without the
+# full artifact sweep.
 bench-quick:
 	$(GO) test -bench 'BenchmarkEngineRaw$$' -benchtime 200000x -run '^$$' .
+	$(GO) test -bench 'BenchmarkIdleFabric8Leaves$$' -benchtime 20000x -run '^$$' .
 	$(GO) test -bench 'BenchmarkFig09Enterprise$$' -benchtime 1x -run '^$$' .
 	$(GO) test -bench 'BenchmarkScale64Leaves40G$$' -benchtime 1x -run '^$$' .
 
@@ -75,20 +77,21 @@ bench-parallel:
 	$(GO) test -bench 'BenchmarkScale256Leaves40G(Parallel[248])?$$' -benchtime 1x -run '^$$' .
 
 # Gate bench-quick output against the recorded baseline: ns/op (15%) on the
-# engine micro-bench, events/op (exact) and allocs/op (10%) on every
-# benchmark with a baseline entry (CI runs this on
-# every PR; >15% ns/op regression on the engine hot path fails the build).
+# engine micro-bench and the idle fabric, events/op (exact) and allocs/op
+# (10%) on every benchmark with a baseline entry (CI runs this on every PR;
+# >15% ns/op regression on either gated cell fails the build).
 bench-guard:
 	$(MAKE) bench-quick | tee bench-quick.txt
-	$(GO) run ./tools/benchguard -baseline BENCH_PR24.json -max-regress 0.15 \
-		-require 'BenchmarkEngineRaw,BenchmarkFig09Enterprise' bench-quick.txt
+	$(GO) run ./tools/benchguard -baseline BENCH_PR26.json -max-regress 0.15 \
+		-ns-benches 'BenchmarkEngineRaw,BenchmarkIdleFabric8Leaves' \
+		-require 'BenchmarkEngineRaw,BenchmarkFig09Enterprise,BenchmarkIdleFabric8Leaves' bench-quick.txt
 
 # Gate the space-parallel scale cells: events/op exact per domain count,
 # which pins determinism. No speedup is gated: no recorded baseline has
 # shown a domain count faster than sequential (DESIGN.md §3.6).
 bench-guard-parallel:
 	$(MAKE) bench-parallel | tee bench-parallel.txt
-	$(GO) run ./tools/benchguard -baseline BENCH_PR24.json \
+	$(GO) run ./tools/benchguard -baseline BENCH_PR26.json \
 		-require 'BenchmarkScale256Leaves40G,BenchmarkScale256Leaves40GParallel2,BenchmarkScale256Leaves40GParallel4,BenchmarkScale256Leaves40GParallel8' \
 		bench-parallel.txt
 

@@ -265,14 +265,16 @@ func (n *Network) wireTelemetry(reg *telemetry.Registry) {
 			})
 			reg.RecordEngine("link_starts", started)
 			reg.RecordEngine("link_starts_drained", drained)
-			var cascades, farPushes, allocs, recycled uint64
+			var cascades, requeued, farPushes, allocs, recycled uint64
 			for d, eng := range n.engines {
 				cascades += eng.Cascades()
+				requeued += eng.Requeued()
 				farPushes += eng.FarPushes()
 				allocs += n.pools[d].Allocs
 				recycled += n.pools[d].Recycled
 			}
 			reg.RecordEngine("cascades", cascades)
+			reg.RecordEngine("requeued", requeued)
 			reg.RecordEngine("far_pushes", farPushes)
 			reg.RecordEngine("packet_allocs", allocs)
 			reg.RecordEngine("packet_recycled", recycled)

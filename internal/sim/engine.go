@@ -10,13 +10,16 @@
 // independent experiments concurrently (see internal/runner).
 //
 // The event queue is a hierarchical timing wheel: a near-horizon level of
-// 4096 one-tick slots (sized to the serialization + propagation band where
-// almost all packet events land), three cascading overflow levels covering
-// ~2 ms, ~1 s and ~9 min, and a 4-ary min-heap fallback for anything beyond
-// the wheel (or behind its base after a window advance). Push and pop are
-// O(1) on the wheel; the heap is consulted only by comparing its root
-// against the wheel minimum, so the (time, seq) execution order is exact no
-// matter where an event is stored. The queue's element is the Node, owned
+// one-tick slots holding two 4096-tick blocks, the one the clock is in and
+// the next, so an event less than one block ahead is placed there directly
+// and found there once (the serialization + propagation band where almost
+// all packet events land); three overflow levels covering ~2 ms, ~1 s and
+// ~9 min, each handing one bucket down whenever the level below moves a
+// block on; and a 4-ary min-heap fallback for anything beyond the wheel (or
+// behind its base after a bounded Run). Push and pop are O(1) on the wheel;
+// the heap is consulted only by comparing its root against the wheel
+// minimum, so the (time, seq) execution order is exact no matter where an
+// event is stored. The queue's element is the Node, owned
 // by whoever schedules it: a model object embeds one per event it can have
 // pending. Closures (At, AtDaemon) ride the same path on a pooled
 // Node, recycled through a per-engine free list; their handles stay safe
@@ -65,14 +68,15 @@ func (t Time) String() string { return time.Duration(t).String() }
 type Event func(now Time)
 
 // Timing-wheel geometry. Level 0 has one-tick slots so a slot never mixes
-// timestamps: within one 4096-aligned block, slot index IS time order, and
-// FIFO order within a slot IS seq order (appends are seq-monotone, see the
-// cascade invariant in DESIGN.md). Each overflow level widens slots by
-// 2^lvlBits.
+// timestamps: within each of its two 4096-aligned blocks, slot index IS time
+// order, and FIFO order within a slot IS seq order (appends are seq-monotone,
+// see the refill invariant in DESIGN.md). Each overflow level widens slots
+// by 2^lvlBits, and its slot is one block of the level below.
 const (
-	l0Bits  = 12 // 4096 one-tick slots ≈ 4.1 µs of near horizon
-	l0Size  = 1 << l0Bits
-	lvlBits = 9 // 512 slots per overflow level
+	l0Bits  = 12 // a level-0 block: 4096 one-tick slots ≈ 4.1 µs
+	l0Block = 1 << l0Bits
+	l0Size  = 2 * l0Block // level 0 holds the clock's block and the next
+	lvlBits = 9           // 512 slots per overflow level
 	lvlSize = 1 << lvlBits
 	numLvls = 3 // overflow levels: ~2.1 ms, ~1.07 s, ~9.2 min horizons
 )
@@ -155,18 +159,23 @@ type Engine struct {
 	stopped  bool
 
 	// Timing wheel. winEnd[k] is the exclusive end of level k's window and
-	// is always aligned to level k's block size 2^(l0Bits + k·lvlBits), so
-	// each level's occupied slots live in a suffix of a single aligned
-	// block and slot index order equals time order. wheelCount tracks
-	// events resident in any wheel level; when it reaches zero the windows
-	// re-anchor at the current clock on the next insert.
-	l0       [l0Size]bucket
+	// is always aligned to level k's block size 2^(l0Bits + k·lvlBits).
+	// Level 0's window is two blocks, [winEnd[0]−l0Size, winEnd[0]); each
+	// overflow level's is one, so its slot index order equals time order.
+	// Every overflow event lies at or past winEnd[0], so the earliest
+	// level-0 slot, kept exact in l0min/l0minAt (MaxTime: level 0 is
+	// empty), holds the wheel's minimum. wheel counts events resident in
+	// any level; when it reaches zero the windows re-anchor at the current
+	// clock on the next insert.
+	winEnd   [numLvls + 1]Time
+	wheel    int
+	l0min    int32
+	l0minAt  Time
+	l0sum    [2]uint64 // bit i of l0sum[h] set ⇔ l0words[h<<6|i] != 0
 	l0words  [l0Size / 64]uint64
-	l0sum    uint64 // bit i set ⇔ l0words[i] != 0
+	l0       [l0Size]bucket
 	lvl      [numLvls][lvlSize]bucket
 	lvlWords [numLvls][lvlSize / 64]uint64
-	winEnd   [numLvls + 1]Time
-	wheel    int // events resident in the wheel
 
 	// far holds events beyond the wheel horizon — or (rarely) behind the
 	// wheel base after a cascade overshot a bounded Run — as a 4-ary
@@ -182,9 +191,9 @@ type Engine struct {
 	curSeq uint64
 
 	// How the queue did its work, for the run's self-description: buckets
-	// moved down a level and events that missed the wheel. Neither is on
-	// the per-event path.
-	cascades, farPushes uint64
+	// moved down a level, the events in them, and events that missed the
+	// wheel. None is on the per-event path.
+	cascades, requeued, farPushes uint64
 }
 
 // New returns an engine with the clock at zero.
@@ -197,9 +206,11 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Executed() uint64 { return e.executed }
 
 // Cascades returns how many overflow buckets the wheel has moved down a
-// level, and FarPushes how many events landed in the far heap instead of
+// level, Requeued how many events those buckets held (each was placed once
+// more), and FarPushes how many events landed in the far heap instead of
 // the wheel.
 func (e *Engine) Cascades() uint64  { return e.cascades }
+func (e *Engine) Requeued() uint64  { return e.requeued }
 func (e *Engine) FarPushes() uint64 { return e.farPushes }
 
 // Pending returns the number of events waiting in the queue. Cancelled
@@ -319,6 +330,11 @@ func (e *Engine) insert(t Time, n *Node, h Handler, seq uint64, daemon bool) {
 		// near horizon tight across drain/refill cycles and makes the
 		// zero-value Engine work.
 		e.anchor()
+	} else if t >= e.winEnd[0] && t < e.winEnd[0]+l0Block && e.now >= e.winEnd[0]-l0Block {
+		// The first insert into the block after level 0's window. The clock
+		// has left the window's first half, so that half is empty and
+		// becomes this block.
+		e.advance()
 	}
 	e.place(n)
 	if p := n.prev; p != nil && p.seq > seq {
@@ -355,13 +371,16 @@ func (e *Engine) restoreBucketOrder(n *Node) {
 	}
 }
 
-// anchor positions every wheel window so that level k's window is the
-// aligned block containing now. Only valid when the wheel is empty.
+// anchor positions every wheel window at the clock: level k's window is the
+// aligned block containing now, followed at level 0 by the next block. Only
+// valid when the wheel is empty.
 func (e *Engine) anchor() {
 	for k := 0; k <= numLvls; k++ {
 		span := Time(1) << (l0Bits + k*lvlBits)
 		e.winEnd[k] = (e.now &^ (span - 1)) + span
 	}
+	e.winEnd[0] += l0Block
+	e.l0minAt = MaxTime // level 0 is empty; this also readies the zero value
 }
 
 // place routes ev into the wheel level whose window covers ev.at, or into
@@ -377,7 +396,10 @@ func (e *Engine) place(ev *Node) {
 				b.head = ev
 				ev.prev = nil
 				e.l0words[s>>6] |= 1 << (uint32(s) & 63)
-				e.l0sum |= 1 << (uint32(s) >> 6)
+				e.l0sum[s>>l0Bits] |= 1 << ((uint32(s) >> 6) & 63)
+				if t < e.l0minAt {
+					e.l0min, e.l0minAt = s, t
+				}
 			} else {
 				ev.prev = b.tail
 				b.tail.next = ev
@@ -387,8 +409,8 @@ func (e *Engine) place(ev *Node) {
 			e.wheel++
 			return
 		}
-		// Behind the level-0 block: a cascade overshot a bounded Run and
-		// the caller scheduled into the gap.
+		// Behind level 0's window: a cascade overshot a bounded Run and the
+		// caller scheduled into the gap.
 		e.farPush(ev)
 		return
 	}
@@ -441,9 +463,9 @@ func (e *Engine) remove(ev *Node) {
 	}
 	if b.head == nil {
 		if ev.loc == locL0 {
-			e.l0words[s>>6] &^= 1 << (uint32(s) & 63)
-			if e.l0words[s>>6] == 0 {
-				e.l0sum &^= 1 << (uint32(s) >> 6)
+			e.l0clear(s)
+			if s == e.l0min {
+				e.l0scan()
 			}
 		} else {
 			e.lvlWords[ev.loc-locL0-1][s>>6] &^= 1 << (uint32(s) & 63)
@@ -454,75 +476,118 @@ func (e *Engine) remove(ev *Node) {
 	e.wheel--
 }
 
-// cascade moves the earliest occupied bucket of the lowest non-empty
-// overflow level down one level, advancing the windows below it. It
-// reports whether any bucket moved.
-func (e *Engine) cascade() bool {
-	for k := 1; k <= numLvls; k++ {
-		s := -1
-		for w, word := range e.lvlWords[k-1] {
-			if word != 0 {
-				s = w<<6 + bits.TrailingZeros64(word)
-				break
-			}
-		}
-		if s < 0 {
-			continue
-		}
-		b := &e.lvl[k-1][s]
-		head := b.head
-		shift := uint(l0Bits + (k-1)*lvlBits)
-		base := (head.at >> shift) << shift // bucket start; aligned to 2^shift
-		// The new level-(k−1) window is exactly this bucket's span; every
-		// window below starts empty at its base. base is aligned to
-		// 2^(l0Bits+(k−1)·lvlBits), which is also block-aligned for every
-		// lower level, so the suffix-of-one-block invariant holds.
-		e.winEnd[k-1] = base + Time(1)<<shift
-		for j := k - 2; j >= 0; j-- {
-			e.winEnd[j] = base
-		}
-		// Detach the bucket and redistribute. The bucket list is in seq
-		// order and the target slots are empty (the levels below were
-		// exhausted, and direct inserts for these times were impossible
-		// before the window advance), so per-slot FIFO order stays seq
-		// order.
-		b.head, b.tail = nil, nil
-		e.lvlWords[k-1][s>>6] &^= 1 << (uint(s) & 63)
-		e.cascades++
-		for ev := head; ev != nil; {
-			next := ev.next
-			ev.prev, ev.next = nil, nil
-			e.wheel--
-			e.place(ev)
-			ev = next
-		}
-		return true
+// l0clear marks level-0 slot s empty in the bitmaps.
+func (e *Engine) l0clear(s int32) {
+	e.l0words[s>>6] &^= 1 << (uint32(s) & 63)
+	if e.l0words[s>>6] == 0 {
+		e.l0sum[s>>l0Bits] &^= 1 << ((uint32(s) >> 6) & 63)
 	}
-	return false
 }
 
-// l0Min returns the lowest occupied level-0 slot; l0sum must be nonzero.
-func (e *Engine) l0Min() int32 {
-	wd := bits.TrailingZeros64(e.l0sum)
-	return int32(wd<<6 + bits.TrailingZeros64(e.l0words[wd]))
+// l0scan sets l0min/l0minAt to the earliest occupied level-0 slot, or
+// l0minAt to MaxTime when there is none. The window's first block is
+// searched before its second; a slot's time follows from the window, so no
+// node is read.
+func (e *Engine) l0scan() {
+	start := e.winEnd[0] - l0Size
+	h := int(start>>l0Bits) & 1 // the half of l0 holding the first block
+	if e.l0sum[h] == 0 {
+		start += l0Block
+		h ^= 1
+		if e.l0sum[h] == 0 {
+			e.l0minAt = MaxTime
+			return
+		}
+	}
+	wd := h<<6 | bits.TrailingZeros64(e.l0sum[h])
+	s := wd<<6 | bits.TrailingZeros64(e.l0words[wd])
+	e.l0min, e.l0minAt = int32(s), start+Time(s&(l0Block-1))
+}
+
+// advance moves level 0's window one block on: the block the clock has left
+// is reused for the one after the window, filled from level 1.
+func (e *Engine) advance() {
+	e.winEnd[0] += l0Block
+	e.refill(1, e.winEnd[0]-l0Block)
+}
+
+// refill moves into level k−1 the one level-k bucket covering start, a time
+// in level k−1's new block: that bucket is the block. Level k is exhausted
+// when its window ends at or before start: it then moves one block on
+// first, refilling from the level above, and past the last level the far
+// heap keeps what lies beyond. The bucket's list is in seq order and its
+// target slots are empty (they belong to the block just vacated, or to the
+// exhausted level below), so per-slot FIFO order stays seq order.
+func (e *Engine) refill(k int, start Time) {
+	if k > numLvls {
+		return
+	}
+	shift := uint(l0Bits + (k-1)*lvlBits) // a level-k slot is a level-(k−1) block
+	if start >= e.winEnd[k] {
+		e.winEnd[k] += Time(1) << (shift + lvlBits)
+		e.refill(k+1, start)
+	}
+	s := int32(start>>shift) & (lvlSize - 1)
+	b := &e.lvl[k-1][s]
+	head := b.head
+	if head == nil {
+		return
+	}
+	b.head, b.tail = nil, nil
+	e.lvlWords[k-1][s>>6] &^= 1 << (uint32(s) & 63)
+	e.cascades++
+	for ev := head; ev != nil; {
+		next := ev.next
+		e.wheel--
+		e.requeued++
+		e.place(ev)
+		ev = next
+	}
+}
+
+// cascade refills an empty level 0 from the lowest occupied overflow level:
+// the empty windows below it re-anchor to end where that level's earliest
+// occupied bucket begins, and advance pulls the bucket down through them.
+// A level-k bucket (k ≥ 2) lands one level down, or straight in level 0 for
+// its first block, so the caller repeats until level 0 is occupied.
+func (e *Engine) cascade() {
+	for k := 1; k <= numLvls; k++ {
+		for w, word := range e.lvlWords[k-1] {
+			if word == 0 {
+				continue
+			}
+			shift := uint(l0Bits + (k-1)*lvlBits)
+			s := Time(w<<6 | bits.TrailingZeros64(word))
+			base := e.winEnd[k] - Time(1)<<(shift+lvlBits) + s<<shift
+			for j := 0; j < k; j++ {
+				e.winEnd[j] = base
+			}
+			e.advance()
+			return
+		}
+	}
+	panic(fmt.Sprintf("sim: %d events counted in the wheel, none in it", e.wheel))
+}
+
+// wheelMin returns the wheel's earliest event, cascading while level 0 is
+// empty, or nil when the wheel is. Within each level-0 block slot index
+// order is time order and bucket FIFO order is seq order, so the head of
+// the earliest occupied level-0 slot is the wheel's exact (time, seq)
+// minimum.
+func (e *Engine) wheelMin() *Node {
+	if e.wheel == 0 {
+		return nil
+	}
+	for e.l0minAt == MaxTime {
+		e.cascade()
+	}
+	return e.l0[e.l0min].head
 }
 
 // nextEvent returns the earliest pending event without removing it (the
 // wheel may cascade as a side effect), or nil when nothing is pending.
-// Within a level, slot index order is time order (each window is a suffix
-// of one aligned block) and bucket FIFO order is seq order, so the head of
-// the lowest occupied level-0 slot is the wheel's exact (time, seq) minimum.
 func (e *Engine) nextEvent() *Node {
-	var w *Node
-	for e.wheel > 0 {
-		if e.l0sum != 0 {
-			w = e.l0[e.l0Min()].head
-			break
-		}
-		if !e.cascade() {
-			break
-		}
-	}
+	w := e.wheelMin()
 	if len(e.far) > 0 {
 		f := e.far[0]
 		if w == nil || eventLess(f, w) {
@@ -534,25 +599,13 @@ func (e *Engine) nextEvent() *Node {
 
 // popMin removes and returns the earliest pending event (cascading as
 // needed), or nil when nothing is pending. It is nextEvent+remove fused
-// for Run's hot loop: the minimum is almost always the head of the lowest
-// occupied level-0 slot, which unlinks with two stores and at most two
-// bitmap clears — none of remove's generic prev/level dispatch. It does
-// not touch pending; the caller owns that bookkeeping, as with remove.
+// for Run's hot loop: the minimum is almost always the head of the earliest
+// level-0 slot, which unlinks with two stores — plus, when that empties the
+// slot, the bitmap clears and the one search for the next minimum — none of
+// remove's generic prev/level dispatch. It does not touch pending; the
+// caller owns that bookkeeping, as with remove.
 func (e *Engine) popMin() *Node {
-	var w *Node
-	var ws int32
-	if e.wheel > 0 {
-		for {
-			if e.l0sum != 0 {
-				ws = e.l0Min()
-				w = e.l0[ws].head
-				break
-			}
-			if !e.cascade() {
-				break
-			}
-		}
-	}
+	w := e.wheelMin()
 	if len(e.far) > 0 {
 		f := e.far[0]
 		if w == nil || eventLess(f, w) {
@@ -564,16 +617,14 @@ func (e *Engine) popMin() *Node {
 	if w == nil {
 		return nil
 	}
-	b := &e.l0[ws]
+	b := &e.l0[e.l0min]
 	b.head = w.next
 	if w.next != nil {
 		w.next.prev = nil
 	} else {
 		b.tail = nil
-		e.l0words[ws>>6] &^= 1 << (uint32(ws) & 63)
-		if e.l0words[ws>>6] == 0 {
-			e.l0sum &^= 1 << (uint32(ws) >> 6)
-		}
+		e.l0clear(e.l0min)
+		e.l0scan()
 	}
 	w.next = nil
 	w.loc = locNone
@@ -626,12 +677,12 @@ func (e *Engine) Run(until Time) Time {
 		}
 		e.executed++
 		// Second pipeline stage: start filling the lines of the event after
-		// this one while this one's handler runs. The peek reads level 0 only
-		// — no cascade, no far-heap compare, nothing written — so when the
-		// handler cancels, overtakes or recycles the peeked node the hint was
-		// wasted and nothing else.
-		if e.l0sum != 0 {
-			prefetch.Lines2(unsafe.Pointer(e.l0[e.l0Min()].head))
+		// this one while this one's handler runs. The peek reads the level-0
+		// minimum popMin left in l0min — no search, no cascade, no far-heap
+		// compare, nothing written — so when the handler cancels, overtakes
+		// or recycles the peeked node the hint was wasted and nothing else.
+		if e.l0minAt != MaxTime {
+			prefetch.Lines2(unsafe.Pointer(e.l0[e.l0min].head))
 		}
 		// The node is idle from here on: its owner's Fire may re-arm it.
 		next.h.Fire(e.now)

@@ -169,7 +169,10 @@ var fuzzDeltas = [16]Time{0, 1, 2, 100, 4095, 4096, 4097, 50 * Microsecond,
 // firing order, clock, Pending, Live, Executed, NextAt and cancel results
 // throughout. Ops 3 and 10 drove two scheduling calls the engine no longer
 // has. Op 3 still only consumes its operands and a closure id; op 10 does
-// too, and its two operand bytes now arm a node's act on the minimum.
+// too, and its two operand bytes now arm a node's act on the minimum. Op 12
+// runs the clock to just before the end of an aligned 2¹², 2²¹ or 2³⁰ ns
+// block, where level 0's window meets the next block and (after an idle
+// stretch) the next insert anchors level 0's window past level 1's end.
 func FuzzWheelMatchesHeap(f *testing.F) {
 	f.Add([]byte{})
 	// A node re-arming itself across a level boundary between two closures.
@@ -189,6 +192,31 @@ func FuzzWheelMatchesHeap(f *testing.F) {
 	// It re-arms the peeked node 1 earlier, and later across a level boundary.
 	f.Add([]byte{10, 0, 0x08, 4, 0, 0x01, 4, 1, 0x03, 0, 0x04, 9, 0x04})
 	f.Add([]byte{10, 0x05, 0x0c, 4, 0, 0x01, 4, 1, 0x02, 0, 0x03, 9, 0x06})
+	// The clock enters the second half of level 0's window [4096, 12288) at
+	// 12286 with 12287 pending; then inserts at the window's end −1, 0 (the
+	// first insert into the next block advances the window), +4095 and +4096
+	// (still one block ahead: level 1) — and the same four in the other order.
+	f.Add([]byte{9, 0x05, 0, 0xf6, 12, 0x00, 0, 0x05, 12, 0x06, 11,
+		0, 0x01, 0, 0x02, 0, 0x06, 0, 0x16, 11, 9, 0x08})
+	f.Add([]byte{9, 0x05, 0, 0xf6, 12, 0x00, 0, 0x05, 12, 0x06, 11,
+		0, 0x06, 0, 0x16, 0, 0x01, 0, 0x02, 11, 9, 0x08})
+	// A bounded Run stops in the second half of [4096, 12288) after its peek
+	// cascaded level 1's next event down, moving the window ahead of the
+	// clock; the inserts that follow land behind the window's base.
+	f.Add([]byte{9, 0x05, 0, 0xf6, 0, 0x07, 12, 0x00, 9, 0x13, 11,
+		0, 0x00, 0, 0x03, 0, 0x05, 4, 0, 0x05, 11, 9, 0x08})
+	// Idle gaps: with levels 0 and 1 empty, the next event comes down by the
+	// re-anchor path from level 2 (500 ms, and node 0 re-arming itself every
+	// 500 ms), then from level 3 (2 s, 8 min).
+	f.Add([]byte{0, 0x0a, 0, 0x0c, 1, 0x09, 0, 0x03, 8, 0, 0x3a, 4, 0, 0x0a, 11, 9, 0x0e})
+	// Runs to block ends of all three sizes, each followed by near inserts.
+	// The first anchors level 0's window one block past level 1's end, and
+	// parks events just past it, and 2 ms on, in level 2. The clock then
+	// enters the window's second half, and the next insert advances level 0
+	// into the block level 1 no longer covers: level 1 moves a block on and
+	// refills from level 2, whose first event lands straight in level 0.
+	f.Add([]byte{0, 0x06, 12, 0x01, 0, 0x05, 0, 0x16, 0, 0x08, 9, 0x03, 0, 0x16, 11,
+		12, 0x02, 0, 0x05, 0, 0x07, 12, 0x00, 0, 0x06, 12, 0x05, 0, 0x04, 9, 0x0e})
 	rng := NewRand(14)
 	for i := 0; i < 24; i++ {
 		ops := make([]byte, 40+rng.Intn(400))
@@ -281,7 +309,7 @@ func FuzzWheelMatchesHeap(f *testing.F) {
 			}
 		}
 		for step := 0; len(ops) > 0 && step < 2000; step++ {
-			switch op := next() % 12; op {
+			switch op := next() % 13; op {
 			case 0, 1: // At, AtDaemon
 				at, id := e.Now()+delta(), len(handles)
 				if op == 0 {
@@ -352,6 +380,16 @@ func FuzzWheelMatchesHeap(f *testing.F) {
 				handles = append(handles, EventHandle{}) // the retired op's closure id
 			case 11:
 				check("probe")
+			case 12: // run to just before the end of an aligned block
+				b := next()
+				bits := [...]uint{l0Bits, l0Bits + lvlBits, l0Bits + 2*lvlBits}[b%3]
+				until := (e.Now()>>bits+1)<<bits - 1 - Time(b>>2)
+				if until <= e.Now() {
+					until += 1 << bits
+				}
+				e.Run(until)
+				m.run(until)
+				check("Run to a block end")
 			}
 		}
 		until := e.Now() + 12*3600*Second

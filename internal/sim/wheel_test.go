@@ -183,3 +183,41 @@ func TestWheelRandomizedCrossLevelOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestNearEventsAreNotRequeued: an event less than one level-0 block ahead
+// goes straight into level 0 at any clock phase — into the window's second
+// block, or past it after the window moves one block on — so it is placed
+// once and never moved down. 10⁵ events, each 0–4095 ns ahead of a clock
+// that bounded runs stop at random instants, run in exact (time, seq) order
+// with no bucket moved down and nothing in the far heap.
+func TestNearEventsAreNotRequeued(t *testing.T) {
+	e := New()
+	r := NewRand(26)
+	type rec struct {
+		at Time
+		id int
+	}
+	var want []rec
+	var got []int
+	for len(want) < 100000 {
+		for i := r.Intn(8); i >= 0; i-- {
+			at, id := e.Now()+Time(r.Intn(l0Block)), len(want)
+			want = append(want, rec{at, id})
+			e.At(at, func(Time) { got = append(got, id) })
+		}
+		e.Run(e.Now() + Time(r.Intn(3*l0Block)))
+	}
+	e.Run(MaxTime)
+	sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+	if len(got) != len(want) {
+		t.Fatalf("ran %d events, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i].id {
+			t.Fatalf("execution order diverged at %d: got %d, want %d", i, got[i], want[i].id)
+		}
+	}
+	if e.Requeued() != 0 || e.Cascades() != 0 || e.FarPushes() != 0 {
+		t.Fatalf("%d events requeued in %d buckets, %d far pushes; want none", e.Requeued(), e.Cascades(), e.FarPushes())
+	}
+}

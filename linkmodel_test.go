@@ -322,10 +322,10 @@ func TestObservationCostsNoEvents(t *testing.T) {
 		eng[row.Counter] = row.Value
 	}
 	_, deq, _, _ := on.Telemetry.LinkTotals()
-	if len(eng) != 6 || eng["link_starts"] != deq || eng["link_starts_drained"] == 0 ||
-		eng["link_starts_drained"] > deq || eng["cascades"] == 0 || eng["far_pushes"] != 0 ||
-		eng["packet_allocs"] == 0 || eng["packet_recycled"] == 0 {
-		t.Fatalf("engine group %v, want six counters with link_starts = %d dequeues, cascades and a pool that allocated and recycled, and nothing past the wheel", eng, deq)
+	if len(eng) != 7 || eng["link_starts"] != deq || eng["link_starts_drained"] == 0 ||
+		eng["link_starts_drained"] > deq || eng["cascades"] == 0 || eng["requeued"] < eng["cascades"] ||
+		eng["far_pushes"] != 0 || eng["packet_allocs"] == 0 || eng["packet_recycled"] == 0 {
+		t.Fatalf("engine group %v, want seven counters with link_starts = %d dequeues, cascades of at least one event each, a pool that allocated and recycled, and nothing past the wheel", eng, deq)
 	}
 	a, b := *on, *off
 	a.Telemetry = nil

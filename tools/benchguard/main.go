@@ -17,10 +17,14 @@
 // checked; -require lists benchmarks that must appear in the output (so a
 // silently-skipped benchmark can't pass the gate).
 //
-// Usage:
+// Usage (what `make bench-guard` and `make bench-guard-parallel` run, each
+// naming the baseline the tree currently records):
 //
 //	make bench-quick | tee bench-quick.txt
-//	go run ./tools/benchguard -baseline BENCH_PR9.json bench-quick.txt
+//	go run ./tools/benchguard -baseline BENCH_PR26.json bench-quick.txt
+//
+// -baseline is required: a default would silently gate against whichever
+// record was current when the default was written.
 //
 // With -update OUT.json the tool regenerates a baseline instead of gating:
 // every benchmark in the output is recorded (all reported metrics, not
@@ -94,7 +98,7 @@ func metricKey(unit string) string {
 
 func main() {
 	var (
-		baselinePath    = flag.String("baseline", "BENCH_PR6.json", "baseline JSON file")
+		baselinePath    = flag.String("baseline", "", "baseline JSON file (required; make bench-guard names the current one)")
 		maxRegress      = flag.Float64("max-regress", 0.15, "allowed fractional ns/op regression over baseline")
 		maxAllocRegress = flag.Float64("max-alloc-regress", 0.10, "allowed fractional allocs/op regression over baseline")
 		require         = flag.String("require", "BenchmarkEngineRaw,BenchmarkFig09Enterprise,BenchmarkScale64Leaves40G",
@@ -115,6 +119,9 @@ func main() {
 			"recording command noted in the regenerated baseline's environment block (-update)")
 	)
 	flag.Parse()
+	if *baselinePath == "" {
+		fatal("-baseline is required: name a BENCH_*.json record, as the Makefile's bench-guard and bench-guard-parallel targets do")
+	}
 
 	raw, err := os.ReadFile(*baselinePath)
 	if err != nil {

@@ -90,3 +90,12 @@ func TestEventsChangeVerdicts(t *testing.T) {
 		t.Errorf("gate against the updated baseline failed:\n%s", out)
 	}
 }
+
+// TestBaselineIsRequired: with no -baseline the gate refuses to run and says
+// where the current record is named, instead of gating against a stale one.
+func TestBaselineIsRequired(t *testing.T) {
+	out, ok := runGuard(t, filepath.Join(t.TempDir(), "bench.txt"))
+	if want := "-baseline is required"; ok || !strings.Contains(out, want) || !strings.Contains(out, "bench-guard") {
+		t.Errorf("benchguard without -baseline: ok=%v, output %q, want a failure naming the Makefile targets", ok, out)
+	}
+}
