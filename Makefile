@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint memlat fuzz-smoke bench bench-engine bench-quick bench-parallel bench-guard bench-guard-parallel bench-profile bench-repo bench-compare bench-smoke replay-smoke decision-smoke check
+.PHONY: build test race vet lint memlat fuzz-smoke bench bench-engine bench-quick bench-parallel bench-guard bench-guard-parallel bench-profile bench-repo bench-compare bench-smoke replay-smoke decision-smoke serve-smoke check
 
 build:
 	$(GO) build ./...
@@ -151,5 +151,21 @@ decision-smoke:
 	$(GO) run ./cmd/congatrace -read decision-smoke.tel/decisions.ndjson
 	$(GO) run ./cmd/congaplot -heatmap -dir decision-smoke.tel -out decision-heatmap.svg
 	test -s decision-heatmap.svg
+
+# Live-plane smoke (~15 s): serve a short run, wait until it has finished
+# (the -linger line, so its final snapshot is up), then list and draw its
+# queue series through congaplot -url, which decodes the sink NDJSON the
+# endpoints serve. CI uploads the figure.
+serve-smoke:
+	$(GO) build -o /tmp/congasim ./cmd/congasim
+	$(GO) build -o /tmp/congaplot ./cmd/congaplot
+	@set -e; rm -f serve-smoke.log live.svg; \
+	/tmp/congasim -serve 127.0.0.1:18089 -linger 5s -duration 20ms -queues > serve-smoke.log 2>&1 & pid=$$!; \
+	trap 'kill $$pid 2>/dev/null || true' EXIT; \
+	for i in $$(seq 300); do grep -q '^run finished' serve-smoke.log && break; sleep 0.1; done; \
+	cat serve-smoke.log; \
+	/tmp/congaplot -url http://127.0.0.1:18089 -list; \
+	/tmp/congaplot -url http://127.0.0.1:18089 -series 'queue\.' -out live.svg; \
+	test -s live.svg
 
 check: build vet test race

@@ -193,7 +193,7 @@ func runFCTFigure(quick bool, w conga.Workload) {
 		if i%len(loads) == len(loads)-1 {
 			printSeriesRow(name, loads, results[name], func(r *conga.FCTResult) float64 { return r.NormFCT }, true)
 		}
-	}, &sweepProg)
+	}, nil)
 	check(err)
 	fmt.Println("(b) small flows (<100KB) avg FCT, normalized to ECMP:")
 	printSeriesVsECMP(loads, results, func(r *conga.FCTResult) float64 { return float64(r.SmallAvgFCT) })
@@ -289,7 +289,7 @@ func runFig11(quick bool) {
 				cfgs = append(cfgs, cfg)
 			}
 		}
-		rs, err := runFCTs(cfgs)
+		rs, err := conga.RunFCTs(cfgs)
 		check(err)
 		results := map[string]map[float64]*conga.FCTResult{}
 		for i, r := range rs {
@@ -311,7 +311,7 @@ func runFig11(quick bool) {
 		cfg.CollectQueues = true
 		qcfgs = append(qcfgs, cfg)
 	}
-	qrs, err := runFCTs(qcfgs)
+	qrs, err := conga.RunFCTs(qcfgs)
 	check(err)
 	for i, s := range schemes {
 		r := qrs[i]
@@ -349,7 +349,7 @@ func runFig12(quick bool) {
 			cfg.MaxFlows *= 2
 			cfgs = append(cfgs, cfg)
 		}
-		rs, err := runFCTs(cfgs)
+		rs, err := conga.RunFCTs(cfgs)
 		check(err)
 		for i, s := range fctSchemes() {
 			r := rs[i]
@@ -462,7 +462,7 @@ func runFig13(quick bool) {
 		}
 		fmt.Print(perfCols(cost[k].ev, cost[k].wall))
 		fmt.Println()
-	}, &sweepProg)
+	}, nil)
 	check(err)
 	fmt.Println("Paper shape: MPTCP collapses at high fan-in (worst with jumbo frames); CONGA+TCP stays high.")
 }
@@ -533,7 +533,7 @@ func runFig14(quick bool) {
 				fmt.Printf(" %6.2f", sec)
 			}
 			fmt.Printf("   | mean %.2f worst %.2f%s\n", sum/float64(trials), worst, perfCols(ev, wall))
-		}, &sweepProg)
+		}, nil)
 		check(err)
 	}
 	fmt.Println("Paper shape: failure ≈ doubles ECMP job times; CONGA nearly unaffected; MPTCP volatile.")
@@ -579,7 +579,7 @@ func runFig15(quick bool) {
 				cfgs = append(cfgs, cfg)
 			}
 		}
-		rs, err := runFCTs(cfgs)
+		rs, err := conga.RunFCTs(cfgs)
 		check(err)
 		fmt.Printf("  %-8s", "conga")
 		var ev uint64
@@ -630,7 +630,7 @@ func runFig16(quick bool) {
 		cfg.CollectQueues = true
 		cfgs = append(cfgs, cfg)
 	}
-	rs, err := runFCTs(cfgs)
+	rs, err := conga.RunFCTs(cfgs)
 	check(err)
 	for i, s := range schemes {
 		r := rs[i]
@@ -795,7 +795,7 @@ func runAblation(quick bool) {
 		cfgs = append(cfgs, cfg)
 		names = append(names, "per-packet CONGA + reorder-resilient TCP")
 	}
-	rs, err := runFCTs(cfgs)
+	rs, err := conga.RunFCTs(cfgs)
 	check(err)
 	for i, r := range rs {
 		fmt.Printf("  %-36s %10.2f %10d %10d%s\n", names[i], r.NormFCT, r.Drops, r.Timeouts,

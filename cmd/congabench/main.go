@@ -63,17 +63,9 @@ var (
 	telemetrySeq int
 
 	// hub is non-nil when -serve is set; every run's tap attaches to it so
-	// the live endpoint can watch a whole figure sweep converge. sweepProg
-	// counts experiment completions across all Run*Stream calls.
-	hub       *conga.TelemetryHub
-	sweepProg conga.SweepProgress
+	// the live endpoint can watch a whole figure sweep converge.
+	hub *conga.TelemetryHub
 )
-
-// runFCTs is conga.RunFCTs routed through the sweep progress counter, so
-// the -serve sweep view counts non-streaming sections too.
-func runFCTs(cfgs []conga.FCTConfig) ([]*conga.FCTResult, error) {
-	return conga.RunFCTsStream(cfgs, nil, &sweepProg)
-}
 
 // telemetryFor returns per-run telemetry options flushing into a tagged
 // subdirectory, or nil when neither -telemetry nor -serve is set. Packet
@@ -92,7 +84,6 @@ func telemetryFor(tag string) *conga.TelemetryOptions {
 	opts := conga.TelemetryAll(dir)
 	opts.Trace = false
 	if hub != nil {
-		opts.Tap = true
 		opts.Hub = hub
 		opts.RunName = name
 	}
@@ -131,14 +122,10 @@ func main() {
 
 	if *serveAddr != "" {
 		hub = conga.NewTelemetryHub()
-		hub.SetSweepProgress(func() (done, total int) {
-			_, finished, expected := sweepProg.Counts()
-			return int(finished), int(expected)
-		})
 		srv, err := conga.ServeTelemetry(*serveAddr, hub)
 		check(err)
 		defer srv.Close()
-		fmt.Printf("live telemetry on http://%s (endpoints: /, /counters, /series, /stream; ?run=<name>)\n", srv.Addr)
+		fmt.Printf("live telemetry on http://%s (endpoints: /, /counters, /paths, /series, /series/<name>, /stream; ?run=<name>; bodies are sink NDJSON)\n", srv.Addr)
 	}
 
 	if *list {

@@ -36,7 +36,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -222,15 +221,13 @@ func defaultTitle(picked []plot.Series) string {
 // loadDir reads the sink files of dir named prefix*, which must all hold the
 // wanted table (series or cdf), as plot series. A directory flushed in both
 // encodings holds every probe twice, as <stem>.csv and <stem>.ndjson, which
-// read back the same: one file per stem is read. A series with no points has
-// nothing to list or plot and is left out (its NDJSON file is empty, so only
-// its CSV file could name it).
+// read back the same: one file per stem is read.
 func loadDir(dir, prefix string, table *telemetry.Table) ([]plot.Series, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, prefix+"*"))
 	if err != nil {
 		return nil, err
 	}
-	var out []plot.Series
+	var files []*telemetry.SinkFile
 	seen := map[string]bool{}
 	for _, p := range paths {
 		stem := strings.TrimSuffix(p, filepath.Ext(p))
@@ -245,71 +242,60 @@ func loadDir(dir, prefix string, table *telemetry.Table) ([]plot.Series, error) 
 		if f.Table != table && f.Table != nil {
 			return nil, fmt.Errorf("%s holds the %s table, not %s", p, f.Table.Name, table.Name)
 		}
-		s := plot.Series{Name: f.Probe, Unit: f.Unit, Points: f.CDF}
-		if s.Name == "" { // a file older than the "# probe=" line
-			s.Name = strings.TrimPrefix(filepath.Base(stem), prefix)
+		if f.Probe == "" { // a file older than the "# probe=" line
+			f.Probe = strings.TrimPrefix(filepath.Base(stem), prefix)
 		}
-		for _, pt := range f.Points {
-			s.Points = append(s.Points, [2]float64{float64(pt.T), pt.V})
-		}
-		if len(s.Points) > 0 {
-			out = append(out, s)
-		}
+		files = append(files, f)
 	}
-	return out, nil
+	return plotSeries(files), nil
 }
 
-// loadURL reads series from a live -serve endpoint: /series for the name
-// index, then /series/<name> for each.
+// loadURL reads series from a live -serve endpoint: /series lists the
+// names, and each /series/<name> body is that series' sink file.
 func loadURL(base, run string) ([]plot.Series, error) {
-	base = strings.TrimRight(base, "/")
-	q := ""
+	base, q := strings.TrimRight(base, "/"), ""
 	if run != "" {
 		q = "?run=" + url.QueryEscape(run)
 	}
-	var index struct {
-		Series []string `json:"series"`
+	index, err := get(base + "/series" + q)
+	var files []*telemetry.SinkFile
+	for _, name := range strings.Fields(string(index)) {
+		u := base + "/series/" + url.PathEscape(name) + q
+		var data []byte
+		var f *telemetry.SinkFile
+		if data, err = get(u); err == nil {
+			f, err = telemetry.DecodeSink(u, data)
+		}
+		if err != nil {
+			break
+		}
+		files = append(files, f)
 	}
-	if err := getJSON(base+"/series"+q, &index); err != nil {
-		return nil, err
-	}
+	return plotSeries(files), err
+}
+
+// plotSeries converts decoded series or cdf files to plot series, leaving
+// out those without points: they have nothing to list or plot (and an
+// empty series' NDJSON file is empty, so only its CSV file could name it).
+func plotSeries(files []*telemetry.SinkFile) []plot.Series {
 	var out []plot.Series
-	for _, name := range index.Series {
-		var sj struct {
-			Probe  string   `json:"probe"`
-			Unit   string   `json:"unit"`
-			Points [][2]any `json:"points"`
+	for _, f := range files {
+		if s := f.PlotSeries(); len(s.Points) > 0 {
+			out = append(out, s)
 		}
-		if err := getJSON(base+"/series/"+url.PathEscape(name)+q, &sj); err != nil {
-			return nil, err
-		}
-		s := plot.Series{Name: sj.Probe, Unit: sj.Unit}
-		for _, p := range sj.Points {
-			t, okT := asFloat(p[0])
-			v, okV := asFloat(p[1])
-			if okT && okV {
-				s.Points = append(s.Points, [2]float64{t, v})
-			}
-		}
-		out = append(out, s)
 	}
-	return out, nil
+	return out
 }
 
-func asFloat(v any) (float64, bool) {
-	f, ok := v.(float64)
-	return f, ok
-}
-
-func getJSON(u string, v any) error {
+func get(u string) ([]byte, error) {
 	resp, err := http.Get(u)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("GET %s: %s: %s", u, resp.Status, strings.TrimSpace(string(body)))
+	body, err := io.ReadAll(resp.Body)
+	if err == nil && resp.StatusCode != http.StatusOK {
+		err = fmt.Errorf("GET %s: %s: %s", u, resp.Status, strings.TrimSpace(string(body)))
 	}
-	return json.NewDecoder(resp.Body).Decode(v)
+	return body, err
 }

@@ -131,12 +131,11 @@ func main() {
 	var srv *conga.TelemetryServer
 	if *serveAddr != "" {
 		hub := conga.NewTelemetryHub()
-		tel.Tap = true
 		tel.Hub = hub
 		tel.RunName = *mode
 		srv, err = conga.ServeTelemetry(*serveAddr, hub)
 		die(err)
-		fmt.Printf("live telemetry on http://%s (endpoints: /, /counters, /series, /series/<name>, /stream)\n", srv.Addr)
+		fmt.Printf("live telemetry on http://%s (endpoints: /, /counters, /paths, /series, /series/<name>, /stream; bodies are sink NDJSON)\n", srv.Addr)
 	}
 
 	switch *mode {

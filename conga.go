@@ -31,6 +31,7 @@ package conga
 
 import (
 	"fmt"
+	"net/http"
 	"time"
 
 	"conga/internal/core"
@@ -69,11 +70,12 @@ func TelemetryAll(dir string) *TelemetryOptions {
 // see ServeTelemetry and internal/telemetry's safe-point handoff design.
 type TelemetryHub = telemetry.Hub
 
-// TelemetryServer is a running live-telemetry HTTP server.
-type TelemetryServer = telemetry.Server
+// TelemetryServer is a running live-telemetry HTTP server; its Addr is the
+// bound address.
+type TelemetryServer = http.Server
 
-// NewTelemetryHub returns an empty hub; point TelemetryOptions.Hub at it
-// (with Tap enabled) so runs attach their taps as they start.
+// NewTelemetryHub returns an empty hub; point TelemetryOptions.Hub at it so
+// runs attach their taps as they start.
 func NewTelemetryHub() *TelemetryHub { return telemetry.NewHub() }
 
 // ServeTelemetry starts the live-telemetry HTTP server for hub on addr

@@ -283,7 +283,7 @@ func (cfg FCTConfig) checkParallel() error {
 		return fmt.Errorf("conga: CollectQueues is not supported with Parallel=%d (its sampler reads fabric links across domains); collect it on a sequential run", cfg.Parallel)
 	case cfg.SampleCap > 0:
 		return fmt.Errorf("conga: SampleCap is not supported with Parallel=%d (per-domain reservoirs cannot merge into a uniform sample); use a sequential run or unbounded samples", cfg.Parallel)
-	case t != nil && (t.Trace || t.Tap || t.Hub != nil):
+	case t != nil && (t.Trace || t.Hub != nil):
 		return fmt.Errorf("conga: telemetry traces and live taps are not supported with Parallel=%d (they interleave events from all domains in one stream); counters and series remain available", cfg.Parallel)
 	case t != nil && t.Decisions && t.DecisionTrace:
 		// The per-leaf decision hooks themselves are fine at any P (leaves

@@ -151,7 +151,7 @@ func NewPartitionedNetwork(engines []*sim.Engine, cfg Config) (*Network, error) 
 		switch {
 		case opts.Trace:
 			return nil, fmt.Errorf("fabric: packet trace is not supported under the parallel engine (single shared trace buffer)")
-		case opts.Tap || opts.Hub != nil:
+		case opts.Hub != nil:
 			return nil, fmt.Errorf("fabric: live taps are not supported under the parallel engine")
 		case opts.Decisions && opts.DecisionTrace:
 			// Per-leaf decision hooks (counters, path matrices, staleness

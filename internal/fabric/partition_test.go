@@ -360,7 +360,7 @@ func TestPartitionedValidation(t *testing.T) {
 		t.Errorf("trace under P=1 must stay allowed: %v", err)
 	}
 	tap := partCfg(2, 2)
-	tap.Telemetry = telemetry.New(telemetry.Options{Tap: true})
+	tap.Telemetry = telemetry.New(telemetry.Options{Hub: telemetry.NewHub()})
 	if _, err := NewPartitionedNetwork(partEngines(2), tap); err == nil {
 		t.Error("tap under P>1: expected error")
 	}

@@ -10,8 +10,8 @@ import (
 	"testing"
 )
 
-// TestHubArchiveServesFlushedFiles: a flushed run registered on the hub
-// appears in the dashboard's archive table and its sink files are served
+// TestHubArchiveServesFlushedFiles: a flushed run archived on the hub
+// links its sink files from the dashboard's run table, and they are served
 // read-only under /files/<run>/<file> — and only the files recorded at
 // registration time, so the endpoint cannot be walked out of the
 // directory or into files created later.
@@ -75,20 +75,21 @@ func TestHubArchiveServesFlushedFiles(t *testing.T) {
 		}
 	}
 
-	// The dashboard lists the archive with links.
+	// The dashboard links the archived files.
 	if _, body := get("/", "text/html"); !strings.Contains(body, "flushed telemetry") ||
 		!strings.Contains(body, "/files/fct/decisions.csv") {
 		t.Errorf("dashboard missing archive table:\n%.400s", body)
 	}
 
-	// JSON overview carries the archive entry too.
-	if _, body := get("/", ""); !strings.Contains(body, `"archives"`) {
-		t.Errorf("overview missing archives:\n%.200s", body)
+	// The JSON overview lists them under the run too.
+	_, before := get("/", "")
+	if !strings.Contains(before, `"files":["counters.csv",`) {
+		t.Errorf("overview missing the archived files:\n%.400s", before)
 	}
 
-	// Re-registering the same run replaces, not duplicates.
+	// Re-archiving the same run relists its directory, not duplicates it.
 	r.ArchiveToHub()
-	if got := len(hub.Archives()); got != 1 {
-		t.Fatalf("duplicate registration: %d archives", got)
+	if _, after := get("/", ""); strings.Count(after, `"counters.csv"`) != 1 || len(hub.Runs()) != 1 {
+		t.Fatalf("re-archiving duplicated the run:\n%s", after)
 	}
 }

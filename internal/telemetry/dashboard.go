@@ -1,189 +1,107 @@
 package telemetry
 
 import (
+	"cmp"
 	"fmt"
 	"html"
+	"io"
 	"net/http"
 	"net/url"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
 	"conga/internal/plot"
 )
 
-// wantsHTML reports whether the client is a browser: the JSON overview
-// stays the default for curl and congaplot (Accept: */*); only an explicit
-// text/html preference gets the dashboard.
-func wantsHTML(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept"), "text/html")
-}
-
-// handleDashboard renders the browsable run dashboard: the sweep/run
-// overview plus, for the selected run (?run=, default first), its series
-// charted as inline SVG via internal/plot — one chart per unit, so queue
-// depths in bytes and DRE rates in bits/s never share an axis. The page
-// self-refreshes while the selected run is live; every figure is rendered
-// server-side from the same immutable snapshots the JSON endpoints serve,
-// so a browser can never perturb the engines.
-func (h *Hub) handleDashboard(w http.ResponseWriter, r *http.Request) {
-	sel := r.URL.Query().Get("run")
-	names := h.Runs()
-	if sel == "" && len(names) > 0 {
-		sel = names[0]
+// dashboard renders the browsable page: the run table, with each finished
+// run's flushed files, and the selected run's (sel; "" = the first) latest
+// sink files drawn server-side by internal/plot — its series one chart per
+// unit, so bytes and bits/s never share an axis, its path load heatmap and
+// its counters. A live run's page reloads itself.
+func (h *Hub) dashboard(w http.ResponseWriter, sel string, runs []hubRun, done bool) {
+	if sel == "" && len(runs) > 0 {
+		sel = runs[0].Name
 	}
-	tap := h.Run(sel)
-
 	var b strings.Builder
-	b.WriteString(`<!DOCTYPE html><html><head><meta charset="utf-8">` +
-		`<title>conga live telemetry</title><style>` +
-		`body{font-family:system-ui,-apple-system,sans-serif;margin:24px;background:#fcfcfb;color:#0b0b0b}` +
-		`h1{font-size:20px}h2{font-size:15px;margin:24px 0 8px}` +
-		`table{border-collapse:collapse;font-size:13px}` +
-		`td,th{padding:3px 12px 3px 0;text-align:left;border-bottom:1px solid #e8e7e3}` +
-		`th{color:#52514e;font-weight:500}` +
-		`a{color:#2a78d6;text-decoration:none}a:hover{text-decoration:underline}` +
-		`.cur{font-weight:600}.muted{color:#52514e}` +
-		`svg{margin:8px 16px 8px 0}` +
-		`</style></head><body>`)
-	b.WriteString(`<h1>conga live telemetry</h1>`)
+	b.WriteString(`<!DOCTYPE html><html><head><meta charset="utf-8"><title>conga live telemetry</title><style>` +
+		`body{font-family:system-ui,sans-serif;margin:24px;background:#fcfcfb}h1{font-size:20px}h2{font-size:15px}` +
+		`table{border-collapse:collapse;font-size:13px}td,th{padding:3px 12px 3px 0;text-align:left;border-bottom:1px solid #e8e7e3}` +
+		`a{color:#2a78d6;text-decoration:none}.cur{font-weight:600}.muted{color:#52514e}svg{margin:8px 16px 8px 0}` +
+		`</style></head><body><h1>conga live telemetry</h1>`)
 
-	h.mu.Lock()
-	sweep := h.sweep
-	h.mu.Unlock()
-	if sweep != nil {
-		done, total := sweep()
-		fmt.Fprintf(&b, `<p class="muted">sweep: %d of %d runs finished</p>`, done, total)
-	}
-
-	// Run table; the selected run is bold, the rest link to themselves.
-	b.WriteString(`<table><tr><th>run</th><th>sim time</th><th>flows</th><th>events</th><th>state</th></tr>`)
-	allDone := len(names) > 0
-	for _, n := range names {
-		s := h.Run(n).Load()
-		rj := runHeadline(n, s, nil)
-		if !rj.Done {
-			allDone = false
-		}
-		state := "running"
-		if rj.Done {
+	// Run table; the selected run is bold, the rest link to themselves, and
+	// a finished run links its flushed telemetry.
+	b.WriteString(`<table><tr><th>run</th><th>sim time</th><th>flows</th><th>events</th><th>state</th>` +
+		`<th>flushed telemetry</th></tr>`)
+	for _, rj := range runs {
+		s, name, state := cmp.Or(rj.Snapshot, &Snapshot{}), html.EscapeString(rj.Name), "running"
+		if s.Done {
 			state = "done"
 		}
-		name := html.EscapeString(n)
-		cell := fmt.Sprintf(`<a href="/?run=%s">%s</a>`, url.QueryEscape(n), name)
-		if n == sel {
-			cell = fmt.Sprintf(`<span class="cur">%s</span>`, name)
+		cell := fmt.Sprintf(`<a href="/?run=%s">%s</a>`, url.QueryEscape(rj.Name), name)
+		if rj.Name == sel {
+			cell = `<span class="cur">` + name + `</span>`
 		}
-		fmt.Fprintf(&b, `<tr><td>%s</td><td>%v</td><td>%d / %d</td><td>%d</td><td>%s</td></tr>`,
-			cell, time.Duration(rj.SimTimeNs), rj.FlowsDone, rj.FlowsGen, rj.Events, state)
+		var links []string
+		for _, f := range rj.Files {
+			links = append(links, fmt.Sprintf(`<a href="/files/%s/%s">%s</a>`,
+				url.PathEscape(rj.Name), url.PathEscape(f), html.EscapeString(f)))
+		}
+		fmt.Fprintf(&b, `<tr><td>%s</td><td>%v</td><td>%d / %d</td><td>%d</td><td>%s</td><td>%s</td></tr>`, cell,
+			time.Duration(s.SimTime), s.Progress.FlowsCompleted, s.Progress.FlowsGenerated, s.Progress.Events, state, strings.Join(links, " · "))
 	}
 	b.WriteString(`</table>`)
-	if len(names) == 0 {
-		b.WriteString(`<p class="muted">no runs attached yet</p>`)
-	}
 
-	// Finished runs' flushed telemetry directories: the dashboard stays a
-	// browsable archive after the live taps go quiet.
-	if archives := h.Archives(); len(archives) > 0 {
-		b.WriteString(`<h2>finished runs — flushed telemetry</h2>` +
-			`<table><tr><th>run</th><th>directory</th><th>files</th></tr>`)
-		for _, a := range archives {
-			var links []string
-			for _, f := range a.Files {
-				links = append(links, fmt.Sprintf(`<a href="/files/%s/%s">%s</a>`,
-					url.PathEscape(a.Name), url.PathEscape(f), html.EscapeString(f)))
+	reload := !done
+	if s := h.Run(sel).Load(); s != nil {
+		name := html.EscapeString(sel)
+		fmt.Fprintf(&b, `<h2>%s — series</h2>`, name)
+		var series []plot.Series
+		var paths, counters *SinkFile
+		for _, f := range s.Files {
+			switch {
+			case f.Table == SeriesTable && len(f.Points) > 0:
+				series = append(series, f.PlotSeries())
+			case f.Table == PathTable:
+				paths = f
+			case f.Table == CounterTable:
+				counters = f
 			}
-			fmt.Fprintf(&b, `<tr><td>%s</td><td class="muted">%s</td><td>%s</td></tr>`,
-				html.EscapeString(a.Name), html.EscapeString(a.Dir), strings.Join(links, " · "))
 		}
-		b.WriteString(`</table>`)
-	}
-
-	refresh := !allDone
-	if tap != nil {
-		if s := tap.Load(); s != nil {
-			h.dashboardRun(&b, sel, s)
-			refresh = !s.Done
+		slices.SortFunc(series, func(x, y plot.Series) int {
+			return cmp.Or(strings.Compare(x.Unit, y.Unit), strings.Compare(x.Name, y.Name))
+		})
+		for len(series) > 0 {
+			n := 1
+			for n < len(series) && series[n].Unit == series[0].Unit {
+				n++
+			}
+			dropped := max(0, n-plot.MaxSeries)
+			b.WriteString(plot.Line(series[:n-dropped], plot.Spec{Title: cmp.Or(series[0].Unit, "series"),
+				Width: 640, Height: 320, Dropped: dropped}))
+			series = series[n:]
 		}
+		if svg := paths.PathHeatmap("", 640); svg != "" {
+			fmt.Fprintf(&b, `<h2>%s — path load</h2>%s`, name, svg)
+		}
+		if counters != nil && len(counters.Counters) > 0 {
+			fmt.Fprintf(&b, `<h2>%s — counters</h2><table><tr><th>group</th><th>name</th><th>counter</th><th>value</th></tr>`, name)
+			for _, c := range counters.Counters {
+				fmt.Fprintf(&b, `<tr><td>%s</td><td>%s</td><td>%s</td><td>%d</td></tr>`,
+					html.EscapeString(c.Group), html.EscapeString(c.Name), html.EscapeString(c.Counter), c.Value)
+			}
+			b.WriteString(`</table>`)
+		}
+		reload = !s.Done
 	}
-
-	b.WriteString(`<p class="muted">JSON: <a href="/counters">/counters</a> · ` +
-		`<a href="/series">/series</a> · SSE: <a href="/stream">/stream</a> · ` +
-		`figures also via: congaplot -url http://&lt;addr&gt;</p>`)
-	if refresh {
-		// Plain meta refresh: no script, and a finished page stops reloading.
+	b.WriteString(`<p class="muted">sink NDJSON: <a href="/counters">/counters</a> · <a href="/paths">/paths</a> · ` +
+		`<a href="/series">/series</a> · SSE: <a href="/stream">/stream</a> · figures also via: congaplot -url http://&lt;addr&gt;</p>`)
+	if reload {
+		// Reload every 2 s while the run is live; a finished page stays put.
 		b.WriteString(`<script>setTimeout(function(){location.reload()},2000)</script>`)
 	}
 	b.WriteString(`</body></html>`)
-
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	w.Header().Set("Cache-Control", "no-cache")
-	_, _ = w.Write([]byte(b.String()))
-}
-
-// dashboardRun renders one run's series charts (grouped by unit) and its
-// counter table into the page.
-func (h *Hub) dashboardRun(b *strings.Builder, name string, s *Snapshot) {
-	fmt.Fprintf(b, `<h2>%s — series</h2>`, html.EscapeString(name))
-	groups := map[string][]plot.Series{}
-	for _, sr := range s.Series {
-		if len(sr.Points) == 0 {
-			continue
-		}
-		ps := plot.Series{Name: sr.Name, Unit: sr.Unit}
-		ps.Points = make([][2]float64, 0, len(sr.Points))
-		for _, p := range sr.Points {
-			ps.Points = append(ps.Points, [2]float64{float64(p.T), p.V})
-		}
-		groups[sr.Unit] = append(groups[sr.Unit], ps)
-	}
-	if len(groups) == 0 {
-		b.WriteString(`<p class="muted">no series (run without -telemetry series, or none observed yet)</p>`)
-	}
-	units := make([]string, 0, len(groups))
-	for u := range groups {
-		units = append(units, u)
-	}
-	sort.Strings(units)
-	for _, u := range units {
-		list := groups[u]
-		sort.Slice(list, func(i, j int) bool { return list[i].Name < list[j].Name })
-		dropped := 0
-		if len(list) > plot.MaxSeries {
-			dropped = len(list) - plot.MaxSeries
-			list = list[:plot.MaxSeries]
-		}
-		title := u
-		if title == "" {
-			title = "series"
-		}
-		b.WriteString(plot.Line(list, plot.Spec{Title: title, Width: 640, Height: 320, Dropped: dropped}))
-	}
-
-	if rowLabels, colLabels, values, unit := PathMatrix(s.Paths); len(values) > 0 {
-		fmt.Fprintf(b, `<h2>%s — path load</h2>`, html.EscapeString(name))
-		var sums []string
-		for _, sm := range s.PathSums {
-			sums = append(sums, fmt.Sprintf("l%d imbalance %.2f entropy %.2f", sm.Leaf, sm.Imbalance, sm.Entropy))
-		}
-		b.WriteString(plot.Heatmap(plot.HeatmapSpec{
-			Title:     "path utilization (uplink × destination leaf)",
-			Subtitle:  strings.Join(sums, " · "),
-			Width:     640,
-			Unit:      unit,
-			RowLabels: rowLabels,
-			ColLabels: colLabels,
-			Values:    values,
-		}))
-	}
-
-	if len(s.Counters) > 0 {
-		fmt.Fprintf(b, `<h2>%s — counters</h2>`, html.EscapeString(name))
-		b.WriteString(`<table><tr><th>group</th><th>name</th><th>counter</th><th>value</th></tr>`)
-		for _, c := range s.Counters {
-			fmt.Fprintf(b, `<tr><td>%s</td><td>%s</td><td>%s</td><td>%d</td></tr>`,
-				html.EscapeString(c.Group), html.EscapeString(c.Name), html.EscapeString(c.Counter), c.Value)
-		}
-		b.WriteString(`</table>`)
-	}
+	_, _ = io.WriteString(w, b.String())
 }

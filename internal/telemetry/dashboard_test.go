@@ -17,6 +17,7 @@ func TestIndexContentNegotiation(t *testing.T) {
 	hub := NewHub()
 	r := tapRegistry(hub, "demo")
 	r.Link("l0->s0.0").Enqueues = 3
+	r.SetProgress(func() Progress { return Progress{FlowsGenerated: 2, FlowsCompleted: 1, Events: 42} })
 	s := r.NewSeries("queue.l0->s0.0", "bytes")
 	s.Observe(10, 1500)
 	s.Observe(20, 2900)
@@ -41,11 +42,13 @@ func TestIndexContentNegotiation(t *testing.T) {
 		return resp.Header.Get("Content-Type"), string(body)
 	}
 
-	// Default and explicit */* stay JSON.
+	// Default and explicit */* stay JSON: each run's headline is its name
+	// and its latest snapshot's header, no rate derived from two of them.
 	for _, accept := range []string{"", "*/*", "application/json"} {
 		ct, body := get(accept)
-		if !strings.HasPrefix(ct, "application/json") || !strings.Contains(body, `"runs"`) {
-			t.Fatalf("Accept=%q: got %s: %.80s", accept, ct, body)
+		if !strings.HasPrefix(ct, "application/json") || !strings.Contains(body,
+			`"progress":{"flows_generated":2,"flows_completed":1,"events":42}`) || strings.Contains(body, "per_sec") {
+			t.Fatalf("Accept=%q: got %s: %.300s", accept, ct, body)
 		}
 	}
 

@@ -1,10 +1,13 @@
 package telemetry
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
+	"conga/internal/plot"
 	"conga/internal/sim"
 )
 
@@ -202,27 +205,27 @@ func (h *DecisionHooks) Decisions() uint64 {
 
 // PathRow is one non-empty cell of a leaf's path load matrix.
 type PathRow struct {
-	Leaf    int `json:"leaf"` // source leaf
-	Uplink  int `json:"uplink"`
-	DstLeaf int `json:"dst_leaf"`
+	Leaf    int // source leaf
+	Uplink  int
+	DstLeaf int
 	// Flowlets counts flowlet routings onto this (uplink, dstLeaf) path;
 	// Bytes counts payload bytes sent on it.
-	Flowlets uint64 `json:"flowlets"`
-	Bytes    uint64 `json:"bytes"`
+	Flowlets uint64
+	Bytes    uint64
 }
 
 // PathSummary condenses one leaf's matrix into balance figures over its
 // per-uplink byte totals.
 type PathSummary struct {
-	Leaf     int    `json:"leaf"`
-	Flowlets uint64 `json:"flowlets"`
-	Bytes    uint64 `json:"bytes"`
+	Leaf     int
+	Flowlets uint64
+	Bytes    uint64
 	// Imbalance is max/mean of per-uplink byte totals: 1.0 is a perfect
 	// spread, k means the hottest uplink carries k× the average.
-	Imbalance float64 `json:"imbalance"`
+	Imbalance float64
 	// Entropy is the Shannon entropy of the uplink byte shares normalized
 	// by log2(uplinks): 1.0 is uniform, 0 is single-path.
-	Entropy float64 `json:"entropy"`
+	Entropy float64
 }
 
 // Decisions returns (creating on first use) the decision hooks for a leaf,
@@ -390,6 +393,26 @@ func PathMatrix(rows []PathRow) (rowLabels, colLabels []string, values [][]float
 		values[len(values)-1][dstCol[r.DstLeaf]] = v
 	}
 	return rowLabels, colLabels, values, unit
+}
+
+// PathHeatmap draws a paths file in PathMatrix's layout, each leaf's
+// imbalance and entropy in the subtitle, under title ("" = the default); it
+// returns "" for a nil file or one without cells.
+func (f *SinkFile) PathHeatmap(title string, width int) string {
+	if f == nil {
+		return ""
+	}
+	rowLabels, colLabels, values, unit := PathMatrix(f.Paths)
+	if len(values) == 0 {
+		return ""
+	}
+	var sums []string
+	for _, sm := range f.Summaries {
+		sums = append(sums, fmt.Sprintf("l%d imbalance %.2f entropy %.2f", sm.Leaf, sm.Imbalance, sm.Entropy))
+	}
+	return plot.Heatmap(plot.HeatmapSpec{Title: cmp.Or(title, "path utilization (uplink × destination leaf)"),
+		Subtitle: strings.Join(sums, " · "), Width: width, Unit: unit,
+		RowLabels: rowLabels, ColLabels: colLabels, Values: values})
 }
 
 // DecisionTotals sums the per-leaf reason counters.

@@ -1,6 +1,9 @@
 package telemetry
 
-import "conga/internal/sim"
+import (
+	"conga/internal/plot"
+	"conga/internal/sim"
+)
 
 // Point is one series sample.
 type Point struct {
@@ -108,4 +111,14 @@ func (s *Series) Max() float64 {
 		}
 	}
 	return m
+}
+
+// PlotSeries is a series or cdf file as one plot line: (time_ns, value) or
+// (value, fraction) points under the file's probe name and unit.
+func (f *SinkFile) PlotSeries() plot.Series {
+	s := plot.Series{Name: f.Probe, Unit: f.Unit, Points: f.CDF}
+	for _, p := range f.Points {
+		s.Points = append(s.Points, [2]float64{float64(p.T), p.V})
+	}
+	return s
 }

@@ -1,415 +1,245 @@
 package telemetry
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 )
 
-// Hub collects the streaming taps of one or more runs so a single HTTP
-// server can expose them. Registries attach themselves at New time (via
-// Options.Hub); parallel sweeps attach one tap per run from worker
-// goroutines, so the registration map is mutex-protected — but reads of the
-// taps themselves stay lock-free (Tap.Load).
+// Hub collects the runs of one HTTP server. Registries attach their taps at
+// New time (Options.Hub), from sweep workers too, so the run list is
+// mutex-protected; reading a tap stays lock-free.
 type Hub struct {
-	mu     sync.Mutex
-	order  []string
-	byName map[string]*Tap
-	auto   int
-
-	// archives are finished runs' flushed telemetry directories, in
-	// registration order, so the dashboard stays a browsable archive after
-	// the live taps go quiet.
-	archives []Archive
-
-	sweep func() (done, total int)
+	mu   sync.Mutex
+	runs []*hubRun // attach order
 }
 
-// Archive is one finished run's flushed telemetry directory as listed on
-// the hub index: the run name, the directory, and its sink file names.
-type Archive struct {
-	Name  string   `json:"name"`
-	Dir   string   `json:"dir"`
-	Files []string `json:"files"`
+// hubRun is one attached run: its tap and, once flushed, its telemetry
+// directory with the files listed there then — the only ones /files/
+// serves. With its latest snapshot's header it is the run's JSON headline.
+type hubRun struct {
+	Name string `json:"name"`
+	*Snapshot
+	Dir   string   `json:"dir,omitempty"`
+	Files []string `json:"files,omitempty"`
+	tap   *Tap
 }
 
 // NewHub returns an empty hub.
-func NewHub() *Hub {
-	return &Hub{byName: map[string]*Tap{}}
+func NewHub() *Hub { return &Hub{} }
+
+// run returns the named run — for "", the first — or nil; h.mu is held.
+func (h *Hub) run(name string) *hubRun {
+	for _, hr := range h.runs {
+		if name == "" || hr.Name == name {
+			return hr
+		}
+	}
+	return nil
 }
 
-// Attach registers a tap under name ("" = auto "run-N") and returns the
-// name used. Re-attaching a name replaces the previous tap (congabench
-// reuses tags across sections).
-func (h *Hub) Attach(name string, tap *Tap) string {
-	if h == nil || tap == nil {
-		return name
-	}
+// attach registers a tap under name ("" = "run-N") and returns the name.
+// Re-attaching a name replaces its tap (congabench reuses tags).
+func (h *Hub) attach(name string, tap *Tap) string {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if name == "" {
-		h.auto++
-		name = fmt.Sprintf("run-%d", h.auto)
+	name = cmp.Or(name, fmt.Sprintf("run-%d", len(h.runs)+1))
+	if hr := h.run(name); hr != nil {
+		hr.tap = tap
+	} else {
+		h.runs = append(h.runs, &hubRun{Name: name, tap: tap})
 	}
-	if _, ok := h.byName[name]; !ok {
-		h.order = append(h.order, name)
-	}
-	h.byName[name] = tap
 	return name
 }
 
-func (h *Hub) attach(name string, tap *Tap) { h.Attach(name, tap) }
-
-// AddArchive registers a finished run's flushed telemetry directory under
-// name ("" = the directory's base name) and returns the name used. The
-// directory is listed once (re-registering a name replaces its entry), and
-// only plain files present at registration time are ever served — the
-// /files/ handler rejects anything else.
-func (h *Hub) AddArchive(name, dir string) string {
-	if h == nil || dir == "" {
-		return name
-	}
-	if name == "" {
-		name = filepath.Base(dir)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return name
-	}
+// archive records the named run's flushed directory and its plain files.
+func (h *Hub) archive(name, dir string) {
+	entries, err := os.ReadDir(dir) // sorted by name
 	var files []string
 	for _, e := range entries {
 		if e.Type().IsRegular() {
 			files = append(files, e.Name())
 		}
 	}
-	sort.Strings(files)
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for i := range h.archives {
-		if h.archives[i].Name == name {
-			h.archives[i] = Archive{Name: name, Dir: dir, Files: files}
-			return name
-		}
+	if hr := h.run(name); hr != nil && err == nil {
+		hr.Dir, hr.Files = dir, files
 	}
-	h.archives = append(h.archives, Archive{Name: name, Dir: dir, Files: files})
-	return name
-}
-
-// Archives returns the registered finished-run directories in registration
-// order.
-func (h *Hub) Archives() []Archive {
-	if h == nil {
-		return nil
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]Archive(nil), h.archives...)
-}
-
-// handleFiles serves one sink file of a registered archive:
-// GET /files/<run>/<file>. Only file names recorded by AddArchive are
-// served (no path traversal: the request path must match a listed name
-// exactly).
-func (h *Hub) handleFiles(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/files/")
-	run, file, ok := strings.Cut(rest, "/")
-	if !ok || file == "" || strings.Contains(file, "/") {
-		http.NotFound(w, r)
-		return
-	}
-	for _, a := range h.Archives() {
-		if a.Name != run {
-			continue
-		}
-		for _, f := range a.Files {
-			if f == file {
-				w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-				http.ServeFile(w, r, filepath.Join(a.Dir, f))
-				return
-			}
-		}
-	}
-	http.NotFound(w, r)
-}
-
-// SetSweepProgress registers a closure reporting sweep-level progress
-// (runs finished / total), shown on the index and overview stream.
-func (h *Hub) SetSweepProgress(fn func() (done, total int)) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	h.sweep = fn
-	h.mu.Unlock()
 }
 
 // Runs returns the attached run names in attach order.
-func (h *Hub) Runs() []string {
-	if h == nil {
-		return nil
-	}
+func (h *Hub) Runs() (names []string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return append([]string(nil), h.order...)
+	for _, hr := range h.runs {
+		names = append(names, hr.Name)
+	}
+	return names
 }
 
-// Run returns the named run's tap, or — for name "" — the first attached
-// run's tap. Returns nil when absent.
+// Run returns the named run's tap — for "", the first run's — or nil.
 func (h *Hub) Run(name string) *Tap {
-	if h == nil {
-		return nil
-	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if name == "" && len(h.order) > 0 {
-		name = h.order[0]
+	if hr := h.run(name); hr != nil {
+		return hr.tap
 	}
-	return h.byName[name]
+	return nil
 }
 
-// runJSON is the wire form of one run's headline state.
-type runJSON struct {
-	Name         string  `json:"name"`
-	Seq          uint64  `json:"seq"`
-	SimTimeNs    int64   `json:"sim_time_ns"`
-	WallNs       int64   `json:"wall_ns"`
-	Done         bool    `json:"done"`
-	FlowsGen     int     `json:"flows_generated"`
-	FlowsDone    int     `json:"flows_completed"`
-	Events       uint64  `json:"events"`
-	EventsPerSec float64 `json:"events_per_sec,omitempty"`
+// overview is every run's headline; done reports that at least one run is
+// attached and every run is done.
+func (h *Hub) overview() (runs []hubRun, done bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	runs = make([]hubRun, 0, len(h.runs)) // "runs": [] in JSON, not null
+	for _, hr := range h.runs {
+		runs = append(runs, *hr)
+		runs[len(runs)-1].Snapshot = hr.tap.Load()
+	}
+	return runs, len(runs) > 0 && !slices.ContainsFunc(runs, func(r hubRun) bool { return r.Snapshot == nil || !r.Done })
 }
 
-func runHeadline(name string, s, prev *Snapshot) runJSON {
-	r := runJSON{Name: name}
-	if s == nil {
-		return r
-	}
-	r.Seq = s.Seq
-	r.SimTimeNs = int64(s.SimTime)
-	r.WallNs = s.Wall
-	r.Done = s.Done
-	r.FlowsGen = s.Progress.FlowsGenerated
-	r.FlowsDone = s.Progress.FlowsCompleted
-	r.Events = s.Progress.Events
-	if prev != nil && s.Wall > prev.Wall && s.Progress.Events >= prev.Progress.Events {
-		dt := float64(s.Wall-prev.Wall) / 1e9
-		r.EventsPerSec = float64(s.Progress.Events-prev.Progress.Events) / dt
-	}
-	return r
-}
-
-// Handler returns the hub's HTTP handler:
+// Handler returns the hub's HTTP handler. ?run=R picks a run (default: the
+// first). Every body but the overview's is sink-file text: /counters, /paths
+// and /series/NAME are byte for byte the .ndjson file a flush at the same
+// safe point would write, and DecodeSink reads them.
 //
-//	GET /                  run overview + sweep progress (JSON; an Accept
-//	                       header preferring text/html gets the browsable
-//	                       dashboard with inline-SVG charts instead)
-//	GET /counters?run=R    latest counter rows for run R (JSON)
-//	GET /series?run=R      series names for run R (JSON)
-//	GET /series/NAME?run=R latest retained points of one series (JSON)
-//	GET /stream?run=R      SSE stream of run R's snapshots (series deltas)
-//	GET /stream            SSE stream of the run overview
-//
-// Every response is derived from immutable snapshots obtained via Tap.Load,
-// so handlers never synchronize with — and can never perturb — the engines.
+//	GET /                  run overview (JSON; an Accept header preferring
+//	                       text/html gets the dashboard)
+//	GET /counters?run=R    the counters file
+//	GET /paths?run=R       the path load matrix file (with Decisions)
+//	GET /series?run=R      the series names, one per line
+//	GET /series/NAME?run=R one series' file (NAME raw or as in its file name)
+//	GET /stream?run=R      SSE: each snapshot and its files' new rows
+//	GET /files/RUN/FILE    a flushed sink file of a finished run
 func (h *Hub) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", h.handleIndex)
-	mux.HandleFunc("/counters", h.handleCounters)
-	mux.HandleFunc("/series", h.handleSeriesIndex)
-	mux.HandleFunc("/series/", h.handleSeries)
+	for _, path := range []string{"/counters", "/paths", "/series", "/series/"} {
+		mux.HandleFunc(path, h.handleFile)
+	}
 	mux.HandleFunc("/stream", h.handleStream)
 	mux.HandleFunc("/files/", h.handleFiles)
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-func (h *Hub) overview() map[string]any {
-	h.mu.Lock()
-	names := append([]string(nil), h.order...)
-	taps := make([]*Tap, len(names))
-	for i, n := range names {
-		taps[i] = h.byName[n]
-	}
-	sweep := h.sweep
-	h.mu.Unlock()
-
-	runs := make([]runJSON, 0, len(names))
-	for i, n := range names {
-		runs = append(runs, runHeadline(n, taps[i].Load(), nil))
-	}
-	out := map[string]any{"runs": runs}
-	if ar := h.Archives(); len(ar) > 0 {
-		out["archives"] = ar
-	}
-	if sweep != nil {
-		done, total := sweep()
-		out["sweep"] = map[string]int{"done": done, "total": total}
-	}
-	return out
-}
-
+// handleIndex serves the overview: JSON, or to a client that prefers
+// text/html (a browser; curl and congaplot send */*) the dashboard.
 func (h *Hub) handleIndex(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/" {
+	runs, done := h.overview()
+	switch {
+	case r.URL.Path != "/":
+		http.NotFound(w, r)
+	case strings.Contains(r.Header.Get("Accept"), "text/html"):
+		h.dashboard(w, r.URL.Query().Get("run"), runs, done)
+	default:
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(map[string][]hubRun{"runs": runs})
+	}
+}
+
+// tapFor resolves ?run= to a run's name and tap; on failure it writes a 404
+// naming the known runs and returns a nil tap.
+func (h *Hub) tapFor(w http.ResponseWriter, r *http.Request) (string, *Tap) {
+	name := r.URL.Query().Get("run")
+	if tap := h.Run(name); tap != nil {
+		return cmp.Or(name, h.Runs()[0]), tap // runs only grow: a tap means a first run
+	}
+	http.Error(w, fmt.Sprintf("unknown run %q (runs: %s)", name, strings.Join(h.Runs(), ", ")), http.StatusNotFound)
+	return "", nil
+}
+
+// handleFile serves /counters, /paths and /series/NAME as their files in
+// the run's latest snapshot, and /series as the list of series names.
+func (h *Hub) handleFile(w http.ResponseWriter, r *http.Request) {
+	_, tap := h.tapFor(w, r)
+	s := tap.Load()
+	if s == nil {
+		if tap != nil {
+			http.Error(w, "no snapshot published yet", http.StatusServiceUnavailable)
+		}
+		return
+	}
+	table, probe, _ := strings.Cut(r.URL.Path[1:], "/")
+	var names []string
+	for _, f := range s.Files {
+		if f.Table.Name == table && (f.Probe == probe || sanitizeName(f.Probe) == probe) {
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			_ = f.encode(w, true)
+			return
+		}
+		if f.Table == SeriesTable {
+			names = append(names, f.Probe+"\n")
+		}
+	}
+	if r.URL.Path != "/series" {
+		http.Error(w, "no such file in this run: "+r.URL.Path, http.StatusNotFound)
+		return
+	}
+	slices.Sort(names)
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	_, _ = io.WriteString(w, strings.Join(names, ""))
+}
+
+// handleFiles serves /files/RUN/FILE when the run's archive listed FILE (so
+// no path traversal: the name must match a listed one exactly).
+func (h *Hub) handleFiles(w http.ResponseWriter, r *http.Request) {
+	name, file, _ := strings.Cut(strings.TrimPrefix(r.URL.Path, "/files/"), "/")
+	path := ""
+	h.mu.Lock()
+	if hr := h.run(name); name != "" && hr != nil && slices.Contains(hr.Files, file) {
+		path = filepath.Join(hr.Dir, file)
+	}
+	h.mu.Unlock()
+	if path == "" {
 		http.NotFound(w, r)
 		return
 	}
-	if wantsHTML(r) {
-		h.handleDashboard(w, r)
-		return
-	}
-	writeJSON(w, h.overview())
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8") // shown, not downloaded
+	http.ServeFile(w, r, path)
 }
 
-// tapFor resolves the ?run= parameter; on failure it writes a 404 listing
-// the known runs and returns nil.
-func (h *Hub) tapFor(w http.ResponseWriter, r *http.Request) (string, *Tap) {
-	name := r.URL.Query().Get("run")
-	tap := h.Run(name)
-	if tap == nil {
-		http.Error(w, fmt.Sprintf("unknown run %q (runs: %s)", name, strings.Join(h.Runs(), ", ")), http.StatusNotFound)
-		return "", nil
-	}
-	if name == "" && len(h.Runs()) > 0 {
-		name = h.Runs()[0]
-	}
-	return name, tap
-}
-
-func (h *Hub) handleCounters(w http.ResponseWriter, r *http.Request) {
+// handleStream serves one run as server-sent events until it is done: per
+// new snapshot an "event: snapshot" headline, then an event per file that
+// changed for this reader, its data lines the file's NDJSON lines — counters
+// or paths whole, under the table's name; a series' rows past those this
+// reader was sent ("series"), or after a compaction all ("series-reset").
+// DecodeSink on each event's data, appending on "series" and replacing
+// otherwise, keeps a reader's files equal to the snapshot's.
+func (h *Hub) handleStream(w http.ResponseWriter, r *http.Request) {
 	name, tap := h.tapFor(w, r)
 	if tap == nil {
 		return
-	}
-	s := tap.Load()
-	if s == nil {
-		http.Error(w, "no snapshot published yet", http.StatusServiceUnavailable)
-		return
-	}
-	writeJSON(w, map[string]any{
-		"run": name, "seq": s.Seq, "sim_time_ns": int64(s.SimTime),
-		"done": s.Done, "counters": s.Counters,
-	})
-}
-
-func (h *Hub) handleSeriesIndex(w http.ResponseWriter, r *http.Request) {
-	name, tap := h.tapFor(w, r)
-	if tap == nil {
-		return
-	}
-	s := tap.Load()
-	if s == nil {
-		http.Error(w, "no snapshot published yet", http.StatusServiceUnavailable)
-		return
-	}
-	names := make([]string, 0, len(s.Series))
-	for _, sr := range s.Series {
-		names = append(names, sr.Name)
-	}
-	sort.Strings(names)
-	writeJSON(w, map[string]any{"run": name, "seq": s.Seq, "series": names})
-}
-
-// seriesJSON is the wire form of one series (also consumed by congaplot).
-type seriesJSON struct {
-	Run    string   `json:"run"`
-	Probe  string   `json:"probe"`
-	Unit   string   `json:"unit"`
-	Stride int      `json:"stride"`
-	Points [][2]any `json:"points"` // [time_ns, value]
-}
-
-func (h *Hub) handleSeries(w http.ResponseWriter, r *http.Request) {
-	probe := strings.TrimPrefix(r.URL.Path, "/series/")
-	name, tap := h.tapFor(w, r)
-	if tap == nil {
-		return
-	}
-	s := tap.Load()
-	if s == nil {
-		http.Error(w, "no snapshot published yet", http.StatusServiceUnavailable)
-		return
-	}
-	for _, sr := range s.Series {
-		if sr.Name == probe || sanitizeName(sr.Name) == probe {
-			out := seriesJSON{Run: name, Probe: sr.Name, Unit: sr.Unit, Stride: sr.Stride}
-			out.Points = make([][2]any, 0, len(sr.Points))
-			for _, p := range sr.Points {
-				out.Points = append(out.Points, [2]any{int64(p.T), p.V})
-			}
-			writeJSON(w, out)
-			return
-		}
-	}
-	http.Error(w, fmt.Sprintf("unknown series %q", probe), http.StatusNotFound)
-}
-
-// streamPoll is how often SSE handlers re-check the tap for a new snapshot.
-var streamPoll = 200 * time.Millisecond
-
-func sseSetup(w http.ResponseWriter) (http.Flusher, bool) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return nil, false
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	return fl, true
-}
-
-func sseEvent(w http.ResponseWriter, fl http.Flusher, event string, v any) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return
-	}
-	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, b)
-	fl.Flush()
-}
-
-func (h *Hub) handleStream(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("run") == "" && len(h.Runs()) != 1 {
-		h.streamOverview(w, r)
-		return
-	}
-	name, tap := h.tapFor(w, r)
-	if tap == nil {
-		return
-	}
-	fl, ok := sseSetup(w)
-	if !ok {
-		return
-	}
-	ticker := time.NewTicker(streamPoll)
+	ticker := time.NewTicker(200 * time.Millisecond) // how often to check the tap
 	defer ticker.Stop()
-	var prev *Snapshot
-	for {
+	sent := map[string]*SinkFile{}
+	for seq := uint64(0); ; {
 		s := tap.Load()
-		if s != nil && (prev == nil || s.Seq != prev.Seq) {
-			msg := map[string]any{
-				"run":      runHeadline(name, s, prev),
-				"counters": s.Counters,
-				"series":   s.DeltaSince(prev),
+		if s != nil && s.Seq != seq {
+			seq = s.Seq
+			b, _ := json.Marshal(hubRun{Name: name, Snapshot: s})
+			sseEvent(w, "snapshot", b)
+			for _, f := range s.Files {
+				streamFile(w, sent, f)
 			}
-			sseEvent(w, fl, "snapshot", msg)
-			prev = s
-			if s.Done {
-				return
-			}
+		}
+		if http.NewResponseController(w).Flush() != nil || s != nil && s.Done {
+			return
 		}
 		select {
 		case <-r.Context().Done():
@@ -419,68 +249,48 @@ func (h *Hub) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// streamOverview streams the run overview until every attached run is done.
-func (h *Hub) streamOverview(w http.ResponseWriter, r *http.Request) {
-	fl, ok := sseSetup(w)
-	if !ok {
-		return
+// streamFile writes the event, if any, that brings this reader's copy of f
+// — the one in sent — up to date.
+func streamFile(w io.Writer, sent map[string]*SinkFile, f *SinkFile) {
+	key := f.Table.Name + "_" + f.Probe
+	prev, event, out := sent[key], f.Table.Name, f
+	sent[key] = f
+	n := 0
+	if prev != nil {
+		n = len(prev.Points)
 	}
-	ticker := time.NewTicker(streamPoll)
-	defer ticker.Stop()
-	var lastSum uint64
-	first := true
-	for {
-		ov := h.overview()
-		runs := ov["runs"].([]runJSON)
-		var sum uint64
-		allDone := len(runs) > 0
-		for _, rj := range runs {
-			sum += rj.Seq
-			if !rj.Done {
-				allDone = false
-			}
-		}
-		if first || sum != lastSum {
-			sseEvent(w, fl, "overview", ov)
-			lastSum = sum
-			first = false
-			if allDone {
-				return
-			}
-		}
-		select {
-		case <-r.Context().Done():
+	switch {
+	case f.Table != SeriesTable:
+		if reflect.DeepEqual(prev, f) {
 			return
-		case <-ticker.C:
 		}
+	// Points only ever append or, in a compaction, keep every other one,
+	// so the last row sent is still in place exactly when all of them are.
+	case n <= len(f.Points) && (n == 0 || prev.Points[n-1] == f.Points[n-1]):
+		out = &SinkFile{Table: SeriesTable, Probe: f.Probe, Unit: f.Unit, Points: f.Points[n:]}
+	default:
+		event = "series-reset"
+	}
+	var b bytes.Buffer
+	if _ = out.encode(&b, true); b.Len() > 0 {
+		sseEvent(w, event, b.Bytes())
 	}
 }
 
-// Server is a running live-telemetry HTTP server.
-type Server struct {
-	// Addr is the bound address (useful with ":0").
-	Addr string
-	ln   net.Listener
-	srv  *http.Server
+// sseEvent writes one event whose data lines are the lines of data.
+func sseEvent(w io.Writer, event string, data []byte) {
+	lines := strings.ReplaceAll(strings.TrimSuffix(string(data), "\n"), "\n", "\ndata: ")
+	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, lines)
 }
 
-// Serve starts an HTTP server for the hub on addr and returns immediately;
-// the server runs until Close. Readers it serves only ever Load published
-// snapshots, so serving during a run is safe by construction.
-func Serve(addr string, h *Hub) (*Server, error) {
+// Serve starts an HTTP server for the hub on addr and returns it, its Addr
+// set to the bound address (which resolves ":0"); it runs until Close.
+func Serve(addr string, h *Hub) (*http.Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: h.Handler()}
+	srv := &http.Server{Addr: ln.Addr().String(), Handler: h.Handler()}
 	go func() { _ = srv.Serve(ln) }()
-	return &Server{Addr: ln.Addr().String(), ln: ln, srv: srv}, nil
-}
-
-// Close stops the server.
-func (s *Server) Close() error {
-	if s == nil {
-		return nil
-	}
-	return s.srv.Close()
+	return srv, nil
 }

@@ -25,10 +25,12 @@ func ReadSinkFile(path string) (*SinkFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeSink(path, data)
+	return DecodeSink(path, data)
 }
 
-func decodeSink(name string, data []byte) (*SinkFile, error) {
+// DecodeSink decodes the bytes of one sink file, as ReadSinkFile does; name
+// stands for the file in errors. The live endpoints serve these same bytes.
+func DecodeSink(name string, data []byte) (*SinkFile, error) {
 	d := &sinkDecoder{data: data, json: len(data) > 0 && data[0] == '{',
 		lead: make([][]byte, SeriesTable.lead), f: &SinkFile{}}
 	var err error

@@ -7,114 +7,38 @@ import (
 	"conga/internal/sim"
 )
 
-// Progress is harness-level run progress surfaced through tap snapshots.
-// The harness registers a closure (Registry.SetProgress) that reads its own
-// counters; the closure runs on the engine goroutine at publish time, so it
-// needs no synchronization.
+// Progress is harness-level run progress, filled at publish time by the
+// closure the harness registers with SetProgress.
 type Progress struct {
-	// FlowsGenerated / FlowsCompleted count workload flows started and
-	// finished (for Incast runs: rounds).
-	FlowsGenerated, FlowsCompleted int
-	// Events is the engine's executed-event count at snapshot time.
-	Events uint64
+	FlowsGenerated int    `json:"flows_generated"` // workload flows started (Incast: rounds)
+	FlowsCompleted int    `json:"flows_completed"` // and finished
+	Events         uint64 `json:"events"`          // executed engine events
 }
 
-// TapSeries is one series' state inside a snapshot: a private copy of the
-// retained points plus the stride, so a reader can compute deltas against
-// its previous snapshot (see DeltaSince).
-type TapSeries struct {
-	Name   string
-	Unit   string
-	Stride int
-	Points []Point
-}
-
-// Snapshot is one immutable published view of a registry. Every field —
-// including the points and counter rows — is a private copy made at the
-// safe point; once published, nothing mutates it, which is what makes
-// concurrent readers race-free by construction.
+// Snapshot is one immutable published view of a registry: a small header
+// (the JSON run headline) and the counters, series and paths sink files a
+// flush at the same safe point would write, copied there. Nothing mutates a
+// published snapshot, which makes concurrent readers race-free.
 type Snapshot struct {
-	// Seq increments per publish (1-based); a reader polls Load and acts
-	// only when Seq advances.
-	Seq uint64
-	// SimTime is the engine's clock at the safe point; Wall is the
-	// wall-clock publish time (unix nanoseconds) so readers can compute
-	// events/sec across snapshots.
-	SimTime sim.Time
-	Wall    int64
-	// Done marks the final snapshot, published by the harness after the
-	// engine stops (SSE streams close on it).
-	Done     bool
-	Progress Progress
-	Counters []CounterRow
-	Series   []TapSeries
-	// Paths is the decision plane's path load matrix (non-empty cells in
-	// (leaf, uplink, dstLeaf) order) with per-leaf balance summaries; both
-	// empty unless decision hooks are on.
-	Paths    []PathRow
-	PathSums []PathSummary
+	Seq      uint64      `json:"seq"`         // 1-based publish count
+	SimTime  sim.Time    `json:"sim_time_ns"` // the engine's clock at the safe point
+	Wall     int64       `json:"wall_ns"`     // wall-clock publish time, unix nanoseconds
+	Done     bool        `json:"done"`        // the final snapshot, published after the engine stops
+	Progress Progress    `json:"progress"`
+	Files    []*SinkFile `json:"-"`
 }
 
-// SeriesDelta is the part of a snapshot's series a reader has not seen yet.
-type SeriesDelta struct {
-	Name   string
-	Unit   string
-	Stride int
-	// Reset reports that the series was compacted (stride grew) since the
-	// previous snapshot, so Points replaces — rather than extends — what
-	// the reader accumulated.
-	Reset  bool
-	Points []Point
-}
-
-// DeltaSince returns the per-series deltas between prev (which may be nil:
-// everything is new) and s.
-func (s *Snapshot) DeltaSince(prev *Snapshot) []SeriesDelta {
-	if s == nil {
-		return nil
-	}
-	prevIdx := map[string]TapSeries{}
-	if prev != nil {
-		for _, ps := range prev.Series {
-			prevIdx[ps.Name] = ps
-		}
-	}
-	out := make([]SeriesDelta, 0, len(s.Series))
-	for _, cur := range s.Series {
-		d := SeriesDelta{Name: cur.Name, Unit: cur.Unit, Stride: cur.Stride}
-		if ps, ok := prevIdx[cur.Name]; ok && ps.Stride == cur.Stride && len(ps.Points) <= len(cur.Points) {
-			d.Points = cur.Points[len(ps.Points):]
-		} else {
-			d.Reset = true
-			d.Points = cur.Points
-		}
-		out = append(out, d)
-	}
-	return out
-}
+// tapInterval is the minimum simulated time between tap snapshots.
+const tapInterval = sim.Millisecond
 
 // Tap is the lock-free handoff between one engine and any number of reader
-// goroutines. The engine builds a fresh immutable Snapshot at a safe point
-// and publishes it with a single atomic pointer store; readers Load the
-// pointer whenever they like. There is no lock, no channel, and no
-// back-pressure: a slow reader simply observes fewer snapshots, and the
-// engine never blocks or schedules events on the tap's behalf — which is
-// why an attached reader cannot perturb the simulation.
+// goroutines: the engine stores each new Snapshot with one atomic pointer
+// store and readers Load it whenever they like. No lock, channel or
+// back-pressure — a slow reader sees fewer snapshots — and no event is
+// scheduled for it, so an attached reader cannot perturb the simulation.
 type Tap struct {
-	cur atomic.Pointer[Snapshot]
-
-	// Engine-side publish throttling state; touched only by the owning
-	// engine goroutine.
-	interval  sim.Time
-	wallMin   time.Duration
-	lastSim   sim.Time
-	lastWall  time.Time
-	seq       uint64
-	published bool
-}
-
-func newTap(interval sim.Time, wallMin time.Duration) *Tap {
-	return &Tap{interval: interval, wallMin: wallMin}
+	cur     atomic.Pointer[Snapshot]
+	wallMin time.Duration // Options.TapWall
 }
 
 // Load returns the latest published snapshot, or nil before the first
@@ -126,81 +50,46 @@ func (t *Tap) Load() *Snapshot {
 	return t.cur.Load()
 }
 
-// Tap returns the registry's streaming tap, or nil when disabled.
-func (r *Registry) Tap() *Tap {
-	if r == nil {
-		return nil
-	}
-	return r.tap
-}
-
-// SetProgress registers the closure PublishTap calls (on the engine
-// goroutine) to fill Snapshot.Progress.
+// SetProgress registers the closure that fills Snapshot.Progress; it runs
+// on the engine goroutine.
 func (r *Registry) SetProgress(fn func() Progress) {
-	if r == nil {
-		return
+	if r != nil {
+		r.progress = fn
 	}
-	r.progress = fn
 }
 
-// PublishTap publishes a snapshot if the tap is enabled and both throttle
-// gates (sim-time interval, wall-clock minimum) have elapsed. The fabric
-// calls it from the DRE-decay ticker — an existing safe point — so
+// PublishTap publishes a snapshot if the registry has a tap and both
+// throttle gates (sim-time interval, wall-clock minimum) have elapsed. The
+// fabric calls it from the DRE-decay ticker — an existing safe point — so
 // publishing adds no events and consumes no engine randomness.
 func (r *Registry) PublishTap(now sim.Time) {
 	if r == nil || r.tap == nil {
 		return
 	}
-	t := r.tap
-	if t.published {
-		if now-t.lastSim < t.interval {
-			return
-		}
-		if t.wallMin > 0 && time.Since(t.lastWall) < t.wallMin {
-			return
-		}
+	if last := r.tap.Load(); last != nil && (now-last.SimTime < tapInterval ||
+		r.tap.wallMin > 0 && time.Now().UnixNano()-last.Wall < int64(r.tap.wallMin)) {
+		return
 	}
 	r.publish(now, false)
 }
 
 // FinishTap publishes the final snapshot (Done=true), unconditionally. The
-// harness calls it after the engine stops and collectors ran.
+// harness calls it after the engine stops.
 func (r *Registry) FinishTap(now sim.Time) {
-	if r == nil || r.tap == nil {
-		return
+	if r != nil && r.tap != nil {
+		r.publish(now, true)
 	}
-	r.publish(now, true)
 }
 
 func (r *Registry) publish(now sim.Time, done bool) {
-	t := r.tap
-	t.seq++
-	snap := &Snapshot{
-		Seq:     t.seq,
-		SimTime: now,
-		Wall:    time.Now().UnixNano(),
-		Done:    done,
+	snap := &Snapshot{Seq: 1, SimTime: now, Wall: time.Now().UnixNano(), Done: done}
+	if last := r.tap.Load(); last != nil {
+		snap.Seq = last.Seq + 1
 	}
 	if r.progress != nil {
 		snap.Progress = r.progress()
 	}
 	r.Collect()
-	snap.Counters = r.CounterRows()
-	snap.Paths = r.PathRows()
-	snap.PathSums = r.PathSummaries()
-	if len(r.series) > 0 {
-		snap.Series = make([]TapSeries, 0, len(r.series))
-		for _, s := range r.series {
-			snap.Series = append(snap.Series, TapSeries{
-				Name:   s.Name(),
-				Unit:   s.Unit(),
-				Stride: s.Stride(),
-				Points: append([]Point(nil), s.Points()...),
-			})
-		}
-	}
-	t.lastSim = now
-	t.lastWall = time.Now()
-	t.published = true
-	t.cur.Store(snap)
+	snap.Files = r.sinkFiles(true)
+	r.tap.cur.Store(snap)
 }

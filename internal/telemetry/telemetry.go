@@ -25,10 +25,9 @@ package telemetry
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
-
-	"conga/internal/sim"
 )
 
 // Options selects which probes a Registry activates. The zero value enables
@@ -76,19 +75,14 @@ type Options struct {
 	// DecisionMode selects what a full decision trace keeps, with the same
 	// head/tail/reservoir semantics as TraceMode.
 	DecisionMode CaptureMode
-	// Tap enables the lock-free streaming tap: the engine publishes
-	// immutable snapshots at collector safe points for concurrent readers
-	// (the HTTP live endpoint, tests, monitoring goroutines).
-	Tap bool
-	// TapInterval is the minimum simulated time between tap snapshots
-	// (default 1ms sim time).
-	TapInterval sim.Time
 	// TapWall is the minimum wall-clock time between tap snapshots
 	// (default 100ms; negative disables the wall gate). It bounds snapshot
 	// copying cost on fast runs without touching simulated behavior:
 	// whether a safe point publishes is invisible to the simulation.
 	TapWall time.Duration
-	// Hub, when non-nil, receives the registry's tap at New time under
+	// Hub, when non-nil, gives the registry a lock-free streaming tap — the
+	// engine publishes immutable snapshots at collector safe points for
+	// concurrent readers — and attaches it to the hub at New time under
 	// RunName, so an HTTP server can discover runs as a sweep starts them.
 	Hub *Hub
 	// RunName labels this registry's tap on the Hub ("" = auto "run-N").
@@ -116,9 +110,6 @@ func (o Options) withDefaults() Options {
 	o.TraceFilter = o.TraceFilter.normalized()
 	if o.DecisionCap <= 0 {
 		o.DecisionCap = 65536
-	}
-	if o.TapInterval <= 0 {
-		o.TapInterval = sim.Time(1e6) // 1ms sim time
 	}
 	if o.TapWall == 0 {
 		o.TapWall = 100 * time.Millisecond
@@ -227,11 +218,9 @@ func New(opts Options) *Registry {
 	if opts.Decisions && opts.DecisionTrace {
 		r.decTrace = newDecisionTrace(opts.DecisionCap, opts.DecisionMode)
 	}
-	if opts.Tap {
-		r.tap = newTap(opts.TapInterval, opts.TapWall)
-		if opts.Hub != nil {
-			opts.Hub.attach(opts.RunName, r.tap)
-		}
+	if opts.Hub != nil {
+		r.tap = &Tap{wallMin: opts.TapWall}
+		r.opts.RunName = opts.Hub.attach(opts.RunName, r.tap)
 	}
 	return r
 }
@@ -494,24 +483,7 @@ func (r *Registry) FlushTo(dir string) error {
 		return nil
 	}
 	r.Collect()
-	var files []*SinkFile
-	if r.opts.Counters {
-		files = append(files, &SinkFile{Table: CounterTable, Provenance: r.provenance, Counters: r.CounterRows()})
-	}
-	for _, s := range r.series {
-		files = append(files, &SinkFile{Table: SeriesTable, Probe: s.name, Unit: s.unit, Points: s.pts})
-	}
-	if r.trace != nil {
-		info := r.trace.Info()
-		files = append(files, &SinkFile{Table: TraceTable, Provenance: r.provenance, Capture: &info, Trace: r.trace.Events()})
-	}
-	if r.decTrace != nil {
-		info := r.decTrace.Info()
-		files = append(files, &SinkFile{Table: DecisionTable, Provenance: r.provenance, Capture: &info, Decisions: r.decTrace.Events()})
-	}
-	if len(r.decisions) > 0 {
-		files = append(files, &SinkFile{Table: PathTable, Provenance: r.provenance, Summaries: r.PathSummaries(), Paths: r.PathRows()})
-	}
+	files := r.sinkFiles(false)
 	for _, ndjson := range []bool{false, true} {
 		for _, f := range files {
 			if err := (FileSink{Dir: dir, NDJSON: ndjson}).Write(f); err != nil {
@@ -520,6 +492,36 @@ func (r *Registry) FlushTo(dir string) error {
 		}
 	}
 	return nil
+}
+
+// sinkFiles returns the files a flush writes, in flush order. With live set
+// it returns the tap's share of them — the counters, series and paths, with
+// the series points copied so a published snapshot never aliases a buffer
+// the engine keeps writing.
+func (r *Registry) sinkFiles(live bool) []*SinkFile {
+	var files []*SinkFile
+	if r.opts.Counters {
+		files = append(files, &SinkFile{Table: CounterTable, Provenance: r.provenance, Counters: r.CounterRows()})
+	}
+	for _, s := range r.series {
+		pts := s.pts
+		if live {
+			pts = slices.Clone(pts)
+		}
+		files = append(files, &SinkFile{Table: SeriesTable, Probe: s.name, Unit: s.unit, Points: pts})
+	}
+	if r.trace != nil && !live {
+		info := r.trace.Info()
+		files = append(files, &SinkFile{Table: TraceTable, Provenance: r.provenance, Capture: &info, Trace: r.trace.Events()})
+	}
+	if r.decTrace != nil && !live {
+		info := r.decTrace.Info()
+		files = append(files, &SinkFile{Table: DecisionTable, Provenance: r.provenance, Capture: &info, Decisions: r.decTrace.Events()})
+	}
+	if len(r.decisions) > 0 {
+		files = append(files, &SinkFile{Table: PathTable, Provenance: r.provenance, Summaries: r.PathSummaries(), Paths: r.PathRows()})
+	}
+	return files
 }
 
 // SetProvenance records a one-line ancestry string for the run's data —
@@ -532,7 +534,7 @@ func (r *Registry) SetProvenance(s string) {
 	r.provenance = s
 }
 
-// ArchiveToHub registers the registry's flushed directory on its Hub, so
+// ArchiveToHub lists the registry's flushed directory on its Hub run, so
 // the live dashboard keeps linking the run's sink files after it finishes.
 // A no-op unless the registry has both a Hub and a flush Dir; the harness
 // calls it once, after Flush succeeds.
@@ -540,5 +542,5 @@ func (r *Registry) ArchiveToHub() {
 	if r == nil || r.opts.Hub == nil || r.opts.Dir == "" {
 		return
 	}
-	r.opts.Hub.AddArchive(r.opts.RunName, r.opts.Dir)
+	r.opts.Hub.archive(r.opts.RunName, r.opts.Dir)
 }

@@ -22,7 +22,7 @@ var liveTopo = Topology{Leaves: 2, Spines: 2, HostsPerLeaf: 4, LinksPerSpine: 1,
 // reader goroutines hammer the endpoint mid-run. Under -race this is the
 // proof that the lock-free snapshot handoff is sound: engines publish from
 // their tick safe points, readers only ever Load immutable snapshots, and
-// the hub map is the only synchronized structure. Duplicate configs must
+// the hub's run list is the only synchronized structure. Duplicate configs must
 // still produce bit-identical results — concurrent observation cannot
 // perturb any engine.
 func TestLiveTapConcurrentEngines(t *testing.T) {
@@ -39,7 +39,6 @@ func TestLiveTapConcurrentEngines(t *testing.T) {
 		for seed := uint64(1); seed <= 4; seed++ {
 			opts := TelemetryAll("")
 			opts.Trace = false
-			opts.Tap = true
 			opts.TapWall = -1 // publish every tap interval; stress the readers
 			opts.Hub = hub
 			opts.RunName = fmt.Sprintf("rep%d-seed%d", rep, seed)
@@ -55,10 +54,6 @@ func TestLiveTapConcurrentEngines(t *testing.T) {
 	}
 
 	var prog SweepProgress
-	hub.SetSweepProgress(func() (int, int) {
-		_, finished, total := prog.Counts()
-		return int(finished), int(total)
-	})
 
 	// Readers poll the overview and every run's counters until the sweep
 	// finishes; they tolerate 404s (runs attach as workers start them).
@@ -157,7 +152,6 @@ func TestLiveObservabilityDoesNotPerturb(t *testing.T) {
 		opts.TraceCap = 256 // force suppression so the capture policy is exercised
 		opts.TraceTrigger = telemetry.TriggerFirstRTO | telemetry.TriggerFirstDrop
 		opts.TraceStopAfter = 32
-		opts.Tap = true
 		opts.TapWall = -1
 		opts.Hub = hub
 		opts.RunName = "live"

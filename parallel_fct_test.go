@@ -123,7 +123,6 @@ func TestParallelRejectsUnsupportedOptions(t *testing.T) {
 		{"queues", func(c *FCTConfig) { c.CollectQueues = true }},
 		{"samplecap", func(c *FCTConfig) { c.SampleCap = 100 }},
 		{"trace", func(c *FCTConfig) { c.Telemetry = &TelemetryOptions{Trace: true} }},
-		{"tap", func(c *FCTConfig) { c.Telemetry = &TelemetryOptions{Tap: true} }},
 		{"hub", func(c *FCTConfig) { c.Telemetry = &TelemetryOptions{Hub: NewTelemetryHub()} }},
 		{"too-wide", func(c *FCTConfig) { c.Parallel = c.Topology.Leaves + 1 }},
 	}
