@@ -38,16 +38,18 @@ lint: vet
 memlat:
 	$(GO) run ./tools/memlat
 
-# Native fuzzing smoke (~70 s): the timing wheel against a sorted (time, seq)
+# Native fuzzing smoke (~90 s): the timing wheel against a sorted (time, seq)
 # model, the packed congestion-table entry against the three-field one it
-# replaced, and the sink-file reader against the writer (whatever it reads
-# must re-encode to bytes that read back equal). Their seed corpora already
-# run under plain `go test`; this lets the mutator look past them. One target
-# per invocation is a go test rule.
+# replaced, the sink-file reader against the writer (whatever it reads must
+# re-encode to bytes that read back equal), and the replay-trace reader on
+# forged and damaged input in both formats (an error, never a panic). Their
+# seed corpora already run under plain `go test`; this lets the mutator look
+# past them. One target per invocation is a go test rule.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzWheelMatchesHeap -fuzztime 20s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzMetricAgePacking -fuzztime 20s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzReadSinkFile -fuzztime 20s ./internal/telemetry
+	$(GO) test -run '^$$' -fuzz FuzzReplayRead -fuzztime 20s ./internal/replay
 
 # Full paper-artifact benchmarks (minutes).
 bench:
@@ -115,7 +117,7 @@ bench-compare:
 
 # Benchmark harness smoke (~45 s): one short scale256 run, the same cell on
 # two partition domains (the mailbox/Exchange path end to end) and one short
-# observed run (every probe on, CSV+NDJSON flushed) whose result lines (the
+# observed run (every probe on, NDJSON flushed) whose result lines (the
 # last ones) must each report a correct run.
 bench-smoke:
 	$(GO) run ./bench -workload scale256 -seconds 3 | tail -n 1 | grep -q '"correct":true'
@@ -138,16 +140,14 @@ replay-smoke:
 
 # End-to-end decision-plane smoke (~30 s): a short CONGA run with one
 # failed link and -decisions on, then assert the audit trail and path
-# matrix sinks are non-empty, summarize the trail with congatrace from both
-# encodings, and render the path-utilization heatmap. CI uploads the sinks
-# and figure.
+# matrix sinks are non-empty, summarize the trail with congatrace, and
+# render the path-utilization heatmap. CI uploads the sinks and figure.
 decision-smoke:
 	$(GO) build -o /tmp/congasim ./cmd/congasim
 	/tmp/congasim -scheme conga -duration 20ms -maxflows 500 -minrto 10ms \
 		-fail 0,1,0 -telemetry decision-smoke.tel -decisions
-	test -s decision-smoke.tel/decisions.csv
-	test -s decision-smoke.tel/paths.csv
-	$(GO) run ./cmd/congatrace -read decision-smoke.tel/decisions.csv
+	test -s decision-smoke.tel/decisions.ndjson
+	test -s decision-smoke.tel/paths.ndjson
 	$(GO) run ./cmd/congatrace -read decision-smoke.tel/decisions.ndjson
 	$(GO) run ./cmd/congaplot -heatmap -dir decision-smoke.tel -out decision-heatmap.svg
 	test -s decision-heatmap.svg

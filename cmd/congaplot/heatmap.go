@@ -1,8 +1,10 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 
@@ -12,22 +14,19 @@ import (
 // renderHeatmap draws the path-utilization figure from the decision plane's
 // flushed path load matrix: one row per (srcLeaf, uplink), one column per
 // destination leaf, cell heat = bytes routed (flowlet counts when the run
-// recorded no bytes). Input is the paths file of a congasim -decisions run,
-// in whichever encoding it was flushed.
+// recorded no bytes). Input is the paths.ndjson file of a congasim
+// -decisions run.
 func renderHeatmap(stdout io.Writer, dir, out, title string, width int) error {
-	paths, err := filepath.Glob(filepath.Join(dir, "paths.*"))
-	if err != nil {
-		return err
-	}
-	if len(paths) == 0 {
+	path := filepath.Join(dir, "paths.ndjson")
+	f, err := telemetry.ReadSinkFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
 		return fmt.Errorf("no paths file in %s (run congasim with -decisions)", dir)
 	}
-	f, err := telemetry.ReadSinkFile(paths[0])
 	if err != nil {
 		return err
 	}
 	if f.Table != telemetry.PathTable {
-		return fmt.Errorf("%s is not a paths file", paths[0])
+		return fmt.Errorf("%s is not a paths file", path)
 	}
 	svg := f.PathHeatmap(title, width)
 	if svg == "" {

@@ -22,9 +22,10 @@
 // (srcLeaf, uplink) × dstLeaf heatmap of bytes routed per path, with each
 // leaf's imbalance and entropy figures in the subtitle.
 //
-// Files are read through telemetry.ReadSinkFile, which takes CSV and NDJSON
-// alike and hands back the same probe names, units and values from either; a
-// directory flushed in both encodings yields each series once.
+// Files are read through telemetry.ReadSinkFile: a flushed directory's
+// series_*.ndjson (or cdf_*.ndjson) files and the live endpoint's bodies are
+// the same NDJSON, so either source yields the same probe names, units and
+// values.
 //
 // The chart is a single-axis line chart: all selected series must share a
 // unit (mixing units would need a second y-axis, which congaplot refuses
@@ -61,7 +62,7 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("congaplot", flag.ContinueOnError)
 	var (
-		dir     = fs.String("dir", "", "telemetry directory flushed by a -telemetry run (its series_* files, CSV or NDJSON); with -cdf, a directory of cdf_* files")
+		dir     = fs.String("dir", "", "telemetry directory flushed by a -telemetry run (its series_*.ndjson files); with -cdf, a directory of cdf_*.ndjson files")
 		liveURL = fs.String("url", "", "base URL of a live -serve endpoint (e.g. http://localhost:8080) instead of -dir")
 		runName = fs.String("run", "", "run name on the live endpoint (default: first attached run)")
 		sel     = fs.String("series", ".", "regexp selecting which series to plot, matched against probe names")
@@ -218,32 +219,21 @@ func defaultTitle(picked []plot.Series) string {
 	return prefix
 }
 
-// loadDir reads the sink files of dir named prefix*, which must all hold the
-// wanted table (series or cdf), as plot series. A directory flushed in both
-// encodings holds every probe twice, as <stem>.csv and <stem>.ndjson, which
-// read back the same: one file per stem is read.
+// loadDir reads the sink files of dir named prefix*.ndjson, which must all
+// hold the wanted table (series or cdf), as plot series.
 func loadDir(dir, prefix string, table *telemetry.Table) ([]plot.Series, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, prefix+"*"))
+	paths, err := filepath.Glob(filepath.Join(dir, prefix+"*.ndjson"))
 	if err != nil {
 		return nil, err
 	}
 	var files []*telemetry.SinkFile
-	seen := map[string]bool{}
 	for _, p := range paths {
-		stem := strings.TrimSuffix(p, filepath.Ext(p))
-		if seen[stem] {
-			continue
-		}
-		seen[stem] = true
 		f, err := telemetry.ReadSinkFile(p)
 		if err != nil {
 			return nil, err
 		}
 		if f.Table != table && f.Table != nil {
 			return nil, fmt.Errorf("%s holds the %s table, not %s", p, f.Table.Name, table.Name)
-		}
-		if f.Probe == "" { // a file older than the "# probe=" line
-			f.Probe = strings.TrimPrefix(filepath.Base(stem), prefix)
 		}
 		files = append(files, f)
 	}
@@ -276,7 +266,7 @@ func loadURL(base, run string) ([]plot.Series, error) {
 
 // plotSeries converts decoded series or cdf files to plot series, leaving
 // out those without points: they have nothing to list or plot (and an
-// empty series' NDJSON file is empty, so only its CSV file could name it).
+// empty series' file is empty, so it names no probe).
 func plotSeries(files []*telemetry.SinkFile) []plot.Series {
 	var out []plot.Series
 	for _, f := range files {

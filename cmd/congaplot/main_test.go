@@ -12,13 +12,13 @@ import (
 	"conga"
 )
 
-// TestSameFiguresFromEitherEncoding flushes one small run and drives run on
-// three copies of its directory — the CSV files only, the NDJSON files only,
-// and both — and on the run's finished live endpoint. What congaplot lists,
-// refuses and draws must not depend on which it was given.
-func TestSameFiguresFromEitherEncoding(t *testing.T) {
-	both := t.TempDir()
-	tel := conga.TelemetryAll(both)
+// TestSameFiguresFromDirAndLive flushes one small run and drives run on its
+// directory and on the run's finished live endpoint, which serve the same
+// NDJSON. What congaplot lists, refuses and draws must not depend on which
+// it was given.
+func TestSameFiguresFromDirAndLive(t *testing.T) {
+	dir := t.TempDir()
+	tel := conga.TelemetryAll(dir)
 	tel.Hub = conga.NewTelemetryHub()
 	srv := httptest.NewServer(tel.Hub.Handler())
 	defer srv.Close()
@@ -35,31 +35,14 @@ func TestSameFiguresFromEitherEncoding(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	sources := map[string][]string{"both": {"-dir", both}, "live": {"-url", srv.URL}}
-	for _, ext := range []string{".csv", ".ndjson"} {
-		dir := t.TempDir()
-		sources[ext] = []string{"-dir", dir}
-		files, _ := filepath.Glob(filepath.Join(both, "*"+ext))
-		for _, f := range files {
-			b, err := os.ReadFile(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(dir, filepath.Base(f)), b, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	out := func(args ...string) (string, error) {
+	sources := map[string][]string{"dir": {"-dir", dir}, "live": {"-url", srv.URL}}
+	from := func(name string, args ...string) (string, error) {
 		var b bytes.Buffer
-		err := run(args, &b)
+		err := run(append(append([]string(nil), sources[name]...), args...), &b)
 		return b.String(), err
 	}
 
-	from := func(name string, args ...string) (string, error) {
-		return out(append(append([]string(nil), sources[name]...), args...)...)
-	}
-	list, err := from(".csv", "-list")
+	list, err := from("dir", "-list")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,17 +53,15 @@ func TestSameFiguresFromEitherEncoding(t *testing.T) {
 		}
 	}
 	if !strings.HasSuffix(queue, "unit=bytes") {
-		t.Errorf("the CSV-only listing has no line for queue.l0->s0.0 in bytes:\n%s", list)
+		t.Errorf("the directory listing has no line for queue.l0->s0.0 in bytes:\n%s", list)
 	}
-	for _, name := range []string{".ndjson", "both", "live"} {
-		if got, err := from(name, "-list"); err != nil || got != list {
-			t.Errorf("-list of %s (error %v):\n%s\nwant the CSV-only listing:\n%s", name, err, got, list)
-		}
+	if got, err := from("live", "-list"); err != nil || got != list {
+		t.Errorf("-list of the live endpoint (error %v):\n%s\nwant the directory's:\n%s", err, got, list)
 	}
 
 	svg := filepath.Join(t.TempDir(), "out.svg")
 	var queues []byte
-	for _, name := range []string{".csv", ".ndjson", "both", "live"} {
+	for _, name := range []string{"dir", "live"} {
 		if _, err := from(name, "-series", ".", "-out", svg); err == nil || !strings.Contains(err.Error(), "mix units (bytes, ") {
 			t.Errorf("%s: plotting every series on one axis: error %v, want a mixed-units refusal", name, err)
 		}
@@ -94,22 +75,14 @@ func TestSameFiguresFromEitherEncoding(t *testing.T) {
 		if queues == nil {
 			queues = b
 		} else if !bytes.Equal(b, queues) {
-			t.Errorf("%s: the leaf-0 queue figure (%d bytes) differs from the CSV files' (%d bytes)", name, len(b), len(queues))
+			t.Errorf("%s: the leaf-0 queue figure (%d bytes) differs from the directory's (%d bytes)", name, len(b), len(queues))
 		}
 	}
 
-	var heat [][]byte
-	for _, ext := range []string{".csv", ".ndjson"} {
-		if _, err := from(ext, "-heatmap", "-out", svg); err != nil {
-			t.Fatal(err)
-		}
-		b, err := os.ReadFile(svg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		heat = append(heat, b)
+	if _, err := from("dir", "-heatmap", "-out", svg); err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(heat[0], heat[1]) || !bytes.Contains(heat[0], []byte("imbalance")) {
-		t.Errorf("the heatmap from paths.csv (%d bytes) and from paths.ndjson (%d bytes) differ, or lack the balance subtitle", len(heat[0]), len(heat[1]))
+	if b, err := os.ReadFile(svg); err != nil || !bytes.Contains(b, []byte("imbalance")) {
+		t.Errorf("the heatmap (error %v) lacks the balance subtitle", err)
 	}
 }

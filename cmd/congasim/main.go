@@ -58,9 +58,9 @@ func main() {
 
 		recordPath = flag.String("record", "", "record the flow-arrival sequence to this trace file (.gz = compact binary, else NDJSON)")
 		replayPath = flag.String("replay", "", "replay a recorded trace instead of generating a workload (fct mode; scheme/transport/failures may differ from the recording)")
-		cdfOut     = flag.String("cdfout", "", "write collected CDFs (-imbalance, -queues) as value,fraction CSVs into this directory (congaplot -cdf renders them)")
+		cdfOut     = flag.String("cdfout", "", "write collected CDFs (-imbalance, -queues) as cdf_*.ndjson sink files (value,fraction rows) into this directory (congaplot -cdf renders them)")
 
-		telemetryDir  = flag.String("telemetry", "", "enable telemetry and write one CSV + NDJSON file per probe into this directory")
+		telemetryDir  = flag.String("telemetry", "", "enable telemetry and write one NDJSON sink file per probe into this directory")
 		telemetryFlow = flag.Int64("telemetry-flow", -1, "restrict the packet trace to this flow ID (-1 = all flows)")
 		traceMode     = flag.String("trace-mode", "head", "packet-trace capture mode when full: head, tail (flight recorder), reservoir")
 		traceTrigger  = flag.String("trace-trigger", "none", "freeze the trace on a condition: none, first-drop, first-rto (|-combinable)")
@@ -294,7 +294,7 @@ func writeTrace(path string, tr *replay.Trace) {
 		tr.Header.Flows, float64(tr.Header.Bytes)/1e6, path)
 }
 
-// writeCDFs emits the run's collected CDFs as the sink's cdf_* files
+// writeCDFs emits the run's collected CDFs as cdf_*.ndjson sink files
 // (value,fraction rows), which congaplot -cdf renders (paper Figures 12 and
 // 11b).
 func writeCDFs(dir string, r *conga.FCTResult) {
@@ -305,10 +305,10 @@ func writeCDFs(dir string, r *conga.FCTResult) {
 		fmt.Println("cdfout: no CDFs collected (pass -imbalance and/or -queues)")
 		return
 	}
-	sink, n := telemetry.FileSink{Dir: dir}, 0
+	n := 0
 	write := func(name, unit string, cdf conga.CDF) {
 		if cdf != nil {
-			die(sink.Write(&telemetry.SinkFile{Table: telemetry.CDFTable, Probe: name, Unit: unit, CDF: cdf}))
+			die((&telemetry.SinkFile{Table: telemetry.CDFTable, Probe: name, Unit: unit, CDF: cdf}).Write(dir))
 			n++
 		}
 	}
@@ -317,7 +317,7 @@ func writeCDFs(dir string, r *conga.FCTResult) {
 	for name, cdf := range r.QueueCDFs {
 		write("queue_"+name, "bytes", cdf)
 	}
-	fmt.Printf("cdfout: wrote %d cdf_*.csv files to %s\n", n, dir)
+	fmt.Printf("cdfout: wrote %d cdf_*.ndjson files to %s\n", n, dir)
 }
 
 func printTelemetry(reg *conga.TelemetryRegistry, dir string) {

@@ -5,15 +5,15 @@
 // the ASIC's flowlet table.
 //
 // A second mode reads back a trace file and prints a summary. For a
-// packet trace flushed by the telemetry subsystem (a -telemetry run's trace
-// file, CSV or NDJSON) it prints the capture policy — mode, trigger, how
+// packet trace flushed by the telemetry subsystem (a -telemetry run's
+// trace.ndjson) it prints the capture policy — mode, trigger, how
 // many events were suppressed by the flight-recorder ring or reservoir —
 // plus a per-event-kind summary. For a flowlet routing audit trail (a
 // -decisions run's decisions file) it prints the capture policy, the
 // recorded-plus-suppressed accounting, the routing-reason mix, the feedback
 // age of the winning remote metrics, and the hottest (srcLeaf, uplink,
 // dstLeaf) paths. Both go through telemetry.ReadSinkFile, which tells the
-// table and the encoding from the bytes, so the file's name does not matter;
+// table from the bytes, so the file's name does not matter;
 // any other sink table, a damaged row or a final line cut short is an error
 // naming file:line. For a workload replay trace (congasim -record, either
 // NDJSON or gzip'd binary) it prints the header — format version, recording
@@ -22,8 +22,8 @@
 // Usage:
 //
 //	congatrace [-flows 5000] [-workload enterprise] [-rate 10] [-burst 65536]
-//	congatrace -read out/telemetry/trace.csv
-//	congatrace -read out/telemetry/decisions.csv
+//	congatrace -read out/telemetry/trace.ndjson
+//	congatrace -read out/telemetry/decisions.ndjson
 //	congatrace -read run.trace.gz
 package main
 
@@ -47,7 +47,7 @@ func main() {
 		burst    = flag.Int64("burst", 64<<10, "NIC offload burst size in bytes")
 		window   = flag.Duration("window", 50*time.Millisecond, "flow arrival window")
 		seed     = flag.Uint64("seed", 1, "random seed")
-		read     = flag.String("read", "", "read back a trace file (a telemetry packet trace or decision trail, CSV or NDJSON, or a workload replay trace) instead of generating one")
+		read     = flag.String("read", "", "read back a trace file (a telemetry packet trace or decision trail, or a workload replay trace) instead of generating one")
 	)
 	flag.Parse()
 

@@ -13,8 +13,8 @@ import (
 // readTrace prints a summary of any trace file this repo produces: a
 // workload replay trace (internal/replay, either format — header with
 // version, fingerprint and flow count), or a packet trace or flowlet routing
-// audit trail flushed by internal/telemetry, in either encoding and under any
-// file name: telemetry.ReadSinkFile says which table the file holds. Files
+// audit trail flushed by internal/telemetry, under any file name:
+// telemetry.ReadSinkFile says which table the file holds. Files
 // older than the capture header still summarize; the capture section just
 // reports "unknown (no capture header)".
 func readTrace(w io.Writer, path string) error {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -12,15 +13,15 @@ import (
 	"conga"
 )
 
-// TestReadReportsAgreeAcrossFormats flushes one small recorded run and reads
-// back its packet trace and its decision trail from both the CSV and the
-// NDJSON file. Each pair must print the same report below the line naming the
-// file, and that report must be the one in testdata: what the hand-written
-// CSV readers printed for these files before telemetry.ReadSinkFile replaced
-// them. Then it feeds readTrace what those readers got wrong: a decision
-// trail under another name, a trace whose "where" needs CSV quoting, sink
-// files that are neither table, and a trace cut short.
-func TestReadReportsAgreeAcrossFormats(t *testing.T) {
+// TestReadReportsMatchGolden flushes one small recorded run and reads back
+// its packet trace and its decision trail. Each must print, below the line
+// naming the file, the report in testdata: what the hand-written CSV readers
+// printed for these files before telemetry.ReadSinkFile replaced them. Then
+// it feeds readTrace what those readers got wrong — a decision trail under
+// another name, a trace whose "where" needs quoting, sink files that are
+// neither table, a trace cut short — and a CSV copy of the kind flushes
+// wrote before NDJSON became the only encoding.
+func TestReadReportsMatchGolden(t *testing.T) {
 	dir := t.TempDir()
 	opts := conga.TelemetryAll(dir)
 	opts.TraceCap = 1 << 12
@@ -52,12 +53,8 @@ func TestReadReportsAgreeAcrossFormats(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		csv, ndjson := report(base+".csv"), report(base+".ndjson")
-		if csv != ndjson {
-			t.Errorf("%s: the CSV and NDJSON reports differ\ncsv:\n%s\nndjson:\n%s", base, csv, ndjson)
-		}
-		if csv != string(golden) {
-			t.Errorf("%s.csv report:\n%s\nwant:\n%s", base, csv, golden)
+		if got := report(base + ".ndjson"); got != string(golden) {
+			t.Errorf("%s.ndjson report:\n%s\nwant:\n%s", base, got, golden)
 		}
 	}
 
@@ -73,30 +70,32 @@ func TestReadReportsAgreeAcrossFormats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	write("audit.csv", read("decisions.csv"))
-	if got, want := report("audit.csv"), report("decisions.csv"); got != want {
-		t.Errorf("a renamed decisions.csv reads as\n%s\nwant the decision trail\n%s", got, want)
+	write("audit.txt", read("decisions.ndjson"))
+	if got, want := report("audit.txt"), report("decisions.ndjson"); got != want {
+		t.Errorf("a renamed decisions.ndjson reads as\n%s\nwant the decision trail\n%s", got, want)
 	}
 
 	// Every event of flow 4 at h7 moves to a site named `a,"b"`: same flows,
-	// same report, from both encodings.
-	write("quoted.csv", bytes.ReplaceAll(read("trace.csv"), []byte(",h7,4,"), []byte(`,"a,""b""",4,`)))
+	// same report.
 	write("quoted.ndjson", bytes.ReplaceAll(read("trace.ndjson"), []byte(`"where":"h7","flow":4,`), []byte(`"where":"a,\"b\"","flow":4,`)))
-	if bytes.Equal(read("quoted.csv"), read("trace.csv")) || bytes.Equal(read("quoted.ndjson"), read("trace.ndjson")) {
+	if bytes.Equal(read("quoted.ndjson"), read("trace.ndjson")) {
 		t.Fatal("the trace has no event of flow 4 at h7 to rename")
 	}
-	for _, name := range []string{"quoted.csv", "quoted.ndjson"} {
-		if got, want := report(name), report("trace.csv"); got != want {
-			t.Errorf("%s reads as\n%s\nwant\n%s", name, got, want)
-		}
+	if got, want := report("quoted.ndjson"), report("trace.ndjson"); got != want {
+		t.Errorf("quoted.ndjson reads as\n%s\nwant\n%s", got, want)
 	}
 
-	for _, name := range []string{"counters.csv", "counters.ndjson", "paths.csv", "paths.ndjson"} {
+	for _, name := range []string{"counters.ndjson", "paths.ndjson"} {
 		var b strings.Builder
 		err := readTrace(&b, filepath.Join(dir, name))
 		if err == nil || !strings.Contains(err.Error(), "not a packet trace or a decision trail") || b.Len() > 0 {
 			t.Errorf("%s: error %v after printing %q; want a refusal and no report", name, err, b.String())
 		}
+	}
+
+	write("trace.csv", []byte("time_ns,event,where,flow,src,dst,sport,dport,seq,payload\n5,send,h4,0,4,2,10000,80,0,597\n"))
+	if err := readTrace(io.Discard, filepath.Join(dir, "trace.csv")); err == nil || !strings.Contains(err.Error(), "trace.csv:1: does not open with '{'") {
+		t.Errorf("a CSV trace: error %v, want trace.csv:1: does not open with '{'…", err)
 	}
 
 	// Cut mid-line, the reader names the line; cut at a line end, the report
@@ -108,14 +107,11 @@ func TestReadReportsAgreeAcrossFormats(t *testing.T) {
 	if err := readTrace(&b, filepath.Join(dir, "cut.ndjson")); err == nil || !strings.Contains(err.Error(), "cut.ndjson:"+strconv.Itoa(lines)+": truncated") {
 		t.Errorf("trace cut mid-line: error %v, want cut.ndjson:%d: truncated…", err, lines)
 	}
-	for _, name := range []string{"trace.csv", "trace.ndjson", "decisions.csv", "decisions.ndjson"} {
+	for _, name := range []string{"trace.ndjson", "decisions.ndjson"} {
 		full := read(name)
 		cut := full[:bytes.LastIndexByte(full[:len(full)/2], '\n')+1]
 		write("short-"+name, cut)
 		rows := bytes.Count(cut, []byte("\n")) - 2 // provenance and capture lines
-		if strings.HasSuffix(name, ".csv") {
-			rows-- // column line
-		}
 		want := "WARNING: header says recorded " + map[bool]string{true: "4096", false: "1024"}[strings.HasPrefix(name, "trace")] +
 			" but the file holds " + strconv.Itoa(rows) + " rows (file truncated or mixed?)"
 		if got := report("short-" + name); !strings.Contains(got, want) {

@@ -54,8 +54,8 @@ import (
 type TelemetryOptions = telemetry.Options
 
 // TelemetryRegistry holds a run's collected telemetry; experiment results
-// expose it for programmatic access after the run, and it flushes one CSV
-// and one NDJSON file per probe when Options.Dir is set.
+// expose it for programmatic access after the run, and it flushes one NDJSON
+// sink file per probe when Options.Dir is set.
 type TelemetryRegistry = telemetry.Registry
 
 // TelemetryAll returns options with every probe enabled, flushing to dir

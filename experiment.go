@@ -89,16 +89,6 @@ type FCTConfig struct {
 	// Enabling it never changes simulation outcomes.
 	Telemetry *TelemetryOptions
 
-	// SampleCap, when > 0, bounds every statistics buffer (FCT samples,
-	// imbalance and queue samplers) to at most SampleCap retained
-	// observations via reservoir sampling, so million-flow sweeps keep
-	// their statistics at fixed memory. Means, counts and extrema stay
-	// exact; quantiles and CDFs become reservoir estimates. The reservoirs
-	// use their own seeded PRNGs, so simulation outcomes are unaffected.
-	// The arrival list itself is materialized before the run (MaxFlows ×
-	// ~100 B) and is not bounded by SampleCap.
-	SampleCap int
-
 	WCMPWeights []float64
 
 	// Record, when true, captures the exact flow-arrival sequence of this
@@ -129,8 +119,8 @@ type FCTConfig struct {
 	// value but differ between values: several domains interleave
 	// same-timestamp events differently and keep every receiver bound for
 	// the whole run (see run.inject). Several domains reject the options
-	// that need a single engine: CollectImbalance, CollectQueues,
-	// SampleCap, and telemetry traces/taps.
+	// that need a single engine: CollectImbalance, CollectQueues and
+	// telemetry traces/taps.
 	Parallel int
 }
 
@@ -281,8 +271,6 @@ func (cfg FCTConfig) checkParallel() error {
 		return fmt.Errorf("conga: CollectImbalance is not supported with Parallel=%d (its sampler ticks on one engine but reads uplinks across domains); collect it on a sequential run", cfg.Parallel)
 	case cfg.CollectQueues:
 		return fmt.Errorf("conga: CollectQueues is not supported with Parallel=%d (its sampler reads fabric links across domains); collect it on a sequential run", cfg.Parallel)
-	case cfg.SampleCap > 0:
-		return fmt.Errorf("conga: SampleCap is not supported with Parallel=%d (per-domain reservoirs cannot merge into a uniform sample); use a sequential run or unbounded samples", cfg.Parallel)
 	case t != nil && (t.Trace || t.Hub != nil):
 		return fmt.Errorf("conga: telemetry traces and live taps are not supported with Parallel=%d (they interleave events from all domains in one stream); counters and series remain available", cfg.Parallel)
 	case t != nil && t.Decisions && t.DecisionTrace:
@@ -390,15 +378,8 @@ func runFCT(cfg FCTConfig) (*FCTResult, error) {
 	// recomputes the per-flow optimal FCT from the size — OptimalFCT is
 	// pure, so computing it at completion changes no simulation event.
 	shards := make([]*fctShard, len(r.doms))
-	reserve := cfg.MaxFlows / len(shards)
-	if cfg.SampleCap > 0 {
-		reserve = 0
-	}
 	for d := range shards {
-		shards[d] = &fctShard{rec: stats.NewFCTRecorder(reserve)}
-	}
-	if cfg.SampleCap > 0 {
-		shards[0].rec.Bound(cfg.SampleCap, cfg.Seed) // one domain: see checkParallel
+		shards[d] = &fctShard{rec: stats.NewFCTRecorder(cfg.MaxFlows / len(shards))}
 	}
 	r.onFlowDone(func(d int, flowID uint64, size int64, fct sim.Time, retx, timeouts uint64) {
 		sh := shards[d]
@@ -411,34 +392,21 @@ func runFCT(cfg FCTConfig) (*FCTResult, error) {
 	})
 
 	// The samplers tick at fixed periods over a known horizon, so their
-	// buffers can be sized exactly instead of growing during the run —
-	// or bounded by SampleCap reservoirs when the caller asked for fixed
-	// memory.
+	// buffers can be sized exactly instead of growing during the run.
 	horizon := sim.Duration(cfg.Duration) + sim.Duration(cfg.DrainTimeout)
 	var imb *stats.ImbalanceSampler
 	if cfg.CollectImbalance {
 		imb = stats.NewImbalanceSampler(r.net.Leaves[0].Uplinks(), 10*sim.Millisecond)
-		if cfg.SampleCap > 0 {
-			imb.Values.Reservoir(cfg.SampleCap, cfg.Seed+101)
-		} else {
-			imb.Values.Reserve(int(horizon / (10 * sim.Millisecond)))
-		}
+		imb.Values.Reserve(int(horizon / (10 * sim.Millisecond)))
 		imb.Start(eng0)
 	}
 	var qs *stats.QueueSampler
 	if cfg.CollectQueues {
 		qs = stats.NewQueueSampler(r.net.FabricLinks(), 100*sim.Microsecond)
-		if cfg.SampleCap > 0 {
-			qs.All.Reservoir(cfg.SampleCap, cfg.Seed+201)
-			for i := range qs.PerLink {
-				qs.PerLink[i].Reservoir(cfg.SampleCap, cfg.Seed+202+uint64(i))
-			}
-		} else {
-			samples := int(horizon / (100 * sim.Microsecond))
-			qs.All.Reserve(samples * len(r.net.FabricLinks()))
-			for i := range qs.PerLink {
-				qs.PerLink[i].Reserve(samples)
-			}
+		samples := int(horizon / (100 * sim.Microsecond))
+		qs.All.Reserve(samples * len(r.net.FabricLinks()))
+		for i := range qs.PerLink {
+			qs.PerLink[i].Reserve(samples)
 		}
 		qs.Start(eng0)
 	}

@@ -1,13 +1,13 @@
 package conga
 
 import (
+	"fmt"
 	"time"
 
 	"conga/internal/fabric"
 	"conga/internal/hdfs"
 	"conga/internal/replay"
 	"conga/internal/sim"
-	"conga/internal/stats"
 	"conga/internal/telemetry"
 	"conga/internal/workload"
 )
@@ -37,12 +37,6 @@ type HDFSConfig struct {
 	// Telemetry, when non-nil, enables the observability subsystem (see
 	// FCTConfig.Telemetry); the registry returns in HDFSResult.Telemetry.
 	Telemetry *TelemetryOptions
-
-	// SampleCap, when > 0, records background-flow completion times into a
-	// bounded reservoir (see FCTConfig.SampleCap) and reports them in
-	// HDFSResult.BackgroundFCTMean/P99. Off by default: background flows
-	// are load, not measurement.
-	SampleCap int
 
 	// Record, when true, captures the background workload's arrival
 	// sequence (kind "workload") in HDFSResult.Trace. The replicated-write
@@ -92,11 +86,6 @@ type HDFSResult struct {
 	// BackgroundCompleted how many finished before the engine stopped.
 	BackgroundFlows     int
 	BackgroundCompleted int
-	// BackgroundFCTMean / BackgroundFCTP99 summarize background-flow
-	// completion times when HDFSConfig.SampleCap is set (mean exact, P99 a
-	// reservoir estimate).
-	BackgroundFCTMean time.Duration
-	BackgroundFCTP99  time.Duration
 	// Events counts executed simulator events; Wall the real time the run
 	// cost (events/sec reporting). Wall measures the environment, not the
 	// simulation: determinism comparisons must zero both first.
@@ -123,6 +112,12 @@ func RunHDFS(cfg HDFSConfig) (*HDFSResult, error) {
 
 func runHDFS(cfg HDFSConfig) (*HDFSResult, error) {
 	cfg = cfg.withDefaults()
+	switch {
+	case cfg.BackgroundLoad < 0:
+		return nil, fmt.Errorf("conga: BackgroundLoad %v must not be negative (0 means no background traffic)", cfg.BackgroundLoad)
+	case cfg.Timeout < 0:
+		return nil, fmt.Errorf("conga: Timeout %v must not be negative (0 means the default, 30s)", cfg.Timeout)
+	}
 	r, err := newRun(cfg.Topology, cfg.Scheme, nil, cfg.Transport, nil, cfg.Seed, cfg.Telemetry, 1)
 	if err != nil {
 		return nil, err
@@ -132,24 +127,14 @@ func runHDFS(cfg HDFSConfig) (*HDFSResult, error) {
 	// through the same free lists.
 	eng, net := r.doms[0].eng, r.net
 
-	// Background enterprise traffic for the whole trial window. With
-	// SampleCap set, completion times go into a bounded reservoir; the
-	// recording callback runs after a flow's endpoints close and schedules
+	// Background enterprise traffic for the whole trial window. The
+	// completion callback runs after a flow's endpoints close and schedules
 	// nothing, so attaching it does not change the simulation.
-	var bg stats.Sample
 	bgDone := 0
-	if cfg.SampleCap > 0 {
-		bg.Reservoir(cfg.SampleCap, cfg.Seed+401)
-	}
 	var gen *workload.Generator
 	var traceRec *replay.Recorder
 	if cfg.BackgroundLoad > 0 {
-		r.onFlowDone(func(_ int, _ uint64, _ int64, fct sim.Time, _, _ uint64) {
-			bgDone++
-			if cfg.SampleCap > 0 {
-				bg.Add(fct.Seconds())
-			}
-		})
+		r.onFlowDone(func(int, uint64, int64, sim.Time, uint64, uint64) { bgDone++ })
 		starter := func(src, dst *fabric.Host, id uint64, size int64) {
 			r.start(0, arrival{src: src.ID, dst: dst.ID, flowID: id, size: size})
 		}
@@ -219,10 +204,6 @@ func runHDFS(cfg HDFSConfig) (*HDFSResult, error) {
 	if gen != nil {
 		res.BackgroundFlows = gen.Generated
 		res.BackgroundCompleted = bgDone
-		if cfg.SampleCap > 0 {
-			res.BackgroundFCTMean = time.Duration(bg.Mean() * 1e9)
-			res.BackgroundFCTP99 = time.Duration(bg.Quantile(0.99) * 1e9)
-		}
 	}
 	if jobRes.CompletionTime > 0 {
 		res.Completed = true

@@ -33,10 +33,6 @@ type IncastConfig struct {
 	// FCTConfig.Telemetry); the registry returns in IncastResult.Telemetry.
 	Telemetry *TelemetryOptions
 
-	// SampleCap, when > 0, bounds the per-round completion-time sample via
-	// reservoir sampling (see FCTConfig.SampleCap); means stay exact.
-	SampleCap int
-
 	// Record, when true, captures every round's per-server transfer as an
 	// arrival (kind "incast") in IncastResult.Trace. Incast is closed-loop
 	// — each round starts when the previous one completes — so the trace
@@ -82,8 +78,7 @@ type IncastResult struct {
 	Drops uint64
 	// Timeouts aggregates sender RTOs, the Incast signature.
 	Timeouts uint64
-	// RoundTimeMean / RoundTimeP99 summarize per-round completion times
-	// (the mean is exact even under IncastConfig.SampleCap).
+	// RoundTimeMean / RoundTimeP99 summarize per-round completion times.
 	RoundTimeMean time.Duration
 	RoundTimeP99  time.Duration
 	// Events counts executed simulator events; Wall the real time the run
@@ -156,11 +151,7 @@ func runIncast(cfg IncastConfig) (*IncastResult, error) {
 	var startRound func(now sim.Time)
 
 	var roundTimes stats.Sample
-	if cfg.SampleCap > 0 {
-		roundTimes.Reservoir(cfg.SampleCap, cfg.Seed+301)
-	} else {
-		roundTimes.Reserve(cfg.Rounds)
-	}
+	roundTimes.Reserve(cfg.Rounds)
 
 	onServerDone := func(now sim.Time) {
 		remaining--

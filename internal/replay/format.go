@@ -55,7 +55,13 @@ func (h Header) wire() jsonHeader {
 	}
 }
 
+// header is j as a Header. It rejects a negative flow count; the readers
+// never trust the count for an allocation, and Validate checks it against
+// the flows read.
 func (j jsonHeader) header() (Header, error) {
+	if j.Flows < 0 {
+		return Header{}, fmt.Errorf("corrupt trace: negative flow count %d", j.Flows)
+	}
 	var fp uint64
 	if j.TopoFP != "" {
 		if _, err := fmt.Sscanf(j.TopoFP, "%x", &fp); err != nil {
@@ -201,7 +207,7 @@ func readNDJSON(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Trace{Header: h, Flows: make([]Flow, 0, h.Flows)}
+	t := &Trace{Header: h}
 	line := 1
 	for sc.Scan() {
 		line++
@@ -336,10 +342,7 @@ func readBinary(r io.Reader) (*Trace, error) {
 		kinds[i] = string(kb)
 	}
 
-	if h.Flows < 0 || h.Flows > 1<<31 {
-		return nil, fmt.Errorf("corrupt trace: implausible flow count %d", h.Flows)
-	}
-	t := &Trace{Header: h, Flows: make([]Flow, 0, h.Flows)}
+	t := &Trace{Header: h}
 	var prevAt sim.Time
 	var prevID uint64
 	for i := 0; i < h.Flows; i++ {

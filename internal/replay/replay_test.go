@@ -1,6 +1,10 @@
 package replay
 
 import (
+	"bytes"
+	"compress/gzip"
+	"encoding/binary"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -217,4 +221,63 @@ func TestIsTraceFileRejectsOtherFiles(t *testing.T) {
 	if IsTraceFile(filepath.Join(dir, "missing")) {
 		t.Error("IsTraceFile = true for a missing file")
 	}
+}
+
+// FuzzReplayRead: whatever the bytes, in either format, Read returns an error
+// or a trace holding as many flows as its header promises — never a panic,
+// and never an allocation sized by the header alone. The seeds are both
+// formats whole and damaged: forged negative and huge flow counts, a varint
+// cut short, a kind index past the table, and a byte after the last flow.
+func FuzzReplayRead(f *testing.F) {
+	gz := func(payload []byte) []byte {
+		var b bytes.Buffer
+		zw := gzip.NewWriter(&b)
+		zw.Write(payload)
+		zw.Close()
+		return b.Bytes()
+	}
+	// forged is a binary stream with this header JSON, no kinds and no flows.
+	forged := func(header string) []byte {
+		p := binary.AppendUvarint([]byte(binaryMagic), uint64(len(header)))
+		return gz(binary.AppendUvarint(append(p, header...), 0))
+	}
+	tr := sampleTrace(5)
+	var nd, bin bytes.Buffer
+	if err := tr.writeNDJSON(&nd); err != nil {
+		f.Fatal(err)
+	}
+	if err := tr.writeBinary(&bin); err != nil {
+		f.Fatal(err)
+	}
+	zr, err := gzip.NewReader(&bin)
+	if err != nil {
+		f.Fatal(err)
+	}
+	payload, err := io.ReadAll(zr) // its last byte is the last flow's kind index
+	if err != nil {
+		f.Fatal(err)
+	}
+	badKind := bytes.Clone(payload)
+	badKind[len(badKind)-1] = 9
+
+	f.Add(nd.Bytes())
+	f.Add([]byte(`{"replay_trace":{"version":1,"flows":-1}}` + "\n"))
+	f.Add([]byte(`{"replay_trace":{"version":1,"flows":2147483648}}` + "\n"))
+	f.Add(gz(payload))
+	f.Add(forged(`{"version":1,"flows":-1}`))
+	f.Add(forged(`{"version":1,"flows":2147483648}`))
+	f.Add(gz(payload[:len(payload)-1]))
+	f.Add(gz(badKind))
+	f.Add(gz(append(payload, 0)))
+
+	path := filepath.Join(f.TempDir(), "trace")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Read(path)
+		if err == nil && len(got.Flows) != got.Header.Flows {
+			t.Fatalf("read %d flows under a header promising %d", len(got.Flows), got.Header.Flows)
+		}
+	})
 }

@@ -15,64 +15,23 @@ import (
 
 // Sample is an online collection of float64 observations with quantile
 // support. The zero value is ready to use and retains every observation;
-// Reservoir switches it to bounded memory.
+// the sum and extrema are tracked as they arrive.
 type Sample struct {
-	values []float64
-	sorted bool
-	sum    float64
-
-	// Reservoir state. limit == 0 means unbounded (retain everything);
-	// otherwise at most limit observations are kept via Algorithm R. The
-	// scalar statistics are tracked online over all seen observations so
-	// they stay exact either way.
-	limit    int
-	rng      *sim.Rand
-	seen     int
+	values   []float64
+	sorted   bool
+	sum      float64
 	min, max float64
 }
 
-// Reservoir switches the sample into bounded-memory mode: at most limit
-// observations are retained, each of the n seen so far kept with equal
-// probability limit/n (Vitter's Algorithm R, seeded deterministically).
-// Mean, Min, Max and N remain exact — they are tracked online over every
-// observation — while Quantile, StdDev and CDF become estimates computed
-// over the retained subset. It must be called before the first Add.
-func (s *Sample) Reservoir(limit int, seed uint64) {
-	if limit <= 0 {
-		panic("stats: Reservoir with non-positive limit")
-	}
-	if s.seen > 0 {
-		panic("stats: Reservoir after observations were added")
-	}
-	s.limit = limit
-	s.rng = sim.NewRand(seed)
-	s.Reserve(limit)
-}
-
-// Retained returns how many observations are held in memory. It equals N()
-// unless a Reservoir limit has evicted some.
-func (s *Sample) Retained() int { return len(s.values) }
-
 // Add records one observation.
 func (s *Sample) Add(v float64) {
-	if s.seen == 0 || v < s.min {
+	if len(s.values) == 0 || v < s.min {
 		s.min = v
 	}
-	if s.seen == 0 || v > s.max {
+	if len(s.values) == 0 || v > s.max {
 		s.max = v
 	}
-	s.seen++
 	s.sum += v
-	if s.limit > 0 && len(s.values) >= s.limit {
-		// Replace a uniformly random slot with probability limit/seen.
-		// Sorting between adds is harmless: Algorithm R only needs the
-		// victim to be a uniform member of the retained multiset.
-		if j := s.rng.Intn(s.seen); j < s.limit {
-			s.values[j] = v
-			s.sorted = false
-		}
-		return
-	}
 	s.values = append(s.values, v)
 	s.sorted = false
 }
@@ -89,17 +48,15 @@ func (s *Sample) Reserve(n int) {
 	s.values = v
 }
 
-// N returns the observation count — everything seen, including
-// observations a Reservoir limit has since evicted.
-func (s *Sample) N() int { return s.seen }
+// N returns the observation count.
+func (s *Sample) N() int { return len(s.values) }
 
 // Mean returns the average over all observations (0 for an empty sample).
-// It is exact even in reservoir mode.
 func (s *Sample) Mean() float64 {
-	if s.seen == 0 {
+	if len(s.values) == 0 {
 		return 0
 	}
-	return s.sum / float64(s.seen)
+	return s.sum / float64(len(s.values))
 }
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) by nearest-rank: the smallest
@@ -127,14 +84,13 @@ func (s *Sample) Quantile(q float64) float64 {
 	return s.values[idx]
 }
 
-// Max returns the largest observation. Exact even in reservoir mode.
+// Max returns the largest observation.
 func (s *Sample) Max() float64 { return s.max }
 
-// Min returns the smallest observation. Exact even in reservoir mode.
+// Min returns the smallest observation.
 func (s *Sample) Min() float64 { return s.min }
 
-// StdDev returns the population standard deviation, computed over the
-// retained observations (an estimate in reservoir mode).
+// StdDev returns the population standard deviation.
 func (s *Sample) StdDev() float64 {
 	n := len(s.values)
 	if n == 0 {
@@ -174,23 +130,17 @@ func (s *Sample) sort() {
 	}
 }
 
-// Merge folds every observation of o into s. Both samples must be
-// unbounded — merging reservoirs would need weighted subsampling to stay
-// uniform, which no caller needs — so it panics on a Reservoir sample.
+// Merge folds every observation of o into s.
 func (s *Sample) Merge(o *Sample) {
-	if s.limit > 0 || o.limit > 0 {
-		panic("stats: Merge on a reservoir-mode sample")
-	}
-	if o.seen == 0 {
+	if len(o.values) == 0 {
 		return
 	}
-	if s.seen == 0 || o.min < s.min {
+	if len(s.values) == 0 || o.min < s.min {
 		s.min = o.min
 	}
-	if s.seen == 0 || o.max > s.max {
+	if len(s.values) == 0 || o.max > s.max {
 		s.max = o.max
 	}
-	s.seen += o.seen
 	s.sum += o.sum
 	s.values = append(s.values, o.values...)
 	s.sorted = false
@@ -235,18 +185,6 @@ func NewFCTRecorder(expectedFlows int) *FCTRecorder {
 	return r
 }
 
-// Bound switches every sample into reservoir mode retaining at most limit
-// observations each (sub-seeds derived from seed), so million-flow sweeps
-// record at bounded memory. Mean/Min/Max/N stay exact; quantiles become
-// reservoir estimates. Must be called before the first Record.
-func (r *FCTRecorder) Bound(limit int, seed uint64) {
-	for i, s := range []*Sample{
-		&r.Overall, &r.OverallNorm, &r.Small, &r.SmallNorm, &r.Large, &r.LargeNorm,
-	} {
-		s.Reservoir(limit, seed+uint64(i)*0x9e3779b97f4a7c15)
-	}
-}
-
 // NormOfMeans returns mean(FCT)/mean(optimal), the headline normalization
 // of Figures 9a/10a/11.
 func (r *FCTRecorder) NormOfMeans() float64 {
@@ -284,8 +222,7 @@ func (r *FCTRecorder) Record(size int64, fct, optimal sim.Time) {
 }
 
 // Merge folds o's completions into r. The space-parallel harness keeps one
-// recorder per domain and merges them in domain order after the run; like
-// Sample.Merge it requires unbounded (non-Reservoir) recorders.
+// recorder per domain and merges them in domain order after the run.
 func (r *FCTRecorder) Merge(o *FCTRecorder) {
 	r.Overall.Merge(&o.Overall)
 	r.OverallNorm.Merge(&o.OverallNorm)

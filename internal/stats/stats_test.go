@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -291,115 +290,4 @@ func TestSampleReservePreservesValues(t *testing.T) {
 	if s.N() != 3 || s.Min() != 1 || s.Max() != 3 {
 		t.Fatalf("after Reserve: N=%d min=%v max=%v", s.N(), s.Min(), s.Max())
 	}
-}
-
-// TestReservoirQuantileAccuracy feeds the same deterministic stream to an
-// exact Sample and a bounded Reservoir one and checks the reservoir's
-// quantile estimates against the exact quantiles in rank space: the true
-// CDF position of the estimate must sit within a few standard errors
-// (sqrt(q(1-q)/limit)) of q. Rank-space comparison keeps the tolerance
-// distribution-free, so one table covers uniform, heavy-tailed, and
-// discrete inputs alike.
-func TestReservoirQuantileAccuracy(t *testing.T) {
-	const n = 100000
-	dists := []struct {
-		name string
-		gen  func(r *sim.Rand) float64
-	}{
-		{"uniform", func(r *sim.Rand) float64 { return r.Float64() }},
-		{"exponential", func(r *sim.Rand) float64 { return r.ExpFloat64() }},
-		{"pareto-ish", func(r *sim.Rand) float64 { return math.Pow(1-r.Float64(), -2) }},
-		{"discrete", func(r *sim.Rand) float64 { return float64(r.Intn(10)) }},
-	}
-	limits := []int{512, 4096}
-	quantiles := []float64{0.1, 0.5, 0.9, 0.99}
-
-	for _, d := range dists {
-		for _, limit := range limits {
-			t.Run(fmt.Sprintf("%s/limit%d", d.name, limit), func(t *testing.T) {
-				r := sim.NewRand(7)
-				var exact, res Sample
-				res.Reservoir(limit, 11)
-				for i := 0; i < n; i++ {
-					v := d.gen(r)
-					exact.Add(v)
-					res.Add(v)
-				}
-				if res.N() != n {
-					t.Fatalf("N=%d, want %d", res.N(), n)
-				}
-				if res.Retained() != limit {
-					t.Fatalf("Retained=%d, want %d", res.Retained(), limit)
-				}
-				if res.Mean() != exact.Mean() || res.Min() != exact.Min() || res.Max() != exact.Max() {
-					t.Fatalf("scalar stats diverged: mean %v/%v min %v/%v max %v/%v",
-						res.Mean(), exact.Mean(), res.Min(), exact.Min(), res.Max(), exact.Max())
-				}
-				for _, q := range quantiles {
-					est := res.Quantile(q)
-					// Rank of the estimate in the exact sample.
-					rank := 0
-					for _, p := range exact.CDF() {
-						if p[0] <= est {
-							rank = int(p[1] * float64(n))
-						}
-					}
-					gotQ := float64(rank) / float64(n)
-					tol := 6*math.Sqrt(q*(1-q)/float64(limit)) + 1e-9
-					// Discrete inputs quantize the CDF: an estimate can
-					// only land on one of the ten step positions, so allow
-					// one full step of slack on top.
-					if d.name == "discrete" {
-						tol += 0.1
-					}
-					if math.Abs(gotQ-q) > tol {
-						t.Errorf("q=%.2f: estimate %v sits at rank %.4f (tolerance %.4f)",
-							q, est, gotQ, tol)
-					}
-				}
-			})
-		}
-	}
-}
-
-// TestReservoirExtremesSurviveEviction checks that Min/Max/Mean stay exact
-// after the reservoir has evicted most observations, including the extremes.
-func TestReservoirExtremesSurviveEviction(t *testing.T) {
-	var s Sample
-	s.Reservoir(8, 3)
-	s.Add(-1e9) // first in, almost surely evicted from an 8-slot reservoir
-	sum := -1e9
-	for i := 0; i < 10000; i++ {
-		v := float64(i)
-		s.Add(v)
-		sum += v
-	}
-	s.Add(1e9)
-	sum += 1e9
-	if s.Min() != -1e9 || s.Max() != 1e9 {
-		t.Fatalf("min/max %v/%v, want -1e9/1e9", s.Min(), s.Max())
-	}
-	if want := sum / float64(s.N()); s.Mean() != want {
-		t.Fatalf("mean %v, want %v", s.Mean(), want)
-	}
-	if s.Quantile(0) != -1e9 || s.Quantile(1) != 1e9 {
-		t.Fatalf("q0/q1 %v/%v", s.Quantile(0), s.Quantile(1))
-	}
-	if s.Retained() != 8 {
-		t.Fatalf("retained %d, want 8", s.Retained())
-	}
-}
-
-// TestReservoirMisuse locks the precondition panics in.
-func TestReservoirMisuse(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("non-positive limit", func() { var s Sample; s.Reservoir(0, 1) })
-	mustPanic("after Add", func() { var s Sample; s.Add(1); s.Reservoir(8, 1) })
 }

@@ -56,18 +56,18 @@ func TestHubArchiveServesFlushedFiles(t *testing.T) {
 		return resp.StatusCode, string(body)
 	}
 
-	if code, body := get("/files/fct/decisions.csv", ""); code != 200 ||
-		!strings.Contains(body, "time_ns,src_leaf,dst_leaf,uplink,reason,age_ns,metrics") {
-		t.Fatalf("decisions.csv: %d\n%.200s", code, body)
+	if code, body := get("/files/fct/decisions.ndjson", ""); code != 200 ||
+		!strings.Contains(body, `{"time_ns":5,"src_leaf":0,"dst_leaf":1,"uplink":1,`) {
+		t.Fatalf("decisions.ndjson: %d\n%.200s", code, body)
 	}
-	if code, body := get("/files/fct/paths.csv", ""); code != 200 ||
-		!strings.Contains(body, "0,1,1,1,100") {
-		t.Fatalf("paths.csv: %d\n%.200s", code, body)
+	if code, body := get("/files/fct/paths.ndjson", ""); code != 200 ||
+		!strings.Contains(body, `{"leaf":0,"uplink":1,"dst_leaf":1,"flowlets":1,"bytes":100}`) {
+		t.Fatalf("paths.ndjson: %d\n%.200s", code, body)
 	}
 	for _, path := range []string{
 		"/files/fct/later.txt",          // not in the frozen listing
 		"/files/fct/../archive_test.go", // traversal
-		"/files/nope/counters.csv",      // unknown run
+		"/files/nope/counters.ndjson",   // unknown run
 		"/files/fct/",                   // no file
 	} {
 		if code, _ := get(path, ""); code == 200 {
@@ -77,19 +77,19 @@ func TestHubArchiveServesFlushedFiles(t *testing.T) {
 
 	// The dashboard links the archived files.
 	if _, body := get("/", "text/html"); !strings.Contains(body, "flushed telemetry") ||
-		!strings.Contains(body, "/files/fct/decisions.csv") {
+		!strings.Contains(body, "/files/fct/decisions.ndjson") {
 		t.Errorf("dashboard missing archive table:\n%.400s", body)
 	}
 
 	// The JSON overview lists them under the run too.
 	_, before := get("/", "")
-	if !strings.Contains(before, `"files":["counters.csv",`) {
+	if !strings.Contains(before, `"files":["counters.ndjson",`) {
 		t.Errorf("overview missing the archived files:\n%.400s", before)
 	}
 
 	// Re-archiving the same run relists its directory, not duplicates it.
 	r.ArchiveToHub()
-	if _, after := get("/", ""); strings.Count(after, `"counters.csv"`) != 1 || len(hub.Runs()) != 1 {
+	if _, after := get("/", ""); strings.Count(after, `"counters.ndjson"`) != 1 || len(hub.Runs()) != 1 {
 		t.Fatalf("re-archiving duplicated the run:\n%s", after)
 	}
 }

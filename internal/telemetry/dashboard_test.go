@@ -84,9 +84,8 @@ func TestIndexContentNegotiation(t *testing.T) {
 }
 
 // TestProvenanceInSinks: a registry stamped with replay provenance carries
-// it into the counters and trace files of both sinks — as a "#" comment in
-// CSV and a leading meta object in NDJSON — while series files stay clean
-// two-column data.
+// it into the counters and trace files as a leading meta object, while
+// series files stay clean data rows.
 func TestProvenanceInSinks(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "out")
@@ -107,18 +106,13 @@ func TestProvenanceInSinks(t *testing.T) {
 		}
 		return string(b)
 	}
-	for _, name := range []string{"counters.csv", "trace.csv"} {
-		if got := read(name); !strings.HasPrefix(got, "# provenance=replay harness=fct") {
-			t.Errorf("%s lacks provenance comment:\n%.120s", name, got)
-		}
-	}
 	for _, name := range []string{"counters.ndjson", "trace.ndjson"} {
 		if got := read(name); !strings.HasPrefix(got, `{"provenance":"replay harness=fct`) {
 			t.Errorf("%s lacks provenance meta line:\n%.120s", name, got)
 		}
 	}
-	if got := read("series_queue.l0-s0.0.csv"); strings.Contains(got, "provenance") {
-		t.Errorf("series csv polluted with provenance:\n%.120s", got)
+	if got := read("series_queue.l0-s0.0.ndjson"); strings.Contains(got, "provenance") {
+		t.Errorf("series file polluted with provenance:\n%.120s", got)
 	}
 
 	// Unstamped registries emit exactly the old format.
@@ -127,12 +121,12 @@ func TestProvenanceInSinks(t *testing.T) {
 	if err := r2.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(filepath.Join(dir, "out2", "counters.csv"))
+	b, err := os.ReadFile(filepath.Join(dir, "out2", "counters.ndjson"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(string(b), "group,name,counter,value") {
-		t.Errorf("unstamped counters.csv changed:\n%.120s", b)
+	if !strings.HasPrefix(string(b), `{"group":`) {
+		t.Errorf("unstamped counters.ndjson changed:\n%.120s", b)
 	}
 
 	// nil-safety: stamping a nil registry is a no-op, not a panic.

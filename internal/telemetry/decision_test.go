@@ -200,7 +200,7 @@ func TestPathMatrixShape(t *testing.T) {
 }
 
 // TestDecisionSinkAccounting flushes a registry with a decision plane and
-// checks the sink files carry the capture header and summary comments.
+// checks the sink files carry the capture header and summary lines.
 func TestDecisionSinkAccounting(t *testing.T) {
 	dir := t.TempDir()
 	opts := decisionOpts(CaptureHead, 16)
@@ -212,31 +212,18 @@ func TestDecisionSinkAccounting(t *testing.T) {
 	if err := r.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"decisions.csv", "decisions.ndjson", "paths.csv", "paths.ndjson"} {
+	for name, want := range map[string][]string{
+		"decisions.ndjson": {`{"capture":{"mode":"head","cap":16,"recorded":1,"seen":1,"suppressed":0}}`,
+			`{"time_ns":5,"src_leaf":0,"dst_leaf":1,"uplink":1,"reason":"new-flowlet","age_ns":40,"metrics":[3,1]}`},
+		"paths.ndjson": {`{"summary":{"leaf":0,`, `{"leaf":0,"uplink":1,"dst_leaf":1,"flowlets":1,"bytes":777}`},
+	} {
 		raw, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		data := string(raw)
-		switch name {
-		case "decisions.csv":
-			if !strings.Contains(data, "# capture=head cap=16 recorded=1 seen=1 suppressed=0") {
-				t.Fatalf("%s missing capture header:\n%s", name, data)
-			}
-			if !strings.Contains(data, "5,0,1,1,new-flowlet,40,3|1") {
-				t.Fatalf("%s missing event row:\n%s", name, data)
-			}
-		case "decisions.ndjson":
-			if !strings.Contains(data, `"metrics":[3,1]`) {
-				t.Fatalf("%s missing metrics:\n%s", name, data)
-			}
-		case "paths.csv":
-			if !strings.Contains(data, "# summary leaf=0 ") || !strings.Contains(data, "0,1,1,1,777") {
-				t.Fatalf("%s content:\n%s", name, data)
-			}
-		case "paths.ndjson":
-			if !strings.Contains(data, `{"summary":{"leaf":0,`) {
-				t.Fatalf("%s content:\n%s", name, data)
+		for _, line := range want {
+			if !strings.Contains(string(raw), line) {
+				t.Fatalf("%s lacks %s:\n%s", name, line, raw)
 			}
 		}
 	}

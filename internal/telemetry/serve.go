@@ -178,7 +178,7 @@ func (h *Hub) handleFile(w http.ResponseWriter, r *http.Request) {
 	for _, f := range s.Files {
 		if f.Table.Name == table && (f.Probe == probe || sanitizeName(f.Probe) == probe) {
 			w.Header().Set("Content-Type", "application/x-ndjson")
-			_ = f.encode(w, true)
+			_ = f.encode(w)
 			return
 		}
 		if f.Table == SeriesTable {
@@ -272,7 +272,7 @@ func streamFile(w io.Writer, sent map[string]*SinkFile, f *SinkFile) {
 		event = "series-reset"
 	}
 	var b bytes.Buffer
-	if _ = out.encode(&b, true); b.Len() > 0 {
+	if _ = out.encode(&b); b.Len() > 0 {
 		sseEvent(w, event, b.Bytes())
 	}
 }

@@ -30,20 +30,14 @@ func sanitizeName(name string) string {
 	}, name)
 }
 
-// FileSink writes sink files into Dir (created if missing), as CSV or, with
-// NDJSON set, as newline-delimited JSON. A registry flushes through it after
-// the engine has stopped, so its cost never perturbs simulation order.
-type FileSink struct {
-	Dir    string
-	NDJSON bool
-}
-
-// SinkFile is one sink file in memory: what FileSink.Write encodes and
-// ReadSinkFile decodes; DESIGN.md §3.3 tabulates the bytes in between.
+// SinkFile is one sink file in memory: what Write encodes as NDJSON and
+// ReadSinkFile decodes; DESIGN.md §3.3 tabulates the bytes in between. A
+// registry flushes its files after the engine has stopped, so their cost
+// never perturbs simulation order.
 type SinkFile struct {
-	// Table says which of the row slices below is in use. An NDJSON file
-	// with no rows and no capture or summary line names no table and reads
-	// back with Table nil.
+	// Table says which of the row slices below is in use. A file with no
+	// rows and no capture or summary line names no table and reads back
+	// with Table nil.
 	Table *Table
 	// Provenance, when set, names the workload that drove the run.
 	Provenance string
@@ -62,16 +56,14 @@ type SinkFile struct {
 	Paths     []PathRow
 }
 
-// Table is one record type's column schema. CSV prints the names once as a
-// column line; NDJSON repeats them as the keys of every row. The first lead
-// columns are constant per file (a series' probe name and unit): NDJSON
-// carries them on every row, CSV as "# probe=…" lines ahead of the column
-// line.
+// Table is one record type's column schema: the names are the keys of every
+// row. The first lead columns are constant per file (a series' probe name
+// and unit), and every row carries them too.
 type Table struct {
-	Name string // and the file's: counters.csv, series_<probe>.ndjson
+	Name string // and the file's: counters.ndjson, series_<probe>.ndjson
 	cols []string
 	lead int
-	keys []string // `{"a":`, `,"b":`, … — the NDJSON text before each value
+	keys []string // `{"a":`, `,"b":`, … — the text before each value
 }
 
 func newTable(name string, lead int, cols ...string) *Table {
@@ -99,9 +91,8 @@ var (
 	tables = []*Table{CounterTable, SeriesTable, CDFTable, TraceTable, DecisionTable, PathTable}
 
 	// The capture and summary header lines are rows of these two, nested
-	// under the table's name in NDJSON and spelled "# summary leaf=0 …" in
-	// CSV. A decision trail has no trigger: its NDJSON capture line stops
-	// after captureCore fields.
+	// under the table's name. A decision trail has no trigger: its capture
+	// line stops after captureCore fields.
 	captureMeta = newTable("capture", 0, "mode", "cap", "recorded", "seen", "suppressed", "trigger", "triggered", "triggered_at_ns", "reason")
 	summaryMeta = newTable("summary", 0, "leaf", "flowlets", "bytes", "imbalance", "entropy")
 )
@@ -161,70 +152,51 @@ func summaryRow(s *PathSummary, to []any) []any {
 	return append(to, &s.Leaf, &s.Flowlets, &s.Bytes, &s.Imbalance, &s.Entropy)
 }
 
-// Write creates Dir/<table>[_<probe>].{csv,ndjson} and encodes f, whose Table
-// must be set, into it.
-// The directory is only created when the create fails for want of it, so a
-// flush of hundreds of series files pays for it once.
-func (s FileSink) Write(f *SinkFile) error {
-	base, ext := f.Table.Name, ".csv"
+// Write creates dir/<table>[_<probe>].ndjson and encodes f, whose Table must
+// be set, into it. The directory is only created when the create fails for
+// want of it, so a flush of hundreds of series files pays for it once.
+func (f *SinkFile) Write(dir string) error {
+	base := f.Table.Name
 	if f.Table.lead > 0 {
 		base += "_" + sanitizeName(f.Probe)
 	}
-	if s.NDJSON {
-		ext = ".ndjson"
-	}
-	path := filepath.Join(s.Dir, base+ext)
+	path := filepath.Join(dir, base+".ndjson")
 	out, err := os.Create(path)
 	if errors.Is(err, fs.ErrNotExist) {
-		if err = os.MkdirAll(s.Dir, 0o755); err == nil {
+		if err = os.MkdirAll(dir, 0o755); err == nil {
 			out, err = os.Create(path)
 		}
 	}
 	if err != nil {
 		return err
 	}
-	err = f.encode(out, s.NDJSON)
+	err = f.encode(out)
 	if cerr := out.Close(); err == nil {
 		err = cerr
 	}
 	return err
 }
 
-// encode writes the header lines — provenance, capture, summaries, lead
-// columns, the CSV column line — and then the rows of f's table.
-func (f *SinkFile) encode(out io.Writer, ndjson bool) error {
+// encode writes the header lines — provenance, capture, summaries — and then
+// the rows of f's table.
+func (f *SinkFile) encode(out io.Writer) error {
 	w := rowWriters.Get().(*rowWriter)
-	*w = rowWriter{buf: w.buf[:0], rowStart: w.rowStart[:0], t: f.Table, json: ndjson, col: f.Table.lead, out: out}
-	switch {
-	case f.Provenance == "":
-	case ndjson:
+	*w = rowWriter{buf: w.buf[:0], rowStart: w.rowStart[:0], t: f.Table, col: f.Table.lead, out: out}
+	if f.Provenance != "" {
 		w.buf = append(appendJSONString(append(w.buf, `{"provenance":`...), f.Provenance), "}\n"...)
-	default:
-		w.buf = append(w.buf, "# provenance="+f.Provenance+"\n"...)
 	}
 	if f.Capture != nil {
-		info, n := *f.Capture, len(captureMeta.cols)
-		if ndjson && f.Table != TraceTable {
+		n := len(captureMeta.cols)
+		if f.Table != TraceTable {
 			n = captureCore
-		} else if !ndjson { // no quoting in a "# …" line
-			info.TriggerReason = sanitizeName(info.TriggerReason)
 		}
-		w.headerLine(captureMeta, captureRow(&info, nil)[:n])
+		w.headerLine(captureMeta, captureRow(f.Capture, nil)[:n])
 	}
 	for i := range f.Summaries {
 		w.headerLine(summaryMeta, summaryRow(&f.Summaries[i], nil))
 	}
 	for i, v := range []string{f.Probe, f.Unit}[:w.t.lead] {
-		if ndjson {
-			w.rowStart = appendJSONString(append(w.rowStart, w.t.keys[i]...), v)
-		} else {
-			// The value runs to the end of its line, so only a newline (and
-			// the backslash that escapes it) needs escaping.
-			w.buf = append(w.buf, "# "+w.t.cols[i]+"="+leadEscaper.Replace(v)+"\n"...)
-		}
-	}
-	if !ndjson {
-		w.buf = append(w.buf, strings.Join(w.t.cols[w.t.lead:], ",")+"\n"...)
+		w.rowStart = appendJSONString(append(w.rowStart, w.t.keys[i]...), v)
 	}
 	// cols stays out of the pooled writer: its pointers would keep f's rows
 	// alive into the next run.
@@ -243,24 +215,15 @@ func (f *SinkFile) encode(out io.Writer, ndjson bool) error {
 	return err
 }
 
-var (
-	leadEscaper   = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
-	leadUnescaper = strings.NewReplacer(`\\`, `\`, `\n`, "\n")
-)
-
-// rowWriter encodes rows of one table into one file, as CSV or NDJSON: before
-// each value its separator or key, then the value with strconv.Append*, so a
-// row costs no allocation and no reflection; the buffer is handed to the file
-// in large writes and recycled across files.
+// rowWriter encodes rows of one table into one file: before each value its
+// key, then the value with strconv.Append*, so a row costs no allocation and
+// no reflection; the buffer is handed to the file in large writes and
+// recycled across files.
 type rowWriter struct {
-	buf  []byte
-	t    *Table
-	json bool
-	// header is set inside a capture or summary line, whose CSV form is
-	// " key=value" fields.
-	header bool
-	col    int
-	// rowStart is what every NDJSON row opens with when the table has lead
+	buf []byte
+	t   *Table
+	col int
+	// rowStart is what every row opens with when the table has lead
 	// columns: `{"probe":"…","unit":"…"`, encoded once per file.
 	rowStart []byte
 	out      io.Writer
@@ -278,39 +241,26 @@ func (w *rowWriter) flush() {
 	w.buf = w.buf[:0]
 }
 
-// headerLine writes one row of a header table ahead of the file's rows.
+// headerLine writes one row of a header table, nested under its name, ahead
+// of the file's rows.
 func (w *rowWriter) headerLine(m *Table, cols []any) {
 	t := w.t
-	w.t, w.col, w.header = m, 0, true
-	if w.json {
-		w.buf = append(w.buf, `{"`+m.Name+`":`...)
-	} else {
-		w.buf = append(w.buf, "# "+m.Name...)
-	}
+	w.t, w.col = m, 0
+	w.buf = append(w.buf, `{"`+m.Name+`":`...)
 	w.values(cols)
-	if w.t, w.header = t, false; w.json {
-		w.buf = append(w.buf, '}')
-	}
+	w.t = t
+	w.buf = append(w.buf, '}')
 	w.end()
 }
 
-// values appends a row's columns: before each what precedes it, then the
-// value as the Go type behind its pointer is written.
+// values appends a row's columns: before each its key, then the value as the
+// Go type behind its pointer is written.
 func (w *rowWriter) values(cols []any) {
 	for _, p := range cols {
-		switch {
-		case w.json:
-			if w.col == w.t.lead {
-				w.buf = append(w.buf, w.rowStart...)
-			}
-			w.buf = append(w.buf, w.t.keys[w.col]...)
-		case w.header && (w.t != captureMeta || w.col > 0):
-			w.buf = append(w.buf, " "+w.t.cols[w.col]+"="...)
-		case w.header: // "# capture=head cap=…": this line's name is also its first key
-			w.buf = append(w.buf, '=')
-		case w.col > w.t.lead:
-			w.buf = append(w.buf, ',')
+		if w.col == w.t.lead {
+			w.buf = append(w.buf, w.rowStart...)
 		}
+		w.buf = append(w.buf, w.t.keys[w.col]...)
 		w.col++
 		switch p := p.(type) {
 		case *int:
@@ -326,15 +276,15 @@ func (w *rowWriter) values(cols []any) {
 		case *float64:
 			// Shortest round-trip form; JSON turns NaN and ±Inf into null
 			// (probes never produce them, but the output must stay parseable).
-			if w.json && (math.IsNaN(*p) || math.IsInf(*p, 0)) {
+			if math.IsNaN(*p) || math.IsInf(*p, 0) {
 				w.buf = append(w.buf, "null"...)
 			} else {
 				w.buf = strconv.AppendFloat(w.buf, *p, 'g', -1, 64)
 			}
 		case *string:
-			w.str(*p)
+			w.buf = appendJSONString(w.buf, *p)
 		case fmt.Stringer: // an event kind, decision reason, capture mode or trigger
-			w.str(p.String())
+			w.buf = appendJSONString(w.buf, p.String())
 		case *[]uint8:
 			w.metrics(*p)
 		default:
@@ -344,46 +294,24 @@ func (w *rowWriter) values(cols []any) {
 }
 
 func (w *rowWriter) end() {
-	if w.json {
-		w.buf = append(w.buf, '}')
-	}
-	w.buf = append(w.buf, '\n')
+	w.buf = append(w.buf, '}', '\n')
 	w.col = w.t.lead
 	if len(w.buf) >= rowFlushAt {
 		w.flush()
 	}
 }
 
-// str appends a name, escaped as the encoding requires: link names like
-// "l0->s0.0" are clean, but probe names are arbitrary.
-func (w *rowWriter) str(s string) {
-	switch {
-	case w.json:
-		w.buf = appendJSONString(w.buf, s)
-	case strings.ContainsAny(s, ",\"\n"):
-		w.buf = append(w.buf, `"`+strings.ReplaceAll(s, `"`, `""`)+`"`...)
-	default:
-		w.buf = append(w.buf, s...)
-	}
-}
-
-// metrics appends a decision's candidate metric vector: "3|0|7|2" inside one
-// CSV field ("" for sticky hits, which carry none), an array in NDJSON.
+// metrics appends a decision's candidate metric vector as an array ([] for
+// sticky hits, which carry none).
 func (w *rowWriter) metrics(m []uint8) {
-	sep := byte('|')
-	if w.json {
-		sep = ','
-		w.buf = append(w.buf, '[')
-	}
+	w.buf = append(w.buf, '[')
 	for i, v := range m {
 		if i > 0 {
-			w.buf = append(w.buf, sep)
+			w.buf = append(w.buf, ',')
 		}
 		w.buf = strconv.AppendUint(w.buf, uint64(v), 10)
 	}
-	if w.json {
-		w.buf = append(w.buf, ']')
-	}
+	w.buf = append(w.buf, ']')
 }
 
 // appendJSONString quotes s for JSON: quotes, backslashes and control

@@ -7,19 +7,17 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"slices"
 	"strconv"
 	"strings"
 
 	"conga/internal/sim"
 )
 
-// ReadSinkFile decodes one file a FileSink wrote. The encoding is taken from
-// the first byte ('{' opens NDJSON) and the table from the CSV column line or
-// the keys of the NDJSON rows, never from the file name. Anything a FileSink
-// could not have written — a row with a missing column or a malformed number,
-// an unknown header line, a final line cut short — is an error naming
-// path:line.
+// ReadSinkFile decodes one file SinkFile.Write wrote. The table is taken from
+// the keys of the rows or header lines, never from the file name. Anything
+// Write could not have written — input that does not open with '{', a row
+// with a missing column or a malformed number, an unknown header line, a
+// final line cut short — is an error naming path:line.
 func ReadSinkFile(path string) (*SinkFile, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -30,23 +28,20 @@ func ReadSinkFile(path string) (*SinkFile, error) {
 
 // DecodeSink decodes the bytes of one sink file, as ReadSinkFile does; name
 // stands for the file in errors. The live endpoints serve these same bytes.
+// An empty input is a valid file: an empty series flushes as one.
 func DecodeSink(name string, data []byte) (*SinkFile, error) {
-	d := &sinkDecoder{data: data, json: len(data) > 0 && data[0] == '{',
-		lead: make([][]byte, SeriesTable.lead), f: &SinkFile{}}
+	d := &sinkDecoder{data: data, f: &SinkFile{}}
 	var err error
 	start := len(data) // of the record at fault
-	if start > 0 && data[start-1] != '\n' {
+	switch {
+	case start > 0 && data[0] != '{':
+		start, err = 0, errors.New("does not open with '{': not an NDJSON sink file")
+	case start > 0 && data[start-1] != '\n':
 		err = errors.New("truncated final line (no newline)")
 	}
 	for err == nil && d.pos < len(data) {
-		if start = d.pos; d.json {
-			err = d.ndjsonLine()
-		} else {
-			err = d.csvLine()
-		}
-	}
-	if err == nil && !d.json && d.f.Table == nil && len(data) > 0 {
-		start, err = len(data), errors.New("no column line: not a sink file")
+		start = d.pos
+		err = d.line()
 	}
 	if err != nil {
 		return nil, fmt.Errorf("%s:%d: %w", name, 1+bytes.Count(data[:start], []byte("\n")), err)
@@ -55,111 +50,23 @@ func DecodeSink(name string, data []byte) (*SinkFile, error) {
 }
 
 // sinkDecoder walks one file, whose data ends in a newline, filling f; f.Table
-// is nil until a header line, the column line or the first row names it.
+// is nil until a header line or the first row names it.
 type sinkDecoder struct {
 	data []byte
-	json bool
 	pos  int
-	lead [][]byte // CSV: the "# probe=…" and "# unit=…" values
 	rows int
 	cols []any // scratch for SinkFile.row
 	f    *SinkFile
 }
 
-func (d *sinkDecoder) nextLine() []byte {
-	line := d.data[d.pos : d.pos+bytes.IndexByte(d.data[d.pos:], '\n')]
-	d.pos += len(line) + 1
-	return line
-}
-
-// csvLine decodes the next "# …" header line, the column line that names the
-// table, or, after it, the next row.
-func (d *sinkDecoder) csvLine() error {
-	if t := d.f.Table; t != nil {
-		fields, err := d.csvFields()
-		if want := len(t.cols) - t.lead; err == nil && len(fields) != want {
-			err = fmt.Errorf("%d columns, want %d (%s)", len(fields), want, strings.Join(t.cols[t.lead:], ","))
-		}
-		if err != nil {
-			return err
-		}
-		return d.row(&record{t: t, vals: append(d.lead[:t.lead:t.lead], fields...)})
-	}
-	line := string(d.nextLine())
-	body, ok := strings.CutPrefix(line, "# ")
-	if !ok {
-		for _, t := range tables {
-			if line == strings.Join(t.cols[t.lead:], ",") {
-				if d.f.Table = t; t.lead > 0 {
-					d.f.Probe, d.f.Unit = string(d.lead[0]), string(d.lead[1])
-				}
-				return nil
-			}
-		}
-		return fmt.Errorf("%q is not the column line of any sink table", line)
-	}
-	key, val, _ := strings.Cut(body, "=")
-	switch i := slices.Index(SeriesTable.cols[:len(d.lead)], key); {
-	case key == "provenance":
-		d.f.Provenance = val
-	case i >= 0:
-		d.lead[i] = []byte(leadUnescaper.Replace(val))
-	case key == captureMeta.Name, strings.HasPrefix(key, summaryMeta.Name+" "):
-		// "# summary leaf=0 flowlets=…" is the line's name, then key=value
-		// fields; "# capture=head cap=…" folds the name into the first key.
-		name, rest, _ := strings.Cut(strings.Replace(body, "capture=", "capture mode=", 1), " ")
-		fields := map[string]json.RawMessage{}
-		for _, tok := range strings.Fields(rest) {
-			k, v, _ := strings.Cut(tok, "=")
-			fields[k] = json.RawMessage(v)
-		}
-		return d.header(name, fields)
-	default:
-		return fmt.Errorf("unknown header line %q", line)
-	}
-	return nil
-}
-
-// csvFields splits the record at d.pos into fields, undoing rowWriter.str's
-// quoting: a field that opens with '"' runs to the first quote that is not
-// doubled and may span lines. The data ends in a newline, so every quote and
-// every field has a byte after it.
-func (d *sinkDecoder) csvFields() (fields [][]byte, err error) {
-	for {
-		rest := d.data[d.pos:]
-		n := bytes.IndexAny(rest, ",\n")
-		field := rest[:n]
-		if rest[0] == '"' {
-			for n = 1; ; n += 2 {
-				i := bytes.IndexByte(rest[n:], '"')
-				if i < 0 {
-					return nil, errors.New("quoted field never closes")
-				}
-				if n += i; rest[n+1] != '"' {
-					break
-				}
-			}
-			field = bytes.ReplaceAll(rest[1:n], []byte(`""`), []byte(`"`))
-			n++
-		}
-		fields = append(fields, field)
-		d.pos += n + 1
-		switch rest[n] {
-		case '\n':
-			return fields, nil
-		case ',':
-		default:
-			return nil, fmt.Errorf("text after the closing quote of column %d", len(fields))
-		}
-	}
-}
-
-// ndjsonLine decodes the next line: a {"provenance":…}, {"capture":{…}} or
+// line decodes the next line: a {"provenance":…}, {"capture":{…}} or
 // {"summary":{…}} header line ahead of the rows, or a row, whose keys are the
 // columns of exactly one table.
-func (d *sinkDecoder) ndjsonLine() error {
+func (d *sinkDecoder) line() error {
+	line := d.data[d.pos : d.pos+bytes.IndexByte(d.data[d.pos:], '\n')]
+	d.pos += len(line) + 1
 	var obj, fields map[string]json.RawMessage
-	if err := json.Unmarshal(d.nextLine(), &obj); err != nil {
+	if err := json.Unmarshal(line, &obj); err != nil {
 		return err
 	}
 	for _, name := range []string{"provenance", captureMeta.Name, summaryMeta.Name} {
@@ -188,9 +95,9 @@ func (d *sinkDecoder) ndjsonLine() error {
 	return d.row(d.record(obj, d.f.Table, len(d.f.Table.cols)))
 }
 
-// header folds a capture or summary line's fields into the file. An NDJSON
-// file may have no rows to tell its table by; then these lines do (only a
-// packet trace's capture line has a trigger).
+// header folds a capture or summary line's fields into the file. A file may
+// have no rows to tell its table by; then these lines do (only a packet
+// trace's capture line has a trigger).
 func (d *sinkDecoder) header(name string, fields map[string]json.RawMessage) error {
 	m, t, cols := summaryMeta, PathTable, []any(nil)
 	if name == captureMeta.Name {
@@ -205,17 +112,12 @@ func (d *sinkDecoder) header(name string, fields map[string]json.RawMessage) err
 	}
 	r := d.record(fields, m, len(cols))
 	r.scan(cols)
-	if c := d.f.Capture; m == captureMeta && !d.json && sanitizeName(c.TriggerReason) != c.TriggerReason {
-		r.note(fmt.Errorf("%q is not a sanitized name", c.TriggerReason))
-	}
-	if d.json {
-		d.f.Table = t
-	}
+	d.f.Table = t
 	return r.err
 }
 
-// row decodes one row of the file's table, appending it. NDJSON rows carry
-// the lead columns, which must agree.
+// row decodes one row of the file's table, appending it. Rows carry the lead
+// columns, which must agree.
 func (d *sinkDecoder) row(r *record) error {
 	if f := d.f; f.Table.lead > 0 {
 		probe, unit := f.Probe, f.Unit
@@ -234,7 +136,6 @@ func (d *sinkDecoder) row(r *record) error {
 type record struct {
 	t    *Table
 	vals [][]byte
-	json bool
 	col  int
 	err  error
 }
@@ -242,7 +143,7 @@ type record struct {
 // record lines an object's values up with the first n columns of t, which
 // must be exactly its keys.
 func (d *sinkDecoder) record(obj map[string]json.RawMessage, t *Table, n int) *record {
-	r := &record{t: t, json: d.json, vals: make([][]byte, n)}
+	r := &record{t: t, vals: make([][]byte, n)}
 	for i, c := range t.cols[:n] {
 		raw, ok := obj[c]
 		if r.vals[i] = raw; !ok || len(obj) != n {
@@ -277,8 +178,8 @@ func (r *record) scan(cols []any) {
 		case *bool:
 			*p, err = strconv.ParseBool(s)
 		case *float64:
-			// NDJSON's null stands for any of NaN and ±Inf and reads back as NaN.
-			if *p = math.NaN(); !r.json || s != "null" {
+			// null stands for any of NaN and ±Inf and reads back as NaN.
+			if *p = math.NaN(); s != "null" {
 				*p, err = strconv.ParseFloat(s, 64)
 			}
 		case *string:
@@ -300,24 +201,17 @@ func (r *record) scan(cols []any) {
 	}
 }
 
-// str undoes rowWriter.str: CSV fields arrive unquoted from csvFields, NDJSON
-// values still carry their JSON quoting.
+// str undoes appendJSONString.
 func (r *record) str(s string) string {
-	if r.json {
-		r.note(json.Unmarshal([]byte(s), &s))
-	}
+	r.note(json.Unmarshal([]byte(s), &s))
 	return s
 }
 
 func (r *record) metrics(s string) (m []uint8, err error) {
-	sep := '|'
-	if r.json {
-		if sep = ','; !strings.HasPrefix(s, "[") || !strings.HasSuffix(s, "]") {
-			return nil, fmt.Errorf("%q is not an array", s)
-		}
-		s = s[1 : len(s)-1]
+	if !strings.HasPrefix(s, "[") || !strings.HasSuffix(s, "]") {
+		return nil, fmt.Errorf("%q is not an array", s)
 	}
-	for _, p := range strings.FieldsFunc(s, func(c rune) bool { return c == sep }) {
+	for _, p := range strings.FieldsFunc(s[1:len(s)-1], func(c rune) bool { return c == ',' }) {
 		v, perr := strconv.ParseUint(p, 10, 8)
 		m, err = append(m, uint8(v)), errors.Join(err, perr)
 	}

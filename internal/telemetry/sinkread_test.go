@@ -10,9 +10,9 @@ import (
 	"testing"
 )
 
-// odd is a name that needs every escape either encoding has: CSV quoting
-// (comma, quote, newline), JSON escapes (quote, backslash, control bytes),
-// the "->" sanitizeName collapses, and two bytes that are not UTF-8.
+// odd is a name that needs every escape: JSON's (quote, backslash, newline,
+// control bytes), the "->" sanitizeName collapses, and two bytes that are
+// not UTF-8.
 const odd = "odd,\"na\"\"me\"\\ \\n\n\t\x01é->l0\xff\xfe"
 
 var nan, inf = math.NaN(), math.Inf(1)
@@ -63,20 +63,11 @@ func roundTripCases() map[string]SinkFile {
 	return cases
 }
 
-// asRead is what f must read back as from one encoding. What differs from f
-// is what that encoding cannot carry: JSON strings are UTF-8 and its numbers
-// finite, a CSV capture line sanitizes the trigger reason, and NDJSON rows
-// name their own table and lead columns, so a file without rows or header
-// lines names nothing.
-func asRead(f SinkFile, ndjson bool) SinkFile {
-	if c := f.Capture; c != nil && !ndjson {
-		c := *c
-		c.TriggerReason = sanitizeName(c.TriggerReason)
-		f.Capture = &c
-	}
-	if !ndjson {
-		return f
-	}
+// asRead is what f must read back as. What differs from f is what NDJSON
+// cannot carry: JSON strings are UTF-8 and its numbers finite, and rows name
+// their own table and lead columns, so a file without rows or header lines
+// names nothing.
+func asRead(f SinkFile) SinkFile {
 	if len(f.Counters)+len(f.Points)+len(f.CDF)+len(f.Trace)+len(f.Decisions)+len(f.Paths)+len(f.Summaries) == 0 && f.Capture == nil {
 		return SinkFile{Provenance: f.Provenance}
 	}
@@ -139,51 +130,53 @@ func sameSinkFile(a, b SinkFile) bool {
 	return reflect.DeepEqual(scrub(a), scrub(b))
 }
 
-// TestSinkRoundTrip writes every case through FileSink in both encodings and
-// requires ReadSinkFile to hand back what was written, whatever the file is
-// called.
+// TestSinkRoundTrip writes every case with SinkFile.Write and requires
+// ReadSinkFile to hand back what was written, whatever the file is called.
 func TestSinkRoundTrip(t *testing.T) {
 	for name, f := range roundTripCases() {
-		for _, ndjson := range []bool{false, true} {
-			sink := FileSink{Dir: t.TempDir(), NDJSON: ndjson}
-			if err := sink.Write(&f); err != nil {
-				t.Fatal(err)
-			}
-			written, _ := filepath.Glob(filepath.Join(sink.Dir, "*"))
-			path := filepath.Join(sink.Dir, "renamed.txt")
-			if err := os.Rename(written[0], path); err != nil {
-				t.Fatal(err)
-			}
-			got, err := ReadSinkFile(path)
-			if err != nil {
-				t.Errorf("%s ndjson=%v: %v", name, ndjson, err)
-				continue
-			}
-			if want := asRead(f, ndjson); !sameSinkFile(*got, want) {
-				b, _ := os.ReadFile(path)
-				t.Errorf("%s ndjson=%v: read back\n%+v\nwant\n%+v\nfrom\n%s", name, ndjson, *got, want, b)
-			}
+		dir := t.TempDir()
+		if err := f.Write(dir); err != nil {
+			t.Fatal(err)
+		}
+		written, _ := filepath.Glob(filepath.Join(dir, "*"))
+		if len(written) != 1 || filepath.Ext(written[0]) != ".ndjson" {
+			t.Fatalf("%s: wrote %v, want one .ndjson file", name, written)
+		}
+		path := filepath.Join(dir, "renamed.txt")
+		if err := os.Rename(written[0], path); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadSinkFile(path)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if want := asRead(f); !sameSinkFile(*got, want) {
+			b, _ := os.ReadFile(path)
+			t.Errorf("%s: read back\n%+v\nwant\n%+v\nfrom\n%s", name, *got, want, b)
 		}
 	}
 }
 
-// TestReadSinkFileRejectsDamage feeds the reader what a FileSink cannot have
-// written; each must fail with the line at fault.
+// TestReadSinkFileRejectsDamage feeds the reader what SinkFile.Write cannot
+// have written; each must fail with the line at fault.
 func TestReadSinkFileRejectsDamage(t *testing.T) {
-	trace := "# capture=head cap=4 recorded=2 seen=2 suppressed=0 trigger=none triggered=false triggered_at_ns=0 reason=\n" +
-		"time_ns,event,where,flow,src,dst,sport,dport,seq,payload\n"
+	trace := `{"capture":{"mode":"head","cap":4,"recorded":2,"seen":2,"suppressed":0,"trigger":"none","triggered":false,"triggered_at_ns":0,"reason":""}}` + "\n"
+	row := func(flow, kind string) string {
+		return `{"time_ns":5,"event":"` + kind + `","where":"h4","flow":` + flow + `,"src":4,"dst":2,"sport":10000,"dport":80,"seq":0,"payload":597}` + "\n"
+	}
 	for _, c := range []struct{ name, data, want string }{
-		{"cut mid-row", trace + "5,send,h4,0,4,2,10000,80,0,597\n6,recv,h2,0,4", "f:4: truncated final line"},
+		// The CSV copy a flush wrote before NDJSON became the only encoding.
+		{"csv counters", "# provenance=p\ngroup,name,counter,value\nlink,l0->s0.0,enqueues,42\n", "f:1: does not open with '{': not an NDJSON sink file"},
+		{"csv series", "# probe=queue.l0->s0.0\n# unit=bytes\ntime_ns,value\n10,1.5\n", "f:1: does not open with '{'"},
+		{"leading blank line", "\n" + trace, "f:1: does not open with '{'"},
+		{"cut mid-row", trace + row("0", "send") + row("1", "recv")[:40], "f:3: truncated final line"},
 		{"cut mid-object", `{"time_ns":5,"event":"send"`, "f:1: truncated final line"},
-		{"short row", trace + "5,send,h4,0,4,2,10000,80,0,597\n6,recv,h2\n", "f:4: 3 columns, want 10"},
-		{"bad number", trace + "5,send,h4,zero,4,2,10000,80,0,597\n", "f:3: column flow:"},
-		{"unknown kind", trace + "5,sent,h4,0,4,2,10000,80,0,597\n", `f:3: column event: telemetry: unknown telemetry.TraceKind "sent" (want send, recv, drop)`},
-		{"row after a multi-line field", trace + "5,send,\"h\n4\",0,4,2,10000,80,0,597\n6,recv\n", "f:5: 2 columns"},
-		{"open quote", trace + "5,send,\"h4,0,4,2,10000,80,0,597\n", "f:3: quoted field never closes"},
-		{"no column line", "1,2,3\n", `f:1: "1,2,3" is not the column line of any sink table`},
-		{"only comments", "# provenance=p\n", "f:2: no column line"},
-		{"unknown comment", "# colour=blue\ntime_ns,value\n", `f:1: unknown header line "# colour=blue"`},
-		{"capture line short", "# capture=head cap=4\ntime_ns,value\n", "f:1: keys are not mode,cap,recorded,seen,suppressed,trigger"},
+		{"bad number", trace + row(`"zero"`, "send"), "f:2: column flow:"},
+		{"unknown kind", trace + row("0", "sent"), `f:2: column event: telemetry: unknown telemetry.TraceKind "sent" (want send, recv, drop)`},
+		{"blank line", trace + "\n" + row("0", "send"), "f:2: unexpected end of JSON input"},
+		{"capture line short", `{"capture":{"mode":"head","cap":4}}` + "\n", "f:1: keys are not mode,cap,recorded,seen,suppressed,trigger"},
+		{"metrics not an array", `{"time_ns":1,"src_leaf":0,"dst_leaf":1,"uplink":0,"reason":"sticky","age_ns":-1,"metrics":"3|1"}` + "\n", `f:1: column metrics: "\"3|1\"" is not an array`},
 		{"json garbage", "{\"provenance\":\"p\"}\n{nope}\n", "f:2: invalid character"},
 		{"json unknown table", `{"a":1,"b":2}` + "\n", "f:1: the row's keys are not the columns of any sink table"},
 		{"json missing column", `{"leaf":0,"uplink":0,"dst_leaf":1,"flowlets":2,"bytes":3}` + "\n" + `{"leaf":0,"uplink":0}` + "\n", "f:2: keys are not leaf,uplink,dst_leaf,flowlets,bytes"},
@@ -201,18 +194,21 @@ func TestReadSinkFileRejectsDamage(t *testing.T) {
 }
 
 // FuzzReadSinkFile: whatever the bytes, the reader returns an error or a
-// file that the writer encodes, in the input's encoding, to bytes that read
-// back equal to it.
+// file that the writer encodes to bytes that read back equal to it. Each
+// case seeds the corpus whole, cut in half, without its first line, and
+// twice over (a header line after rows).
 func FuzzReadSinkFile(f *testing.F) {
 	for _, c := range roundTripCases() {
-		for _, ndjson := range []bool{false, true} {
-			var b bytes.Buffer
-			if err := c.encode(&b, ndjson); err != nil {
-				f.Fatal(err)
-			}
-			f.Add(b.Bytes())
-			f.Add(b.Bytes()[:b.Len()/2])
+		var b bytes.Buffer
+		if err := c.encode(&b); err != nil {
+			f.Fatal(err)
 		}
+		data := b.Bytes()
+		_, rest, _ := bytes.Cut(data, []byte("\n"))
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+		f.Add(rest)
+		f.Add(bytes.Repeat(data, 2))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := DecodeSink("fuzz", data)
@@ -226,7 +222,7 @@ func FuzzReadSinkFile(f *testing.F) {
 			return
 		}
 		var b bytes.Buffer
-		if err := got.encode(&b, data[0] == '{'); err != nil {
+		if err := got.encode(&b); err != nil {
 			t.Fatal(err)
 		}
 		again, err := DecodeSink("re-encoded", b.Bytes())

@@ -1,6 +1,6 @@
 // Package telemetry is the observability subsystem for the simulator: a
 // per-engine Registry of monotonic counters, fixed-capacity time-series
-// probes, and an optional packet trace, flushed to CSV/NDJSON sinks after a
+// probes, and an optional packet trace, flushed as NDJSON sink files after a
 // run completes.
 //
 // Design constraints, in priority order:
@@ -87,8 +87,8 @@ type Options struct {
 	Hub *Hub
 	// RunName labels this registry's tap on the Hub ("" = auto "run-N").
 	RunName string
-	// Dir, when non-empty, is where Flush writes one CSV and one NDJSON
-	// file per probe.
+	// Dir, when non-empty, is where Flush writes one NDJSON sink file per
+	// probe.
 	Dir string
 }
 
@@ -465,9 +465,9 @@ func (r *Registry) FlowletTotals() (creates, expires, evicts uint64) {
 	return
 }
 
-// Flush runs Collect and writes every probe to Options.Dir via both the CSV
-// and NDJSON sinks. A registry with no Dir set flushes nowhere and returns
-// nil; so does a nil registry.
+// Flush runs Collect and writes every probe's sink file to Options.Dir. A
+// registry with no Dir set flushes nowhere and returns nil; so does a nil
+// registry.
 func (r *Registry) Flush() error {
 	if r == nil || r.opts.Dir == "" {
 		return nil
@@ -476,19 +476,16 @@ func (r *Registry) Flush() error {
 }
 
 // FlushTo runs Collect and writes every probe into dir (created if needed)
-// as one CSV and one NDJSON file per probe. Every file but the series opens
-// with the provenance line, when one is set.
+// as one NDJSON sink file per probe. Every file but the series opens with
+// the provenance line, when one is set.
 func (r *Registry) FlushTo(dir string) error {
 	if r == nil {
 		return nil
 	}
 	r.Collect()
-	files := r.sinkFiles(false)
-	for _, ndjson := range []bool{false, true} {
-		for _, f := range files {
-			if err := (FileSink{Dir: dir, NDJSON: ndjson}).Write(f); err != nil {
-				return err
-			}
+	for _, f := range r.sinkFiles(false) {
+		if err := f.Write(dir); err != nil {
+			return err
 		}
 	}
 	return nil

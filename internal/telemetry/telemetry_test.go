@@ -234,7 +234,8 @@ func TestCollectorsRunOnCollect(t *testing.T) {
 
 // --- sinks ----------------------------------------------------------------
 
-func TestFlushWritesCSVAndNDJSON(t *testing.T) {
+// TestFlushWritesEachFileOnce: a flush writes each sink file once, as NDJSON.
+func TestFlushWritesEachFileOnce(t *testing.T) {
 	dir := t.TempDir()
 	r := New(All(filepath.Join(dir, "out")))
 	r.Link("l0->s0.0").Enqueues = 42
@@ -254,28 +255,26 @@ func TestFlushWritesCSVAndNDJSON(t *testing.T) {
 		}
 		return string(b)
 	}
-	if got := read("counters.csv"); !strings.Contains(got, "link,l0->s0.0,enqueues,42") ||
-		!strings.Contains(got, "tcp,,retransmits,7") {
-		t.Fatalf("counters.csv missing rows:\n%s", got)
-	}
-	if got := read("counters.ndjson"); !strings.Contains(got, `"counter":"enqueues"`) ||
-		!strings.Contains(got, `"value":42`) {
+	if got := read("counters.ndjson"); !strings.Contains(got, `{"group":"link","name":"l0->s0.0","counter":"enqueues","value":42}`) ||
+		!strings.Contains(got, `{"group":"tcp","name":"","counter":"retransmits","value":7}`) {
 		t.Fatalf("counters.ndjson missing rows:\n%s", got)
 	}
 	// "->" sanitizes to "-" in file names.
-	if got := read("series_queue.l0-s0.0.csv"); !strings.Contains(got, "10,1.5") ||
-		!strings.Contains(got, "20,2.5") {
-		t.Fatalf("series csv wrong:\n%s", got)
-	}
-	if got := read("series_queue.l0-s0.0.ndjson"); !strings.Contains(got, `"time_ns":10`) ||
-		!strings.Contains(got, `"value":1.5`) {
+	if got := read("series_queue.l0-s0.0.ndjson"); !strings.Contains(got, `"time_ns":10,"value":1.5}`) ||
+		!strings.Contains(got, `"time_ns":20,"value":2.5}`) {
 		t.Fatalf("series ndjson wrong:\n%s", got)
 	}
-	if got := read("trace.csv"); !strings.Contains(got, "send") || !strings.Contains(got, "h0") {
-		t.Fatalf("trace.csv wrong:\n%s", got)
-	}
-	if got := read("trace.ndjson"); !strings.Contains(got, `"event":"send"`) {
+	if got := read("trace.ndjson"); !strings.Contains(got, `"event":"send","where":"h0"`) {
 		t.Fatalf("trace.ndjson wrong:\n%s", got)
+	}
+	entries, err := os.ReadDir(filepath.Join(dir, "out"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if filepath.Ext(e.Name()) != ".ndjson" {
+			t.Errorf("flush wrote %s, want only .ndjson files", e.Name())
+		}
 	}
 }
 

@@ -87,14 +87,14 @@ func TestParallelRecordingProvenance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := os.Open(filepath.Join(cfg.Telemetry.Dir, "counters.csv"))
+		f, err := os.Open(filepath.Join(cfg.Telemetry.Dir, "counters.ndjson"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer f.Close()
 		sc := bufio.NewScanner(f)
 		if !sc.Scan() {
-			t.Fatal("counters.csv is empty")
+			t.Fatal("counters.ndjson is empty")
 		}
 		return sc.Text(), res.Generated
 	}
@@ -131,6 +131,23 @@ func TestHostileConfigsReturnErrors(t *testing.T) {
 			return err
 		}
 	}
+	hdfs := func(edit func(*HDFSConfig)) func() error {
+		return func() error {
+			cfg := HDFSConfig{Topology: quickTopo(), Writers: 2, BytesPerWriter: 1 << 16, BlockBytes: 1 << 16,
+				Transport: TransportConfig{MinRTO: 10 * time.Millisecond}, Timeout: time.Second}
+			edit(&cfg)
+			_, err := RunHDFS(cfg)
+			return err
+		}
+	}
+	scale := func(edit func(*ScaleConfig)) func() error {
+		return func() error {
+			cfg := ScaleConfig{Leaves: []int{2}, AccessGbps: []float64{10}, Duration: time.Millisecond, MaxFlows: 5}
+			edit(&cfg)
+			_, err := RunScale(cfg)
+			return err
+		}
+	}
 	rows := []struct {
 		name, want string
 		run        func() error
@@ -155,6 +172,16 @@ func TestHostileConfigsReturnErrors(t *testing.T) {
 		{"IncastConfig.Fanout ≥ hosts", "fanout", incast(func(c *IncastConfig) { c.Fanout = 16 })},
 		{"IncastConfig.RequestBytes < 0", "RequestBytes", incast(func(c *IncastConfig) { c.RequestBytes = -1 })},
 		{"IncastConfig.Rounds < 0", "Rounds", incast(func(c *IncastConfig) { c.Rounds = -3 })},
+		{"HDFSConfig.BackgroundLoad < 0", "BackgroundLoad", hdfs(func(c *HDFSConfig) { c.BackgroundLoad = -0.3 })},
+		{"HDFSConfig.Timeout < 0", "Timeout", hdfs(func(c *HDFSConfig) { c.Timeout = -time.Second })},
+		{"HDFSConfig.Writers < 0", "Writers", hdfs(func(c *HDFSConfig) { c.Writers = -1 })},
+		{"HDFSConfig.DiskMBps < 0", "DiskBps", hdfs(func(c *HDFSConfig) { c.DiskMBps = -100 })},
+		{"ScaleConfig.Spines < 0", "spine", scale(func(c *ScaleConfig) { c.Spines = -1 })},
+		{"ScaleConfig.LinksPerSpine < 0", "link per leaf-spine", scale(func(c *ScaleConfig) { c.LinksPerSpine = -2 })},
+		{"ScaleConfig.HostsPerLeaf < 0", "host per leaf", scale(func(c *ScaleConfig) { c.HostsPerLeaf = -4 })},
+		{"ScaleConfig.Leaves = {1}", "leaves", scale(func(c *ScaleConfig) { c.Leaves = []int{1} })},
+		{"ScaleConfig.AccessGbps = {-40}", "AccessRateBps", scale(func(c *ScaleConfig) { c.AccessGbps = []float64{-40} })},
+		{"ScaleConfig.Duration < 0", "duration", scale(func(c *ScaleConfig) { c.Duration = -time.Millisecond })},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

@@ -3,7 +3,6 @@ package conga
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"hash"
 	"math"
 	"os"
 	"path/filepath"
@@ -17,7 +16,7 @@ import (
 
 // sinkDigests flushes reg into a fresh directory and returns the SHA-256
 // (first 16 hex digits) of every non-series file by name, plus one
-// combined digest per encoding over all series_* files in name order.
+// combined digest over all series_* files in name order.
 func sinkDigests(t *testing.T, reg *TelemetryRegistry) map[string]string {
 	t.Helper()
 	dir := t.TempDir()
@@ -34,24 +33,21 @@ func sinkDigests(t *testing.T, reg *TelemetryRegistry) map[string]string {
 	}
 	sort.Strings(names)
 	out := map[string]string{}
-	series := map[string]hash.Hash{".csv": sha256.New(), ".ndjson": sha256.New()}
+	series := sha256.New()
 	for _, name := range names {
 		b, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if strings.HasPrefix(name, "series_") {
-			h := series[filepath.Ext(name)]
-			h.Write([]byte(name + "\n"))
-			h.Write(b)
+			series.Write([]byte(name + "\n"))
+			series.Write(b)
 			continue
 		}
 		sum := sha256.Sum256(b)
 		out[name] = hex.EncodeToString(sum[:8])
 	}
-	for ext, h := range series {
-		out["series_*"+ext] = hex.EncodeToString(h.Sum(nil)[:8])
-	}
+	out["series_*.ndjson"] = hex.EncodeToString(series.Sum(nil)[:8])
 	return out
 }
 
@@ -59,13 +55,11 @@ func sinkDigests(t *testing.T, reg *TelemetryRegistry) map[string]string {
 // 12 from the fmt.Fprintf emitters (ten hand-written functions, one per
 // sink × record type) that the schema-driven row writer replaced: every
 // file a TelemetryAll run flushes — counters, every series, packet trace,
-// decision trace, path matrix, as CSV and NDJSON, with and without a
-// provenance line — must come out byte for byte the same. The run's own
+// decision trace, path matrix, with and without a provenance line — must
+// come out byte for byte the same, once each, as NDJSON. The run's own
 // probes never need escaping, so the test adds a link, a series and a trace
 // site whose names do, and series values JSON cannot carry (NaN, +Inf).
-// The one digest taken later is "series_*.csv", re-taken at PR 21 when each
-// series CSV gained its "# probe=" and "# unit=" lines; "series_*.ndjson" is
-// the NDJSON half of the old combined series digest, computed at PR 20.
+// "series_*.ndjson" is the NDJSON half of the old combined series digest.
 func TestSinkFilesGolden(t *testing.T) {
 	opts := TelemetryAll("")
 	opts.TraceCap = 1 << 18 // room for the whole run plus the odd site below
@@ -98,27 +92,17 @@ func TestSinkFilesGolden(t *testing.T) {
 
 	want := map[string]map[string]string{
 		"": {
-			"counters.csv":     "a208e51b2471391d",
 			"counters.ndjson":  "99b94fe9f81e9bbb",
-			"decisions.csv":    "568e10670b02f4d4",
 			"decisions.ndjson": "257aef626c4f42e0",
-			"paths.csv":        "22be2db33115fe30",
 			"paths.ndjson":     "edc8882669400c88",
-			"series_*.csv":     "fa440749f3409151",
 			"series_*.ndjson":  "3e12e26d7e0a10b1",
-			"trace.csv":        "cd4f81333e479afd",
 			"trace.ndjson":     "94c613d7749b23a3",
 		},
 		"replay \"x\", v1\\": {
-			"counters.csv":     "b09f9460e981e606",
 			"counters.ndjson":  "96dee9f0a52870e2",
-			"decisions.csv":    "2a9e702509c5e2c0",
 			"decisions.ndjson": "a9e71ffcd9b409e1",
-			"paths.csv":        "9cbceb9253ba4f32",
 			"paths.ndjson":     "ffc3378ae20cd31a",
-			"series_*.csv":     "fa440749f3409151",
 			"series_*.ndjson":  "3e12e26d7e0a10b1",
-			"trace.csv":        "24fb05ace6586cc0",
 			"trace.ndjson":     "b3653d23bb18225a",
 		},
 	}
