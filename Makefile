@@ -42,7 +42,7 @@ memlat:
 # model, the packed congestion-table entry against the three-field one it
 # replaced, the sink-file reader against the writer (whatever it reads must
 # re-encode to bytes that read back equal), and the replay-trace reader on
-# forged and damaged input in both formats (an error, never a panic). Their
+# forged and damaged binary input (an error, never a panic). Their
 # seed corpora already run under plain `go test`; this lets the mutator look
 # past them. One target per invocation is a go test rule.
 fuzz-smoke:
@@ -124,13 +124,14 @@ bench-smoke:
 	$(GO) run ./bench -workload scale256_p2 -seconds 3 | tail -n 1 | grep -q '"correct":true'
 	$(GO) run ./bench -workload fig09_observed -seconds 3 | tail -n 1 | grep -q '"correct":true'
 
-# End-to-end record/replay smoke (~1 min): record a workload trace with
-# congasim, verify congatrace reads its header back, replay the identical
-# arrival sequence into CONGA, then run the paired ECMP-vs-every-scheme
-# comparison with bootstrap CIs at -quick scale. CI uploads the recorded
-# trace as an artifact.
+# End-to-end record/replay smoke (~1 min): assert that a closed-loop mode
+# refuses -record, record a workload trace with congasim, verify congatrace
+# reads its header back, replay the identical arrival sequence into CONGA,
+# then run the paired ECMP-vs-every-scheme comparison with bootstrap CIs at
+# -quick scale. CI uploads the recorded trace as an artifact.
 replay-smoke:
 	$(GO) build -o /tmp/congasim ./cmd/congasim
+	! /tmp/congasim -mode incast -record replay-smoke-incast.trace.gz
 	/tmp/congasim -scheme ecmp -leaves 2 -spines 2 -hosts 8 -duration 10ms \
 		-maxflows 300 -minrto 10ms -record replay-smoke.trace.gz
 	$(GO) run ./cmd/congatrace -read replay-smoke.trace.gz

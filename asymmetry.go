@@ -1,6 +1,7 @@
 package conga
 
 import (
+	"fmt"
 	"time"
 
 	"conga/internal/fabric"
@@ -78,15 +79,19 @@ type pair struct {
 
 // runLongLivedLoad saturates the given leaf pairs with long-lived TCP
 // flows and measures delivered throughput per spine over the second half
-// of the run (the first half is TCP/CONGA convergence warm-up).
+// of the run (the first half is TCP/CONGA convergence warm-up). The
+// scenarios compare fabric schemes under TCP, so the MPTCP marker — ECMP
+// with multipath hosts — is refused rather than run as ECMP under its name.
 func runLongLivedLoad(topo Topology, scheme Scheme, seed uint64, pairs []pair,
 	dur time.Duration) (*AsymmetryResult, error) {
+	if scheme == SchemeMPTCPMarker {
+		return nil, fmt.Errorf("conga: the §2.4 scenarios run TCP over a fabric scheme; mptcp is a host transport, not one")
+	}
 	r, err := newRun(topo, scheme, nil, TransportConfig{}.withDefaults(), nil, seed, nil, 1)
 	if err != nil {
 		return nil, err
 	}
 	eng, net := r.doms[0].eng, r.net
-	r.transport = TransportTCP // these scenarios are TCP under every scheme label
 	r.tcpCfg.MinRTO = 10 * sim.Millisecond
 	r.tcpCfg.InitRTO = 50 * sim.Millisecond
 

@@ -127,18 +127,37 @@ func runFig5(quick bool) {
 		{"Flowlet (500µs)", 500 * sim.Microsecond},
 		{"Flowlet (100µs)", 100 * sim.Microsecond},
 	}
-	fmt.Printf("%-18s %10s %16s %20s\n", "granularity", "transfers", "median-by-bytes", "bytes in ≤1MB xfers")
-	for _, g := range gaps {
-		sizes := tr.Flowletize(g.gap)
-		cdf := traceanalysis.BytesCDF(sizes)
-		under1MB := 0.0
+	// bytesUpTo is the fraction of bytes carried by transfers of at most
+	// size bytes.
+	bytesUpTo := func(cdf [][2]float64, size float64) float64 {
+		frac := 0.0
 		for _, pt := range cdf {
-			if pt[0] <= 1e6 {
-				under1MB = pt[1]
+			if pt[0] <= size {
+				frac = pt[1]
 			}
 		}
+		return frac
+	}
+	cdfs := make([][][2]float64, len(gaps))
+	fmt.Printf("%-18s %10s %16s %20s\n", "granularity", "transfers", "median-by-bytes", "bytes in ≤1MB xfers")
+	for i, g := range gaps {
+		sizes := tr.Flowletize(g.gap)
+		cdfs[i] = traceanalysis.BytesCDF(sizes)
 		fmt.Printf("%-18s %10d %15.2gB %19.1f%%\n",
-			g.name, len(sizes), float64(traceanalysis.MedianBytesSize(sizes)), under1MB*100)
+			g.name, len(sizes), float64(traceanalysis.MedianBytesSize(sizes)), bytesUpTo(cdfs[i], 1e6)*100)
+	}
+	fmt.Println("bytes CDF vs transfer size (the Figure 5 series):")
+	fmt.Printf("%12s", "size ≤")
+	for _, g := range gaps {
+		fmt.Printf(" %17s", g.name)
+	}
+	fmt.Println()
+	for _, size := range []float64{1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9} {
+		fmt.Printf("%12.0e", size)
+		for _, cdf := range cdfs {
+			fmt.Printf(" %16.1f%%", bytesUpTo(cdf, size)*100)
+		}
+		fmt.Println()
 	}
 	med, maxC := tr.ConcurrencyStats(sim.Millisecond)
 	fmt.Printf("concurrent flows per 1ms interval: median %d, max %d (§2.6.1: 130 / <300)\n", med, maxC)
@@ -193,7 +212,7 @@ func runFCTFigure(quick bool, w conga.Workload) {
 		if i%len(loads) == len(loads)-1 {
 			printSeriesRow(name, loads, results[name], func(r *conga.FCTResult) float64 { return r.NormFCT }, true)
 		}
-	}, nil)
+	})
 	check(err)
 	fmt.Println("(b) small flows (<100KB) avg FCT, normalized to ECMP:")
 	printSeriesVsECMP(loads, results, func(r *conga.FCTResult) float64 { return float64(r.SmallAvgFCT) })
@@ -462,7 +481,7 @@ func runFig13(quick bool) {
 		}
 		fmt.Print(perfCols(cost[k].ev, cost[k].wall))
 		fmt.Println()
-	}, nil)
+	})
 	check(err)
 	fmt.Println("Paper shape: MPTCP collapses at high fan-in (worst with jumbo frames); CONGA+TCP stays high.")
 }
@@ -533,7 +552,7 @@ func runFig14(quick bool) {
 				fmt.Printf(" %6.2f", sec)
 			}
 			fmt.Printf("   | mean %.2f worst %.2f%s\n", sum/float64(trials), worst, perfCols(ev, wall))
-		}, nil)
+		})
 		check(err)
 	}
 	fmt.Println("Paper shape: failure ≈ doubles ECMP job times; CONGA nearly unaffected; MPTCP volatile.")

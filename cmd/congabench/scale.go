@@ -35,7 +35,7 @@ func runScale(quick bool) {
 			p.Result.NormFCT, p.Result.AvgFCT.Round(time.Microsecond),
 			p.Result.Events, perfCols(p.Result.Events, p.Result.Wall),
 			time.Since(start).Round(time.Millisecond))
-	}, nil)
+	})
 	check(err)
 	fmt.Println("Expected shape: normFCT stays near 1 as the fabric grows — CONGA's leaf-local state keeps load balanced without per-fabric tuning.")
 }

@@ -20,6 +20,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -56,7 +57,7 @@ func main() {
 		fanout = flag.Int("fanout", 16, "incast fan-in (incast mode)")
 		reqMB  = flag.Int("reqmb", 10, "incast request size in MB")
 
-		recordPath = flag.String("record", "", "record the flow-arrival sequence to this trace file (.gz = compact binary, else NDJSON)")
+		recordPath = flag.String("record", "", "record the flow-arrival sequence to this gzip'd trace file (fct mode)")
 		replayPath = flag.String("replay", "", "replay a recorded trace instead of generating a workload (fct mode; scheme/transport/failures may differ from the recording)")
 		cdfOut     = flag.String("cdfout", "", "write collected CDFs (-imbalance, -queues) as cdf_*.ndjson sink files (value,fraction rows) into this directory (congaplot -cdf renders them)")
 
@@ -73,6 +74,9 @@ func main() {
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
 	flag.Parse()
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	die(checkFlags(*mode, set))
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -111,14 +115,10 @@ func main() {
 		die(fmt.Errorf("unknown transport %q", *transport))
 	}
 
-	domains := 1 // only fct mode partitions the fabric
-	if *mode == "fct" {
-		domains = *parallel
-	}
 	tel, notices, err := telemetryFlags{
 		dir: *telemetryDir, serve: *serveAddr, flow: *telemetryFlow,
 		traceMode: *traceMode, traceTrigger: *traceTrigger, traceStop: *traceStop,
-		decisions: *decisions, parallel: domains,
+		decisions: *decisions, parallel: *parallel,
 	}.options()
 	die(err)
 	for _, note := range notices {
@@ -167,24 +167,22 @@ func main() {
 		res, err := conga.RunIncast(conga.IncastConfig{
 			Topology: topo, Scheme: sch, Transport: tc,
 			Fanout: *fanout, RequestBytes: int64(*reqMB) << 20, Seed: *seed,
-			Telemetry: tel, Record: *recordPath != "",
+			Telemetry: tel,
 		})
 		die(err)
 		fmt.Printf("fanout %d: goodput %.1f%% of access rate, %d rounds, %d drops at client port, %d RTOs\n",
 			res.Fanout, res.GoodputFraction*100, res.CompletedRounds, res.Drops, res.Timeouts)
 		printTelemetry(res.Telemetry, *telemetryDir)
-		writeTrace(*recordPath, res.Trace)
 	case "hdfs":
 		res, err := conga.RunHDFS(conga.HDFSConfig{
 			Topology: topo, Scheme: sch, Transport: tc,
 			BackgroundLoad: *load, Seed: *seed,
-			Telemetry: tel, Record: *recordPath != "",
+			Telemetry: tel,
 		})
 		die(err)
 		fmt.Printf("job completion %.2fs (completed=%v), %d blocks, %d MB replicated, %d background flows\n",
 			res.JobCompletion.Seconds(), res.Completed, res.Blocks, res.ReplicaBytes>>20, res.BackgroundFlows)
 		printTelemetry(res.Telemetry, *telemetryDir)
-		writeTrace(*recordPath, res.Trace)
 	case "fig2":
 		res, err := conga.RunFigure2(sch, *seed)
 		die(err)
@@ -197,8 +195,6 @@ func main() {
 			fmt.Printf("%s L0-busy=%-5v: L1 via S0 %.2fG, via S1 %.2fG\n",
 				res.Scheme, busy, res.LeafUplinkGbps[1][0], res.LeafUplinkGbps[1][1])
 		}
-	default:
-		die(fmt.Errorf("unknown mode %q", *mode))
 	}
 
 	if srv != nil {
@@ -208,6 +204,41 @@ func main() {
 		}
 		srv.Close()
 	}
+}
+
+// Every mode reads -mode, -scheme, -seed and the profiles; modeFlags lists
+// what else each one reads. The fabric flags build the topology, transport
+// and telemetry that fct, incast and hdfs share; fig2 and fig3 build their
+// own fabric and observe nothing.
+var (
+	commonFlags = []string{"mode", "scheme", "seed", "cpuprofile", "memprofile"}
+	fabricFlags = []string{"leaves", "spines", "hosts", "links", "access", "fabric", "fail",
+		"transport", "minrto", "mtu", "telemetry", "telemetry-flow", "trace-mode",
+		"trace-trigger", "trace-stop-after", "decisions", "serve", "linger"}
+	modeFlags = map[string][]string{
+		"fct": append([]string{"workload", "load", "duration", "maxflows", "imbalance",
+			"queues", "parallel", "record", "replay", "cdfout"}, fabricFlags...),
+		"incast": append([]string{"fanout", "reqmb"}, fabricFlags...),
+		"hdfs":   append([]string{"load"}, fabricFlags...),
+		"fig2":   nil,
+		"fig3":   nil,
+	}
+)
+
+// checkFlags refuses an unknown mode and every flag in set (the names given
+// on the command line) that the mode does not read, before anything is
+// built: a flag that would be ignored is an error, not a silent default.
+func checkFlags(mode string, set []string) error {
+	reads, ok := modeFlags[mode]
+	if !ok {
+		return fmt.Errorf("unknown mode %q", mode)
+	}
+	for _, name := range set {
+		if !slices.Contains(commonFlags, name) && !slices.Contains(reads, name) {
+			return fmt.Errorf("-mode %s does not read -%s", mode, name)
+		}
+	}
+	return nil
 }
 
 // telemetryFlags are the flags that decide what a run observes.
@@ -279,14 +310,9 @@ func printFCT(r *conga.FCTResult) {
 	fmt.Printf("cost: %v simulated, %d events\n", r.SimTime, r.Events)
 }
 
-// writeTrace stores a recorded arrival trace (no-op when recording was
-// off or the harness had nothing to record).
+// writeTrace stores a recorded arrival trace (no-op when recording was off).
 func writeTrace(path string, tr *replay.Trace) {
 	if path == "" {
-		return
-	}
-	if tr == nil {
-		fmt.Println("record: nothing recorded (mode records no arrivals)")
 		return
 	}
 	die(tr.Write(path))

@@ -81,3 +81,49 @@ func TestSequentialTelemetryFlagsKeepTheTrace(t *testing.T) {
 		t.Fatal("-decisions without -telemetry or -serve must be an error")
 	}
 }
+
+// TestModeRefusesFlagsItDoesNotRead: a flag the chosen mode never reads is
+// refused, naming the flag and the mode, instead of being ignored. Each row
+// is a command line; every "-name" in it counts as set.
+func TestModeRefusesFlagsItDoesNotRead(t *testing.T) {
+	rows := []struct{ args, want string }{
+		{"-mode hdfs -load 0.4", ""},
+		{"-mode incast -telemetry d", ""},
+		{"-mode incast -fanout 32 -reqmb 2 -minrto 1ms -serve :0 -linger 1s", ""},
+		{"-scheme ecmp -record r.trace.gz -parallel 2 -cdfout d -imbalance", ""},
+		{"-mode fig2 -scheme local -seed 3 -cpuprofile p", ""},
+		{"-mode incast -replay t.gz", "-mode incast does not read -replay"},
+		{"-mode incast -record x.trace.gz", "-mode incast does not read -record"},
+		{"-mode hdfs -record x.trace.gz", "-mode hdfs does not read -record"},
+		{"-mode fig2 -serve :8080", "-mode fig2 does not read -serve"},
+		{"-mode fig3 -leaves 4", "-mode fig3 does not read -leaves"},
+		{"-mode fig2 -telemetry d", "-mode fig2 does not read -telemetry"},
+		{"-mode fig3 -transport mptcp", "-mode fig3 does not read -transport"},
+		{"-mode hdfs -parallel 2", "-mode hdfs does not read -parallel"},
+		{"-mode incast -duration 5ms", "-mode incast does not read -duration"},
+		{"-mode hdfs -workload data-mining", "-mode hdfs does not read -workload"},
+		{"-mode incast -imbalance", "-mode incast does not read -imbalance"},
+		{"-mode hdfs -fanout 8", "-mode hdfs does not read -fanout"},
+		{"-reqmb 2", "-mode fct does not read -reqmb"},
+		{"-mode fig1", `unknown mode "fig1"`},
+	}
+	for _, row := range rows {
+		mode, set := "fct", []string(nil)
+		fields := strings.Fields(row.args)
+		for i, f := range fields {
+			if name, ok := strings.CutPrefix(f, "-"); ok {
+				set = append(set, name)
+				if name == "mode" {
+					mode = fields[i+1]
+				}
+			}
+		}
+		err := checkFlags(mode, set)
+		switch {
+		case row.want == "" && err != nil:
+			t.Errorf("%s: refused: %v", row.args, err)
+		case row.want != "" && (err == nil || err.Error() != row.want):
+			t.Errorf("%s: error %v, want %q", row.args, err, row.want)
+		}
+	}
+}

@@ -11,8 +11,8 @@ import (
 )
 
 // readTrace prints a summary of any trace file this repo produces: a
-// workload replay trace (internal/replay, either format — header with
-// version, fingerprint and flow count), or a packet trace or flowlet routing
+// workload replay trace (internal/replay — header with version,
+// fingerprint and flow count), or a packet trace or flowlet routing
 // audit trail flushed by internal/telemetry, under any file name:
 // telemetry.ReadSinkFile says which table the file holds. Files
 // older than the capture header still summarize; the capture section just

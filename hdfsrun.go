@@ -6,7 +6,6 @@ import (
 
 	"conga/internal/fabric"
 	"conga/internal/hdfs"
-	"conga/internal/replay"
 	"conga/internal/sim"
 	"conga/internal/telemetry"
 	"conga/internal/workload"
@@ -37,12 +36,6 @@ type HDFSConfig struct {
 	// Telemetry, when non-nil, enables the observability subsystem (see
 	// FCTConfig.Telemetry); the registry returns in HDFSResult.Telemetry.
 	Telemetry *TelemetryOptions
-
-	// Record, when true, captures the background workload's arrival
-	// sequence (kind "workload") in HDFSResult.Trace. The replicated-write
-	// job itself is closed-loop (block pipelines chain on completion), so
-	// only the open-loop background traffic records.
-	Record bool
 
 	Seed uint64
 }
@@ -94,10 +87,6 @@ type HDFSResult struct {
 
 	// Telemetry is the run's populated registry when requested.
 	Telemetry *TelemetryRegistry
-
-	// Trace is the recorded background arrival sequence when
-	// HDFSConfig.Record was set (nil when BackgroundLoad is 0).
-	Trace *replay.Trace
 }
 
 // RunHDFS executes one Figure 14 trial.
@@ -132,24 +121,10 @@ func runHDFS(cfg HDFSConfig) (*HDFSResult, error) {
 	// nothing, so attaching it does not change the simulation.
 	bgDone := 0
 	var gen *workload.Generator
-	var traceRec *replay.Recorder
 	if cfg.BackgroundLoad > 0 {
 		r.onFlowDone(func(int, uint64, int64, sim.Time, uint64, uint64) { bgDone++ })
 		starter := func(src, dst *fabric.Host, id uint64, size int64) {
 			r.start(0, arrival{src: src.ID, dst: dst.ID, flowID: id, size: size})
-		}
-		var observe func(workload.Arrival)
-		if cfg.Record {
-			desc := cfg.Topology.fingerprintDesc()
-			traceRec = &replay.Recorder{Header: replay.Header{
-				Harness: "hdfs", Scheme: SchemeName(cfg.Scheme),
-				Workload: workload.Enterprise().Name(), Load: cfg.BackgroundLoad,
-				Seed: cfg.Seed + 99, TopoFP: replay.Fingerprint(desc), Topo: desc,
-				DurationNs: int64(cfg.Timeout),
-			}}
-			observe = func(a workload.Arrival) {
-				traceRec.Add(replay.Flow{At: a.At, Src: a.Src, Dst: a.Dst, FlowID: a.FlowID, Size: a.Size, Kind: replay.KindWorkload})
-			}
 		}
 		gen, err = workload.NewGenerator(eng, net, workload.GenConfig{
 			Load:          cfg.BackgroundLoad,
@@ -158,7 +133,6 @@ func runHDFS(cfg HDFSConfig) (*HDFSResult, error) {
 			InterLeafOnly: true,
 			Stride:        uint64(cfg.Transport.Subflows),
 			Seed:          cfg.Seed + 99,
-			Observe:       observe,
 		}, starter)
 		if err != nil {
 			return nil, err
@@ -213,9 +187,6 @@ func runHDFS(cfg HDFSConfig) (*HDFSResult, error) {
 	}
 	if res.Telemetry, err = r.finish(endAt); err != nil {
 		return nil, err
-	}
-	if traceRec != nil {
-		res.Trace = traceRec.Trace()
 	}
 	return res, nil
 }

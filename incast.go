@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"conga/internal/mptcp"
-	"conga/internal/replay"
 	"conga/internal/sim"
 	"conga/internal/stats"
 	"conga/internal/tcp"
@@ -32,13 +31,6 @@ type IncastConfig struct {
 	// Telemetry, when non-nil, enables the observability subsystem (see
 	// FCTConfig.Telemetry); the registry returns in IncastResult.Telemetry.
 	Telemetry *TelemetryOptions
-
-	// Record, when true, captures every round's per-server transfer as an
-	// arrival (kind "incast") in IncastResult.Trace. Incast is closed-loop
-	// — each round starts when the previous one completes — so the trace
-	// documents the offered sequence for provenance and analysis; replay
-	// is through the open-loop FCT harness.
-	Record bool
 
 	Seed uint64
 }
@@ -89,10 +81,6 @@ type IncastResult struct {
 
 	// Telemetry is the run's populated registry when requested.
 	Telemetry *TelemetryRegistry
-
-	// Trace is the recorded arrival sequence when IncastConfig.Record was
-	// set.
-	Trace *replay.Trace
 }
 
 // RunIncast executes the Incast micro-benchmark and returns the effective
@@ -183,26 +171,10 @@ func runIncast(cfg IncastConfig) (*IncastResult, error) {
 		}
 	}
 
-	var traceRec *replay.Recorder
-	if cfg.Record {
-		desc := cfg.Topology.fingerprintDesc()
-		traceRec = &replay.Recorder{Header: replay.Header{
-			Harness: "incast", Scheme: SchemeName(cfg.Scheme), Workload: "incast",
-			Seed: cfg.Seed, TopoFP: replay.Fingerprint(desc), Topo: desc,
-			DurationNs: int64(cfg.Timeout),
-		}}
-	}
 	startRound = func(now sim.Time) {
 		roundStart = now
 		remaining = cfg.Fanout
-		for i, sv := range servers {
-			if traceRec != nil {
-				traceRec.Add(replay.Flow{
-					At: now, Src: i + 1, Dst: client.ID,
-					FlowID: uint64(1000 + i*16), Size: perServer,
-					Kind: replay.KindIncast,
-				})
-			}
+		for _, sv := range servers {
 			if sv.mpConn != nil {
 				sv.mpConn.Transfer(perServer, now)
 			} else {
@@ -249,9 +221,6 @@ func runIncast(cfg IncastConfig) (*IncastResult, error) {
 	}
 	if res.Telemetry, err = r.finish(endAt); err != nil {
 		return nil, err
-	}
-	if traceRec != nil {
-		res.Trace = traceRec.Trace()
 	}
 	return res, nil
 }

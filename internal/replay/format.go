@@ -8,29 +8,21 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"conga/internal/sim"
 )
 
-// Two interchangeable encodings of the same model:
-//
-//   - NDJSON: a {"replay_trace": <header>} meta line followed by one JSON
-//     object per arrival. Greppable, diffable, and self-describing.
-//   - Binary: a gzip stream holding a magic tag, the JSON header, and
-//     varint-delta arrival records (~10 bytes/flow before compression vs
-//     ~100 for NDJSON). gzip's trailing CRC makes truncation and bit rot
-//     fail loudly on read.
-//
-// Write picks by filename (.gz → binary); Read sniffs the gzip magic, so a
-// renamed file still loads.
+// One encoding: a gzip stream holding a magic tag, the JSON header, and
+// varint-delta arrival records (about 8 bytes per flow once compressed).
+// gzip's trailing CRC makes truncation and bit rot fail loudly on read.
+// Read goes by the bytes, not the file name, so a renamed trace still loads.
 
 // binaryMagic opens the (pre-gzip) binary stream.
 const binaryMagic = "CONGARPL"
 
-// jsonHeader is Header's wire form. The fingerprint travels as a hex
-// string: JSON numbers above 2^53 aren't safe in every consumer, and hex is
-// what the CLI prints anyway.
+// jsonHeader is Header's wire form, the stream's header block. The
+// fingerprint travels as a hex string: JSON numbers above 2^53 aren't safe
+// in every consumer, and hex is what the CLI prints anyway.
 type jsonHeader struct {
 	Version    int     `json:"version"`
 	Harness    string  `json:"harness"`
@@ -55,8 +47,8 @@ func (h Header) wire() jsonHeader {
 	}
 }
 
-// header is j as a Header. It rejects a negative flow count; the readers
-// never trust the count for an allocation, and Validate checks it against
+// header is j as a Header. It rejects a negative flow count; the reader
+// never trusts the count for an allocation, and Validate checks it against
 // the flows read.
 func (j jsonHeader) header() (Header, error) {
 	if j.Flows < 0 {
@@ -76,38 +68,21 @@ func (j jsonHeader) header() (Header, error) {
 	}, nil
 }
 
-// jsonFlow is Flow's NDJSON wire form.
-type jsonFlow struct {
-	AtNs   int64  `json:"at_ns"`
-	Src    int    `json:"src"`
-	Dst    int    `json:"dst"`
-	FlowID uint64 `json:"flow"`
-	Size   int64  `json:"size"`
-	Kind   string `json:"kind,omitempty"`
-}
-
-// Write stores the trace at path: gzip'd binary when the name ends in
-// ".gz", NDJSON otherwise.
+// Write stores the trace at path as the gzip'd binary stream.
 func (t *Trace) Write(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if strings.HasSuffix(path, ".gz") {
-		err = t.writeBinary(f)
-	} else {
-		err = t.writeNDJSON(f)
-	}
-	if err != nil {
+	if err := t.writeBinary(f); err != nil {
 		f.Close()
 		return fmt.Errorf("replay: writing %s: %w", path, err)
 	}
 	return f.Close()
 }
 
-// Read loads a trace from path, auto-detecting the format, and validates
-// it; corrupt or mismatched files return an error rather than a partial
-// trace.
+// Read loads a trace from path and validates it; corrupt or mismatched
+// files return an error rather than a partial trace.
 func Read(path string) (*Trace, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -115,16 +90,10 @@ func Read(path string) (*Trace, error) {
 	}
 	defer f.Close()
 	br := bufio.NewReader(f)
-	magic, err := br.Peek(2)
-	if err != nil {
-		return nil, fmt.Errorf("replay: %s: not a replay trace (%w)", path, err)
+	if magic, _ := br.Peek(2); len(magic) < 2 || magic[0] != 0x1f || magic[1] != 0x8b {
+		return nil, fmt.Errorf("replay: %s: not a replay trace (want a gzip'd %s stream)", path, binaryMagic)
 	}
-	var t *Trace
-	if magic[0] == 0x1f && magic[1] == 0x8b { // gzip
-		t, err = readBinary(br)
-	} else {
-		t, err = readNDJSON(br)
-	}
+	t, err := readBinary(br)
 	if err != nil {
 		return nil, fmt.Errorf("replay: reading %s: %w", path, err)
 	}
@@ -134,100 +103,25 @@ func Read(path string) (*Trace, error) {
 	return t, nil
 }
 
-// IsTraceFile sniffs whether path looks like a replay trace (either
-// format) without decoding the whole file. Tools that accept several file
-// types (congatrace -read) use it to route.
+// IsTraceFile sniffs whether path holds a replay trace — a gzip stream that
+// opens with the magic tag — without decoding the whole file. Tools that
+// accept several file types (congatrace -read) use it to route.
 func IsTraceFile(path string) bool {
 	f, err := os.Open(path)
 	if err != nil {
 		return false
 	}
 	defer f.Close()
-	head := make([]byte, 64)
-	n, _ := io.ReadFull(f, head)
-	head = head[:n]
-	if len(head) >= 2 && head[0] == 0x1f && head[1] == 0x8b {
-		// gzip: decompress just enough to check the magic tag.
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return false
-		}
-		zr, err := gzip.NewReader(f)
-		if err != nil {
-			return false
-		}
-		defer zr.Close()
-		tag := make([]byte, len(binaryMagic))
-		if _, err := io.ReadFull(zr, tag); err != nil {
-			return false
-		}
-		return string(tag) == binaryMagic
-	}
-	return strings.HasPrefix(strings.TrimSpace(string(head)), `{"replay_trace":`)
-}
-
-func (t *Trace) writeNDJSON(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	meta, err := json.Marshal(map[string]jsonHeader{"replay_trace": t.Header.wire()})
+	zr, err := gzip.NewReader(f)
 	if err != nil {
-		return err
+		return false
 	}
-	bw.Write(meta)
-	bw.WriteByte('\n')
-	enc := json.NewEncoder(bw)
-	for i := range t.Flows {
-		f := &t.Flows[i]
-		if err := enc.Encode(jsonFlow{
-			AtNs: int64(f.At), Src: f.Src, Dst: f.Dst,
-			FlowID: f.FlowID, Size: f.Size, Kind: f.Kind,
-		}); err != nil {
-			return err
-		}
+	defer zr.Close()
+	tag := make([]byte, len(binaryMagic))
+	if _, err := io.ReadFull(zr, tag); err != nil {
+		return false
 	}
-	return bw.Flush()
-}
-
-func readNDJSON(r io.Reader) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("empty file")
-	}
-	var meta map[string]jsonHeader
-	if err := json.Unmarshal(sc.Bytes(), &meta); err != nil {
-		return nil, fmt.Errorf("bad header line: %w", err)
-	}
-	jh, ok := meta["replay_trace"]
-	if !ok {
-		return nil, fmt.Errorf("not a replay trace (no replay_trace header)")
-	}
-	h, err := jh.header()
-	if err != nil {
-		return nil, err
-	}
-	t := &Trace{Header: h}
-	line := 1
-	for sc.Scan() {
-		line++
-		raw := strings.TrimSpace(sc.Text())
-		if raw == "" {
-			continue
-		}
-		var jf jsonFlow
-		if err := json.Unmarshal([]byte(raw), &jf); err != nil {
-			return nil, fmt.Errorf("corrupt trace: line %d: %w", line, err)
-		}
-		t.Flows = append(t.Flows, Flow{
-			At: sim.Time(jf.AtNs), Src: jf.Src, Dst: jf.Dst,
-			FlowID: jf.FlowID, Size: jf.Size, Kind: jf.Kind,
-		})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return string(tag) == binaryMagic
 }
 
 // Binary layout (inside gzip):

@@ -17,8 +17,9 @@
 // are deliberately outside the fingerprint — varying those against a fixed
 // workload is the whole point of replay.
 //
-// Two on-disk formats share the same model (see format.go): NDJSON for
-// greppability and a gzip'd binary for compactness; Read auto-detects.
+// The FCT harness is the one recorder: Incast and HDFS are closed-loop, so
+// the arrivals they would record depend on the scheme that ran them. A
+// trace is stored in one encoding, a gzip'd binary stream (see format.go).
 package replay
 
 import (
@@ -31,15 +32,9 @@ import (
 // only versions they know how to decode.
 const Version = 1
 
-// Flow kinds tag where an arrival came from, so mixed traces stay
-// interpretable after replay.
-const (
-	// KindWorkload is an open-loop Poisson workload arrival (FCT and HDFS
-	// background generators).
-	KindWorkload = "workload"
-	// KindIncast is one server's share of a synchronized Incast round.
-	KindIncast = "incast"
-)
+// KindWorkload tags an open-loop Poisson workload arrival. Flow.Kind
+// carries a tag per arrival, so a trace stays interpretable after replay.
+const KindWorkload = "workload"
 
 // Flow is one recorded arrival: at time At, host Src starts sending Size
 // bytes to host Dst under flow ID FlowID.
@@ -56,7 +51,7 @@ type Flow struct {
 type Header struct {
 	// Version is the format version the trace was written with.
 	Version int
-	// Harness names the recording experiment ("fct", "incast", "hdfs").
+	// Harness names the recording experiment ("fct").
 	Harness string
 	// Scheme, Workload, Load and Seed describe the recording run. They are
 	// provenance, not constraints: a trace recorded under ECMP replays under

@@ -3,7 +3,9 @@ package replay
 import (
 	"bytes"
 	"compress/gzip"
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -24,7 +26,7 @@ func sampleTrace(n int) *Trace {
 		at += sim.Time(1000 + i*37)
 		kind := KindWorkload
 		if i%5 == 0 {
-			kind = KindIncast
+			kind = "incast" // a second kind, so the string table holds two
 		}
 		rec.Add(Flow{
 			At: at, Src: i % 16, Dst: (i*7 + 3) % 16,
@@ -50,22 +52,6 @@ func equalTraces(t *testing.T, want, got *Trace) {
 	}
 }
 
-func TestRoundTripNDJSON(t *testing.T) {
-	tr := sampleTrace(200)
-	path := filepath.Join(t.TempDir(), "trace.ndjson")
-	if err := tr.Write(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalTraces(t, tr, got)
-	if !IsTraceFile(path) {
-		t.Error("IsTraceFile = false for NDJSON trace")
-	}
-}
-
 func TestRoundTripBinary(t *testing.T) {
 	tr := sampleTrace(200)
 	path := filepath.Join(t.TempDir(), "trace.gz")
@@ -81,33 +67,67 @@ func TestRoundTripBinary(t *testing.T) {
 		t.Error("IsTraceFile = false for binary trace")
 	}
 
-	// The binary format should be much denser than NDJSON.
-	nd := filepath.Join(t.TempDir(), "trace.ndjson")
-	if err := tr.Write(nd); err != nil {
+	// The name does not pick the encoding: any path gets the binary stream.
+	other := filepath.Join(t.TempDir(), "trace.ndjson")
+	if err := tr.Write(other); err != nil {
 		t.Fatal(err)
 	}
-	bi, _ := os.Stat(path)
-	ni, _ := os.Stat(nd)
-	if bi.Size()*4 > ni.Size() {
-		t.Errorf("binary trace not compact: %d bytes vs %d NDJSON", bi.Size(), ni.Size())
+	a, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Errorf("trace.ndjson holds %d bytes that differ from trace.gz's %d", len(b), len(a))
+	}
+}
+
+// TestBinaryFormatGolden pins the decompressed stream of sampleTrace(200),
+// so every .trace.gz written before keeps reading: a change here is a new
+// format version, not an edit.
+func TestBinaryFormatGolden(t *testing.T) {
+	var b bytes.Buffer
+	if err := sampleTrace(200).writeBinary(&b); err != nil {
+		t.Fatal(err)
+	}
+	zr, err := gzip.NewReader(&b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "6652aca3baab1efb6b2be60d193a810b0b54687e0bfedcdba07195c925d02337"
+	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != want {
+		t.Fatalf("binary stream of %d bytes hashes to %s, want %s", len(raw), got, want)
 	}
 }
 
 func TestEmptyTraceRoundTrip(t *testing.T) {
 	rec := &Recorder{Header: Header{Harness: "fct"}}
 	tr := rec.Trace()
-	for _, name := range []string{"e.ndjson", "e.gz"} {
-		path := filepath.Join(t.TempDir(), name)
-		if err := tr.Write(path); err != nil {
-			t.Fatal(err)
-		}
-		got, err := Read(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		equalTraces(t, tr, got)
+	path := filepath.Join(t.TempDir(), "e.gz")
+	if err := tr.Write(path); err != nil {
+		t.Fatal(err)
 	}
+	got, err := Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	equalTraces(t, tr, got)
 }
+
+// oldNDJSON is a trace in the NDJSON encoding older builds also wrote: a
+// {"replay_trace": header} line, then one JSON object per arrival. Read
+// refuses it.
+var oldNDJSON = []byte(`{"replay_trace":{"version":1,"harness":"fct","scheme":"ecmp","workload":"enterprise","load":0.6,"seed":1,"topo_fp":"49890179b20c6922","topo":"leaves=2","duration_ns":10000000,"flows":2,"bytes":3000,"span_ns":2000}}
+{"at_ns":1000,"src":0,"dst":9,"flow":0,"size":1000,"kind":"workload"}
+{"at_ns":2000,"src":9,"dst":1,"flow":1,"size":2000,"kind":"workload"}
+`)
 
 func TestCorruptTracesFailLoudly(t *testing.T) {
 	dir := t.TempDir()
@@ -121,14 +141,6 @@ func TestCorruptTracesFailLoudly(t *testing.T) {
 		return p
 	}
 
-	nd := filepath.Join(dir, "ok.ndjson")
-	if err := tr.Write(nd); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(nd)
-	if err != nil {
-		t.Fatal(err)
-	}
 	gz := filepath.Join(dir, "ok.gz")
 	if err := tr.Write(gz); err != nil {
 		t.Fatal(err)
@@ -143,12 +155,13 @@ func TestCorruptTracesFailLoudly(t *testing.T) {
 		path string
 		want string
 	}{
-		{"not json", write("garbage.ndjson", []byte("hello world\n")), "bad header line"},
-		{"wrong meta key", write("wrongkey.ndjson", []byte(`{"something_else":{}}`+"\n")), "no replay_trace header"},
-		{"truncated ndjson", write("trunc.ndjson", raw[:len(raw)/2]), "corrupt trace"},
+		{"ndjson trace", write("old.ndjson", oldNDJSON), "old.ndjson: not a replay trace (want a gzip'd CONGARPL stream)"},
+		{"truncated ndjson", write("trunc.ndjson", oldNDJSON[:len(oldNDJSON)/2]), "trunc.ndjson: not a replay trace"},
+		{"not json", write("garbage.ndjson", []byte("hello world\n")), "garbage.ndjson: not a replay trace"},
+		{"wrong meta key", write("wrongkey.ndjson", []byte(`{"something_else":{}}`+"\n")), "wrongkey.ndjson: not a replay trace"},
 		{"truncated gzip", write("trunc.gz", rawGz[:len(rawGz)/2]), ""},
 		{"flipped gzip byte", write("flip.gz", append(append([]byte{}, rawGz[:len(rawGz)-4]...), 0, 0, 0, 0)), ""},
-		{"empty file", write("empty.ndjson", nil), ""},
+		{"empty file", write("empty.ndjson", nil), "empty.ndjson: not a replay trace"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -223,11 +236,13 @@ func TestIsTraceFileRejectsOtherFiles(t *testing.T) {
 	}
 }
 
-// FuzzReplayRead: whatever the bytes, in either format, Read returns an error
-// or a trace holding as many flows as its header promises — never a panic,
-// and never an allocation sized by the header alone. The seeds are both
-// formats whole and damaged: forged negative and huge flow counts, a varint
-// cut short, a kind index past the table, and a byte after the last flow.
+// FuzzReplayRead: whatever the bytes, Read returns an error or a trace
+// holding as many flows as its header promises — never a panic, never an
+// allocation sized by the header alone, and never a trace from input that is
+// not gzip. The seeds are a binary stream whole and damaged — forged
+// negative and huge flow counts, a varint cut short, a kind index past the
+// table, a byte after the last flow — and NDJSON input, which older builds
+// read and this one refuses.
 func FuzzReplayRead(f *testing.F) {
 	gz := func(payload []byte) []byte {
 		var b bytes.Buffer
@@ -242,10 +257,7 @@ func FuzzReplayRead(f *testing.F) {
 		return gz(binary.AppendUvarint(append(p, header...), 0))
 	}
 	tr := sampleTrace(5)
-	var nd, bin bytes.Buffer
-	if err := tr.writeNDJSON(&nd); err != nil {
-		f.Fatal(err)
-	}
+	var bin bytes.Buffer
 	if err := tr.writeBinary(&bin); err != nil {
 		f.Fatal(err)
 	}
@@ -260,7 +272,7 @@ func FuzzReplayRead(f *testing.F) {
 	badKind := bytes.Clone(payload)
 	badKind[len(badKind)-1] = 9
 
-	f.Add(nd.Bytes())
+	f.Add(oldNDJSON)
 	f.Add([]byte(`{"replay_trace":{"version":1,"flows":-1}}` + "\n"))
 	f.Add([]byte(`{"replay_trace":{"version":1,"flows":2147483648}}` + "\n"))
 	f.Add(gz(payload))
@@ -276,7 +288,13 @@ func FuzzReplayRead(f *testing.F) {
 			t.Fatal(err)
 		}
 		got, err := Read(path)
-		if err == nil && len(got.Flows) != got.Header.Flows {
+		if err != nil {
+			return
+		}
+		if !bytes.HasPrefix(data, []byte{0x1f, 0x8b}) {
+			t.Fatalf("read a trace from input without the gzip magic: %q", data)
+		}
+		if len(got.Flows) != got.Header.Flows {
 			t.Fatalf("read %d flows under a header promising %d", len(got.Flows), got.Header.Flows)
 		}
 	})

@@ -12,38 +12,13 @@ import (
 	"sync/atomic"
 )
 
-// Progress tracks a sweep's completion state with atomic counters so a
-// monitoring goroutine (the live-telemetry HTTP endpoint) can read it while
-// workers run. One Progress may span several MapStreamP calls; totals
-// accumulate.
-type Progress struct {
-	total, started, finished atomic.Int64
-}
-
-// Expect adds n items to the expected total (MapStreamP calls it for its
-// batch; callers that know the whole sweep size up front may pre-add).
-func (p *Progress) Expect(n int) {
-	if p != nil {
-		p.total.Add(int64(n))
-	}
-}
-
-// Counts returns items started, finished, and expected in total. Safe from
-// any goroutine.
-func (p *Progress) Counts() (started, finished, total int64) {
-	if p == nil {
-		return
-	}
-	return p.started.Load(), p.finished.Load(), p.total.Load()
-}
-
 // Map runs fn over every item on up to workers goroutines and returns the
 // results in input order. workers <= 0 uses GOMAXPROCS. Every item is
 // processed even when some fail; the returned error is the one from the
 // lowest-indexed failing item, so the error surfaced does not depend on
 // goroutine scheduling.
 func Map[C, R any](workers int, items []C, fn func(C) (R, error)) ([]R, error) {
-	return MapStreamP(workers, items, fn, nil, nil)
+	return MapStream(workers, items, fn, nil)
 }
 
 // MapStream is Map with a per-completion callback: emit(i, result, err) is
@@ -54,24 +29,6 @@ func Map[C, R any](workers int, items []C, fn func(C) (R, error)) ([]R, error) {
 // a nil emit makes MapStream identical to Map. Results and the first error
 // (lowest index) are still returned when everything has completed.
 func MapStream[C, R any](workers int, items []C, fn func(C) (R, error), emit func(i int, r R, err error)) ([]R, error) {
-	return MapStreamP(workers, items, fn, emit, nil)
-}
-
-// MapStreamP is MapStream with optional progress tracking: when prog is
-// non-nil, the batch size is added to its total and each item bumps
-// started/finished around fn, so concurrent observers see the sweep
-// advance. A nil prog makes it identical to MapStream.
-func MapStreamP[C, R any](workers int, items []C, fn func(C) (R, error), emit func(i int, r R, err error), prog *Progress) ([]R, error) {
-	prog.Expect(len(items))
-	if prog != nil {
-		inner := fn
-		fn = func(c C) (R, error) {
-			prog.started.Add(1)
-			r, err := inner(c)
-			prog.finished.Add(1)
-			return r, err
-		}
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

@@ -39,11 +39,6 @@ type GenConfig struct {
 	Stride     uint64
 	// Seed isolates this generator's randomness.
 	Seed uint64
-	// Observe, when non-nil, is called with every arrival as it is drawn —
-	// live (launch time) or pregenerated (draw time) — in arrival order.
-	// The record/replay subsystem hooks trace capture here; observation
-	// must not mutate anything the generator or flows depend on.
-	Observe func(Arrival)
 }
 
 // Generator produces flows on a network.
@@ -153,8 +148,8 @@ func (g *Generator) launch(now sim.Time) {
 }
 
 // draw makes the arrival at time at — source, destination, then size, the
-// RNG order both the live process and Pregenerate must share — bumps the
-// counters and shows it to Observe.
+// RNG order both the live process and Pregenerate must share — and bumps the
+// counters.
 func (g *Generator) draw(at sim.Time) Arrival {
 	src := g.pickHost(-1)
 	var dst *fabric.Host
@@ -169,9 +164,6 @@ func (g *Generator) draw(at sim.Time) Arrival {
 	g.created++
 	g.Generated++
 	g.OfferedBytes += a.Size
-	if g.cfg.Observe != nil {
-		g.cfg.Observe(a)
-	}
 	return a
 }
 

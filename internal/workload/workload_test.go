@@ -236,61 +236,41 @@ func TestGeneratorDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestGeneratorObserveHook: the Observe hook sees every arrival, in
-// arrival order, with exactly the data the start callback receives — and
-// the live and pregenerated paths observe the identical sequence (the
-// record/replay subsystem depends on this equivalence).
-func TestGeneratorObserveHook(t *testing.T) {
-	cfgFor := func(observe func(Arrival)) GenConfig {
-		return GenConfig{Load: 0.6, Dist: Enterprise(), Duration: 20 * sim.Millisecond,
-			MaxFlows: 50, Seed: 5, Observe: observe}
-	}
+// TestPregenerateMatchesLive: Pregenerate returns, arrival for arrival,
+// what the live process starts through the Starter at eng.Now() — the
+// equivalence the FCT harness and its record/replay depend on.
+func TestPregenerateMatchesLive(t *testing.T) {
+	cfg := GenConfig{Load: 0.6, Dist: Enterprise(), Duration: 20 * sim.Millisecond, MaxFlows: 50, Seed: 5}
 
 	var live []Arrival
-	var started []Arrival
 	eng, n := testNet(t)
-	g, err := NewGenerator(eng, n, cfgFor(func(a Arrival) { live = append(live, a) }),
-		func(src, dst *fabric.Host, id uint64, size int64) {
-			started = append(started, Arrival{At: eng.Now(), Src: src.ID, Dst: dst.ID, FlowID: id, Size: size})
-		})
+	g, err := NewGenerator(eng, n, cfg, func(src, dst *fabric.Host, id uint64, size int64) {
+		live = append(live, Arrival{At: eng.Now(), Src: src.ID, Dst: dst.ID, FlowID: id, Size: size})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	g.Start()
 	eng.Run(sim.Second)
-
 	if len(live) == 0 || len(live) != g.Generated {
-		t.Fatalf("observed %d arrivals, generated %d", len(live), g.Generated)
-	}
-	if len(live) != len(started) {
-		t.Fatalf("observed %d arrivals but started %d flows", len(live), len(started))
-	}
-	for i := range live {
-		if live[i] != started[i] {
-			t.Fatalf("arrival %d: observed %+v, started %+v", i, live[i], started[i])
-		}
-		if i > 0 && live[i].At < live[i-1].At {
-			t.Fatalf("arrivals out of order at %d", i)
-		}
+		t.Fatalf("started %d flows, generated %d", len(live), g.Generated)
 	}
 
-	var pre []Arrival
 	eng2, n2 := testNet(t)
-	g2, err := NewGenerator(eng2, n2, cfgFor(func(a Arrival) { pre = append(pre, a) }),
-		func(*fabric.Host, *fabric.Host, uint64, int64) {})
+	g2, err := NewGenerator(eng2, n2, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := g2.Pregenerate()
-	if len(pre) != len(out) {
-		t.Fatalf("pregenerate observed %d of %d arrivals", len(pre), len(out))
+	pre := g2.Pregenerate()
+	if len(pre) != len(live) || g2.Generated != g.Generated || g2.OfferedBytes != g.OfferedBytes {
+		t.Fatalf("pregenerated %d arrivals (%d B), live started %d (%d B)", len(pre), g2.OfferedBytes, len(live), g.OfferedBytes)
 	}
 	for i := range pre {
-		if pre[i] != out[i] {
-			t.Fatalf("pregenerate arrival %d: observed %+v, returned %+v", i, pre[i], out[i])
-		}
 		if pre[i] != live[i] {
 			t.Fatalf("live/pregenerate diverge at arrival %d: %+v vs %+v", i, live[i], pre[i])
+		}
+		if i > 0 && pre[i].At < pre[i-1].At {
+			t.Fatalf("arrivals out of order at %d", i)
 		}
 	}
 }

@@ -7,12 +7,6 @@ import "conga/internal/runner"
 // whether executed sequentially or concurrently; results come back in
 // config order. The figure sweeps in cmd/congabench are built on these.
 
-// SweepProgress tracks how many experiments of a sweep have started and
-// finished, with atomic counters a monitoring goroutine (the live
-// telemetry endpoint's sweep view) can read while workers run. One
-// instance may span several Run*Stream calls; totals accumulate.
-type SweepProgress = runner.Progress
-
 // RunFCTs executes each FCT experiment on its own engine across a
 // GOMAXPROCS-bounded worker pool and returns results in config order.
 func RunFCTs(cfgs []FCTConfig) ([]*FCTResult, error) {
@@ -21,31 +15,19 @@ func RunFCTs(cfgs []FCTConfig) ([]*FCTResult, error) {
 
 // RunFCTsStream is RunFCTs with a streaming callback: emit fires once per
 // experiment in config order as soon as it (and all earlier configs) have
-// finished, so sweeps can print rows while later runs are still going. A
-// non-nil prog tracks sweep progress.
-func RunFCTsStream(cfgs []FCTConfig, emit func(i int, r *FCTResult, err error), prog *SweepProgress) ([]*FCTResult, error) {
-	return runner.MapStreamP(0, cfgs, RunFCT, emit, prog)
+// finished, so sweeps can print rows while later runs are still going.
+func RunFCTsStream(cfgs []FCTConfig, emit func(i int, r *FCTResult, err error)) ([]*FCTResult, error) {
+	return runner.MapStream(0, cfgs, RunFCT, emit)
 }
 
-// RunIncasts executes Incast micro-benchmarks in parallel, results in
-// config order.
-func RunIncasts(cfgs []IncastConfig) ([]*IncastResult, error) {
-	return runner.Map(0, cfgs, RunIncast)
+// RunIncastsStream executes Incast micro-benchmarks in parallel with a
+// per-completion, config-order callback; results come back in config order.
+func RunIncastsStream(cfgs []IncastConfig, emit func(i int, r *IncastResult, err error)) ([]*IncastResult, error) {
+	return runner.MapStream(0, cfgs, RunIncast, emit)
 }
 
-// RunIncastsStream is RunIncasts with a per-completion, config-order
-// callback and optional sweep progress.
-func RunIncastsStream(cfgs []IncastConfig, emit func(i int, r *IncastResult, err error), prog *SweepProgress) ([]*IncastResult, error) {
-	return runner.MapStreamP(0, cfgs, RunIncast, emit, prog)
-}
-
-// RunHDFSTrials executes HDFS trials in parallel, results in config order.
-func RunHDFSTrials(cfgs []HDFSConfig) ([]*HDFSResult, error) {
-	return runner.Map(0, cfgs, RunHDFS)
-}
-
-// RunHDFSTrialsStream is RunHDFSTrials with a per-completion, config-order
-// callback and optional sweep progress.
-func RunHDFSTrialsStream(cfgs []HDFSConfig, emit func(i int, r *HDFSResult, err error), prog *SweepProgress) ([]*HDFSResult, error) {
-	return runner.MapStreamP(0, cfgs, RunHDFS, emit, prog)
+// RunHDFSTrialsStream executes HDFS trials in parallel with a
+// per-completion, config-order callback; results come back in config order.
+func RunHDFSTrialsStream(cfgs []HDFSConfig, emit func(i int, r *HDFSResult, err error)) ([]*HDFSResult, error) {
+	return runner.MapStream(0, cfgs, RunHDFS, emit)
 }

@@ -91,7 +91,7 @@ func TestParallelPoolsIsolated(t *testing.T) {
 		}
 		seq[i] = r
 	}
-	par, err := runner.MapStreamP(8, cfgs, RunFCT, nil, nil)
+	par, err := runner.MapStream(8, cfgs, RunFCT, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func sameFlowFCTs(t *testing.T, want, got []FlowFCT, label string) {
 // TestReplayBitIdenticalSameScheme is the core guarantee: replaying a
 // recorded trace into the identical scheme/config reproduces the recording
 // run bit-identically — same events executed, same per-flow FCT vector —
-// including through an on-disk round trip in both formats.
+// including through an on-disk round trip.
 func TestReplayBitIdenticalSameScheme(t *testing.T) {
 	base := replayTestConfig(SchemeCONGA)
 	base.Record = true
@@ -58,34 +58,31 @@ func TestReplayBitIdenticalSameScheme(t *testing.T) {
 		t.Fatalf("CollectFlows kept %d of %d completed", len(orig.FlowFCTs), orig.Completed)
 	}
 
-	dir := t.TempDir()
-	for _, name := range []string{"t.ndjson", "t.gz"} {
-		path := filepath.Join(dir, name)
-		if err := orig.Trace.Write(path); err != nil {
-			t.Fatal(err)
-		}
-		tr, err := replay.Read(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := replayTestConfig(SchemeCONGA)
-		cfg.Replay = tr
-		cfg.CollectFlows = true
-		re, err := RunFCT(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if re.Events != orig.Events {
-			t.Errorf("%s: replay executed %d events, recording %d", name, re.Events, orig.Events)
-		}
-		if re.Generated != orig.Generated || re.Completed != orig.Completed {
-			t.Errorf("%s: replay %d/%d flows vs recording %d/%d", name,
-				re.Generated, re.Completed, orig.Generated, orig.Completed)
-		}
-		sameFlowFCTs(t, orig.FlowFCTs, re.FlowFCTs, name)
-		if re.NormFCT != orig.NormFCT {
-			t.Errorf("%s: normFCT %v vs %v", name, re.NormFCT, orig.NormFCT)
-		}
+	path := filepath.Join(t.TempDir(), "t.gz")
+	if err := orig.Trace.Write(path); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := replay.Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := replayTestConfig(SchemeCONGA)
+	cfg.Replay = tr
+	cfg.CollectFlows = true
+	re, err := RunFCT(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.Events != orig.Events {
+		t.Errorf("replay executed %d events, recording %d", re.Events, orig.Events)
+	}
+	if re.Generated != orig.Generated || re.Completed != orig.Completed {
+		t.Errorf("replay %d/%d flows vs recording %d/%d",
+			re.Generated, re.Completed, orig.Generated, orig.Completed)
+	}
+	sameFlowFCTs(t, orig.FlowFCTs, re.FlowFCTs, "replay")
+	if re.NormFCT != orig.NormFCT {
+		t.Errorf("normFCT %v vs %v", re.NormFCT, orig.NormFCT)
 	}
 }
 

@@ -182,6 +182,10 @@ func TestHostileConfigsReturnErrors(t *testing.T) {
 		{"ScaleConfig.Leaves = {1}", "leaves", scale(func(c *ScaleConfig) { c.Leaves = []int{1} })},
 		{"ScaleConfig.AccessGbps = {-40}", "AccessRateBps", scale(func(c *ScaleConfig) { c.AccessGbps = []float64{-40} })},
 		{"ScaleConfig.Duration < 0", "duration", scale(func(c *ScaleConfig) { c.Duration = -time.Millisecond })},
+		{"RunFigure2 scheme mptcp", "mptcp", func() error { _, err := RunFigure2(SchemeMPTCPMarker, 1); return err }},
+		{"RunFigure3 scheme mptcp", "mptcp", func() error { _, err := RunFigure3(SchemeMPTCPMarker, true, 1); return err }},
+		{"RunFigure2 unknown scheme", "unknown scheme", func() error { _, err := RunFigure2(Scheme(77), 1); return err }},
+		{"RunFigure3 unknown scheme", "unknown scheme", func() error { _, err := RunFigure3(Scheme(77), false, 1); return err }},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

@@ -135,13 +135,13 @@ func (c ScaleConfig) expand() ([]FCTConfig, []ScalePoint) {
 // RunScale executes the sweep across the parallel runner (one engine, one
 // network and one set of pools per cell) and returns points in grid order.
 func RunScale(cfg ScaleConfig) ([]ScalePoint, error) {
-	return RunScaleStream(cfg, nil, nil)
+	return RunScaleStream(cfg, nil)
 }
 
 // RunScaleStream is RunScale with a streaming callback: emit fires once
 // per cell in grid order as soon as it (and all earlier cells) have
-// finished. A non-nil prog tracks sweep progress.
-func RunScaleStream(cfg ScaleConfig, emit func(i int, p ScalePoint, err error), prog *SweepProgress) ([]ScalePoint, error) {
+// finished.
+func RunScaleStream(cfg ScaleConfig, emit func(i int, p ScalePoint, err error)) ([]ScalePoint, error) {
 	cfg = cfg.withDefaults()
 	if got, max := cfg.Spines*cfg.LinksPerSpine, DefaultParams().MaxUplinks; got > max {
 		return nil, fmt.Errorf("conga: scale sweep needs %d uplinks per leaf, LBTag space allows %d", got, max)
@@ -156,12 +156,12 @@ func RunScaleStream(cfg ScaleConfig, emit func(i int, p ScalePoint, err error), 
 			workers = 1
 		}
 	}
-	results, err := runner.MapStreamP(workers, cfgs, RunFCT, func(i int, r *FCTResult, err error) {
+	results, err := runner.MapStream(workers, cfgs, RunFCT, func(i int, r *FCTResult, err error) {
 		if emit != nil {
 			pts[i].Result = r
 			emit(i, pts[i], err)
 		}
-	}, prog)
+	})
 	if err != nil {
 		return nil, err
 	}
