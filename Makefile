@@ -38,9 +38,10 @@ lint: vet
 memlat:
 	$(GO) run ./tools/memlat
 
-# Native fuzzing smoke (~90 s): the timing wheel against a sorted (time, seq)
+# Native fuzzing smoke (~110 s): the timing wheel against a sorted (time, seq)
 # model, the packed congestion-table entry against the three-field one it
-# replaced, the sink-file reader against the writer (whatever it reads must
+# replaced, the paged flowlet table against its map model (any size, either
+# gap mode), the sink-file reader against the writer (whatever it reads must
 # re-encode to bytes that read back equal), and the replay-trace reader on
 # forged and damaged binary input (an error, never a panic). Their
 # seed corpora already run under plain `go test`; this lets the mutator look
@@ -48,6 +49,7 @@ memlat:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzWheelMatchesHeap -fuzztime 20s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzMetricAgePacking -fuzztime 20s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzFlowletTableMatchesModel -fuzztime 20s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzReadSinkFile -fuzztime 20s ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz FuzzReplayRead -fuzztime 20s ./internal/replay
 

@@ -16,8 +16,11 @@ import "conga/internal/sim"
 // In GapModeTimestamp the table instead records a last-packet timestamp per
 // entry and expires lazily on lookup; see GapMode for why both exist.
 type FlowletTable struct {
-	entries []flowletEntry
-	last    []sim.Time // GapModeTimestamp only
+	// Entry i is pages.get(i>>pageShift)[i&pageMask]. A page is allocated
+	// by the first Install into it; a page no flow has hashed to reads as
+	// the shared zero page. last is paged the same way.
+	pages rows[flowletEntry]
+	last  rows[sim.Time] // GapModeTimestamp only
 	// GapModeAgeBit keeps an index list of entries that may need sweeping,
 	// so Sweep walks the handful of live flowlets instead of all 64K slots.
 	// Invariant: flValid ⇒ flListed; flListed is cleared only when the
@@ -25,7 +28,8 @@ type FlowletTable struct {
 	active []int32
 	mode   GapMode
 	tfl    sim.Time
-	mask   uint64 // len(entries)-1 when the size is a power of two, else 0
+	size   int    // entries
+	mask   uint64 // size-1 when the size is a power of two, else 0
 	// Expired counts entries invalidated by gap detection; Collisions is
 	// not observable (hash collisions are indistinguishable from flowlet
 	// reuse by design), but Installs and Hits support the concurrency
@@ -39,9 +43,8 @@ type FlowletTable struct {
 
 // flowletEntry is one table slot, packed like the ASIC's (§3.4: a port
 // number, a valid bit and an age bit) so a lookup touches one cache line.
-// The zero value means "empty, no previous port": a fresh table needs no
-// initialization pass, and pages of slots no flow ever hashes to are never
-// written.
+// The zero value means "empty, no previous port", so a page nothing has
+// installed into needs no memory: it reads as the shared zero page.
 type flowletEntry struct {
 	port  uint16 // uplink + 1; 0 = no flowlet has used this slot yet
 	flags uint8  // flValid | flAge | flListed
@@ -53,32 +56,48 @@ const (
 	flListed             // slot is on the sweep's active list
 )
 
+// A page is 512 entries: 2 KB of flowletEntry, 4 KB of timestamps.
+const (
+	pageShift = 9
+	pageSize  = 1 << pageShift
+	pageMask  = pageSize - 1
+)
+
+// What every table's absent pages read as.
+var (
+	zeroPage  [pageSize]flowletEntry
+	zeroTimes [pageSize]sim.Time
+)
+
 // NewFlowletTable returns a table with p.FlowletTableSize entries using
-// p.GapMode for gap detection.
+// p.GapMode for gap detection. It allocates no page; a table smaller than a
+// page has one page of its own size.
 func NewFlowletTable(p Params) *FlowletTable {
 	n := p.FlowletTableSize
+	pages, pageLen := (n+pageMask)>>pageShift, min(n, pageSize)
 	t := &FlowletTable{
-		entries: make([]flowletEntry, n),
-		mode:    p.GapMode,
-		tfl:     p.Tfl,
+		pages: newRows(pages, pageLen, zeroPage[:]),
+		mode:  p.GapMode,
+		tfl:   p.Tfl,
+		size:  n,
 	}
 	if n&(n-1) == 0 {
 		t.mask = uint64(n - 1)
 	}
 	if p.GapMode != GapModeAgeBit {
-		t.last = make([]sim.Time, n)
+		t.last = newRows(pages, pageLen, zeroTimes[:])
 	}
 	return t
 }
 
 // Len returns the number of entries.
-func (t *FlowletTable) Len() int { return len(t.entries) }
+func (t *FlowletTable) Len() int { return t.size }
 
 func (t *FlowletTable) index(hash uint64) int {
 	if t.mask != 0 {
 		return int(hash & t.mask)
 	}
-	return int(hash % uint64(len(t.entries)))
+	return int(hash % uint64(t.size))
 }
 
 // Lookup processes a packet of the flow identified by hash. If the flowlet
@@ -90,8 +109,8 @@ func (t *FlowletTable) index(hash uint64) int {
 // better uplink exists.
 func (t *FlowletTable) Lookup(hash uint64, now sim.Time) (port int, active bool) {
 	i := t.index(hash)
-	e := &t.entries[i]
-	if t.mode == GapModeTimestamp && e.flags&flValid != 0 && now-t.last[i] > t.tfl {
+	e := &t.pages.get(i >> pageShift)[i&pageMask] // written only if valid, so never the zero page
+	if t.mode == GapModeTimestamp && e.flags&flValid != 0 && now-t.last.get(i >> pageShift)[i&pageMask] > t.tfl {
 		e.flags &^= flValid
 		t.Expired++
 		t.live--
@@ -101,7 +120,7 @@ func (t *FlowletTable) Lookup(hash uint64, now sim.Time) (port int, active bool)
 		if t.mode == GapModeAgeBit {
 			e.flags &^= flAge
 		} else {
-			t.last[i] = now
+			t.last.put(i >> pageShift)[i&pageMask] = now
 		}
 		return int(e.port) - 1, true
 	}
@@ -112,14 +131,15 @@ func (t *FlowletTable) Lookup(hash uint64, now sim.Time) (port int, active bool)
 // flowlet, without touching its age state or the counters. Right after a
 // Lookup of the same hash it equals that Lookup's active result.
 func (t *FlowletTable) valid(hash uint64) bool {
-	return t.entries[t.index(hash)].flags&flValid != 0
+	i := t.index(hash)
+	return t.pages.get(i >> pageShift)[i&pageMask].flags&flValid != 0
 }
 
 // Install caches the decision for a new flowlet: sets the port, the valid
 // bit, and clears the age bit.
 func (t *FlowletTable) Install(hash uint64, port int, now sim.Time) {
 	i := t.index(hash)
-	e := &t.entries[i]
+	e := &t.pages.put(i >> pageShift)[i&pageMask]
 	e.port = uint16(port + 1)
 	if e.flags&flValid != 0 {
 		t.Evicts++
@@ -135,7 +155,7 @@ func (t *FlowletTable) Install(hash uint64, port int, now sim.Time) {
 			t.active = append(t.active, int32(i))
 		}
 	} else {
-		t.last[i] = now
+		t.last.put(i >> pageShift)[i&pageMask] = now
 	}
 }
 
@@ -151,7 +171,7 @@ func (t *FlowletTable) Sweep() {
 	// every live flowlet; expired entries are compacted out in place.
 	kept := t.active[:0]
 	for _, i := range t.active {
-		e := &t.entries[i]
+		e := &t.pages.get(int(i) >> pageShift)[i&pageMask] // listed, so installed: its page exists
 		switch {
 		case e.flags&flValid == 0:
 			e.flags &^= flListed
@@ -178,11 +198,13 @@ func (t *FlowletTable) Live() int { return t.live }
 // loaded leaves.
 func (t *FlowletTable) Active() int {
 	n := 0
-	for i := range t.entries {
-		if t.entries[i].flags&flValid != 0 {
-			n++
+	t.pages.each(func(page []flowletEntry) {
+		for _, e := range page {
+			if e.flags&flValid != 0 {
+				n++
+			}
 		}
-	}
+	})
 	return n
 }
 

@@ -176,17 +176,96 @@ func diffFlowlets(t *testing.T, p Params, seed uint64) {
 }
 
 // TestFlowletEntryLayout pins the packed entry: four bytes or fewer, so a
-// 64K-entry table is at most 256 KB and sixteen entries share a cache line,
-// and an all-zero entry reads as "empty, no previous port" — which is what
-// lets NewFlowletTable skip initialization.
+// 512-entry page is 2 KB and sixteen entries share a cache line, and an
+// all-zero entry reads as "empty, no previous port" — which is what lets an
+// absent page read as the shared zero page.
 func TestFlowletEntryLayout(t *testing.T) {
 	if s := unsafe.Sizeof(flowletEntry{}); s > 4 {
 		t.Fatalf("flowletEntry is %d bytes, want ≤ 4", s)
 	}
-	ft := &FlowletTable{entries: make([]flowletEntry, 8), mask: 7, mode: GapModeAgeBit}
+	if s := unsafe.Sizeof(zeroPage); s != 2048 {
+		t.Fatalf("a page is %d bytes, want 2048", s)
+	}
+	p := testParams()
+	p.FlowletTableSize = 8
+	ft := NewFlowletTable(p)
 	if port, active := ft.Lookup(3, 0); port != -1 || active {
 		t.Fatalf("zero entry reads (%d, %v), want (-1, false)", port, active)
 	}
+}
+
+// FuzzFlowletTableMatchesModel drives the paged table and refFlowlets with
+// one op stream — Lookup, Install, Sweep, valid, Live and Active, four bytes
+// an op: the op, the hash's two low bytes (so an index is any value below
+// 65536, page edges included) and the time step — in either gap mode, and
+// requires every result and counter to agree. After the stream, the table
+// holds exactly one page per distinct page an Install hit.
+func FuzzFlowletTableMatchesModel(f *testing.F) {
+	for _, size := range []uint32{1, 7, 511, 512, 513, 1000, 65536} {
+		for _, ts := range []bool{false, true} {
+			rng := sim.NewRand(uint64(size))
+			var ops []byte
+			for _, i := range []int{0, 511, 512, 513, int(size) - 1, int(size)} {
+				ops = append(ops, 1, byte(i), byte(i>>8), 1, 0, byte(i), byte(i>>8), 2)
+			}
+			for k := 0; k < 64; k++ {
+				ops = append(ops, byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(3)), byte(rng.Intn(48)))
+			}
+			f.Add(size, ts, ops)
+		}
+	}
+	f.Fuzz(func(t *testing.T, size uint32, timestamp bool, ops []byte) {
+		if size == 0 || size > 1<<17 {
+			t.Skip()
+		}
+		p := testParams()
+		p.FlowletTableSize = int(size)
+		if timestamp {
+			p.GapMode = GapModeTimestamp
+		}
+		ft, ref := NewFlowletTable(p), newRefFlowlets(p)
+		pages := map[int]bool{}
+		now := sim.Time(0)
+		for k := 0; k+4 <= len(ops); k += 4 {
+			op, hash := ops[k], uint64(ops[k+1])|uint64(ops[k+2])<<8
+			now += sim.Time(ops[k+3]) * p.Tfl / 16
+			switch op % 6 {
+			case 0:
+				gp, ga := ft.Lookup(hash, now)
+				wp, wa := ref.lookup(hash, now)
+				if gp != wp || ga != wa {
+					t.Fatalf("op %d: Lookup(%d) = (%d, %v), model (%d, %v)", k/4, hash, gp, ga, wp, wa)
+				}
+			case 1:
+				port := int(op>>3) % p.MaxUplinks
+				ft.Install(hash, port, now)
+				ref.install(hash, port, now)
+				pages[int(hash%uint64(size))>>pageShift] = true
+			case 2:
+				ft.Sweep()
+				ref.sweep()
+			case 3:
+				if g, w := ft.valid(hash), ref.slot(hash).valid; g != w {
+					t.Fatalf("op %d: valid(%d) = %v, model %v", k/4, hash, g, w)
+				}
+			case 4:
+				if g, w := ft.Live(), ref.live(); g != w {
+					t.Fatalf("op %d: Live = %d, model %d", k/4, g, w)
+				}
+			case 5:
+				if g, w := ft.Active(), ref.live(); g != w {
+					t.Fatalf("op %d: Active = %d, model %d", k/4, g, w)
+				}
+			}
+			if ft.Installs != ref.installs || ft.Hits != ref.hits || ft.Expired != ref.expired || ft.Evicts != ref.evicts {
+				t.Fatalf("op %d: counters installs/hits/expired/evicts = %d/%d/%d/%d, model %d/%d/%d/%d", k/4,
+					ft.Installs, ft.Hits, ft.Expired, ft.Evicts, ref.installs, ref.hits, ref.expired, ref.evicts)
+			}
+		}
+		if ft.pages.written() != len(pages) || (timestamp && ft.last.written() != len(pages)) {
+			t.Fatalf("%d pages, %d timestamp pages for %d distinct pages installed into", ft.pages.written(), ft.last.written(), len(pages))
+		}
+	})
 }
 
 // TestLeafHalvesReportEachPacketOnce checks, with decision hooks attached,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"conga/internal/sim"
@@ -261,4 +262,75 @@ func TestNewLeafValidation(t *testing.T) {
 	p := testParams()
 	p.MaxUplinks = 4
 	NewLeaf(0, 2, 5, p, sim.NewRand(1))
+}
+
+// written counts the rows written so far.
+func (s *rows[T]) written() int {
+	n := 0
+	s.each(func([]T) { n++ })
+	return n
+}
+
+// TestLeafStateFollowsTraffic pins what the row store buys (DESIGN.md
+// §3.10): a fresh 256-leaf leaf allocates its row indexes and little else,
+// reading any of its tables allocates nothing and writes no row, and the
+// pages and peer rows it holds are exactly the ones traffic has written.
+func TestLeafStateFollowsTraffic(t *testing.T) {
+	p := DefaultParams()
+	const builds = 16
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < builds; i++ {
+		NewLeaf(0, 256, 8, p, nil)
+	}
+	runtime.ReadMemStats(&after)
+	if b := (after.TotalAlloc - before.TotalAlloc) / builds; b > 16<<10 {
+		t.Errorf("a fresh 256-leaf NewLeaf allocates %d bytes, want ≤ 16 KB", b)
+	}
+
+	l := NewLeaf(0, 256, 8, p, sim.NewRand(1))
+	buf := make([]uint8, 8)
+	reads := []struct {
+		name string
+		read func()
+	}{
+		{"Flowlets.Lookup", func() { l.Flowlets.Lookup(12345, 0) }},
+		{"Flowlets.valid", func() { l.Flowlets.valid(12345) }},
+		{"Flowlets.Live", func() { l.Flowlets.Live() }},
+		{"Flowlets.Active", func() { l.Flowlets.Active() }},
+		{"ToLeaf.Metric", func() { l.ToLeaf.Metric(200, 3, 0) }},
+		{"ToLeaf.Metrics", func() { l.ToLeaf.Metrics(200, 0, buf) }},
+		{"ToLeaf.FeedbackAge", func() { l.ToLeaf.FeedbackAge(200, 3, 0) }},
+		{"ToLeaf.MaxMetric", func() { l.ToLeaf.MaxMetric(3, 0) }},
+		{"FromLeaf.PickFeedback", func() { l.FromLeaf.PickFeedback(200, 0) }},
+		{"FromLeaf.HasChanged", func() { l.FromLeaf.HasChanged(200) }},
+		{"PrepareHeader", func() { l.PrepareHeader(200, 3, 1, 0) }},
+	}
+	for _, r := range reads {
+		if a := testing.AllocsPerRun(100, r.read); a != 0 {
+			t.Errorf("%s on a fresh leaf: %v allocations, want 0", r.name, a)
+		}
+	}
+	if n, to, from := l.Flowlets.pages.written(), l.ToLeaf.metrics.written(), l.FromLeaf.metrics.written(); n+to+from != 0 {
+		t.Fatalf("reads wrote %d pages, %d To-rows, %d From-rows", n, to, from)
+	}
+
+	rng := sim.NewRand(3)
+	pages, peers := map[int]bool{}, map[int]bool{}
+	for k := 0; k < 400; k++ {
+		h := rng.Uint64()
+		l.Flowlets.Install(h, k%8, 0)
+		pages[l.Flowlets.index(h)>>pageShift] = true
+		if got := l.Flowlets.pages.written(); got != len(pages) {
+			t.Fatalf("after %d installs: %d pages, want %d", k+1, got, len(pages))
+		}
+		if k%10 == 0 {
+			src := rng.Intn(256)
+			l.OnFabricArrival(src, Header{LBTag: 2, CE: 1, FBValid: true, FBLBTag: 5, FBMetric: 3}, 0)
+			peers[src] = true
+		}
+	}
+	if to, from := l.ToLeaf.metrics.written(), l.FromLeaf.metrics.written(); to != len(peers) || from != len(peers) {
+		t.Fatalf("%d To-rows and %d From-rows for %d peers heard from", to, from, len(peers))
+	}
 }

@@ -94,7 +94,8 @@ type Params struct {
 	AgeTimeout sim.Time
 
 	// FlowletTableSize is the number of entries in the flowlet hash table.
-	// The implementation in the paper's Leaf ASIC holds 64K entries.
+	// The implementation in the paper's Leaf ASIC holds 64K entries; at
+	// most maxFlowletTableSize are accepted.
 	FlowletTableSize int
 
 	// MaxUplinks bounds the LBTag space. The wire format carries a 4-bit
@@ -109,6 +110,12 @@ type Params struct {
 	// congestion composition.
 	PathMetric PathMetric
 }
+
+// maxFlowletTableSize is the largest FlowletTableSize Validate accepts: 256
+// times the ASIC's 64K entries, whose 32K-page index is 256 KB per table. A
+// larger size could ask for more memory than the host has, which kills the
+// process instead of returning an error.
+const maxFlowletTableSize = 1 << 24
 
 // DefaultParams returns the paper's default configuration: Q = 3,
 // τ = 160 µs (TDRE = 20 µs, α = 1/8), Tfl = 500 µs, 10 ms metric aging, and
@@ -158,22 +165,14 @@ func (p Params) Validate() error {
 		return fmt.Errorf("core: Tfl = %v must be positive", p.Tfl)
 	case p.AgeTimeout <= 0:
 		return fmt.Errorf("core: AgeTimeout = %v must be positive", p.AgeTimeout)
-	case p.FlowletTableSize <= 0:
-		return fmt.Errorf("core: FlowletTableSize = %d must be positive", p.FlowletTableSize)
+	case p.FlowletTableSize <= 0 || p.FlowletTableSize > maxFlowletTableSize:
+		return fmt.Errorf("core: FlowletTableSize = %d out of range [1, %d]", p.FlowletTableSize, maxFlowletTableSize)
 	case p.MaxUplinks < 1 || p.MaxUplinks > maxLBTag+1:
 		return fmt.Errorf("core: MaxUplinks = %d out of range [1, %d]", p.MaxUplinks, maxLBTag+1)
 	case p.GapMode != GapModeAgeBit && p.GapMode != GapModeTimestamp:
 		return fmt.Errorf("core: unknown GapMode %d", p.GapMode)
 	case p.PathMetric != PathMetricMax && p.PathMetric != PathMetricSum:
 		return fmt.Errorf("core: unknown PathMetric %d", p.PathMetric)
-	}
-	if p.Q > 3 {
-		// The VXLAN header layout reserves exactly 3 bits for CE and
-		// FB_Metric. Larger Q is allowed for simulation studies (§3.6
-		// explores Q up to 6) but cannot be carried in the standard
-		// header, so flag it where the caller can decide.
-		// It is still a valid configuration for the in-memory model.
-		_ = p.Q
 	}
 	return nil
 }

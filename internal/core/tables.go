@@ -15,8 +15,12 @@ import (
 //
 // It is one word — touched (bit 63), the value (bits 55–62) and the update
 // time in nanoseconds (bits 0–54, 417 days of virtual time) — so a peer
-// leaf's whole row of 8 uplinks is one cache line.
+// leaf's whole row of 8 uplinks is one cache line. The zero word is an
+// untouched entry of value 0, which is what an absent row reads as.
 type metricAge uint64
+
+// zeroMetrics backs the zero row of every congestion table.
+var zeroMetrics [maxLBTag + 1]metricAge
 
 const (
 	ageTimeBits = 55
@@ -58,31 +62,30 @@ func (m metricAge) get(now sim.Time, ageTimeout sim.Time) uint8 {
 // path(s) that start at that uplink, as learned from feedback. The LB
 // decision takes the max of this remote metric and the local uplink DRE.
 type CongestionToLeaf struct {
-	metrics    []metricAge // destLeaf·n + uplink: one contiguous row per peer
-	n          int         // uplinks
+	metrics    rows[metricAge] // one row per destination leaf, one entry per uplink
+	n          int             // uplinks
 	ageTimeout sim.Time
 }
 
 // NewCongestionToLeaf returns a table covering numLeaves destinations and
 // numUplinks local uplinks. Remote metrics start at zero: an unknown path
-// is assumed uncongested, which is what makes new paths get probed.
+// is assumed uncongested, which is what makes new paths get probed. A
+// destination's row is allocated by its first Update.
 func NewCongestionToLeaf(numLeaves, numUplinks int, p Params) *CongestionToLeaf {
 	return &CongestionToLeaf{
-		metrics:    make([]metricAge, numLeaves*numUplinks),
+		metrics:    newRows(numLeaves, numUplinks, zeroMetrics[:]),
 		n:          numUplinks,
 		ageTimeout: p.AgeTimeout,
 	}
 }
 
-// row returns destLeaf's entries, one per uplink.
-func (t *CongestionToLeaf) row(destLeaf int) []metricAge {
-	return t.metrics[destLeaf*t.n : (destLeaf+1)*t.n]
-}
+// row returns destLeaf's entries, one per uplink, for reading.
+func (t *CongestionToLeaf) row(destLeaf int) []metricAge { return t.metrics.get(destLeaf) }
 
 // Update records feedback: the path to destLeaf via uplink has congestion
 // metric value.
 func (t *CongestionToLeaf) Update(destLeaf, uplink int, value uint8, now sim.Time) {
-	t.row(destLeaf)[uplink].set(value, now)
+	t.metrics.put(destLeaf)[uplink].set(value, now)
 }
 
 // Metric returns the (aged) remote congestion metric for destLeaf via
@@ -116,14 +119,15 @@ func (t *CongestionToLeaf) FeedbackAge(destLeaf, uplink int, now sim.Time) (age 
 // MaxMetric returns the largest aged metric for the given uplink across all
 // destination leaves — "how congested do remote paths through this uplink
 // look right now". Telemetry samples it per uplink; it reads (and ages)
-// metrics but never mutates the table.
+// metrics but never mutates the table. A destination never fed back reads
+// 0, so only written rows are visited.
 func (t *CongestionToLeaf) MaxMetric(uplink int, now sim.Time) uint8 {
 	var max uint8
-	for i := uplink; i < len(t.metrics); i += t.n {
-		if v := t.metrics[i].get(now, t.ageTimeout); v > max {
+	t.metrics.each(func(row []metricAge) {
+		if v := row[uplink].get(now, t.ageTimeout); v > max {
 			max = v
 		}
-	}
+	})
 	return max
 }
 
@@ -136,9 +140,9 @@ func (t *CongestionToLeaf) Uplinks() int { return t.n }
 // which entries changed since they were last fed back so feedback selection
 // can favour fresh information.
 type CongestionFromLeaf struct {
-	metrics []metricAge // srcLeaf·n + lbTag: one contiguous row per peer
-	peers   []peerState
-	n       int // LBTag values
+	metrics rows[metricAge] // one row per source leaf, one entry per LBTag
+	peers   []peerState     // dense: 6 bytes per peer
+	n       int             // LBTag values
 	ageOut  sim.Time
 }
 
@@ -151,13 +155,13 @@ type peerState struct {
 }
 
 // NewCongestionFromLeaf returns a table covering numLeaves sources and
-// numTags LBTag values.
+// numTags LBTag values. A source's row is allocated by its first Observe.
 func NewCongestionFromLeaf(numLeaves, numTags int, p Params) *CongestionFromLeaf {
 	if numTags > maxLBTag+1 {
 		panic(fmt.Sprintf("core: %d LBTags exceed the header's %d", numTags, maxLBTag+1))
 	}
 	return &CongestionFromLeaf{
-		metrics: make([]metricAge, numLeaves*numTags),
+		metrics: newRows(numLeaves, numTags, zeroMetrics[:]),
 		peers:   make([]peerState, numLeaves),
 		n:       numTags,
 		ageOut:  p.AgeTimeout,
@@ -167,7 +171,7 @@ func NewCongestionFromLeaf(numLeaves, numTags int, p Params) *CongestionFromLeaf
 // Observe records the CE metric of a packet that arrived from srcLeaf with
 // the given LBTag.
 func (t *CongestionFromLeaf) Observe(srcLeaf int, lbTag uint8, ce uint8, now sim.Time) {
-	m := &t.metrics[srcLeaf*t.n : (srcLeaf+1)*t.n][lbTag] // a tag past the row panics
+	m := &t.metrics.put(srcLeaf)[lbTag] // a tag past the row panics
 	if !m.touched() || m.value() != ce {
 		ps := &t.peers[srcLeaf]
 		ps.changed |= 1 << lbTag
@@ -200,7 +204,7 @@ func (t *CongestionFromLeaf) PickFeedback(dstLeaf int, now sim.Time) (lbTag uint
 	if ps.next = j + 1; int(ps.next) == t.n {
 		ps.next = 0
 	}
-	return j, t.metrics[dstLeaf*t.n+int(j)].get(now, t.ageOut), true
+	return j, t.metrics.get(dstLeaf)[j].get(now, t.ageOut), true
 }
 
 // HasChanged reports whether any metric observed from srcLeaf has changed

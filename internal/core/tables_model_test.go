@@ -162,7 +162,8 @@ func (t *refFromLeaf) emit(leaf, j int, now sim.Time) (uint8, uint8, bool) {
 // equal. The clock advances in steps that leave an entry fresh, partway
 // through its decay, or past it, and each run only ever observes a sparse
 // subset of its tags, so the round-robin cursor keeps crossing untouched
-// slots that sit between touched ones.
+// slots that sit between touched ones. On 256 leaves every op is followed by
+// the reads of a peer no op has written, which must leave its rows absent.
 func TestTablesMatchReferenceModel(t *testing.T) {
 	p := testParams()
 	steps := []sim.Time{0, 1, sim.Microsecond, p.AgeTimeout / 3, p.AgeTimeout, p.AgeTimeout + 1,
@@ -194,8 +195,21 @@ func TestTablesMatchReferenceModel(t *testing.T) {
 						}
 					}
 					buf, refBuf := make([]uint8, tags), make([]uint8, tags)
+					toRows, fromRows := map[int]bool{}, map[int]bool{}
 					now := sim.Time(0)
 					for i := 0; i < 4000; i++ {
+						if c, j := rng.Intn(leaves), rng.Intn(tags); leaves > 2 && !toRows[c] && !fromRows[c] {
+							g, w := to.Metrics(c, now, buf), refTo.Metrics(c, now, refBuf)
+							ga, gok := to.FeedbackAge(c, j, now)
+							wa, wok := refTo.FeedbackAge(c, j, now)
+							gt, gm, gfb := from.PickFeedback(c, now)
+							wt, wm, wfb := refFrom.PickFeedback(c, now)
+							if string(g) != string(w) || ga != wa || gok != wok || gt != wt || gm != wm || gfb != wfb ||
+								from.HasChanged(c) != refFrom.HasChanged(c) {
+								t.Fatalf("op %d: unwritten peer %d reads Metrics %v, FeedbackAge (%v, %v), PickFeedback (%d, %d, %v); reference %v, (%v, %v), (%d, %d, %v)",
+									i, c, g, ga, gok, gt, gm, gfb, w, wa, wok, wt, wm, wfb)
+							}
+						}
 						if rng.Intn(3) == 0 {
 							now += steps[rng.Intn(len(steps))]
 						}
@@ -204,6 +218,7 @@ func TestTablesMatchReferenceModel(t *testing.T) {
 						case 0, 1:
 							from.Observe(l, uint8(j), v, now)
 							refFrom.Observe(l, uint8(j), v, now)
+							fromRows[l] = true
 						case 2, 3, 4:
 							gt, gm, gok := from.PickFeedback(l, now)
 							wt, wm, wok := refFrom.PickFeedback(l, now)
@@ -218,6 +233,7 @@ func TestTablesMatchReferenceModel(t *testing.T) {
 						case 6:
 							to.Update(l, j, v, now)
 							refTo.Update(l, j, v, now)
+							toRows[l] = true
 						case 7:
 							if g, w := to.Metric(l, j, now), refTo.Metric(l, j, now); g != w {
 								t.Fatalf("op %d: Metric(%d, %d, %v) = %d, reference %d", i, l, j, now, g, w)
@@ -238,6 +254,10 @@ func TestTablesMatchReferenceModel(t *testing.T) {
 								t.Fatalf("op %d: MaxMetric(%d, %v) = %d, reference %d", i, j, now, g, w)
 							}
 						}
+						if to.metrics.written() != len(toRows) || from.metrics.written() != len(fromRows) {
+							t.Fatalf("op %d: %d To-rows, %d From-rows for %d and %d peers written", i,
+								to.metrics.written(), from.metrics.written(), len(toRows), len(fromRows))
+						}
 					}
 				})
 			}
@@ -246,10 +266,11 @@ func TestTablesMatchReferenceModel(t *testing.T) {
 }
 
 // TestPeerRowLayout pins the table layout of DESIGN.md §3.10: an entry is
-// one word, a peer's rows are contiguous, and at the scale shape — 256
-// leaves, 8 uplinks, 16 LBTags — a To-row is exactly one cache line and a
-// From-row two, each starting on a line boundary. (The alignment is the Go
-// allocator's for blocks this large, not a language guarantee.)
+// one word, and at the scale shape — 256 leaves, 8 uplinks, 16 LBTags — the
+// row store hands out a To-row of exactly one cache line and a From-row of
+// two, each starting on a line boundary, while a peer never written reads
+// the shared zero row. (The alignment is the Go allocator's for blocks of
+// these size classes, not a language guarantee.)
 func TestPeerRowLayout(t *testing.T) {
 	if s := unsafe.Sizeof(metricAge(0)); s != 8 {
 		t.Fatalf("metricAge is %d bytes, want 8", s)
@@ -259,13 +280,22 @@ func TestPeerRowLayout(t *testing.T) {
 	}
 	p := testParams()
 	addr := func(m *metricAge) uintptr { return uintptr(unsafe.Pointer(m)) }
-	to := NewCongestionToLeaf(256, 8, p)
-	if a, b := addr(&to.row(0)[0]), addr(&to.row(1)[0]); b-a != 64 || a%64 != 0 {
-		t.Errorf("8-uplink To-rows start at %#x and %#x, want 64 bytes apart on a line boundary", a, b)
+	to, from := NewCongestionToLeaf(256, 8, p), NewCongestionFromLeaf(256, 16, p)
+	for peer := 0; peer < 256; peer += 37 {
+		to.Update(peer, 7, 1, 0)
+		from.Observe(peer, 15, 1, 0)
+		for _, r := range []struct {
+			name  string
+			row   []metricAge
+			bytes uintptr
+		}{{"To", to.row(peer), 64}, {"From", from.metrics.get(peer), 128}} {
+			if a, n := addr(&r.row[0]), uintptr(len(r.row))*8; n != r.bytes || a%64 != 0 {
+				t.Errorf("peer %d's %s-row is %d bytes at %#x, want %d on a line boundary", peer, r.name, n, a, r.bytes)
+			}
+		}
 	}
-	from := NewCongestionFromLeaf(256, 16, p)
-	if a, b := addr(&from.metrics[0]), addr(&from.metrics[16]); b-a != 128 || a%64 != 0 {
-		t.Errorf("16-tag From-rows start at %#x and %#x, want 128 bytes apart on a line boundary", a, b)
+	if z := &zeroMetrics[0]; &to.row(1)[0] != z || &from.metrics.get(1)[0] != z {
+		t.Error("an unwritten peer's rows are not the shared zero row")
 	}
 }
 

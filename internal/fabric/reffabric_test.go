@@ -12,14 +12,15 @@ import (
 	"conga/internal/telemetry"
 )
 
-// The reference fabric: the same ECMP leaf-spine, written as plainly as the
-// paper describes it and sharing no mechanism with the production one. A
+// The reference fabric: the same leaf-spine, written as plainly as the paper
+// describes it and sharing no mechanism with the production one. A
 // container/heap of closures is its engine; its links are discrete, with a
 // sending flag and one tx-done and one delivery event per packet; packets are
 // plain structs, routing looks links up by name, every DRE decays on every
-// tick, and there is no pool, memo, prefetch, claim or cache. Production and
-// reference run the same paced sources, and every packet's per-hop record
-// must be the same on both.
+// tick, and there is no pool, memo, prefetch, claim or cache. Its leaves run
+// ECMP, spray, CONGA or CONGA-Flow; the CONGA state is plain maps, with no
+// code shared with core.Leaf. Production and reference run the same paced
+// sources, and every packet's per-hop record must be the same on both.
 
 // pktKey names a packet on both fabrics: its source's flow and its number
 // within the flow.
@@ -29,13 +30,20 @@ type pktKey struct {
 }
 
 // hop is one thing that happened to a packet: it arrived at the far end of
-// link at time at, carrying the overlay header's CE and LBTag, or it was
-// dropped by link at at.
+// link at time at, carrying the overlay header's CE, LBTag and piggybacked
+// feedback, or it was dropped by link at at.
 type hop struct {
 	at      sim.Time
 	link    string
 	ce, tag uint8
+	fb      refFB
 	drop    bool
+}
+
+// refFB is the header's feedback triple: FBValid, FBLBTag and FBMetric.
+type refFB struct {
+	valid       bool
+	tag, metric uint8
 }
 
 type hopLog map[pktKey][]hop
@@ -89,6 +97,7 @@ type refPkt struct {
 	sport, dport int
 	payload      int
 	ce, tag      uint8
+	fb           refFB
 }
 
 func (p *refPkt) size(fab bool) int {
@@ -137,7 +146,7 @@ func (l *refLinkFab) transmit(p *refPkt, now sim.Time) {
 	end := now + sim.Time(float64(size)*8/l.rate*float64(sim.Second))
 	l.eng.at(end, l.txDone)
 	l.eng.at(end+l.prop, func(now sim.Time) {
-		l.log.add(p.key, hop{at: now, link: l.name, ce: p.ce, tag: p.tag})
+		l.log.add(p.key, hop{at: now, link: l.name, ce: p.ce, tag: p.tag, fb: p.fb})
 		l.to(p, now)
 	})
 }
@@ -149,6 +158,158 @@ func (l *refLinkFab) txDone(now sim.Time) {
 		l.queue = l.queue[1:]
 		l.qlen -= p.size(l.dre != nil)
 		l.transmit(p, now)
+	}
+}
+
+// refLeaf is a reference leaf's load balancer. For CONGA the flowlet table
+// is a map by slot and the congestion tables maps by (peer, uplink or
+// LBTag); an absent key is an entry nothing has written.
+type refLeaf struct {
+	scheme  Scheme
+	p       core.Params
+	uplinks []*refLinkFab // index = LBTag
+	rng     *sim.Rand
+	next    int                  // spray's round-robin cursor
+	slots   map[int]*refFlowlet  // by hash % FlowletTableSize
+	to      map[[2]int]refMetric // [dstLeaf, uplink]: remote path metrics
+	from    map[[2]int]refMetric // [srcLeaf, LBTag]: CE seen, waiting to be fed back
+	changed map[[2]int]bool      // from entries that moved since last fed back
+	cursor  map[int]int          // per peer: the LBTag the feedback scan starts at
+}
+
+type refFlowlet struct {
+	port       int // −1 until a flowlet used the slot
+	valid, age bool
+}
+
+type refMetric struct {
+	v  uint8
+	at sim.Time
+}
+
+// aged is §3.3's aging rule: the full value for AgeTimeout after the update,
+// then a linear decay to zero over a further AgeTimeout.
+func (m refMetric) aged(now, timeout sim.Time) uint8 {
+	idle := now - m.at
+	switch {
+	case idle <= timeout:
+		return m.v
+	case idle-timeout >= timeout:
+		return 0
+	}
+	return uint8(float64(m.v) * (float64(timeout-(idle-timeout)) / float64(timeout)))
+}
+
+func (r *refLeaf) conga() bool { return r.scheme == SchemeCONGA || r.scheme == SchemeCONGAFlow }
+
+// pick chooses the uplink for a packet to dstLeaf and fills its header.
+func (r *refLeaf) pick(p *refPkt, hash uint64, dstLeaf int, now sim.Time) *refLinkFab {
+	up := 0
+	switch r.scheme {
+	case SchemeECMP:
+		up = int(hash % uint64(len(r.uplinks)))
+	case SchemeSpray:
+		up = r.next % len(r.uplinks)
+		r.next = up + 1
+	default:
+		up = r.flowlet(hash, dstLeaf, now)
+	}
+	p.ce, p.tag = 0, uint8(up)
+	if r.conga() {
+		p.fb = r.feedback(dstLeaf, now)
+	}
+	return r.uplinks[up]
+}
+
+// flowlet is §3.4's table lookup and, for the first packet of a flowlet,
+// §3.5's decision: the uplink minimizing max(local DRE, remote metric),
+// keeping the slot's previous uplink on a tie, else a uniform draw among the
+// minima.
+func (r *refLeaf) flowlet(hash uint64, dstLeaf int, now sim.Time) int {
+	slot := int(hash % uint64(r.p.FlowletTableSize))
+	f := r.slots[slot]
+	if f == nil {
+		f = &refFlowlet{port: -1}
+		r.slots[slot] = f
+	}
+	if f.valid {
+		f.age = false
+		return f.port
+	}
+	cost := make([]uint8, len(r.uplinks))
+	best, count := 256, 0
+	for u, l := range r.uplinks {
+		cost[u] = max(l.dre.Quantized(), r.to[[2]int{dstLeaf, u}].aged(now, r.p.AgeTimeout))
+		if c := int(cost[u]); c < best {
+			best, count = c, 1
+		} else if c == best {
+			count++
+		}
+	}
+	choice := f.port
+	if choice < 0 || int(cost[choice]) != best {
+		k := r.rng.Intn(count)
+		for u, c := range cost {
+			if int(c) != best {
+				continue
+			}
+			if k == 0 {
+				choice = u
+				break
+			}
+			k--
+		}
+	}
+	*f = refFlowlet{port: choice, valid: true}
+	return choice
+}
+
+// feedback picks the metric to piggyback toward dstLeaf: scanning LBTags
+// round-robin from the peer's cursor, the first entry that changed since it
+// was last fed back, else the first one ever observed.
+func (r *refLeaf) feedback(dstLeaf int, now sim.Time) refFB {
+	n, start := r.p.MaxUplinks, r.cursor[dstLeaf]
+	for _, wantChanged := range []bool{true, false} {
+		for i := 0; i < n; i++ {
+			k := [2]int{dstLeaf, (start + i) % n}
+			m, seen := r.from[k]
+			if !seen || (wantChanged && !r.changed[k]) {
+				continue
+			}
+			r.cursor[dstLeaf] = (k[1] + 1) % n
+			delete(r.changed, k)
+			return refFB{valid: true, tag: uint8(k[1]), metric: m.aged(now, r.p.AgeTimeout)}
+		}
+	}
+	return refFB{}
+}
+
+// arrive takes in the header of a packet leaving the fabric at this leaf:
+// its CE goes to the From table, its feedback to the To table.
+func (r *refLeaf) arrive(p *refPkt, srcLeaf int, now sim.Time) {
+	if !r.conga() {
+		return
+	}
+	k := [2]int{srcLeaf, int(p.tag)}
+	if m, seen := r.from[k]; !seen || m.v != p.ce {
+		r.changed[k] = true
+	}
+	r.from[k] = refMetric{p.ce, now}
+	if p.fb.valid && int(p.fb.tag) < len(r.uplinks) {
+		r.to[[2]int{srcLeaf, int(p.fb.tag)}] = refMetric{p.fb.metric, now}
+	}
+}
+
+// sweep is the every-Tfl age-bit pass over the whole table.
+func (r *refLeaf) sweep() {
+	for _, f := range r.slots {
+		switch {
+		case !f.valid:
+		case f.age:
+			f.valid = false
+		default:
+			f.age = true
+		}
 	}
 }
 
@@ -165,16 +326,20 @@ func refNet(cfg Config, eng *refEngine, log hopLog) map[string]*refLinkFab {
 		links[name] = l
 	}
 	hash := func(p *refPkt) uint64 { return HashFlow(p.key.flow, p.src, p.dst, p.sport, p.dport) }
+	rng := sim.NewRand(cfg.Seed)
+	leaves := make([]*refLeaf, cfg.NumLeaves)
+	for i := range leaves { // one RNG split per leaf, in leaf order, whatever the scheme
+		leaves[i] = &refLeaf{scheme: cfg.Scheme, p: cfg.Params, rng: rng.Split(), slots: map[int]*refFlowlet{},
+			to: map[[2]int]refMetric{}, from: map[[2]int]refMetric{}, changed: map[[2]int]bool{}, cursor: map[int]int{}}
+	}
 	for h := 0; h < cfg.NumLeaves*hpl; h++ {
 		leaf := h / hpl
 		link(fmt.Sprintf("h%d->l%d", h, leaf), cfg.AccessRateBps, cfg.AccessPropDelay, cfg.HostBufBytes, false,
-			func(p *refPkt, now sim.Time) { // ECMP ingress leaf: every uplink is up
+			func(p *refPkt, now sim.Time) { // the ingress leaf: every uplink is up
 				if dl := p.dst / hpl; dl == leaf {
 					links[fmt.Sprintf("l%d->h%d", leaf, p.dst)].send(p, now)
 				} else {
-					up := int(hash(p) % uint64(cfg.NumSpines*lps))
-					p.ce, p.tag = 0, uint8(up)
-					links[fmt.Sprintf("l%d->s%d.%d", leaf, up/lps, up%lps)].send(p, now)
+					leaves[leaf].pick(p, hash(p), dl, now).send(p, now)
 				}
 			})
 		link(fmt.Sprintf("l%d->h%d", leaf, h), cfg.AccessRateBps, cfg.AccessPropDelay, cfg.EdgeBufBytes, false,
@@ -188,12 +353,17 @@ func refNet(cfg Config, eng *refEngine, log hopLog) map[string]*refLinkFab {
 						links[fmt.Sprintf("s%d.%d->l%d", s, hash(p)%uint64(lps), p.dst/hpl)].send(p, now)
 					})
 				link(fmt.Sprintf("s%d.%d->l%d", s, k, leaf), cfg.FabricRateBps, cfg.FabricPropDelay, cfg.FabricBufBytes, true,
-					func(p *refPkt, now sim.Time) { links[fmt.Sprintf("l%d->h%d", leaf, p.dst)].send(p, now) })
+					func(p *refPkt, now sim.Time) {
+						leaves[leaf].arrive(p, p.src/hpl, now)
+						links[fmt.Sprintf("l%d->h%d", leaf, p.dst)].send(p, now)
+					})
+				leaves[leaf].uplinks = append(leaves[leaf].uplinks, links[fmt.Sprintf("l%d->s%d.%d", leaf, s, k)])
 			}
 		}
 	}
-	// DRE decay, created first as NewNetwork creates its ticker.
-	var tick func(sim.Time)
+	// DRE decay, then the flowlet sweep, created in the order NewNetwork
+	// creates its tickers.
+	var tick, sweep func(sim.Time)
 	tick = func(now sim.Time) {
 		for _, l := range links {
 			if l.dre != nil {
@@ -203,14 +373,22 @@ func refNet(cfg Config, eng *refEngine, log hopLog) map[string]*refLinkFab {
 		eng.at(now+cfg.Params.TDRE, tick)
 	}
 	eng.at(cfg.Params.TDRE, tick)
+	sweep = func(now sim.Time) {
+		for _, r := range leaves {
+			r.sweep()
+		}
+		eng.at(now+cfg.Params.Tfl, sweep)
+	}
+	eng.at(cfg.Params.Tfl, sweep)
 	return links
 }
 
 // pacedSource is a null-transport flow: each firing sends a burst of 1–8
 // packets back to back, then waits one of the first gaps gaps, from 0.3 µs
 // (several firings per level-0 block) to 120 µs (idle stretches the wheel
-// crosses by cascading). A source offered only the three short ones sends
-// faster than an access link drains.
+// crosses by cascading) and, past the first five, the 0.7 and 1.5 ms pauses
+// that end a 500 µs flowlet. A source offered only the three short ones
+// sends faster than an access link drains.
 type pacedSource struct {
 	flow     uint64
 	src, dst int
@@ -218,7 +396,7 @@ type pacedSource struct {
 }
 
 var (
-	refGaps     = [...]sim.Time{300, 1500, 5 * sim.Microsecond, 30 * sim.Microsecond, 120 * sim.Microsecond}
+	refGaps     = [...]sim.Time{300, 1500, 5 * sim.Microsecond, 30 * sim.Microsecond, 120 * sim.Microsecond, 700 * sim.Microsecond, 1500 * sim.Microsecond}
 	refPayloads = [...]int{6, 442, 1442} // 64-, 500- and 1500-byte frames
 )
 
@@ -244,30 +422,54 @@ type loggingNode struct {
 }
 
 func (n *loggingNode) handle(p *Packet, from *Link, now sim.Time) {
-	n.log.add(pktKey{p.FlowID, p.Seq}, hop{at: now, link: from.Name, ce: p.Hdr.CE, tag: p.Hdr.LBTag})
+	h := p.Hdr
+	n.log.add(pktKey{p.FlowID, p.Seq}, hop{at: now, link: from.Name, ce: h.CE, tag: h.LBTag,
+		fb: refFB{valid: h.FBValid, tag: h.FBLBTag, metric: h.FBMetric}})
 	n.next.handle(p, from, now)
 }
 
-// TestFabricMatchesReference compares every packet's records on both topologies.
+// TestFabricMatchesReference compares every packet's records on both
+// topologies: ECMP, spray, CONGA and CONGA-Flow on the 2×2 fabric, ECMP on
+// the testbed and CONGA on eight leaves of which three carry traffic, so most
+// of each leaf's flowlet-table pages and congestion-table peer rows are never
+// written.
 func TestFabricMatchesReference(t *testing.T) {
 	const until = 45 * sim.Millisecond // ≥ 10⁴ level-0 blocks, 21 level-1 window ends
 	small := Config{EdgeBufBytes: 8 << 10, FabricBufBytes: 6 << 10, HostBufBytes: 24 << 10, Scheme: SchemeECMP}
-	quick, testbed := small, small
+	quick, testbed, sparse := small, small, small
 	quick.NumLeaves, quick.NumSpines, quick.HostsPerLeaf, quick.LinksPerSpine = 2, 2, 8, 2
 	quick.AccessRateBps, quick.FabricRateBps = 1e9, 4e9
+	sparse.NumLeaves, sparse.NumSpines, sparse.HostsPerLeaf = 8, 2, 4
+	sparse.AccessRateBps, sparse.FabricRateBps = 1e9, 4e9
+	with := func(c Config, s Scheme) Config { c.Scheme = s; return c }
 	for _, tc := range []struct {
 		name     string
 		cfg      Config
 		sources  int
-		fastGaps int // the gaps source 0 draws from: 3 outruns a 10 Gb/s access link
-	}{{"quick-2x2", quick, 8, len(refGaps)}, {"testbed-64", testbed, 16, 3}} {
+		fastGaps int   // the gaps source 0 draws from: 3 outruns a 10 Gb/s access link
+		gaps     int   // the gaps the other sources draw from
+		busy     []int // the leaves whose hosts send and receive; nil: all
+		edges    bool  // every flow's flowlet slot is the first or last of a 512-slot page
+	}{
+		{"quick-2x2", quick, 8, 5, 5, nil, false},
+		{"testbed-64", testbed, 16, 3, 5, nil, false},
+		{"spray-2x2", with(quick, SchemeSpray), 8, 3, len(refGaps), nil, false},
+		{"conga-2x2", with(quick, SchemeCONGA), 8, 3, len(refGaps), nil, false},
+		{"conga-flow-2x2", with(quick, SchemeCONGAFlow), 8, 3, len(refGaps), nil, false},
+		{"conga-8leaf", with(sparse, SchemeCONGA), 12, 3, len(refGaps), []int{1, 4, 6}, true},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg.WithDefaults()
 			hosts := cfg.NumLeaves * cfg.HostsPerLeaf
+			host := func(i int) int { return i }
+			if tc.busy != nil {
+				hosts = len(tc.busy) * cfg.HostsPerLeaf
+				host = func(i int) int { return tc.busy[i/cfg.HostsPerLeaf]*cfg.HostsPerLeaf + i%cfg.HostsPerLeaf }
+			}
 			rng := sim.NewRand(7)
 			var srcs []pacedSource
 			for i := 0; i < tc.sources; i++ {
-				s := pacedSource{flow: uint64(i + 1), src: rng.Intn(hosts), gaps: len(refGaps)}
+				s := pacedSource{flow: uint64(i + 1), src: rng.Intn(hosts), gaps: tc.gaps}
 				switch {
 				case i == 0: // across the fabric into host 0: CE marks, queues, drops
 					s.src, s.gaps = hosts-1, tc.fastGaps
@@ -276,6 +478,10 @@ func TestFabricMatchesReference(t *testing.T) {
 				}
 				if s.dst == s.src {
 					s.dst = (s.src + hosts/2) % hosts
+				}
+				s.src, s.dst = host(s.src), host(s.dst)
+				for tc.edges && (HashFlow(s.flow, s.src, s.dst, 1000+int(s.flow), 80)%uint64(cfg.Params.FlowletTableSize)+1)%512 > 1 {
+					s.flow += uint64(tc.sources) // flow IDs stay distinct
 				}
 				srcs = append(srcs, s)
 			}
@@ -316,18 +522,31 @@ func TestFabricMatchesReference(t *testing.T) {
 			}
 			ref.run(until)
 
-			var drained, marked uint64
+			var drained, marked, fed uint64
 			n.eachLink(func(l *Link) { drained += l.drained })
 			keys := make([]pktKey, 0, len(want))
 			for k, hs := range want {
 				keys = append(keys, k)
 				for _, h := range hs {
 					marked += uint64(h.ce)
+					if h.fb.valid {
+						fed++
+					}
 				}
 			}
 			if len(want) < 10000 || len(tr.Events()) == 0 || drained == 0 || marked == 0 || eng.Cascades() == 0 {
 				t.Fatalf("traffic too tame: %d packets, %d drops, %d drained starts, CE sum %d, %d cascades",
 					len(want), len(tr.Events()), drained, marked, eng.Cascades())
+			}
+			if _, ok := n.Leaves[0].Strategy().(congaCarrier); ok {
+				var decisions, moves uint64
+				for _, ls := range n.Leaves {
+					l := ls.Strategy().(congaCarrier).Core()
+					decisions, moves = decisions+l.Decisions, moves+l.Moves
+				}
+				if fed == 0 || decisions == 0 || (cfg.Scheme == SchemeCONGA && moves == 0) {
+					t.Fatalf("CONGA too tame: %d hops with feedback, %d decisions, %d moves", fed, decisions, moves)
+				}
 			}
 			if reflect.DeepEqual(got, want) {
 				return

@@ -168,6 +168,11 @@ func TestHostileConfigsReturnErrors(t *testing.T) {
 		{"FCTConfig.MaxFlows < 0", "MaxFlows", fct(func(c *FCTConfig) { c.MaxFlows = -1 })},
 		{"FCTConfig.Params.Q = 0", "Q", fct(func(c *FCTConfig) { p := DefaultParams(); p.Q = 0; c.Params = &p })},
 		{"FCTConfig.Params.Tfl = 0", "Tfl", fct(func(c *FCTConfig) { p := DefaultParams(); p.Tfl = 0; c.Params = &p })},
+		{"FCTConfig.Params.FlowletTableSize = 1<<36", "FlowletTableSize", fct(func(c *FCTConfig) {
+			p := DefaultParams()
+			p.FlowletTableSize = 1 << 36
+			c.Params = &p
+		})},
 		{"IncastConfig.Fanout < 0", "Fanout", incast(func(c *IncastConfig) { c.Fanout = -1 })},
 		{"IncastConfig.Fanout ≥ hosts", "fanout", incast(func(c *IncastConfig) { c.Fanout = 16 })},
 		{"IncastConfig.RequestBytes < 0", "RequestBytes", incast(func(c *IncastConfig) { c.RequestBytes = -1 })},
