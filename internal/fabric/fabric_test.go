@@ -36,8 +36,8 @@ func flood(eng *sim.Engine, net *Network, flowID uint64, src, dst *Host, dstPort
 			return
 		}
 		p := &Packet{
-			FlowID: flowID, DstHost: dst.ID, SrcPort: int(flowID), DstPort: dstPort,
-			Seq: seq, Payload: payload, SentAt: now,
+			FlowID: flowID, DstHost: dst.ID, SrcPort: int(flowID), DstPort: int32(dstPort),
+			Seq: seq, Payload: int32(payload), SentAt: now,
 		}
 		seq += int64(payload)
 		src.Send(p, now)

@@ -103,10 +103,9 @@ func (h *Host) allocPortIn(lo, hi int) int {
 // Send transmits p on the host's access link. The caller must have filled
 // the addressing fields.
 func (h *Host) Send(p *Packet, now sim.Time) {
-	p.SrcHost = h.ID
+	p.SrcHost = int32(h.ID)
 	if h.trace != nil {
-		h.trace.Record(now, telemetry.TraceSend, h.traceName, p.FlowID,
-			p.SrcHost, p.DstHost, p.SrcPort, p.DstPort, p.Seq, p.Payload)
+		p.record(h.trace, now, telemetry.TraceSend, h.traceName)
 	}
 	h.out.Send(p, now)
 }
@@ -134,10 +133,9 @@ func (h *Host) handle(p *Packet, _ *Link, now sim.Time) {
 	h.RxPackets++
 	h.RxBytes += uint64(p.WireSize())
 	if h.trace != nil {
-		h.trace.Record(now, telemetry.TraceRecv, h.traceName, p.FlowID,
-			p.SrcHost, p.DstHost, p.SrcPort, p.DstPort, p.Seq, p.Payload)
+		p.record(h.trace, now, telemetry.TraceRecv, h.traceName)
 	}
-	if r, ok := h.recv.get(p.DstPort); ok {
+	if r, ok := h.recv.get(int(p.DstPort)); ok {
 		r.Receive(p, now)
 	}
 	h.pool.Put(p)

@@ -1,6 +1,8 @@
 package fabric
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -9,37 +11,49 @@ import (
 	"conga/internal/telemetry"
 )
 
-// TestPacketLayout pins the hot-state layout of DESIGN.md §3.10 so a later
-// field addition cannot silently undo it: the node a pop reads and the link
-// its firing follows fill the first cache line, every field a switch or
-// link reads on a hop ends within the second — byte 128, which is also the
-// end of the span Engine.Run and Link.drain prefetch at a packet's node
-// (prefetch.Lines2), so one hint covers the whole hop — and the whole packet
-// stays at 240 bytes (PR 12's 176 plus the node and the link).
+// TestPacketLayout pins the layout of DESIGN.md §3.10 so a later field
+// addition cannot silently undo it. A packet is exactly three cache lines:
+// the node a pop reads and the link its firing follows fill the first; every
+// field a switch or link reads on a hop lies in the second, which ends where
+// the span Engine.Run and Link.drain prefetch at a packet's node
+// (prefetch.Lines2) ends, so one hint covers the whole hop; the end-host
+// transport state fills the third. 192 bytes is also a Go size class, so
+// every pooled packet starts on a line boundary; a field that pushed Packet
+// into the 208-, 224- or 240-byte class would leave most packets straddling
+// four lines and fails the alignment check below.
 func TestPacketLayout(t *testing.T) {
-	var p Packet
-	if end := unsafe.Offsetof(p.link) + unsafe.Sizeof(p.link); unsafe.Offsetof(p.ev) != 0 || end != 64 {
-		t.Errorf("node and link end at byte %d, want exactly the first cache line", end)
+	if s := unsafe.Sizeof(Packet{}); s != 192 {
+		t.Errorf("Packet is %d bytes, want exactly 192 (three cache lines)", s)
 	}
-	hot := map[string]uintptr{
-		"lbHash":  unsafe.Offsetof(p.lbHash) + unsafe.Sizeof(p.lbHash),
-		"DstHost": unsafe.Offsetof(p.DstHost) + unsafe.Sizeof(p.DstHost),
-		"Payload": unsafe.Offsetof(p.Payload) + unsafe.Sizeof(p.Payload),
-		"SrcLeaf": unsafe.Offsetof(p.SrcLeaf) + unsafe.Sizeof(p.SrcLeaf),
-		"DstLeaf": unsafe.Offsetof(p.DstLeaf) + unsafe.Sizeof(p.DstLeaf),
-		"Hdr":     unsafe.Offsetof(p.Hdr) + unsafe.Sizeof(p.Hdr),
-		"Ctrl":    unsafe.Offsetof(p.Ctrl) + unsafe.Sizeof(p.Ctrl),
-		"IsAck":   unsafe.Offsetof(p.IsAck) + unsafe.Sizeof(p.IsAck),
-		"pooled":  unsafe.Offsetof(p.pooled) + unsafe.Sizeof(p.pooled),
+	line := map[string]uintptr{
+		"ev": 0, "link": 0,
+		"lbHash": 1, "DstHost": 1, "Payload": 1, "SrcLeaf": 1, "DstLeaf": 1, "Hdr": 1,
+		"Ctrl": 1, "IsAck": 1, "pooled": 1, "SackN": 1, "FlowID": 1, "SrcHost": 1, "DstPort": 1,
+		"SrcPort": 2, "Seq": 2, "AckNo": 2, "Sack": 2, "EchoTS": 2, "SentAt": 2,
 	}
-	for name, end := range hot {
-		if end > 128 {
-			t.Errorf("hop-hot field %s ends at byte %d, past the second cache line and the prefetched span", name, end)
+	typ := reflect.TypeOf(Packet{})
+	for i := range typ.NumField() {
+		f := typ.Field(i)
+		want, ok := line[f.Name]
+		if !ok {
+			t.Errorf("field %s is in no line of the layout", f.Name)
+			continue
+		}
+		if f.Offset/64 != want || (f.Offset+f.Type.Size()-1)/64 != want {
+			t.Errorf("field %s spans bytes [%d, %d), want it within line %d [%d, %d)",
+				f.Name, f.Offset, f.Offset+f.Type.Size(), want+1, want*64, want*64+64)
 		}
 	}
-	if s := unsafe.Sizeof(p); s > 240 {
-		t.Errorf("Packet is %d bytes, want ≤ 240", s)
+
+	var pool PacketPool
+	kept := make([]*Packet, 1000)
+	for i := range kept {
+		kept[i] = pool.Get()
+		if a := uintptr(unsafe.Pointer(kept[i])); a%64 != 0 {
+			t.Fatalf("pooled packet %d at %#x is not 64-byte aligned", i, a)
+		}
 	}
+	runtime.KeepAlive(kept)
 }
 
 // reachModel is the test's own record of which cables it pulled, from which

@@ -119,19 +119,19 @@ func (ls *LeafSwitch) fromHost(p *Packet, now sim.Time) {
 		ls.pool.Put(p)
 		return
 	}
-	p.SrcLeaf = ls.ID
-	p.DstLeaf = dstLeaf
+	p.SrcLeaf = int32(ls.ID)
+	p.DstLeaf = int32(dstLeaf)
 	ls.strategy.PrepareHeader(p, dstLeaf, up, now)
 	ls.UpPackets++
 	if ls.decisions != nil {
-		ls.decisions.AddBytes(up, dstLeaf, p.Payload)
+		ls.decisions.AddBytes(up, dstLeaf, int(p.Payload))
 	}
 	ls.uplinks[up].Send(p, now)
 }
 
 func (ls *LeafSwitch) fromFabric(p *Packet, now sim.Time) {
 	ls.DownPackets++
-	ls.strategy.OnFabricArrival(p, p.SrcLeaf, now)
+	ls.strategy.OnFabricArrival(p, int(p.SrcLeaf), now)
 	if p.Ctrl {
 		// Explicit feedback terminates at the TEP.
 		ls.pool.Put(p)
@@ -160,8 +160,8 @@ func (ls *LeafSwitch) sendControl(dstLeaf int, hdr core.Header, now sim.Time) {
 	// valid for the uplink it rides, so tag it accordingly.
 	hdr.LBTag = uint8(up)
 	p := ls.pool.Get()
-	p.SrcLeaf = ls.ID
-	p.DstLeaf = dstLeaf
+	p.SrcLeaf = int32(ls.ID)
+	p.DstLeaf = int32(dstLeaf)
 	p.Ctrl = true
 	p.Hdr = hdr
 	p.SentAt = now

@@ -408,8 +408,7 @@ func (l *Link) drop(p *Packet, now sim.Time) {
 		l.tel.Drops++
 	}
 	if l.trace != nil {
-		l.trace.Record(now, telemetry.TraceDrop, l.Name, p.FlowID,
-			p.SrcHost, p.DstHost, p.SrcPort, p.DstPort, p.Seq, p.Payload)
+		p.record(l.trace, now, telemetry.TraceDrop, l.Name)
 	}
 	l.pool.Put(p)
 }

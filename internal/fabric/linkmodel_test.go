@@ -170,7 +170,7 @@ func runModel(ops []modelOp, rate float64, fab bool, until sim.Time, build func(
 	seq := int64(0)
 	send := func(payload int, now sim.Time) sim.Time {
 		seq++
-		p := &Packet{Seq: seq, Payload: payload}
+		p := &Packet{Seq: seq, Payload: int32(payload)}
 		size := p.WireSize()
 		if fab {
 			size = p.FabricWireSize()
@@ -443,7 +443,7 @@ func TestSerializationMemoExact(t *testing.T) {
 				} else {
 					at += sim.Time(rng.Intn(40))
 				}
-				p := &Packet{Seq: int64(i), Payload: payloads[(i+rng.Intn(2))%len(payloads)]}
+				p := &Packet{Seq: int64(i), Payload: int32(payloads[(i+rng.Intn(2))%len(payloads)])}
 				size := p.WireSize()
 				if fab {
 					size = p.FabricWireSize()

@@ -15,6 +15,7 @@ package fabric
 import (
 	"conga/internal/core"
 	"conga/internal/sim"
+	"conga/internal/telemetry"
 )
 
 // Wire overheads, in bytes. Packets carry their transport payload length;
@@ -30,15 +31,19 @@ const (
 // Packet is the simulated unit of transfer. One struct serves both data and
 // ACK segments; transports interpret the sequence fields.
 //
-// Field order is part of the design (DESIGN.md §3.10). A packet is its own
-// event: the first cache line is the queue node of the one delivery it can
+// Field order and widths are part of the design (DESIGN.md §3.10). A packet
+// is exactly three cache lines, which is also one of Go's size classes, so
+// every packet the allocator hands out starts on a line boundary. A packet is
+// its own event: the first line is the queue node of the one delivery it can
 // have pending plus the link it is crossing, which is all a pop and the
-// firing read. Everything a switch or link then reads on the hop — the
-// hash, the destination, the sizes behind WireSize, the overlay header —
-// fills the second line, so a hop on a packet that fell out of cache costs
-// two adjacent line fills and no event object or ring slot beside them.
-// Transport state, which only the two end hosts read, follows. A layout
-// test pins both lines and the total size.
+// firing read. Everything a switch or link then reads on the hop — the hash,
+// the destination, the sizes behind WireSize, the overlay header — is in the
+// second line, so a hop on a packet that fell out of cache costs two adjacent
+// line fills and no event object or ring slot beside them. The flow identity
+// fills the rest of that line; a hop reads it only to compute a hash no
+// transport stamped. SrcPort, which stays an int, opens the third line with
+// the transport state only the two end hosts read. A layout test pins all
+// three lines, the size and the alignment.
 type Packet struct {
 	ev   sim.Node
 	link *Link // the link ev's arrival is for; meaningful while ev is pending
@@ -51,11 +56,11 @@ type Packet struct {
 	lbHash uint64
 
 	DstHost int
-	Payload int // payload bytes carried (0 for pure ACKs)
+	Payload int32 // payload bytes carried (0 for pure ACKs)
 
 	// Overlay state, valid while the packet is inside the fabric.
-	SrcLeaf int
-	DstLeaf int
+	SrcLeaf int32
+	DstLeaf int32
 	Hdr     core.Header
 	// Ctrl marks a leaf-to-leaf control packet (explicit CONGA feedback):
 	// it terminates at the destination TEP instead of a host.
@@ -64,23 +69,25 @@ type Packet struct {
 	// pooled marks packets allocated from a PacketPool; only those are
 	// recycled on release (see PacketPool).
 	pooled bool
+	// SackN is how many of Sack's blocks are valid.
+	SackN uint8
 
 	// Flow identity (with DstHost above). FlowID is unique per (sub)flow
 	// and is what ECMP and the flowlet table hash.
 	FlowID  uint64
-	SrcHost int
+	SrcHost int32
+	DstPort int32
 	SrcPort int
-	DstPort int
 
-	// Transport state (with Payload and IsAck above).
+	// Transport state (with Payload, IsAck and SackN above).
 	Seq   int64 // first payload byte's offset
 	AckNo int64 // cumulative ACK (valid when IsAck)
 	// Sack carries up to SackN selective-acknowledgement ranges
-	// [start, end) above AckNo, mirroring the TCP SACK option's 3-block
-	// limit when a timestamp option is present. A fixed array keeps pure
-	// ACKs allocation-free on the hot path.
-	Sack  [3][2]int64
-	SackN int
+	// [start, end) as offsets above AckNo — 32 bits each, as in the TCP
+	// SACK option, which also limits them to 3 blocks when a timestamp
+	// option is present. A fixed array keeps pure ACKs allocation-free on
+	// the hot path.
+	Sack [3][2]uint32
 	// EchoTS carries the send timestamp for RTT measurement, echoing the
 	// data packet's SentAt in the ACK.
 	EchoTS sim.Time
@@ -95,9 +102,14 @@ type Packet struct {
 // the packet. Zero is ignored (it is the "not computed" sentinel).
 func (p *Packet) SetLBHash(h uint64) { p.lbHash = h }
 
+// record adds p to the packet trace tr as a kind event at where.
+func (p *Packet) record(tr *telemetry.PacketTrace, now sim.Time, kind telemetry.TraceKind, where string) {
+	tr.Record(now, kind, where, p.FlowID, int(p.SrcHost), p.DstHost, p.SrcPort, int(p.DstPort), p.Seq, int(p.Payload))
+}
+
 // WireSize returns the packet's size on an access link in bytes.
 func (p *Packet) WireSize() int {
-	s := p.Payload + HeaderOverhead
+	s := int(p.Payload) + HeaderOverhead
 	if s < MinFrame {
 		s = MinFrame
 	}

@@ -3,13 +3,10 @@ package fabric
 import (
 	"container/heap"
 	"fmt"
-	"reflect"
 	"sort"
-	"testing"
 
 	"conga/internal/core"
 	"conga/internal/sim"
-	"conga/internal/telemetry"
 )
 
 // The reference fabric: the same leaf-spine, written as plainly as the paper
@@ -19,36 +16,10 @@ import (
 // plain structs, routing looks links up by name, every DRE decays on every
 // tick, and there is no pool, memo, prefetch, claim or cache. Its leaves run
 // ECMP, spray, CONGA or CONGA-Flow; the CONGA state is plain maps, with no
-// code shared with core.Leaf. Production and reference run the same paced
-// sources, and every packet's per-hop record must be the same on both.
-
-// pktKey names a packet on both fabrics: its source's flow and its number
-// within the flow.
-type pktKey struct {
-	flow uint64
-	seq  int64
-}
-
-// hop is one thing that happened to a packet: it arrived at the far end of
-// link at time at, carrying the overlay header's CE, LBTag and piggybacked
-// feedback, or it was dropped by link at at.
-type hop struct {
-	at      sim.Time
-	link    string
-	ce, tag uint8
-	fb      refFB
-	drop    bool
-}
-
-// refFB is the header's feedback triple: FBValid, FBLBTag and FBMetric.
-type refFB struct {
-	valid       bool
-	tag, metric uint8
-}
-
-type hopLog map[pktKey][]hop
-
-func (l hopLog) add(k pktKey, h hop) { l[k] = append(l[k], h) }
+// code shared with core.Leaf. Its hosts run paced null-transport sources or
+// refConn, a per-flow TCP over plain range lists that shares no code with
+// internal/tcp. Production and reference run the same traffic, and every
+// link's log of arrivals and drops must be the same on both.
 
 // refEvent and refQueue make the reference engine: (time, seq) order, seq
 // taken at every schedule call.
@@ -92,12 +63,24 @@ func (e *refEngine) run(until sim.Time) {
 }
 
 type refPkt struct {
-	key          pktKey
+	flow         uint64
 	src, dst     int
 	sport, dport int
+	seq          int64
 	payload      int
+	ack          bool
+	ackNo        int64
+	sack         [][2]int64
+	sent, echo   sim.Time
 	ce, tag      uint8
 	fb           refFB
+}
+
+func (p *refPkt) hop(at sim.Time) hop {
+	h := hop{at: at, flow: p.flow, src: p.src, seq: p.seq, payload: p.payload, ackNo: p.ackNo, echo: p.echo,
+		ce: p.ce, tag: p.tag, fb: p.fb}
+	copy(h.sack[:], p.sack)
+	return h
 }
 
 func (p *refPkt) size(fab bool) int {
@@ -129,7 +112,7 @@ func (l *refLinkFab) send(p *refPkt, now sim.Time) {
 	case !l.sending:
 		l.transmit(p, now)
 	case l.qlen+p.size(l.dre != nil) > l.maxQ:
-		l.log.add(p.key, hop{at: now, link: l.name, drop: true})
+		l.log.add(l.name, true, hop{at: now, flow: p.flow, src: p.src, seq: p.seq, payload: p.payload})
 	default:
 		l.queue = append(l.queue, p)
 		l.qlen += p.size(l.dre != nil)
@@ -146,7 +129,7 @@ func (l *refLinkFab) transmit(p *refPkt, now sim.Time) {
 	end := now + sim.Time(float64(size)*8/l.rate*float64(sim.Second))
 	l.eng.at(end, l.txDone)
 	l.eng.at(end+l.prop, func(now sim.Time) {
-		l.log.add(p.key, hop{at: now, link: l.name, ce: p.ce, tag: p.tag, fb: p.fb})
+		l.log.add(l.name, false, p.hop(now))
 		l.to(p, now)
 	})
 }
@@ -314,8 +297,9 @@ func (r *refLeaf) sweep() {
 }
 
 // refNet builds the reference fabric for cfg (which has its defaults
-// filled in) on eng, logging into log, and returns its links by name.
-func refNet(cfg Config, eng *refEngine, log hopLog) map[string]*refLinkFab {
+// filled in) on eng, logging into log and handing what reaches a host to
+// deliver, and returns its links by name.
+func refNet(cfg Config, eng *refEngine, log hopLog, deliver func(*refPkt, sim.Time)) map[string]*refLinkFab {
 	links := map[string]*refLinkFab{}
 	hpl, lps := cfg.HostsPerLeaf, cfg.LinksPerSpine
 	link := func(name string, rate float64, prop sim.Time, buf int, fab bool, to func(*refPkt, sim.Time)) {
@@ -325,7 +309,7 @@ func refNet(cfg Config, eng *refEngine, log hopLog) map[string]*refLinkFab {
 		}
 		links[name] = l
 	}
-	hash := func(p *refPkt) uint64 { return HashFlow(p.key.flow, p.src, p.dst, p.sport, p.dport) }
+	hash := func(p *refPkt) uint64 { return HashFlow(p.flow, p.src, p.dst, p.sport, p.dport) }
 	rng := sim.NewRand(cfg.Seed)
 	leaves := make([]*refLeaf, cfg.NumLeaves)
 	for i := range leaves { // one RNG split per leaf, in leaf order, whatever the scheme
@@ -342,8 +326,7 @@ func refNet(cfg Config, eng *refEngine, log hopLog) map[string]*refLinkFab {
 					leaves[leaf].pick(p, hash(p), dl, now).send(p, now)
 				}
 			})
-		link(fmt.Sprintf("l%d->h%d", leaf, h), cfg.AccessRateBps, cfg.AccessPropDelay, cfg.EdgeBufBytes, false,
-			func(*refPkt, sim.Time) {})
+		link(fmt.Sprintf("l%d->h%d", leaf, h), cfg.AccessRateBps, cfg.AccessPropDelay, cfg.EdgeBufBytes, false, deliver)
 	}
 	for leaf := 0; leaf < cfg.NumLeaves; leaf++ {
 		for s := 0; s < cfg.NumSpines; s++ {
@@ -383,187 +366,320 @@ func refNet(cfg Config, eng *refEngine, log hopLog) map[string]*refLinkFab {
 	return links
 }
 
-// pacedSource is a null-transport flow: each firing sends a burst of 1–8
-// packets back to back, then waits one of the first gaps gaps, from 0.3 µs
-// (several firings per level-0 block) to 120 µs (idle stretches the wheel
-// crosses by cascading) and, past the first five, the 0.7 and 1.5 ms pauses
-// that end a 500 µs flowlet. A source offered only the three short ones
-// sends faster than an access link drains.
-type pacedSource struct {
-	flow     uint64
-	src, dst int
-	gaps     int
-}
-
-var (
-	refGaps     = [...]sim.Time{300, 1500, 5 * sim.Microsecond, 30 * sim.Microsecond, 120 * sim.Microsecond, 700 * sim.Microsecond, 1500 * sim.Microsecond}
-	refPayloads = [...]int{6, 442, 1442} // 64-, 500- and 1500-byte frames
+// refTCP is the reference TCP's configuration: the tcp.Config fields it
+// reads. refFlow is one transfer of Size bytes from host Src to host Dst,
+// started at At.
+type (
+	refTCP struct {
+		MSS, InitCwnd, DupThresh, MaxCwnd int
+		MinRTO, MaxRTO, InitRTO           sim.Time
+	}
+	refFlow struct {
+		ID       uint64
+		Src, Dst int
+		Size     int64
+		At       sim.Time
+	}
 )
 
-// pace starts s on one engine; both fabrics draw the same sequence from seed.
-func (s pacedSource) pace(seed uint64, at func(sim.Time, func(sim.Time)), send func(seq int64, payload int, now sim.Time)) {
-	rng := sim.NewRand(seed)
-	seq := int64(0)
-	var fire func(sim.Time)
-	fire = func(now sim.Time) {
-		for i := rng.Intn(8); i >= 0; i-- {
-			seq++
-			send(seq, refPayloads[rng.Intn(len(refPayloads))], now)
+// refConn is one connection, both ends, as a plain state machine: slow start
+// and Reno growth, SACK-based fast recovery with RFC 6675's pipe, an RFC 6298
+// timer with Karn's rule and go-back-N on expiry, and a receiver that ACKs
+// every segment with up to three SACK blocks, the one holding that segment
+// first. Scoreboard and reassembly buffer are sorted range lists.
+type refConn struct {
+	c                 refTCP
+	f                 refFlow
+	eng               *refEngine
+	out               func(*refPkt, sim.Time) // into the sending host's access link
+	done              func(sim.Time)
+	sport, dport      int
+	una, nxt, rcvNxt  int64
+	cwnd, ssthresh    float64
+	recovery          bool
+	recover, mark     int64 // the recovery point; where hole repair resumes
+	pipe              int64 // retransmitted bytes not yet cumulatively acked
+	dups              int
+	sacked, ooo       [][2]int64 // the sender's scoreboard; the receiver's out-of-order data
+	srtt, rttvar, rto sim.Time
+	backoff           uint
+	lastRetx          sim.Time
+	timer             *bool // the armed RTO's liveness; nil when none is armed
+	closed            bool
+}
+
+// find returns the index of the range holding x, or −1.
+func find(rs [][2]int64, x int64) int {
+	for i, r := range rs {
+		if r[0] <= x && x < r[1] {
+			return i
 		}
-		at(now+refGaps[rng.Intn(s.gaps)], fire)
 	}
-	at(sim.Time(rng.Intn(5000)), fire)
+	return -1
 }
 
-// loggingNode wraps a production link's destination.
-type loggingNode struct {
-	next node
-	log  hopLog
+// insertRange adds [s, e) to rs, merging every range it overlaps or touches,
+// and returns the index of the range now holding it.
+func insertRange(rs [][2]int64, s, e int64) ([][2]int64, int) {
+	rs = append(rs, [2]int64{s, e})
+	sort.Slice(rs, func(i, j int) bool { return rs[i][0] < rs[j][0] })
+	out := rs[:1]
+	for _, r := range rs[1:] {
+		if last := &out[len(out)-1]; r[0] <= last[1] {
+			last[1] = max(last[1], r[1])
+		} else {
+			out = append(out, r)
+		}
+	}
+	return out, find(out, s)
 }
 
-func (n *loggingNode) handle(p *Packet, from *Link, now sim.Time) {
-	h := p.Hdr
-	n.log.add(pktKey{p.FlowID, p.Seq}, hop{at: now, link: from.Name, ce: h.CE, tag: h.LBTag,
-		fb: refFB{valid: h.FBValid, tag: h.FBLBTag, metric: h.FBMetric}})
-	n.next.handle(p, from, now)
+// segment is the length of a segment sent at seq: a full one, unless limit
+// or a sacked range comes first.
+func (k *refConn) segment(seq, limit int64) int64 {
+	n := min(int64(k.c.MSS), limit-seq)
+	for _, r := range k.sacked {
+		if r[0] > seq {
+			return min(n, r[0]-seq)
+		}
+	}
+	return n
 }
 
-// TestFabricMatchesReference compares every packet's records on both
-// topologies: ECMP, spray, CONGA and CONGA-Flow on the 2×2 fabric, ECMP on
-// the testbed and CONGA on eight leaves of which three carry traffic, so most
-// of each leaf's flowlet-table pages and congestion-table peer rows are never
-// written.
-func TestFabricMatchesReference(t *testing.T) {
-	const until = 45 * sim.Millisecond // ≥ 10⁴ level-0 blocks, 21 level-1 window ends
-	small := Config{EdgeBufBytes: 8 << 10, FabricBufBytes: 6 << 10, HostBufBytes: 24 << 10, Scheme: SchemeECMP}
-	quick, testbed, sparse := small, small, small
-	quick.NumLeaves, quick.NumSpines, quick.HostsPerLeaf, quick.LinksPerSpine = 2, 2, 8, 2
-	quick.AccessRateBps, quick.FabricRateBps = 1e9, 4e9
-	sparse.NumLeaves, sparse.NumSpines, sparse.HostsPerLeaf = 8, 2, 4
-	sparse.AccessRateBps, sparse.FabricRateBps = 1e9, 4e9
-	with := func(c Config, s Scheme) Config { c.Scheme = s; return c }
-	for _, tc := range []struct {
-		name     string
-		cfg      Config
-		sources  int
-		fastGaps int   // the gaps source 0 draws from: 3 outruns a 10 Gb/s access link
-		gaps     int   // the gaps the other sources draw from
-		busy     []int // the leaves whose hosts send and receive; nil: all
-		edges    bool  // every flow's flowlet slot is the first or last of a 512-slot page
-	}{
-		{"quick-2x2", quick, 8, 5, 5, nil, false},
-		{"testbed-64", testbed, 16, 3, 5, nil, false},
-		{"spray-2x2", with(quick, SchemeSpray), 8, 3, len(refGaps), nil, false},
-		{"conga-2x2", with(quick, SchemeCONGA), 8, 3, len(refGaps), nil, false},
-		{"conga-flow-2x2", with(quick, SchemeCONGAFlow), 8, 3, len(refGaps), nil, false},
-		{"conga-8leaf", with(sparse, SchemeCONGA), 12, 3, len(refGaps), []int{1, 4, 6}, true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := tc.cfg.WithDefaults()
-			hosts := cfg.NumLeaves * cfg.HostsPerLeaf
-			host := func(i int) int { return i }
-			if tc.busy != nil {
-				hosts = len(tc.busy) * cfg.HostsPerLeaf
-				host = func(i int) int { return tc.busy[i/cfg.HostsPerLeaf]*cfg.HostsPerLeaf + i%cfg.HostsPerLeaf }
-			}
-			rng := sim.NewRand(7)
-			var srcs []pacedSource
-			for i := 0; i < tc.sources; i++ {
-				s := pacedSource{flow: uint64(i + 1), src: rng.Intn(hosts), gaps: tc.gaps}
-				switch {
-				case i == 0: // across the fabric into host 0: CE marks, queues, drops
-					s.src, s.gaps = hosts-1, tc.fastGaps
-				case i%3 != 0: // a third of the rest converge on host 0 too
-					s.dst = rng.Intn(hosts)
-				}
-				if s.dst == s.src {
-					s.dst = (s.src + hosts/2) % hosts
-				}
-				s.src, s.dst = host(s.src), host(s.dst)
-				for tc.edges && (HashFlow(s.flow, s.src, s.dst, 1000+int(s.flow), 80)%uint64(cfg.Params.FlowletTableSize)+1)%512 > 1 {
-					s.flow += uint64(tc.sources) // flow IDs stay distinct
-				}
-				srcs = append(srcs, s)
-			}
+func (k *refConn) emit(seq, n int64, now sim.Time) {
+	k.out(&refPkt{flow: k.f.ID, src: k.f.Src, dst: k.f.Dst, sport: k.sport, dport: k.dport, seq: seq, payload: int(n), sent: now}, now)
+}
 
-			eng := sim.New()
-			n := MustNetwork(eng, cfg)
-			got := hopLog{}
-			tr := telemetry.New(telemetry.Options{Trace: true, TraceCap: 1 << 18}).Trace()
-			n.eachLink(func(l *Link) {
-				l.dst = &loggingNode{next: l.dst, log: got}
-				l.trace = tr
-			})
-			for i, s := range srcs {
-				s.pace(uint64(100+i), func(at sim.Time, fn func(sim.Time)) { eng.At(at, fn) },
-					func(seq int64, payload int, now sim.Time) {
-						h := n.Hosts[s.src]
-						p := h.NewPacket()
-						p.FlowID, p.DstHost, p.SrcPort, p.DstPort, p.Seq, p.Payload = s.flow, s.dst, 1000+int(s.flow), 80, seq, payload
-						h.Send(p, now)
-					})
-			}
-			eng.Run(until)
-			if info := tr.Info(); info.Suppressed != 0 {
-				t.Fatalf("drop trace overflowed (%d suppressed)", info.Suppressed)
-			}
-			for _, ev := range tr.Events() { // a drop is always a packet's last record
-				got.add(pktKey{ev.FlowID, ev.Seq}, hop{at: ev.T, link: ev.Where, drop: true})
-			}
+// trySend sends new data while a full segment fits in the window, skipping
+// what the receiver holds and stopping short at a range it holds; with the
+// window below a segment and nothing outstanding it sends a short one.
+func (k *refConn) trySend(now sim.Time) {
+	for k.nxt < k.f.Size && k.nxt-k.una+int64(k.c.MSS) <= int64(k.cwnd) {
+		if i := find(k.sacked, k.nxt); i >= 0 {
+			k.nxt = k.sacked[i][1]
+			continue
+		}
+		n := k.segment(k.nxt, k.f.Size)
+		k.emit(k.nxt, n, now)
+		k.nxt += n
+	}
+	if k.nxt < k.f.Size && k.nxt == k.una {
+		n := min(int64(k.c.MSS), k.f.Size-k.nxt)
+		k.emit(k.nxt, n, now)
+		k.nxt += n
+	}
+	if k.nxt > k.una && k.timer == nil {
+		k.arm(now)
+	}
+}
 
-			ref := &refEngine{}
-			want := hopLog{}
-			links := refNet(cfg, ref, want)
-			for i, s := range srcs {
-				s.pace(uint64(100+i), ref.at, func(seq int64, payload int, now sim.Time) {
-					p := &refPkt{key: pktKey{s.flow, seq}, src: s.src, dst: s.dst, sport: 1000 + int(s.flow), dport: 80, payload: payload}
-					links[fmt.Sprintf("h%d->l%d", s.src, s.src/cfg.HostsPerLeaf)].send(p, now)
-				})
-			}
-			ref.run(until)
+func (k *refConn) arm(now sim.Time) {
+	k.disarm()
+	live := true
+	k.timer = &live
+	k.eng.at(now+min(k.rto<<k.backoff, k.c.MaxRTO), func(now sim.Time) {
+		if live {
+			k.timer = nil
+			k.timeout(now)
+		}
+	})
+}
 
-			var drained, marked, fed uint64
-			n.eachLink(func(l *Link) { drained += l.drained })
-			keys := make([]pktKey, 0, len(want))
-			for k, hs := range want {
-				keys = append(keys, k)
-				for _, h := range hs {
-					marked += uint64(h.ce)
-					if h.fb.valid {
-						fed++
-					}
-				}
+func (k *refConn) disarm() {
+	if k.timer != nil {
+		*k.timer, k.timer = false, nil
+	}
+}
+
+func (k *refConn) halve() {
+	k.ssthresh = max(float64(k.nxt-k.una)/2, float64(2*k.c.MSS))
+}
+
+func (k *refConn) timeout(now sim.Time) {
+	k.halve()
+	k.cwnd, k.nxt, k.recovery, k.dups, k.mark, k.pipe = float64(k.c.MSS), k.una, false, 0, 0, 0
+	k.backoff = min(k.backoff+1, 16)
+	k.lastRetx = now
+	k.trySend(now)
+}
+
+func (k *refConn) ackIn(p *refPkt, now sim.Time) {
+	for _, b := range p.sack {
+		if b[1] > b[0] && b[1] > k.una {
+			k.sacked, _ = insertRange(k.sacked, max(b[0], k.una), b[1])
+		}
+	}
+	if p.ackNo == k.una && k.nxt > k.una {
+		k.dupAck(now)
+	}
+	if p.ackNo <= k.una {
+		return
+	}
+	acked := p.ackNo - k.una
+	k.una, k.backoff = p.ackNo, 0
+	var kept [][2]int64
+	for _, r := range k.sacked {
+		if r[1] > k.una {
+			kept = append(kept, [2]int64{max(r[0], k.una), r[1]})
+		}
+	}
+	k.sacked = kept
+	if p.echo > k.lastRetx {
+		k.sample(now - p.echo)
+	}
+	switch {
+	case !k.recovery:
+		k.dups = 0
+		if k.cwnd < k.ssthresh {
+			k.grow(float64(min(acked, int64(k.c.MSS))))
+		} else {
+			k.grow(float64(k.c.MSS) * float64(k.c.MSS) / k.cwnd)
+		}
+	case p.ackNo > k.recover:
+		k.recovery, k.cwnd, k.dups, k.mark, k.pipe = false, k.ssthresh, 0, 0, 0
+	default: // a partial ACK: the hole at una is still missing
+		k.pipe = max(k.pipe-acked, 0)
+		k.mark = k.una
+		k.retransmitHole(now)
+		k.recoverySend(now)
+	}
+	if k.nxt > k.una {
+		k.arm(now)
+	} else {
+		k.disarm()
+	}
+	k.trySend(now)
+	if k.una >= k.f.Size {
+		k.closed = true
+		k.done(now)
+	}
+}
+
+func (k *refConn) grow(d float64) {
+	k.cwnd = min(max(k.cwnd+d, float64(k.c.MSS)), float64(k.c.MaxCwnd))
+}
+
+func (k *refConn) dupAck(now sim.Time) {
+	if k.recovery {
+		k.recoverySend(now)
+		return
+	}
+	if k.dups++; k.dups < k.c.DupThresh {
+		return
+	}
+	k.halve()
+	k.recovery, k.recover, k.mark, k.pipe, k.cwnd = true, k.nxt, k.una, 0, k.ssthresh
+	k.retransmitHole(now)
+	k.arm(now)
+}
+
+// retransmitHole resends the first unsacked bytes at or above the repair
+// mark and below the recovery point, up to a segment or the next sacked
+// range.
+func (k *refConn) retransmitHole(now sim.Time) bool {
+	seq, limit := max(k.una, k.mark), min(k.recover, k.f.Size)
+	if i := find(k.sacked, seq); i >= 0 {
+		seq = k.sacked[i][1]
+	}
+	if seq >= limit {
+		return false
+	}
+	n := k.segment(seq, limit)
+	k.lastRetx, k.mark, k.pipe = now, seq+n, k.pipe+n
+	k.emit(seq, n, now)
+	return true
+}
+
+// recoverySend sends, holes first, while cwnd exceeds the pipe by a segment:
+// bytes out, less those sacked and those deemed lost (unsacked below the
+// highest sacked byte less three segments), plus retransmissions in flight.
+func (k *refConn) recoverySend(now sim.Time) {
+	for {
+		var sacked, lost int64
+		if n := len(k.sacked); n > 0 {
+			limit := k.sacked[n-1][1] - int64(3*k.c.MSS)
+			lost = max(limit-k.una, 0)
+			for _, r := range k.sacked {
+				sacked += r[1] - r[0]
+				lost -= max(min(r[1], limit)-r[0], 0)
 			}
-			if len(want) < 10000 || len(tr.Events()) == 0 || drained == 0 || marked == 0 || eng.Cascades() == 0 {
-				t.Fatalf("traffic too tame: %d packets, %d drops, %d drained starts, CE sum %d, %d cascades",
-					len(want), len(tr.Events()), drained, marked, eng.Cascades())
-			}
-			if _, ok := n.Leaves[0].Strategy().(congaCarrier); ok {
-				var decisions, moves uint64
-				for _, ls := range n.Leaves {
-					l := ls.Strategy().(congaCarrier).Core()
-					decisions, moves = decisions+l.Decisions, moves+l.Moves
-				}
-				if fed == 0 || decisions == 0 || (cfg.Scheme == SchemeCONGA && moves == 0) {
-					t.Fatalf("CONGA too tame: %d hops with feedback, %d decisions, %d moves", fed, decisions, moves)
-				}
-			}
-			if reflect.DeepEqual(got, want) {
-				return
-			}
-			for k := range got {
-				if _, ok := want[k]; !ok {
-					keys = append(keys, k)
-				}
-			}
-			sort.Slice(keys, func(i, j int) bool {
-				return keys[i].flow < keys[j].flow || (keys[i].flow == keys[j].flow && keys[i].seq < keys[j].seq)
-			})
-			for _, k := range keys {
-				if !reflect.DeepEqual(got[k], want[k]) {
-					t.Fatalf("flow %d packet %d:\nproduction %+v\nreference  %+v", k.flow, k.seq, got[k], want[k])
-				}
-			}
+		}
+		if int64(k.cwnd)-(k.nxt-k.una-sacked-max(lost, 0)+k.pipe) < int64(k.c.MSS) {
+			return
+		}
+		if k.retransmitHole(now) {
+			continue
+		}
+		if k.nxt >= k.f.Size {
+			return
+		}
+		n := min(int64(k.c.MSS), k.f.Size-k.nxt)
+		k.emit(k.nxt, n, now)
+		k.nxt += n
+	}
+}
+
+func (k *refConn) sample(r sim.Time) {
+	r = max(r, 1)
+	if k.srtt == 0 {
+		k.srtt, k.rttvar = r, r/2
+	} else {
+		k.rttvar = (3*k.rttvar + max(k.srtt-r, r-k.srtt)) / 4
+		k.srtt = (7*k.srtt + r) / 8
+	}
+	k.rto = min(max(k.srtt+4*k.rttvar, k.c.MinRTO), k.c.MaxRTO)
+}
+
+func (k *refConn) dataIn(p *refPkt, now sim.Time) {
+	start, end, at := p.seq, p.seq+int64(p.payload), 0
+	switch {
+	case end <= k.rcvNxt:
+	case start <= k.rcvNxt:
+		k.rcvNxt = end
+		for len(k.ooo) > 0 && k.ooo[0][0] <= k.rcvNxt {
+			k.rcvNxt, k.ooo = max(k.rcvNxt, k.ooo[0][1]), k.ooo[1:]
+		}
+	default:
+		k.ooo, at = insertRange(k.ooo, start, end)
+	}
+	a := &refPkt{flow: k.f.ID, src: k.f.Dst, dst: k.f.Src, sport: k.dport, dport: k.sport, ack: true, ackNo: k.rcvNxt, echo: p.sent, sent: now}
+	for i := range min(len(k.ooo), 3) {
+		a.sack = append(a.sack, k.ooo[(at+i)%len(k.ooo)])
+	}
+	k.out(a, now)
+}
+
+// runRefTCP runs flows over the reference fabric for cfg until until and
+// returns its log and each completed flow's completion time. Each flow
+// takes its receiver's port, then its sender's, from a per-host counter
+// starting at 10000, the order tcp.StartFlow allocates them in.
+func runRefTCP(cfg Config, c refTCP, flows []refFlow, until sim.Time) (hopLog, map[uint64]sim.Time) {
+	eng, log, fct := &refEngine{}, hopLog{}, map[uint64]sim.Time{}
+	conns, ports := map[uint64]*refConn{}, map[int]int{}
+	var links map[string]*refLinkFab
+	links = refNet(cfg, eng, log, func(p *refPkt, now sim.Time) {
+		switch k := conns[p.flow]; {
+		case k == nil || k.closed:
+		case p.ack:
+			k.ackIn(p, now)
+		default:
+			k.dataIn(p, now)
+		}
+	})
+	out := func(p *refPkt, now sim.Time) {
+		links[fmt.Sprintf("h%d->l%d", p.src, p.src/cfg.HostsPerLeaf)].send(p, now)
+	}
+	port := func(h int) int { ports[h]++; return 9999 + ports[h] }
+	for _, f := range flows {
+		eng.at(f.At, func(now sim.Time) {
+			k := &refConn{c: c, f: f, eng: eng, out: out, done: func(end sim.Time) { fct[f.ID] = end - f.At },
+				cwnd: float64(c.InitCwnd * c.MSS), ssthresh: float64(c.MaxCwnd), rto: c.InitRTO, lastRetx: -1}
+			k.dport = port(f.Dst)
+			k.sport = port(f.Src)
+			conns[f.ID] = k
+			k.trySend(now)
 		})
 	}
+	eng.run(until)
+	return log, fct
 }

@@ -81,7 +81,7 @@ func flowHash(p *Packet) uint64 {
 	if h := p.lbHash; h != 0 {
 		return h
 	}
-	h := HashFlow(p.FlowID, p.SrcHost, p.DstHost, p.SrcPort, p.DstPort)
+	h := HashFlow(p.FlowID, int(p.SrcHost), p.DstHost, p.SrcPort, int(p.DstPort))
 	p.lbHash = h // 0 stays uncached (recomputed), so the memo is exact
 	return h
 }

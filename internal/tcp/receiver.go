@@ -1,6 +1,8 @@
 package tcp
 
 import (
+	"fmt"
+
 	"conga/internal/fabric"
 	"conga/internal/sim"
 )
@@ -25,8 +27,8 @@ type Receiver struct {
 	// senders (a caller-bound receiver, see StartFlowTo), and each has its own
 	// reverse tuple.
 	ackFlowID uint64
-	ackSrc    int // data packet's SrcHost the cache was computed for
-	ackPort   int // data packet's SrcPort likewise
+	ackSrc    int32 // data packet's SrcHost the cache was computed for
+	ackPort   int   // data packet's SrcPort likewise
 	ackHash   uint64
 
 	// OnDelivered fires whenever the in-order prefix advances, with the
@@ -132,23 +134,23 @@ func (r *Receiver) sendAck(data *fabric.Packet, recent int, now sim.Time) {
 	r.AcksOut++
 	ack := r.host.NewPacket()
 	ack.FlowID = data.FlowID // same 5-tuple identity, reverse direction
-	ack.DstHost = data.SrcHost
+	ack.DstHost = int(data.SrcHost)
 	ack.SrcPort = r.port
-	ack.DstPort = data.SrcPort
+	ack.DstPort = int32(data.SrcPort)
 	ack.IsAck = true
 	ack.AckNo = r.rcvNxt
 	ack.EchoTS = data.SentAt
 	ack.SentAt = now
 	if r.ackFlowID != data.FlowID || r.ackSrc != data.SrcHost || r.ackPort != data.SrcPort {
 		r.ackFlowID, r.ackSrc, r.ackPort = data.FlowID, data.SrcHost, data.SrcPort
-		r.ackHash = fabric.HashFlow(data.FlowID, r.host.ID, data.SrcHost, r.port, data.SrcPort)
+		r.ackHash = fabric.HashFlow(data.FlowID, r.host.ID, int(data.SrcHost), r.port, data.SrcPort)
 	}
 	ack.SetLBHash(r.ackHash)
 	// SACK blocks (3-block limit, as with a timestamp option on the
-	// wire). Per RFC 2018 the first block reports the range containing
-	// the segment that triggered this ACK; the rest rotate through the
-	// other buffered ranges so the sender's scoreboard converges even
-	// with many holes.
+	// wire), carried as 32-bit offsets above the ACK. Per RFC 2018 the
+	// first block reports the range containing the segment that triggered
+	// this ACK; the rest rotate through the other buffered ranges so the
+	// sender's scoreboard converges even with many holes.
 	if n := len(r.ooo.spans); n > 0 {
 		start := recent
 		if start < 0 || start >= n {
@@ -156,7 +158,12 @@ func (r *Receiver) sendAck(data *fabric.Packet, recent int, now sim.Time) {
 		}
 		for k := 0; k < n && k < 3; k++ {
 			iv := r.ooo.spans[(start+k)%n]
-			ack.Sack[ack.SackN] = [2]int64{iv.start, iv.end}
+			if iv.end-r.rcvNxt >= 1<<32 {
+				// The sender's window, which Config.Validate keeps below
+				// 2³¹ bytes, bounds how far above the ACK data arrives.
+				panic(fmt.Sprintf("tcp: SACK block [%d, %d) lies 2³² or more above ACK %d", iv.start, iv.end, r.rcvNxt))
+			}
+			ack.Sack[ack.SackN] = [2]uint32{uint32(iv.start - r.rcvNxt), uint32(iv.end - r.rcvNxt)}
 			ack.SackN++
 		}
 	}

@@ -236,24 +236,49 @@ func TestReorderingUnderSprayStillCompletes(t *testing.T) {
 func TestSackCarriedOnWire(t *testing.T) {
 	eng, n := testNet(t, fabric.SchemeECMP)
 	r := NewReceiver(n.Host(0), 7100)
-	var lastSack [][2]int64
+	var lastSack [][2]int64 // offsets above lastAck, as carried
+	var lastAck int64
 	// Interpose: watch ACKs arriving back at a fake sender port. The packet
 	// is recycled after delivery, so copy the blocks out.
 	n.Host(4).Bind(7101, recvProbe(func(p *fabric.Packet) {
 		lastSack = lastSack[:0]
-		for i := 0; i < p.SackN; i++ {
-			lastSack = append(lastSack, p.Sack[i])
+		for i := range p.SackN {
+			lastSack = append(lastSack, [2]int64{int64(p.Sack[i][0]), int64(p.Sack[i][1])})
 		}
+		lastAck = p.AckNo
 	}))
 	seg := func(seq int64, size int) *fabric.Packet {
 		return &fabric.Packet{FlowID: 2, SrcHost: 4, DstHost: 0, SrcPort: 7101, DstPort: 7100,
-			Seq: seq, Payload: size}
+			Seq: seq, Payload: int32(size)}
 	}
 	r.Receive(seg(1460, 1460), 0) // out of order → SACK block
 	eng.Run(sim.MaxTime)
-	if len(lastSack) != 1 || lastSack[0] != [2]int64{1460, 2920} {
-		t.Fatalf("SACK on wire = %v, want [[1460 2920]]", lastSack)
+	if lastAck != 0 || len(lastSack) != 1 || lastSack[0] != [2]int64{1460, 2920} {
+		t.Fatalf("ACK %d SACK on wire = %v, want ACK 0 [[1460 2920]]", lastAck, lastSack)
 	}
+	// Once the ACK moves, the block is carried relative to it.
+	r.Receive(seg(0, 1460), eng.Now())
+	r.Receive(seg(4380, 1460), eng.Now())
+	eng.Run(sim.MaxTime)
+	if lastAck != 2920 || len(lastSack) != 1 || lastSack[0] != [2]int64{1460, 2920} {
+		t.Fatalf("ACK %d SACK on wire = %v, want ACK 2920 [[1460 2920]] (absolute [4380, 5840))", lastAck, lastSack)
+	}
+}
+
+// TestSackBeyond32BitsPanics: a block must fit its 32-bit offset above the
+// ACK, or the receiver refuses to send it rather than wrap it.
+func TestSackBeyond32BitsPanics(t *testing.T) {
+	_, n := testNet(t, fabric.SchemeECMP)
+	seg := func(seq int64) *fabric.Packet {
+		return &fabric.Packet{FlowID: 3, SrcHost: 4, DstHost: 0, SrcPort: 7201, DstPort: 7200, Seq: seq, Payload: 100}
+	}
+	NewReceiver(n.Host(0), 7200).Receive(seg(1<<32-101), 0) // ends at offset 2³² − 1: fits
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a SACK block ending 2³² above the ACK was sent")
+		}
+	}()
+	NewReceiver(n.Host(0), 7202).Receive(seg(1<<32-100), 0)
 }
 
 type recvProbe func(p *fabric.Packet)

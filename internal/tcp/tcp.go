@@ -68,11 +68,16 @@ func DefaultConfig() Config {
 	}
 }
 
+// maxMSS is the TCP payload of the largest IPv4 datagram, 65,535 bytes.
+const maxMSS = 65535 - 40
+
 // Validate reports the first invalid field.
 func (c Config) Validate() error {
 	switch {
 	case c.MSS <= 0:
 		return fmt.Errorf("tcp: MSS %d must be positive", c.MSS)
+	case c.MSS > maxMSS:
+		return fmt.Errorf("tcp: MSS %d exceeds %d, the payload of the largest IPv4 datagram", c.MSS, maxMSS)
 	case c.InitCwnd <= 0:
 		return fmt.Errorf("tcp: InitCwnd %d must be positive", c.InitCwnd)
 	case c.MinRTO <= 0:
@@ -85,6 +90,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("tcp: DupThresh %d must be positive", c.DupThresh)
 	case c.MaxCwnd < c.MSS:
 		return fmt.Errorf("tcp: MaxCwnd %d smaller than one MSS", c.MaxCwnd)
+	case c.MaxCwnd >= 1<<31:
+		// SACK blocks travel as 32-bit offsets above the ACK (see
+		// Receiver.sendAck); the window bounds how far out they reach.
+		return fmt.Errorf("tcp: MaxCwnd %d must be below 2³¹", c.MaxCwnd)
 	}
 	return nil
 }
@@ -349,9 +358,9 @@ func (s *Sender) emit(seq int64, payload int, now sim.Time) {
 	p.FlowID = s.flowID
 	p.DstHost = s.dstHost
 	p.SrcPort = s.srcPort
-	p.DstPort = s.dstPort
+	p.DstPort = int32(s.dstPort)
 	p.Seq = seq
-	p.Payload = payload
+	p.Payload = int32(payload)
 	p.SentAt = now
 	p.SetLBHash(s.lbHash)
 	s.stats.SegmentsSent++
@@ -433,8 +442,8 @@ func (s *Sender) Receive(p *fabric.Packet, now sim.Time) {
 	if !p.IsAck || s.freed {
 		return
 	}
-	for i := 0; i < p.SackN; i++ {
-		s.addSack(p.Sack[i][0], p.Sack[i][1])
+	for i := range p.SackN {
+		s.addSack(p.AckNo+int64(p.Sack[i][0]), p.AckNo+int64(p.Sack[i][1]))
 	}
 	ack := p.AckNo
 	if ack > s.sndUna {

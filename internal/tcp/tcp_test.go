@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"strings"
 	"testing"
 
 	"conga/internal/core"
@@ -39,21 +40,31 @@ func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
-	bad := []func(*Config){
-		func(c *Config) { c.MSS = 0 },
-		func(c *Config) { c.InitCwnd = 0 },
-		func(c *Config) { c.MinRTO = 0 },
-		func(c *Config) { c.MaxRTO = c.MinRTO - 1 },
-		func(c *Config) { c.InitRTO = 0 },
-		func(c *Config) { c.DupThresh = 0 },
-		func(c *Config) { c.MaxCwnd = 10 },
+	bad := []struct {
+		field  string
+		mutate func(*Config)
+	}{
+		{"MSS", func(c *Config) { c.MSS = 0 }},
+		{"MSS", func(c *Config) { c.MSS, c.MaxCwnd = 65496, 1<<20 }},
+		{"InitCwnd", func(c *Config) { c.InitCwnd = 0 }},
+		{"MinRTO", func(c *Config) { c.MinRTO = 0 }},
+		{"MaxRTO", func(c *Config) { c.MaxRTO = c.MinRTO - 1 }},
+		{"InitRTO", func(c *Config) { c.InitRTO = 0 }},
+		{"DupThresh", func(c *Config) { c.DupThresh = 0 }},
+		{"MaxCwnd", func(c *Config) { c.MaxCwnd = 10 }},
+		{"MaxCwnd", func(c *Config) { c.MaxCwnd = 1 << 31 }},
 	}
-	for i, mutate := range bad {
+	for i, b := range bad {
 		c := DefaultConfig()
-		mutate(&c)
-		if err := c.Validate(); err == nil {
-			t.Errorf("bad config %d accepted", i)
+		b.mutate(&c)
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), b.field) {
+			t.Errorf("bad config %d (%s): got %v, want an error naming %s", i, b.field, err, b.field)
 		}
+	}
+	edge := DefaultConfig()
+	edge.MSS, edge.MaxCwnd = 65495, 1<<31-1
+	if err := edge.Validate(); err != nil {
+		t.Errorf("largest valid MSS and MaxCwnd refused: %v", err)
 	}
 }
 
@@ -269,7 +280,7 @@ func TestReceiverReassemblesOutOfOrder(t *testing.T) {
 
 	seg := func(seq int64, size int) *fabric.Packet {
 		return &fabric.Packet{FlowID: 1, SrcHost: 4, DstHost: 0, SrcPort: 9, DstPort: 4000,
-			Seq: seq, Payload: size}
+			Seq: seq, Payload: int32(size)}
 	}
 	// Deliver 2,3,1 of three 100-byte segments.
 	r.Receive(seg(100, 100), 0)
@@ -291,7 +302,7 @@ func TestReceiverMergesOverlappingIntervals(t *testing.T) {
 	_, n := testNet(t, fabric.SchemeECMP)
 	r := NewReceiver(n.Host(0), 4001)
 	seg := func(seq int64, size int) *fabric.Packet {
-		return &fabric.Packet{SrcHost: 4, DstHost: 0, SrcPort: 9, DstPort: 4001, Seq: seq, Payload: size}
+		return &fabric.Packet{SrcHost: 4, DstHost: 0, SrcPort: 9, DstPort: 4001, Seq: seq, Payload: int32(size)}
 	}
 	r.Receive(seg(300, 100), 0)
 	r.Receive(seg(100, 100), 0)

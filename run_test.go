@@ -161,6 +161,8 @@ func TestHostileConfigsReturnErrors(t *testing.T) {
 		{"Topology.Leaves = 1", "leaves", fct(func(c *FCTConfig) { c.Topology.Leaves = 1 })},
 		{"Transport.MTU too small", "MTU", fct(func(c *FCTConfig) { c.Transport.MTU = 10 })},
 		{"Transport.MTU too small (incast)", "MTU", incast(func(c *IncastConfig) { c.Transport.MTU = 40 })},
+		{"Transport.MTU absurd", "MSS 1048536 exceeds 65495", fct(func(c *FCTConfig) { c.Transport.MTU = 1 << 20 })},
+		{"Transport.MTU absurd (incast)", "MSS 65496 exceeds 65495", incast(func(c *IncastConfig) { c.Transport.MTU = 1 << 16 })},
 		{"Transport.MinRTO < 0", "MinRTO", fct(func(c *FCTConfig) { c.Transport.MinRTO = -time.Second })},
 		{"Transport.Subflows < 0", "Subflows", fct(func(c *FCTConfig) { c.Transport.Subflows = -2 })},
 		{"FCTConfig.Load = 0", "load", fct(func(c *FCTConfig) { c.Load = 0 })},
