@@ -38,19 +38,22 @@ lint: vet
 memlat:
 	$(GO) run ./tools/memlat
 
-# Native fuzzing smoke (~130 s): the timing wheel against a sorted (time, seq)
+# Native fuzzing smoke (~170 s): the timing wheel against a sorted (time, seq)
 # model, the packed congestion-table entry against the three-field one it
-# replaced, the paged flowlet table against its map model (any size, either
-# gap mode), tcp's span set (every SACK block's source) against a byte map,
-# the sink-file reader against the writer (whatever it reads must re-encode
-# to bytes that read back equal), and the replay-trace reader on forged and
-# damaged binary input (an error, never a panic). Their
+# replaced, the open-addressed flowlet table against its map model (any size,
+# either gap mode), the overlay header's bit-packing both ways, the hosts'
+# port table against a Go map, tcp's span set (every SACK block's source)
+# against a byte map, the sink-file reader against the writer (whatever it
+# reads must re-encode to bytes that read back equal), and the replay-trace
+# reader on forged and damaged binary input (an error, never a panic). Their
 # seed corpora already run under plain `go test`; this lets the mutator look
 # past them. One target per invocation is a go test rule.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzWheelMatchesHeap -fuzztime 20s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzMetricAgePacking -fuzztime 20s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzFlowletTableMatchesModel -fuzztime 20s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzHeaderRoundTrip -fuzztime 20s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzPortTableMatchesMap -fuzztime 20s ./internal/fabric
 	$(GO) test -run '^$$' -fuzz FuzzSpanSetMatchesModel -fuzztime 20s ./internal/tcp
 	$(GO) test -run '^$$' -fuzz FuzzReadSinkFile -fuzztime 20s ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz FuzzReplayRead -fuzztime 20s ./internal/replay

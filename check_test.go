@@ -1,0 +1,78 @@
+package conga
+
+import (
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"conga/internal/sim"
+)
+
+// TestCheckDoesNotPerturbSimulation puts the audit on the non-perturbation
+// matrix: every scheme, sequential and on two domains, must give a result
+// bit-identical with Check on as with it off — and pass it.
+func TestCheckDoesNotPerturbSimulation(t *testing.T) {
+	for _, scheme := range []Scheme{SchemeECMP, SchemeCONGA, SchemeCONGAFlow, SchemeLocal, SchemeSpray, SchemeMPTCPMarker} {
+		for _, domains := range []int{1, 2} {
+			cfg := FCTConfig{
+				Topology: Topology{Leaves: 2, Spines: 2, HostsPerLeaf: 4, LinksPerSpine: 1,
+					AccessGbps: 10, FabricGbps: 10},
+				Scheme:       scheme,
+				Workload:     WorkloadEnterprise,
+				Load:         0.6,
+				Duration:     10 * time.Millisecond,
+				MaxFlows:     120,
+				Seed:         7,
+				CollectFlows: true,
+				Parallel:     domains,
+			}
+			off, err := RunFCT(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Check = true
+			on, err := RunFCT(cfg)
+			if err != nil {
+				t.Fatalf("%s on %d domains: %v", SchemeName(scheme), domains, err)
+			}
+			off.Wall, on.Wall = 0, 0
+			if !reflect.DeepEqual(off, on) {
+				t.Fatalf("%s on %d domains: Check changed the simulation\noff: %+v\non:  %+v", SchemeName(scheme), domains, off, on)
+			}
+		}
+	}
+}
+
+// TestCheckNamesRunFaults plants the faults the run-level audit catches —
+// a completed flow short of its size, a packet held past drain — and
+// requires the error that names each.
+func TestCheckNamesRunFaults(t *testing.T) {
+	newChecked := func() *run {
+		r, err := newRun(quickTopo().withDefaults(), SchemeCONGA, nil, TransportConfig{}.withDefaults(), nil, 1, nil, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.enableCheck()
+		return r
+	}
+	r := newChecked()
+	r.exec(sim.Millisecond)
+	if err := r.audit(); err != nil {
+		t.Fatalf("idle run: %v", err)
+	}
+
+	r = newChecked()
+	r.doms[0].checkDelivered(42, 1000, 999)
+	r.doms[0].checkDelivered(43, 1000, 1000)
+	if err := r.audit(); err == nil || !strings.Contains(err.Error(), "flow 42 completed having delivered 999 of its 1000 bytes") {
+		t.Fatalf("short flow: audit() = %v", err)
+	}
+
+	r = newChecked()
+	r.net.Host(0).NewPacket() // never sent, never released
+	r.exec(sim.Millisecond)
+	if err := r.audit(); err == nil || !strings.Contains(err.Error(), "1 of 1 pooled packets are not back on a pool at drain") {
+		t.Fatalf("packet held past drain: audit() = %v", err)
+	}
+}

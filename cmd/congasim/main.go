@@ -12,6 +12,7 @@
 //	congasim -mode fig2 -scheme local
 //	congasim -scheme ecmp -record run.trace.gz       # capture the workload
 //	congasim -scheme conga -replay run.trace.gz      # re-inject it elsewhere
+//	congasim -check                             # audit the run's invariants
 package main
 
 import (
@@ -53,6 +54,7 @@ func main() {
 		imbalance = flag.Bool("imbalance", false, "collect Figure-12 imbalance stats")
 		queues    = flag.Bool("queues", false, "collect queue occupancy stats")
 		parallel  = flag.Int("parallel", 1, "space-parallel domains for fct mode (>1 partitions the fabric across that many worker goroutines)")
+		check     = flag.Bool("check", false, "audit the run (fct mode): flowlet tables at every sweep, each completed flow's delivered bytes, no packet left at drain; exit 1 naming the first failure")
 
 		fanout = flag.Int("fanout", 16, "incast fan-in (incast mode)")
 		reqMB  = flag.Int("reqmb", 10, "incast request size in MB")
@@ -147,7 +149,7 @@ func main() {
 			Transport: tc, Duration: *duration, MaxFlows: *maxFlows, Seed: *seed,
 			CollectImbalance: *imbalance, CollectQueues: *queues,
 			Telemetry: tel, Parallel: *parallel,
-			Record: *recordPath != "",
+			Record: *recordPath != "", Check: *check,
 		}
 		if *replayPath != "" {
 			tr, err := replay.Read(*replayPath)
@@ -160,6 +162,9 @@ func main() {
 		res, err := conga.RunFCT(cfg)
 		die(err)
 		printFCT(res)
+		if *check {
+			fmt.Println("check: passed (flowlet tables at every sweep, completed flow sizes, drain)")
+		}
 		printTelemetry(res.Telemetry, *telemetryDir)
 		writeTrace(*recordPath, res.Trace)
 		writeCDFs(*cdfOut, res)
@@ -217,7 +222,7 @@ var (
 		"trace-trigger", "trace-stop-after", "decisions", "serve", "linger"}
 	modeFlags = map[string][]string{
 		"fct": append([]string{"workload", "load", "duration", "maxflows", "imbalance",
-			"queues", "parallel", "record", "replay", "cdfout"}, fabricFlags...),
+			"queues", "parallel", "record", "replay", "cdfout", "check"}, fabricFlags...),
 		"incast": append([]string{"fanout", "reqmb"}, fabricFlags...),
 		"hdfs":   append([]string{"load"}, fabricFlags...),
 		"fig2":   nil,

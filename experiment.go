@@ -111,6 +111,16 @@ type FCTConfig struct {
 	// matched-pairs comparison (stats.PairedSample, RunReplayCompare).
 	CollectFlows bool
 
+	// Check audits the run (ROADMAP item 2(a)) and makes RunFCT return an
+	// error naming the first invariant that failed and the leaf, link or
+	// flow it failed on. At every flowlet sweep each leaf's flowlet table
+	// must be consistent (core.FlowletTable.Check); every completed flow
+	// must have delivered exactly its size; and a run that drains (no live
+	// event left) must have every pooled packet back on its pool and no
+	// arrival, drain or queued packet left on any link. Checking never
+	// changes simulation outcomes; off, it costs one branch per sweep.
+	Check bool
+
 	// Parallel, when > 1, runs this single experiment space-parallel: the
 	// fabric is partitioned into Parallel domains (one engine and worker
 	// goroutine each; see internal/fabric/partition.go) executed in bounded
@@ -318,6 +328,9 @@ func runFCT(cfg FCTConfig) (*FCTResult, error) {
 		return nil, err
 	}
 	eng0 := r.doms[0].eng // where the one-engine collectors tick
+	if cfg.Check {
+		r.enableCheck()
+	}
 
 	dist := cfg.Custom
 	if dist == nil {
@@ -425,6 +438,11 @@ func runFCT(cfg FCTConfig) (*FCTResult, error) {
 
 	r.inject(flows)
 	endAt := r.exec(sim.Duration(cfg.Duration) + sim.Duration(cfg.DrainTimeout))
+	if cfg.Check {
+		if err := r.audit(); err != nil {
+			return nil, err
+		}
+	}
 
 	var retx, timeouts uint64
 	var flowLog []FlowFCT

@@ -1,6 +1,10 @@
 package core
 
-import "conga/internal/sim"
+import (
+	"fmt"
+
+	"conga/internal/sim"
+)
 
 // FlowletTable detects and tracks flowlets (§3.4). Each entry holds a port
 // number, a valid bit and an age bit; packets index the table by a hash of
@@ -16,13 +20,16 @@ import "conga/internal/sim"
 // In GapModeTimestamp the table instead records a last-packet timestamp per
 // entry and expires lazily on lookup; see GapMode for why both exist.
 type FlowletTable struct {
-	// Entry i is pages.get(i>>pageShift)[i&pageMask]. A page is allocated
-	// by the first Install into it; a page no flow has hashed to reads as
-	// the shared zero page. last is paged the same way.
-	pages rows[flowletEntry]
-	last  rows[sim.Time] // GapModeTimestamp only
+	// Entry i lives in the slot keyed i+1, found by linear probing from
+	// slot i&(len(slots)-1). An entry gets its slot from the first Install
+	// into it and keeps it, so the table holds only the entries traffic
+	// has touched; an entry with no slot reads as empty, with no previous
+	// port. last runs parallel to slots.
+	slots []flowletSlot
+	last  []sim.Time // GapModeTimestamp only
+	used  int        // slots holding an entry; ≤ len(slots)/2
 	// GapModeAgeBit keeps an index list of entries that may need sweeping,
-	// so Sweep walks the handful of live flowlets instead of all 64K slots.
+	// so Sweep walks the handful of live flowlets instead of every slot.
 	// Invariant: flValid ⇒ flListed; flListed is cleared only when the
 	// sweep drops the entry from the list.
 	active []int32
@@ -41,42 +48,34 @@ type FlowletTable struct {
 	live                            int // valid-entry count, maintained O(1)
 }
 
-// flowletEntry is one table slot, packed like the ASIC's (§3.4: a port
-// number, a valid bit and an age bit) so a lookup touches one cache line.
-// The zero value means "empty, no previous port", so a page nothing has
-// installed into needs no memory: it reads as the shared zero page.
-type flowletEntry struct {
-	port  uint16 // uplink + 1; 0 = no flowlet has used this slot yet
+// flowletSlot is one installed entry, packed like the ASIC's (§3.4: a port
+// number, a valid bit and an age bit) behind the index it holds, in 8
+// bytes, so eight share a cache line and a lookup at the table's load
+// touches one line. Nothing is ever deleted: an expired entry still carries
+// the port §3.5's tie-break reads.
+type flowletSlot struct {
+	key   int32  // entry index + 1; 0 = empty slot
+	port  uint16 // uplink + 1
 	flags uint8  // flValid | flAge | flListed
 }
 
 const (
 	flValid  = 1 << iota // a flowlet is active on port
 	flAge                // no packet since the last sweep (GapModeAgeBit)
-	flListed             // slot is on the sweep's active list
+	flListed             // entry is on the sweep's active list
 )
 
-// A page is 512 entries: 2 KB of flowletEntry, 4 KB of timestamps.
-const (
-	pageShift = 9
-	pageSize  = 1 << pageShift
-	pageMask  = pageSize - 1
-)
-
-// What every table's absent pages read as.
-var (
-	zeroPage  [pageSize]flowletEntry
-	zeroTimes [pageSize]sim.Time
-)
+// minFlowletSlots is a fresh table's capacity; it doubles whenever an
+// install would fill more than half of it.
+const minFlowletSlots = 16
 
 // NewFlowletTable returns a table with p.FlowletTableSize entries using
-// p.GapMode for gap detection. It allocates no page; a table smaller than a
-// page has one page of its own size.
+// p.GapMode for gap detection. It holds no entry yet, in minFlowletSlots
+// slots.
 func NewFlowletTable(p Params) *FlowletTable {
 	n := p.FlowletTableSize
-	pages, pageLen := (n+pageMask)>>pageShift, min(n, pageSize)
 	t := &FlowletTable{
-		pages: newRows(pages, pageLen, zeroPage[:]),
+		slots: make([]flowletSlot, minFlowletSlots),
 		mode:  p.GapMode,
 		tfl:   p.Tfl,
 		size:  n,
@@ -85,7 +84,7 @@ func NewFlowletTable(p Params) *FlowletTable {
 		t.mask = uint64(n - 1)
 	}
 	if p.GapMode != GapModeAgeBit {
-		t.last = newRows(pages, pageLen, zeroTimes[:])
+		t.last = make([]sim.Time, minFlowletSlots)
 	}
 	return t
 }
@@ -100,6 +99,63 @@ func (t *FlowletTable) index(hash uint64) int {
 	return int(hash % uint64(t.size))
 }
 
+// find returns the slot holding entry i, or −1 if no Install has reached it.
+func (t *FlowletTable) find(i int) int {
+	key, mask := int32(i+1), len(t.slots)-1
+	for s := i & mask; ; s = (s + 1) & mask {
+		switch t.slots[s].key {
+		case key:
+			return s
+		case 0:
+			return -1
+		}
+	}
+}
+
+// slot returns the slot holding entry i, giving it an empty one — after
+// doubling the table if that would fill more than half of it — if it has
+// none.
+func (t *FlowletTable) slot(i int) int {
+	if s := t.find(i); s >= 0 {
+		return s
+	}
+	if 2*(t.used+1) > len(t.slots) {
+		t.grow()
+	}
+	t.used++
+	return t.place(int32(i + 1))
+}
+
+// place puts key into the first empty slot of its probe chain.
+func (t *FlowletTable) place(key int32) int {
+	mask := len(t.slots) - 1
+	s := int(key-1) & mask
+	for t.slots[s].key != 0 {
+		s = (s + 1) & mask
+	}
+	t.slots[s].key = key
+	return s
+}
+
+// grow doubles the slots, re-placing every entry (its timestamp with it).
+func (t *FlowletTable) grow() {
+	old, oldLast := t.slots, t.last
+	t.slots = make([]flowletSlot, 2*len(old))
+	if oldLast != nil {
+		t.last = make([]sim.Time, len(t.slots))
+	}
+	for o, e := range old {
+		if e.key == 0 {
+			continue
+		}
+		s := t.place(e.key)
+		t.slots[s] = e
+		if oldLast != nil {
+			t.last[s] = oldLast[o]
+		}
+	}
+}
+
 // Lookup processes a packet of the flow identified by hash. If the flowlet
 // is active it returns (port, true) and refreshes the entry's age state.
 // Otherwise it returns (lastPort, false): the packet starts a new flowlet,
@@ -108,9 +164,12 @@ func (t *FlowletTable) index(hash uint64) int {
 // uses it as the tie-break preference so a flow only moves when a strictly
 // better uplink exists.
 func (t *FlowletTable) Lookup(hash uint64, now sim.Time) (port int, active bool) {
-	i := t.index(hash)
-	e := &t.pages.get(i >> pageShift)[i&pageMask] // written only if valid, so never the zero page
-	if t.mode == GapModeTimestamp && e.flags&flValid != 0 && now-t.last.get(i >> pageShift)[i&pageMask] > t.tfl {
+	s := t.find(t.index(hash))
+	if s < 0 {
+		return -1, false
+	}
+	e := &t.slots[s]
+	if t.mode == GapModeTimestamp && e.flags&flValid != 0 && now-t.last[s] > t.tfl {
 		e.flags &^= flValid
 		t.Expired++
 		t.live--
@@ -120,7 +179,7 @@ func (t *FlowletTable) Lookup(hash uint64, now sim.Time) (port int, active bool)
 		if t.mode == GapModeAgeBit {
 			e.flags &^= flAge
 		} else {
-			t.last.put(i >> pageShift)[i&pageMask] = now
+			t.last[s] = now
 		}
 		return int(e.port) - 1, true
 	}
@@ -131,15 +190,16 @@ func (t *FlowletTable) Lookup(hash uint64, now sim.Time) (port int, active bool)
 // flowlet, without touching its age state or the counters. Right after a
 // Lookup of the same hash it equals that Lookup's active result.
 func (t *FlowletTable) valid(hash uint64) bool {
-	i := t.index(hash)
-	return t.pages.get(i >> pageShift)[i&pageMask].flags&flValid != 0
+	s := t.find(t.index(hash))
+	return s >= 0 && t.slots[s].flags&flValid != 0
 }
 
 // Install caches the decision for a new flowlet: sets the port, the valid
 // bit, and clears the age bit.
 func (t *FlowletTable) Install(hash uint64, port int, now sim.Time) {
 	i := t.index(hash)
-	e := &t.pages.put(i >> pageShift)[i&pageMask]
+	s := t.slot(i)
+	e := &t.slots[s]
 	e.port = uint16(port + 1)
 	if e.flags&flValid != 0 {
 		t.Evicts++
@@ -155,7 +215,7 @@ func (t *FlowletTable) Install(hash uint64, port int, now sim.Time) {
 			t.active = append(t.active, int32(i))
 		}
 	} else {
-		t.last.put(i >> pageShift)[i&pageMask] = now
+		t.last[s] = now
 	}
 }
 
@@ -171,7 +231,7 @@ func (t *FlowletTable) Sweep() {
 	// every live flowlet; expired entries are compacted out in place.
 	kept := t.active[:0]
 	for _, i := range t.active {
-		e := &t.pages.get(int(i) >> pageShift)[i&pageMask] // listed, so installed: its page exists
+		e := &t.slots[t.find(int(i))] // listed, so installed: it has a slot
 		switch {
 		case e.flags&flValid == 0:
 			e.flags &^= flListed
@@ -198,14 +258,61 @@ func (t *FlowletTable) Live() int { return t.live }
 // loaded leaves.
 func (t *FlowletTable) Active() int {
 	n := 0
-	t.pages.each(func(page []flowletEntry) {
-		for _, e := range page {
-			if e.flags&flValid != 0 {
-				n++
+	for _, e := range t.slots {
+		if e.flags&flValid != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// Check audits the table's bookkeeping and returns an error naming the
+// first invariant that fails: a valid entry is listed (GapModeAgeBit), the
+// active list holds exactly the listed entries, once each, live equals the
+// number of valid entries, and every installed index is found again by
+// Lookup's own path. It reads the whole table, so it runs at a safe point
+// (the fabric's flowlet sweep) and only when a run is audited.
+func (t *FlowletTable) Check() error {
+	onList := make(map[int32]bool, len(t.active))
+	for _, i := range t.active {
+		if onList[i] {
+			return fmt.Errorf("flowlet active list holds entry %d twice", i)
+		}
+		onList[i] = true
+	}
+	valid, listed, used := 0, 0, 0
+	for s, e := range t.slots {
+		if e.key == 0 {
+			continue
+		}
+		i := int(e.key - 1)
+		used++
+		if t.find(i) != s {
+			return fmt.Errorf("flowlet entry %d is not found by Lookup", i)
+		}
+		if e.flags&flValid != 0 {
+			valid++
+			if t.mode == GapModeAgeBit && e.flags&flListed == 0 {
+				return fmt.Errorf("flowlet entry %d is valid but not listed", i)
 			}
 		}
-	})
-	return n
+		if e.flags&flListed != 0 {
+			listed++
+			if !onList[int32(i)] {
+				return fmt.Errorf("flowlet entry %d is listed but not on the active list", i)
+			}
+		}
+	}
+	if listed != len(onList) {
+		return fmt.Errorf("flowlet active list holds %d entries, %d are listed", len(onList), listed)
+	}
+	if valid != t.live {
+		return fmt.Errorf("flowlet live count %d, %d entries valid", t.live, valid)
+	}
+	if used != t.used {
+		return fmt.Errorf("flowlet table counts %d installed entries, holds %d", t.used, used)
+	}
+	return nil
 }
 
 // FlowHash hashes a flow 5-tuple-like identity into the table index space.

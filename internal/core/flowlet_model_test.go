@@ -169,44 +169,65 @@ func diffFlowlets(t *testing.T, p Params, seed uint64) {
 		if want := ref.live(); ft.Live() != want || ft.Active() != want {
 			t.Fatalf("step %d: Live = %d, Active = %d, model %d", step, ft.Live(), ft.Active(), want)
 		}
+		if err := ft.Check(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
 	}
 	if ft.Hits == 0 || ft.Expired == 0 || ft.Evicts == 0 {
 		t.Fatalf("sequence never exercised hits/expiry/eviction: %d/%d/%d", ft.Hits, ft.Expired, ft.Evicts)
 	}
 }
 
-// TestFlowletEntryLayout pins the packed entry: four bytes or fewer, so a
-// 512-entry page is 2 KB and sixteen entries share a cache line, and an
-// all-zero entry reads as "empty, no previous port" — which is what lets an
-// absent page read as the shared zero page.
+// TestFlowletEntryLayout pins the packed slot: eight bytes, so eight slots
+// share a cache line, and an all-zero slot is empty — what a fresh table's
+// minFlowletSlots slots are, reading as "no previous port".
 func TestFlowletEntryLayout(t *testing.T) {
-	if s := unsafe.Sizeof(flowletEntry{}); s > 4 {
-		t.Fatalf("flowletEntry is %d bytes, want ≤ 4", s)
-	}
-	if s := unsafe.Sizeof(zeroPage); s != 2048 {
-		t.Fatalf("a page is %d bytes, want 2048", s)
+	if s := unsafe.Sizeof(flowletSlot{}); s != 8 {
+		t.Fatalf("flowletSlot is %d bytes, want 8", s)
 	}
 	p := testParams()
 	p.FlowletTableSize = 8
 	ft := NewFlowletTable(p)
+	if len(ft.slots) != minFlowletSlots || ft.used != 0 {
+		t.Fatalf("fresh table: %d slots, %d used, want %d, 0", len(ft.slots), ft.used, minFlowletSlots)
+	}
 	if port, active := ft.Lookup(3, 0); port != -1 || active {
 		t.Fatalf("zero entry reads (%d, %v), want (-1, false)", port, active)
 	}
 }
 
-// FuzzFlowletTableMatchesModel drives the paged table and refFlowlets with
+// slotsFor is the capacity a table holding n installed entries must have:
+// the least power of two, at least minFlowletSlots, that keeps the load at
+// or under one half.
+func slotsFor(n int) int {
+	c := minFlowletSlots
+	for 2*n > c {
+		c *= 2
+	}
+	return c
+}
+
+// FuzzFlowletTableMatchesModel drives the slot table and refFlowlets with
 // one op stream — Lookup, Install, Sweep, valid, Live and Active, four bytes
 // an op: the op, the hash's two low bytes (so an index is any value below
-// 65536, page edges included) and the time step — in either gap mode, and
-// requires every result and counter to agree. After the stream, the table
-// holds exactly one page per distinct page an Install hit.
+// 65536) and the time step — in either gap mode, and requires every result
+// and counter to agree. After the stream the table holds exactly the
+// distinct indices an Install hit, in slotsFor(that many) slots. Every seed
+// opens with installs whose indices share the last slot's probe chain at 16
+// slots, so the chain wraps across the array end, then installs enough
+// further indices to grow the table past 16, 32 and 64 slots.
 func FuzzFlowletTableMatchesModel(f *testing.F) {
-	for _, size := range []uint32{1, 7, 511, 512, 513, 1000, 65536} {
+	install := func(ops []byte, i int) []byte { return append(ops, 1, byte(i), byte(i>>8), 1) }
+	for _, size := range []uint32{1, 2, 7, 16, 17, 1000, 65536} {
 		for _, ts := range []bool{false, true} {
 			rng := sim.NewRand(uint64(size))
 			var ops []byte
-			for _, i := range []int{0, 511, 512, 513, int(size) - 1, int(size)} {
-				ops = append(ops, 1, byte(i), byte(i>>8), 1, 0, byte(i), byte(i>>8), 2)
+			for _, i := range []int{15, 31, 47, 14, 0, int(size) - 1, int(size)} {
+				ops = install(ops, i)
+				ops = append(ops, 0, byte(i), byte(i>>8), 2, 3, byte(i), byte(i>>8), 0)
+			}
+			for k := 0; k < 40; k++ {
+				ops = install(ops, 100+37*k)
 			}
 			for k := 0; k < 64; k++ {
 				ops = append(ops, byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(3)), byte(rng.Intn(48)))
@@ -224,7 +245,7 @@ func FuzzFlowletTableMatchesModel(f *testing.F) {
 			p.GapMode = GapModeTimestamp
 		}
 		ft, ref := NewFlowletTable(p), newRefFlowlets(p)
-		pages := map[int]bool{}
+		installed := map[int]bool{}
 		now := sim.Time(0)
 		for k := 0; k+4 <= len(ops); k += 4 {
 			op, hash := ops[k], uint64(ops[k+1])|uint64(ops[k+2])<<8
@@ -240,7 +261,7 @@ func FuzzFlowletTableMatchesModel(f *testing.F) {
 				port := int(op>>3) % p.MaxUplinks
 				ft.Install(hash, port, now)
 				ref.install(hash, port, now)
-				pages[int(hash%uint64(size))>>pageShift] = true
+				installed[int(hash%uint64(size))] = true
 			case 2:
 				ft.Sweep()
 				ref.sweep()
@@ -262,8 +283,12 @@ func FuzzFlowletTableMatchesModel(f *testing.F) {
 					ft.Installs, ft.Hits, ft.Expired, ft.Evicts, ref.installs, ref.hits, ref.expired, ref.evicts)
 			}
 		}
-		if ft.pages.written() != len(pages) || (timestamp && ft.last.written() != len(pages)) {
-			t.Fatalf("%d pages, %d timestamp pages for %d distinct pages installed into", ft.pages.written(), ft.last.written(), len(pages))
+		if err := ft.Check(); err != nil {
+			t.Fatal(err)
+		}
+		if ft.used != len(installed) || len(ft.slots) != slotsFor(len(installed)) || (timestamp && len(ft.last) != len(ft.slots)) {
+			t.Fatalf("%d entries in %d slots (%d timestamps) for %d distinct indices installed, want %d slots",
+				ft.used, len(ft.slots), len(ft.last), len(installed), slotsFor(len(installed)))
 		}
 	})
 }

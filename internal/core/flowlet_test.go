@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -191,6 +192,44 @@ func TestFlowHashDeterministicAndSpread(t *testing.T) {
 	}
 	if len(buckets) < 1000 {
 		t.Fatalf("only %d/1024 buckets hit; hash clusters badly", len(buckets))
+	}
+}
+
+// TestFlowletCheckNamesEachInvariant plants one fault per invariant Check
+// audits into an otherwise consistent table and requires the error that
+// names it.
+func TestFlowletCheckNamesEachInvariant(t *testing.T) {
+	build := func() *FlowletTable {
+		p := testParams()
+		p.FlowletTableSize = 1024
+		ft := NewFlowletTable(p)
+		ft.Install(5, 1, 0)
+		ft.Install(21, 2, 0) // home slot 5 too: the second link of its chain
+		if err := ft.Check(); err != nil {
+			t.Fatalf("consistent table: %v", err)
+		}
+		return ft
+	}
+	for _, tc := range []struct {
+		fault string
+		plant func(ft *FlowletTable)
+		want  string
+	}{
+		{"valid but unlisted", func(ft *FlowletTable) { ft.slots[ft.find(5)].flags &^= flListed }, "entry 5 is valid but not listed"},
+		{"listed but off the list", func(ft *FlowletTable) { ft.active = ft.active[1:] }, "entry 5 is listed but not on the active list"},
+		{"listed twice", func(ft *FlowletTable) { ft.active = append(ft.active, 21) }, "active list holds entry 21 twice"},
+		{"unlisted on the list", func(ft *FlowletTable) { ft.active = append(ft.active, 9) }, "active list holds 3 entries, 2 are listed"},
+		{"live miscounted", func(ft *FlowletTable) { ft.live++ }, "live count 3, 2 entries valid"},
+		{"off its probe chain", func(ft *FlowletTable) {
+			ft.slots[7], ft.slots[ft.find(21)] = ft.slots[ft.find(21)], flowletSlot{}
+		}, "entry 21 is not found by Lookup"},
+		{"used miscounted", func(ft *FlowletTable) { ft.used-- }, "counts 1 installed entries, holds 2"},
+	} {
+		ft := build()
+		tc.plant(ft)
+		if err := ft.Check(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Check() = %v, want an error naming %q", tc.fault, err, tc.want)
+		}
 	}
 }
 

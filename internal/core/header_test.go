@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 )
@@ -107,4 +108,52 @@ func TestEncapOverheadMatchesVXLANStack(t *testing.T) {
 	if EncapOverhead != 54 {
 		t.Fatalf("EncapOverhead = %d, want 54", EncapOverhead)
 	}
+}
+
+// FuzzHeaderRoundTrip checks the overlay header's bit-packing both ways.
+// Fields: a header whose fields fit encodes to 8 bytes that decode back to
+// it, with the I flag set and every reserved bit clear; one that overflows
+// a field is refused and appends nothing. Bytes: a buffer decodes exactly
+// when it holds 8 bytes with the I flag set, and re-encoding what it decodes
+// to gives back its field bits — the buffer with the reserved bits cleared.
+func FuzzHeaderRoundTrip(f *testing.F) {
+	f.Add(uint32(0xABCDEF), uint8(11), uint8(5), uint8(3), uint8(7), true, []byte{0x08, 0xB5, 0x3E, 0, 0xAB, 0xCD, 0xEF, 0})
+	f.Add(uint32(1<<24), uint8(16), uint8(8), uint8(16), uint8(8), false, []byte{0xF7, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add(uint32(0), uint8(0), uint8(0), uint8(0), uint8(0), false, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Fuzz(func(t *testing.T, vni uint32, lbTag, ce, fbTag, fbMetric uint8, fbValid bool, raw []byte) {
+		h := Header{VNI: vni, LBTag: lbTag, CE: ce, FBValid: fbValid, FBLBTag: fbTag, FBMetric: fbMetric}
+		fits := vni < 1<<24 && lbTag <= maxLBTag && ce <= maxCE && fbTag <= maxLBTag && fbMetric <= maxCE
+		prefix := []byte{0xDE}
+		buf, err := h.Encode(prefix)
+		switch {
+		case !fits:
+			if err == nil || len(buf) != 1 {
+				t.Fatalf("%+v overflows a field: Encode = (%x, %v), want the prefix and an error", h, buf, err)
+			}
+		case err != nil:
+			t.Fatalf("%+v fits: Encode error %v", h, err)
+		case len(buf) != 1+HeaderLen || buf[1] != flagVNIValid || buf[3]&1 != 0 || buf[4] != 0 || buf[8] != 0:
+			t.Fatalf("%+v encodes to %x: want the I flag and every reserved bit clear", h, buf[1:])
+		default:
+			if got, err := DecodeHeader(buf[1:]); err != nil || got != h {
+				t.Fatalf("%+v encodes to %x, which decodes to (%+v, %v)", h, buf[1:], got, err)
+			}
+		}
+
+		got, err := DecodeHeader(raw)
+		if wantErr := len(raw) < HeaderLen || raw[0]&flagVNIValid == 0; wantErr != (err != nil) {
+			t.Fatalf("DecodeHeader(%x) error %v, want an error: %v", raw, err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		again, err := got.Encode(nil)
+		if err != nil {
+			t.Fatalf("%x decodes to %+v, which Encode refuses: %v", raw, got, err)
+		}
+		want := []byte{flagVNIValid, raw[1], raw[2] &^ 1, 0, raw[4], raw[5], raw[6], 0}
+		if !bytes.Equal(again, want) {
+			t.Fatalf("%x decodes to %+v, which re-encodes to %x, want %x", raw, got, again, want)
+		}
+	})
 }

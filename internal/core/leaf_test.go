@@ -271,10 +271,11 @@ func (s *rows[T]) written() int {
 	return n
 }
 
-// TestLeafStateFollowsTraffic pins what the row store buys (DESIGN.md
-// §3.10): a fresh 256-leaf leaf allocates its row indexes and little else,
-// reading any of its tables allocates nothing and writes no row, and the
-// pages and peer rows it holds are exactly the ones traffic has written.
+// TestLeafStateFollowsTraffic pins what the sparse stores buy (DESIGN.md
+// §3.10): a fresh 256-leaf leaf allocates its row indexes and the flowlet
+// table's first slots and little else, reading any of its tables allocates
+// nothing and writes no entry or row, and the flowlet slots and peer rows it
+// holds follow exactly the entries and peers traffic has written.
 func TestLeafStateFollowsTraffic(t *testing.T) {
 	p := DefaultParams()
 	const builds = 16
@@ -284,8 +285,8 @@ func TestLeafStateFollowsTraffic(t *testing.T) {
 		NewLeaf(0, 256, 8, p, nil)
 	}
 	runtime.ReadMemStats(&after)
-	if b := (after.TotalAlloc - before.TotalAlloc) / builds; b > 16<<10 {
-		t.Errorf("a fresh 256-leaf NewLeaf allocates %d bytes, want ≤ 16 KB", b)
+	if b := (after.TotalAlloc - before.TotalAlloc) / builds; b > 8<<10 {
+		t.Errorf("a fresh 256-leaf NewLeaf allocates %d bytes, want ≤ 8 KB", b)
 	}
 
 	l := NewLeaf(0, 256, 8, p, sim.NewRand(1))
@@ -311,18 +312,18 @@ func TestLeafStateFollowsTraffic(t *testing.T) {
 			t.Errorf("%s on a fresh leaf: %v allocations, want 0", r.name, a)
 		}
 	}
-	if n, to, from := l.Flowlets.pages.written(), l.ToLeaf.metrics.written(), l.FromLeaf.metrics.written(); n+to+from != 0 {
-		t.Fatalf("reads wrote %d pages, %d To-rows, %d From-rows", n, to, from)
+	if n, to, from := l.Flowlets.used, l.ToLeaf.metrics.written(), l.FromLeaf.metrics.written(); n+to+from != 0 {
+		t.Fatalf("reads installed %d flowlet entries, wrote %d To-rows, %d From-rows", n, to, from)
 	}
 
 	rng := sim.NewRand(3)
-	pages, peers := map[int]bool{}, map[int]bool{}
+	entries, peers := map[int]bool{}, map[int]bool{}
 	for k := 0; k < 400; k++ {
 		h := rng.Uint64()
 		l.Flowlets.Install(h, k%8, 0)
-		pages[l.Flowlets.index(h)>>pageShift] = true
-		if got := l.Flowlets.pages.written(); got != len(pages) {
-			t.Fatalf("after %d installs: %d pages, want %d", k+1, got, len(pages))
+		entries[l.Flowlets.index(h)] = true
+		if n, slots := l.Flowlets.used, len(l.Flowlets.slots); n != len(entries) || slots != slotsFor(n) {
+			t.Fatalf("after %d installs: %d entries in %d slots, want %d in %d", k+1, n, slots, len(entries), slotsFor(len(entries)))
 		}
 		if k%10 == 0 {
 			src := rng.Intn(256)

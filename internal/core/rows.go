@@ -2,9 +2,9 @@ package core
 
 import "unsafe"
 
-// rows is the leaf tables' row store: row i is a fixed-length []T allocated
-// by the first write to it, so a table's memory follows the rows traffic
-// touches rather than its index space (DESIGN.md §3.10). An absent row reads
+// rows is the congestion tables' row store: row i is a fixed-length []T
+// allocated by the first write to it, so a table's memory follows the rows
+// traffic touches rather than its index space (DESIGN.md §3.10). An absent row reads
 // as the shared zero row, which reads exactly as a freshly allocated row
 // does, so only the allocation tells the two apart.
 //

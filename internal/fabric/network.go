@@ -211,6 +211,10 @@ type Network struct {
 	telLeafCore []*core.Leaf          // CONGA state behind telTbl[i]
 	telStale    []*telemetry.Series   // feedback staleness per leaf (nil entry: no hooks)
 	telHooks    []*telemetry.DecisionHooks
+
+	// checkErrs, non-nil once EnableCheck ran, holds each domain's first
+	// audit failure (see check.go).
+	checkErrs []error
 }
 
 // noteDREActive is each fabric link's dreNotify hook: it runs on the first

@@ -338,8 +338,8 @@ func NewPartitionedNetwork(engines []*sim.Engine, cfg Config) (*Network, error) 
 		})
 	}
 	// Flowlet age sweep per leaf, every Tfl, on the leaf's own domain;
-	// telemetry samples table occupancy and congestion-table metrics on the
-	// same tick.
+	// telemetry samples table occupancy and congestion-table metrics, and
+	// the audit checks the swept tables, on the same tick.
 	for d := 0; d < P; d++ {
 		dom := d
 		sim.NewTicker(engines[dom], cfg.Params.Tfl, func(now sim.Time) {
@@ -348,6 +348,9 @@ func NewPartitionedNetwork(engines []*sim.Engine, cfg Config) (*Network, error) 
 			}
 			if n.telFlowlet != nil {
 				n.sampleLeafSeries(dom, now)
+			}
+			if n.checkErrs != nil {
+				n.checkFlowlets(dom, now)
 			}
 		})
 	}

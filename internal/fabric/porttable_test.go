@@ -136,3 +136,83 @@ func TestBindPanics(t *testing.T) {
 		}()
 	}
 }
+
+// FuzzPortTableMatchesMap drives portTable and a Go map with one op stream,
+// three bytes an op: insert, delete, get or has, and a port in [1, 65536].
+// Every result must agree, and after the stream so must the length and
+// every port the stream named. The seeds grow the table past 16 slots, and
+// build a probe chain from the last slot of a 16-slot table across the
+// array end whose head they then delete, so the backward shift moves
+// entries back across the wrap.
+func FuzzPortTableMatchesMap(f *testing.F) {
+	op := func(ops []byte, code byte, port int) []byte {
+		return append(ops, code, byte(port-1), byte((port-1)>>8))
+	}
+	var probe portTable
+	probe.init(minPortTableSize)
+	var wrap []int // ports whose home is the last of 16 slots
+	for p := 1; len(wrap) < 3; p++ {
+		if probe.slotFor(int32(p)) == minPortTableSize-1 {
+			wrap = append(wrap, p)
+		}
+	}
+	var ops []byte
+	for _, p := range wrap {
+		ops = op(ops, 0, p)
+	}
+	ops = op(ops, 1, wrap[0])
+	for _, p := range wrap {
+		ops = op(op(ops, 2, p), 3, p)
+	}
+	f.Add(ops)
+	ops = nil
+	for p := 1; p <= 40; p++ {
+		ops = op(ops, 0, p*7)
+	}
+	for p := 1; p <= 40; p += 3 {
+		ops = op(op(ops, 1, p*7), 2, p*7+7)
+	}
+	f.Add(ops)
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		var pt portTable
+		ref := map[int]Receiver{}
+		named := map[int]bool{}
+		for k := 0; k+3 <= len(ops); k += 3 {
+			port := 1 + (int(ops[k+1]) | int(ops[k+2])<<8)
+			named[port] = true
+			switch ops[k] % 4 {
+			case 0:
+				r := &nopReceiver{id: k}
+				_, taken := ref[port]
+				if got := pt.insert(port, r); got == taken {
+					t.Fatalf("op %d: insert(%d) = %v with the port taken = %v", k/3, port, got, taken)
+				}
+				if !taken {
+					ref[port] = r
+				}
+			case 1:
+				pt.delete(port)
+				delete(ref, port)
+			case 2:
+				got, ok := pt.get(port)
+				want, wok := ref[port]
+				if ok != wok || got != want {
+					t.Fatalf("op %d: get(%d) = (%v, %v), map (%v, %v)", k/3, port, got, ok, want, wok)
+				}
+			case 3:
+				if _, wok := ref[port]; pt.has(port) != wok {
+					t.Fatalf("op %d: has(%d) = %v, map %v", k/3, port, !wok, wok)
+				}
+			}
+		}
+		if pt.len() != len(ref) {
+			t.Fatalf("table holds %d ports, map %d", pt.len(), len(ref))
+		}
+		for port := range named {
+			got, ok := pt.get(port)
+			if want, wok := ref[port]; ok != wok || got != want {
+				t.Fatalf("after the stream: get(%d) = (%v, %v), map (%v, %v)", port, got, ok, want, wok)
+			}
+		}
+	})
+}

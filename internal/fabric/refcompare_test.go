@@ -62,6 +62,7 @@ type pacedSource struct {
 	flow     uint64
 	src, dst int
 	gaps     int
+	start    sim.Time // the first firing is up to 5 µs after it
 }
 
 var (
@@ -81,7 +82,7 @@ func (s pacedSource) pace(seed uint64, at func(sim.Time, func(sim.Time)), send f
 		}
 		at(now+refGaps[rng.Intn(s.gaps)], fire)
 	}
-	at(sim.Time(rng.Intn(5000)), fire)
+	at(s.start+sim.Time(rng.Intn(5000)), fire)
 }
 
 // loggingNode wraps a production link's destination.
@@ -153,7 +154,11 @@ func compareHops(t *testing.T, got, want hopLog) {
 // TestFabricMatchesReference compares every link's log on both topologies:
 // ECMP, spray, CONGA and CONGA-Flow on the 2×2 fabric, ECMP on the testbed and
 // CONGA on eight leaves of which three carry traffic, so most of each leaf's
-// flowlet-table pages and congestion-table peer rows are never written.
+// congestion-table peer rows are never written. There the first busy leaf
+// sends sources 1–9 off-leaf: 1 and 2 hash to one home slot of a fresh
+// 16-slot flowlet table, so 2 lives a probe further on, and 8 and 9 start
+// halfway through the run, growing the table past 16 slots with live
+// flowlets in it.
 func TestFabricMatchesReference(t *testing.T) {
 	const until = 45 * sim.Millisecond // ≥ 10⁴ level-0 blocks, 21 level-1 window ends
 	small := Config{EdgeBufBytes: 8 << 10, FabricBufBytes: 6 << 10, HostBufBytes: 24 << 10, Scheme: SchemeECMP}
@@ -170,7 +175,7 @@ func TestFabricMatchesReference(t *testing.T) {
 		fastGaps int   // the gaps source 0 draws from: 3 outruns a 10 Gb/s access link
 		gaps     int   // the gaps the other sources draw from
 		busy     []int // the leaves whose hosts send and receive; nil: all
-		edges    bool  // every flow's flowlet slot is the first or last of a 512-slot page
+		chain    bool  // sources 1–9 share the first busy leaf's flowlet table (see above)
 	}{
 		{"quick-2x2", quick, 8, 5, 5, nil, false},
 		{"testbed-64", testbed, 16, 3, 5, nil, false},
@@ -187,13 +192,19 @@ func TestFabricMatchesReference(t *testing.T) {
 				hosts = len(tc.busy) * cfg.HostsPerLeaf
 				host = func(i int) int { return tc.busy[i/cfg.HostsPerLeaf]*cfg.HostsPerLeaf + i%cfg.HostsPerLeaf }
 			}
+			index := func(s pacedSource) int {
+				return int(HashFlow(s.flow, s.src, s.dst, 1000+int(s.flow), 80) % uint64(cfg.Params.FlowletTableSize))
+			}
 			rng := sim.NewRand(7)
 			var srcs []pacedSource
+			chained := map[int]bool{} // the indices sources 1–9 install
 			for i := 0; i < tc.sources; i++ {
 				s := pacedSource{flow: uint64(i + 1), src: rng.Intn(hosts), gaps: tc.gaps}
 				switch {
 				case i == 0: // across the fabric into host 0: CE marks, queues, drops
 					s.src, s.gaps = hosts-1, tc.fastGaps
+				case tc.chain && i <= 9: // from the first busy leaf to another
+					s.src, s.dst = i%cfg.HostsPerLeaf, cfg.HostsPerLeaf+rng.Intn(hosts-cfg.HostsPerLeaf)
 				case i%3 != 0: // a third of the rest converge on host 0 too
 					s.dst = rng.Intn(hosts)
 				}
@@ -201,10 +212,19 @@ func TestFabricMatchesReference(t *testing.T) {
 					s.dst = (s.src + hosts/2) % hosts
 				}
 				s.src, s.dst = host(s.src), host(s.dst)
-				for tc.edges && (HashFlow(s.flow, s.src, s.dst, 1000+int(s.flow), 80)%uint64(cfg.Params.FlowletTableSize)+1)%512 > 1 {
-					s.flow += uint64(tc.sources) // flow IDs stay distinct
+				if tc.chain && i >= 1 && i <= 9 {
+					for i == 2 && (index(s)%16 != index(srcs[1])%16 || index(s) == index(srcs[1])) {
+						s.flow += uint64(tc.sources) // flow IDs stay distinct
+					}
+					if i >= 8 {
+						s.start = until / 2
+					}
+					chained[index(s)] = true
 				}
 				srcs = append(srcs, s)
+			}
+			if tc.chain && len(chained) != 9 {
+				t.Fatalf("sources 1–9 install %d distinct flowlet indices, want 9", len(chained))
 			}
 
 			eng := sim.New()

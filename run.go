@@ -26,6 +26,7 @@ type run struct {
 	transport Transport
 	tcpCfg    tcp.Config
 	mpCfg     mptcp.Config
+	check     bool // audit the run (FCTConfig.Check)
 }
 
 // runDomain is one partition domain's private slice of a run. Nothing in
@@ -36,6 +37,9 @@ type runDomain struct {
 	pool    *tcp.FlowPool
 	mpool   *mptcp.Pool
 	started int // flows begun through run.start
+	// checkErr is the first completed flow, under the audit, that did not
+	// deliver exactly its size.
+	checkErr error
 
 	tcpDone   func(f *tcp.Flow, now sim.Time)
 	mptcpDone func(f *mptcp.Flow, now sim.Time)
@@ -121,11 +125,23 @@ func (r *run) onFlowDone(fn flowDone) {
 	for d, dom := range r.doms {
 		dom.tcpDone = func(f *tcp.Flow, now sim.Time) {
 			st := f.Sender.Stats()
+			if r.check {
+				// A flow started toward a caller-bound receiver has no
+				// receiver of its own; the bytes it had acked stand in.
+				delivered := st.BytesAcked
+				if f.Receiver != nil {
+					delivered = f.Receiver.Delivered()
+				}
+				dom.checkDelivered(f.Sender.FlowID(), f.Size, delivered)
+			}
 			fn(d, f.Sender.FlowID(), f.Size, f.FCT(now), st.RetxSegments, st.Timeouts)
 		}
 		dom.mptcpDone = func(f *mptcp.Flow, now sim.Time) {
 			var retx, timeouts uint64
 			subs := f.Conn.Subflows()
+			if r.check {
+				dom.checkDelivered(subs[0].FlowID(), f.Size, f.Conn.Acked())
+			}
 			for _, s := range subs {
 				st := s.Stats()
 				retx += st.RetxSegments
@@ -134,6 +150,44 @@ func (r *run) onFlowDone(fn flowDone) {
 			fn(d, subs[0].FlowID(), f.Size, f.FCT(now), retx, timeouts)
 		}
 	}
+}
+
+// checkDelivered keeps the domain's first completed flow whose delivered
+// byte count is not its size.
+func (dom *runDomain) checkDelivered(flowID uint64, size, delivered int64) {
+	if dom.checkErr == nil && delivered != size {
+		dom.checkErr = fmt.Errorf("check: flow %d completed having delivered %d of its %d bytes", flowID, delivered, size)
+	}
+}
+
+// enableCheck turns the audit on before the run: the fabric audits its
+// flowlet tables at every sweep, every completing flow has its delivered
+// bytes compared with its size, and audit reads the verdict afterwards.
+func (r *run) enableCheck() {
+	r.check = true
+	r.net.EnableCheck()
+}
+
+// audit returns the first failure of an audited run after exec: a flow that
+// did not deliver exactly its size, then a sweep audit failure, then — when
+// the run drained, no live event left on any engine — the fabric's drain
+// audit. A run its horizon cut short may hold packets in flight, so the
+// drain audit does not apply to it.
+func (r *run) audit() error {
+	for _, dom := range r.doms {
+		if dom.checkErr != nil {
+			return dom.checkErr
+		}
+	}
+	if err := r.net.CheckErr(); err != nil {
+		return err
+	}
+	for _, dom := range r.doms {
+		if dom.eng.Live() > 0 {
+			return nil
+		}
+	}
+	return r.net.CheckDrained()
 }
 
 // start begins one flow on domain d, which must own a.src. It is the one
