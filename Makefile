@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint memlat fuzz-smoke bench bench-engine bench-quick bench-parallel bench-guard bench-guard-parallel bench-profile bench-repo bench-compare bench-smoke replay-smoke decision-smoke serve-smoke check
+.PHONY: build test race vet lint memlat fuzz-smoke bench bench-engine bench-quick bench-parallel bench-guard bench-guard-parallel bench-profile bench-repo bench-compare bench-smoke replay-smoke decision-smoke serve-smoke check-smoke check
 
 build:
 	$(GO) build ./...
@@ -38,8 +38,10 @@ lint: vet
 memlat:
 	$(GO) run ./tools/memlat
 
-# Native fuzzing smoke (~170 s): the timing wheel against a sorted (time, seq)
-# model, the packed congestion-table entry against the three-field one it
+# Native fuzzing smoke (~190 s): the timing wheel against a sorted (time, seq)
+# model, the intrusive node queue against a slice (interleaved with
+# scheduling its nodes and queueing them again once fired), the packed
+# congestion-table entry against the three-field one it
 # replaced, the open-addressed flowlet table against its map model (any size,
 # either gap mode), the overlay header's bit-packing both ways, the hosts'
 # port table against a Go map, tcp's span set (every SACK block's source)
@@ -50,6 +52,7 @@ memlat:
 # past them. One target per invocation is a go test rule.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzWheelMatchesHeap -fuzztime 20s ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzQueueMatchesSlice -fuzztime 20s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzMetricAgePacking -fuzztime 20s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzFlowletTableMatchesModel -fuzztime 20s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzHeaderRoundTrip -fuzztime 20s ./internal/core
@@ -57,6 +60,15 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSpanSetMatchesModel -fuzztime 20s ./internal/tcp
 	$(GO) test -run '^$$' -fuzz FuzzReadSinkFile -fuzztime 20s ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz FuzzReplayRead -fuzztime 20s ./internal/replay
+
+# Run-audit smoke (~5 s): a short FCT run and a small Incast, whose hot
+# access port builds the deepest queue of any harness, each under -check
+# (flowlet tables and link queues at every sweep, completed flow sizes, no
+# packet left at drain); congasim exits 1 naming the first failure.
+check-smoke:
+	$(GO) build -o /tmp/congasim ./cmd/congasim
+	/tmp/congasim -check -duration 10ms -maxflows 300 -minrto 10ms
+	/tmp/congasim -mode incast -check -fanout 16 -reqmb 4 -minrto 1ms
 
 # Full paper-artifact benchmarks (minutes).
 bench:

@@ -76,3 +76,60 @@ func TestCheckNamesRunFaults(t *testing.T) {
 		t.Fatalf("packet held past drain: audit() = %v", err)
 	}
 }
+
+// TestCheckIncastAndHDFS runs the audit on the two closed-loop harnesses:
+// a fanout-32 Incast, whose synchronized burst builds the deepest
+// access-port queue any harness does, and an HDFS trial with background
+// flows. Both must pass, with results bit-identical to the unaudited run.
+func TestCheckIncastAndHDFS(t *testing.T) {
+	topo := Testbed()
+	topo.EdgeBufBytes = 64 << 10 // a shallow hot port: it fills and tail-drops
+	incast := IncastConfig{
+		Topology:     topo,
+		Scheme:       SchemeCONGA,
+		Transport:    TransportConfig{MinRTO: time.Millisecond},
+		Fanout:       32,
+		RequestBytes: 2 << 20,
+		Rounds:       2,
+	}
+	off, err := RunIncast(incast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	incast.Check = true
+	on, err := RunIncast(incast)
+	if err != nil {
+		t.Fatalf("incast: %v", err)
+	}
+	if off.Drops == 0 {
+		t.Errorf("incast dropped nothing: the hot port never filled its buffer")
+	}
+	off.Wall, on.Wall = 0, 0
+	if !reflect.DeepEqual(off, on) {
+		t.Errorf("incast: Check changed the simulation\noff: %+v\non:  %+v", off, on)
+	}
+
+	hdfs := HDFSConfig{
+		Topology:       quickTopo(),
+		Scheme:         SchemeCONGA,
+		Transport:      TransportConfig{MinRTO: 10 * time.Millisecond},
+		Writers:        6,
+		BytesPerWriter: 1 << 20,
+		BlockBytes:     256 << 10,
+		DiskMBps:       200,
+		BackgroundLoad: 0.2,
+	}
+	hoff, err := RunHDFS(hdfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdfs.Check = true
+	hon, err := RunHDFS(hdfs)
+	if err != nil {
+		t.Fatalf("hdfs: %v", err)
+	}
+	hoff.Wall, hon.Wall = 0, 0
+	if !reflect.DeepEqual(hoff, hon) {
+		t.Errorf("hdfs: Check changed the simulation\noff: %+v\non:  %+v", hoff, hon)
+	}
+}

@@ -54,7 +54,7 @@ func main() {
 		imbalance = flag.Bool("imbalance", false, "collect Figure-12 imbalance stats")
 		queues    = flag.Bool("queues", false, "collect queue occupancy stats")
 		parallel  = flag.Int("parallel", 1, "space-parallel domains for fct mode (>1 partitions the fabric across that many worker goroutines)")
-		check     = flag.Bool("check", false, "audit the run (fct mode): flowlet tables at every sweep, each completed flow's delivered bytes, no packet left at drain; exit 1 naming the first failure")
+		check     = flag.Bool("check", false, "audit the run (fct, incast, hdfs): flowlet tables and link queues at every sweep, each completed flow's delivered bytes, no packet left at drain; exit 1 naming the first failure")
 
 		fanout = flag.Int("fanout", 16, "incast fan-in (incast mode)")
 		reqMB  = flag.Int("reqmb", 10, "incast request size in MB")
@@ -162,9 +162,7 @@ func main() {
 		res, err := conga.RunFCT(cfg)
 		die(err)
 		printFCT(res)
-		if *check {
-			fmt.Println("check: passed (flowlet tables at every sweep, completed flow sizes, drain)")
-		}
+		printCheck(*check)
 		printTelemetry(res.Telemetry, *telemetryDir)
 		writeTrace(*recordPath, res.Trace)
 		writeCDFs(*cdfOut, res)
@@ -172,21 +170,23 @@ func main() {
 		res, err := conga.RunIncast(conga.IncastConfig{
 			Topology: topo, Scheme: sch, Transport: tc,
 			Fanout: *fanout, RequestBytes: int64(*reqMB) << 20, Seed: *seed,
-			Telemetry: tel,
+			Telemetry: tel, Check: *check,
 		})
 		die(err)
 		fmt.Printf("fanout %d: goodput %.1f%% of access rate, %d rounds, %d drops at client port, %d RTOs\n",
 			res.Fanout, res.GoodputFraction*100, res.CompletedRounds, res.Drops, res.Timeouts)
+		printCheck(*check)
 		printTelemetry(res.Telemetry, *telemetryDir)
 	case "hdfs":
 		res, err := conga.RunHDFS(conga.HDFSConfig{
 			Topology: topo, Scheme: sch, Transport: tc,
 			BackgroundLoad: *load, Seed: *seed,
-			Telemetry: tel,
+			Telemetry: tel, Check: *check,
 		})
 		die(err)
 		fmt.Printf("job completion %.2fs (completed=%v), %d blocks, %d MB replicated, %d background flows\n",
 			res.JobCompletion.Seconds(), res.Completed, res.Blocks, res.ReplicaBytes>>20, res.BackgroundFlows)
+		printCheck(*check)
 		printTelemetry(res.Telemetry, *telemetryDir)
 	case "fig2":
 		res, err := conga.RunFigure2(sch, *seed)
@@ -223,12 +223,20 @@ var (
 	modeFlags = map[string][]string{
 		"fct": append([]string{"workload", "load", "duration", "maxflows", "imbalance",
 			"queues", "parallel", "record", "replay", "cdfout", "check"}, fabricFlags...),
-		"incast": append([]string{"fanout", "reqmb"}, fabricFlags...),
-		"hdfs":   append([]string{"load"}, fabricFlags...),
+		"incast": append([]string{"fanout", "reqmb", "check"}, fabricFlags...),
+		"hdfs":   append([]string{"load", "check"}, fabricFlags...),
 		"fig2":   nil,
 		"fig3":   nil,
 	}
 )
+
+// printCheck reports an audited run that passed; a failed audit has
+// already exited through die.
+func printCheck(on bool) {
+	if on {
+		fmt.Println("check: passed (flowlet tables and link queues at every sweep, completed flow sizes, drain)")
+	}
+}
 
 // checkFlags refuses an unknown mode and every flag in set (the names given
 // on the command line) that the mode does not read, before anything is

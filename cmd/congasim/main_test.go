@@ -101,7 +101,9 @@ func TestModeRefusesFlagsItDoesNotRead(t *testing.T) {
 		{"-mode fig3 -transport mptcp", "-mode fig3 does not read -transport"},
 		{"-mode hdfs -parallel 2", "-mode hdfs does not read -parallel"},
 		{"-check -parallel 2", ""},
-		{"-mode incast -check", "-mode incast does not read -check"},
+		{"-mode incast -fanout 8 -check", ""},
+		{"-mode hdfs -load 0.2 -check", ""},
+		{"-mode fig2 -check", "-mode fig2 does not read -check"},
 		{"-mode incast -duration 5ms", "-mode incast does not read -duration"},
 		{"-mode hdfs -workload data-mining", "-mode hdfs does not read -workload"},
 		{"-mode incast -imbalance", "-mode incast does not read -imbalance"},

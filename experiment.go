@@ -114,11 +114,14 @@ type FCTConfig struct {
 	// Check audits the run (ROADMAP item 2(a)) and makes RunFCT return an
 	// error naming the first invariant that failed and the leaf, link or
 	// flow it failed on. At every flowlet sweep each leaf's flowlet table
-	// must be consistent (core.FlowletTable.Check); every completed flow
-	// must have delivered exactly its size; and a run that drains (no live
-	// event left) must have every pooled packet back on its pool and no
-	// arrival, drain or queued packet left on any link. Checking never
-	// changes simulation outcomes; off, it costs one branch per sweep.
+	// must be consistent (core.FlowletTable.Check), and each link's queue
+	// must hold exactly the bytes it counts, within its buffer, behind an
+	// armed drain and a claim that still holds, with no queued packet's
+	// event pending; every completed flow must have delivered exactly its
+	// size; and a run that drains (no live event left) must have every
+	// pooled packet back on its pool and no arrival, drain or queued packet
+	// left on any link. Checking never changes simulation outcomes; off, it
+	// costs one branch per sweep.
 	Check bool
 
 	// Parallel, when > 1, runs this single experiment space-parallel: the

@@ -37,6 +37,12 @@ type HDFSConfig struct {
 	// FCTConfig.Telemetry); the registry returns in HDFSResult.Telemetry.
 	Telemetry *TelemetryOptions
 
+	// Check audits the trial as FCTConfig.Check does: flowlet tables and
+	// link queues at every sweep, each completed background flow's
+	// delivered bytes, and, when the run drains, no packet left. RunHDFS
+	// then returns an error naming the first failure.
+	Check bool
+
 	Seed uint64
 }
 
@@ -115,6 +121,9 @@ func runHDFS(cfg HDFSConfig) (*HDFSResult, error) {
 	// and the HDFS replication pipeline below so every flow recycles
 	// through the same free lists.
 	eng, net := r.doms[0].eng, r.net
+	if cfg.Check {
+		r.enableCheck()
+	}
 
 	// Background enterprise traffic for the whole trial window. The
 	// completion callback runs after a flow's endpoints close and schedules
@@ -168,6 +177,11 @@ func runHDFS(cfg HDFSConfig) (*HDFSResult, error) {
 	})
 
 	endAt := r.exec(sim.Duration(cfg.Timeout))
+	if cfg.Check {
+		if err := r.audit(); err != nil {
+			return nil, err
+		}
+	}
 
 	res := &HDFSResult{
 		Scheme:       SchemeName(cfg.Scheme),

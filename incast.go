@@ -32,6 +32,13 @@ type IncastConfig struct {
 	// FCTConfig.Telemetry); the registry returns in IncastResult.Telemetry.
 	Telemetry *TelemetryOptions
 
+	// Check audits the run as FCTConfig.Check does — flowlet tables and
+	// link queues at every sweep, and, when the run drains, no packet left
+	// — and makes RunIncast return an error naming the first failure. The
+	// fanout's synchronized burst builds the deepest access-port queue of
+	// any harness.
+	Check bool
+
 	Seed uint64
 }
 
@@ -115,6 +122,9 @@ func runIncast(cfg IncastConfig) (*IncastResult, error) {
 		return nil, err
 	}
 	eng, net, pool := r.doms[0].eng, r.net, r.doms[0].pool
+	if cfg.Check {
+		r.enableCheck()
+	}
 
 	client := net.Host(0)
 	perServer := cfg.RequestBytes / int64(cfg.Fanout)
@@ -192,6 +202,11 @@ func runIncast(cfg IncastConfig) (*IncastResult, error) {
 
 	eng.At(0, func(now sim.Time) { startRound(now) })
 	endAt := r.exec(sim.Duration(cfg.Timeout))
+	if cfg.Check {
+		if err := r.audit(); err != nil {
+			return nil, err
+		}
+	}
 
 	var rtos uint64
 	for _, sv := range servers {

@@ -54,7 +54,7 @@ func TestCheckDrainedNamesEachFault(t *testing.T) {
 		{"drain pending", func() {
 			l.Send(&Packet{DstHost: 4, Payload: 100}, eng.Now())
 			l.Send(&Packet{DstHost: 4, Payload: 100}, eng.Now())
-			l.queue, l.qhead, l.qlen = l.queue[:0], 0, 0
+			l.queue, l.qlen = sim.Queue{}, 0
 		}, "link " + l.Name + " still has its drain pending"},
 	} {
 		tc.plant()
@@ -62,5 +62,78 @@ func TestCheckDrainedNamesEachFault(t *testing.T) {
 			t.Errorf("%s: CheckDrained() = %v, want an error naming %q", tc.fault, err, tc.want)
 		}
 		eng.Run(eng.Now() + sim.Millisecond) // deliver what the fault left in flight
+	}
+}
+
+// TestCheckSweepNamesEachQueueFault: the sweep audit of the link queues. A
+// burst keeps host 0's uplink queued across a sweep, which must pass; then
+// one fault per queue invariant is planted between two events and the audit
+// must name it and the link. The last fault is planted just before a sweep,
+// so it is the ticker's own audit that reports it.
+func TestCheckSweepNamesEachQueueFault(t *testing.T) {
+	eng := sim.New()
+	cfg := smallTestConfig(SchemeCONGA)
+	n := MustNetwork(eng, cfg)
+	n.EnableCheck()
+	src, dst := n.Host(0), n.Host(4)
+	dst.Bind(9000, &testSink{})
+	l := src.out
+	tfl := cfg.Params.Tfl
+	// 60 packets of ~1 KB at 1 Gb/s keep the link busy for ~500 µs from
+	// 0.75·Tfl, well past the first sweep.
+	eng.At(tfl*3/4, func(now sim.Time) {
+		for i := 0; i < 60; i++ {
+			l.Send(&Packet{FlowID: 1, DstHost: dst.ID, DstPort: 9000, Payload: 1000}, now)
+		}
+	})
+	eng.Run(tfl + sim.Microsecond)
+	if err := n.CheckErr(); err != nil {
+		t.Fatalf("sweep audit of a queued link: %v", err)
+	}
+	if l.QueuedBytes() == 0 {
+		t.Fatal("the burst drained before the sweep; the audit saw no queue")
+	}
+
+	audit := func() error {
+		n.checkErrs[l.dom] = nil
+		n.checkSweep(l.dom, eng.Now())
+		err := n.CheckErr()
+		n.checkErrs[l.dom] = nil
+		return err
+	}
+	at := fmt.Sprintf("link %s at ", l.Name)
+	maxQ := l.maxQ
+	for _, tc := range []struct {
+		fault       string
+		plant, undo func()
+		want        string
+	}{
+		{"qlen off by one byte", func() { l.qlen++ }, func() { l.qlen-- }, "wire bytes, qlen says"},
+		{"qlen above maxQ", func() { l.maxQ = l.qlen - 1 }, func() { l.maxQ = maxQ }, "-byte buffer"},
+		{"drain disarmed", func() { eng.CancelNode(&l.drainEv) }, l.armDrain, "packets queued with no drain armed"},
+	} {
+		tc.plant()
+		if err := audit(); err == nil || !strings.Contains(err.Error(), at) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: audit = %v, want an error naming %q and %q", tc.fault, err, at, tc.want)
+		}
+		tc.undo()
+		if err := audit(); err != nil {
+			t.Fatalf("%s undone: audit = %v", tc.fault, err)
+		}
+	}
+
+	eng.At(2*tfl-1, func(sim.Time) { l.qlen++ })
+	eng.Run(2 * tfl)
+	if err := n.CheckErr(); err == nil || !strings.Contains(err.Error(), at) || !strings.Contains(err.Error(), "qlen says") {
+		t.Errorf("fault planted before a sweep: CheckErr() = %v, want the sweep to name qlen on %s", err, l.Name)
+	}
+	l.qlen--
+	n.checkErrs[l.dom] = nil
+	eng.Run(eng.Now() + 5*sim.Millisecond)
+	if err := n.CheckErr(); err != nil {
+		t.Errorf("after the faults were undone: %v", err)
+	}
+	if err := n.CheckDrained(); err != nil {
+		t.Errorf("drained network: %v", err)
 	}
 }

@@ -20,10 +20,14 @@ import (
 // transport state fills the third. 192 bytes is also a Go size class, so
 // every pooled packet starts on a line boundary; a field that pushed Packet
 // into the 208-, 224- or 240-byte class would leave most packets straddling
-// four lines and fails the alignment check below.
+// four lines and fails the alignment check below. The node opens the
+// packet, which is what lets nodePacket turn a queued node back into it.
 func TestPacketLayout(t *testing.T) {
 	if s := unsafe.Sizeof(Packet{}); s != 192 {
 		t.Errorf("Packet is %d bytes, want exactly 192 (three cache lines)", s)
+	}
+	if off := unsafe.Offsetof(Packet{}.ev); off != 0 {
+		t.Errorf("Packet.ev at byte %d, want 0: nodePacket casts a node to its packet", off)
 	}
 	line := map[string]uintptr{
 		"ev": 0, "link": 0,
@@ -239,7 +243,7 @@ func runSetUpDropScenario(t *testing.T, observed bool) dropViews {
 
 	var v dropViews
 	eng.At(200*sim.Microsecond, func(now sim.Time) {
-		v.queued = len(up.queue) - up.qhead
+		v.queued = up.queued()
 		if v.queued == 0 || up.serSize == 0 || !up.claimed(now) {
 			t.Fatalf("scenario needs a queue and a packet in service: queued %d", v.queued)
 		}

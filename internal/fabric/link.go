@@ -39,11 +39,10 @@ type Link struct {
 	// register hit zero, the ticker clears it when it drops the drained link.
 	dreListed bool
 	eng       *sim.Engine
-	queue     []*Packet
-	qhead     int
-	qlen      int     // queued bytes
-	maxQ      int     // queue capacity in bytes (excluding the packet in service)
-	rate      float64 // bits per second
+	queue     sim.Queue // drop-tail FIFO threaded through the queued packets' own nodes
+	qlen      int       // queued bytes
+	maxQ      int       // queue capacity in bytes (excluding the packet in service)
+	rate      float64   // bits per second
 	prop      sim.Time
 	dst       node
 	// xq, when non-nil, marks a cross-domain link whose deliveries go
@@ -70,6 +69,7 @@ type Link struct {
 	// serialization ns. Size 0 (no packet has it) marks an empty entry.
 	serMemoSize [2]int32
 	serMemoNs   [2]sim.Time
+	_           [16]byte // closes the third line, so the DRE opens the fourth
 	// Fabric links only: the fourth line, which an access link's send never
 	// touches.
 	dre        core.DRE
@@ -164,11 +164,9 @@ func (l *Link) SetUp(up bool) {
 		return
 	}
 	now := l.eng.Now()
-	for _, p := range l.queue[l.qhead:] {
-		l.drop(p, now)
+	for n := l.queue.Pop(); n != nil; n = l.queue.Pop() {
+		l.drop(nodePacket(n), now)
 	}
-	l.queue = l.queue[:0]
-	l.qhead = 0
 	l.qlen = 0
 	if l.fab {
 		l.dre.Reset()
@@ -266,13 +264,13 @@ func (l *Link) Send(p *Packet, now sim.Time) {
 		l.drop(p, now)
 		return
 	}
-	if l.qhead < len(l.queue) || l.claimed(now) {
+	if l.queue.Head() != nil || l.claimed(now) {
 		size := l.wireSize(p)
 		if l.qlen+size > l.maxQ {
 			l.drop(p, now)
 			return
 		}
-		l.queue = append(l.queue, p)
+		l.queue.Push(&p.ev)
 		l.qlen += size
 		if l.tel != nil {
 			l.tel.Enqueues++
@@ -359,25 +357,21 @@ func (l *Link) serTime(size int) sim.Time {
 // the new claim only while packets remain, so a busy period of k queued
 // packets costs k drains and an idle link none.
 func (l *Link) drain(now sim.Time) {
-	if l.qhead == len(l.queue) {
+	n := l.queue.Pop()
+	if n == nil {
 		return // flushed by SetUp(false) after the drain was armed
 	}
-	p := l.queue[l.qhead]
-	l.queue[l.qhead] = nil
-	l.qhead++
-	// Compact the ring once the dead prefix dominates.
-	if l.qhead > 64 && l.qhead*2 >= len(l.queue) {
-		n := copy(l.queue, l.queue[l.qhead:])
-		l.queue = l.queue[:n]
-		l.qhead = 0
-	}
+	// Pop takes the next head from the popped packet's first line, which
+	// start touches anyway, and must come first: start's scheduling
+	// rewrites that node link.
+	p := nodePacket(n)
 	l.qlen -= l.wireSize(p)
 	l.drained++
 	l.start(p, now)
-	if l.qhead < len(l.queue) {
+	if h := l.queue.Head(); h != nil {
 		// The next drain reads the new head's Payload one serialization time
 		// from now; the packet has sat untouched since it was enqueued.
-		prefetch.Lines2(unsafe.Pointer(l.queue[l.qhead]))
+		prefetch.Lines2(unsafe.Pointer(h))
 		l.armDrain()
 	}
 }

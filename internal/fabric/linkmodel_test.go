@@ -316,7 +316,9 @@ func TestLinkLayout(t *testing.T) {
 		"dreListed": end(unsafe.Offsetof(l.dreListed), unsafe.Sizeof(l.dreListed)),
 		"eng":       end(unsafe.Offsetof(l.eng), unsafe.Sizeof(l.eng)),
 		"queue":     end(unsafe.Offsetof(l.queue), unsafe.Sizeof(l.queue)),
-		"qhead":     end(unsafe.Offsetof(l.qhead), unsafe.Sizeof(l.qhead)),
+	}
+	if s := unsafe.Sizeof(l.queue); s != 16 {
+		t.Errorf("queue header is %d bytes, want 16 (head and tail)", s)
 	}
 	for name, e := range first {
 		if e > 64 {

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -47,6 +48,7 @@ func TestReleasingPendingPacketPanics(t *testing.T) {
 	mustPanic(t, "arrival on pipe is pending", func() { pool.Put(p) })
 	mustPanic(t, "arrival on pipe is pending", func() { l.drop(p, 0) })
 	mustPanic(t, "arrival on pipe is pending", func() { (*PacketPool)(nil).Put(p) })
+	mustPanic(t, "queueing a node pending", func() { l.Send(p, 0) })
 	eng.Run(sim.MaxTime)
 	if len(log) != 1 || log[0].at != 2200 {
 		t.Fatalf("deliveries %+v, want one at 2200 ns", log)
@@ -54,6 +56,60 @@ func TestReleasingPendingPacketPanics(t *testing.T) {
 	pool.Put(p) // delivered: the node is idle again
 	if pool.Get() != p {
 		t.Fatal("delivered packet did not recycle")
+	}
+}
+
+// releaseNode hands every packet it receives back to its pool.
+type releaseNode struct{ pool *PacketPool }
+
+func (r releaseNode) handle(p *Packet, _ *Link, _ sim.Time) { r.pool.Put(p) }
+
+// TestLinkQueueAllocatesNothing: a queued packet costs no memory beside
+// itself. With 1,000 packets already pooled, a burst of all of them into a
+// fresh link — one starts, 999 queue behind its claim — drains and releases
+// them without one allocation, the first burst included, where a queue
+// holding a slot per packet would grow its array; repeated bursts allocate
+// nothing either.
+func TestLinkQueueAllocatesNothing(t *testing.T) {
+	const burst = 1000
+	eng, pool := sim.New(), &PacketPool{}
+	held := make([]*Packet, burst)
+	for i := range held {
+		held[i] = pool.Get()
+	}
+	for _, p := range held {
+		pool.Put(p)
+	}
+	l := NewLink(eng, LinkConfig{Name: "burst", RateBps: 10e9, PropDelay: sim.Microsecond,
+		BufBytes: 4 << 20, Params: core.DefaultParams(), Pool: pool}, releaseNode{pool})
+	peak := 0
+	cycle := func() {
+		now := eng.Now()
+		for range burst {
+			p := pool.Get()
+			p.Payload = 1442
+			l.Send(p, now)
+		}
+		peak = l.queued()
+		eng.Run(sim.MaxTime)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	cycle()
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("the first burst of %d packets allocated %d objects, want 0", burst, n)
+	}
+	if peak != burst-1 || l.drained != burst-1 || l.Drops != 0 {
+		t.Fatalf("burst queued %d, drained %d, dropped %d; want %d queued behind one claim and drained, none dropped",
+			peak, l.drained, l.Drops, burst-1)
+	}
+	if a := testing.AllocsPerRun(20, cycle); a != 0 {
+		t.Errorf("a repeated burst allocates %v objects, want 0", a)
+	}
+	if pool.Allocs != burst || pool.freeCount() != burst {
+		t.Errorf("pool allocated %d and holds %d free, want %d and %d", pool.Allocs, pool.freeCount(), burst, burst)
 	}
 }
 

@@ -13,6 +13,8 @@
 package fabric
 
 import (
+	"unsafe"
+
 	"conga/internal/core"
 	"conga/internal/sim"
 	"conga/internal/telemetry"
@@ -44,6 +46,11 @@ const (
 // transport stamped. SrcPort, which stays an int, opens the third line with
 // the transport state only the two end hosts read. A layout test pins all
 // three lines, the size and the alignment.
+//
+// The node also threads an idle packet through the queue that holds it — a
+// link's output queue or the pool's free list (sim.Queue) — so a queued
+// packet costs no slot beside it, and nodePacket turns the node back into
+// its packet.
 type Packet struct {
 	ev   sim.Node
 	link *Link // the link ev's arrival is for; meaningful while ev is pending
@@ -95,6 +102,11 @@ type Packet struct {
 	// Measurement.
 	SentAt sim.Time
 }
+
+// nodePacket returns the packet whose node n is. It is valid for the nodes
+// of Packets only, because ev is Packet's first field (TestPacketLayout pins
+// its offset at 0).
+func nodePacket(n *sim.Node) *Packet { return (*Packet)(unsafe.Pointer(n)) }
 
 // SetLBHash stamps the packet's memoized load-balancing flow hash. h must
 // be HashFlow of the packet's identity fields — callers precompute it once

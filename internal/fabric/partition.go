@@ -339,7 +339,8 @@ func NewPartitionedNetwork(engines []*sim.Engine, cfg Config) (*Network, error) 
 	}
 	// Flowlet age sweep per leaf, every Tfl, on the leaf's own domain;
 	// telemetry samples table occupancy and congestion-table metrics, and
-	// the audit checks the swept tables, on the same tick.
+	// the audit checks the swept tables and the domain's link queues, on the
+	// same tick.
 	for d := 0; d < P; d++ {
 		dom := d
 		sim.NewTicker(engines[dom], cfg.Params.Tfl, func(now sim.Time) {
@@ -350,7 +351,7 @@ func NewPartitionedNetwork(engines []*sim.Engine, cfg Config) (*Network, error) 
 				n.sampleLeafSeries(dom, now)
 			}
 			if n.checkErrs != nil {
-				n.checkFlowlets(dom, now)
+				n.checkSweep(dom, now)
 			}
 		})
 	}

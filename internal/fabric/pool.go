@@ -1,6 +1,10 @@
 package fabric
 
-import "fmt"
+import (
+	"fmt"
+
+	"conga/internal/sim"
+)
 
 // PacketPool recycles Packet objects within one engine's fabric. The
 // simulator is single-threaded per engine, so the pool needs no locking;
@@ -13,8 +17,12 @@ import "fmt"
 // Packets constructed directly (tests, external drivers) are ignored by
 // Put and stay garbage-collected, so foreign pointers are never recycled
 // under their owner's feet.
+//
+// The free list is a LIFO threaded through the free packets' own nodes, so
+// it holds no slot per packet and Get hands out the packet released last,
+// the one most likely still in cache.
 type PacketPool struct {
-	free []*Packet
+	free sim.Queue
 
 	// Allocs counts pool misses (fresh heap allocations); Recycled counts
 	// Gets served from the free list. Exported via counters for tests.
@@ -27,10 +35,8 @@ func (pp *PacketPool) Get() *Packet {
 	if pp == nil {
 		return &Packet{}
 	}
-	if n := len(pp.free); n > 0 {
-		p := pp.free[n-1]
-		pp.free[n-1] = nil
-		pp.free = pp.free[:n-1]
+	if n := pp.free.Pop(); n != nil {
+		p := nodePacket(n)
 		pp.Recycled++
 		p.pooled = true
 		return p
@@ -54,5 +60,5 @@ func (pp *PacketPool) Put(p *Packet) {
 		return
 	}
 	*p = Packet{}
-	pp.free = append(pp.free, p)
+	pp.free.PushFront(&p.ev)
 }

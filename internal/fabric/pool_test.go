@@ -33,7 +33,7 @@ func TestPoolIgnoresForeignAndDoubleRelease(t *testing.T) {
 	// recycled under their owner's feet.
 	foreign := &Packet{Payload: 99}
 	pp.Put(foreign)
-	if len(pp.free) != 0 {
+	if pp.freeCount() != 0 {
 		t.Fatal("foreign packet entered the pool")
 	}
 	if foreign.Payload != 99 {
@@ -43,8 +43,8 @@ func TestPoolIgnoresForeignAndDoubleRelease(t *testing.T) {
 	p := pp.Get()
 	pp.Put(p)
 	pp.Put(p)
-	if len(pp.free) != 1 {
-		t.Fatalf("double Put produced %d free entries, want 1", len(pp.free))
+	if pp.freeCount() != 1 {
+		t.Fatalf("double Put produced %d free entries, want 1", pp.freeCount())
 	}
 	// Nil pool (links built outside a Network) degrades to plain allocation.
 	var nilPool *PacketPool

@@ -101,6 +101,10 @@ func (fn Event) Fire(now Time) { fn(now) }
 // overwritten or released while Pending, and it holds at most one firing at
 // a time (AtNode on a pending node panics). An owner that embeds it pays no
 // event object, and no cache line beyond its own, per pending firing.
+//
+// A node is in one wheel bucket (pending) or in at most one Queue (idle),
+// never both: an idle node's bucket link is free, so its owner may thread
+// it through a Queue of its own until it schedules the node again.
 type Node struct {
 	at         Time
 	seq        uint64 // insertion order; breaks ties deterministically
@@ -117,6 +121,63 @@ func (n *Node) Pending() bool { return n.loc != locNone }
 
 // bucket is one timing-wheel slot: a FIFO doubly-linked list of nodes.
 type bucket struct{ head, tail *Node }
+
+// Queue is a FIFO of idle nodes threaded through the bucket link an idle
+// node leaves unused, so queueing allocates nothing and a node's owner
+// finds its successor in the node itself. The zero value is empty. A node
+// must be popped before it is scheduled again: scheduling rewrites the
+// link.
+type Queue struct{ head, tail *Node }
+
+// Push appends the idle node n at the tail. It panics if n is pending.
+func (q *Queue) Push(n *Node) {
+	if n.loc != locNone {
+		panic(fmt.Sprintf("sim: queueing a node pending at %v", n.at))
+	}
+	n.next = nil
+	if q.tail == nil {
+		q.head = n
+	} else {
+		q.tail.next = n
+	}
+	q.tail = n
+}
+
+// PushFront inserts the idle node n at the head, which makes the queue a
+// stack for an owner that only pushes there. It panics if n is pending.
+func (q *Queue) PushFront(n *Node) {
+	if n.loc != locNone {
+		panic(fmt.Sprintf("sim: queueing a node pending at %v", n.at))
+	}
+	n.next = q.head
+	q.head = n
+	if q.tail == nil {
+		q.tail = n
+	}
+}
+
+// Pop removes and returns the head node, with its link cleared, or nil
+// when the queue is empty.
+func (q *Queue) Pop() *Node {
+	n := q.head
+	if n == nil {
+		return nil
+	}
+	q.head = n.next
+	if q.head == nil {
+		q.tail = nil
+	}
+	n.next = nil
+	return n
+}
+
+// Head returns the head node without removing it, or nil when the queue is
+// empty.
+func (q *Queue) Head() *Node { return q.head }
+
+// Next returns the node after n in its Queue, or nil at the tail. It is
+// meaningful only while n is queued; audits and tests walk a queue with it.
+func (n *Node) Next() *Node { return n.next }
 
 // EventHandle identifies a scheduled closure so it can be cancelled. The
 // zero value is not a valid handle. The sequence number doubles as the pooled

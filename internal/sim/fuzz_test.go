@@ -401,3 +401,119 @@ func FuzzWheelMatchesHeap(f *testing.F) {
 		}
 	})
 }
+
+// FuzzQueueMatchesSlice drives a Queue of caller-owned nodes against a slice
+// model. Each op byte's low three bits pick the operation and its high five
+// a node or a delay. Push, PushFront, Pop and Head interleave with popping
+// the head onto an Engine (AtNode), cancelling and running it; every firing
+// pushes its node back at the tail from inside Fire, where it is idle again.
+// After each op the queue, walked through Next, must equal the model, its
+// tail must be the model's last node, no queued node may be pending, and a
+// popped node's link must be clear. Pushing a pending node must panic and
+// leave the queue as it was.
+func FuzzQueueMatchesSlice(f *testing.F) {
+	f.Add([]byte{})
+	// PushFront into an empty queue, then Push behind it.
+	f.Add([]byte{0x01, 0x08, 0x03, 0x02, 0x02})
+	// Push 0..3, PushFront 4, pop one onto the engine, run it back in.
+	f.Add([]byte{0x00, 0x08, 0x10, 0x18, 0x21, 0x04, 0x0d, 0x03, 0x02})
+	// A pending node pushed and push-fronted (both panic), then cancelled
+	// and pushed for real.
+	f.Add([]byte{0x00, 0x04, 0x00, 0x01, 0x06, 0x00, 0x02, 0x03})
+	// Everything onto the engine at staggered delays, then drained.
+	f.Add([]byte{0x00, 0x08, 0x10, 0x18, 0x04, 0x0c, 0x14, 0x1c, 0x07, 0x02, 0x02, 0x02, 0x02, 0x02})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		const nodes = 8
+		var (
+			eng    Engine
+			q      Queue
+			ns     [nodes]Node
+			model  []int
+			queued [nodes]bool
+		)
+		pop := func(i int) (*Node, int) {
+			n := q.Pop()
+			if len(model) == 0 {
+				if n != nil {
+					t.Fatalf("op %d: Pop on an empty queue returned a node", i)
+				}
+				return nil, -1
+			}
+			k := model[0]
+			if n != &ns[k] {
+				t.Fatalf("op %d: Pop returned the wrong node, want node %d", i, k)
+			}
+			if n.Next() != nil {
+				t.Fatalf("op %d: popped node %d keeps a link", i, k)
+			}
+			model, queued[k] = model[1:], false
+			return n, k
+		}
+		for i, b := range ops {
+			k, arg := int(b>>3)%nodes, Time(b>>3)
+			switch b & 7 {
+			case 0, 1: // Push, PushFront
+				push := q.Push
+				if b&7 == 1 {
+					push = q.PushFront
+				}
+				switch {
+				case ns[k].Pending():
+					func() {
+						defer func() {
+							if recover() == nil {
+								t.Fatalf("op %d: queueing pending node %d did not panic", i, k)
+							}
+						}()
+						push(&ns[k])
+					}()
+				case queued[k]: // a node is in at most one place of one queue
+				default:
+					push(&ns[k])
+					if b&7 == 1 {
+						model = append([]int{k}, model...)
+					} else {
+						model = append(model, k)
+					}
+					queued[k] = true
+				}
+			case 2:
+				pop(i)
+			case 3:
+				if h := q.Head(); (len(model) == 0) != (h == nil) || h != nil && h != &ns[model[0]] {
+					t.Fatalf("op %d: Head disagrees with the model %v", i, model)
+				}
+			case 4: // the head goes onto the engine and comes back when it fires
+				if n, k := pop(i); n != nil {
+					eng.AtNode(eng.Now()+arg, n, Event(func(Time) {
+						q.Push(n)
+						model, queued[k] = append(model, k), true
+					}))
+				}
+			case 5:
+				eng.Run(eng.Now() + arg)
+			case 6:
+				eng.CancelNode(&ns[k])
+			case 7:
+				eng.Run(MaxTime)
+			}
+
+			j := 0
+			for n := q.Head(); n != nil; n = n.Next() {
+				if j >= len(model) || n != &ns[model[j]] {
+					t.Fatalf("op %d: queue position %d disagrees with the model %v", i, j, model)
+				}
+				if n.Pending() {
+					t.Fatalf("op %d: queued node %d is pending", i, model[j])
+				}
+				j++
+			}
+			if j != len(model) {
+				t.Fatalf("op %d: queue holds %d nodes, the model %d", i, j, len(model))
+			}
+			if len(model) > 0 && q.tail != &ns[model[len(model)-1]] || len(model) == 0 && q.tail != nil {
+				t.Fatalf("op %d: tail disagrees with the model %v", i, model)
+			}
+		}
+	})
+}

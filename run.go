@@ -26,7 +26,7 @@ type run struct {
 	transport Transport
 	tcpCfg    tcp.Config
 	mpCfg     mptcp.Config
-	check     bool // audit the run (FCTConfig.Check)
+	check     bool // audit the run (the harness configs' Check)
 }
 
 // runDomain is one partition domain's private slice of a run. Nothing in
@@ -161,8 +161,9 @@ func (dom *runDomain) checkDelivered(flowID uint64, size, delivered int64) {
 }
 
 // enableCheck turns the audit on before the run: the fabric audits its
-// flowlet tables at every sweep, every completing flow has its delivered
-// bytes compared with its size, and audit reads the verdict afterwards.
+// flowlet tables and link queues at every sweep, every flow completing
+// through onFlowDone has its delivered bytes compared with its size, and
+// audit reads the verdict afterwards.
 func (r *run) enableCheck() {
 	r.check = true
 	r.net.EnableCheck()
