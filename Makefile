@@ -38,13 +38,15 @@ lint: vet
 memlat:
 	$(GO) run ./tools/memlat
 
-# Native fuzzing smoke (~190 s): the timing wheel against a sorted (time, seq)
+# Native fuzzing smoke (~210 s): the timing wheel against a sorted (time, seq)
 # model, the intrusive node queue against a slice (interleaved with
 # scheduling its nodes and queueing them again once fired), the packed
 # congestion-table entry against the three-field one it
 # replaced, the open-addressed flowlet table against its map model (any size,
 # either gap mode), the overlay header's bit-packing both ways, the hosts'
-# port table against a Go map, tcp's span set (every SACK block's source)
+# port table against a Go map, a host NIC that folds a flow's backlog into
+# super-packets against a plain link queueing every packet (arrivals, drops
+# and the queue audit), tcp's span set (every SACK block's source)
 # against a byte map, the sink-file reader against the writer (whatever it
 # reads must re-encode to bytes that read back equal), and the replay-trace
 # reader on forged and damaged binary input (an error, never a panic). Their
@@ -57,18 +59,22 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFlowletTableMatchesModel -fuzztime 20s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzHeaderRoundTrip -fuzztime 20s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzPortTableMatchesMap -fuzztime 20s ./internal/fabric
+	$(GO) test -run '^$$' -fuzz FuzzHostQueueMatchesLink -fuzztime 20s ./internal/fabric
 	$(GO) test -run '^$$' -fuzz FuzzSpanSetMatchesModel -fuzztime 20s ./internal/tcp
 	$(GO) test -run '^$$' -fuzz FuzzReadSinkFile -fuzztime 20s ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz FuzzReplayRead -fuzztime 20s ./internal/replay
 
-# Run-audit smoke (~5 s): a short FCT run and a small Incast, whose hot
-# access port builds the deepest queue of any harness, each under -check
-# (flowlet tables and link queues at every sweep, completed flow sizes, no
-# packet left at drain); congasim exits 1 naming the first failure.
+# Run-audit smoke (~6 s): a short FCT run, a small Incast, whose hot access
+# port builds the deepest queue of any harness, and a 40G run of the scale
+# cell's shape, where host NICs back up deepest, each under -check (flowlet
+# tables, link queues and host packet conservation at every sweep, completed
+# flow sizes, no packet or frame group left and every packet accounted for
+# at drain); congasim exits 1 naming the first failure.
 check-smoke:
 	$(GO) build -o /tmp/congasim ./cmd/congasim
 	/tmp/congasim -check -duration 10ms -maxflows 300 -minrto 10ms
 	/tmp/congasim -mode incast -check -fanout 16 -reqmb 4 -minrto 1ms
+	/tmp/congasim -check -leaves 32 -hosts 4 -spines 4 -links 2 -access 40 -fabric 40 -duration 2ms -maxflows 300 -minrto 10ms
 
 # Full paper-artifact benchmarks (minutes).
 bench:

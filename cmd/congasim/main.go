@@ -54,7 +54,7 @@ func main() {
 		imbalance = flag.Bool("imbalance", false, "collect Figure-12 imbalance stats")
 		queues    = flag.Bool("queues", false, "collect queue occupancy stats")
 		parallel  = flag.Int("parallel", 1, "space-parallel domains for fct mode (>1 partitions the fabric across that many worker goroutines)")
-		check     = flag.Bool("check", false, "audit the run (fct, incast, hdfs): flowlet tables and link queues at every sweep, each completed flow's delivered bytes, no packet left at drain; exit 1 naming the first failure")
+		check     = flag.Bool("check", false, "audit the run (fct, incast, hdfs): flowlet tables, link queues and host NIC packet conservation at every sweep, each completed flow's delivered bytes, no packet left and every packet accounted for at drain; exit 1 naming the first failure")
 
 		fanout = flag.Int("fanout", 16, "incast fan-in (incast mode)")
 		reqMB  = flag.Int("reqmb", 10, "incast request size in MB")
@@ -234,7 +234,7 @@ var (
 // already exited through die.
 func printCheck(on bool) {
 	if on {
-		fmt.Println("check: passed (flowlet tables and link queues at every sweep, completed flow sizes, drain)")
+		fmt.Println("check: passed (flowlet tables, link queues and host NIC packet conservation at every sweep, completed flow sizes, drain and global packet conservation)")
 	}
 }
 

@@ -8,8 +8,9 @@ import (
 
 // EnableCheck turns on the run audit (ROADMAP item 2(a)). From then on every
 // flowlet sweep, a safe point that already visits each leaf, also audits the
-// swept leaves' flowlet tables (core.FlowletTable.Check) and the output
-// queues of the links the domain transmits on (Link.checkQueue); the first
+// swept leaves' flowlet tables (core.FlowletTable.Check), the output queues
+// of the links the domain transmits on (Link.checkQueue) and the packet
+// conservation of the domain's host NICs (Host.checkConserved); the first
 // failure on each domain is kept for CheckErr. Call it before the run
 // starts. With the audit off the sweep pays one nil check and a packet pays
 // nothing.
@@ -37,33 +38,101 @@ func (n *Network) checkSweep(d int, now sim.Time) {
 			}
 		}
 	})
+	if n.checkErrs[d] != nil {
+		return
+	}
+	for _, leaf := range n.domLeafIdx[d] {
+		ls := n.Leaves[leaf]
+		for _, h := range n.Hosts[ls.firstHost : ls.firstHost+len(ls.downlinks)] {
+			if err := h.checkConserved(); err != nil {
+				n.checkErrs[d] = fmt.Errorf("check: host %d at %v: %w", h.ID, now, err)
+				return
+			}
+		}
+	}
+}
+
+// checkConserved audits packet conservation at the host's NIC: every packet
+// the host sent was started on its access link, dropped there, or is queued
+// there as a frame. A packet SetUp(false) killed on the wire counts both as
+// started and as dropped, so it is taken out once.
+func (h *Host) checkConserved() error {
+	l := h.out
+	queued := l.queued()
+	if got := l.txPackets - l.killed + l.Drops + uint64(queued); got != h.TxPackets {
+		return fmt.Errorf("packet conservation: sent %d packets, but NIC %s accounts for %d (%d started, %d killed on the wire, %d dropped, %d queued)",
+			h.TxPackets, l.Name, got, l.txPackets, l.killed, l.Drops, queued)
+	}
+	return nil
 }
 
 // checkQueue audits the link's output queue between two events at now: the
-// queued packets' wire sizes sum to qlen, which stays within the buffer; a
+// queued frames' wire sizes sum to qlen, which stays within the buffer; a
 // non-empty queue waits on an armed drain behind a claim that still holds;
-// and no queued packet has an event pending. The error names the invariant.
+// no queued packet has an event pending; and each super-packet's frame
+// groups account for its frames (Link.frames). The error names the
+// invariant.
 func (l *Link) checkQueue(now sim.Time) error {
 	queued, bytes := 0, 0
 	for n := l.queue.Head(); n != nil; n = n.Next() {
 		p := nodePacket(n)
 		if n.Pending() {
-			return fmt.Errorf("queued packet %d of flow %d has its event pending", queued, p.FlowID)
+			return fmt.Errorf("queued packet of flow %d after %d frames has its event pending", p.FlowID, queued)
 		}
-		queued++
-		bytes += l.wireSize(p)
+		k, b, err := l.frames(p)
+		if err != nil {
+			return err
+		}
+		queued += k
+		bytes += b
 	}
 	switch {
 	case bytes != l.qlen:
-		return fmt.Errorf("%d queued packets sum to %d wire bytes, qlen says %d", queued, bytes, l.qlen)
+		return fmt.Errorf("%d queued frames sum to %d wire bytes, qlen says %d", queued, bytes, l.qlen)
 	case l.qlen > l.maxQ:
 		return fmt.Errorf("qlen %d exceeds the %d-byte buffer", l.qlen, l.maxQ)
 	case queued > 0 && !l.drainEv.Pending():
-		return fmt.Errorf("%d packets queued with no drain armed", queued)
+		return fmt.Errorf("%d frames queued with no drain armed", queued)
 	case queued > 0 && !l.claimed(now):
-		return fmt.Errorf("%d packets queued behind an expired claim", queued)
+		return fmt.Errorf("%d frames queued behind an expired claim", queued)
 	}
 	return nil
+}
+
+// frames returns how many frames the queued packet p holds and their wire
+// bytes: one for a plain packet; for a super-packet, its payload cut into
+// seg-byte frames and a short last one, which its frame groups must hold
+// exactly, each group at least one frame and the first naming the last.
+func (l *Link) frames(p *Packet) (k, bytes int, err error) {
+	if p.train == 0 {
+		return 1, l.wireSize(p), nil
+	}
+	gs := l.pool.groups
+	if int(p.train) > len(gs) {
+		return 0, 0, fmt.Errorf("super-packet of flow %d names frame group %d of %d", p.FlowID, p.train, len(gs))
+	}
+	first := gs[p.train-1]
+	if first.seg <= 0 || p.Payload <= 0 {
+		return 0, 0, fmt.Errorf("super-packet of flow %d holds %d payload bytes in %d-byte frames", p.FlowID, p.Payload, first.seg)
+	}
+	k = int((p.Payload + first.seg - 1) / first.seg)
+	full, short := Packet{Payload: first.seg}, Packet{Payload: p.Payload - int32(k-1)*first.seg}
+	bytes = (k-1)*l.wireSize(&full) + l.wireSize(&short)
+	held, last := 0, uint32(0)
+	for i := p.train; i != 0 && held <= k; i = gs[i-1].next {
+		if int(i) > len(gs) || gs[i-1].n <= 0 {
+			return 0, 0, fmt.Errorf("super-packet of flow %d has a frame group without frames", p.FlowID)
+		}
+		held += int(gs[i-1].n)
+		last = i
+	}
+	switch {
+	case held != k:
+		return 0, 0, fmt.Errorf("super-packet of flow %d holds %d frames, its frame groups %d", p.FlowID, k, held)
+	case last != first.last:
+		return 0, 0, fmt.Errorf("super-packet of flow %d names frame group %d its last, which is %d", p.FlowID, first.last, last)
+	}
+	return k, bytes, nil
 }
 
 // CheckErr returns the first failure the sweep audit found, in domain
@@ -78,9 +147,12 @@ func (n *Network) CheckErr() error {
 }
 
 // CheckDrained audits a network whose run has drained, with no live event
-// left on any engine: every pooled packet is back on a pool, and no link
-// holds a queued packet, an armed drain or a pending arrival, nor any
-// mailbox a packet in transit. It returns an error naming the first
+// left on any engine: every pooled packet is back on a pool; no link holds a
+// queued packet, an armed drain or a pending arrival, nor any mailbox a
+// packet in transit; and every packet that entered the fabric left it —
+// the hosts' sends and the leaves' control packets equal the hosts'
+// receptions, the control packets terminated at TEPs, the links' drops and
+// the switches' routing drops. It returns an error naming the first
 // invariant that fails and the link it failed on.
 func (n *Network) CheckDrained() error {
 	var allocs, free uint64
@@ -91,12 +163,17 @@ func (n *Network) CheckDrained() error {
 	if free != allocs {
 		return fmt.Errorf("check: %d of %d pooled packets are not back on a pool at drain", allocs-free, allocs)
 	}
+	for _, pp := range n.pools {
+		if free := pp.freeGroupCount(); free != len(pp.groups) {
+			return fmt.Errorf("check: %d of %d frame groups are not back on a pool at drain", len(pp.groups)-free, len(pp.groups))
+		}
+	}
 	var err error
 	n.eachLink(func(l *Link) {
 		switch {
 		case err != nil:
 		case l.queue.Head() != nil:
-			err = fmt.Errorf("check: link %s still queues %d packets at drain", l.Name, l.queued())
+			err = fmt.Errorf("check: link %s still queues %d frames at drain", l.Name, l.queued())
 		case l.drainEv.Pending():
 			err = fmt.Errorf("check: link %s still has its drain pending at drain", l.Name)
 		case l.wire != nil && l.wire.link == l && l.wire.ev.Pending():
@@ -113,16 +190,36 @@ func (n *Network) CheckDrained() error {
 			}
 		}
 	}
+	var sent, ctrl, recv, term, drops, noRoute uint64
+	for _, h := range n.Hosts {
+		sent += h.TxPackets
+		recv += h.RxPackets
+	}
+	for _, ls := range n.Leaves {
+		ctrl += ls.CtrlOut
+		term += ls.CtrlIn
+		noRoute += ls.NoRouteDrops
+	}
+	for _, ss := range n.Spines {
+		noRoute += ss.NoRouteDrops
+	}
+	n.eachLink(func(l *Link) { drops += l.Drops })
+	if in, out := sent+ctrl, recv+term+drops+noRoute; in != out {
+		return fmt.Errorf("check: packet conservation: %d packets entered the fabric (%d sent by hosts, %d control) but %d left it (%d received by hosts, %d control terminated, %d dropped on links, %d without a route)",
+			in, sent, ctrl, out, recv, term, drops, noRoute)
+	}
 	return nil
 }
 
-// queued and freeCount walk a link's queue and a pool's free list: neither
-// keeps a count of its own, so no counter rides the packet path for the
-// audits and tests that want one.
+// queued, freeCount and freeGroupCount walk a link's queue (counting
+// frames), a pool's free list and its free frame groups: none keeps a count
+// of its own, so no counter rides the packet path for the audits and tests
+// that want one.
 func (l *Link) queued() int {
 	k := 0
 	for n := l.queue.Head(); n != nil; n = n.Next() {
-		k++
+		f, _, _ := l.frames(nodePacket(n))
+		k += f
 	}
 	return k
 }
@@ -130,6 +227,14 @@ func (l *Link) queued() int {
 func (pp *PacketPool) freeCount() uint64 {
 	var k uint64
 	for n := pp.free.Head(); n != nil; n = n.Next() {
+		k++
+	}
+	return k
+}
+
+func (pp *PacketPool) freeGroupCount() int {
+	k := 0
+	for i := pp.freeGroups; i != 0 && k <= len(pp.groups); i = pp.groups[i-1].next {
 		k++
 	}
 	return k

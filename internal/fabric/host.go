@@ -18,7 +18,8 @@ type Host struct {
 	pool      *PacketPool
 	recv      portTable
 	nextPort  int
-	maxEphem  int // AllocPort draws from [minPort, maxEphem]
+	maxEphem  int    // AllocPort draws from [minPort, maxEphem]
+	TxPackets uint64 // packets handed to Send
 	RxPackets uint64
 	RxBytes   uint64
 
@@ -101,13 +102,18 @@ func (h *Host) allocPortIn(lo, hi int) int {
 }
 
 // Send transmits p on the host's access link. The caller must have filled
-// the addressing fields.
+// the addressing fields. A segment that continues the flow backlogged at the
+// NIC queue's tail folds into it (Link.fold), the way segmentation offload
+// holds a flow's backlog, and is cut back into its frame as the NIC drains.
 func (h *Host) Send(p *Packet, now sim.Time) {
 	p.SrcHost = int32(h.ID)
+	h.TxPackets++
 	if h.trace != nil {
 		p.record(h.trace, now, telemetry.TraceSend, h.traceName)
 	}
-	h.out.Send(p, now)
+	if !h.out.fold(p) {
+		h.out.Send(p, now)
+	}
 }
 
 // TCPCounters returns the engine-wide TCP telemetry counters, or nil when

@@ -41,6 +41,9 @@ type LeafSwitch struct {
 	// UpPackets / DownPackets count fabric-bound and fabric-received
 	// packets, for sanity checks in tests.
 	UpPackets, DownPackets uint64
+	// CtrlOut / CtrlIn count the control packets this TEP emitted and
+	// terminated, for the drain audit's conservation balance.
+	CtrlOut, CtrlIn uint64
 }
 
 // Strategy returns the leaf's load-balancing strategy.
@@ -134,6 +137,7 @@ func (ls *LeafSwitch) fromFabric(p *Packet, now sim.Time) {
 	ls.strategy.OnFabricArrival(p, int(p.SrcLeaf), now)
 	if p.Ctrl {
 		// Explicit feedback terminates at the TEP.
+		ls.CtrlIn++
 		ls.pool.Put(p)
 		return
 	}
@@ -165,5 +169,6 @@ func (ls *LeafSwitch) sendControl(dstLeaf int, hdr core.Header, now sim.Time) {
 	p.Ctrl = true
 	p.Hdr = hdr
 	p.SentAt = now
+	ls.CtrlOut++
 	ls.uplinks[up].Send(p, now)
 }

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"math"
 	"unsafe"
 
 	"conga/internal/core"
@@ -69,7 +70,11 @@ type Link struct {
 	// serialization ns. Size 0 (no packet has it) marks an empty entry.
 	serMemoSize [2]int32
 	serMemoNs   [2]sim.Time
-	_           [16]byte // closes the third line, so the DRE opens the fourth
+	// killed counts the packets SetUp(false) killed on the wire, which count
+	// both as transmitted and as dropped. Only the audit reads it; it sits in
+	// the padding that closes the third line, so the DRE opens the fourth.
+	killed uint64
+	_      [8]byte
 	// Fabric links only: the fourth line, which an access link's send never
 	// touches.
 	dre        core.DRE
@@ -164,8 +169,8 @@ func (l *Link) SetUp(up bool) {
 		return
 	}
 	now := l.eng.Now()
-	for n := l.queue.Pop(); n != nil; n = l.queue.Pop() {
-		l.drop(nodePacket(n), now)
+	for p := l.next(); p != nil; p = l.next() {
+		l.drop(p, now)
 	}
 	l.qlen = 0
 	if l.fab {
@@ -187,6 +192,7 @@ func (l *Link) SetUp(up bool) {
 		for i := len(es) - 1; i >= 0; i-- {
 			if es[i].p == l.wire {
 				es[i].p = nil
+				l.killed++
 				l.drop(l.wire, now)
 				break
 			}
@@ -197,6 +203,7 @@ func (l *Link) SetUp(up bool) {
 	if victim.link != l || !l.eng.CancelNode(&victim.ev) {
 		panic(fmt.Sprintf("fabric: link %s lost track of the packet it is serializing", l.Name))
 	}
+	l.killed++
 	l.drop(victim, now)
 }
 
@@ -286,6 +293,107 @@ func (l *Link) Send(p *Packet, now sim.Time) {
 	l.start(p, now)
 }
 
+// fold queues p, a segment a host hands its NIC, by extending the queue's
+// tail when the tail holds the previous segment of p's flow: the tail
+// becomes (or stays) a super-packet, p's frame joins the tail's last frame
+// group, or opens a new one when p was sent at another instant, and p goes
+// back to the pool. It applies Send's drop-tail check and reports whether
+// it queued p; on false p is Send's. Only host NICs fold (Host.Send): a
+// packet inside the fabric carries per-packet overlay state.
+//
+// The fold is exact by construction — next cuts back frames equal, field
+// for field, to the packets folded — so it requires pooled data packets
+// that differ only in Seq, Payload and SentAt, p starting where the tail
+// ends, and every frame already in the tail seg bytes with p no longer.
+func (l *Link) fold(p *Packet) bool {
+	tn := l.queue.Tail()
+	if tn == nil || !l.up || l.pool == nil {
+		return false
+	}
+	t := nodePacket(tn)
+	if !sameFlowData(t, p) || t.Seq+int64(t.Payload) != p.Seq {
+		return false
+	}
+	pp := l.pool
+	seg := t.Payload
+	if t.train != 0 {
+		seg = pp.groups[t.train-1].seg
+	}
+	if p.Payload <= 0 || p.Payload > seg || t.Payload%seg != 0 || int64(t.Payload)+int64(p.Payload) > math.MaxInt32 {
+		return false
+	}
+	size := l.wireSize(p)
+	if l.qlen+size > l.maxQ {
+		return false
+	}
+	if t.train == 0 {
+		t.train = pp.newGroup(t.SentAt)
+		first := &pp.groups[t.train-1]
+		first.seg, first.last = seg, t.train
+	}
+	if last := &pp.groups[pp.groups[t.train-1].last-1]; last.at == p.SentAt {
+		last.n++
+	} else {
+		i := pp.newGroup(p.SentAt) // may move the slab
+		first := &pp.groups[t.train-1]
+		pp.groups[first.last-1].next, first.last = i, i
+	}
+	t.Payload += p.Payload
+	l.qlen += size
+	if l.tel != nil {
+		l.tel.Enqueues++
+	}
+	pp.Put(p)
+	return true
+}
+
+// sameFlowData reports whether t and p are pooled data packets of one flow
+// that differ at most in Seq, Payload and SentAt (and their nodes).
+func sameFlowData(t, p *Packet) bool {
+	return t.pooled && p.pooled && !t.IsAck && !p.IsAck && !t.Ctrl && !p.Ctrl && t.SackN == 0 && p.SackN == 0 &&
+		t.FlowID == p.FlowID && t.DstHost == p.DstHost && t.SrcPort == p.SrcPort && t.DstPort == p.DstPort &&
+		t.SrcHost == p.SrcHost && t.lbHash == p.lbHash && t.AckNo == p.AckNo && t.Sack == p.Sack &&
+		t.EchoTS == p.EchoTS && t.Hdr == p.Hdr && t.SrcLeaf == p.SrcLeaf && t.DstLeaf == p.DstLeaf
+}
+
+// next removes the queue's next frame and returns it, or nil when the
+// queue is empty. A plain head is popped whole. A super-packet at its last
+// frame is popped and is that frame; before it, the frame is a pool packet
+// copied from the head, which advances by one frame and stays queued.
+func (l *Link) next() *Packet {
+	n := l.queue.Head()
+	if n == nil {
+		return nil
+	}
+	h := nodePacket(n)
+	if h.train == 0 {
+		l.queue.Pop()
+		return h
+	}
+	pp := l.pool
+	i := h.train
+	g := &pp.groups[i-1]
+	if h.Payload <= g.seg {
+		l.queue.Pop()
+		h.SentAt, h.train = g.at, 0
+		pp.freeGroup(i)
+		return h
+	}
+	f := pp.Get()
+	*f = *h
+	f.ev, f.train = sim.Node{}, 0
+	f.Payload, f.SentAt = g.seg, g.at
+	h.Seq += int64(g.seg)
+	h.Payload -= g.seg
+	if g.n--; g.n == 0 {
+		h.train = g.next
+		ng := &pp.groups[g.next-1]
+		ng.seg, ng.last = g.seg, g.last
+		pp.freeGroup(i)
+	}
+	return f
+}
+
 // start puts p on the wire — the only transmitter. CONGA congestion
 // marking (§3.3 step 2) happens here: as the packet leaves the port its CE
 // field picks up the link's congestion metric (max or saturating sum per
@@ -357,14 +465,13 @@ func (l *Link) serTime(size int) sim.Time {
 // the new claim only while packets remain, so a busy period of k queued
 // packets costs k drains and an idle link none.
 func (l *Link) drain(now sim.Time) {
-	n := l.queue.Pop()
-	if n == nil {
+	p := l.next()
+	if p == nil {
 		return // flushed by SetUp(false) after the drain was armed
 	}
-	// Pop takes the next head from the popped packet's first line, which
-	// start touches anyway, and must come first: start's scheduling
-	// rewrites that node link.
-	p := nodePacket(n)
+	// next takes a popped head's successor from its first line, which start
+	// touches anyway, and must come first: start's scheduling rewrites that
+	// node link.
 	l.qlen -= l.wireSize(p)
 	l.drained++
 	l.start(p, now)

@@ -50,7 +50,9 @@ const (
 // The node also threads an idle packet through the queue that holds it — a
 // link's output queue or the pool's free list (sim.Queue) — so a queued
 // packet costs no slot beside it, and nodePacket turns the node back into
-// its packet.
+// its packet. A host NIC's queue may hold a super-packet: one flow's
+// contiguous backlog folded into a single packet, whose train names the
+// frame groups it is cut back into (Link.fold, Link.next).
 type Packet struct {
 	ev   sim.Node
 	link *Link // the link ev's arrival is for; meaningful while ev is pending
@@ -78,6 +80,9 @@ type Packet struct {
 	pooled bool
 	// SackN is how many of Sack's blocks are valid.
 	SackN uint8
+	// train, nonzero only on a super-packet queued at a host NIC, refers to
+	// its first frame group (see Link.fold).
+	train uint32
 
 	// Flow identity (with DstHost above). FlowID is unique per (sub)flow
 	// and is what ECMP and the flowlet table hash.

@@ -21,8 +21,14 @@ import (
 // The free list is a LIFO threaded through the free packets' own nodes, so
 // it holds no slot per packet and Get hands out the packet released last,
 // the one most likely still in cache.
+//
+// The pool also keeps the frame groups of the domain's super-packets (see
+// Link.fold): a slab indexed by a packet's train, with a free list of its
+// own threaded through the free groups' next links.
 type PacketPool struct {
-	free sim.Queue
+	free       sim.Queue
+	groups     []frameGroup
+	freeGroups uint32 // first free group's index + 1, 0 when none
 
 	// Allocs counts pool misses (fresh heap allocations); Recycled counts
 	// Gets served from the free list. Exported via counters for tests.
@@ -61,4 +67,34 @@ func (pp *PacketPool) Put(p *Packet) {
 	}
 	*p = Packet{}
 	pp.free.PushFront(&p.ev)
+}
+
+// frameGroup is a run of a super-packet's frames that share one send
+// instant, in send order. Groups refer to each other, and a packet to its
+// first, by slab index + 1, so 0 means none. seg and last are kept in the
+// train's first group only.
+type frameGroup struct {
+	at   sim.Time // the frames' SentAt
+	n    int32    // frames in the group
+	seg  int32    // payload of every frame of the train but a short last one
+	next uint32   // the next group
+	last uint32   // the train's last group
+}
+
+// newGroup returns a group of one frame sent at at.
+func (pp *PacketPool) newGroup(at sim.Time) uint32 {
+	g := frameGroup{at: at, n: 1}
+	if i := pp.freeGroups; i != 0 {
+		pp.freeGroups = pp.groups[i-1].next
+		pp.groups[i-1] = g
+		return i
+	}
+	pp.groups = append(pp.groups, g)
+	return uint32(len(pp.groups))
+}
+
+// freeGroup releases group i to the slab's free list.
+func (pp *PacketPool) freeGroup(i uint32) {
+	pp.groups[i-1] = frameGroup{next: pp.freeGroups}
+	pp.freeGroups = i
 }

@@ -175,6 +175,10 @@ func (q *Queue) Pop() *Node {
 // empty.
 func (q *Queue) Head() *Node { return q.head }
 
+// Tail returns the tail node without removing it, or nil when the queue is
+// empty.
+func (q *Queue) Tail() *Node { return q.tail }
+
 // Next returns the node after n in its Queue, or nil at the tail. It is
 // meaningful only while n is queued; audits and tests walk a queue with it.
 func (n *Node) Next() *Node { return n.next }

@@ -483,6 +483,9 @@ func FuzzQueueMatchesSlice(f *testing.F) {
 				if h := q.Head(); (len(model) == 0) != (h == nil) || h != nil && h != &ns[model[0]] {
 					t.Fatalf("op %d: Head disagrees with the model %v", i, model)
 				}
+				if tl := q.Tail(); (len(model) == 0) != (tl == nil) || tl != nil && tl != &ns[model[len(model)-1]] {
+					t.Fatalf("op %d: Tail disagrees with the model %v", i, model)
+				}
 			case 4: // the head goes onto the engine and comes back when it fires
 				if n, k := pop(i); n != nil {
 					eng.AtNode(eng.Now()+arg, n, Event(func(Time) {

@@ -161,9 +161,9 @@ func (dom *runDomain) checkDelivered(flowID uint64, size, delivered int64) {
 }
 
 // enableCheck turns the audit on before the run: the fabric audits its
-// flowlet tables and link queues at every sweep, every flow completing
-// through onFlowDone has its delivered bytes compared with its size, and
-// audit reads the verdict afterwards.
+// flowlet tables, link queues and host NICs' packet conservation at every
+// sweep, every flow completing through onFlowDone has its delivered bytes
+// compared with its size, and audit reads the verdict afterwards.
 func (r *run) enableCheck() {
 	r.check = true
 	r.net.EnableCheck()
