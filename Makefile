@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint memlat fuzz-smoke bench bench-engine bench-quick bench-parallel bench-guard bench-guard-parallel bench-profile bench-repo bench-compare bench-smoke replay-smoke decision-smoke serve-smoke check-smoke check
+.PHONY: build test race vet lint memlat fuzz-smoke bench-engine bench-profile bench-repo bench-compare bench-smoke replay-smoke decision-smoke serve-smoke check-smoke check
 
 build:
 	$(GO) build ./...
@@ -10,9 +10,11 @@ test:
 
 # Race-check the concurrency-bearing code: the parallel experiment runner
 # and everything it drives. Engines are single-threaded, so a race here
-# means experiment isolation is broken.
+# means experiment isolation is broken. -short keeps TestDeterminismGolden
+# to its testbed rows (its scale rows take seconds each, minutes under the
+# detector); the plain test target runs them all.
 race:
-	$(GO) test -race ./internal/... .
+	$(GO) test -race -short ./internal/... .
 
 vet:
 	$(GO) vet ./...
@@ -76,58 +78,20 @@ check-smoke:
 	/tmp/congasim -mode incast -check -fanout 16 -reqmb 4 -minrto 1ms
 	/tmp/congasim -check -leaves 32 -hosts 4 -spines 4 -links 2 -access 40 -fabric 40 -duration 2ms -maxflows 300 -minrto 10ms
 
-# Full paper-artifact benchmarks (minutes).
-bench:
-	$(GO) test -bench . -benchtime 1x -run '^$$' .
-
-# Fast engine micro-benchmark (seconds) for hot-path iterations.
+# Fast engine micro-benchmark (seconds) for hot-path iterations. It and the
+# idle-fabric benchmarks are ungated profiling entry points: timed runs are
+# bench-repo's, and TestDeterminismGolden pins events and allocations.
 bench-engine:
 	$(GO) test -bench BenchmarkEngineRaw -run '^$$' .
 
-# Quick smoke benchmark for CI and pre-commit: the engine hot path and the
-# idle fabric (tickers only, every event brought down by the wheel's
-# re-anchor path) at fixed iteration counts (so ns/op is stable enough for
-# the benchguard regression gate), one full figure experiment, and one
-# large-fabric scale cell (64 leaves, ~17M events) at a single iteration.
-# Catches gross perf or allocation regressions in about a minute without the
-# full artifact sweep.
-bench-quick:
-	$(GO) test -bench 'BenchmarkEngineRaw$$' -benchtime 200000x -run '^$$' .
-	$(GO) test -bench 'BenchmarkIdleFabric8Leaves$$' -benchtime 20000x -run '^$$' .
-	$(GO) test -bench 'BenchmarkFig09Enterprise$$' -benchtime 1x -run '^$$' .
-	$(GO) test -bench 'BenchmarkScale64Leaves40G$$' -benchtime 1x -run '^$$' .
-
-# Space-parallel scale benchmarks: the largest 40G cell sequential and at
-# 2/4/8 domains. events/op is deterministic per domain count; the ns/op
-# ratios are the measured cost of the space-parallel engine.
-bench-parallel:
-	$(GO) test -bench 'BenchmarkScale256Leaves40G(Parallel[248])?$$' -benchtime 1x -run '^$$' .
-
-# Gate bench-quick output against the recorded baseline: ns/op (15%) on the
-# engine micro-bench and the idle fabric, events/op (exact) and allocs/op
-# (10%) on every benchmark with a baseline entry (CI runs this on every PR;
-# >15% ns/op regression on either gated cell fails the build).
-bench-guard:
-	$(MAKE) bench-quick | tee bench-quick.txt
-	$(GO) run ./tools/benchguard -baseline BENCH_PR26.json -max-regress 0.15 \
-		-ns-benches 'BenchmarkEngineRaw,BenchmarkIdleFabric8Leaves' \
-		-require 'BenchmarkEngineRaw,BenchmarkFig09Enterprise,BenchmarkIdleFabric8Leaves' bench-quick.txt
-
-# Gate the space-parallel scale cells: events/op exact per domain count,
-# which pins determinism. No speedup is gated: no recorded baseline has
-# shown a domain count faster than sequential (DESIGN.md §3.6).
-bench-guard-parallel:
-	$(MAKE) bench-parallel | tee bench-parallel.txt
-	$(GO) run ./tools/benchguard -baseline BENCH_PR26.json \
-		-require 'BenchmarkScale256Leaves40G,BenchmarkScale256Leaves40GParallel2,BenchmarkScale256Leaves40GParallel4,BenchmarkScale256Leaves40GParallel8' \
-		bench-parallel.txt
-
-# One Fig09 run under the CPU profiler (~0.5 s of profiled simulation).
-# CI uploads fig09.cpu.prof as an artifact so a perf regression flagged by
-# bench-guard comes with the profile that explains it.
+# One Fig09 cell (CONGA, enterprise, load 0.6 on the 64-host testbed, seed 1)
+# under the CPU profiler (~0.5 s of profiled simulation). CI uploads
+# fig09.cpu.prof as an artifact.
 bench-profile:
-	$(GO) test -bench 'BenchmarkFig09Enterprise$$' -benchtime 1x -run '^$$' \
-		-cpuprofile fig09.cpu.prof .
+	$(GO) build -o /tmp/congasim ./cmd/congasim
+	/tmp/congasim -scheme conga -workload enterprise -load 0.6 -leaves 2 -spines 2 -hosts 8 \
+		-links 2 -access 10 -fabric 20 -duration 20ms -maxflows 250 -minrto 10ms -seed 1 \
+		-cpuprofile fig09.cpu.prof
 
 # The repository benchmark (BENCHMARK.json, bench/README.md): one timed set
 # of every workload, each in its own child process (~2.5 min), written to
