@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint memlat fuzz-smoke bench-engine bench-profile bench-repo bench-compare bench-smoke replay-smoke decision-smoke serve-smoke check-smoke check
+.PHONY: build test test-time race vet lint memlat fuzz-smoke bench-engine bench-profile bench-repo bench-compare bench-smoke replay-smoke decision-smoke serve-smoke check-smoke check
 
 build:
 	$(GO) build ./...
@@ -8,11 +8,23 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-check the concurrency-bearing code: the parallel experiment runner
-# and everything it drives. Engines are single-threaded, so a race here
-# means experiment isolation is broken. -short keeps TestDeterminismGolden
-# to its testbed rows (its scale rows take seconds each, minutes under the
-# detector); the plain test target runs them all.
+# The 15 slowest top-level tests of each package, under the package's own
+# time, from one uncached go test run of the whole tree; the raw events stay
+# in test-time.json. Exits with go test's status.
+test-time:
+	@$(GO) test -count=1 -json ./... > test-time.json; status=$$?; \
+	awk '/"Action":"(pass|fail)"/ && /"Elapsed":/ { match($$0, /"Package":"[^"]*"/); pkg = substr($$0, RSTART + 11, RLENGTH - 12); kind = 0; name = "-"; if (match($$0, /"Test":"[^"]*"/)) { kind = 1; name = substr($$0, RSTART + 8, RLENGTH - 9) } if (name ~ /\//) next; match($$0, /"Elapsed":[0-9.]+/); print pkg, substr($$0, RSTART + 10, RLENGTH - 10), kind, name }' test-time.json | \
+	LC_ALL=C sort -k1,1 -k3,3n -k2,2nr | \
+	awk '$$3 == 0 { printf "%s  %.1f s\n", $$1, $$2; n = 0; next } ++n <= 15 { printf "  %7.2f s  %s\n", $$2, $$4 }'; \
+	exit $$status
+
+# Race-check the concurrency-bearing code: the parallel experiment runner,
+# the partitioned engine, the live telemetry hub and everything they drive.
+# Engines are single-threaded, so a race here means experiment isolation is
+# broken. -short skips what gives the detector nothing to check or costs
+# minutes under it: TestGolden's scale rows, and every root test whose
+# simulations all run one engine on the test's own goroutine. The plain test
+# target runs them all.
 race:
 	$(GO) test -race -short ./internal/... .
 
@@ -80,7 +92,7 @@ check-smoke:
 
 # Fast engine micro-benchmark (seconds) for hot-path iterations. It and the
 # idle-fabric benchmarks are ungated profiling entry points: timed runs are
-# bench-repo's, and TestDeterminismGolden pins events and allocations.
+# bench-repo's, and TestGolden pins events and allocations.
 bench-engine:
 	$(GO) test -bench BenchmarkEngineRaw -run '^$$' .
 

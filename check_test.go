@@ -48,6 +48,7 @@ func TestCheckDoesNotPerturbSimulation(t *testing.T) {
 // a completed flow short of its size, a packet held past drain — and
 // requires the error that names each.
 func TestCheckNamesRunFaults(t *testing.T) {
+	skipSingleGoroutine(t)
 	newChecked := func() *run {
 		r, err := newRun(quickTopo().withDefaults(), SchemeCONGA, nil, TransportConfig{}.withDefaults(), nil, 1, nil, 1)
 		if err != nil {
@@ -82,6 +83,7 @@ func TestCheckNamesRunFaults(t *testing.T) {
 // access-port queue any harness does, and an HDFS trial with background
 // flows. Both must pass, with results bit-identical to the unaudited run.
 func TestCheckIncastAndHDFS(t *testing.T) {
+	skipSingleGoroutine(t)
 	topo := Testbed()
 	topo.EdgeBufBytes = 64 << 10 // a shallow hot port: it fills and tail-drops
 	incast := IncastConfig{

@@ -15,6 +15,17 @@ func quickTopo() Topology {
 	}
 }
 
+// skipSingleGoroutine skips, under -short, a test whose simulations all run
+// one engine on the test's own goroutine: no runner, no Parallel > 1, no
+// hub. -short is what `make race` runs, and the race detector has nothing to
+// check in such a test.
+func skipSingleGoroutine(t *testing.T) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("one engine on the test goroutine, nothing for the race detector; plain go test runs it")
+	}
+}
+
 func quickFCT(scheme Scheme, w Workload, load float64) FCTConfig {
 	return FCTConfig{
 		Topology: quickTopo(),
@@ -31,6 +42,7 @@ func quickFCT(scheme Scheme, w Workload, load float64) FCTConfig {
 }
 
 func TestRunFCTBasics(t *testing.T) {
+	skipSingleGoroutine(t)
 	res, err := RunFCT(quickFCT(SchemeCONGA, WorkloadEnterprise, 0.4))
 	if err != nil {
 		t.Fatal(err)
@@ -50,6 +62,7 @@ func TestRunFCTBasics(t *testing.T) {
 }
 
 func TestRunFCTAllSchemesComplete(t *testing.T) {
+	skipSingleGoroutine(t)
 	for _, s := range []Scheme{SchemeECMP, SchemeCONGA, SchemeCONGAFlow, SchemeLocal, SchemeSpray, SchemeMPTCPMarker} {
 		cfg := quickFCT(s, WorkloadEnterprise, 0.3)
 		cfg.MaxFlows = 120
@@ -64,6 +77,7 @@ func TestRunFCTAllSchemesComplete(t *testing.T) {
 }
 
 func TestRunFCTDeterministic(t *testing.T) {
+	skipSingleGoroutine(t)
 	a, err := RunFCT(quickFCT(SchemeCONGA, WorkloadDataMining, 0.5))
 	if err != nil {
 		t.Fatal(err)
@@ -78,6 +92,7 @@ func TestRunFCTDeterministic(t *testing.T) {
 }
 
 func TestRunFCTSeedChangesOutcome(t *testing.T) {
+	skipSingleGoroutine(t)
 	cfg := quickFCT(SchemeECMP, WorkloadEnterprise, 0.5)
 	a, _ := RunFCT(cfg)
 	cfg.Seed = 99
@@ -92,6 +107,7 @@ func TestRunFCTSeedChangesOutcome(t *testing.T) {
 // point where ECMP's static split saturates the surviving link, CONGA's
 // congestion-aware split must deliver much better FCTs.
 func TestLinkFailureCONGABeatsECMP(t *testing.T) {
+	skipSingleGoroutine(t)
 	base := quickTopo()
 	base.FailedLinks = [][3]int{{1, 1, 1}} // one of leaf1-spine1's two links
 	run := func(s Scheme) *FCTResult {
@@ -117,6 +133,7 @@ func TestLinkFailureCONGABeatsECMP(t *testing.T) {
 }
 
 func TestRunFCTCollectors(t *testing.T) {
+	skipSingleGoroutine(t)
 	cfg := quickFCT(SchemeECMP, WorkloadEnterprise, 0.5)
 	cfg.CollectImbalance = true
 	cfg.CollectQueues = true
@@ -138,6 +155,7 @@ func TestRunFCTCollectors(t *testing.T) {
 // TestImbalanceOrdering reproduces Figure 12's ordering: CONGA balances
 // leaf uplinks better than ECMP (lower throughput imbalance).
 func TestImbalanceOrdering(t *testing.T) {
+	skipSingleGoroutine(t)
 	run := func(s Scheme) float64 {
 		cfg := quickFCT(s, WorkloadDataMining, 0.6)
 		cfg.CollectImbalance = true
@@ -176,6 +194,7 @@ func TestOptimalFCTMonotone(t *testing.T) {
 }
 
 func TestRunIncastTCPHealthyAtModerateFanout(t *testing.T) {
+	skipSingleGoroutine(t)
 	res, err := RunIncast(IncastConfig{
 		Topology:     quickTopo(),
 		Scheme:       SchemeCONGA,
@@ -199,6 +218,7 @@ func TestRunIncastTCPHealthyAtModerateFanout(t *testing.T) {
 // fan-in, MPTCP's 8× subflows overflow the client port and TCP+CONGA
 // sustains higher goodput.
 func TestIncastMPTCPWorseThanTCP(t *testing.T) {
+	skipSingleGoroutine(t)
 	run := func(kind Transport) float64 {
 		topo := quickTopo()
 		// Pressure regime of the paper's testbed: at fanout 14 the
@@ -234,6 +254,7 @@ func TestRunIncastRejectsExcessFanout(t *testing.T) {
 }
 
 func TestFigure2Shapes(t *testing.T) {
+	skipSingleGoroutine(t)
 	ecmp, err := RunFigure2(SchemeECMP, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -258,6 +279,7 @@ func TestFigure2Shapes(t *testing.T) {
 }
 
 func TestFigure3TrafficMatrixSensitivity(t *testing.T) {
+	skipSingleGoroutine(t)
 	// Without L0 traffic, CONGA spreads L1→L2 over both spines; with L0
 	// traffic on the shared S0→L2 link, CONGA shifts L1's share toward
 	// S1. Static weights cannot do both (§2.4).

@@ -6,6 +6,7 @@ import (
 )
 
 func TestRunHDFSCompletes(t *testing.T) {
+	skipSingleGoroutine(t)
 	res, err := RunHDFS(HDFSConfig{
 		Topology:       quickTopo(),
 		Scheme:         SchemeCONGA,
@@ -35,6 +36,7 @@ func TestRunHDFSCompletes(t *testing.T) {
 }
 
 func TestRunHDFSDeterministic(t *testing.T) {
+	skipSingleGoroutine(t)
 	cfg := HDFSConfig{
 		Topology:       quickTopo(),
 		Scheme:         SchemeECMP,
@@ -59,6 +61,7 @@ func TestRunHDFSDeterministic(t *testing.T) {
 
 // TestHDFSFailureDegradesECMPMore is the Figure 14 shape at test scale.
 func TestHDFSFailureDegradesECMPMore(t *testing.T) {
+	skipSingleGoroutine(t)
 	// Paper-rate links matter here: at 10G the DRE metrics discriminate
 	// paths; at toy 1G rates the whole fabric saturates into bufferbloat
 	// and every scheme thrashes alike.
@@ -93,6 +96,7 @@ func TestHDFSFailureDegradesECMPMore(t *testing.T) {
 }
 
 func TestRunFigure2WCMPBetweenECMPAndCONGA(t *testing.T) {
+	skipSingleGoroutine(t)
 	// Static weights tuned to this topology (2:1) should beat ECMP but a
 	// traffic-matrix change would break them (Figure 3); here just check
 	// WCMP lands in a sane range.
@@ -150,6 +154,7 @@ func TestRunFCTRejectsBadScheme(t *testing.T) {
 }
 
 func TestRunFCTWCMPWithWeights(t *testing.T) {
+	skipSingleGoroutine(t)
 	cfg := quickFCT(SchemeWCMP, WorkloadEnterprise, 0.3)
 	cfg.WCMPWeights = []float64{1, 1, 1, 1}
 	cfg.MaxFlows = 100
@@ -166,6 +171,7 @@ func TestRunFCTWCMPWithWeights(t *testing.T) {
 // packets all take one path — verified indirectly by zero reordering even
 // under congestion-driven re-decisions.
 func TestCONGAFlowStillBeatsECMPUnderFailure(t *testing.T) {
+	skipSingleGoroutine(t)
 	topo := quickTopo()
 	topo.FailedLinks = [][3]int{{1, 1, 1}}
 	run := func(s Scheme) float64 {
@@ -207,6 +213,7 @@ func TestWorkloadStringUnknown(t *testing.T) {
 }
 
 func TestIncastResultDropsAtClientPort(t *testing.T) {
+	skipSingleGoroutine(t)
 	topo := quickTopo()
 	topo.EdgeBufBytes = 256 << 10
 	res, err := RunIncast(IncastConfig{

@@ -46,6 +46,13 @@ func TestLiveTapConcurrentEngines(t *testing.T) {
 				Topology: liveTopo, Scheme: SchemeCONGA, Workload: WorkloadEnterprise,
 				Load: 0.5, Duration: 8 * time.Millisecond, MaxFlows: 60,
 				Seed: seed, Telemetry: opts,
+
+				// Every flow of these seeds completes within 30 ms. A
+				// run ticks on to its drain horizon after its last
+				// flow, and the default 2 s of it would be idle ticks
+				// whose every 1 ms publish copies every series'
+				// retained points.
+				DrainTimeout: 30 * time.Millisecond,
 			})
 		}
 	}
@@ -102,8 +109,10 @@ func TestLiveTapConcurrentEngines(t *testing.T) {
 		if s == nil || !s.Done {
 			t.Fatalf("run %s final snapshot missing or not Done: %+v", c.Telemetry.RunName, s)
 		}
-		if s.Progress.FlowsCompleted == 0 || s.Progress.Events == 0 {
-			t.Fatalf("run %s progress empty: %+v", c.Telemetry.RunName, s.Progress)
+		if s.Progress.FlowsCompleted == 0 || s.Progress.FlowsCompleted != s.Progress.FlowsGenerated ||
+			s.Progress.Events == 0 {
+			t.Fatalf("run %s progress empty or a flow unfinished at the drain horizon: %+v",
+				c.Telemetry.RunName, s.Progress)
 		}
 	}
 

@@ -1,62 +1,11 @@
 package conga
 
 import (
-	"reflect"
 	"testing"
 	"time"
 
 	"conga/internal/runner"
 )
-
-func detConfigs() []FCTConfig {
-	topo := Topology{Leaves: 2, Spines: 2, HostsPerLeaf: 4, LinksPerSpine: 1,
-		AccessGbps: 10, FabricGbps: 10}
-	var cfgs []FCTConfig
-	for _, s := range []Scheme{SchemeECMP, SchemeCONGA} {
-		for seed := uint64(1); seed <= 3; seed++ {
-			cfgs = append(cfgs, FCTConfig{
-				Topology: topo,
-				Scheme:   s,
-				Workload: WorkloadEnterprise,
-				Load:     0.5,
-				Duration: 10 * time.Millisecond,
-				MaxFlows: 80,
-				Seed:     seed,
-			})
-		}
-	}
-	return cfgs
-}
-
-// TestParallelRunsMatchSequential is the determinism regression test for
-// the experiment runner: each engine is single-threaded and seeded, so the
-// same config must produce byte-identical results whether it runs alone or
-// alongside five siblings on a worker pool.
-func TestParallelRunsMatchSequential(t *testing.T) {
-	cfgs := detConfigs()
-	seq := make([]*FCTResult, len(cfgs))
-	for i, cfg := range cfgs {
-		r, err := RunFCT(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq[i] = r
-	}
-	// Force multiple workers so the comparison is meaningful even on a
-	// single-core machine, where GOMAXPROCS would fall back to sequential.
-	par, err := runner.Map(4, cfgs, RunFCT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range cfgs {
-		a, b := *seq[i], *par[i]
-		a.Wall, b.Wall = 0, 0 // wall clock is environment, not behavior
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("config %d (%s seed %d): parallel result differs from sequential\nseq: %+v\npar: %+v",
-				i, seq[i].Scheme, cfgs[i].Seed, a, b)
-		}
-	}
-}
 
 // TestParallelPoolsIsolated drives nine engines — TCP, MPTCP and CONGA
 // transports mixed — across eight workers at once, each run recycling
@@ -99,27 +48,6 @@ func TestParallelPoolsIsolated(t *testing.T) {
 		if seq[i].Events != par[i].Events || seq[i].NormFCT != par[i].NormFCT {
 			t.Fatalf("config %d (%s seed %d): pooled parallel run diverged: events %d vs %d, normFCT %v vs %v",
 				i, seq[i].Scheme, cfgs[i].Seed, seq[i].Events, par[i].Events, seq[i].NormFCT, par[i].NormFCT)
-		}
-	}
-}
-
-// TestParallelRerunIsStable re-runs the same batch and requires identical
-// output — scheduling order across workers must never leak into results.
-func TestParallelRerunIsStable(t *testing.T) {
-	cfgs := detConfigs()
-	a, err := runner.Map(4, cfgs, RunFCT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := runner.Map(2, cfgs, RunFCT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range cfgs {
-		x, y := *a[i], *b[i]
-		x.Wall, y.Wall = 0, 0 // wall clock is environment, not behavior
-		if !reflect.DeepEqual(x, y) {
-			t.Fatalf("config %d: two parallel runs disagree", i)
 		}
 	}
 }

@@ -41,6 +41,7 @@ func sameFlowFCTs(t *testing.T, want, got []FlowFCT, label string) {
 // run bit-identically — same events executed, same per-flow FCT vector —
 // including through an on-disk round trip.
 func TestReplayBitIdenticalSameScheme(t *testing.T) {
+	skipSingleGoroutine(t)
 	base := replayTestConfig(SchemeCONGA)
 	base.Record = true
 	base.CollectFlows = true
@@ -90,6 +91,7 @@ func TestReplayBitIdenticalSameScheme(t *testing.T) {
 // under CONGA and MPTCP, re-recording during replay: every scheme must see
 // the byte-identical arrival sequence even though the flows' fates differ.
 func TestReplayAcrossSchemesKeepsArrivals(t *testing.T) {
+	skipSingleGoroutine(t)
 	base := replayTestConfig(SchemeECMP)
 	base.Record = true
 	orig, err := RunFCT(base)
@@ -235,6 +237,7 @@ func TestReplayRejectsMismatchedTopology(t *testing.T) {
 // CONGA on one recorded trace, with deterministic matched-pairs statistics
 // and coherent bootstrap intervals.
 func TestRunReplayCompare(t *testing.T) {
+	skipSingleGoroutine(t)
 	base := replayTestConfig(SchemeECMP)
 	base.Record = true
 	orig, err := RunFCT(base)

@@ -20,6 +20,7 @@ import (
 // than FCT used to hand the fabric an explicit DefaultParams(), which ran
 // CONGA under the CONGA-Flow label.
 func TestCongaFlowTimeoutReachesEveryHarness(t *testing.T) {
+	skipSingleGoroutine(t)
 	fct := FCTConfig{Scheme: SchemeCONGAFlow}.withDefaults()
 	incast := IncastConfig{Scheme: SchemeCONGAFlow}.withDefaults()
 	hdfs := HDFSConfig{Scheme: SchemeCONGAFlow}.withDefaults()

@@ -61,6 +61,7 @@ func sinkDigests(t *testing.T, reg *TelemetryRegistry) map[string]string {
 // site whose names do, and series values JSON cannot carry (NaN, +Inf).
 // "series_*.ndjson" is the NDJSON half of the old combined series digest.
 func TestSinkFilesGolden(t *testing.T) {
+	skipSingleGoroutine(t)
 	opts := TelemetryAll("")
 	opts.TraceCap = 1 << 18 // room for the whole run plus the odd site below
 	res, err := RunFCT(FCTConfig{

@@ -156,6 +156,7 @@ func TestDecisionTraceRejectedUnderParallel(t *testing.T) {
 // TestTelemetryDoesNotPerturbIncast covers the goodput acceptance metric on
 // the Incast micro-benchmark.
 func TestTelemetryDoesNotPerturbIncast(t *testing.T) {
+	skipSingleGoroutine(t)
 	cfg := IncastConfig{
 		Topology: Topology{Leaves: 2, Spines: 2, HostsPerLeaf: 8, LinksPerSpine: 1,
 			AccessGbps: 10, FabricGbps: 10},
