@@ -22,7 +22,7 @@ test-time:
 # the partitioned engine, the live telemetry hub and everything they drive.
 # Engines are single-threaded, so a race here means experiment isolation is
 # broken. -short skips what gives the detector nothing to check or costs
-# minutes under it: TestGolden's scale rows, and every root test whose
+# minutes under it: the golden table's scale rows, and every root test whose
 # simulations all run one engine on the test's own goroutine. The plain test
 # target runs them all.
 race:
@@ -92,7 +92,7 @@ check-smoke:
 
 # Fast engine micro-benchmark (seconds) for hot-path iterations. It and the
 # idle-fabric benchmarks are ungated profiling entry points: timed runs are
-# bench-repo's, and TestGolden pins events and allocations.
+# bench-repo's, and the golden table pins events and allocations.
 bench-engine:
 	$(GO) test -bench BenchmarkEngineRaw -run '^$$' .
 

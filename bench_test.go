@@ -3,7 +3,7 @@ package conga
 // Profiling entry points, ungated: the bare event engine and the idle
 // fabric's housekeeping. Timed runs of whole cells are `go run ./bench`'s
 // job; events and allocations of the figure and scale cells are pinned by
-// TestGolden.
+// the golden table (determinism_test.go).
 
 import (
 	"testing"

@@ -95,12 +95,16 @@ func (g goldenResult) String() string {
 // with its pinned result and the Mallocs its run made at one processor,
 // after a warm-up run, when the constants were recorded.
 type goldenRow struct {
-	name    string
-	fct     *FCTConfig
-	incast  *IncastConfig
-	long    bool // a scale cell, seconds plain and tens of seconds under -race: skipped under -short
-	want    goldenResult
-	mallocs uint64
+	name   string
+	fct    *FCTConfig
+	incast *IncastConfig
+	long   bool // a scale cell, seconds plain and tens of seconds under -race: skipped under -short
+	// linkModel marks the rows whose fingerprints were recorded from the
+	// discrete link (TestLinkModelGolden runs them); TestDeterminismGolden
+	// runs the others.
+	linkModel bool
+	want      goldenResult
+	mallocs   uint64
 }
 
 // run executes the row's cell, audited by the Check invariants when check is
@@ -183,29 +187,29 @@ func goldenRows() []goldenRow {
 		// replaced it (Fig09MPTCP's when MPTCP joined the shared run
 		// pipeline): the link model must reproduce every flow completion,
 		// drop, retransmit and sampled CDF of those runs.
-		{name: "Fig09/p1", fct: fct(benchTopo(), SchemeCONGA, 10*ms, 150, 7, 0),
+		{name: "Fig09/p1", fct: fct(benchTopo(), SchemeCONGA, 10*ms, 150, 7, 0), linkModel: true,
 			want: goldenResult{events: 2390573, drops: 1053, retx: 6414, norm: 2.0616869845958354,
 				flows: 0xc9bad4369451c472},
 			mallocs: 3505},
-		{name: "Fig09/p2", fct: fct(benchTopo(), SchemeCONGA, 10*ms, 150, 7, 2),
+		{name: "Fig09/p2", fct: fct(benchTopo(), SchemeCONGA, 10*ms, 150, 7, 2), linkModel: true,
 			want: goldenResult{events: 2244761, drops: 1196, retx: 6128, norm: 1.8501986638229373,
 				flows: 0x6e927c5dccb5e181},
 			mallocs: 5455},
-		{name: "Fig09MPTCP/p1", fct: fct(benchTopo(), SchemeMPTCPMarker, 10*ms, 150, 7, 0),
+		{name: "Fig09MPTCP/p1", fct: fct(benchTopo(), SchemeMPTCPMarker, 10*ms, 150, 7, 0), linkModel: true,
 			want: goldenResult{events: 2498307, drops: 10681, retx: 22920, timeouts: 10, norm: 2.3454791276130007,
 				flows: 0x54d2c47c19f71aa4},
 			mallocs: 8825},
-		{name: "Fig09MPTCP/p2", fct: fct(benchTopo(), SchemeMPTCPMarker, 10*ms, 150, 7, 2),
+		{name: "Fig09MPTCP/p2", fct: fct(benchTopo(), SchemeMPTCPMarker, 10*ms, 150, 7, 2), linkModel: true,
 			want: goldenResult{events: 2378462, drops: 11017, retx: 22348, timeouts: 10, norm: 2.3275022556438802,
 				flows: 0x3775f9cb62319bb3},
 			mallocs: 10521},
-		{name: "Fig11/p1", fct: fct(failed, SchemeCONGA, 10*ms, 150, 11, 0),
+		{name: "Fig11/p1", fct: fct(failed, SchemeCONGA, 10*ms, 150, 11, 0), linkModel: true,
 			want: goldenResult{events: 1121117, drops: 1990, retx: 11929, timeouts: 3, norm: 2.4975175352567356,
 				flows: 0xc4df7aff834d5489},
 			mallocs: 3925},
 		// Figure 12's queue and imbalance samplers read link counters
 		// mid-run; they need one engine.
-		{name: "Fig12/p1", fct: fig12,
+		{name: "Fig12/p1", fct: fig12, linkModel: true,
 			want: goldenResult{events: 4008700, drops: 1947, retx: 12345, timeouts: 2, norm: 3.557045297770783,
 				flows: 0x1dc067fe99b32cc1},
 			mallocs: 7695},
@@ -213,11 +217,11 @@ func goldenRows() []goldenRow {
 			want: goldenResult{events: 11659640, drops: 6910, retx: 31135, timeouts: 3, norm: 2.1039252665928054,
 				flows: 0xfd3b115b0d96acdc},
 			mallocs: 43379},
-		{name: "Scale64/p1", fct: fct(scale(64, 40), SchemeECMP, 10*ms, 600, 3, 0), long: true,
+		{name: "Scale64/p1", fct: fct(scale(64, 40), SchemeECMP, 10*ms, 600, 3, 0), long: true, linkModel: true,
 			want: goldenResult{events: 6209414, norm: 1.2434420644138062,
 				flows: 0xadd76d3276e8ece4},
 			mallocs: 17299},
-		{name: "Scale64/p2", fct: fct(scale(64, 40), SchemeECMP, 10*ms, 600, 3, 2), long: true,
+		{name: "Scale64/p2", fct: fct(scale(64, 40), SchemeECMP, 10*ms, 600, 3, 2), long: true, linkModel: true,
 			want: goldenResult{events: 6076323, norm: 1.266317804320021,
 				flows: 0x57c2c57aeeec14a3},
 			mallocs: 20609},
@@ -248,26 +252,36 @@ func goldenRows() []goldenRow {
 	}
 }
 
-// TestGolden is the determinism contract, the one table of pinned results.
-// Every row's events, losses, completion figures and per-flow fingerprint
-// equal the recorded constants exactly, at any scheduling. Pass 1 runs the
-// rows four at a time under the run audit (Check), so neither concurrency
-// nor auditing may reach a result. Pass 2 runs them one after another on
-// one processor and also bounds each run's allocations at 10 % over the
-// recorded count (headroom for the odd malloc from outside the measured
-// code). A change that moves any of these numbers must edit the constants
-// here, in the same diff. The /p2 and Parallel rows go with the partitioned
-// engine (ROADMAP item 1 step 2).
-func TestGolden(t *testing.T) {
+// The golden table is the determinism contract, one table of pinned
+// results run by two tests: TestDeterminismGolden takes the seed-1 rows,
+// TestLinkModelGolden the link-model rows. Every row's events, losses,
+// completion figures and per-flow fingerprint equal the recorded constants
+// exactly, at any scheduling. Pass 1 runs the rows four at a time under the
+// run audit (Check), so neither concurrency nor auditing may reach a result.
+// Pass 2 runs them one after another on one processor and also bounds each
+// run's allocations at 10 % over the recorded count (headroom for the odd
+// malloc from outside the measured code). A change that moves any of these
+// numbers must edit the constants here, in the same diff. The /p2 and
+// Parallel rows go with the partitioned engine (ROADMAP item 1 step 2).
+func TestDeterminismGolden(t *testing.T) { testGolden(t, false) }
+
+func TestLinkModelGolden(t *testing.T) { testGolden(t, true) }
+
+// testGolden runs the table's rows whose linkModel flag equals linkModel.
+func testGolden(t *testing.T, linkModel bool) {
 	var rows []goldenRow
+	skipped := 0
 	for _, r := range goldenRows() {
-		if r.long && testing.Short() {
-			continue
+		switch {
+		case r.linkModel != linkModel:
+		case r.long && testing.Short():
+			skipped++
+		default:
+			rows = append(rows, r)
 		}
-		rows = append(rows, r)
 	}
-	if testing.Short() {
-		t.Logf("-short: %d scale rows skipped; plain go test runs them", len(goldenRows())-len(rows))
+	if skipped > 0 {
+		t.Logf("-short: %d scale rows skipped; plain go test runs them", skipped)
 	}
 
 	got, err := runner.Map(4, rows, func(r goldenRow) (goldenResult, error) { return r.run(true, nil) })

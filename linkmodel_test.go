@@ -7,11 +7,11 @@ import (
 	"time"
 )
 
-// TestLinkModelGoldenIncast is the link model's Fig13 leg beside TestGolden's
-// rows: the Incast micro-benchmark runs every round to completion through a
-// hot queue, tail drops and RTOs. Besides the result struct, the telemetry
-// counter rows (dequeues are an as-of-now read of the link's tx counter)
-// must equal what the discrete link of PR 12 counted.
+// TestLinkModelGoldenIncast is the link model's Fig13 leg beside
+// TestLinkModelGolden's rows: the Incast micro-benchmark runs every round to
+// completion through a hot queue, tail drops and RTOs. Besides the result
+// struct, the telemetry counter rows (dequeues are an as-of-now read of the
+// link's tx counter) must equal what the discrete link of PR 12 counted.
 func TestLinkModelGoldenIncast(t *testing.T) {
 	skipSingleGoroutine(t)
 	cfg := IncastConfig{

@@ -61,8 +61,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 	if seq.NormFCT <= 0 || par.NormFCT <= 0 {
 		t.Fatalf("norm FCT: parallel %v, sequential %v", par.NormFCT, seq.NormFCT)
 	}
-	// At this test's 200-flow scale the band is loose; TestGolden pins the
-	// 256-leaf cell's NormFCT exactly at each domain count.
+	// At this test's 200-flow scale the band is loose; TestDeterminismGolden
+	// pins the 256-leaf cell's NormFCT exactly at each domain count.
 	if diff := par.NormFCT/seq.NormFCT - 1; diff > 0.10 || diff < -0.10 {
 		t.Fatalf("norm FCT drifted %+.2f%%: parallel %v, sequential %v",
 			diff*100, par.NormFCT, seq.NormFCT)
