@@ -89,9 +89,6 @@ func NewFlowletTable(p Params) *FlowletTable {
 	return t
 }
 
-// Len returns the number of entries.
-func (t *FlowletTable) Len() int { return t.size }
-
 func (t *FlowletTable) index(hash uint64) int {
 	if t.mask != 0 {
 		return int(hash & t.mask)
@@ -252,19 +249,6 @@ func (t *FlowletTable) Sweep() {
 // overcount entries whose gap has passed but which haven't been looked up
 // yet (expiry is lazy) — the same caveat the real table has.
 func (t *FlowletTable) Live() int { return t.live }
-
-// Active returns the number of currently valid entries; §2.6.1's
-// measurement analysis argues this stays small (hundreds) even on heavily
-// loaded leaves.
-func (t *FlowletTable) Active() int {
-	n := 0
-	for _, e := range t.slots {
-		if e.flags&flValid != 0 {
-			n++
-		}
-	}
-	return n
-}
 
 // Check audits the table's bookkeeping and returns an error naming the
 // first invariant that fails: a valid entry is listed (GapModeAgeBit), the

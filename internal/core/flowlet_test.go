@@ -132,8 +132,8 @@ func TestFlowletTableNonPowerOfTwoSize(t *testing.T) {
 	p := testParams()
 	p.FlowletTableSize = 1000
 	ft := NewFlowletTable(p)
-	if ft.Len() != 1000 {
-		t.Fatalf("table size %d, want 1000", ft.Len())
+	if ft.size != 1000 {
+		t.Fatalf("table size %d, want 1000", ft.size)
 	}
 	err := quick.Check(func(h uint64) bool {
 		ft.Install(h, 2, 0)
@@ -151,13 +151,16 @@ func TestFlowletActiveCount(t *testing.T) {
 	for i := uint64(0); i < 10; i++ {
 		ft.Install(i, 0, 0)
 	}
-	if got := ft.Active(); got != 10 {
-		t.Fatalf("Active() = %d, want 10", got)
+	if got := ft.Live(); got != 10 {
+		t.Fatalf("Live() = %d, want 10", got)
 	}
 	ft.Sweep()
 	ft.Sweep() // all age bits set and swept → expired
-	if got := ft.Active(); got != 0 {
-		t.Fatalf("Active() after two sweeps = %d, want 0", got)
+	if got := ft.Live(); got != 0 {
+		t.Fatalf("Live() after two sweeps = %d, want 0", got)
+	}
+	if err := ft.Check(); err != nil { // Live agrees with a count of valid entries
+		t.Fatal(err)
 	}
 	if ft.Expired != 10 {
 		t.Fatalf("Expired = %d, want 10", ft.Expired)
@@ -279,7 +282,10 @@ func TestFlowletSweepReinstallAfterExpiry(t *testing.T) {
 	if tbl.Expired != 2 {
 		t.Fatalf("Expired = %d after reinstall + two sweeps, want 2", tbl.Expired)
 	}
-	if tbl.Active() != 0 {
-		t.Fatalf("Active() = %d, want 0", tbl.Active())
+	if tbl.Live() != 0 {
+		t.Fatalf("Live() = %d, want 0", tbl.Live())
+	}
+	if err := tbl.Check(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -24,6 +24,10 @@ import "fmt"
 //	byte 3: reserved
 //	bytes 4..6: VNI
 //	byte 7: reserved
+//
+// The simulator carries a Header on each packet as a struct and never
+// serialises it: Encode and DecodeHeader model the wire format, and
+// FuzzHeaderRoundTrip pins them.
 
 // HeaderLen is the encoded size of the CONGA/VXLAN overlay header in bytes.
 const HeaderLen = 8

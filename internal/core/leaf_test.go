@@ -155,7 +155,7 @@ func TestLeafOnFabricArrivalFeedsBothTables(t *testing.T) {
 		t.Fatalf("CE not recorded: (%d, %d, %v)", tag, metric, ok)
 	}
 	// Piggybacked feedback applied to ToLeaf for paths to leaf 3.
-	if got := l.ToLeaf.Metric(3, 1, 0); got != 4 {
+	if got := readMetric(l.ToLeaf, 3, 1, 0); got != 4 {
 		t.Fatalf("feedback not applied: metric = %d, want 4", got)
 	}
 }
@@ -207,7 +207,7 @@ func TestLeafFeedbackLoopEndToEnd(t *testing.T) {
 		t.Fatalf("reverse packet lacks feedback: %+v", hb)
 	}
 	a.OnFabricArrival(1, hb, 30)
-	if got := a.ToLeaf.Metric(1, 1, 30); got != 6 {
+	if got := readMetric(a.ToLeaf, 1, 1, 30); got != 6 {
 		t.Fatalf("A's remote metric = %d, want 6", got)
 	}
 
@@ -298,8 +298,6 @@ func TestLeafStateFollowsTraffic(t *testing.T) {
 		{"Flowlets.Lookup", func() { l.Flowlets.Lookup(12345, 0) }},
 		{"Flowlets.valid", func() { l.Flowlets.valid(12345) }},
 		{"Flowlets.Live", func() { l.Flowlets.Live() }},
-		{"Flowlets.Active", func() { l.Flowlets.Active() }},
-		{"ToLeaf.Metric", func() { l.ToLeaf.Metric(200, 3, 0) }},
 		{"ToLeaf.Metrics", func() { l.ToLeaf.Metrics(200, 0, buf) }},
 		{"ToLeaf.FeedbackAge", func() { l.ToLeaf.FeedbackAge(200, 3, 0) }},
 		{"ToLeaf.MaxMetric", func() { l.ToLeaf.MaxMetric(3, 0) }},

@@ -125,7 +125,7 @@ func TestMetricAgingMonotoneDecay(t *testing.T) {
 	ct.Update(0, 0, 7, 0)
 	prev := uint8(7)
 	for at := sim.Time(0); at < 4*p.AgeTimeout; at += p.AgeTimeout / 8 {
-		v := ct.Metric(0, 0, at)
+		v := readMetric(ct, 0, 0, at)
 		if v > prev {
 			t.Fatalf("metric rose from %d to %d at %v", prev, v, at)
 		}

@@ -88,12 +88,6 @@ func (t *CongestionToLeaf) Update(destLeaf, uplink int, value uint8, now sim.Tim
 	t.metrics.put(destLeaf)[uplink].set(value, now)
 }
 
-// Metric returns the (aged) remote congestion metric for destLeaf via
-// uplink.
-func (t *CongestionToLeaf) Metric(destLeaf, uplink int, now sim.Time) uint8 {
-	return t.row(destLeaf)[uplink].get(now, t.ageTimeout)
-}
-
 // Metrics fills dst with the aged metrics for every uplink toward destLeaf
 // and returns it; dst must have length ≥ the uplink count.
 func (t *CongestionToLeaf) Metrics(destLeaf int, now sim.Time, dst []uint8) []uint8 {
@@ -130,9 +124,6 @@ func (t *CongestionToLeaf) MaxMetric(uplink int, now sim.Time) uint8 {
 	})
 	return max
 }
-
-// Uplinks returns the number of local uplinks the table covers.
-func (t *CongestionToLeaf) Uplinks() int { return t.n }
 
 // CongestionFromLeaf is the destination-side table (§3.3 step 3): per
 // source leaf, per LBTag, the latest CE metric seen on arriving packets,

@@ -175,8 +175,8 @@ func TestTablesMatchReferenceModel(t *testing.T) {
 					rng := sim.NewRand(seed*1000 + uint64(tags*leaves))
 					to, refTo := NewCongestionToLeaf(leaves, tags, p), newRefToLeaf(leaves, tags, p)
 					from, refFrom := NewCongestionFromLeaf(leaves, tags, p), newRefFromLeaf(leaves, tags, p)
-					if to.Uplinks() != tags {
-						t.Fatalf("Uplinks() = %d, want %d", to.Uplinks(), tags)
+					if to.n != tags {
+						t.Fatalf("table covers %d uplinks, want %d", to.n, tags)
 					}
 					// Traffic comes from a few peers and rides a sparse set
 					// of tags, as in a fabric with fewer uplinks than LBTags.
@@ -235,7 +235,7 @@ func TestTablesMatchReferenceModel(t *testing.T) {
 							refTo.Update(l, j, v, now)
 							toRows[l] = true
 						case 7:
-							if g, w := to.Metric(l, j, now), refTo.Metric(l, j, now); g != w {
+							if g, w := readMetric(to, l, j, now), refTo.Metric(l, j, now); g != w {
 								t.Fatalf("op %d: Metric(%d, %d, %v) = %d, reference %d", i, l, j, now, g, w)
 							}
 							ga, gok := to.FeedbackAge(l, j, now)

@@ -6,14 +6,19 @@ import (
 	"conga/internal/sim"
 )
 
+// readMetric reads one aged entry through Metrics, the decision path's read.
+func readMetric(t *CongestionToLeaf, destLeaf, uplink int, now sim.Time) uint8 {
+	return t.Metrics(destLeaf, now, make([]uint8, t.n))[uplink]
+}
+
 func TestCongestionToLeafStoresAndReads(t *testing.T) {
 	p := testParams()
 	ct := NewCongestionToLeaf(4, 4, p)
 	ct.Update(2, 1, 5, 0)
-	if got := ct.Metric(2, 1, 0); got != 5 {
+	if got := readMetric(ct, 2, 1, 0); got != 5 {
 		t.Fatalf("metric = %d, want 5", got)
 	}
-	if got := ct.Metric(2, 0, 0); got != 0 {
+	if got := readMetric(ct, 2, 0, 0); got != 0 {
 		t.Fatalf("untouched metric = %d, want 0", got)
 	}
 }
@@ -25,16 +30,16 @@ func TestCongestionToLeafAging(t *testing.T) {
 	age := p.AgeTimeout
 
 	// Within the age timeout: full value.
-	if got := ct.Metric(0, 0, age); got != 6 {
+	if got := readMetric(ct, 0, 0, age); got != 6 {
 		t.Fatalf("metric at exactly AgeTimeout = %d, want 6", got)
 	}
 	// Halfway through the decay window: roughly half.
-	got := ct.Metric(0, 0, age+age/2)
+	got := readMetric(ct, 0, 0, age+age/2)
 	if got != 3 {
 		t.Fatalf("metric halfway through decay = %d, want 3", got)
 	}
 	// Past 2× AgeTimeout: zero, guaranteeing stale paths get re-probed.
-	if got := ct.Metric(0, 0, 2*age+1); got != 0 {
+	if got := readMetric(ct, 0, 0, 2*age+1); got != 0 {
 		t.Fatalf("metric after decay window = %d, want 0", got)
 	}
 }
@@ -44,7 +49,7 @@ func TestCongestionToLeafUpdateResetsAge(t *testing.T) {
 	ct := NewCongestionToLeaf(1, 1, p)
 	ct.Update(0, 0, 7, 0)
 	ct.Update(0, 0, 7, p.AgeTimeout) // refresh at the boundary
-	if got := ct.Metric(0, 0, 2*p.AgeTimeout-1); got != 7 {
+	if got := readMetric(ct, 0, 0, 2*p.AgeTimeout-1); got != 7 {
 		t.Fatalf("refreshed metric decayed early: %d, want 7", got)
 	}
 }

@@ -37,22 +37,22 @@ func TestCheckDrainedNamesEachFault(t *testing.T) {
 	}
 
 	held := src.NewPacket()
-	want := fmt.Sprintf("1 of %d pooled packets are not back on a pool at drain", n.Pool().Allocs)
+	want := fmt.Sprintf("1 of %d pooled packets are not back on a pool at drain", n.pool.Allocs)
 	if err := n.CheckDrained(); err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("packet held past drain: CheckDrained() = %v", err)
 	}
-	n.Pool().Put(held)
+	n.pool.Put(held)
 
-	leaked := n.Pool().newGroup(0)
-	want = fmt.Sprintf("1 of %d frame groups are not back on a pool at drain", len(n.Pool().groups))
+	leaked := n.pool.newGroup(0)
+	want = fmt.Sprintf("1 of %d frame groups are not back on a pool at drain", len(n.pool.groups))
 	if err := n.CheckDrained(); err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("frame group leaked: CheckDrained() = %v", err)
 	}
-	n.Pool().freeGroup(leaked)
+	n.pool.freeGroup(leaked)
 
 	lost := src.NewPacket() // sent, then gone with no drop counted
 	src.TxPackets++
-	n.Pool().Put(lost)
+	n.pool.Put(lost)
 	if err := n.CheckDrained(); err == nil || !strings.Contains(err.Error(), "packet conservation: 201 packets entered the fabric") {
 		t.Errorf("uncounted drop: CheckDrained() = %v", err)
 	}
@@ -132,7 +132,7 @@ func TestCheckSweepNamesEachQueueFault(t *testing.T) {
 	if head.train == 0 || head.ev.Next() != nil {
 		t.Fatal("the burst did not fold into one super-packet")
 	}
-	frames := &n.Pool().groups[head.train-1].n
+	frames := &n.pool.groups[head.train-1].n
 	for _, tc := range []struct {
 		fault       string
 		plant, undo func()
@@ -145,7 +145,7 @@ func TestCheckSweepNamesEachQueueFault(t *testing.T) {
 		{"frame lost from the queue", func() {
 			f := l.next()
 			l.qlen -= l.wireSize(f)
-			n.Pool().Put(f)
+			n.pool.Put(f)
 		}, func() { src.TxPackets-- }, host, "packet conservation: sent 60 packets, but NIC " + l.Name + " accounts for 59"},
 	} {
 		tc.plant()

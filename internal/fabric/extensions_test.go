@@ -24,7 +24,7 @@ func TestExplicitFeedbackWorksWithoutReverseTraffic(t *testing.T) {
 		flood(eng, n, 1, n.Host(0), n.Host(4), 5000, 1400, 0.95e9, 0, 5*sim.Millisecond)
 		eng.Run(5 * sim.Millisecond)
 		strat := n.Leaves[0].Strategy().(*congaStrategy)
-		return strat.Core().ToLeaf.Metric(1, 0, eng.Now())
+		return strat.Core().ToLeaf.Metrics(1, eng.Now(), make([]uint8, len(n.Leaves[0].Uplinks())))[0]
 	}
 	withOut := run(false)
 	if withOut != 0 {
@@ -124,9 +124,9 @@ func TestSumPathMetricAccumulates(t *testing.T) {
 	// Preload both fabric links on the path with metric 3 each.
 	up := n.Leaves[0].Uplinks()[0]
 	down := n.Spines[0].Downlinks(1)[0]
-	scale := up.Rate() / 8 * p.Tau().Seconds()
-	up.DRE().Add(int(0.45 * scale))   // metric 3
-	down.DRE().Add(int(0.45 * scale)) // metric 3
+	scale := up.rate / 8 * p.Tau().Seconds()
+	up.dre.Add(int(0.45 * scale))   // metric 3
+	down.dre.Add(int(0.45 * scale)) // metric 3
 
 	var seenCE uint8
 	orig := n.Leaves[1].strategy

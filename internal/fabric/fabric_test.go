@@ -314,7 +314,7 @@ func TestCongaCEMarkingAndFeedback(t *testing.T) {
 	eng.Run(5 * sim.Millisecond)
 
 	srcStrat := n.Leaves[0].Strategy().(*congaStrategy)
-	got := srcStrat.Core().ToLeaf.Metric(1, 0, eng.Now())
+	got := srcStrat.Core().ToLeaf.Metrics(1, eng.Now(), make([]uint8, len(n.Leaves[0].Uplinks())))[0]
 	if got < 5 {
 		t.Fatalf("sender's remote metric for the saturated path = %d, want ≥5", got)
 	}
@@ -431,7 +431,7 @@ func TestDREDirtyListDrainsAndReactivates(t *testing.T) {
 		t.Fatalf("%d links still on the dirty-list after 95 ms idle", got)
 	}
 	for _, l := range n.FabricLinks() {
-		if x := l.DRE().X(); x != 0 {
+		if x := l.dre.X(); x != 0 {
 			t.Fatalf("link %s register %v after long idle, want exactly 0", l.Name, x)
 		}
 	}
@@ -443,7 +443,7 @@ func TestDREDirtyListDrainsAndReactivates(t *testing.T) {
 	}
 	any := false
 	for _, l := range n.FabricLinks() {
-		if l.DRE().X() > 0 {
+		if l.dre.X() > 0 {
 			any = true
 		}
 	}

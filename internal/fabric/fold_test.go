@@ -47,7 +47,7 @@ func TestHostBacklogIsOnePacket(t *testing.T) {
 	src, dst := n.Host(0), n.Host(1) // one rack: the leaf switches locally
 	sink := &frameLog{got: make([]frameRec, 0, 65)}
 	dst.Bind(9000, sink)
-	pool := n.Pool()
+	pool := n.pool
 	var want []Packet
 	burst := func() {
 		now := eng.Now()
@@ -126,8 +126,8 @@ func TestSetUpDropsFoldedBacklogPerFrame(t *testing.T) {
 			}
 			src.Send(p, now)
 		}
-		if l.queued() != 10 || n.Pool().groupsInUse() != 3 {
-			t.Fatalf("backlog holds %d frames in %d groups, want 10 in 3", l.queued(), n.Pool().groupsInUse())
+		if l.queued() != 10 || n.pool.groupsInUse() != 3 {
+			t.Fatalf("backlog holds %d frames in %d groups, want 10 in 3", l.queued(), n.pool.groupsInUse())
 		}
 		l.SetUp(false)
 	})
@@ -151,8 +151,8 @@ func TestSetUpDropsFoldedBacklogPerFrame(t *testing.T) {
 			t.Fatalf("drop %d traced at Seq %d, want %d", i, s, want)
 		}
 	}
-	if l.queued() != 0 || l.qlen != 0 || n.Pool().groupsInUse() != 0 {
-		t.Fatalf("failed NIC holds %d frames, %d bytes, %d frame groups", l.queued(), l.qlen, n.Pool().groupsInUse())
+	if l.queued() != 0 || l.qlen != 0 || n.pool.groupsInUse() != 0 {
+		t.Fatalf("failed NIC holds %d frames, %d bytes, %d frame groups", l.queued(), l.qlen, n.pool.groupsInUse())
 	}
 	if err := src.checkConserved(); err != nil {
 		t.Fatal(err)

@@ -52,9 +52,6 @@ func (ls *LeafSwitch) Strategy() Strategy { return ls.strategy }
 // Uplinks returns the leaf's uplinks; index i is LBTag i.
 func (ls *LeafSwitch) Uplinks() []*Link { return ls.uplinks }
 
-// UplinkSpine returns the spine the given uplink attaches to.
-func (ls *LeafSwitch) UplinkSpine(uplink int) int { return ls.uplinkSpine[uplink] }
-
 // PathUsable reports, per uplink, whether a packet sent on it can reach
 // dstLeaf: the uplink itself must be up and its spine must retain at least
 // one live downlink to dstLeaf. This models routing convergence after a

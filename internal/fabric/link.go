@@ -144,9 +144,6 @@ func NewLinkDRE(rateBps float64, p core.Params) *core.DRE {
 	return core.NewDRE(rateBps, p)
 }
 
-// Rate returns the link rate in bits per second.
-func (l *Link) Rate() float64 { return l.rate }
-
 // Up reports whether the link is in service.
 func (l *Link) Up() bool { return l.up }
 
@@ -205,14 +202,6 @@ func (l *Link) SetUp(up bool) {
 	}
 	l.killed++
 	l.drop(victim, now)
-}
-
-// DRE returns the link's rate estimator (nil for access links).
-func (l *Link) DRE() *core.DRE {
-	if !l.fab {
-		return nil
-	}
-	return &l.dre
 }
 
 // Metric returns the link's quantized congestion metric, 0 for access

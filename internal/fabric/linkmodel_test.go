@@ -257,7 +257,10 @@ func TestLinkMatchesReferenceModel(t *testing.T) {
 			link := NewLink(eng, LinkConfig{Name: "dut", RateBps: rate, PropDelay: prop,
 				BufBytes: maxQ, Fabric: fab, Params: core.DefaultParams()}, recNode{log})
 			link.trace = tr
-			return link, link.DRE()
+			if !fab {
+				return link, nil
+			}
+			return link, &link.dre
 		})
 		for _, e := range tr.Events() {
 			got = append(got, modelRec{kind: 'x', at: e.T, a: e.Seq})

@@ -222,10 +222,6 @@ type Network struct {
 // owning domain (transmission is domain-local).
 func (n *Network) noteDREActive(l *Link) { n.dreActive[l.dom] = append(n.dreActive[l.dom], l) }
 
-// Pool returns the network's packet pool. Transports normally allocate via
-// Host.NewPacket; the accessor exists for stats and tests.
-func (n *Network) Pool() *PacketPool { return n.pool }
-
 // NewNetwork builds the fabric described by cfg on the given engine and
 // starts the DRE decay and flowlet sweep tickers. It is the single-domain
 // case of NewPartitionedNetwork (see partition.go).
@@ -393,9 +389,6 @@ func (n *Network) sampleLeafSeries(d int, now sim.Time) {
 		}
 	}
 }
-
-// Telemetry returns the registry wired into this network, or nil.
-func (n *Network) Telemetry() *telemetry.Registry { return n.tel }
 
 // MustNetwork is NewNetwork for tests and examples where a config error is
 // a programming bug.

@@ -80,7 +80,7 @@ func TestPoolRecyclesThroughFabric(t *testing.T) {
 	}
 	eng.At(0, tick)
 	eng.Run(sim.MaxTime)
-	pp := n.Pool()
+	pp := n.pool
 	if pp.Allocs == 0 {
 		t.Fatal("pool never allocated")
 	}

@@ -52,8 +52,8 @@ func TestCEMarkingTakesPathMaximum(t *testing.T) {
 	n := MustNetwork(eng, cfg)
 	// Preload the spine downlink's DRE so it reports high congestion.
 	down := n.Spines[0].Downlinks(1)[0]
-	scale := down.Rate() / 8 * core.DefaultParams().Tau().Seconds()
-	down.DRE().Add(int(scale)) // utilization ≈ 1 → metric 7
+	scale := down.rate / 8 * core.DefaultParams().Tau().Seconds()
+	down.dre.Add(int(scale)) // utilization ≈ 1 → metric 7
 
 	var seenCE uint8
 	probe := &congaProbe{onArrival: func(p *Packet) { seenCE = p.Hdr.CE }}
@@ -162,7 +162,7 @@ func TestLinkSetUpDropsQueueAndResetsDRE(t *testing.T) {
 	if up.QueuedBytes() != 0 {
 		t.Fatal("queue survived link failure")
 	}
-	if up.DRE().X() != 0 {
+	if up.dre.X() != 0 {
 		t.Fatal("DRE survived link failure")
 	}
 }

@@ -59,9 +59,10 @@ func TestTCPMatchesReference(t *testing.T) {
 			logged := fabric.LogHops(t, n)
 			fct := map[uint64]sim.Time{}
 			var st tcp.Stats
+			pool := tcp.NewFlowPool()
 			for _, f := range flows {
 				eng.At(f.At, func(sim.Time) {
-					tcp.StartFlow(eng, n.Host(f.Src), n.Host(f.Dst), f.ID, f.Size, c, func(fl *tcp.Flow, now sim.Time) {
+					pool.StartFlow(eng, n.Host(f.Src), n.Host(f.Dst), f.ID, f.Size, c, func(fl *tcp.Flow, now sim.Time) {
 						fct[f.ID] = fl.FCT(now)
 						s := fl.Sender.Stats()
 						st.FastRetx, st.Timeouts, st.RetxSegments = st.FastRetx+s.FastRetx, st.Timeouts+s.Timeouts, st.RetxSegments+s.RetxSegments

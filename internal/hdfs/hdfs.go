@@ -34,8 +34,8 @@ type Config struct {
 	DiskBps float64
 	// TCP configures the replication transfers.
 	TCP tcp.Config
-	// Pool, when non-nil, recycles the replication flows' objects; the
-	// caller shares its per-engine tcp.FlowPool.
+	// Pool starts the replication flows; the caller shares its per-engine
+	// tcp.FlowPool. Run supplies a fresh one when it is nil.
 	Pool *tcp.FlowPool
 	// Seed drives replica placement.
 	Seed uint64
@@ -79,6 +79,10 @@ func Run(eng *sim.Engine, net *fabric.Network, cfg Config, done func(*Result, si
 	hosts := len(net.Hosts)
 	if cfg.Writers > hosts {
 		return nil, fmt.Errorf("hdfs: %d writers exceed %d hosts", cfg.Writers, hosts)
+	}
+	pool := cfg.Pool
+	if pool == nil {
+		pool = tcp.NewFlowPool()
 	}
 	rng := sim.NewRand(cfg.Seed + 0xD15C)
 	res := &Result{WriterTimes: make([]sim.Time, cfg.Writers)}
@@ -137,8 +141,8 @@ func Run(eng *sim.Engine, net *fabric.Network, cfg Config, done func(*Result, si
 			// Pipeline stages draw from the shared pool; the outer flow's
 			// objects are released only after its callback returns, so the
 			// inner StartFlow can never reacquire them mid-frame.
-			cfg.Pool.StartFlow(eng, writerHost, dn2, id1, block, cfg.TCP, func(_ *tcp.Flow, t1 sim.Time) {
-				cfg.Pool.StartFlow(eng, dn2, dn3, id1+1, block, cfg.TCP, func(_ *tcp.Flow, t2 sim.Time) {
+			pool.StartFlow(eng, writerHost, dn2, id1, block, cfg.TCP, func(_ *tcp.Flow, t1 sim.Time) {
+				pool.StartFlow(eng, dn2, dn3, id1+1, block, cfg.TCP, func(_ *tcp.Flow, t2 sim.Time) {
 					netDone = true
 					maybeNext(t2)
 				})

@@ -30,12 +30,6 @@ type Config struct {
 	ChunkSegments int
 }
 
-// DefaultConfig returns the paper's MPTCP setup: 8 subflows over default
-// TCP parameters.
-func DefaultConfig() Config {
-	return Config{Subflows: 8, TCP: tcp.DefaultConfig(), ChunkSegments: 4}
-}
-
 // Validate reports the first invalid field.
 func (c Config) Validate() error {
 	if c.Subflows < 1 {
@@ -232,7 +226,7 @@ func (c *Connection) liaIncrease(i int, acked int) {
 	s.AddCwnd(coupled)
 }
 
-// Flow mirrors tcp.StartFlow for MPTCP: transfer size bytes and report the
+// Flow mirrors tcp.Flow for MPTCP: transfer size bytes and report the
 // completion time.
 type Flow struct {
 	Conn    *Connection
@@ -245,12 +239,6 @@ type Flow struct {
 	inPool       bool
 }
 
-// StartFlow begins an MPTCP transfer of size bytes from src to dst.
-func StartFlow(eng *sim.Engine, src, dst *fabric.Host, flowIDBase uint64, size int64,
-	cfg Config, onDone func(f *Flow, now sim.Time)) *Flow {
-	return (*Pool)(nil).StartFlow(eng, src, dst, flowIDBase, size, cfg, onDone)
-}
-
 // finish is the connection's OnComplete: tear the subflows down (ports
 // recycle first, as in tcp.Flow), run the caller's callback, then return
 // the flow and connection to the pool.
@@ -259,9 +247,7 @@ func (f *Flow) finish(now sim.Time) {
 	if f.onDone != nil {
 		f.onDone(f, now)
 	}
-	if f.pool != nil {
-		f.pool.putFlow(f)
-	}
+	f.pool.putFlow(f)
 }
 
 // FCT returns the flow completion time given the completion timestamp.
@@ -272,8 +258,8 @@ func (f *Flow) FCT(done sim.Time) sim.Time { return done - f.Started }
 // counterpart of tcp.FlowPool. A connection's per-subflow LIA and scheduler
 // closures are bound once at construction and survive recycling — the
 // whole point of keeping endpoints attached to their connection — while
-// the tcp Rebind path fully resets per-transfer protocol state. A nil
-// *Pool is valid everywhere and falls back to fresh allocation.
+// the tcp Rebind path fully resets per-transfer protocol state. Every flow
+// start goes through a pool: a harness keeps one per engine.
 type Pool struct {
 	conns []*Connection
 	flows []*Flow
@@ -286,35 +272,33 @@ type Pool struct {
 // NewPool returns an empty pool for one engine.
 func NewPool() *Pool { return &Pool{} }
 
-// dial is mptcp's dial drawing from the pool; a nil pool allocates fresh.
-// A recycled connection is reused only if its shape fits the request: the
-// subflow count matches cfg and it has receivers exactly when the caller
-// wants them owned (dst non-nil). Anything else is discarded — the
+// dial is mptcp's dial drawing from the pool. A recycled connection is
+// reused only if its shape fits the request: the subflow count matches cfg
+// and it has receivers exactly when the caller wants them owned (dst
+// non-nil). Anything else is discarded — the
 // configuration changed mid-run, which real harnesses never do.
 func (p *Pool) dial(eng *sim.Engine, src, dst *fabric.Host, flowIDBase uint64,
 	dstHost, dstPortBase int, cfg Config) *Connection {
-	if p != nil {
-		for n := len(p.conns); n > 0; n = len(p.conns) {
-			c := p.conns[n-1]
-			p.conns[n-1] = nil
-			p.conns = p.conns[:n-1]
-			c.inPool = false
-			if len(c.senders) != cfg.Subflows || (len(c.receivers) > 0) != (dst != nil) {
-				continue
-			}
-			p.ConnRecycled++
-			c.rebind(eng, src, dst, flowIDBase, dstHost, dstPortBase, cfg)
-			return c
+	for n := len(p.conns); n > 0; n = len(p.conns) {
+		c := p.conns[n-1]
+		p.conns[n-1] = nil
+		p.conns = p.conns[:n-1]
+		c.inPool = false
+		if len(c.senders) != cfg.Subflows || (len(c.receivers) > 0) != (dst != nil) {
+			continue
 		}
-		p.ConnAllocs++
+		p.ConnRecycled++
+		c.rebind(eng, src, dst, flowIDBase, dstHost, dstPortBase, cfg)
+		return c
 	}
+	p.ConnAllocs++
 	return dial(eng, src, dst, flowIDBase, dstHost, dstPortBase, cfg)
 }
 
 // PutConn releases a closed connection to the pool. Connections that are
-// still open, already pooled, or given to a nil pool are left alone.
+// still open or already pooled are left alone.
 func (p *Pool) PutConn(c *Connection) {
-	if p == nil || c == nil || !c.closed || c.inPool {
+	if c == nil || !c.closed || c.inPool {
 		return
 	}
 	c.OnComplete = nil
@@ -322,10 +306,10 @@ func (p *Pool) PutConn(c *Connection) {
 	p.conns = append(p.conns, c)
 }
 
-// StartFlow is mptcp.StartFlow drawing the Flow and its Connection from
-// the pool (nil pool = fresh allocation). When pooled, the flow returns to
-// the pool right after onDone, so the callback must not retain the *Flow
-// or its connection.
+// StartFlow begins an MPTCP transfer of size bytes from src to dst,
+// drawing the Flow and its Connection from the pool. The flow returns to
+// the pool right after onDone, so the callback must not retain the *Flow or
+// its connection.
 func (p *Pool) StartFlow(eng *sim.Engine, src, dst *fabric.Host, flowIDBase uint64, size int64,
 	cfg Config, onDone func(f *Flow, now sim.Time)) *Flow {
 	return p.start(eng, src, dst, flowIDBase, dst.ID, 0, size, cfg, onDone)
@@ -356,14 +340,12 @@ func (p *Pool) start(eng *sim.Engine, src, dst *fabric.Host, flowIDBase uint64,
 }
 
 func (p *Pool) getFlow() *Flow {
-	if p != nil {
-		if n := len(p.flows); n > 0 {
-			f := p.flows[n-1]
-			p.flows[n-1] = nil
-			p.flows = p.flows[:n-1]
-			f.inPool = false
-			return f
-		}
+	if n := len(p.flows); n > 0 {
+		f := p.flows[n-1]
+		p.flows[n-1] = nil
+		p.flows = p.flows[:n-1]
+		f.inPool = false
+		return f
 	}
 	f := &Flow{}
 	f.onCompleteFn = f.finish
@@ -371,7 +353,7 @@ func (p *Pool) getFlow() *Flow {
 }
 
 func (p *Pool) putFlow(f *Flow) {
-	if p == nil || f == nil || f.inPool {
+	if f.inPool {
 		return
 	}
 	p.PutConn(f.Conn)

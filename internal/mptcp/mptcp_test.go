@@ -28,23 +28,33 @@ func testNet(t testing.TB) (*sim.Engine, *fabric.Network) {
 	return eng, n
 }
 
+// testConfig is the paper's MPTCP setup, 8 subflows, built the way the
+// harness builds it, with timers scaled to the 1 Gbps test fabric.
 func testConfig() Config {
-	c := DefaultConfig()
+	c := Config{Subflows: 8, TCP: tcp.DefaultConfig(), ChunkSegments: 4}
 	c.TCP.MinRTO = 10 * sim.Millisecond
 	c.TCP.InitRTO = 50 * sim.Millisecond
 	return c
 }
 
+// startFlow starts a flow the way the harness does, from a Pool. The flow
+// goes back to the pool after onDone, so a test reads the connection of a
+// finished flow inside onDone.
+func startFlow(eng *sim.Engine, src, dst *fabric.Host, flowIDBase uint64, size int64,
+	cfg Config, onDone func(f *Flow, now sim.Time)) *Flow {
+	return NewPool().StartFlow(eng, src, dst, flowIDBase, size, cfg, onDone)
+}
+
 func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
+	if err := testConfig().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	c := DefaultConfig()
+	c := testConfig()
 	c.Subflows = 0
 	if err := c.Validate(); err == nil {
 		t.Fatal("0 subflows accepted")
 	}
-	c = DefaultConfig()
+	c = testConfig()
 	c.ChunkSegments = 0
 	if err := c.Validate(); err == nil {
 		t.Fatal("0 chunk segments accepted")
@@ -55,14 +65,15 @@ func TestTransferCompletesExactly(t *testing.T) {
 	eng, n := testNet(t)
 	const size = 3<<20 + 12345
 	var fct sim.Time
-	f := StartFlow(eng, n.Host(0), n.Host(4), 100, size, testConfig(), func(fl *Flow, now sim.Time) {
-		fct = fl.FCT(now)
+	var got int64
+	startFlow(eng, n.Host(0), n.Host(4), 100, size, testConfig(), func(fl *Flow, now sim.Time) {
+		fct, got = fl.FCT(now), fl.Conn.Acked()
 	})
 	eng.Run(sim.MaxTime)
 	if fct == 0 {
 		t.Fatal("transfer did not complete")
 	}
-	if got := f.Conn.Acked(); got != size {
+	if got != size {
 		t.Fatalf("acked %d bytes, want %d", got, size)
 	}
 	// 3 MB at 1 Gbps ≈ 25 ms; allow generous overheads.
@@ -90,7 +101,7 @@ func TestSubflowsUseDistinctFlowIDs(t *testing.T) {
 func TestSubflowsSpreadAcrossPaths(t *testing.T) {
 	eng, n := testNet(t)
 	var fct sim.Time
-	StartFlow(eng, n.Host(0), n.Host(4), 700, 8<<20, testConfig(), func(f *Flow, now sim.Time) {
+	startFlow(eng, n.Host(0), n.Host(4), 700, 8<<20, testConfig(), func(f *Flow, now sim.Time) {
 		fct = f.FCT(now)
 	})
 	eng.Run(sim.MaxTime)
@@ -111,8 +122,8 @@ func TestLIACouplingLessAggressiveThanNTCPs(t *testing.T) {
 	cfg := testConfig()
 	// One MPTCP connection and one plain TCP compete for host 4's access
 	// downlink.
-	mf := StartFlow(eng, n.Host(0), n.Host(4), 1000, 1<<30, cfg, nil)
-	tf := tcp.StartFlow(eng, n.Host(1), n.Host(4), 2000, 1<<30, cfg.TCP, nil)
+	mf := startFlow(eng, n.Host(0), n.Host(4), 1000, 1<<30, cfg, nil)
+	tf := tcp.NewFlowPool().StartFlow(eng, n.Host(1), n.Host(4), 2000, 1<<30, cfg.TCP, nil)
 	eng.Run(200 * sim.Millisecond)
 	mBytes := mf.Conn.Acked()
 	tBytes := tf.Sender.Stats().BytesAcked
@@ -128,11 +139,12 @@ func TestChunkSchedulerFavoursFastSubflow(t *testing.T) {
 	eng, n := testNet(t)
 	cfg := testConfig()
 	cfg.Subflows = 2
-	f := StartFlow(eng, n.Host(0), n.Host(4), 3000, 4<<20, cfg, nil)
+	var a, b int64
+	startFlow(eng, n.Host(0), n.Host(4), 3000, 4<<20, cfg, func(f *Flow, _ sim.Time) {
+		s := f.Conn.Subflows()
+		a, b = s[0].Stats().BytesAcked, s[1].Stats().BytesAcked
+	})
 	eng.Run(sim.MaxTime)
-	s := f.Conn.Subflows()
-	a := s[0].Stats().BytesAcked
-	b := s[1].Stats().BytesAcked
 	if a+b != 4<<20 {
 		t.Fatalf("subflow bytes %d+%d ≠ total", a, b)
 	}
@@ -184,9 +196,9 @@ func TestIncastBurstinessExceedsTCP(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			src := n.Host(i)
 			if useMPTCP {
-				StartFlow(eng, src, n.Host(4), uint64(9000+100*i), 2<<20, cfg, nil)
+				startFlow(eng, src, n.Host(4), uint64(9000+100*i), 2<<20, cfg, nil)
 			} else {
-				tcp.StartFlow(eng, src, n.Host(4), uint64(9000+100*i), 2<<20, cfg.TCP, nil)
+				tcp.NewFlowPool().StartFlow(eng, src, n.Host(4), uint64(9000+100*i), 2<<20, cfg.TCP, nil)
 			}
 		}
 		eng.Run(sim.MaxTime)

@@ -150,9 +150,6 @@ func (r *Recorder) Add(f Flow) {
 	r.flows = append(r.flows, f)
 }
 
-// Len returns the number of recorded arrivals.
-func (r *Recorder) Len() int { return len(r.flows) }
-
 // Trace seals the recording: the header's summary fields are recomputed
 // from the arrival list and the finished trace is returned. The recorder
 // may keep recording afterwards; Trace copies nothing (the caller must not

@@ -852,15 +852,13 @@ func (e *Engine) siftDown(i int, ev *Node) {
 	ev.slot = int32(i)
 }
 
-// Ticker invokes fn every period until cancelled. It is the building block
-// for the DRE decay timer and the flowlet age sweep.
+// Ticker invokes fn every period for the life of the engine. It is the
+// building block for the DRE decay timer and the flowlet age sweep.
 type Ticker struct {
 	engine *Engine
 	period Time
 	fn     Event
-	handle EventHandle
 	tickFn Event // bound once so rescheduling does not allocate
-	done   bool
 }
 
 // NewTicker schedules fn to run every period, with the first invocation one
@@ -871,22 +869,11 @@ func NewTicker(e *Engine, period Time, fn Event) *Ticker {
 	}
 	t := &Ticker{engine: e, period: period, fn: fn}
 	t.tickFn = t.tick
-	t.handle = e.AtDaemon(e.now+period, t.tickFn)
+	e.AtDaemon(e.now+period, t.tickFn)
 	return t
 }
 
 func (t *Ticker) tick(now Time) {
-	if t.done {
-		return
-	}
 	t.fn(now)
-	if !t.done { // fn may have stopped the ticker
-		t.handle = t.engine.AtDaemon(now+t.period, t.tickFn)
-	}
-}
-
-// Stop cancels future invocations.
-func (t *Ticker) Stop() {
-	t.done = true
-	t.handle.Cancel()
+	t.engine.AtDaemon(now+t.period, t.tickFn)
 }

@@ -260,23 +260,6 @@ func TestTickerFiresPeriodically(t *testing.T) {
 	}
 }
 
-func TestTickerStop(t *testing.T) {
-	e := New()
-	count := 0
-	var tk *Ticker
-	tk = NewTicker(e, 10, func(Time) {
-		count++
-		if count == 3 {
-			tk.Stop()
-		}
-	})
-	e.Run(1000) // bounded: tickers are daemon events and don't keep MaxTime runs alive
-
-	if count != 3 {
-		t.Fatalf("ticker fired %d times after Stop at 3, want 3", count)
-	}
-}
-
 func TestTickerNonPositivePeriodPanics(t *testing.T) {
 	e := New()
 	defer func() {

@@ -95,17 +95,6 @@ func (r *Rand) NormFloat64() float64 {
 	}
 }
 
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Shuffle pseudo-randomizes the order of n elements using swap.
 func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {

@@ -111,23 +111,6 @@ func TestRandNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestRandPermIsPermutation(t *testing.T) {
-	r := NewRand(17)
-	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
 func TestRandShufflePreservesElements(t *testing.T) {
 	r := NewRand(19)
 	s := []int{1, 2, 3, 4, 5, 6, 7, 8}

@@ -84,27 +84,6 @@ func (s *Sample) Quantile(q float64) float64 {
 	return s.values[idx]
 }
 
-// Max returns the largest observation.
-func (s *Sample) Max() float64 { return s.max }
-
-// Min returns the smallest observation.
-func (s *Sample) Min() float64 { return s.min }
-
-// StdDev returns the population standard deviation.
-func (s *Sample) StdDev() float64 {
-	n := len(s.values)
-	if n == 0 {
-		return 0
-	}
-	mean := s.Mean()
-	ss := 0.0
-	for _, v := range s.values {
-		d := v - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
 // CDF returns (value, cumulative fraction) pairs at each distinct
 // observation, suitable for plotting against the paper's CDF figures.
 func (s *Sample) CDF() [][2]float64 {

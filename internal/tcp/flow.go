@@ -7,38 +7,31 @@ import (
 
 // Flow is a one-shot transfer: size bytes from one host to another over a
 // fresh connection, reporting its completion time. Workload generators
-// create one Flow per arrival — or recycle one through a FlowPool.
+// start one Flow per arrival through a FlowPool, which recycles it.
 type Flow struct {
 	Sender   *Sender
 	Receiver *Receiver // nil when the caller owns the receiver (StartFlowTo)
 	Size     int64
 	Started  sim.Time
 
-	// pool, when non-nil, receives the flow and its endpoints back after
-	// completion; onDone is the caller's completion callback. onAllAckedFn
-	// is finish bound once per Flow object, so wiring a sender's
-	// completion hook allocates nothing on reuse.
+	// pool receives the flow and its endpoints back after completion;
+	// onDone is the caller's completion callback. onAllAckedFn is finish
+	// bound once per Flow object, so wiring a sender's completion hook
+	// allocates nothing on reuse.
 	pool         *FlowPool
 	onDone       func(f *Flow, now sim.Time)
 	onAllAckedFn func(now sim.Time)
 	inPool       bool
 }
 
-// StartFlow begins transferring size bytes from src to dst immediately.
-// onDone (optional) receives the flow and its completion time; both
-// endpoints are closed before the callback so ports recycle even if the
-// callback panics the experiment.
-func StartFlow(eng *sim.Engine, src, dst *fabric.Host, flowID uint64, size int64,
-	cfg Config, onDone func(f *Flow, now sim.Time)) *Flow {
-	return (*FlowPool)(nil).StartFlow(eng, src, dst, flowID, size, cfg, onDone)
-}
-
-// StartFlow is tcp.StartFlow drawing the Flow and both endpoints from the
-// pool (nil pool = fresh allocation): it binds a receiver on dst — the
-// destination port is allocated first, then the sender's — and closes it
-// when the flow completes. When pooled, the flow returns to the pool right
-// after onDone, so the callback must not retain the *Flow or its
-// endpoints.
+// StartFlow begins transferring size bytes from src to dst immediately,
+// drawing the Flow and both endpoints from the pool: it binds a receiver on
+// dst — the destination port is allocated first, then the sender's — and
+// closes it when the flow completes. onDone (optional) receives the flow
+// and its completion time; both endpoints are closed before the callback so
+// ports recycle even if the callback panics the experiment. The flow
+// returns to the pool right after onDone, so the callback must not retain
+// the *Flow or its endpoints.
 func (p *FlowPool) StartFlow(eng *sim.Engine, src, dst *fabric.Host, flowID uint64, size int64,
 	cfg Config, onDone func(f *Flow, now sim.Time)) *Flow {
 	dstPort := dst.AllocPort()
@@ -82,9 +75,7 @@ func (f *Flow) finish(now sim.Time) {
 	if f.onDone != nil {
 		f.onDone(f, now)
 	}
-	if f.pool != nil {
-		f.pool.putFlow(f)
-	}
+	f.pool.putFlow(f)
 }
 
 // FCT returns the flow completion time given the completion timestamp.

@@ -22,7 +22,7 @@ func TestStartFlowToLeavesReceiverBound(t *testing.T) {
 	var srcPort int
 	var fct sim.Time
 	f := pool.StartFlowTo(eng, src, 1, dst.ID, dstPort, size, dcConfig(), func(f *Flow, now sim.Time) {
-		srcPort, fct = f.Sender.SrcPort(), f.FCT(now)
+		srcPort, fct = f.Sender.srcPort, f.FCT(now)
 	})
 	if f.Receiver != nil {
 		t.Fatal("StartFlowTo attached a receiver to the flow")
@@ -76,7 +76,7 @@ func TestStartFlowPortOrder(t *testing.T) {
 	h := n.Host(0)
 	first := h.AllocPort()
 	f := NewFlowPool().StartFlow(eng, h, h, 1, 1000, dcConfig(), nil)
-	if dst, src := f.Sender.dstPort, f.Sender.SrcPort(); dst != first+1 || src != first+2 {
+	if dst, src := f.Sender.dstPort, f.Sender.srcPort; dst != first+1 || src != first+2 {
 		t.Fatalf("ports after %d: destination %d, source %d; want %d then %d", first, dst, src, first+1, first+2)
 	}
 }

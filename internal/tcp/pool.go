@@ -28,8 +28,7 @@ import (
 // directly via NewSender/NewReceiver stay with the caller until explicitly
 // released with PutSender/PutReceiver (after Close).
 //
-// A nil *FlowPool is valid everywhere and falls back to fresh allocation,
-// so tcp.StartFlow keeps its historical semantics.
+// Every flow start goes through a pool: a harness keeps one per engine.
 type FlowPool struct {
 	flows     []*Flow
 	senders   []*Sender
@@ -49,31 +48,28 @@ type FlowPool struct {
 // NewFlowPool returns an empty pool for one engine.
 func NewFlowPool() *FlowPool { return &FlowPool{} }
 
-// NewSender is tcp.NewSender drawing from the pool; a nil pool allocates
-// fresh.
+// NewSender is tcp.NewSender drawing from the pool.
 func (p *FlowPool) NewSender(eng *sim.Engine, host *fabric.Host, flowID uint64, dstHost, dstPort int, cfg Config) *Sender {
-	if p != nil {
-		if n := len(p.senders); n > 0 {
-			if err := cfg.Validate(); err != nil {
-				panic(err)
-			}
-			s := p.senders[n-1]
-			p.senders[n-1] = nil
-			p.senders = p.senders[:n-1]
-			p.SenderRecycled++
-			s.inPool = false
-			s.rebind(eng, host, flowID, dstHost, dstPort, cfg)
-			return s
+	if n := len(p.senders); n > 0 {
+		if err := cfg.Validate(); err != nil {
+			panic(err)
 		}
-		p.SenderAllocs++
+		s := p.senders[n-1]
+		p.senders[n-1] = nil
+		p.senders = p.senders[:n-1]
+		p.SenderRecycled++
+		s.inPool = false
+		s.rebind(eng, host, flowID, dstHost, dstPort, cfg)
+		return s
 	}
+	p.SenderAllocs++
 	return NewSender(eng, host, flowID, dstHost, dstPort, cfg)
 }
 
 // PutSender releases a closed sender to the pool. Senders that are still
-// open, already pooled, or given to a nil pool are left alone.
+// open or already pooled are left alone.
 func (p *FlowPool) PutSender(s *Sender) {
-	if p == nil || s == nil || !s.freed || s.inPool {
+	if s == nil || !s.freed || s.inPool {
 		return
 	}
 	s.CAIncrease = nil
@@ -83,28 +79,25 @@ func (p *FlowPool) PutSender(s *Sender) {
 	p.senders = append(p.senders, s)
 }
 
-// NewReceiver is tcp.NewReceiver drawing from the pool; a nil pool
-// allocates fresh.
+// NewReceiver is tcp.NewReceiver drawing from the pool.
 func (p *FlowPool) NewReceiver(host *fabric.Host, port int) *Receiver {
-	if p != nil {
-		if n := len(p.receivers); n > 0 {
-			r := p.receivers[n-1]
-			p.receivers[n-1] = nil
-			p.receivers = p.receivers[:n-1]
-			p.ReceiverRecycled++
-			r.inPool = false
-			r.rebind(host, port)
-			return r
-		}
-		p.ReceiverAllocs++
+	if n := len(p.receivers); n > 0 {
+		r := p.receivers[n-1]
+		p.receivers[n-1] = nil
+		p.receivers = p.receivers[:n-1]
+		p.ReceiverRecycled++
+		r.inPool = false
+		r.rebind(host, port)
+		return r
 	}
+	p.ReceiverAllocs++
 	return NewReceiver(host, port)
 }
 
 // PutReceiver releases a closed receiver to the pool. Receivers that are
-// still bound, already pooled, or given to a nil pool are left alone.
+// still bound or already pooled are left alone.
 func (p *FlowPool) PutReceiver(r *Receiver) {
-	if p == nil || r == nil || !r.freed || r.inPool {
+	if r == nil || !r.freed || r.inPool {
 		return
 	}
 	r.OnDelivered = nil
@@ -115,17 +108,15 @@ func (p *FlowPool) PutReceiver(r *Receiver) {
 // getFlow acquires a Flow shell, from the free list when possible. The
 // completion callback is bound once per object, on first construction.
 func (p *FlowPool) getFlow() *Flow {
-	if p != nil {
-		if n := len(p.flows); n > 0 {
-			f := p.flows[n-1]
-			p.flows[n-1] = nil
-			p.flows = p.flows[:n-1]
-			p.FlowRecycled++
-			f.inPool = false
-			return f
-		}
-		p.FlowAllocs++
+	if n := len(p.flows); n > 0 {
+		f := p.flows[n-1]
+		p.flows[n-1] = nil
+		p.flows = p.flows[:n-1]
+		p.FlowRecycled++
+		f.inPool = false
+		return f
 	}
+	p.FlowAllocs++
 	f := &Flow{}
 	f.onAllAckedFn = f.finish
 	return f
@@ -136,7 +127,7 @@ func (p *FlowPool) getFlow() *Flow {
 // starts a new flow reuses earlier releases, never the objects of the
 // frame still on the stack.
 func (p *FlowPool) putFlow(f *Flow) {
-	if p == nil || f == nil || f.inPool {
+	if f.inPool {
 		return
 	}
 	p.PutSender(f.Sender)

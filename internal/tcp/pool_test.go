@@ -158,18 +158,3 @@ func TestRebindPanicsOnOpenEndpoint(t *testing.T) {
 	}()
 	s.Rebind(eng, n.Host(0), 2, n.Host(4).ID, port+1, cfg)
 }
-
-// TestNilPoolFallback: a nil *FlowPool behaves exactly like the unpooled
-// API, so call sites that never recycle (persistent flows in asymmetry
-// experiments) need no special casing.
-func TestNilPoolFallback(t *testing.T) {
-	eng, n := testNet(t, fabric.SchemeECMP)
-	var pool *FlowPool
-	done := false
-	pool.StartFlow(eng, n.Host(0), n.Host(4), 1, 100_000, dcConfig(),
-		func(*Flow, sim.Time) { done = true })
-	eng.Run(sim.MaxTime)
-	if !done {
-		t.Fatal("nil-pool flow did not complete")
-	}
-}

@@ -187,7 +187,11 @@ func TestSingleLossRecoversWithoutSpuriousRetx(t *testing.T) {
 	// briefly failing the host access link at a precise moment... too
 	// blunt; instead use a tiny edge buffer so a short overshoot drops a
 	// couple of segments, and bound the retransmission overhead.
-	f := StartFlow(eng, n.Host(0), n.Host(4), 5, 2<<20, cfg, nil)
+	var st Stats
+	var delivered int64
+	startFlow(eng, n.Host(0), n.Host(4), 5, 2<<20, cfg, func(f *Flow, _ sim.Time) {
+		st, delivered = f.Sender.Stats(), f.Receiver.Delivered()
+	})
 	eng.At(1200*sim.Microsecond, func(sim.Time) {
 		// Flap: drops whatever is queued right now (a handful of
 		// segments), leaving later segments to generate SACKs.
@@ -195,8 +199,7 @@ func TestSingleLossRecoversWithoutSpuriousRetx(t *testing.T) {
 		n.Host(0).AccessLink().SetUp(true)
 	})
 	eng.Run(sim.MaxTime)
-	st := f.Sender.Stats()
-	if f.Receiver.Delivered() != 2<<20 {
+	if delivered != 2<<20 {
 		t.Fatal("flow incomplete")
 	}
 	if st.RetxSegments == 0 {
@@ -215,14 +218,15 @@ func TestSingleLossRecoversWithoutSpuriousRetx(t *testing.T) {
 func TestReorderingUnderSprayStillCompletes(t *testing.T) {
 	eng, n := testNet(t, fabric.SchemeSpray) // per-packet spraying reorders across 2 paths
 	var fct sim.Time
-	f := StartFlow(eng, n.Host(0), n.Host(4), 6, 4<<20, dcConfig(), func(fl *Flow, now sim.Time) {
-		fct = fl.FCT(now)
+	var delivered int64
+	startFlow(eng, n.Host(0), n.Host(4), 6, 4<<20, dcConfig(), func(fl *Flow, now sim.Time) {
+		fct, delivered = fl.FCT(now), fl.Receiver.Delivered()
 	})
 	eng.Run(sim.MaxTime)
 	if fct == 0 {
 		t.Fatal("sprayed flow never completed")
 	}
-	if f.Receiver.Delivered() != 4<<20 {
+	if delivered != 4<<20 {
 		t.Fatal("bytes missing")
 	}
 	// Equal-length paths at equal rates: spraying costs little here; the
@@ -293,12 +297,11 @@ func TestReorderWindowSuppressesSpuriousRecovery(t *testing.T) {
 		eng, n := testNet(t, fabric.SchemeSpray)
 		cfg := dcConfig()
 		cfg.ReorderWindow = window
-		var done sim.Time
-		f := StartFlow(eng, n.Host(0), n.Host(4), 11, 4<<20, cfg, func(fl *Flow, now sim.Time) {
-			done = fl.FCT(now)
+		startFlow(eng, n.Host(0), n.Host(4), 11, 4<<20, cfg, func(fl *Flow, now sim.Time) {
+			fastRetx, fct = fl.Sender.Stats().FastRetx, fl.FCT(now)
 		})
 		eng.Run(sim.MaxTime)
-		return f.Sender.Stats().FastRetx, done
+		return fastRetx, fct
 	}
 	classicRetx, classicFCT := run(0)
 	resilientRetx, resilientFCT := run(500 * sim.Microsecond)
@@ -322,7 +325,7 @@ func TestReorderWindowStillRecoversRealLoss(t *testing.T) {
 	cfg := dcConfig()
 	cfg.ReorderWindow = 200 * sim.Microsecond
 	var done sim.Time
-	StartFlow(eng, n.Host(0), n.Host(4), 12, 1<<20, cfg, func(fl *Flow, now sim.Time) {
+	startFlow(eng, n.Host(0), n.Host(4), 12, 1<<20, cfg, func(fl *Flow, now sim.Time) {
 		done = fl.FCT(now)
 	})
 	eng.At(sim.Millisecond, func(sim.Time) {

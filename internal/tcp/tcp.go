@@ -273,9 +273,6 @@ func (s *Sender) Close() {
 // FlowID returns the sender's fabric flow identity.
 func (s *Sender) FlowID() uint64 { return s.flowID }
 
-// SrcPort returns the sender's bound local port.
-func (s *Sender) SrcPort() int { return s.srcPort }
-
 // Stats returns a snapshot of the sender's counters.
 func (s *Sender) Stats() Stats {
 	st := s.stats

@@ -29,6 +29,14 @@ func testNet(t testing.TB, scheme fabric.Scheme) (*sim.Engine, *fabric.Network) 
 	return eng, n
 }
 
+// startFlow starts a flow the way the harness does, from a FlowPool. The
+// flow goes back to the pool after onDone, so a test reads the endpoints of
+// a finished flow inside onDone.
+func startFlow(eng *sim.Engine, src, dst *fabric.Host, flowID uint64, size int64,
+	cfg Config, onDone func(f *Flow, now sim.Time)) *Flow {
+	return NewFlowPool().StartFlow(eng, src, dst, flowID, size, cfg, onDone)
+}
+
 func dcConfig() Config {
 	c := DefaultConfig()
 	c.MinRTO = 10 * sim.Millisecond
@@ -78,7 +86,7 @@ func TestSingleFlowCompletes(t *testing.T) {
 	eng, n := testNet(t, fabric.SchemeECMP)
 	var fct sim.Time
 	done := false
-	StartFlow(eng, n.Host(0), n.Host(4), 1, 1<<20, dcConfig(), func(f *Flow, now sim.Time) {
+	startFlow(eng, n.Host(0), n.Host(4), 1, 1<<20, dcConfig(), func(f *Flow, now sim.Time) {
 		fct = f.FCT(now)
 		done = true
 	})
@@ -98,21 +106,23 @@ func TestSingleFlowCompletes(t *testing.T) {
 func TestFlowDeliversExactByteCount(t *testing.T) {
 	eng, n := testNet(t, fabric.SchemeECMP)
 	const size = 777777 // deliberately not a multiple of MSS
-	var f *Flow
-	f = StartFlow(eng, n.Host(0), n.Host(4), 2, size, dcConfig(), nil)
+	var delivered, acked int64
+	startFlow(eng, n.Host(0), n.Host(4), 2, size, dcConfig(), func(f *Flow, _ sim.Time) {
+		delivered, acked = f.Receiver.Delivered(), f.Sender.Stats().BytesAcked
+	})
 	eng.Run(sim.MaxTime)
-	if got := f.Receiver.Delivered(); got != size {
-		t.Fatalf("delivered %d bytes, want %d", got, size)
+	if delivered != size {
+		t.Fatalf("delivered %d bytes, want %d", delivered, size)
 	}
-	if f.Sender.Stats().BytesAcked != size {
-		t.Fatalf("acked %d bytes, want %d", f.Sender.Stats().BytesAcked, size)
+	if acked != size {
+		t.Fatalf("acked %d bytes, want %d", acked, size)
 	}
 }
 
 func TestSlowStartDoublesWindow(t *testing.T) {
 	eng, n := testNet(t, fabric.SchemeECMP)
 	cfg := dcConfig()
-	f := StartFlow(eng, n.Host(0), n.Host(4), 3, 10<<20, cfg, nil)
+	f := startFlow(eng, n.Host(0), n.Host(4), 3, 10<<20, cfg, nil)
 	// After a couple of RTTs of an unconstrained 10 MB transfer the
 	// window must have grown well past the initial 10 segments.
 	eng.Run(2 * sim.Millisecond)
@@ -125,7 +135,7 @@ func TestThroughputApproachesLineRate(t *testing.T) {
 	eng, n := testNet(t, fabric.SchemeECMP)
 	const size = 8 << 20
 	var fct sim.Time
-	StartFlow(eng, n.Host(0), n.Host(4), 4, size, dcConfig(), func(f *Flow, now sim.Time) {
+	startFlow(eng, n.Host(0), n.Host(4), 4, size, dcConfig(), func(f *Flow, now sim.Time) {
 		fct = f.FCT(now)
 	})
 	eng.Run(sim.MaxTime)
@@ -144,7 +154,7 @@ func TestTwoFlowsShareBottleneckFairly(t *testing.T) {
 	// Both flows target host 4: its access downlink is the bottleneck.
 	var bytes [2]int64
 	mk := func(i int, src *fabric.Host) *Flow {
-		return StartFlow(eng, src, n.Host(4), uint64(10+i), 64<<20, dcConfig(), nil)
+		return startFlow(eng, src, n.Host(4), uint64(10+i), 64<<20, dcConfig(), nil)
 	}
 	f0, f1 := mk(0, n.Host(0)), mk(1, n.Host(1))
 	eng.Run(100 * sim.Millisecond)
@@ -167,8 +177,9 @@ func TestFastRetransmitRecoversFromSingleLoss(t *testing.T) {
 	eng, n := testNet(t, fabric.SchemeECMP)
 	// Force a loss by briefly failing the path after ~50 packets.
 	var fct sim.Time
-	f := StartFlow(eng, n.Host(0), n.Host(4), 5, 4<<20, dcConfig(), func(fl *Flow, now sim.Time) {
-		fct = fl.FCT(now)
+	var st Stats
+	startFlow(eng, n.Host(0), n.Host(4), 5, 4<<20, dcConfig(), func(fl *Flow, now sim.Time) {
+		fct, st = fl.FCT(now), fl.Sender.Stats()
 	})
 	// Drop everything in the host uplink queue once, mid-transfer, by
 	// flapping it down/up instantly.
@@ -180,7 +191,6 @@ func TestFastRetransmitRecoversFromSingleLoss(t *testing.T) {
 	if fct == 0 {
 		t.Fatal("flow did not complete after loss")
 	}
-	st := f.Sender.Stats()
 	if st.FastRetx == 0 && st.Timeouts == 0 {
 		t.Fatal("loss recovered without any retransmission event recorded")
 	}
@@ -194,7 +204,11 @@ func TestFastRetransmitRecoversFromSingleLoss(t *testing.T) {
 func TestRTOFiresWhenAllAcksLost(t *testing.T) {
 	eng, n := testNet(t, fabric.SchemeECMP)
 	cfg := dcConfig()
-	f := StartFlow(eng, n.Host(0), n.Host(4), 6, 200<<10, cfg, nil)
+	var st Stats
+	var delivered int64
+	startFlow(eng, n.Host(0), n.Host(4), 6, 200<<10, cfg, func(f *Flow, _ sim.Time) {
+		st, delivered = f.Sender.Stats(), f.Receiver.Delivered()
+	})
 	// Kill the whole fabric briefly: everything in flight dies, no dup
 	// ACKs are possible, so only the RTO can recover.
 	eng.At(500*sim.Microsecond, func(sim.Time) {
@@ -206,12 +220,11 @@ func TestRTOFiresWhenAllAcksLost(t *testing.T) {
 		n.RestoreLink(0, 1, 0)
 	})
 	eng.Run(sim.MaxTime)
-	st := f.Sender.Stats()
 	if st.Timeouts == 0 {
 		t.Fatalf("no RTO despite a black-holed path: %+v", st)
 	}
-	if f.Receiver.Delivered() != 200<<10 {
-		t.Fatalf("delivered %d bytes, want all after recovery", f.Receiver.Delivered())
+	if delivered != 200<<10 {
+		t.Fatalf("delivered %d bytes, want all after recovery", delivered)
 	}
 }
 
@@ -222,7 +235,7 @@ func TestRTORespectsMinRTO(t *testing.T) {
 		cfg.MinRTO = minRTO
 		cfg.InitRTO = 500 * sim.Millisecond
 		var doneAt sim.Time
-		StartFlow(eng, n.Host(0), n.Host(4), 7, 50<<10, cfg, func(f *Flow, now sim.Time) {
+		startFlow(eng, n.Host(0), n.Host(4), 7, 50<<10, cfg, func(f *Flow, now sim.Time) {
 			doneAt = now
 		})
 		// Let slow start gather RTT samples first, then black-hole both
@@ -257,13 +270,16 @@ func TestRTORespectsMinRTO(t *testing.T) {
 
 func TestKarnNoRTTFromRetransmits(t *testing.T) {
 	eng, n := testNet(t, fabric.SchemeECMP)
-	f := StartFlow(eng, n.Host(0), n.Host(4), 8, 1<<20, dcConfig(), nil)
+	var st Stats
+	startFlow(eng, n.Host(0), n.Host(4), 8, 1<<20, dcConfig(), func(f *Flow, _ sim.Time) { st = f.Sender.Stats() })
 	eng.At(sim.Millisecond, func(sim.Time) {
 		n.Host(0).AccessLink().SetUp(false)
 		n.Host(0).AccessLink().SetUp(true)
 	})
 	eng.Run(sim.MaxTime)
-	st := f.Sender.Stats()
+	if st.BytesAcked != 1<<20 {
+		t.Fatalf("flow incomplete: %d bytes acked", st.BytesAcked)
+	}
 	// SRTT must stay in the microsecond range of the physical path; a
 	// retransmission-tainted sample would jump it by milliseconds.
 	if st.LastSRTT > 5*sim.Millisecond {
@@ -327,9 +343,12 @@ func TestReceiverCountsDuplicates(t *testing.T) {
 func TestSenderPortsRecycleAfterClose(t *testing.T) {
 	eng, n := testNet(t, fabric.SchemeECMP)
 	for i := 0; i < 100; i++ {
-		f := StartFlow(eng, n.Host(0), n.Host(4), uint64(100+i), 10<<10, dcConfig(), nil)
+		var delivered int64
+		startFlow(eng, n.Host(0), n.Host(4), uint64(100+i), 10<<10, dcConfig(), func(f *Flow, _ sim.Time) {
+			delivered = f.Receiver.Delivered()
+		})
 		eng.Run(sim.MaxTime)
-		if f.Receiver.Delivered() != 10<<10 {
+		if delivered != 10<<10 {
 			t.Fatalf("flow %d incomplete", i)
 		}
 	}
@@ -371,7 +390,7 @@ func TestMultipleQueuedTransfersOnOneConnection(t *testing.T) {
 func BenchmarkFlow1MB(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eng, n := testNet(b, fabric.SchemeCONGA)
-		StartFlow(eng, n.Host(0), n.Host(4), uint64(i), 1<<20, dcConfig(), nil)
+		startFlow(eng, n.Host(0), n.Host(4), uint64(i), 1<<20, dcConfig(), nil)
 		eng.Run(sim.MaxTime)
 	}
 }

@@ -73,14 +73,6 @@ func (tr *DecisionTrace) record(t sim.Time, srcLeaf, dstLeaf, uplink int, reason
 	}
 }
 
-// Mode returns the trace's capture mode.
-func (tr *DecisionTrace) Mode() CaptureMode {
-	if tr == nil {
-		return CaptureHead
-	}
-	return tr.mode
-}
-
 // Events returns the recorded events in time order (same aliasing contract
 // as PacketTrace.Events).
 func (tr *DecisionTrace) Events() []DecisionEvent {
@@ -88,14 +80,6 @@ func (tr *DecisionTrace) Events() []DecisionEvent {
 		return nil
 	}
 	return tr.ordered(func(e *DecisionEvent) sim.Time { return e.T })
-}
-
-// Len returns the number of recorded events.
-func (tr *DecisionTrace) Len() int {
-	if tr == nil {
-		return 0
-	}
-	return len(tr.events)
 }
 
 // Info returns the trace's capture policy and outcome in the shared
@@ -193,14 +177,6 @@ func (h *DecisionHooks) TakeStaleness() (mean float64, ok bool) {
 	mean = float64(h.staleSum) / float64(h.staleN)
 	h.staleSum, h.staleN = 0, 0
 	return mean, true
-}
-
-// Decisions returns the number of congestion-aware (non-sticky) outcomes.
-func (h *DecisionHooks) Decisions() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.NewFlowlet + h.Expired + h.Evicted
 }
 
 // PathRow is one non-empty cell of a leaf's path load matrix.

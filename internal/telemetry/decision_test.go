@@ -24,8 +24,8 @@ func TestDecisionTraceHead(t *testing.T) {
 		h.Decision(sim.Time(i), 1, i%2, ReasonNewFlowlet, int64(i), []uint8{1, 2})
 	}
 	tr := r.DecisionTrace()
-	if tr.Len() != 4 {
-		t.Fatalf("head kept %d, want 4", tr.Len())
+	if len(tr.events) != 4 {
+		t.Fatalf("head kept %d, want 4", len(tr.events))
 	}
 	info := tr.Info()
 	if info.Recorded != 4 || info.Suppressed != 6 || info.Seen != 10 {
@@ -78,8 +78,8 @@ func TestDecisionTraceReservoir(t *testing.T) {
 		h.Decision(sim.Time(i), 1, 0, ReasonNewFlowlet, 0, nil)
 	}
 	tr := r.DecisionTrace()
-	if tr.Len() != 8 {
-		t.Fatalf("reservoir kept %d, want 8", tr.Len())
+	if len(tr.events) != 8 {
+		t.Fatalf("reservoir kept %d, want 8", len(tr.events))
 	}
 	if info := tr.Info(); int(info.Suppressed)+info.Recorded != info.Seen || info.Seen != 1000 {
 		t.Fatalf("accounting: %+v", info)

@@ -33,20 +33,6 @@ func newSeries(name, unit string, capacity int) *Series {
 	return &Series{name: name, unit: unit, pts: make([]Point, 0, capacity), stride: 1}
 }
 
-// Name returns the probe name (e.g. "queue.l0->s0.0").
-func (s *Series) Name() string { return s.name }
-
-// Unit returns the value unit (e.g. "bytes").
-func (s *Series) Unit() string { return s.unit }
-
-// Stride returns how many observations each retained point represents.
-func (s *Series) Stride() int {
-	if s == nil {
-		return 0
-	}
-	return s.stride
-}
-
 // Observe records v at time t, subject to the current stride. Safe on a nil
 // receiver.
 func (s *Series) Observe(t sim.Time, v float64) {
@@ -71,46 +57,6 @@ func (s *Series) Observe(t sim.Time, v float64) {
 	}
 	s.pts = append(s.pts, Point{T: t, V: v})
 	s.skip = s.stride - 1
-}
-
-// Points returns the retained samples in time order. The slice aliases the
-// buffer; callers must not modify it.
-func (s *Series) Points() []Point {
-	if s == nil {
-		return nil
-	}
-	return s.pts
-}
-
-// Len returns the number of retained samples.
-func (s *Series) Len() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.pts)
-}
-
-// Last returns the most recent sample, or a zero Point when empty.
-func (s *Series) Last() Point {
-	if s == nil || len(s.pts) == 0 {
-		return Point{}
-	}
-	return s.pts[len(s.pts)-1]
-}
-
-// Max returns the largest retained value (0 when empty); convenient for
-// "peak queue depth" style summaries in examples.
-func (s *Series) Max() float64 {
-	if s == nil {
-		return 0
-	}
-	m := 0.0
-	for _, p := range s.pts {
-		if p.V > m {
-			m = p.V
-		}
-	}
-	return m
 }
 
 // PlotSeries is a series or cdf file as one plot line: (time_ns, value) or

@@ -244,17 +244,8 @@ func (r *Registry) Link(name string) *LinkCounters {
 	return c
 }
 
-// TCP returns the engine-wide TCP counter hooks, or nil when counters are
-// disabled.
-func (r *Registry) TCP() *TCPCounters {
-	if r == nil || !r.opts.Counters {
-		return nil
-	}
-	return &r.tcp
-}
-
 // TCPShard returns the TCP counter block for partition domain d, creating
-// shards on first use. Shard 0 is the registry's own block (== TCP()), so
+// shards on first use. Shard 0 is the registry's own block, so
 // sequential callers see no difference. Shards must be created before the
 // run starts; the accessor is not goroutine-safe.
 func (r *Registry) TCPShard(d int) *TCPCounters {
@@ -292,14 +283,6 @@ func (r *Registry) NewSeries(name, unit string) *Series {
 	r.byName[name] = s
 	r.series = append(r.series, s)
 	return s
-}
-
-// Series returns the named series, or nil.
-func (r *Registry) Series(name string) *Series {
-	if r == nil {
-		return nil
-	}
-	return r.byName[name]
 }
 
 // AllSeries returns every registered series in registration order.

@@ -282,8 +282,7 @@ type PacketTrace struct {
 	stopAfter int // matching events still let through once Triggered
 
 	// Triggered reports whether a trigger condition fired; TriggeredAt and
-	// TriggerReason record when and which ("first-drop", "first-rto", or a
-	// caller-supplied reason via TriggerStop).
+	// TriggerReason record when and which ("first-drop" or "first-rto").
 	Triggered     bool
 	TriggeredAt   sim.Time
 	TriggerReason string
@@ -296,14 +295,6 @@ func newPacketTrace(capacity int, f Filter, mode CaptureMode, trigger Trigger, s
 		trigger:   trigger,
 		stopAfter: max(stopAfter, 0),
 	}
-}
-
-// Mode returns the trace's capture mode.
-func (tr *PacketTrace) Mode() CaptureMode {
-	if tr == nil {
-		return CaptureHead
-	}
-	return tr.mode
 }
 
 // Record offers an event to the trace. Trigger conditions are evaluated
@@ -354,16 +345,6 @@ func (tr *PacketTrace) TriggerRTO(now sim.Time) {
 		return
 	}
 	tr.fire(now, "first-rto")
-}
-
-// TriggerStop manually fires the flight-recorder stop (the harness or a
-// test deciding "this is the moment of interest"). Safe on a nil receiver;
-// a second trigger is ignored.
-func (tr *PacketTrace) TriggerStop(now sim.Time, reason string) {
-	if tr == nil || tr.Triggered {
-		return
-	}
-	tr.fire(now, reason)
 }
 
 func (tr *PacketTrace) fire(now sim.Time, reason string) {

@@ -199,10 +199,12 @@ func TestTriggerRTO(t *testing.T) {
 	}
 }
 
+// TestTriggerStopManual drives fire, the stop path every trigger shares,
+// with a reason no trigger uses: a tail capture freezes and keeps it.
 func TestTriggerStopManual(t *testing.T) {
 	tr := newPacketTrace(64, MatchAll(), CaptureTail, 0, 0)
 	rec(tr, 1, TraceSend)
-	tr.TriggerStop(2, "operator mark")
+	tr.fire(2, "operator mark")
 	rec(tr, 3, TraceSend)
 	info := tr.Info()
 	if !info.Triggered || info.TriggerReason != "operator mark" || !tr.Frozen() {

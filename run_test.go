@@ -145,7 +145,7 @@ func TestHostileConfigsReturnErrors(t *testing.T) {
 		return func() error {
 			cfg := ScaleConfig{Leaves: []int{2}, AccessGbps: []float64{10}, Duration: time.Millisecond, MaxFlows: 5}
 			edit(&cfg)
-			_, err := RunScale(cfg)
+			_, err := RunScaleStream(cfg, nil)
 			return err
 		}
 	}

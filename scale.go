@@ -93,7 +93,7 @@ type ScalePoint struct {
 
 // Configs expands the sweep grid into per-cell FCTConfigs, leaves-major
 // (all access rates for the smallest fabric first). The i-th config
-// corresponds to the i-th point RunScale returns.
+// corresponds to the i-th point RunScaleStream returns.
 func (c ScaleConfig) Configs() []FCTConfig {
 	cfgs, _ := c.withDefaults().expand()
 	return cfgs
@@ -132,15 +132,10 @@ func (c ScaleConfig) expand() ([]FCTConfig, []ScalePoint) {
 	return cfgs, pts
 }
 
-// RunScale executes the sweep across the parallel runner (one engine, one
-// network and one set of pools per cell) and returns points in grid order.
-func RunScale(cfg ScaleConfig) ([]ScalePoint, error) {
-	return RunScaleStream(cfg, nil)
-}
-
-// RunScaleStream is RunScale with a streaming callback: emit fires once
-// per cell in grid order as soon as it (and all earlier cells) have
-// finished.
+// RunScaleStream executes the sweep across the parallel runner (one
+// engine, one network and one set of pools per cell) and returns points in
+// grid order. emit, when non-nil, fires once per cell in grid order as soon
+// as it (and all earlier cells) have finished.
 func RunScaleStream(cfg ScaleConfig, emit func(i int, p ScalePoint, err error)) ([]ScalePoint, error) {
 	cfg = cfg.withDefaults()
 	if got, max := cfg.Spines*cfg.LinksPerSpine, DefaultParams().MaxUplinks; got > max {

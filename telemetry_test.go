@@ -67,7 +67,7 @@ func TestTelemetryDoesNotPerturbSimulation(t *testing.T) {
 				t.Fatal("conga: decision hooks recorded nothing")
 			}
 			tr := reg.DecisionTrace()
-			if tr == nil || tr.Len() == 0 {
+			if len(tr.Events()) == 0 {
 				t.Fatal("conga: decision trace empty")
 			}
 			if info := tr.Info(); info.Recorded+int(info.Suppressed) != info.Seen {
