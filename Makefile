@@ -38,8 +38,8 @@ vet:
 # prefetch stub against its Go prototype (the amd64 one is checked by the
 # plain vet on an amd64 host, and vice versa), and a build for an
 # architecture that gets the empty fallback. Last, TestNoTestOnlyAPI (about
-# a second once the build cache is warm) fails on an exported name that only
-# tests use.
+# a second once the build cache is warm) fails on an exported function or
+# method that only tests use, and on a config field that only tests set.
 lint: vet
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \

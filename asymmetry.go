@@ -39,12 +39,7 @@ func RunFigure2(scheme Scheme, seed uint64) (*AsymmetryResult, error) {
 		AccessGbps: 1, FabricGbps: 10,
 		// Only the spine1↔leaf1 link is thin; leaf 0's own uplinks are
 		// symmetric, so a local-only view cannot see the asymmetry.
-		FabricLinkGbps: func(leaf, spine, k int) float64 {
-			if leaf == 1 && spine == 1 {
-				return 5
-			}
-			return 0
-		},
+		LinkRates: []LinkRate{{Leaf: 1, Spine: 1, K: 0, Gbps: 5}},
 	}
 	return runLongLivedLoad(topo, scheme, seed,
 		[]pair{{srcLeaf: 0, dstLeaf: 1, flows: 16}}, 400*time.Millisecond)

@@ -94,7 +94,6 @@ func main() {
 	fig := flag.String("fig", "all", "experiment id (fig2..fig17, thm2, ablation, scale) or 'all'")
 	quick := flag.Bool("quick", false, "reduced scale for a fast pass")
 	list := flag.Bool("list", false, "list experiments and exit")
-	flag.IntVar(&scaleParallel, "parallel", 1, "space-parallel domains per scale-sweep cell (>1 partitions each fabric across worker goroutines)")
 	flag.StringVar(&telemetryDir, "telemetry", "", "emit telemetry counters and series for every run into tagged subdirectories of this directory")
 	serveAddr := flag.String("serve", "", "serve the live telemetry endpoint on this address (e.g. :8080) while sweeps run")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")

@@ -12,11 +12,8 @@ import (
 // state makes reachable, an order of magnitude past its 32-leaf testbed.
 // Rows stream as cells finish; cells run in parallel, one engine and one
 // set of object pools per cell.
-// scaleParallel is the -parallel flag: space-parallel domains per cell.
-var scaleParallel int
-
 func runScale(quick bool) {
-	cfg := conga.ScaleConfig{Scheme: conga.SchemeCONGA, Parallel: scaleParallel}
+	cfg := conga.ScaleConfig{Scheme: conga.SchemeCONGA}
 	if quick {
 		cfg.Leaves = []int{8, 16}
 		cfg.MaxFlows = 300

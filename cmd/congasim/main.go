@@ -53,7 +53,6 @@ func main() {
 		mtu       = flag.Int("mtu", 1500, "MTU in bytes")
 		imbalance = flag.Bool("imbalance", false, "collect Figure-12 imbalance stats")
 		queues    = flag.Bool("queues", false, "collect queue occupancy stats")
-		parallel  = flag.Int("parallel", 1, "space-parallel domains for fct mode (>1 partitions the fabric across that many worker goroutines)")
 		check     = flag.Bool("check", false, "audit the run (fct, incast, hdfs): flowlet tables, link queues and host NIC packet conservation at every sweep, each completed flow's delivered bytes, no packet left and every packet accounted for at drain; exit 1 naming the first failure")
 
 		fanout = flag.Int("fanout", 16, "incast fan-in (incast mode)")
@@ -117,15 +116,12 @@ func main() {
 		die(fmt.Errorf("unknown transport %q", *transport))
 	}
 
-	tel, notices, err := telemetryFlags{
+	tel, err := telemetryFlags{
 		dir: *telemetryDir, serve: *serveAddr, flow: *telemetryFlow,
 		traceMode: *traceMode, traceTrigger: *traceTrigger, traceStop: *traceStop,
-		decisions: *decisions, parallel: *parallel,
+		decisions: *decisions,
 	}.options()
 	die(err)
-	for _, note := range notices {
-		fmt.Println(note)
-	}
 
 	// -serve exposes the run live: the engine publishes tap snapshots at
 	// its collector safe points and the HTTP readers only ever load them,
@@ -148,8 +144,7 @@ func main() {
 			Topology: topo, Scheme: sch, Workload: w, Load: *load,
 			Transport: tc, Duration: *duration, MaxFlows: *maxFlows, Seed: *seed,
 			CollectImbalance: *imbalance, CollectQueues: *queues,
-			Telemetry: tel, Parallel: *parallel,
-			Record: *recordPath != "", Check: *check,
+			Telemetry: tel, Record: *recordPath != "", Check: *check,
 		}
 		if *replayPath != "" {
 			tr, err := replay.Read(*replayPath)
@@ -222,7 +217,7 @@ var (
 		"trace-trigger", "trace-stop-after", "decisions", "serve", "linger"}
 	modeFlags = map[string][]string{
 		"fct": append([]string{"workload", "load", "duration", "maxflows", "imbalance",
-			"queues", "parallel", "record", "replay", "cdfout", "check"}, fabricFlags...),
+			"queues", "record", "replay", "cdfout", "check"}, fabricFlags...),
 		"incast": append([]string{"fanout", "reqmb", "check"}, fabricFlags...),
 		"hdfs":   append([]string{"load", "check"}, fabricFlags...),
 		"fig2":   nil,
@@ -261,21 +256,16 @@ type telemetryFlags struct {
 	traceMode, traceTrigger string
 	traceStop               int
 	decisions               bool
-	parallel                int
 }
 
 // options resolves the flags into the run's telemetry options — nil with
-// neither -telemetry nor -serve — plus a notice for each probe -parallel
-// switched off. The packet trace and the decision audit trail are single
-// shared buffers with no deterministic merge across domains, so under
-// -parallel > 1 they go and the counters, series, path matrices and
-// staleness series stay. -serve's tap is not dropped: RunFCT rejects it.
-func (f telemetryFlags) options() (tel *conga.TelemetryOptions, notices []string, err error) {
+// neither -telemetry nor -serve.
+func (f telemetryFlags) options() (tel *conga.TelemetryOptions, err error) {
 	if f.dir == "" && f.serve == "" {
 		if f.decisions {
-			return nil, nil, fmt.Errorf("-decisions needs telemetry enabled; add -telemetry DIR or -serve ADDR")
+			return nil, fmt.Errorf("-decisions needs telemetry enabled; add -telemetry DIR or -serve ADDR")
 		}
-		return nil, nil, nil
+		return nil, nil
 	}
 	tel = conga.TelemetryAll(f.dir)
 	if f.flow >= 0 {
@@ -284,25 +274,17 @@ func (f telemetryFlags) options() (tel *conga.TelemetryOptions, notices []string
 		tel.TraceFilter.SrcPort, tel.TraceFilter.DstPort = -1, -1
 	}
 	if tel.TraceMode, err = telemetry.ParseCaptureMode(f.traceMode); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if tel.TraceTrigger, err = telemetry.ParseTrigger(f.traceTrigger); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	tel.TraceStopAfter = f.traceStop
 	// The decision plane is opt-in on the CLI: the audit trail and path
 	// matrices only appear with -decisions.
 	tel.Decisions, tel.DecisionTrace = f.decisions, f.decisions
 	tel.DecisionMode = tel.TraceMode
-	if f.parallel > 1 {
-		tel.Trace = false
-		notices = append(notices, fmt.Sprintf("telemetry: packet trace disabled under -parallel %d (no deterministic merge); counters and series remain on", f.parallel))
-		if f.decisions {
-			tel.DecisionTrace = false
-			notices = append(notices, fmt.Sprintf("decisions: audit trail disabled under -parallel %d (no deterministic merge); path matrices and staleness series remain on", f.parallel))
-		}
-	}
-	return tel, notices, nil
+	return tel, nil
 }
 
 func printFCT(r *conga.FCTResult) {

@@ -19,15 +19,15 @@ type ReplayCompareConfig struct {
 	// else (Scheme, Transport, Params, failed links, buffers, Parallel) is
 	// the caller's experimental contrast.
 	A, B FCTConfig
-
-	// Resamples is the bootstrap resample count (default 1000).
-	Resamples int
-	// Confidence is the CI level (default 0.95).
-	Confidence float64
-	// Seed seeds the bootstrap PRNG (default 1); the comparison is
-	// deterministic for a fixed seed.
-	Seed uint64
 }
+
+// The bootstrap behind every confidence interval: 1000 resamples, a 95 %
+// level, and a fixed PRNG seed, so a comparison is deterministic.
+const (
+	compareResamples  = 1000
+	compareConfidence = 0.95
+	compareSeed       = 1
+)
 
 // PairedBucket summarizes the matched pairs of one flow-size bucket.
 // Deltas are B−A: negative means B completed flows faster.
@@ -74,26 +74,12 @@ type ReplayCompareResult struct {
 	UnmatchedA, UnmatchedB int
 }
 
-func (c ReplayCompareConfig) withDefaults() ReplayCompareConfig {
-	if c.Resamples == 0 {
-		c.Resamples = 1000
-	}
-	if c.Confidence == 0 {
-		c.Confidence = 0.95
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
-}
-
 // RunReplayCompare replays one recorded workload into both configurations
 // and reports matched-pairs FCT statistics with bootstrap confidence
 // intervals. Because both sides see the identical arrival sequence, the
 // per-flow deltas isolate the scheme effect from workload noise — the
 // difference two independently seeded runs cannot separate.
 func RunReplayCompare(cfg ReplayCompareConfig) (*ReplayCompareResult, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Trace == nil {
 		return nil, fmt.Errorf("conga: RunReplayCompare needs a trace")
 	}
@@ -146,13 +132,13 @@ func RunReplayCompare(cfg ReplayCompareConfig) (*ReplayCompareResult, error) {
 	res.UnmatchedA += len(fa) - i
 	res.UnmatchedB += len(fb) - j
 
-	res.Overall = cfg.bucket("overall", &overall)
-	res.Small = cfg.bucket("small", &small)
-	res.Large = cfg.bucket("large", &large)
+	res.Overall = pairedBucket("overall", &overall)
+	res.Small = pairedBucket("small", &small)
+	res.Large = pairedBucket("large", &large)
 	return res, nil
 }
 
-func (cfg ReplayCompareConfig) bucket(name string, p *stats.PairedSample) PairedBucket {
+func pairedBucket(name string, p *stats.PairedSample) PairedBucket {
 	b := PairedBucket{Name: name, Pairs: p.N()}
 	if p.N() == 0 {
 		return b
@@ -161,10 +147,10 @@ func (cfg ReplayCompareConfig) bucket(name string, p *stats.PairedSample) Paired
 	b.MeanA = secs(p.MeanA())
 	b.MeanB = secs(p.MeanB())
 	b.MeanDelta = secs(p.MeanDelta())
-	lo, hi := p.MeanDeltaCI(cfg.Resamples, cfg.Confidence, cfg.Seed)
+	lo, hi := p.MeanDeltaCI(compareResamples, compareConfidence, compareSeed)
 	b.DeltaLo, b.DeltaHi = secs(lo), secs(hi)
 	b.MeanRatio = p.MeanRatio()
-	b.RatioLo, b.RatioHi = p.MeanRatioCI(cfg.Resamples, cfg.Confidence, cfg.Seed+1)
+	b.RatioLo, b.RatioHi = p.MeanRatioCI(compareResamples, compareConfidence, compareSeed+1)
 	b.WinFraction = p.WinFraction()
 	b.MedianDelta = secs(p.DeltaQuantile(0.50))
 	b.P99Delta = secs(p.DeltaQuantile(0.99))

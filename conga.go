@@ -145,14 +145,18 @@ type Topology struct {
 	// experiment starts, as in Figures 7b, 11, 14b and 16.
 	FailedLinks [][3]int
 
-	// FabricLinkGbps optionally overrides individual link capacities (the
-	// §2.4 asymmetry scenarios). Return 0 to keep FabricGbps.
-	FabricLinkGbps func(leaf, spine, k int) float64
+	// LinkRates overrides the capacity of single fabric links (the §2.4
+	// asymmetry scenarios); every other link runs at FabricGbps.
+	LinkRates []LinkRate
 
 	// EdgeBufBytes / FabricBufBytes override the switch buffer per port.
 	EdgeBufBytes   int
 	FabricBufBytes int
 }
+
+// LinkRate sets the capacity of parallel link K between Leaf and Spine, in
+// both directions, to Gbps.
+type LinkRate = fabric.LinkRate
 
 // Testbed returns the paper's baseline testbed topology explicitly.
 func Testbed() Topology {
@@ -186,7 +190,7 @@ func (t Topology) withDefaults() Topology {
 
 // fabricConfig lowers a Topology plus scheme/params onto the simulator.
 func (t Topology) fabricConfig(scheme Scheme, params core.Params, wcmpWeights []float64, seed uint64, tel *telemetry.Registry) fabric.Config {
-	cfg := fabric.Config{
+	return fabric.Config{
 		NumLeaves:      t.Leaves,
 		NumSpines:      t.Spines,
 		HostsPerLeaf:   t.HostsPerLeaf,
@@ -197,17 +201,11 @@ func (t Topology) fabricConfig(scheme Scheme, params core.Params, wcmpWeights []
 		FabricBufBytes: t.FabricBufBytes,
 		Scheme:         scheme,
 		Params:         params,
+		LinkRates:      t.LinkRates,
 		WCMPWeights:    wcmpWeights,
 		Seed:           seed,
 		Telemetry:      tel,
 	}
-	if t.FabricLinkGbps != nil {
-		f := t.FabricLinkGbps
-		cfg.FabricLinkRate = func(leaf, spine, k int) float64 {
-			return f(leaf, spine, k) * 1e9
-		}
-	}
-	return cfg
 }
 
 // build instantiates the network across one engine per partition domain

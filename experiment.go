@@ -308,8 +308,11 @@ type fctShard struct {
 
 func runFCT(cfg FCTConfig) (*FCTResult, error) {
 	cfg = cfg.withDefaults()
-	if cfg.MaxFlows < 0 {
+	switch {
+	case cfg.MaxFlows < 0:
 		return nil, fmt.Errorf("conga: MaxFlows %d must not be negative (0 means the default, 10000)", cfg.MaxFlows)
+	case cfg.DrainTimeout < 0:
+		return nil, fmt.Errorf("conga: DrainTimeout %v must not be negative (0 means the default, 2s)", cfg.DrainTimeout)
 	}
 	if cfg.Replay != nil {
 		if err := cfg.checkReplay(); err != nil {

@@ -112,6 +112,8 @@ func runIncast(cfg IncastConfig) (*IncastResult, error) {
 		return nil, fmt.Errorf("conga: RequestBytes %d must not be negative (0 means the default, 10 MB)", cfg.RequestBytes)
 	case cfg.Rounds < 0:
 		return nil, fmt.Errorf("conga: Rounds %d must not be negative (0 means the default, 5)", cfg.Rounds)
+	case cfg.Timeout < 0:
+		return nil, fmt.Errorf("conga: Timeout %v must not be negative (0 means the default, 20s)", cfg.Timeout)
 	}
 	totalHosts := cfg.Topology.Leaves * cfg.Topology.HostsPerLeaf
 	if cfg.Fanout >= totalHosts {

@@ -244,27 +244,24 @@ func (in *Instance) OptimalBottleneck() (Flow, float64, error) {
 
 // NashOptions tunes best-response dynamics.
 type NashOptions struct {
-	// MaxRounds bounds best-response sweeps (default 500).
-	MaxRounds int
-	// Tol is the improvement threshold for convergence (default 1e-6).
-	Tol float64
 	// Seed randomizes the initial flow; 0 starts from single-path
 	// assignments (each user entirely on its first usable spine), which
 	// tends to find worse equilibria — useful for stressing the PoA.
 	Seed uint64
 }
 
+// nashMaxRounds bounds the best-response sweeps; a sweep that improves no
+// user's bottleneck by more than nashTol ends them.
+const (
+	nashMaxRounds = 500
+	nashTol       = 1e-6
+)
+
 // Nash runs best-response dynamics to (approximate) Nash equilibrium and
 // returns the flow and its network bottleneck.
 func (in *Instance) Nash(opt NashOptions) (Flow, float64, error) {
 	if err := in.Validate(); err != nil {
 		return nil, 0, err
-	}
-	if opt.MaxRounds == 0 {
-		opt.MaxRounds = 500
-	}
-	if opt.Tol == 0 {
-		opt.Tol = 1e-6
 	}
 	nU := len(in.Users)
 	f := make(Flow, nU)
@@ -294,12 +291,12 @@ func (in *Instance) Nash(opt NashOptions) (Flow, float64, error) {
 		}
 	}
 
-	for round := 0; round < opt.MaxRounds; round++ {
+	for round := 0; round < nashMaxRounds; round++ {
 		improved := false
 		for u := range in.Users {
 			before := in.UserBottleneck(f, u)
 			newSplit, after := in.bestResponse(f, u)
-			if after < before-opt.Tol {
+			if after < before-nashTol {
 				f[u] = newSplit
 				improved = true
 			}

@@ -302,7 +302,6 @@ func TestLeafStateFollowsTraffic(t *testing.T) {
 		{"ToLeaf.FeedbackAge", func() { l.ToLeaf.FeedbackAge(200, 3, 0) }},
 		{"ToLeaf.MaxMetric", func() { l.ToLeaf.MaxMetric(3, 0) }},
 		{"FromLeaf.PickFeedback", func() { l.FromLeaf.PickFeedback(200, 0) }},
-		{"FromLeaf.HasChanged", func() { l.FromLeaf.HasChanged(200) }},
 		{"PrepareHeader", func() { l.PrepareHeader(200, 3, 1, 0) }},
 	}
 	for _, r := range reads {

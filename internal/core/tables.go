@@ -197,10 +197,3 @@ func (t *CongestionFromLeaf) PickFeedback(dstLeaf int, now sim.Time) (lbTag uint
 	}
 	return j, t.metrics.get(dstLeaf)[j].get(now, t.ageOut), true
 }
-
-// HasChanged reports whether any metric observed from srcLeaf has changed
-// since it was last fed back — i.e. whether feedback toward that leaf is
-// worth sending explicitly when no reverse traffic exists.
-func (t *CongestionFromLeaf) HasChanged(srcLeaf int) bool {
-	return t.peers[srcLeaf].changed != 0
-}

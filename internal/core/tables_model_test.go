@@ -146,8 +146,6 @@ func (t *refFromLeaf) PickFeedback(dstLeaf int, now sim.Time) (uint8, uint8, boo
 	return 0, 0, false
 }
 
-func (t *refFromLeaf) HasChanged(srcLeaf int) bool { return t.nChg[srcLeaf] > 0 }
-
 func (t *refFromLeaf) emit(leaf, j int, now sim.Time) (uint8, uint8, bool) {
 	t.rr[leaf] = (j + 1) % len(t.metrics[leaf])
 	if t.changed[leaf][j] {
@@ -204,8 +202,7 @@ func TestTablesMatchReferenceModel(t *testing.T) {
 							wa, wok := refTo.FeedbackAge(c, j, now)
 							gt, gm, gfb := from.PickFeedback(c, now)
 							wt, wm, wfb := refFrom.PickFeedback(c, now)
-							if string(g) != string(w) || ga != wa || gok != wok || gt != wt || gm != wm || gfb != wfb ||
-								from.HasChanged(c) != refFrom.HasChanged(c) {
+							if string(g) != string(w) || ga != wa || gok != wok || gt != wt || gm != wm || gfb != wfb {
 								t.Fatalf("op %d: unwritten peer %d reads Metrics %v, FeedbackAge (%v, %v), PickFeedback (%d, %d, %v); reference %v, (%v, %v), (%d, %d, %v)",
 									i, c, g, ga, gok, gt, gm, gfb, w, wa, wok, wt, wm, wfb)
 							}
@@ -219,16 +216,12 @@ func TestTablesMatchReferenceModel(t *testing.T) {
 							from.Observe(l, uint8(j), v, now)
 							refFrom.Observe(l, uint8(j), v, now)
 							fromRows[l] = true
-						case 2, 3, 4:
+						case 2, 3, 4, 5:
 							gt, gm, gok := from.PickFeedback(l, now)
 							wt, wm, wok := refFrom.PickFeedback(l, now)
 							if gt != wt || gm != wm || gok != wok {
 								t.Fatalf("op %d: PickFeedback(%d, %v) = (%d, %d, %v), reference (%d, %d, %v)",
 									i, l, now, gt, gm, gok, wt, wm, wok)
-							}
-						case 5:
-							if g, w := from.HasChanged(l), refFrom.HasChanged(l); g != w {
-								t.Fatalf("op %d: HasChanged(%d) = %v, reference %v", i, l, g, w)
 							}
 						case 6:
 							to.Update(l, j, v, now)

@@ -190,23 +190,21 @@ func (n *Network) CheckDrained() error {
 			}
 		}
 	}
-	var sent, ctrl, recv, term, drops, noRoute uint64
+	var sent, recv, drops, noRoute uint64
 	for _, h := range n.Hosts {
 		sent += h.TxPackets
 		recv += h.RxPackets
 	}
 	for _, ls := range n.Leaves {
-		ctrl += ls.CtrlOut
-		term += ls.CtrlIn
 		noRoute += ls.NoRouteDrops
 	}
 	for _, ss := range n.Spines {
 		noRoute += ss.NoRouteDrops
 	}
 	n.eachLink(func(l *Link) { drops += l.Drops })
-	if in, out := sent+ctrl, recv+term+drops+noRoute; in != out {
-		return fmt.Errorf("check: packet conservation: %d packets entered the fabric (%d sent by hosts, %d control) but %d left it (%d received by hosts, %d control terminated, %d dropped on links, %d without a route)",
-			in, sent, ctrl, out, recv, term, drops, noRoute)
+	if out := recv + drops + noRoute; sent != out {
+		return fmt.Errorf("check: packet conservation: %d packets entered the fabric (sent by hosts) but %d left it (%d received by hosts, %d dropped on links, %d without a route)",
+			sent, out, recv, drops, noRoute)
 	}
 	return nil
 }

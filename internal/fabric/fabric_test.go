@@ -327,12 +327,7 @@ func TestCongaAvoidsCongestedRemotePath(t *testing.T) {
 	eng := sim.New()
 	cfg := smallTestConfig(SchemeCONGA)
 	// Halve the capacity of the path through spine 1 (the Fig. 2 setup).
-	cfg.FabricLinkRate = func(leaf, spine, k int) float64 {
-		if spine == 1 {
-			return 0.5e9
-		}
-		return 0
-	}
+	cfg.LinkRates = []LinkRate{{Leaf: 0, Spine: 1, K: 0, Gbps: 0.5}, {Leaf: 1, Spine: 1, K: 0, Gbps: 0.5}}
 	n := MustNetwork(eng, cfg)
 	dst := n.Host(4)
 	sink := &testSink{}

@@ -112,7 +112,7 @@ func TestHostBacklogIsOnePacket(t *testing.T) {
 func TestSetUpDropsFoldedBacklogPerFrame(t *testing.T) {
 	eng := sim.New()
 	cfg := smallTestConfig(SchemeECMP)
-	cfg.Telemetry = telemetry.New(telemetry.Options{Counters: true, Trace: true, TraceCap: 1 << 10})
+	cfg.Telemetry = telemetry.New(telemetry.Options{Trace: true, TraceCap: 1 << 10})
 	n := MustNetwork(eng, cfg)
 	src, dst := n.Host(0), n.Host(4)
 	l := src.out

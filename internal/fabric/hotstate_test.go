@@ -32,7 +32,7 @@ func TestPacketLayout(t *testing.T) {
 	line := map[string]uintptr{
 		"ev": 0, "link": 0,
 		"lbHash": 1, "DstHost": 1, "Payload": 1, "SrcLeaf": 1, "DstLeaf": 1, "Hdr": 1,
-		"Ctrl": 1, "IsAck": 1, "pooled": 1, "SackN": 1, "train": 1, "FlowID": 1, "SrcHost": 1, "DstPort": 1,
+		"IsAck": 1, "pooled": 1, "SackN": 1, "train": 1, "FlowID": 1, "SrcHost": 1, "DstPort": 1,
 		"SrcPort": 2, "Seq": 2, "AckNo": 2, "Sack": 2, "EchoTS": 2, "SentAt": 2,
 	}
 	typ := reflect.TypeOf(Packet{})
@@ -232,7 +232,7 @@ func runSetUpDropScenario(t *testing.T, observed bool) dropViews {
 	cfg := smallTestConfig(SchemeCONGA)
 	cfg.NumSpines = 1
 	if observed {
-		cfg.Telemetry = telemetry.New(telemetry.Options{Counters: true, Trace: true, TraceCap: 1 << 16})
+		cfg.Telemetry = telemetry.New(telemetry.Options{Trace: true, TraceCap: 1 << 16})
 	}
 	n := MustNetwork(eng, cfg)
 	up := n.Leaves[0].uplinks[0]

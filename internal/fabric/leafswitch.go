@@ -1,7 +1,6 @@
 package fabric
 
 import (
-	"conga/internal/core"
 	"conga/internal/sim"
 	"conga/internal/telemetry"
 )
@@ -22,7 +21,6 @@ type LeafSwitch struct {
 	firstHost   int     // ID of the first local host; hosts are numbered densely per leaf
 
 	strategy Strategy
-	vni      uint32
 	pool     *PacketPool // owning domain's pool (== net.pool when sequential)
 
 	// Reachability cache: usable[dstLeaf*len(uplinks):][:len(uplinks)] is
@@ -41,9 +39,6 @@ type LeafSwitch struct {
 	// UpPackets / DownPackets count fabric-bound and fabric-received
 	// packets, for sanity checks in tests.
 	UpPackets, DownPackets uint64
-	// CtrlOut / CtrlIn count the control packets this TEP emitted and
-	// terminated, for the drain audit's conservation balance.
-	CtrlOut, CtrlIn uint64
 }
 
 // Strategy returns the leaf's load-balancing strategy.
@@ -132,12 +127,6 @@ func (ls *LeafSwitch) fromHost(p *Packet, now sim.Time) {
 func (ls *LeafSwitch) fromFabric(p *Packet, now sim.Time) {
 	ls.DownPackets++
 	ls.strategy.OnFabricArrival(p, int(p.SrcLeaf), now)
-	if p.Ctrl {
-		// Explicit feedback terminates at the TEP.
-		ls.CtrlIn++
-		ls.pool.Put(p)
-		return
-	}
 	dl := ls.Downlink(p.DstHost)
 	if dl == nil {
 		// Misrouted packet: the spine sent us traffic for a host we do
@@ -148,24 +137,4 @@ func (ls *LeafSwitch) fromFabric(p *Packet, now sim.Time) {
 		return
 	}
 	dl.Send(p, now)
-}
-
-// sendControl emits a leaf-to-leaf control packet (explicit feedback)
-// toward dstLeaf on any currently usable uplink.
-func (ls *LeafSwitch) sendControl(dstLeaf int, hdr core.Header, now sim.Time) {
-	up := hashOverMask(ls.PathUsable(dstLeaf), uint64(now)^uint64(dstLeaf)*0x9e3779b97f4a7c15)
-	if up < 0 {
-		return
-	}
-	// The control packet is itself a fabric packet: its CE observation is
-	// valid for the uplink it rides, so tag it accordingly.
-	hdr.LBTag = uint8(up)
-	p := ls.pool.Get()
-	p.SrcLeaf = int32(ls.ID)
-	p.DstLeaf = int32(dstLeaf)
-	p.Ctrl = true
-	p.Hdr = hdr
-	p.SentAt = now
-	ls.CtrlOut++
-	ls.uplinks[up].Send(p, now)
 }

@@ -339,7 +339,7 @@ func (l *Link) fold(p *Packet) bool {
 // sameFlowData reports whether t and p are pooled data packets of one flow
 // that differ at most in Seq, Payload and SentAt (and their nodes).
 func sameFlowData(t, p *Packet) bool {
-	return t.pooled && p.pooled && !t.IsAck && !p.IsAck && !t.Ctrl && !p.Ctrl && t.SackN == 0 && p.SackN == 0 &&
+	return t.pooled && p.pooled && !t.IsAck && !p.IsAck && t.SackN == 0 && p.SackN == 0 &&
 		t.FlowID == p.FlowID && t.DstHost == p.DstHost && t.SrcPort == p.SrcPort && t.DstPort == p.DstPort &&
 		t.SrcHost == p.SrcHost && t.lbHash == p.lbHash && t.AckNo == p.AckNo && t.Sack == p.Sack &&
 		t.EchoTS == p.EchoTS && t.Hdr == p.Hdr && t.SrcLeaf == p.SrcLeaf && t.DstLeaf == p.DstLeaf

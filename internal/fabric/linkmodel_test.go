@@ -380,7 +380,7 @@ func TestLinkLayout(t *testing.T) {
 // collapsed into the arrival before it — and, run through the first DRE
 // decay tick, executes the injector, one arrival per hop and that tick.
 func TestHopCostsOneEvent(t *testing.T) {
-	reg := telemetry.New(telemetry.Options{Counters: true})
+	reg := telemetry.New(telemetry.Options{})
 	eng := sim.New()
 	params := core.DefaultParams()
 	n := MustNetwork(eng, Config{NumLeaves: 2, NumSpines: 2, HostsPerLeaf: 32, LinksPerSpine: 2,

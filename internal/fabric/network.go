@@ -33,29 +33,16 @@ type Config struct {
 	FabricBufBytes int
 	HostBufBytes   int
 
-	// FabricLinkRate, when non-nil, overrides the rate of the parallel
-	// link k between leaf and spine (both directions). Returning 0 keeps
-	// FabricRateBps. This is how the §2.4 capacity-asymmetry scenarios
-	// (Figures 2 and 3) are modelled.
-	FabricLinkRate func(leaf, spine, k int) float64
+	// LinkRates overrides the rate of single fabric links (both
+	// directions); every other link runs at FabricRateBps. This is how the
+	// §2.4 capacity-asymmetry scenarios (Figures 2 and 3) are modelled.
+	LinkRates []LinkRate
 
-	Scheme Scheme
-	// LeafSchemes optionally overrides the scheme per leaf (incremental
-	// deployment, §7: CONGA can run on a subset of leaves and adapts to
-	// the traffic the others produce). Entries beyond the list, or in a
-	// nil list, use Scheme.
-	LeafSchemes []Scheme
-	// ExplicitFeedback makes CONGA leaves emit a small feedback-only
-	// packet toward leaves with changed metrics and no recent reverse
-	// traffic to piggyback on. The paper chose pure piggybacking (§3.3);
-	// this option exists to quantify that choice under one-way traffic.
-	ExplicitFeedback bool
-
+	Scheme      Scheme
 	Params      core.Params // zero value → core.DefaultParams (or CongaFlowParams for SchemeCONGAFlow)
 	WCMPWeights []float64   // SchemeWCMP only; per-uplink weights
 
 	Seed uint64
-	VNI  uint32
 
 	// Telemetry, when non-nil, wires the registry's probes through the
 	// fabric: per-link counters and trace hooks, and series sampled on the
@@ -64,6 +51,16 @@ type Config struct {
 	// on or off). The registry must be private to this network's engine.
 	Telemetry *telemetry.Registry
 }
+
+// LinkRate sets the rate of parallel link K between Leaf and Spine.
+type LinkRate struct {
+	Leaf, Spine, K int
+	Gbps           float64
+}
+
+// vni is the VXLAN network identifier every leaf stamps into the overlay
+// header: the simulated fabric carries one tenant.
+const vni = 1
 
 // WithDefaults returns cfg with unset fields filled in.
 func (cfg Config) WithDefaults() Config {
@@ -115,9 +112,6 @@ func (cfg Config) WithDefaults() Config {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.VNI == 0 {
-		cfg.VNI = 1
-	}
 	return cfg
 }
 
@@ -150,18 +144,32 @@ func (cfg Config) Validate() error {
 			c.FabricPropDelay)
 	case c.AccessPropDelay <= 0:
 		return fmt.Errorf("fabric: AccessPropDelay %v must be positive", c.AccessPropDelay)
-	case len(c.LeafSchemes) > c.NumLeaves:
-		return fmt.Errorf("fabric: %d per-leaf schemes for %d leaves", len(c.LeafSchemes), c.NumLeaves)
 	}
 	if _, ok := schemeNames[c.Scheme]; !ok {
 		return fmt.Errorf("fabric: unknown scheme %v", c.Scheme)
 	}
-	for i, s := range c.LeafSchemes {
-		if _, ok := schemeNames[s]; !ok {
-			return fmt.Errorf("fabric: unknown scheme %v for leaf %d", s, i)
+	for i, r := range c.LinkRates {
+		switch {
+		case r.Leaf < 0 || r.Leaf >= c.NumLeaves || r.Spine < 0 || r.Spine >= c.NumSpines || r.K < 0 || r.K >= c.LinksPerSpine:
+			return fmt.Errorf("fabric: LinkRates[%d] = (leaf %d, spine %d, k %d) names no link of a %d-leaf, %d-spine fabric with %d links per pair",
+				i, r.Leaf, r.Spine, r.K, c.NumLeaves, c.NumSpines, c.LinksPerSpine)
+		case !(r.Gbps > 0):
+			return fmt.Errorf("fabric: LinkRates[%d] = %v Gbps must be positive", i, r.Gbps)
 		}
 	}
 	return c.Params.Validate()
+}
+
+// LinkBps returns the configured rate of parallel link k between leaf and
+// spine: the last LinkRates entry naming it, else FabricRateBps.
+func (cfg Config) LinkBps(leaf, spine, k int) float64 {
+	rate := cfg.FabricRateBps
+	for _, r := range cfg.LinkRates {
+		if r.Leaf == leaf && r.Spine == spine && r.K == k {
+			rate = r.Gbps * 1e9
+		}
+	}
+	return rate
 }
 
 // Network is a wired Leaf-Spine fabric attached to a simulation engine.
@@ -200,7 +208,7 @@ type Network struct {
 	deliv      []*deliverer // per-domain engine + merge scratch for Exchange; nil when sequential
 
 	// Telemetry series, parallel to fabricLinks / Leaves; all nil when
-	// series probes are off. Samples are taken inside the existing ticker
+	// telemetry is off. Samples are taken inside the existing ticker
 	// callbacks (see NewNetwork) so telemetry adds no events.
 	tel         *telemetry.Registry
 	telQueue    []*telemetry.Series   // queue depth per fabric link
@@ -248,38 +256,36 @@ func (n *Network) wireTelemetry(reg *telemetry.Registry) {
 		l.tel = reg.Link(l.Name)
 		l.trace = tr
 	})
-	if reg.Options().Counters {
-		// Dequeues is pulled, not pushed: it is the link's as-of-now tx
-		// count, so a tap snapshot taken mid-serialization shows what the
-		// wire has carried and the hot path bumps one counter, not two. The
-		// same walk totals how the links' starts were made — by a drain after
-		// queueing behind a claim, or (the rest) from an idle link — the first
-		// entries of the registry's engine group, followed by what the event
-		// queues and the packet pools did, summed over domains.
-		reg.AddCollector(func() {
-			var started, drained uint64
-			n.eachLink(func(l *Link) {
-				l.tel.Dequeues = l.TxPackets()
-				started += l.txPackets
-				drained += l.drained
-			})
-			reg.RecordEngine("link_starts", started)
-			reg.RecordEngine("link_starts_drained", drained)
-			var cascades, requeued, farPushes, allocs, recycled uint64
-			for d, eng := range n.engines {
-				cascades += eng.Cascades()
-				requeued += eng.Requeued()
-				farPushes += eng.FarPushes()
-				allocs += n.pools[d].Allocs
-				recycled += n.pools[d].Recycled
-			}
-			reg.RecordEngine("cascades", cascades)
-			reg.RecordEngine("requeued", requeued)
-			reg.RecordEngine("far_pushes", farPushes)
-			reg.RecordEngine("packet_allocs", allocs)
-			reg.RecordEngine("packet_recycled", recycled)
+	// Dequeues is pulled, not pushed: it is the link's as-of-now tx
+	// count, so a tap snapshot taken mid-serialization shows what the
+	// wire has carried and the hot path bumps one counter, not two. The
+	// same walk totals how the links' starts were made — by a drain after
+	// queueing behind a claim, or (the rest) from an idle link — the first
+	// entries of the registry's engine group, followed by what the event
+	// queues and the packet pools did, summed over domains.
+	reg.AddCollector(func() {
+		var started, drained uint64
+		n.eachLink(func(l *Link) {
+			l.tel.Dequeues = l.TxPackets()
+			started += l.txPackets
+			drained += l.drained
 		})
-	}
+		reg.RecordEngine("link_starts", started)
+		reg.RecordEngine("link_starts_drained", drained)
+		var cascades, requeued, farPushes, allocs, recycled uint64
+		for d, eng := range n.engines {
+			cascades += eng.Cascades()
+			requeued += eng.Requeued()
+			farPushes += eng.FarPushes()
+			allocs += n.pools[d].Allocs
+			recycled += n.pools[d].Recycled
+		}
+		reg.RecordEngine("cascades", cascades)
+		reg.RecordEngine("requeued", requeued)
+		reg.RecordEngine("far_pushes", farPushes)
+		reg.RecordEngine("packet_allocs", allocs)
+		reg.RecordEngine("packet_recycled", recycled)
+	})
 	for _, h := range n.Hosts {
 		// Per-domain shard so concurrent domains never share a counter
 		// cache line; shard 0 is the registry's own TCP block, so a
@@ -289,21 +295,18 @@ func (n *Network) wireTelemetry(reg *telemetry.Registry) {
 		h.traceName = fmt.Sprintf("h%d", h.ID)
 	}
 
-	series := reg.Options().Series
-	if series {
-		n.telQueue = make([]*telemetry.Series, len(n.fabricLinks))
-		n.telDRE = make([]*telemetry.Series, len(n.fabricLinks))
-		for i, l := range n.fabricLinks {
-			n.telQueue[i] = reg.NewSeries("queue."+l.Name, "bytes")
-			n.telDRE[i] = reg.NewSeries("dre."+l.Name, "bytes")
-		}
-		n.telFlowlet = make([]*telemetry.Series, len(n.Leaves))
-		n.telFlTables = make([]*core.FlowletTable, len(n.Leaves))
-		n.telTbl = make([][]*telemetry.Series, len(n.Leaves))
-		n.telLeafCore = make([]*core.Leaf, len(n.Leaves))
-		n.telStale = make([]*telemetry.Series, len(n.Leaves))
-		n.telHooks = make([]*telemetry.DecisionHooks, len(n.Leaves))
+	n.telQueue = make([]*telemetry.Series, len(n.fabricLinks))
+	n.telDRE = make([]*telemetry.Series, len(n.fabricLinks))
+	for i, l := range n.fabricLinks {
+		n.telQueue[i] = reg.NewSeries("queue."+l.Name, "bytes")
+		n.telDRE[i] = reg.NewSeries("dre."+l.Name, "bytes")
 	}
+	n.telFlowlet = make([]*telemetry.Series, len(n.Leaves))
+	n.telFlTables = make([]*core.FlowletTable, len(n.Leaves))
+	n.telTbl = make([][]*telemetry.Series, len(n.Leaves))
+	n.telLeafCore = make([]*core.Leaf, len(n.Leaves))
+	n.telStale = make([]*telemetry.Series, len(n.Leaves))
+	n.telHooks = make([]*telemetry.DecisionHooks, len(n.Leaves))
 	for i, ls := range n.Leaves {
 		fc, ok := ls.strategy.(flowletCarrier)
 		if !ok {
@@ -313,10 +316,8 @@ func (n *Network) wireTelemetry(reg *telemetry.Registry) {
 		reg.AddCollector(func() {
 			reg.RecordFlowlets(leafID, table.Installs, table.Expired, table.Evicts)
 		})
-		if series {
-			n.telFlowlet[i] = reg.NewSeries(fmt.Sprintf("flowlets.leaf%d", leafID), "entries")
-			n.telFlTables[i] = table
-		}
+		n.telFlowlet[i] = reg.NewSeries(fmt.Sprintf("flowlets.leaf%d", leafID), "entries")
+		n.telFlTables[i] = table
 		cc, ok := ls.strategy.(congaCarrier)
 		if !ok {
 			continue
@@ -327,25 +328,21 @@ func (n *Network) wireTelemetry(reg *telemetry.Registry) {
 		if h := reg.Decisions(leafID, len(ls.uplinks), len(n.Leaves)); h != nil {
 			cl.Hooks = h
 			ls.decisions = h
-			if series {
-				n.telStale[i] = reg.NewSeries(fmt.Sprintf("staleness.leaf%d", leafID), "ns")
-				n.telHooks[i] = h
-			}
+			n.telStale[i] = reg.NewSeries(fmt.Sprintf("staleness.leaf%d", leafID), "ns")
+			n.telHooks[i] = h
 		}
-		if series {
-			row := make([]*telemetry.Series, len(ls.uplinks))
-			for u := range row {
-				row[u] = reg.NewSeries(fmt.Sprintf("congtbl.leaf%d.up%d", leafID, u), "metric")
-			}
-			n.telTbl[i] = row
-			n.telLeafCore[i] = cl
+		row := make([]*telemetry.Series, len(ls.uplinks))
+		for u := range row {
+			row[u] = reg.NewSeries(fmt.Sprintf("congtbl.leaf%d.up%d", leafID, u), "metric")
 		}
+		n.telTbl[i] = row
+		n.telLeafCore[i] = cl
 	}
 }
 
 // sampleLinkSeries records queue depth and DRE register for domain d's
-// fabric links; called from that domain's DRE-decay ticker when series
-// probes are on. Each series is only ever touched by its link's owning
+// fabric links; called from that domain's DRE-decay ticker when telemetry
+// is on. Each series is only ever touched by its link's owning
 // domain, so parallel domains sample concurrently without sharing.
 func (n *Network) sampleLinkSeries(d int, now sim.Time) {
 	for _, i := range n.domFabIdx[d] {
@@ -402,17 +399,13 @@ func MustNetwork(eng *sim.Engine, cfg Config) *Network {
 
 func (n *Network) newStrategy(ls *LeafSwitch) Strategy {
 	rng := n.rng.Split()
-	scheme := n.Cfg.Scheme
-	if ls.ID < len(n.Cfg.LeafSchemes) {
-		scheme = n.Cfg.LeafSchemes[ls.ID]
-	}
-	switch scheme {
+	switch scheme := n.Cfg.Scheme; scheme {
 	case SchemeECMP:
 		return &ecmpStrategy{ls: ls}
 	case SchemeCONGA:
-		return newCongaStrategy(ls, "conga", n.Cfg.Params, rng, n.Cfg.ExplicitFeedback)
+		return newCongaStrategy(ls, "conga", n.Cfg.Params, rng)
 	case SchemeCONGAFlow:
-		return newCongaStrategy(ls, "conga-flow", n.Cfg.Params, rng, n.Cfg.ExplicitFeedback)
+		return newCongaStrategy(ls, "conga-flow", n.Cfg.Params, rng)
 	case SchemeLocal:
 		return newLocalStrategy(ls, n.Cfg.Params, rng)
 	case SchemeSpray:
@@ -420,7 +413,7 @@ func (n *Network) newStrategy(ls *LeafSwitch) Strategy {
 	case SchemeWCMP:
 		return newWCMPStrategy(ls, n.Cfg.WCMPWeights)
 	default:
-		// Config.Validate has checked Scheme and every LeafSchemes entry.
+		// Config.Validate has checked Scheme.
 		panic(fmt.Sprintf("fabric: no strategy for scheme %v of leaf %d", scheme, ls.ID))
 	}
 }

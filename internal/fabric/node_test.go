@@ -191,13 +191,7 @@ func TestKilledPacketResentOnSameLink(t *testing.T) {
 }
 
 func TestNewNetworkRejectsUnknownLeafScheme(t *testing.T) {
-	cfg := smallTestConfig(SchemeCONGA)
-	cfg.LeafSchemes = []Scheme{SchemeECMP, Scheme(99)}
-	_, err := NewNetwork(sim.New(), cfg)
-	if err == nil || !strings.Contains(err.Error(), "Scheme(99)") || !strings.Contains(err.Error(), "leaf 1") {
-		t.Fatalf("bad per-leaf scheme: err = %v, want one naming leaf 1 and Scheme(99)", err)
-	}
-	cfg = smallTestConfig(Scheme(42))
+	cfg := smallTestConfig(Scheme(42))
 	if _, err := NewNetwork(sim.New(), cfg); err == nil || !strings.Contains(err.Error(), "Scheme(42)") {
 		t.Fatalf("bad fabric-wide scheme: err = %v, want one naming Scheme(42)", err)
 	}

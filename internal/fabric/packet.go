@@ -71,10 +71,7 @@ type Packet struct {
 	SrcLeaf int32
 	DstLeaf int32
 	Hdr     core.Header
-	// Ctrl marks a leaf-to-leaf control packet (explicit CONGA feedback):
-	// it terminates at the destination TEP instead of a host.
-	Ctrl  bool
-	IsAck bool
+	IsAck   bool
 	// pooled marks packets allocated from a PacketPool; only those are
 	// recycled on release (see PacketPool).
 	pooled bool

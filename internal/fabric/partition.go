@@ -197,7 +197,7 @@ func NewPartitionedNetwork(engines []*sim.Engine, cfg Config) (*Network, error) 
 	for leaf := 0; leaf < cfg.NumLeaves; leaf++ {
 		dom := leaf % P
 		eng, pool := engines[dom], n.pools[dom]
-		ls := &LeafSwitch{ID: leaf, net: n, vni: cfg.VNI, pool: pool, firstHost: leaf * cfg.HostsPerLeaf}
+		ls := &LeafSwitch{ID: leaf, net: n, pool: pool, firstHost: leaf * cfg.HostsPerLeaf}
 		n.Leaves = append(n.Leaves, ls)
 		n.domLeafIdx[dom] = append(n.domLeafIdx[dom], leaf)
 		for i := 0; i < cfg.HostsPerLeaf; i++ {
@@ -241,12 +241,7 @@ func NewPartitionedNetwork(engines []*sim.Engine, cfg Config) (*Network, error) 
 			ss := n.Spines[s]
 			sd := s % P
 			for k := 0; k < cfg.LinksPerSpine; k++ {
-				rate := cfg.FabricRateBps
-				if cfg.FabricLinkRate != nil {
-					if r := cfg.FabricLinkRate(leaf, s, k); r > 0 {
-						rate = r
-					}
-				}
+				rate := cfg.LinkBps(leaf, s, k)
 				up := NewLink(engines[ld], LinkConfig{
 					Name:      fmt.Sprintf("l%d->s%d.%d", leaf, s, k),
 					RateBps:   rate,

@@ -109,7 +109,7 @@ func (s *ecmpStrategy) SelectUplink(p *Packet, dstLeaf int, _ sim.Time) int {
 }
 
 func (s *ecmpStrategy) PrepareHeader(p *Packet, _, uplink int, _ sim.Time) {
-	p.Hdr = core.Header{VNI: s.ls.vni, LBTag: uint8(uplink)}
+	p.Hdr = core.Header{VNI: vni, LBTag: uint8(uplink)}
 }
 
 func (s *ecmpStrategy) OnFabricArrival(*Packet, int, sim.Time) {}
@@ -174,25 +174,15 @@ type congaStrategy struct {
 	leaf     *core.Leaf
 	name     string
 	localBuf []uint8
-	// Explicit feedback (optional, §3.3 discussion): sentTo tracks which
-	// leaves this leaf piggybacked feedback to since the last Tick; a
-	// leaf with pending changed metrics and no reverse traffic gets a
-	// small control packet instead.
-	explicit bool
-	sentTo   []bool
-	// CtrlPackets counts explicit feedback packets emitted.
-	CtrlPackets uint64
 }
 
-func newCongaStrategy(ls *LeafSwitch, name string, p core.Params, rng *sim.Rand, explicit bool) *congaStrategy {
+func newCongaStrategy(ls *LeafSwitch, name string, p core.Params, rng *sim.Rand) *congaStrategy {
 	n := len(ls.uplinks)
 	return &congaStrategy{
 		ls:       ls,
 		leaf:     core.NewLeaf(ls.ID, ls.net.NumLeaves(), n, p, rng),
 		name:     name,
 		localBuf: make([]uint8, n),
-		explicit: explicit,
-		sentTo:   make([]bool, ls.net.NumLeaves()),
 	}
 }
 
@@ -222,33 +212,14 @@ func (s *congaStrategy) SelectUplink(p *Packet, dstLeaf int, now sim.Time) int {
 }
 
 func (s *congaStrategy) PrepareHeader(p *Packet, dstLeaf, uplink int, now sim.Time) {
-	p.Hdr = s.leaf.PrepareHeader(dstLeaf, uplink, s.ls.vni, now)
-	if s.explicit {
-		s.sentTo[dstLeaf] = true
-	}
+	p.Hdr = s.leaf.PrepareHeader(dstLeaf, uplink, vni, now)
 }
 
 func (s *congaStrategy) OnFabricArrival(p *Packet, srcLeaf int, now sim.Time) {
 	s.leaf.OnFabricArrival(srcLeaf, p.Hdr, now)
 }
 
-func (s *congaStrategy) Tick(now sim.Time) {
-	s.leaf.SweepFlowlets()
-	if !s.explicit {
-		return
-	}
-	for leaf := range s.sentTo {
-		if leaf == s.ls.ID {
-			continue
-		}
-		if !s.sentTo[leaf] && s.leaf.FromLeaf.HasChanged(leaf) {
-			hdr := s.leaf.PrepareHeader(leaf, 0, s.ls.vni, now)
-			s.CtrlPackets++
-			s.ls.sendControl(leaf, hdr, now)
-		}
-		s.sentTo[leaf] = false
-	}
-}
+func (s *congaStrategy) Tick(now sim.Time) { s.leaf.SweepFlowlets() }
 
 // --- Local congestion-aware (Flare-like) ---
 
@@ -294,7 +265,7 @@ func (s *localStrategy) SelectUplink(p *Packet, dstLeaf int, now sim.Time) int {
 }
 
 func (s *localStrategy) PrepareHeader(p *Packet, _, uplink int, _ sim.Time) {
-	p.Hdr = core.Header{VNI: s.ls.vni, LBTag: uint8(uplink)}
+	p.Hdr = core.Header{VNI: vni, LBTag: uint8(uplink)}
 }
 
 func (s *localStrategy) OnFabricArrival(*Packet, int, sim.Time) {}
@@ -323,7 +294,7 @@ func (s *sprayStrategy) SelectUplink(_ *Packet, dstLeaf int, _ sim.Time) int {
 }
 
 func (s *sprayStrategy) PrepareHeader(p *Packet, _, uplink int, _ sim.Time) {
-	p.Hdr = core.Header{VNI: s.ls.vni, LBTag: uint8(uplink)}
+	p.Hdr = core.Header{VNI: vni, LBTag: uint8(uplink)}
 }
 
 func (s *sprayStrategy) OnFabricArrival(*Packet, int, sim.Time) {}
@@ -384,7 +355,7 @@ func (s *wcmpStrategy) SelectUplink(p *Packet, dstLeaf int, _ sim.Time) int {
 }
 
 func (s *wcmpStrategy) PrepareHeader(p *Packet, _, uplink int, _ sim.Time) {
-	p.Hdr = core.Header{VNI: s.ls.vni, LBTag: uint8(uplink)}
+	p.Hdr = core.Header{VNI: vni, LBTag: uint8(uplink)}
 }
 
 func (s *wcmpStrategy) OnFabricArrival(*Packet, int, sim.Time) {}

@@ -13,7 +13,6 @@ type HeatmapSpec struct {
 	Title     string
 	Subtitle  string
 	Width     int
-	Height    int
 	Unit      string // shown on the color scale
 	RowLabels []string
 	ColLabels []string
@@ -30,10 +29,8 @@ func Heatmap(spec HeatmapSpec) string {
 	if spec.Width <= 0 {
 		spec.Width = 720
 	}
-	if spec.Height <= 0 {
-		// Grow with the row count so tall matrices stay readable.
-		spec.Height = 120 + 28*len(spec.RowLabels) + 40
-	}
+	// The height grows with the row count so tall matrices stay readable.
+	height := 120 + 28*len(spec.RowLabels) + 40
 	rows, cols := len(spec.RowLabels), len(spec.ColLabels)
 	vMax := 0.0
 	for _, row := range spec.Values {
@@ -50,14 +47,14 @@ func Heatmap(spec HeatmapSpec) string {
 	}
 	marginL := math.Max(64, 16+float64(longest)*6.6)
 	marginR, marginT, marginB := 20.0, 78.0, 40.0
-	w, h := float64(spec.Width), float64(spec.Height)
+	w, h := float64(spec.Width), float64(height)
 	plotW, plotH := w-marginL-marginR, h-marginT-marginB
 	cellW, cellH := plotW/math.Max(1, float64(cols)), plotH/math.Max(1, float64(rows))
 
 	var b strings.Builder
 	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d" font-family="system-ui, -apple-system, sans-serif">`+"\n",
-		spec.Width, spec.Height, spec.Width, spec.Height)
-	fmt.Fprintf(&b, `<rect width="%d" height="%d" fill="%s"/>`+"\n", spec.Width, spec.Height, surface)
+		spec.Width, height, spec.Width, height)
+	fmt.Fprintf(&b, `<rect width="%d" height="%d" fill="%s"/>`+"\n", spec.Width, height, surface)
 	fmt.Fprintf(&b, `<text x="%.0f" y="24" font-size="16" font-weight="600" fill="%s">%s</text>`+"\n",
 		marginL, inkText, esc(spec.Title))
 	if spec.Subtitle != "" {

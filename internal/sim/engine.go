@@ -712,10 +712,14 @@ func (e *Engine) Stop() { e.stopped = true }
 // reached, or Stop is called. Events scheduled exactly at until still run
 // (the interval is closed), which makes "run until end of measurement
 // window" natural to express. It returns the time of the last executed event
-// or until, whichever is smaller.
+// or until, whichever is smaller. An until before Now runs nothing and
+// returns Now: the clock never moves backwards.
 func (e *Engine) Run(until Time) Time {
 	e.stopped = false
 	defer func() { e.curSeq = e.nextSeq }()
+	if until < e.now {
+		return e.now
+	}
 	for e.pending > 0 && !e.stopped {
 		// With no live (non-daemon) work left, an unbounded run is done:
 		// only periodic housekeeping remains and it would tick forever.

@@ -316,6 +316,27 @@ func TestRunMaxTimeStopsWhenOnlyDaemonsRemain(t *testing.T) {
 	}
 }
 
+// TestRunBeforeNowRunsNothing: a bounded run whose horizon lies behind the
+// clock executes nothing, leaves the clock where it is and keeps every
+// pending event for a later run.
+func TestRunBeforeNowRunsNothing(t *testing.T) {
+	e := New()
+	ran := 0
+	e.At(100, func(Time) { ran++ })
+	e.At(300, func(Time) { ran++ })
+	e.Run(200)
+	if got := e.Run(150); got != 200 || e.Now() != 200 || ran != 1 || e.Pending() != 1 {
+		t.Fatalf("Run(150) at 200 returned %v, clock %v, ran %d, pending %d; want 200, 200, 1, 1",
+			got, e.Now(), ran, e.Pending())
+	}
+	if e.Run(-1); e.Now() != 200 {
+		t.Fatalf("Run(-1) moved the clock to %v", e.Now())
+	}
+	if e.Run(MaxTime); ran != 2 || e.Now() != 300 {
+		t.Fatalf("after the past runs, Run(MaxTime) ran %d events and ended at %v, want 2 and 300", ran, e.Now())
+	}
+}
+
 func TestCancelLiveEventAllowsMaxTimeRunToEnd(t *testing.T) {
 	e := New()
 	NewTicker(e, 10, func(Time) {})

@@ -94,8 +94,11 @@ func (m *wheelModel) min() int {
 	return best
 }
 
-// run is Engine.Run for a bounded until.
+// run is Engine.Run for a bounded until; one before the clock runs nothing.
 func (m *wheelModel) run(until Time) {
+	if until < m.now {
+		return
+	}
 	for {
 		i := m.min()
 		if i < 0 || m.q[i].at > until {
@@ -172,7 +175,8 @@ var fuzzDeltas = [16]Time{0, 1, 2, 100, 4095, 4096, 4097, 50 * Microsecond,
 // too, and its two operand bytes now arm a node's act on the minimum. Op 12
 // runs the clock to just before the end of an aligned 2¹², 2²¹ or 2³⁰ ns
 // block, where level 0's window meets the next block and (after an idle
-// stretch) the next insert anchors level 0's window past level 1's end.
+// stretch) the next insert anchors level 0's window past level 1's end. Op
+// 11 probes, then runs to a time before the clock, which must run nothing.
 func FuzzWheelMatchesHeap(f *testing.F) {
 	f.Add([]byte{})
 	// A node re-arming itself across a level boundary between two closures.
@@ -217,6 +221,9 @@ func FuzzWheelMatchesHeap(f *testing.F) {
 	// refills from level 2, whose first event lands straight in level 0.
 	f.Add([]byte{0, 0x06, 12, 0x01, 0, 0x05, 0, 0x16, 0, 0x08, 9, 0x03, 0, 0x16, 11,
 		12, 0x02, 0, 0x05, 0, 0x07, 12, 0x00, 0, 0x06, 12, 0x05, 0, 0x04, 9, 0x0e})
+	// A run stops at 100 short of an event at 4096, then op 11 runs to 99,
+	// which must leave the clock at 100, and the drain fires the event.
+	f.Add([]byte{0, 0x05, 9, 0x03, 11, 9, 0x08})
 	rng := NewRand(14)
 	for i := 0; i < 24; i++ {
 		ops := make([]byte, 40+rng.Intn(400))
@@ -378,8 +385,11 @@ func FuzzWheelMatchesHeap(f *testing.F) {
 				nodes[k].act, m.act[k] = act, act
 				nodes[k].actBy, m.actBy[k] = by, by
 				handles = append(handles, EventHandle{}) // the retired op's closure id
-			case 11:
+			case 11: // probe, then run to just before the clock
 				check("probe")
+				e.Run(e.Now() - 1)
+				m.run(m.now - 1)
+				check("Run into the past")
 			case 12: // run to just before the end of an aligned block
 				b := next()
 				bits := [...]uint{l0Bits, l0Bits + lvlBits, l0Bits + 2*lvlBits}[b%3]

@@ -28,28 +28,30 @@ type Config struct {
 	// MSS is the maximum segment (payload) size. DefaultConfig derives it
 	// from a 1500-byte MTU; the Incast experiments also use 9000.
 	MSS int
-	// InitCwnd is the initial congestion window in segments (Linux: 10).
-	InitCwnd int
 	// MinRTO clamps the retransmission timer from below. Linux default is
 	// 200 ms; Vasudevan et al. recommend 1 ms for Incast-heavy clusters.
 	MinRTO sim.Time
-	// MaxRTO caps exponential backoff.
-	MaxRTO sim.Time
 	// InitRTO is the timer value before the first RTT sample (RFC 6298
 	// says 1 s).
 	InitRTO sim.Time
-	// DupThresh is the duplicate-ACK count that triggers fast retransmit.
-	DupThresh int
 	// MaxCwnd caps the window in bytes (models the receive/socket buffer).
 	MaxCwnd int
 	// ReorderWindow, when positive, makes the sender reordering-resilient
-	// (RACK-style): on reaching DupThresh duplicate ACKs it waits this
+	// (RACK-style): on reaching dupThresh duplicate ACKs it waits this
 	// long before declaring loss, and stands down if the cumulative ACK
 	// advances meanwhile. The paper's per-packet CONGA variant (§1,
 	// Figure 1's "optimal, needs reordering-resilient TCP") requires
 	// this; classic fast retransmit uses 0.
 	ReorderWindow sim.Time
 }
+
+// Linux's initial window in segments, backoff cap and duplicate-ACK count
+// that triggers fast retransmit: no experiment varies them.
+const (
+	initCwnd  = 10
+	maxRTO    = 30 * sim.Second
+	dupThresh = 3
+)
 
 // MTUToMSS converts an Ethernet MTU to the TCP payload size (IPv4 20 + TCP
 // 20 bytes of headers).
@@ -58,13 +60,10 @@ func MTUToMSS(mtu int) int { return mtu - 40 }
 // DefaultConfig returns Linux-like defaults for a 1500-byte MTU.
 func DefaultConfig() Config {
 	return Config{
-		MSS:       MTUToMSS(1500),
-		InitCwnd:  10,
-		MinRTO:    200 * sim.Millisecond,
-		MaxRTO:    30 * sim.Second,
-		InitRTO:   sim.Second,
-		DupThresh: 3,
-		MaxCwnd:   12 << 20, // 12 MB: enough for 10 Gbps × 10 ms
+		MSS:     MTUToMSS(1500),
+		MinRTO:  200 * sim.Millisecond,
+		InitRTO: sim.Second,
+		MaxCwnd: 12 << 20, // 12 MB: enough for 10 Gbps × 10 ms
 	}
 }
 
@@ -78,16 +77,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("tcp: MSS %d must be positive", c.MSS)
 	case c.MSS > maxMSS:
 		return fmt.Errorf("tcp: MSS %d exceeds %d, the payload of the largest IPv4 datagram", c.MSS, maxMSS)
-	case c.InitCwnd <= 0:
-		return fmt.Errorf("tcp: InitCwnd %d must be positive", c.InitCwnd)
 	case c.MinRTO <= 0:
 		return fmt.Errorf("tcp: MinRTO %v must be positive", c.MinRTO)
-	case c.MaxRTO < c.MinRTO:
-		return fmt.Errorf("tcp: MaxRTO %v < MinRTO %v", c.MaxRTO, c.MinRTO)
+	case c.MinRTO > maxRTO:
+		return fmt.Errorf("tcp: MinRTO %v exceeds the %v backoff cap", c.MinRTO, maxRTO)
 	case c.InitRTO <= 0:
 		return fmt.Errorf("tcp: InitRTO %v must be positive", c.InitRTO)
-	case c.DupThresh <= 0:
-		return fmt.Errorf("tcp: DupThresh %d must be positive", c.DupThresh)
 	case c.MaxCwnd < c.MSS:
 		return fmt.Errorf("tcp: MaxCwnd %d smaller than one MSS", c.MaxCwnd)
 	case c.MaxCwnd >= 1<<31:
@@ -232,7 +227,7 @@ func (s *Sender) rebind(eng *sim.Engine, host *fabric.Host, flowID uint64, dstHo
 	s.dstPort = dstPort
 	s.lbHash = fabric.HashFlow(flowID, host.ID, dstHost, s.srcPort, dstPort)
 	s.sndUna, s.sndNxt, s.avail = 0, 0, 0
-	s.cwnd = float64(cfg.InitCwnd * cfg.MSS)
+	s.cwnd = float64(initCwnd * cfg.MSS)
 	s.ssthresh = float64(cfg.MaxCwnd)
 	s.state = stateOpen
 	s.recover = 0
@@ -367,8 +362,8 @@ func (s *Sender) emit(seq int64, payload int, now sim.Time) {
 
 func (s *Sender) armTimer(now sim.Time) {
 	d := s.rto << s.backoff
-	if d > s.cfg.MaxRTO {
-		d = s.cfg.MaxRTO
+	if d > maxRTO {
+		d = maxRTO
 	}
 	s.deadline = now + d
 	if !s.timer.Pending() {
@@ -708,7 +703,7 @@ func (s *Sender) onDupAck(now sim.Time) {
 		return
 	}
 	s.dupAcks++
-	if s.dupAcks < s.cfg.DupThresh {
+	if s.dupAcks < dupThresh {
 		return
 	}
 	if s.cfg.ReorderWindow > 0 {
@@ -784,8 +779,8 @@ func (s *Sender) sampleRTT(r sim.Time) {
 	if rto < s.cfg.MinRTO {
 		rto = s.cfg.MinRTO
 	}
-	if rto > s.cfg.MaxRTO {
-		rto = s.cfg.MaxRTO
+	if rto > maxRTO {
+		rto = maxRTO
 	}
 	s.rto = rto
 }

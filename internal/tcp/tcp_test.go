@@ -54,11 +54,9 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"MSS", func(c *Config) { c.MSS = 0 }},
 		{"MSS", func(c *Config) { c.MSS, c.MaxCwnd = 65496, 1<<20 }},
-		{"InitCwnd", func(c *Config) { c.InitCwnd = 0 }},
 		{"MinRTO", func(c *Config) { c.MinRTO = 0 }},
-		{"MaxRTO", func(c *Config) { c.MaxRTO = c.MinRTO - 1 }},
+		{"MinRTO", func(c *Config) { c.MinRTO = maxRTO + 1 }},
 		{"InitRTO", func(c *Config) { c.InitRTO = 0 }},
-		{"DupThresh", func(c *Config) { c.DupThresh = 0 }},
 		{"MaxCwnd", func(c *Config) { c.MaxCwnd = 10 }},
 		{"MaxCwnd", func(c *Config) { c.MaxCwnd = 1 << 31 }},
 	}
@@ -126,7 +124,7 @@ func TestSlowStartDoublesWindow(t *testing.T) {
 	// After a couple of RTTs of an unconstrained 10 MB transfer the
 	// window must have grown well past the initial 10 segments.
 	eng.Run(2 * sim.Millisecond)
-	if f.Sender.Cwnd() <= float64(2*cfg.InitCwnd*cfg.MSS) {
+	if f.Sender.Cwnd() <= float64(2*initCwnd*cfg.MSS) {
 		t.Fatalf("cwnd = %.0f after 2 ms, expected exponential growth", f.Sender.Cwnd())
 	}
 }

@@ -22,7 +22,7 @@ import (
 // a few dozen observations compacts) and path rows.
 func tapRegistry(hub *Hub, name string) *Registry {
 	return New(Options{
-		Counters: true, Series: true, SeriesCap: 16, Decisions: true,
+		SeriesCap: 16, Decisions: true,
 		TapWall: -1, Hub: hub, RunName: name,
 	})
 }
@@ -38,7 +38,7 @@ func fileOf(s *Snapshot, t *Table, probe string) *SinkFile {
 }
 
 func TestTapPublishGating(t *testing.T) {
-	if New(Options{Counters: true, Series: true}).tap != nil {
+	if New(Options{}).tap != nil {
 		t.Fatal("a registry without a Hub has a tap")
 	}
 	hub := NewHub()

@@ -30,17 +30,13 @@ import (
 	"time"
 )
 
-// Options selects which probes a Registry activates. The zero value enables
-// nothing; see All for the everything-on configuration the CLI -telemetry
-// flag uses.
+// Options selects which probes a Registry activates beyond the two every
+// registry has: the monotonic counter hooks (per-link enqueue/dequeue/drop
+// and CE marks, per-leaf flowlet create/expire/evict, engine-wide TCP
+// loss-recovery counters) and the ring-buffer time-series probes (queue
+// depth, DRE register, flowlet-table occupancy, congestion-table metrics).
+// See All for the everything-on configuration the CLI -telemetry flag uses.
 type Options struct {
-	// Counters enables the monotonic counter hooks: per-link
-	// enqueue/dequeue/drop and CE marks, per-leaf flowlet
-	// create/expire/evict, and engine-wide TCP loss-recovery counters.
-	Counters bool
-	// Series enables the ring-buffer time-series probes (queue depth, DRE
-	// register, flowlet-table occupancy, congestion-table metrics).
-	Series bool
 	// SeriesCap bounds each series' sample count; when a buffer fills it
 	// halves its resolution instead of growing (see Series). Default 4096.
 	SeriesCap int
@@ -95,8 +91,7 @@ type Options struct {
 // All returns Options with every probe enabled at default capacities,
 // flushing to dir ("" = keep in memory only).
 func All(dir string) Options {
-	return Options{Counters: true, Series: true, Trace: true,
-		Decisions: true, DecisionTrace: true, Dir: dir}
+	return Options{Trace: true, Decisions: true, DecisionTrace: true, Dir: dir}
 }
 
 func (o Options) withDefaults() Options {
@@ -229,10 +224,10 @@ func New(opts Options) *Registry {
 func (r *Registry) Options() Options { return r.opts }
 
 // Link returns the counter hooks for the named link, creating them on first
-// use. It returns nil — and allocates nothing — when counters are disabled
-// or the registry itself is nil, so callers can wire unconditionally.
+// use. It returns nil — and allocates nothing — when the registry itself is
+// nil, so callers can wire unconditionally.
 func (r *Registry) Link(name string) *LinkCounters {
-	if r == nil || !r.opts.Counters {
+	if r == nil {
 		return nil
 	}
 	if c, ok := r.linkIdx[name]; ok {
@@ -249,7 +244,7 @@ func (r *Registry) Link(name string) *LinkCounters {
 // sequential callers see no difference. Shards must be created before the
 // run starts; the accessor is not goroutine-safe.
 func (r *Registry) TCPShard(d int) *TCPCounters {
-	if r == nil || !r.opts.Counters {
+	if r == nil {
 		return nil
 	}
 	if d == 0 {
@@ -270,10 +265,10 @@ func (r *Registry) Trace() *PacketTrace {
 }
 
 // NewSeries registers a time-series probe and returns its buffer, or nil
-// when series are disabled. Registering the same name twice returns the
+// on a nil registry. Registering the same name twice returns the
 // same buffer.
 func (r *Registry) NewSeries(name, unit string) *Series {
-	if r == nil || !r.opts.Series {
+	if r == nil {
 		return nil
 	}
 	if s, ok := r.byName[name]; ok {
@@ -371,16 +366,14 @@ func (r *Registry) CounterRows() []CounterRow {
 			CounterRow{"link", l.Name, "ce_marks", l.CEMarks},
 		)
 	}
-	if r.opts.Counters {
-		tcp := r.TCPTotals()
-		rows = append(rows,
-			CounterRow{"tcp", "", "retransmits", tcp.Retransmits},
-			CounterRow{"tcp", "", "timeouts", tcp.Timeouts},
-			CounterRow{"tcp", "", "fast_retx", tcp.FastRetx},
-			CounterRow{"tcp", "", "dup_acks", tcp.DupAcks},
-			CounterRow{"tcp", "", "reorder_defers", tcp.ReorderDefers},
-		)
-	}
+	tcp := r.TCPTotals()
+	rows = append(rows,
+		CounterRow{"tcp", "", "retransmits", tcp.Retransmits},
+		CounterRow{"tcp", "", "timeouts", tcp.Timeouts},
+		CounterRow{"tcp", "", "fast_retx", tcp.FastRetx},
+		CounterRow{"tcp", "", "dup_acks", tcp.DupAcks},
+		CounterRow{"tcp", "", "reorder_defers", tcp.ReorderDefers},
+	)
 	fl := append([]FlowletRow(nil), r.flowlets...)
 	sort.Slice(fl, func(i, j int) bool { return fl[i].Leaf < fl[j].Leaf })
 	for _, f := range fl {
@@ -479,10 +472,7 @@ func (r *Registry) FlushTo(dir string) error {
 // the series points copied so a published snapshot never aliases a buffer
 // the engine keeps writing.
 func (r *Registry) sinkFiles(live bool) []*SinkFile {
-	var files []*SinkFile
-	if r.opts.Counters {
-		files = append(files, &SinkFile{Table: CounterTable, Provenance: r.provenance, Counters: r.CounterRows()})
-	}
+	files := []*SinkFile{{Table: CounterTable, Provenance: r.provenance, Counters: r.CounterRows()}}
 	for _, s := range r.series {
 		pts := s.pts
 		if live {

@@ -33,13 +33,16 @@ func TestNilRegistryIsOff(t *testing.T) {
 	}
 }
 
+// TestDisabledOptionsHandOutNil: the zero Options switches off every
+// optional probe — the packet trace, the decision hooks and their audit
+// trail — while the counters and series every registry has stay live.
 func TestDisabledOptionsHandOutNil(t *testing.T) {
-	r := New(Options{}) // everything off
-	if r.Link("a") != nil || r.TCPShard(0) != nil || r.Trace() != nil || r.NewSeries("x", "u") != nil {
-		t.Fatal("disabled registry handed out a live hook")
+	r := New(Options{})
+	if r.Trace() != nil || r.Decisions(0, 2, 2) != nil || r.DecisionTrace() != nil {
+		t.Fatal("disabled probe handed out a live hook")
 	}
-	if rows := r.CounterRows(); len(rows) != 0 {
-		t.Fatalf("disabled registry produced %d counter rows", len(rows))
+	if r.Link("a") == nil || r.TCPShard(0) == nil || r.NewSeries("x", "u") == nil {
+		t.Fatal("a registry without options handed out no counters or series")
 	}
 }
 
@@ -51,7 +54,7 @@ func TestDisabledOptionsHandOutNil(t *testing.T) {
 // run rather than only its head or tail.
 func TestSeriesDownsampling(t *testing.T) {
 	const capacity = 8
-	r := New(Options{Series: true, SeriesCap: capacity})
+	r := New(Options{SeriesCap: capacity})
 	s := r.NewSeries("q", "bytes")
 	const total = 1000
 	for i := 0; i < total; i++ {
@@ -81,14 +84,14 @@ func TestSeriesDownsampling(t *testing.T) {
 }
 
 func TestSeriesCapForcedEven(t *testing.T) {
-	r := New(Options{Series: true, SeriesCap: 7})
+	r := New(Options{SeriesCap: 7})
 	if got := r.Options().SeriesCap; got != 8 {
 		t.Fatalf("SeriesCap 7 normalized to %d, want 8", got)
 	}
 }
 
 func TestNewSeriesSameNameSameBuffer(t *testing.T) {
-	r := New(Options{Series: true})
+	r := New(Options{})
 	a, b := r.NewSeries("q", "bytes"), r.NewSeries("q", "bytes")
 	if a != b {
 		t.Fatal("same name returned distinct series")
@@ -156,7 +159,7 @@ func TestTraceKindString(t *testing.T) {
 
 func TestCounterRowsDeterministic(t *testing.T) {
 	build := func() *Registry {
-		r := New(Options{Counters: true})
+		r := New(Options{})
 		r.Link("l0->s0").Enqueues = 10
 		r.Link("l1->s0").Drops = 2
 		r.TCPShard(0).Retransmits = 3
@@ -186,7 +189,7 @@ func TestCounterRowsDeterministic(t *testing.T) {
 }
 
 func TestRecordFlowletsOverwrites(t *testing.T) {
-	r := New(Options{Counters: true})
+	r := New(Options{})
 	r.RecordFlowlets(0, 1, 1, 0)
 	r.RecordFlowlets(0, 9, 8, 7)
 	c, e, v := r.FlowletTotals()
@@ -196,7 +199,7 @@ func TestRecordFlowletsOverwrites(t *testing.T) {
 }
 
 func TestTotals(t *testing.T) {
-	r := New(Options{Counters: true})
+	r := New(Options{})
 	r.Link("a").Enqueues = 5
 	r.Link("a").Dequeues = 4
 	r.Link("b").Drops = 1
@@ -212,7 +215,7 @@ func TestTotals(t *testing.T) {
 }
 
 func TestCollectorsRunOnCollect(t *testing.T) {
-	r := New(Options{Counters: true})
+	r := New(Options{})
 	n := 0
 	r.AddCollector(func() { n++; r.RecordFlowlets(0, uint64(n), 0, 0) })
 	r.Collect()
@@ -272,7 +275,7 @@ func TestFlushWritesEachFileOnce(t *testing.T) {
 }
 
 func TestFlushWithoutDirIsNoop(t *testing.T) {
-	r := New(Options{Counters: true})
+	r := New(Options{})
 	r.Link("a").Enqueues = 1
 	if err := r.Flush(); err != nil {
 		t.Fatalf("Flush with no dir: %v", err)

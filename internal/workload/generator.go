@@ -32,11 +32,9 @@ type GenConfig struct {
 	// testbed setup: leaf-0 clients use leaf-1 servers and vice versa).
 	// When false, destinations are any other host.
 	InterLeafOnly bool
-	// FlowIDBase offsets generated flow IDs; keep generators' ID spaces
-	// disjoint. Flow IDs advance by Stride per flow (MPTCP needs room
+	// Flow IDs start at 0 and advance by Stride per flow (MPTCP needs room
 	// for its subflows).
-	FlowIDBase uint64
-	Stride     uint64
+	Stride uint64
 	// Seed isolates this generator's randomness.
 	Seed uint64
 }
@@ -76,12 +74,11 @@ func NewGenerator(eng *sim.Engine, net *fabric.Network, cfg GenConfig, start Sta
 		return nil, fmt.Errorf("workload: need ≥ 2 leaves")
 	}
 	g := &Generator{
-		eng:    eng,
-		net:    net,
-		cfg:    cfg,
-		rng:    sim.NewRand(cfg.Seed + 0x9e37),
-		start:  start,
-		nextID: cfg.FlowIDBase,
+		eng:   eng,
+		net:   net,
+		cfg:   cfg,
+		rng:   sim.NewRand(cfg.Seed + 0x9e37),
+		start: start,
 	}
 	g.arriveFn = g.arrive
 	return g, nil
@@ -93,20 +90,16 @@ func NewGenerator(eng *sim.Engine, net *fabric.Network, cfg GenConfig, start Sta
 // same load levels are offered to the degraded fabric).
 func (g *Generator) BisectionBps() float64 {
 	cfg := g.net.Cfg
-	rate := 0.0
-	if cfg.FabricLinkRate != nil {
-		for s := 0; s < cfg.NumSpines; s++ {
-			for k := 0; k < cfg.LinksPerSpine; k++ {
-				if r := cfg.FabricLinkRate(0, s, k); r > 0 {
-					rate += r
-				} else {
-					rate += cfg.FabricRateBps
-				}
-			}
-		}
-		return rate
+	if len(cfg.LinkRates) == 0 {
+		return cfg.FabricRateBps * float64(cfg.NumSpines*cfg.LinksPerSpine)
 	}
-	return cfg.FabricRateBps * float64(cfg.NumSpines*cfg.LinksPerSpine)
+	rate := 0.0
+	for s := 0; s < cfg.NumSpines; s++ {
+		for k := 0; k < cfg.LinksPerSpine; k++ {
+			rate += cfg.LinkBps(0, s, k)
+		}
+	}
+	return rate
 }
 
 // ArrivalRate returns the flow arrival rate in flows/second implied by the

@@ -199,7 +199,7 @@ func TestGeneratorMaxFlowsCap(t *testing.T) {
 func TestGeneratorFlowIDStride(t *testing.T) {
 	eng, n := testNet(t)
 	cfg := GenConfig{Load: 0.9, Dist: Fixed(1000), Duration: sim.Second,
-		MaxFlows: 10, FlowIDBase: 1000, Stride: 8, Seed: 4}
+		MaxFlows: 10, Stride: 8, Seed: 4}
 	var ids []uint64
 	g, _ := NewGenerator(eng, n, cfg, func(_, _ *fabric.Host, id uint64, _ int64) {
 		ids = append(ids, id)
@@ -207,7 +207,7 @@ func TestGeneratorFlowIDStride(t *testing.T) {
 	g.Start()
 	eng.Run(sim.Second)
 	for i, id := range ids {
-		if want := uint64(1000 + 8*i); id != want {
+		if want := uint64(8 * i); id != want {
 			t.Fatalf("flow %d has ID %d, want %d", i, id, want)
 		}
 	}

@@ -22,7 +22,7 @@ func TestLinkModelGoldenIncast(t *testing.T) {
 		RequestBytes: 1 << 20,
 		Rounds:       2,
 		Seed:         5,
-		Telemetry:    &TelemetryOptions{Counters: true},
+		Telemetry:    &TelemetryOptions{},
 	}
 	res, err := RunIncast(cfg)
 	if err != nil {

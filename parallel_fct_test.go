@@ -139,7 +139,7 @@ func TestParallelTelemetryCounters(t *testing.T) {
 	cfg := scaleCell(8, 80, 2*time.Millisecond)
 	plain := runParallelVector(t, cfg, 4)
 
-	cfg.Telemetry = &TelemetryOptions{Counters: true, Series: true}
+	cfg.Telemetry = &TelemetryOptions{}
 	cfg.Parallel = 4
 	cfg.CollectFlows = true
 	res, err := RunFCT(cfg)

@@ -246,10 +246,9 @@ func TestRunReplayCompare(t *testing.T) {
 	}
 
 	cmpCfg := ReplayCompareConfig{
-		Trace:     orig.Trace,
-		A:         replayTestConfig(SchemeECMP),
-		B:         replayTestConfig(SchemeCONGA),
-		Resamples: 200,
+		Trace: orig.Trace,
+		A:     replayTestConfig(SchemeECMP),
+		B:     replayTestConfig(SchemeCONGA),
 	}
 	res, err := RunReplayCompare(cmpCfg)
 	if err != nil {

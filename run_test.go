@@ -83,7 +83,7 @@ func TestParallelRecordingProvenance(t *testing.T) {
 		cfg := replayTestConfig(SchemeCONGA)
 		cfg.Record = true
 		cfg.Parallel = parallel
-		cfg.Telemetry = &TelemetryOptions{Counters: true, Dir: t.TempDir()}
+		cfg.Telemetry = &TelemetryOptions{Dir: t.TempDir()}
 		res, err := RunFCT(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -159,6 +159,10 @@ func TestHostileConfigsReturnErrors(t *testing.T) {
 		{"Topology.FabricBufBytes < 0", "buffer", incast(func(c *IncastConfig) { c.Topology.FabricBufBytes = -1 })},
 		{"Topology.FailedLinks out of range", "FailedLinks[1]", fct(func(c *FCTConfig) { c.Topology.FailedLinks = [][3]int{{0, 1, 0}, {9, 9, 9}} })},
 		{"Topology.FailedLinks negative", "FailedLinks[0]", incast(func(c *IncastConfig) { c.Topology.FailedLinks = [][3]int{{0, -1, 0}} })},
+		{"Topology.LinkRates out of range", "LinkRates[1]", fct(func(c *FCTConfig) {
+			c.Topology.LinkRates = []LinkRate{{Leaf: 1, Spine: 1, K: 0, Gbps: 5}, {Leaf: 0, Spine: 2, K: 0, Gbps: 5}}
+		})},
+		{"Topology.LinkRates rate = 0", "LinkRates[0]", incast(func(c *IncastConfig) { c.Topology.LinkRates = []LinkRate{{Leaf: 0, Spine: 0, K: 0}} })},
 		{"Topology.Leaves = 1", "leaves", fct(func(c *FCTConfig) { c.Topology.Leaves = 1 })},
 		{"Transport.MTU too small", "MTU", fct(func(c *FCTConfig) { c.Transport.MTU = 10 })},
 		{"Transport.MTU too small (incast)", "MTU", incast(func(c *IncastConfig) { c.Transport.MTU = 40 })},
@@ -169,6 +173,7 @@ func TestHostileConfigsReturnErrors(t *testing.T) {
 		{"FCTConfig.Load = 0", "load", fct(func(c *FCTConfig) { c.Load = 0 })},
 		{"FCTConfig.Load < 0", "load", fct(func(c *FCTConfig) { c.Load = -0.5 })},
 		{"FCTConfig.MaxFlows < 0", "MaxFlows", fct(func(c *FCTConfig) { c.MaxFlows = -1 })},
+		{"FCTConfig.DrainTimeout < 0", "DrainTimeout", fct(func(c *FCTConfig) { c.DrainTimeout = -time.Second })},
 		{"FCTConfig.Params.Q = 0", "Q", fct(func(c *FCTConfig) { p := DefaultParams(); p.Q = 0; c.Params = &p })},
 		{"FCTConfig.Params.Tfl = 0", "Tfl", fct(func(c *FCTConfig) { p := DefaultParams(); p.Tfl = 0; c.Params = &p })},
 		{"FCTConfig.Params.FlowletTableSize = 1<<36", "FlowletTableSize", fct(func(c *FCTConfig) {
@@ -180,6 +185,7 @@ func TestHostileConfigsReturnErrors(t *testing.T) {
 		{"IncastConfig.Fanout ≥ hosts", "fanout", incast(func(c *IncastConfig) { c.Fanout = 16 })},
 		{"IncastConfig.RequestBytes < 0", "RequestBytes", incast(func(c *IncastConfig) { c.RequestBytes = -1 })},
 		{"IncastConfig.Rounds < 0", "Rounds", incast(func(c *IncastConfig) { c.Rounds = -3 })},
+		{"IncastConfig.Timeout < 0", "Timeout", incast(func(c *IncastConfig) { c.Timeout = -time.Second })},
 		{"HDFSConfig.BackgroundLoad < 0", "BackgroundLoad", hdfs(func(c *HDFSConfig) { c.BackgroundLoad = -0.3 })},
 		{"HDFSConfig.Timeout < 0", "Timeout", hdfs(func(c *HDFSConfig) { c.Timeout = -time.Second })},
 		{"HDFSConfig.Writers < 0", "Writers", hdfs(func(c *HDFSConfig) { c.Writers = -1 })},

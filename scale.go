@@ -11,7 +11,8 @@ import (
 // ScaleConfig describes a large-fabric scale sweep — the ROADMAP's
 // fig15-style open item: topologies an order of magnitude beyond the
 // paper's 32-leaf evaluation, at 40G/100G access rates. Each (leaves,
-// access-rate) cell runs one FCT experiment; the allocation-free flow
+// access-rate) cell runs one FCT experiment, the enterprise workload at 60%
+// load with a 10 ms MinRTO; the allocation-free flow
 // lifecycle (tcp.FlowPool, port table, pooled packets and events) is what
 // keeps these runs GC-flat as the fabric and flow count grow.
 type ScaleConfig struct {
@@ -28,10 +29,7 @@ type ScaleConfig struct {
 	Spines        int
 	LinksPerSpine int
 
-	Scheme    Scheme
-	Workload  Workload
-	Load      float64
-	Transport TransportConfig
+	Scheme Scheme
 
 	// Duration is each cell's arrival window; MaxFlows bounds each cell
 	// (the knob that keeps a 256-leaf sweep minutes, not hours).
@@ -62,14 +60,6 @@ func (c ScaleConfig) withDefaults() ScaleConfig {
 	}
 	if c.LinksPerSpine == 0 {
 		c.LinksPerSpine = 2
-	}
-	if c.Load == 0 {
-		c.Load = 0.6
-	}
-	if c.Transport.MinRTO == 0 {
-		// Datacenter-tuned RTO: at 40G+ rates the default 200 ms clamp
-		// would turn any loss into a stall longer than the whole run.
-		c.Transport.MinRTO = 10 * time.Millisecond
 	}
 	if c.Duration == 0 {
 		c.Duration = 10 * time.Millisecond
@@ -113,10 +103,12 @@ func (c ScaleConfig) expand() ([]FCTConfig, []ScalePoint) {
 					AccessGbps:    gbps,
 					FabricGbps:    gbps,
 				},
-				Scheme:    c.Scheme,
-				Workload:  c.Workload,
-				Load:      c.Load,
-				Transport: c.Transport,
+				Scheme: c.Scheme,
+				Load:   0.6,
+				// Datacenter-tuned RTO: at 40G+ rates the default 200 ms
+				// clamp would turn any loss into a stall longer than the
+				// whole run.
+				Transport: TransportConfig{MinRTO: 10 * time.Millisecond},
 				Duration:  c.Duration,
 				MaxFlows:  c.MaxFlows,
 				Seed:      c.Seed,

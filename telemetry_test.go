@@ -93,7 +93,7 @@ func TestTelemetryDoesNotPerturbSimulation(t *testing.T) {
 		}
 		// Decision hooks are per-leaf and domain-owned, so they stay on
 		// under parallel; only the shared DecisionTrace buffer is rejected.
-		pcfg.Telemetry = &TelemetryOptions{Counters: true, Series: true, Decisions: true}
+		pcfg.Telemetry = &TelemetryOptions{Decisions: true}
 		pon, err := RunFCT(pcfg)
 		if err != nil {
 			t.Fatal(err)
@@ -132,7 +132,7 @@ func TestDecisionTraceRejectedUnderParallel(t *testing.T) {
 		MaxFlows:  40,
 		Seed:      1,
 		Parallel:  2,
-		Telemetry: &TelemetryOptions{Counters: true, Decisions: true, DecisionTrace: true},
+		Telemetry: &TelemetryOptions{Decisions: true, DecisionTrace: true},
 	}
 	if _, err := RunFCT(cfg); err == nil {
 		t.Fatal("DecisionTrace with Parallel=2 should be rejected")
@@ -140,7 +140,7 @@ func TestDecisionTraceRejectedUnderParallel(t *testing.T) {
 		t.Fatalf("rejection should name the decision trace, got: %v", err)
 	}
 	// Dropping just the trace keeps the rest of the decision plane working.
-	cfg.Telemetry = &TelemetryOptions{Counters: true, Decisions: true}
+	cfg.Telemetry = &TelemetryOptions{Decisions: true}
 	res, err := RunFCT(cfg)
 	if err != nil {
 		t.Fatal(err)
