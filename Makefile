@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-time race vet lint memlat fuzz-smoke bench-engine bench-profile bench-repo bench-compare bench-smoke replay-smoke decision-smoke serve-smoke check-smoke check
+.PHONY: build test test-time race vet lint memlat fuzz-smoke bench-engine bench-profile bench-repo bench-compare ab bench-smoke replay-smoke decision-smoke serve-smoke check-smoke check
 
 build:
 	$(GO) build ./...
@@ -19,7 +19,8 @@ test-time:
 	exit $$status
 
 # Race-check the concurrency-bearing code: the parallel experiment runner,
-# the partitioned engine, the live telemetry hub and everything they drive.
+# the partitioned engine (plain-TCP cells on two to eight domains, the only
+# kind it runs), the live telemetry hub and everything they drive.
 # Engines are single-threaded, so a race here means experiment isolation is
 # broken. -short skips what gives the detector nothing to check or costs
 # minutes under it: the golden table's scale rows, and every root test whose
@@ -118,6 +119,15 @@ bench-repo:
 # make bench-compare A=before.json B=after.json
 bench-compare:
 	$(GO) run ./bench -compare $(A) $(B)
+
+# Paired A/B of one workload (tools/abpair): PAIRS alternating runs of the
+# base and the change, every run appended to measurements/abpair.jsonl, and a
+# gain / regressed / unresolved verdict per end-to-end metric.
+# make ab W=incast BASE=HEAD~1        (base built from a git worktree of REV)
+# make ab W=scale256 OVERLAY=probe.json  (change = working tree + overlay)
+PAIRS ?= 10
+ab:
+	$(GO) run ./tools/abpair -workload $(W) -pairs $(PAIRS) $(if $(BASE),-base $(BASE)) $(if $(OVERLAY),-overlay $(OVERLAY))
 
 # Benchmark harness smoke (~45 s): one short scale256 run, the same cell on
 # two partition domains (the mailbox/Exchange path end to end) and one short

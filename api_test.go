@@ -20,23 +20,18 @@ type pin struct{ test, why string }
 // TestNoTestOnlyAPI lets stand without a non-test use or write, each with the
 // test that pins it and why it stays. A stale entry fails the test.
 var testOnlyAPI = map[string]pin{
-	"internal/core.Header.Encode":          {"FuzzHeaderRoundTrip", "§3.1: the overlay header's wire format, modelled, not on the simulated path"},
-	"internal/core.DecodeHeader":           {"FuzzHeaderRoundTrip", "§3.1: the overlay header's wire format, modelled, not on the simulated path"},
-	"internal/fabric.Host.AccessLink":      {"TestFastRetransmitRecoversFromSingleLoss", "ROADMAP 2(b): timed fault schedules flap any link"},
-	"internal/fabric.Network.RestoreLink":  {"TestFailAndRestoreLink", "ROADMAP 2(b): timed fault schedules restore links mid-run"},
-	"internal/fabric.Network.Domains":      {"TestPartitionAssignment", "ROADMAP 1 step 2 deletes the space-parallel engine"},
-	"internal/fabric.Network.DomainEngine": {"TestExchangeMergeOrder", "ROADMAP 1 step 2 deletes the space-parallel engine"},
-	"internal/fabric.Network.DomainPool":   {"TestPartitionAssignment", "ROADMAP 1 step 2 deletes the space-parallel engine"},
-	"internal/sim.ParallelEngine.Engines":  {"TestParallelEngineWindowBoundary", "ROADMAP 1 step 2 deletes the space-parallel engine"},
-	"internal/sim.Engine.Pending":          {"TestCancelRemovesEventFromQueueImmediately", "ROADMAP engine self-observability: queue depth"},
-	"internal/stochmodel.Bound":            {"TestEffectiveLambdaFormula", "§4 Theorem 2; ROADMAP 7(b) asserts it on the simulator"},
+	"internal/core.Header.Encode":         {"FuzzHeaderRoundTrip", "§3.1: the overlay header's wire format, modelled, not on the simulated path"},
+	"internal/core.DecodeHeader":          {"FuzzHeaderRoundTrip", "§3.1: the overlay header's wire format, modelled, not on the simulated path"},
+	"internal/fabric.Host.AccessLink":     {"TestFastRetransmitRecoversFromSingleLoss", "ROADMAP 2(b): timed fault schedules flap any link"},
+	"internal/fabric.Network.RestoreLink": {"TestFailAndRestoreLink", "ROADMAP 2(b): timed fault schedules restore links mid-run"},
+	"internal/sim.Engine.Pending":         {"TestCancelRemovesEventFromQueueImmediately", "ROADMAP engine self-observability: queue depth"},
+	"internal/stochmodel.Bound":           {"TestEffectiveLambdaFormula", "§4 Theorem 2; ROADMAP 7(b) asserts it on the simulator"},
 }
 
 var testOnlyFields = map[string]pin{
 	"internal/core.Params.Alpha":             {"TestParamsValidate", "§3.6: the DRE decay factor; ROADMAP 14 varies it"},
 	"internal/core.Params.AgeTimeout":        {"TestCongestionToLeafAging", "§3.3: metric aging"},
 	"internal/core.Params.FlowletTableSize":  {"TestFlowletTableMatchesReferenceModel", "§3.4: the flowlet table's size; small tables make collisions testable"},
-	"internal/core.Params.MaxUplinks":        {"TestNewLeafValidation", "§3.1: the LBTag space"},
 	"internal/fabric.Config.AccessPropDelay": {"TestPartitionedValidation", "ROADMAP 12: propagation delay is a metamorphic factor"},
 	"internal/fabric.Config.FabricPropDelay": {"TestPartitionedValidation", "ROADMAP 12: propagation delay is a metamorphic factor"},
 	"internal/fabric.Config.HostBufBytes":    {"TestFabricMatchesReference", "ROADMAP 17: the host NIC's queue decides self-inflicted drops"},
@@ -49,9 +44,6 @@ var testOnlyFields = map[string]pin{
 	"conga.HDFSConfig.BlockBytes":            {"TestCheckIncastAndHDFS", "test size: an HDFS job small enough for go test"},
 	"conga.HDFSConfig.Timeout":               {"TestHostileConfigsReturnErrors", "test size: a trial bound for go test"},
 	"conga.ScaleConfig.Duration":             {"TestHostileConfigsReturnErrors", "test size: a scale cell small enough for go test"},
-	"conga.ScaleConfig.HostsPerLeaf":         {"TestHostileConfigsReturnErrors", "the scale cell's shape (ROADMAP 16)"},
-	"conga.ScaleConfig.Spines":               {"TestHostileConfigsReturnErrors", "the scale cell's shape (ROADMAP 16)"},
-	"conga.ScaleConfig.LinksPerSpine":        {"TestHostileConfigsReturnErrors", "the scale cell's shape (ROADMAP 16)"},
 	"internal/telemetry.Options.SeriesCap":   {"TestSeriesDownsampling", "test size: a series that fills"},
 	"internal/telemetry.Options.TraceCap":    {"TestReadReportsMatchGolden", "test size: a trace that fills"},
 	"internal/telemetry.Options.DecisionCap": {"TestReadReportsMatchGolden", "test size: a decision trace that fills"},

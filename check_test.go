@@ -10,11 +10,15 @@ import (
 )
 
 // TestCheckDoesNotPerturbSimulation puts the audit on the non-perturbation
-// matrix: every scheme, sequential and on two domains, must give a result
-// bit-identical with Check on as with it off — and pass it.
+// matrix: every scheme sequentially, and every TCP scheme on two domains
+// too, must give a result bit-identical with Check on as with it off — and
+// pass it.
 func TestCheckDoesNotPerturbSimulation(t *testing.T) {
 	for _, scheme := range []Scheme{SchemeECMP, SchemeCONGA, SchemeCONGAFlow, SchemeLocal, SchemeSpray, SchemeMPTCPMarker} {
 		for _, domains := range []int{1, 2} {
+			if domains > 1 && scheme == SchemeMPTCPMarker {
+				continue // several domains run TCP only
+			}
 			cfg := FCTConfig{
 				Topology: Topology{Leaves: 2, Spines: 2, HostsPerLeaf: 4, LinksPerSpine: 1,
 					AccessGbps: 10, FabricGbps: 10},

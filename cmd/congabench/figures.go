@@ -681,13 +681,6 @@ func runFig16(quick bool) {
 	fmt.Println("Paper shape: ECMP's queues ≈10× CONGA's at the spine downlinks adjacent to failures.")
 }
 
-func max[T int | float64](a, b T) T {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // --- Figure 17 / Theorem 1 ---
 
 func runFig17(quick bool) {

@@ -16,8 +16,9 @@ type ReplayCompareConfig struct {
 	Trace *replay.Trace
 	// A and B are the two configurations under comparison. Their Replay,
 	// Record and CollectFlows fields are managed by the runner; everything
-	// else (Scheme, Transport, Params, failed links, buffers, Parallel) is
-	// the caller's experimental contrast.
+	// else (Scheme, Transport, Params, failed links, buffers) is the
+	// caller's experimental contrast. Both run sequentially: a replay
+	// refuses Parallel > 1.
 	A, B FCTConfig
 }
 

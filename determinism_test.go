@@ -199,10 +199,6 @@ func goldenRows() []goldenRow {
 			want: goldenResult{events: 2498307, drops: 10681, retx: 22920, timeouts: 10, norm: 2.3454791276130007,
 				flows: 0x54d2c47c19f71aa4},
 			mallocs: 8825},
-		{name: "Fig09MPTCP/p2", fct: fct(benchTopo(), SchemeMPTCPMarker, 10*ms, 150, 7, 2), linkModel: true,
-			want: goldenResult{events: 2378462, drops: 11017, retx: 22348, timeouts: 10, norm: 2.3275022556438802,
-				flows: 0x3775f9cb62319bb3},
-			mallocs: 10521},
 		{name: "Fig11/p1", fct: fct(failed, SchemeCONGA, 10*ms, 150, 11, 0), linkModel: true,
 			want: goldenResult{events: 1121117, drops: 1990, retx: 11929, timeouts: 3, norm: 2.4975175352567356,
 				flows: 0xc4df7aff834d5489},

@@ -131,9 +131,9 @@ type FCTConfig struct {
 	// case of the same path. Results are deterministic for a fixed Parallel
 	// value but differ between values: several domains interleave
 	// same-timestamp events differently and keep every receiver bound for
-	// the whole run (see run.inject). Several domains reject the options
-	// that need a single engine: CollectImbalance, CollectQueues and
-	// telemetry traces/taps.
+	// the whole run (see run.inject). Several domains run a plain-TCP cell
+	// only: they refuse MPTCP, Telemetry, Record, Replay, CollectQueues and
+	// CollectImbalance, which run sequentially.
 	Parallel int
 }
 
@@ -276,23 +276,30 @@ func RunFCT(cfg FCTConfig) (*FCTResult, error) {
 }
 
 // checkParallel rejects, up front and naming the sequential alternative,
-// the options that structurally need one engine.
+// every option the space-parallel engine does not carry across domains: it
+// runs a plain-TCP FCT cell and nothing that observes, records or replays
+// it.
 func (cfg FCTConfig) checkParallel() error {
-	t := cfg.Telemetry
+	var opt string
 	switch {
-	case cfg.CollectImbalance:
-		return fmt.Errorf("conga: CollectImbalance is not supported with Parallel=%d (its sampler ticks on one engine but reads uplinks across domains); collect it on a sequential run", cfg.Parallel)
+	case cfg.Scheme == SchemeMPTCPMarker:
+		opt = "Scheme mptcp"
+	case cfg.Transport.Kind == TransportMPTCP:
+		opt = "Transport.Kind TransportMPTCP"
+	case cfg.Telemetry != nil:
+		opt = "Telemetry"
+	case cfg.Record:
+		opt = "Record"
+	case cfg.Replay != nil:
+		opt = "Replay"
 	case cfg.CollectQueues:
-		return fmt.Errorf("conga: CollectQueues is not supported with Parallel=%d (its sampler reads fabric links across domains); collect it on a sequential run", cfg.Parallel)
-	case t != nil && (t.Trace || t.Hub != nil):
-		return fmt.Errorf("conga: telemetry traces and live taps are not supported with Parallel=%d (they interleave events from all domains in one stream); counters and series remain available", cfg.Parallel)
-	case t != nil && t.Decisions && t.DecisionTrace:
-		// The per-leaf decision hooks themselves are fine at any P (leaves
-		// are domain-owned, flush merges them in leaf order); only the
-		// single shared audit buffer has no deterministic parallel merge.
-		return fmt.Errorf("conga: the decision trace is not supported with Parallel=%d (one bounded audit buffer cannot merge per-domain decision streams deterministically); run sequentially for the audit trail — decision counters, path matrices and staleness series remain available", cfg.Parallel)
+		opt = "CollectQueues"
+	case cfg.CollectImbalance:
+		opt = "CollectImbalance"
+	default:
+		return nil
 	}
-	return nil
+	return fmt.Errorf("conga: %s is not supported with Parallel=%d (the space-parallel engine runs plain-TCP cells only); run it sequentially (Parallel <= 1)", opt, cfg.Parallel)
 }
 
 // fctShard is one domain's share of an FCT run's results. Each domain's
@@ -314,6 +321,11 @@ func runFCT(cfg FCTConfig) (*FCTResult, error) {
 	case cfg.DrainTimeout < 0:
 		return nil, fmt.Errorf("conga: DrainTimeout %v must not be negative (0 means the default, 2s)", cfg.DrainTimeout)
 	}
+	if cfg.Parallel > 1 {
+		if err := cfg.checkParallel(); err != nil {
+			return nil, err
+		}
+	}
 	if cfg.Replay != nil {
 		if err := cfg.checkReplay(); err != nil {
 			return nil, err
@@ -322,11 +334,6 @@ func runFCT(cfg FCTConfig) (*FCTResult, error) {
 			// The replayed horizon is the recording's, not the caller's: an
 			// arrival window shorter than the trace span would truncate it.
 			cfg.Duration = time.Duration(cfg.Replay.Header.DurationNs)
-		}
-	}
-	if cfg.Parallel > 1 {
-		if err := cfg.checkParallel(); err != nil {
-			return nil, err
 		}
 	}
 	r, err := newRun(cfg.Topology, cfg.Scheme, cfg.Params, cfg.Transport, cfg.WCMPWeights, cfg.Seed, cfg.Telemetry, cfg.Parallel)

@@ -173,8 +173,6 @@ func TestParamsValidate(t *testing.T) {
 		func(p *Params) { p.AgeTimeout = 0 },
 		func(p *Params) { p.FlowletTableSize = 0 },
 		func(p *Params) { p.FlowletTableSize = 1<<24 + 1 },
-		func(p *Params) { p.MaxUplinks = 0 },
-		func(p *Params) { p.MaxUplinks = 17 },
 		func(p *Params) { p.GapMode = GapMode(9) },
 	}
 	for i, mutate := range bad {

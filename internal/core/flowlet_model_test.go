@@ -140,7 +140,7 @@ func diffFlowlets(t *testing.T, p Params, seed uint64) {
 			ft.Sweep()
 			ref.sweep()
 		case op == 1: // install without a lookup: the only way to evict
-			port := rng.Intn(p.MaxUplinks)
+			port := rng.Intn(MaxUplinks)
 			ft.Install(hash, port, now)
 			ref.install(hash, port, now)
 		default:
@@ -153,7 +153,7 @@ func diffFlowlets(t *testing.T, p Params, seed uint64) {
 				t.Fatalf("step %d: valid = %v right after Lookup returned active = %v", step, ft.valid(hash), gotActive)
 			}
 			if !gotActive && op < 18 { // most misses install, some walk away
-				port := rng.Intn(p.MaxUplinks)
+				port := rng.Intn(MaxUplinks)
 				ft.Install(hash, port, now)
 				ref.install(hash, port, now)
 			}
@@ -258,7 +258,7 @@ func FuzzFlowletTableMatchesModel(f *testing.F) {
 					t.Fatalf("op %d: Lookup(%d) = (%d, %v), model (%d, %v)", k/4, hash, gp, ga, wp, wa)
 				}
 			case 1:
-				port := int(op>>3) % p.MaxUplinks
+				port := int(op>>3) % MaxUplinks
 				ft.Install(hash, port, now)
 				ref.install(hash, port, now)
 				installed[int(hash%uint64(size))] = true

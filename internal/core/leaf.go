@@ -141,15 +141,15 @@ func NewLeaf(id, numLeaves, numUplinks int, p Params, rng *sim.Rand) *Leaf {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	if numUplinks > p.MaxUplinks {
-		panic(fmt.Sprintf("core: %d uplinks exceeds MaxUplinks %d", numUplinks, p.MaxUplinks))
+	if numUplinks > MaxUplinks {
+		panic(fmt.Sprintf("core: %d uplinks exceeds MaxUplinks %d", numUplinks, MaxUplinks))
 	}
 	return &Leaf{
 		ID:         id,
 		Params:     p,
 		Flowlets:   NewFlowletTable(p),
 		ToLeaf:     NewCongestionToLeaf(numLeaves, numUplinks, p),
-		FromLeaf:   NewCongestionFromLeaf(numLeaves, p.MaxUplinks, p),
+		FromLeaf:   NewCongestionFromLeaf(numLeaves, MaxUplinks, p),
 		rng:        rng,
 		numUplinks: numUplinks,
 		remoteBuf:  make([]uint8, numUplinks),

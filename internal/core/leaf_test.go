@@ -259,9 +259,7 @@ func TestNewLeafValidation(t *testing.T) {
 			t.Error("NewLeaf with more uplinks than MaxUplinks did not panic")
 		}
 	}()
-	p := testParams()
-	p.MaxUplinks = 4
-	NewLeaf(0, 2, 5, p, sim.NewRand(1))
+	NewLeaf(0, 2, MaxUplinks+1, testParams(), sim.NewRand(1))
 }
 
 // written counts the rows written so far.

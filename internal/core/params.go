@@ -98,11 +98,6 @@ type Params struct {
 	// most maxFlowletTableSize are accepted.
 	FlowletTableSize int
 
-	// MaxUplinks bounds the LBTag space. The wire format carries a 4-bit
-	// LBTag, so this may not exceed 16; the paper's hardware uses at most
-	// 12 uplinks.
-	MaxUplinks int
-
 	// GapMode selects the flowlet gap-detection mechanism.
 	GapMode GapMode
 
@@ -110,6 +105,10 @@ type Params struct {
 	// congestion composition.
 	PathMetric PathMetric
 }
+
+// MaxUplinks is the LBTag space, the most uplinks a leaf may have: the
+// wire format carries a 4-bit LBTag. The paper's hardware uses at most 12.
+const MaxUplinks = maxLBTag + 1
 
 // maxFlowletTableSize is the largest FlowletTableSize Validate accepts: 256
 // times the ASIC's 64K entries, whose 32K-page index is 256 KB per table. A
@@ -128,7 +127,6 @@ func DefaultParams() Params {
 		Tfl:              500 * sim.Microsecond,
 		AgeTimeout:       10 * sim.Millisecond,
 		FlowletTableSize: 64 * 1024,
-		MaxUplinks:       16,
 		GapMode:          GapModeAgeBit,
 	}
 }
@@ -167,8 +165,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("core: AgeTimeout = %v must be positive", p.AgeTimeout)
 	case p.FlowletTableSize <= 0 || p.FlowletTableSize > maxFlowletTableSize:
 		return fmt.Errorf("core: FlowletTableSize = %d out of range [1, %d]", p.FlowletTableSize, maxFlowletTableSize)
-	case p.MaxUplinks < 1 || p.MaxUplinks > maxLBTag+1:
-		return fmt.Errorf("core: MaxUplinks = %d out of range [1, %d]", p.MaxUplinks, maxLBTag+1)
 	case p.GapMode != GapModeAgeBit && p.GapMode != GapModeTimestamp:
 		return fmt.Errorf("core: unknown GapMode %d", p.GapMode)
 	case p.PathMetric != PathMetricMax && p.PathMetric != PathMetricSum:

@@ -93,10 +93,10 @@ func TestExchangeAcceptsBoundaryArrival(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := crossUplink(t, n)
-	eng1 := n.DomainEngine(1)
+	eng1 := n.engines[1]
 	log := &arrivalLog{eng: eng1}
 	l.dst = log
-	p := n.DomainPool(0).Get()
+	p := n.pools[0].Get()
 	p.link = l
 	const we = sim.Time(2000)
 	n.mail[0][1].push(p, we) // arrival == windowEnd: the legal edge

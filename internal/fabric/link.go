@@ -151,12 +151,10 @@ func (l *Link) Up() bool { return l.up }
 // everything queued (as pulling a cable does) and resets its DRE.
 //
 // A fabric link's SetUp also bumps its network's link-state generation,
-// which every leaf's PathUsable reads. Under the parallel engine that is
-// one more word shared across domains next to the links' up flags
-// PathUsable has always read: call SetUp between runs or from a point where
-// all domains are quiescent. A SetUp racing another domain's window is as
-// undefined as it was before the generation counter existed — no more, no
-// less.
+// which every leaf's PathUsable reads. Under the parallel engine that word
+// and the links' up flags are shared across domains, so a partitioned
+// network changes link state only before its run (FailedLinks); killing a
+// packet mid-serialization on a cross-domain link panics.
 func (l *Link) SetUp(up bool) {
 	l.up = up
 	if l.gen != nil {
@@ -180,22 +178,10 @@ func (l *Link) SetUp(up bool) {
 	if l.serSize == 0 || !l.claimed(now) {
 		return
 	}
-	l.serSize = 0
 	if l.xq != nil {
-		// An entry already drained by a window exchange has left this
-		// domain's reach; it delivers (the packet was fully committed to
-		// the wire when the window closed).
-		es := l.xq.entries
-		for i := len(es) - 1; i >= 0; i-- {
-			if es[i].p == l.wire {
-				es[i].p = nil
-				l.killed++
-				l.drop(l.wire, now)
-				break
-			}
-		}
-		return
+		panic(fmt.Sprintf("fabric: link %s failed mid-serialization under the parallel engine, whose cross-domain arrivals cannot be cancelled; fail links before the run (FailedLinks) or run sequentially", l.Name))
 	}
+	l.serSize = 0
 	victim := l.wire
 	if victim.link != l || !l.eng.CancelNode(&victim.ev) {
 		panic(fmt.Sprintf("fabric: link %s lost track of the packet it is serializing", l.Name))

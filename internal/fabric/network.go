@@ -134,9 +134,9 @@ func (cfg Config) Validate() error {
 	case c.EdgeBufBytes < 0 || c.FabricBufBytes < 0 || c.HostBufBytes < 0:
 		return fmt.Errorf("fabric: buffer sizes (edge %d, fabric %d, host %d bytes) must not be negative",
 			c.EdgeBufBytes, c.FabricBufBytes, c.HostBufBytes)
-	case c.NumSpines*c.LinksPerSpine > c.Params.MaxUplinks:
+	case c.NumSpines*c.LinksPerSpine > core.MaxUplinks:
 		return fmt.Errorf("fabric: %d uplinks per leaf exceeds LBTag space %d",
-			c.NumSpines*c.LinksPerSpine, c.Params.MaxUplinks)
+			c.NumSpines*c.LinksPerSpine, core.MaxUplinks)
 	case c.FabricPropDelay <= 0:
 		// Zero lookahead would serialize (or deadlock) the space-parallel
 		// engine, whose window size is exactly this delay.
@@ -195,21 +195,20 @@ type Network struct {
 	// Space-parallel partition state (see partition.go). A network built by
 	// NewNetwork has one domain: engines = [Engine], pools = [pool], no
 	// mailboxes. dreActive[d] lists domain d's fabric links with a nonzero
-	// DRE register (that domain's decay dirty-list); domFabIdx[d] /
-	// domLeafIdx[d] index fabricLinks / Leaves by owning domain for the
-	// per-domain tickers and series sampling.
+	// DRE register (that domain's decay dirty-list); domLeafIdx[d] lists
+	// the leaves domain d owns, for its flowlet sweep and audit.
 	domains    int
 	engines    []*sim.Engine
 	pools      []*PacketPool
 	dreActive  [][]*Link
-	domFabIdx  [][]int
 	domLeafIdx [][]int
 	mail       [][]*mailbox // mail[src][dst]; nil diagonal; nil when sequential
 	deliv      []*deliverer // per-domain engine + merge scratch for Exchange; nil when sequential
 
 	// Telemetry series, parallel to fabricLinks / Leaves; all nil when
-	// telemetry is off. Samples are taken inside the existing ticker
-	// callbacks (see NewNetwork) so telemetry adds no events.
+	// telemetry is off, which it always is on several domains. Samples are
+	// taken inside the existing ticker callbacks (see NewNetwork) so
+	// telemetry adds no events.
 	tel         *telemetry.Registry
 	telQueue    []*telemetry.Series   // queue depth per fabric link
 	telDRE      []*telemetry.Series   // DRE register per fabric link
@@ -287,10 +286,7 @@ func (n *Network) wireTelemetry(reg *telemetry.Registry) {
 		reg.RecordEngine("packet_recycled", recycled)
 	})
 	for _, h := range n.Hosts {
-		// Per-domain shard so concurrent domains never share a counter
-		// cache line; shard 0 is the registry's own TCP block, so a
-		// sequential network is wired exactly as before.
-		h.tcpTel = reg.TCPShard(h.Leaf % n.domains)
+		h.tcpTel = reg.TCP()
 		h.trace = tr
 		h.traceName = fmt.Sprintf("h%d", h.ID)
 	}
@@ -323,8 +319,6 @@ func (n *Network) wireTelemetry(reg *telemetry.Registry) {
 			continue
 		}
 		cl := cc.Core()
-		// Decision-plane hooks: per-leaf structs, written only by the
-		// owning leaf's domain, so they need no parallel-mode rejection.
 		if h := reg.Decisions(leafID, len(ls.uplinks), len(n.Leaves)); h != nil {
 			cl.Hooks = h
 			ls.decisions = h
@@ -340,13 +334,10 @@ func (n *Network) wireTelemetry(reg *telemetry.Registry) {
 	}
 }
 
-// sampleLinkSeries records queue depth and DRE register for domain d's
-// fabric links; called from that domain's DRE-decay ticker when telemetry
-// is on. Each series is only ever touched by its link's owning
-// domain, so parallel domains sample concurrently without sharing.
-func (n *Network) sampleLinkSeries(d int, now sim.Time) {
-	for _, i := range n.domFabIdx[d] {
-		l := n.fabricLinks[i]
+// sampleLinkSeries records queue depth and DRE register for every fabric
+// link; called from the DRE-decay ticker when telemetry is on.
+func (n *Network) sampleLinkSeries(now sim.Time) {
+	for i, l := range n.fabricLinks {
 		n.telQueue[i].Observe(now, float64(l.qlen))
 		n.telDRE[i].Observe(now, l.dre.X())
 	}
@@ -358,9 +349,8 @@ func (n *Network) sampleLinkSeries(d int, now sim.Time) {
 // DRE-decay ticker (the same safe point that samples link series and
 // publishes taps); windows with no aged decisions leave a gap instead of
 // fabricating a zero.
-func (n *Network) sampleStaleness(d int, now sim.Time) {
-	for _, i := range n.domLeafIdx[d] {
-		h := n.telHooks[i]
+func (n *Network) sampleStaleness(now sim.Time) {
+	for i, h := range n.telHooks {
 		if h == nil {
 			continue
 		}
@@ -371,11 +361,11 @@ func (n *Network) sampleStaleness(d int, now sim.Time) {
 }
 
 // sampleLeafSeries records flowlet-table occupancy and per-uplink
-// CongestionToLeaf max metrics for domain d's leaves; called from that
-// domain's flowlet-sweep ticker.
-func (n *Network) sampleLeafSeries(d int, now sim.Time) {
-	for _, i := range n.domLeafIdx[d] {
-		if s := n.telFlowlet[i]; s != nil {
+// CongestionToLeaf max metrics for every leaf; called from the
+// flowlet-sweep ticker.
+func (n *Network) sampleLeafSeries(now sim.Time) {
+	for i, s := range n.telFlowlet {
+		if s != nil {
 			s.Observe(now, float64(n.telFlTables[i].Live()))
 		}
 		if row := n.telTbl[i]; row != nil {

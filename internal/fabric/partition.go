@@ -84,16 +84,10 @@ func (n *Network) Exchange(d int, windowEnd sim.Time) {
 		if mb == nil {
 			continue
 		}
-		for i := range mb.entries {
-			e := &mb.entries[i]
-			if e.p != nil {
-				merge = append(merge, xArrival{p: e.p, at: e.at, src: int32(s), seq: int32(i)})
-			}
-			// A nil p is a tombstone: a packet killed by a
-			// mid-serialization link failure before the window closed
-			// (Link.SetUp). It simply doesn't merge.
-			*e = mailEntry{}
+		for i, e := range mb.entries {
+			merge = append(merge, xArrival{p: e.p, at: e.at, src: int32(s), seq: int32(i)})
 		}
+		clear(mb.entries)
 		mb.entries = mb.entries[:0]
 	}
 	slices.SortFunc(merge, func(a, b xArrival) int {
@@ -110,21 +104,8 @@ func (n *Network) Exchange(d int, windowEnd sim.Time) {
 	dv.merge = merge[:0]
 }
 
-// Domains returns the number of partition domains (1 for a sequential
-// network).
-func (n *Network) Domains() int { return n.domains }
-
-// DomainEngine returns domain d's engine.
-func (n *Network) DomainEngine(d int) *sim.Engine { return n.engines[d] }
-
-// LeafDomain returns the domain owning leaf (and its hosts).
-func (n *Network) LeafDomain(leaf int) int { return leaf % n.domains }
-
-// HostDomain returns the domain owning host.
-func (n *Network) HostDomain(host int) int { return n.LeafDomain(n.HostLeaf(host)) }
-
-// DomainPool returns domain d's packet pool.
-func (n *Network) DomainPool(d int) *PacketPool { return n.pools[d] }
+// HostDomain returns the domain owning host (that of its leaf).
+func (n *Network) HostDomain(host int) int { return n.HostLeaf(host) % n.domains }
 
 // NewPartitionedNetwork builds the fabric described by cfg across one
 // engine per domain, for execution under sim.ParallelEngine with window
@@ -147,18 +128,7 @@ func NewPartitionedNetwork(engines []*sim.Engine, cfg Config) (*Network, error) 
 			P, cfg.NumLeaves)
 	}
 	if P > 1 && cfg.Telemetry != nil {
-		opts := cfg.Telemetry.Options()
-		switch {
-		case opts.Trace:
-			return nil, fmt.Errorf("fabric: packet trace is not supported under the parallel engine (single shared trace buffer)")
-		case opts.Hub != nil:
-			return nil, fmt.Errorf("fabric: live taps are not supported under the parallel engine")
-		case opts.Decisions && opts.DecisionTrace:
-			// Per-leaf decision hooks (counters, path matrices, staleness
-			// series) are domain-owned and stay available; only the single
-			// shared audit buffer is rejected.
-			return nil, fmt.Errorf("fabric: the decision trace is not supported under the parallel engine (single shared audit buffer); run sequentially for the audit trail, or keep Decisions without DecisionTrace")
-		}
+		return nil, fmt.Errorf("fabric: telemetry is not supported under the parallel engine (%d domains); build the network on one engine", P)
 	}
 
 	n := &Network{
@@ -175,7 +145,6 @@ func NewPartitionedNetwork(engines []*sim.Engine, cfg Config) (*Network, error) 
 	}
 	n.pool = n.pools[0]
 	n.dreActive = make([][]*Link, P)
-	n.domFabIdx = make([][]int, P)
 	n.domLeafIdx = make([][]int, P)
 	if P > 1 {
 		n.mail = make([][]*mailbox, P)
@@ -273,8 +242,6 @@ func NewPartitionedNetwork(engines []*sim.Engine, cfg Config) (*Network, error) 
 				ls.uplinkSpine = append(ls.uplinkSpine, s)
 				ss.down[leaf] = append(ss.down[leaf], down)
 				n.fabricLinks = append(n.fabricLinks, up, down)
-				n.domFabIdx[ld] = append(n.domFabIdx[ld], len(n.fabricLinks)-2)
-				n.domFabIdx[sd] = append(n.domFabIdx[sd], len(n.fabricLinks)-1)
 			}
 		}
 	}
@@ -288,7 +255,8 @@ func NewPartitionedNetwork(engines []*sim.Engine, cfg Config) (*Network, error) 
 		ls.strategy = n.newStrategy(ls)
 	}
 
-	// Telemetry hooks and series (no-op when cfg.Telemetry is nil).
+	// Telemetry hooks and series (no-op when cfg.Telemetry is nil, as it
+	// always is on several domains).
 	n.wireTelemetry(cfg.Telemetry)
 
 	// DRE decay: one ticker per domain drives the estimators of that
@@ -319,16 +287,14 @@ func NewPartitionedNetwork(engines []*sim.Engine, cfg Config) (*Network, error) 
 				act[i] = nil
 			}
 			n.dreActive[dom] = kept
-			if n.telQueue != nil {
-				n.sampleLinkSeries(dom, now)
+			if n.tel == nil {
+				return
 			}
-			if n.telStale != nil {
-				n.sampleStaleness(dom, now)
-			}
+			n.sampleLinkSeries(now)
+			n.sampleStaleness(now)
 			// The streaming tap publishes here too: the DRE tick is an
 			// existing safe point, so snapshot handoff adds no events and the
 			// executed-event count stays identical with a tap attached.
-			// (Taps are rejected under P>1, where PublishTap is a no-op.)
 			n.tel.PublishTap(now)
 		})
 	}
@@ -342,8 +308,8 @@ func NewPartitionedNetwork(engines []*sim.Engine, cfg Config) (*Network, error) 
 			for _, leaf := range n.domLeafIdx[dom] {
 				n.Leaves[leaf].strategy.Tick(now)
 			}
-			if n.telFlowlet != nil {
-				n.sampleLeafSeries(dom, now)
+			if n.tel != nil {
+				n.sampleLeafSeries(now)
 			}
 			if n.checkErrs != nil {
 				n.checkSweep(dom, now)

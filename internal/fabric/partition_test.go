@@ -65,17 +65,14 @@ func TestPartitionAssignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.Domains() != 2 {
-		t.Fatalf("Domains() = %d, want 2", n.Domains())
+	if n.domains != 2 {
+		t.Fatalf("%d domains, want 2", n.domains)
 	}
-	if n.DomainPool(0) != n.pool {
+	if n.pools[0] != n.pool {
 		t.Fatal("pools[0] must alias the sequential pool field")
 	}
 	for leaf, ls := range n.Leaves {
 		want := leaf % 2
-		if got := n.LeafDomain(leaf); got != want {
-			t.Fatalf("LeafDomain(%d) = %d, want %d", leaf, got, want)
-		}
 		for i, up := range ls.uplinks {
 			if up.dom != want {
 				t.Fatalf("%s owned by domain %d, want %d (transmitter side)", up.Name, up.dom, want)
@@ -114,8 +111,8 @@ func TestSequentialBuildHasNoPartitionMachinery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.Domains() != 1 || n.mail != nil || n.deliv != nil {
-		t.Fatalf("sequential network grew partition state: domains=%d mail=%v", n.Domains(), n.mail)
+	if n.domains != 1 || n.mail != nil || n.deliv != nil {
+		t.Fatalf("sequential network grew partition state: domains=%d mail=%v", n.domains, n.mail)
 	}
 	for _, l := range n.fabricLinks {
 		if l.xq != nil || l.dom != 0 {
@@ -133,12 +130,12 @@ func TestExchangeMergeOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := n.DomainEngine(2)
+	eng := n.engines[2]
 	log := &arrivalLog{eng: eng}
 	l := n.Leaves[0].uplinks[0]
 	l.dst = log
 	mk := func(id uint64) *Packet {
-		p := n.DomainPool(0).Get()
+		p := n.pools[0].Get()
 		p.FlowID, p.link = id, l
 		return p
 	}
@@ -186,7 +183,7 @@ func TestExchangeLookaheadViolationPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := n.DomainPool(0).Get()
+	p := n.pools[0].Get()
 	p.link = n.Leaves[0].uplinks[0]
 	n.mail[0][1].push(p, 100)
 	defer func() {
@@ -212,13 +209,13 @@ func TestExportSurvivesLinkFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := crossUplink(t, n)
-	eng1 := n.DomainEngine(1)
+	eng1 := n.engines[1]
 	log := &arrivalLog{eng: eng1}
 	l.dst = log
 
-	p := n.DomainPool(0).Get()
+	p := n.pools[0].Get()
 	p.Payload = 1000
-	eng0 := n.DomainEngine(0)
+	eng0 := n.engines[0]
 	eng0.At(0, func(now sim.Time) { l.Send(p, now) })
 	window := n.Cfg.FabricPropDelay
 	eng0.Run(window - 1) // run domain 0's first window: tx completes, export happens
@@ -256,13 +253,13 @@ func TestCrossDomainArrivalRidesPacketNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := crossUplink(t, n)
-	eng0, eng1 := n.DomainEngine(0), n.DomainEngine(1)
+	eng0, eng1 := n.engines[0], n.engines[1]
 	log := &arrivalLog{eng: eng1}
 	l.dst = log
 
 	var ps [2]*Packet
 	for i := range ps {
-		ps[i] = n.DomainPool(0).Get()
+		ps[i] = n.pools[0].Get()
 		ps[i].Payload = 1000
 	}
 	// The second packet queues behind the first; both leave inside window 0.
@@ -307,30 +304,28 @@ func TestCrossDomainArrivalRidesPacketNode(t *testing.T) {
 	}
 }
 
-// TestCrossDomainKillTombstonesMailEntry pulls the cable while a packet is
-// serializing on a cross-domain link: the arrival already sits in the
-// mailbox, so the kill blanks that entry and the exchange schedules nothing.
-func TestCrossDomainKillTombstonesMailEntry(t *testing.T) {
+// TestCrossDomainKillPanics pulls the cable while a packet is serializing
+// on a cross-domain link: its arrival already sits in the mailbox, out of
+// the link's reach, so the kill fails loudly and names the parallel engine
+// instead of delivering a packet the link counts as dropped.
+func TestCrossDomainKillPanics(t *testing.T) {
 	n, err := NewPartitionedNetwork(partEngines(2), partCfg(2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	l := crossUplink(t, n)
-	eng0, eng1 := n.DomainEngine(0), n.DomainEngine(1)
-	p := n.DomainPool(0).Get()
+	eng0 := n.engines[0]
+	p := n.pools[0].Get()
 	p.Payload = 1000
 	eng0.At(0, func(now sim.Time) { l.Send(p, now) })
 	eng0.At(100, func(sim.Time) { l.SetUp(false) }) // mid-serialization
-	window := n.Cfg.FabricPropDelay
-	eng0.Run(window - 1)
-	if len(l.xq.entries) != 1 || l.xq.entries[0].p != nil || l.Drops != 1 || l.TxPackets() != 1 {
-		t.Fatalf("after the kill: entries %+v, drops %d, tx %d; want one tombstone, 1 and 1",
-			l.xq.entries, l.Drops, l.TxPackets())
-	}
-	n.Exchange(1, window)
-	if eng1.Live() != 0 || len(l.xq.entries) != 0 {
-		t.Fatalf("exchange scheduled %d arrivals from a tombstone, %d entries left", eng1.Live(), len(l.xq.entries))
-	}
+	defer func() {
+		r := recover()
+		if s, ok := r.(string); !ok || !strings.Contains(s, "parallel engine") || !strings.Contains(s, l.Name) {
+			t.Fatalf("panic %v, want one naming %s and the parallel engine", r, l.Name)
+		}
+	}()
+	eng0.Run(n.Cfg.FabricPropDelay - 1)
 }
 
 // TestPartitionedValidation exercises the build-time guards.
@@ -351,17 +346,12 @@ func TestPartitionedValidation(t *testing.T) {
 	if _, err := NewPartitionedNetwork(partEngines(1), nega); err == nil {
 		t.Error("negative AccessPropDelay: expected error")
 	}
-	trace := partCfg(2, 2)
-	trace.Telemetry = telemetry.New(telemetry.Options{Trace: true})
-	if _, err := NewPartitionedNetwork(partEngines(2), trace); err == nil {
-		t.Error("trace under P>1: expected error")
+	tel := partCfg(2, 2)
+	tel.Telemetry = telemetry.New(telemetry.Options{})
+	if _, err := NewPartitionedNetwork(partEngines(2), tel); err == nil || !strings.Contains(err.Error(), "telemetry") {
+		t.Errorf("telemetry under P>1: error %v, want one naming telemetry", err)
 	}
-	if _, err := NewPartitionedNetwork(partEngines(1), trace); err != nil {
-		t.Errorf("trace under P=1 must stay allowed: %v", err)
-	}
-	tap := partCfg(2, 2)
-	tap.Telemetry = telemetry.New(telemetry.Options{Hub: telemetry.NewHub()})
-	if _, err := NewPartitionedNetwork(partEngines(2), tap); err == nil {
-		t.Error("tap under P>1: expected error")
+	if _, err := NewPartitionedNetwork(partEngines(1), tel); err != nil {
+		t.Errorf("telemetry under P=1 must stay allowed: %v", err)
 	}
 }

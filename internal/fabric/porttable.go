@@ -10,7 +10,7 @@ package fabric
 // Layout: power-of-two capacity, key 0 as the empty sentinel (port 0 is
 // never bindable — Host.Bind rejects it), Fibonacci-multiplicative
 // hashing, and backward-shift deletion so probe chains stay dense without
-// tombstones. The table is only ever probed point-wise (Bind, Unbind,
+// deleted-slot markers. The table is only ever probed point-wise (Bind, Unbind,
 // AllocPort, packet demux); nothing iterates it, so probe order cannot
 // leak into simulation behavior.
 type portTable struct {
@@ -86,7 +86,7 @@ func (t *portTable) insert(port int, r Receiver) bool {
 
 // delete unbinds port (a no-op if unbound), using backward-shift deletion:
 // entries displaced past the vacated slot move back into it, so lookups
-// need no tombstones and long-lived tables never degrade.
+// need no deleted-slot markers and long-lived tables never degrade.
 func (t *portTable) delete(port int) {
 	if t.live == 0 {
 		return

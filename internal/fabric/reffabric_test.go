@@ -251,7 +251,7 @@ func (r *refLeaf) flowlet(hash uint64, dstLeaf int, now sim.Time) int {
 // round-robin from the peer's cursor, the first entry that changed since it
 // was last fed back, else the first one ever observed.
 func (r *refLeaf) feedback(dstLeaf int, now sim.Time) refFB {
-	n, start := r.p.MaxUplinks, r.cursor[dstLeaf]
+	n, start := core.MaxUplinks, r.cursor[dstLeaf]
 	for _, wantChanged := range []bool{true, false} {
 		for i := 0; i < n; i++ {
 			k := [2]int{dstLeaf, (start + i) % n}

@@ -210,3 +210,48 @@ func TestIncastBurstinessExceedsTCP(t *testing.T) {
 		t.Fatalf("MPTCP (%d drops) was gentler than TCP (%d) at the incast port", mptcpDrops, tcpDrops)
 	}
 }
+
+// TestPoolDiscardsWrongShapeConnection pins the recycling rule: a pooled
+// connection is reused only if its subflow count matches the request.
+// Asked for another count, the pool discards it — it must never rebind a
+// connection onto more or fewer subflows than it has — and the counters
+// say so.
+func TestPoolDiscardsWrongShapeConnection(t *testing.T) {
+	eng, n := testNet(t)
+	src, dst := n.Host(0), n.Host(4)
+	pool := NewPool()
+	steps := []struct {
+		subflows         int
+		wantSame         bool // reuses the previous step's connection
+		allocs, recycled uint64
+	}{
+		{subflows: 4, allocs: 1, recycled: 0},
+		{subflows: 2, allocs: 2, recycled: 0}, // four-subflow one discarded
+		{subflows: 2, wantSame: true, allocs: 2, recycled: 1},
+		{subflows: 4, allocs: 3, recycled: 1}, // two-subflow one discarded
+		{subflows: 4, wantSame: true, allocs: 3, recycled: 2},
+	}
+	var prev *Connection
+	for i, st := range steps {
+		cfg := testConfig()
+		cfg.Subflows = st.subflows
+		var c *Connection
+		pool.StartFlow(eng, src, dst, uint64(100+16*i), 50_000, cfg, func(f *Flow, _ sim.Time) { c = f.Conn })
+		eng.Run(sim.MaxTime)
+		if c == nil {
+			t.Fatalf("step %d: flow did not complete", i)
+		}
+		if (c == prev) != st.wantSame {
+			t.Errorf("step %d: reused previous connection = %v, want %v", i, c == prev, st.wantSame)
+		}
+		if len(c.senders) != st.subflows || len(c.receivers) != st.subflows {
+			t.Errorf("step %d: connection has %d senders and %d receivers, want %d each",
+				i, len(c.senders), len(c.receivers), st.subflows)
+		}
+		if pool.ConnAllocs != st.allocs || pool.ConnRecycled != st.recycled {
+			t.Errorf("step %d: ConnAllocs %d ConnRecycled %d, want %d and %d",
+				i, pool.ConnAllocs, pool.ConnRecycled, st.allocs, st.recycled)
+		}
+		prev = c
+	}
+}

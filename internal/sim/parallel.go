@@ -79,9 +79,6 @@ func NewParallelEngine(engines []*Engine, window Time) *ParallelEngine {
 	return pe
 }
 
-// Engines returns the per-domain engines.
-func (pe *ParallelEngine) Engines() []*Engine { return pe.engines }
-
 // SetExchange installs domain d's cross-domain merge callback. It runs on
 // domain d's worker goroutine once per window, after every domain has
 // reached the window edge, and must schedule any deliveries destined for

@@ -73,7 +73,7 @@ func (f *testFabric) exchangeInto(d int, windowEnd Time) {
 		}
 		return a.seq - b.seq
 	})
-	eng := f.pe.Engines()[d]
+	eng := f.pe.engines[d]
 	for _, m := range merge {
 		if m.at < windowEnd {
 			panic("test fabric: lookahead violated")
@@ -133,7 +133,7 @@ func TestParallelEngineSingleDomain(t *testing.T) {
 func TestParallelEngineWindowBoundary(t *testing.T) {
 	const W = 1000
 	f := newTestFabric(2, W)
-	engs := f.pe.Engines()
+	engs := f.pe.engines
 	var ran0 []Time
 	for _, at := range []Time{0, W - 1, W, 2*W - 1, 2 * W, 3 * W} {
 		a := at
@@ -156,7 +156,7 @@ func TestParallelEngineWindowBoundary(t *testing.T) {
 func TestParallelEngineExchangeAtWindowEnd(t *testing.T) {
 	const W = 1000
 	f := newTestFabric(2, W)
-	engs := f.pe.Engines()
+	engs := f.pe.engines
 	// Domain 0 transmits at t=0 (window [0, W)); arrival at exactly 0+W.
 	engs[0].At(0, func(now Time) { f.send(0, 1, now+W, 42) })
 	// Keep domain 1 alive past the boundary so the run cannot end early.
@@ -174,7 +174,7 @@ func TestParallelEngineExchangeAtWindowEnd(t *testing.T) {
 func TestParallelEngineCancelAcrossWindows(t *testing.T) {
 	const W = 1000
 	f := newTestFabric(2, W)
-	engs := f.pe.Engines()
+	engs := f.pe.engines
 
 	victimRan := false
 	victim := engs[0].At(10*W, func(Time) { victimRan = true })
@@ -215,7 +215,7 @@ func TestParallelEngineFastForward(t *testing.T) {
 	const W = 1000
 	const far = 1_000_000 * W
 	f := newTestFabric(2, W)
-	engs := f.pe.Engines()
+	engs := f.pe.engines
 	var ran []Time
 	engs[0].At(0, func(now Time) { ran = append(ran, now) })
 	engs[1].At(far, func(now Time) { ran = append(ran, now) })
@@ -236,7 +236,7 @@ func TestParallelEngineDeterministic(t *testing.T) {
 	const W = 1000
 	run := func() [][]testMsg {
 		f := newTestFabric(4, W)
-		engs := f.pe.Engines()
+		engs := f.pe.engines
 		for d := 0; d < 4; d++ {
 			dd := d
 			eng := engs[dd]

@@ -59,12 +59,11 @@ type Options struct {
 	TraceStopAfter int
 	// Decisions enables the decision-plane hooks: per-leaf flowlet routing
 	// reason counters, per-(uplink, dstLeaf) path load matrices, and the
-	// feedback-staleness series. Per-leaf state only, so it works under the
-	// space-parallel engine.
+	// feedback-staleness series. Like every probe, it needs one engine: the
+	// space-parallel engine refuses any telemetry.
 	Decisions bool
 	// DecisionTrace additionally records individual SelectUplink outcomes
-	// into one bounded audit buffer (requires Decisions). A single shared
-	// buffer, so it is rejected under the parallel engine.
+	// into one bounded audit buffer (requires Decisions).
 	DecisionTrace bool
 	// DecisionCap bounds the decision trace (default 65536).
 	DecisionCap int
@@ -169,11 +168,6 @@ type Registry struct {
 	links   []*LinkCounters
 	linkIdx map[string]*LinkCounters
 	tcp     TCPCounters
-	// tcpShards holds extra TCP counter blocks for the space-parallel
-	// engine: shard 0 is r.tcp itself, shard d>0 is tcpShards[d-1], so a
-	// sequential run is wired exactly as before. Each shard is written by
-	// one domain goroutine only; TCPTotals sums them all.
-	tcpShards []*TCPCounters
 
 	flowlets []FlowletRow
 	engine   []CounterRow
@@ -220,9 +214,6 @@ func New(opts Options) *Registry {
 	return r
 }
 
-// Options returns the registry's (defaulted) options.
-func (r *Registry) Options() Options { return r.opts }
-
 // Link returns the counter hooks for the named link, creating them on first
 // use. It returns nil — and allocates nothing — when the registry itself is
 // nil, so callers can wire unconditionally.
@@ -239,21 +230,13 @@ func (r *Registry) Link(name string) *LinkCounters {
 	return c
 }
 
-// TCPShard returns the TCP counter block for partition domain d, creating
-// shards on first use. Shard 0 is the registry's own block, so
-// sequential callers see no difference. Shards must be created before the
-// run starts; the accessor is not goroutine-safe.
-func (r *Registry) TCPShard(d int) *TCPCounters {
+// TCP returns the registry's TCP counter block, which every host of the
+// run bumps, or nil on a nil registry.
+func (r *Registry) TCP() *TCPCounters {
 	if r == nil {
 		return nil
 	}
-	if d == 0 {
-		return &r.tcp
-	}
-	for len(r.tcpShards) < d {
-		r.tcpShards = append(r.tcpShards, &TCPCounters{})
-	}
-	return r.tcpShards[d-1]
+	return &r.tcp
 }
 
 // Trace returns the packet trace, or nil when tracing is disabled.
@@ -411,21 +394,12 @@ func (r *Registry) LinkTotals() (enq, deq, drops, ceMarks uint64) {
 	return
 }
 
-// TCPTotals returns the engine-wide TCP counters summed over every
-// partition shard (just the base block for a sequential run).
+// TCPTotals returns the run's TCP counters.
 func (r *Registry) TCPTotals() TCPCounters {
 	if r == nil {
 		return TCPCounters{}
 	}
-	t := r.tcp
-	for _, s := range r.tcpShards {
-		t.Retransmits += s.Retransmits
-		t.Timeouts += s.Timeouts
-		t.FastRetx += s.FastRetx
-		t.DupAcks += s.DupAcks
-		t.ReorderDefers += s.ReorderDefers
-	}
-	return t
+	return r.tcp
 }
 
 // FlowletTotals sums the per-leaf flowlet rows (valid after Collect).

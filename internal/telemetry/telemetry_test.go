@@ -13,7 +13,7 @@ import (
 
 func TestNilRegistryIsOff(t *testing.T) {
 	var r *Registry
-	if r.Link("a") != nil || r.TCPShard(0) != nil || r.Trace() != nil || r.NewSeries("x", "u") != nil {
+	if r.Link("a") != nil || r.TCP() != nil || r.Trace() != nil || r.NewSeries("x", "u") != nil {
 		t.Fatal("nil registry handed out a live hook")
 	}
 	if r.CounterRows() != nil || r.AllSeries() != nil {
@@ -41,7 +41,7 @@ func TestDisabledOptionsHandOutNil(t *testing.T) {
 	if r.Trace() != nil || r.Decisions(0, 2, 2) != nil || r.DecisionTrace() != nil {
 		t.Fatal("disabled probe handed out a live hook")
 	}
-	if r.Link("a") == nil || r.TCPShard(0) == nil || r.NewSeries("x", "u") == nil {
+	if r.Link("a") == nil || r.TCP() == nil || r.NewSeries("x", "u") == nil {
 		t.Fatal("a registry without options handed out no counters or series")
 	}
 }
@@ -85,7 +85,7 @@ func TestSeriesDownsampling(t *testing.T) {
 
 func TestSeriesCapForcedEven(t *testing.T) {
 	r := New(Options{SeriesCap: 7})
-	if got := r.Options().SeriesCap; got != 8 {
+	if got := r.opts.SeriesCap; got != 8 {
 		t.Fatalf("SeriesCap 7 normalized to %d, want 8", got)
 	}
 }
@@ -162,7 +162,7 @@ func TestCounterRowsDeterministic(t *testing.T) {
 		r := New(Options{})
 		r.Link("l0->s0").Enqueues = 10
 		r.Link("l1->s0").Drops = 2
-		r.TCPShard(0).Retransmits = 3
+		r.TCP().Retransmits = 3
 		r.RecordFlowlets(1, 5, 4, 0)
 		r.RecordFlowlets(0, 7, 6, 1)
 		return r
@@ -208,7 +208,7 @@ func TestTotals(t *testing.T) {
 	if enq != 5 || deq != 4 || drops != 1 || ce != 2 {
 		t.Fatalf("link totals %d/%d/%d/%d", enq, deq, drops, ce)
 	}
-	r.TCPShard(0).Timeouts = 6
+	r.TCP().Timeouts = 6
 	if r.TCPTotals().Timeouts != 6 {
 		t.Fatal("TCP totals not visible")
 	}
@@ -235,7 +235,7 @@ func TestFlushWritesEachFileOnce(t *testing.T) {
 	dir := t.TempDir()
 	r := New(All(filepath.Join(dir, "out")))
 	r.Link("l0->s0.0").Enqueues = 42
-	r.TCPShard(0).Retransmits = 7
+	r.TCP().Retransmits = 7
 	s := r.NewSeries("queue.l0->s0.0", "bytes")
 	s.Observe(10, 1.5)
 	s.Observe(20, 2.5)

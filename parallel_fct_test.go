@@ -1,8 +1,11 @@
 package conga
 
 import (
+	"strings"
 	"testing"
 	"time"
+
+	"conga/internal/replay"
 )
 
 // scaleCell returns the FCTConfig of one 40G scale-sweep cell at the given
@@ -69,101 +72,44 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// runParallelVector runs one parallel experiment and returns its per-flow
-// (ID, size, FCT) vector sorted by flow ID.
-func runParallelVector(t *testing.T, cfg FCTConfig, workers int) []FlowFCT {
-	t.Helper()
-	cfg.Parallel = workers
-	cfg.CollectFlows = true
-	res, err := RunFCT(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.FlowFCTs) != res.Completed {
-		t.Fatalf("CollectFlows kept %d flows, result reports %d", len(res.FlowFCTs), res.Completed)
-	}
-	return res.FlowFCTs
-}
-
 // TestParallelRejectsUnsupportedOptions checks the fail-fast validation:
-// every option that structurally needs a single engine is rejected with an
-// error explaining the sequential alternative, and a partition wider than
-// the fabric is impossible.
+// every option the space-parallel engine does not carry across domains is
+// refused up front with an error that names it and says to run
+// sequentially, and a partition wider than the fabric is impossible.
 func TestParallelRejectsUnsupportedOptions(t *testing.T) {
 	base := scaleCell(8, 50, time.Millisecond)
 	cases := []struct {
-		name string
-		mut  func(*FCTConfig)
+		name, want string
+		mut        func(*FCTConfig)
 	}{
-		{"imbalance", func(c *FCTConfig) { c.CollectImbalance = true }},
-		{"queues", func(c *FCTConfig) { c.CollectQueues = true }},
-		{"trace", func(c *FCTConfig) { c.Telemetry = &TelemetryOptions{Trace: true} }},
-		{"hub", func(c *FCTConfig) { c.Telemetry = &TelemetryOptions{Hub: NewTelemetryHub()} }},
-		{"too-wide", func(c *FCTConfig) { c.Parallel = c.Topology.Leaves + 1 }},
+		{"mptcp scheme", "Scheme mptcp", func(c *FCTConfig) { c.Scheme = SchemeMPTCPMarker }},
+		{"mptcp transport", "TransportMPTCP", func(c *FCTConfig) { c.Transport.Kind = TransportMPTCP }},
+		{"counters", "Telemetry", func(c *FCTConfig) { c.Telemetry = &TelemetryOptions{} }},
+		{"trace", "Telemetry", func(c *FCTConfig) { c.Telemetry = &TelemetryOptions{Trace: true} }},
+		{"hub", "Telemetry", func(c *FCTConfig) { c.Telemetry = &TelemetryOptions{Hub: NewTelemetryHub()} }},
+		{"decision trace", "Telemetry", func(c *FCTConfig) {
+			c.Telemetry = &TelemetryOptions{Decisions: true, DecisionTrace: true}
+		}},
+		{"record", "Record", func(c *FCTConfig) { c.Record = true }},
+		{"replay", "Replay", func(c *FCTConfig) { c.Replay = &replay.Trace{} }},
+		{"queues", "CollectQueues", func(c *FCTConfig) { c.CollectQueues = true }},
+		{"imbalance", "CollectImbalance", func(c *FCTConfig) { c.CollectImbalance = true }},
+		{"too-wide", "domains exceed", func(c *FCTConfig) { c.Parallel = c.Topology.Leaves + 1 }},
 	}
 	for _, tc := range cases {
-		cfg := base
-		cfg.Parallel = 2
-		tc.mut(&cfg)
-		if _, err := RunFCT(cfg); err == nil {
-			t.Errorf("%s: expected an error, got none", tc.name)
-		}
-	}
-}
-
-// TestParallelMPTCP exercises the split MPTCP path (pre-bound subflow
-// receivers, sender-side half connections) end to end and its determinism.
-func TestParallelMPTCP(t *testing.T) {
-	cfg := scaleCell(8, 80, 2*time.Millisecond)
-	cfg.Scheme = SchemeMPTCPMarker
-	a := runParallelVector(t, cfg, 4)
-	b := runParallelVector(t, cfg, 4)
-	if len(a) == 0 {
-		t.Fatal("no MPTCP flows completed")
-	}
-	if len(a) != len(b) {
-		t.Fatalf("run lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("flow %d differs: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-}
-
-// TestParallelTelemetryCounters checks that counters-and-series telemetry —
-// the probes that are supported in parallel mode — can be enabled without
-// perturbing results: per-flow FCT vectors with telemetry on and off are
-// identical, and TCP counters aggregate across the per-domain shards.
-func TestParallelTelemetryCounters(t *testing.T) {
-	cfg := scaleCell(8, 80, 2*time.Millisecond)
-	plain := runParallelVector(t, cfg, 4)
-
-	cfg.Telemetry = &TelemetryOptions{}
-	cfg.Parallel = 4
-	cfg.CollectFlows = true
-	res, err := RunFCT(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plain) != len(res.FlowFCTs) {
-		t.Fatalf("telemetry changed completion count: %d vs %d", len(plain), len(res.FlowFCTs))
-	}
-	for i := range plain {
-		if plain[i] != res.FlowFCTs[i] {
-			t.Fatalf("telemetry perturbed flow %d: %+v vs %+v", i, plain[i], res.FlowFCTs[i])
-		}
-	}
-	if res.Telemetry == nil {
-		t.Fatal("telemetry registry missing from result")
-	}
-	enq, deq, _, _ := res.Telemetry.LinkTotals()
-	if enq == 0 || deq == 0 {
-		t.Fatalf("link counters empty: enqueues=%d dequeues=%d", enq, deq)
-	}
-	tot := res.Telemetry.TCPTotals()
-	if tot.Retransmits != res.Retransmits || tot.Timeouts != res.Timeouts {
-		t.Fatalf("per-domain TCP shards did not aggregate: telemetry (%d retx, %d timeouts), result (%d, %d)",
-			tot.Retransmits, tot.Timeouts, res.Retransmits, res.Timeouts)
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := base
+			cfg.Parallel = 2
+			tc.mut(&cfg)
+			_, err := RunFCT(cfg)
+			switch {
+			case err == nil:
+				t.Fatal("accepted")
+			case !strings.Contains(err.Error(), tc.want):
+				t.Fatalf("error %q does not name %q", err, tc.want)
+			case tc.name != "too-wide" && !strings.Contains(err.Error(), "run it sequentially"):
+				t.Fatalf("error %q does not say to run sequentially", err)
+			}
+		})
 	}
 }

@@ -134,62 +134,11 @@ func TestReplayAcrossSchemesKeepsArrivals(t *testing.T) {
 	}
 }
 
-// TestReplayParallelDeterministic replays the same trace under the
-// space-parallel engine: the recorded trace must load into Parallel ≥ 2,
-// produce the identical per-flow FCT vector on repeated runs, and the
-// parallel recording of the same cell must equal the sequential one
-// (pregeneration draws the same RNG stream the live generator consumes).
-func TestReplayParallelDeterministic(t *testing.T) {
-	base := replayTestConfig(SchemeCONGA)
-	base.Record = true
-	orig, err := RunFCT(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Sequential and parallel recordings of the same cell are the same
-	// trace.
-	pcfg := replayTestConfig(SchemeCONGA)
-	pcfg.Record = true
-	pcfg.Parallel = 2
-	prec, err := RunFCT(pcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(prec.Trace.Flows) != len(orig.Trace.Flows) {
-		t.Fatalf("parallel recording has %d arrivals, sequential %d", len(prec.Trace.Flows), len(orig.Trace.Flows))
-	}
-	for i := range orig.Trace.Flows {
-		if prec.Trace.Flows[i] != orig.Trace.Flows[i] {
-			t.Fatalf("parallel arrival %d differs: %+v vs %+v", i, prec.Trace.Flows[i], orig.Trace.Flows[i])
-		}
-	}
-
-	var first []FlowFCT
-	for rep := 0; rep < 2; rep++ {
-		cfg := replayTestConfig(SchemeCONGA)
-		cfg.Replay = orig.Trace
-		cfg.CollectFlows = true
-		cfg.Parallel = 2
-		re, err := RunFCT(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if re.Completed == 0 {
-			t.Fatal("parallel replay completed no flows")
-		}
-		if rep == 0 {
-			first = re.FlowFCTs
-			continue
-		}
-		sameFlowFCTs(t, first, re.FlowFCTs, "parallel rep")
-	}
-}
-
 // TestReplayRejectsMismatchedTopology records on one fabric shape and
 // replays on another: the fingerprint check must refuse, naming both
-// shapes, in both the sequential and parallel paths.
+// shapes.
 func TestReplayRejectsMismatchedTopology(t *testing.T) {
+	skipSingleGoroutine(t)
 	base := replayTestConfig(SchemeECMP)
 	base.Record = true
 	base.MaxFlows = 50
@@ -198,22 +147,19 @@ func TestReplayRejectsMismatchedTopology(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, par := range []int{0, 2} {
-		cfg := replayTestConfig(SchemeCONGA)
-		cfg.Topology.HostsPerLeaf = 4 // different shape
-		cfg.Replay = orig.Trace
-		cfg.Parallel = par
-		_, err = RunFCT(cfg)
-		if err == nil {
-			t.Fatalf("parallel=%d: mismatched topology accepted", par)
-		}
-		if !strings.Contains(err.Error(), "hosts/leaf=8") || !strings.Contains(err.Error(), "hosts/leaf=4") {
-			t.Errorf("parallel=%d: error %q should name both shapes", par, err)
-		}
+	cfg := replayTestConfig(SchemeCONGA)
+	cfg.Topology.HostsPerLeaf = 4 // different shape
+	cfg.Replay = orig.Trace
+	_, err = RunFCT(cfg)
+	if err == nil {
+		t.Fatal("mismatched topology accepted")
+	}
+	if !strings.Contains(err.Error(), "hosts/leaf=8") || !strings.Contains(err.Error(), "hosts/leaf=4") {
+		t.Errorf("error %q should name both shapes", err)
 	}
 
 	// Same shape under a *different* scheme and failed link must be fine.
-	cfg := replayTestConfig(SchemeCONGA)
+	cfg = replayTestConfig(SchemeCONGA)
 	cfg.Topology.FailedLinks = [][3]int{{0, 1, 0}}
 	cfg.Replay = orig.Trace
 	if _, err := RunFCT(cfg); err != nil {

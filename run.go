@@ -54,8 +54,7 @@ type runDomain struct {
 const recvPortBase = 1 << 25
 
 // arrival is one flow to start. dstPort, when non-zero, is the receiver
-// (for MPTCP the first of Subflows consecutive receivers) already bound on
-// the destination host.
+// already bound on the destination host.
 type arrival struct {
 	at       sim.Time
 	src, dst int
@@ -198,8 +197,6 @@ func (r *run) start(d int, a arrival) {
 	dom.started++
 	src := r.net.Host(a.src)
 	switch {
-	case r.transport == TransportMPTCP && a.dstPort != 0:
-		dom.mpool.StartFlowTo(dom.eng, src, a.flowID, a.dst, a.dstPort, a.size, r.mpCfg, dom.mptcpDone)
 	case r.transport == TransportMPTCP:
 		dom.mpool.StartFlow(dom.eng, src, r.net.Host(a.dst), a.flowID, a.size, r.mpCfg, dom.mptcpDone)
 	case a.dstPort != 0:
@@ -230,13 +227,11 @@ func (r *run) started() int {
 // recvPortBase and up, and stays bound: closing it at the sender's
 // completion instant would cross a domain boundary inside the lookahead.
 // Binding early is sound because receivers are purely reactive — no packet
-// addressed to a pre-bound port exists before its sender starts.
+// addressed to a pre-bound port exists before its sender starts. Several
+// domains carry TCP only (FCTConfig.checkParallel), so one receiver per
+// flow is the whole rule.
 func (r *run) inject(flows []replay.Flow) {
 	prebind := len(r.doms) > 1
-	subflows := 1
-	if r.transport == TransportMPTCP {
-		subflows = r.mpCfg.Subflows
-	}
 	var nextRecv []int
 	if prebind {
 		for _, h := range r.net.Hosts {
@@ -249,10 +244,8 @@ func (r *run) inject(flows []replay.Flow) {
 		a := arrival{at: f.At, src: f.Src, dst: f.Dst, flowID: f.FlowID, size: f.Size}
 		if prebind {
 			a.dstPort = recvPortBase + nextRecv[f.Dst]
-			nextRecv[f.Dst] += subflows
-			for i := 0; i < subflows; i++ {
-				tcp.NewReceiver(r.net.Host(f.Dst), a.dstPort+i)
-			}
+			nextRecv[f.Dst]++
+			tcp.NewReceiver(r.net.Host(f.Dst), a.dstPort)
 		}
 		d := r.net.HostDomain(f.Src)
 		lists[d] = append(lists[d], a)

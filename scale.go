@@ -2,7 +2,6 @@ package conga
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"conga/internal/runner"
@@ -20,14 +19,9 @@ type ScaleConfig struct {
 	Leaves []int
 	// AccessGbps lists the access link rates to sweep (default 40, 100).
 	// Fabric links run at the same rate, the fig15 "access ≈ fabric"
-	// regime; with 2·Spines·LinksPerSpine uplinks per leaf the fabric
-	// stays rearrangeably non-blocking for HostsPerLeaf ≤ 4·Spines·Links.
+	// regime; every cell has the per-leaf shape scaleHostsPerLeaf,
+	// scaleSpines and scaleLinksPerSpine fix.
 	AccessGbps []float64
-	// HostsPerLeaf, Spines and LinksPerSpine fix the per-leaf shape
-	// (defaults 4, 4, 2 — 8 uplinks, inside the LBTag space).
-	HostsPerLeaf  int
-	Spines        int
-	LinksPerSpine int
 
 	Scheme Scheme
 
@@ -38,12 +32,20 @@ type ScaleConfig struct {
 
 	Seed uint64
 
-	// Parallel, when > 1, runs each cell space-parallel across that many
-	// domain engines (FCTConfig.Parallel). The sweep's own cell-level
-	// worker pool shrinks by the same factor so the two levels of
-	// parallelism do not oversubscribe the machine.
+	// Parallel is copied into every cell Configs expands
+	// (FCTConfig.Parallel), which is how a single space-parallel cell is
+	// built; RunScaleStream refuses it, since its sweep already runs cells
+	// in parallel.
 	Parallel int
 }
+
+// The per-leaf shape of every scale cell: 4 hosts, and 4 spines × 2 links
+// = 8 uplinks at the access rate, inside the 16-entry LBTag space.
+const (
+	scaleHostsPerLeaf  = 4
+	scaleSpines        = 4
+	scaleLinksPerSpine = 2
+)
 
 func (c ScaleConfig) withDefaults() ScaleConfig {
 	if len(c.Leaves) == 0 {
@@ -51,15 +53,6 @@ func (c ScaleConfig) withDefaults() ScaleConfig {
 	}
 	if len(c.AccessGbps) == 0 {
 		c.AccessGbps = []float64{40, 100}
-	}
-	if c.HostsPerLeaf == 0 {
-		c.HostsPerLeaf = 4
-	}
-	if c.Spines == 0 {
-		c.Spines = 4
-	}
-	if c.LinksPerSpine == 0 {
-		c.LinksPerSpine = 2
 	}
 	if c.Duration == 0 {
 		c.Duration = 10 * time.Millisecond
@@ -97,9 +90,9 @@ func (c ScaleConfig) expand() ([]FCTConfig, []ScalePoint) {
 			cfgs = append(cfgs, FCTConfig{
 				Topology: Topology{
 					Leaves:        leaves,
-					Spines:        c.Spines,
-					HostsPerLeaf:  c.HostsPerLeaf,
-					LinksPerSpine: c.LinksPerSpine,
+					Spines:        scaleSpines,
+					HostsPerLeaf:  scaleHostsPerLeaf,
+					LinksPerSpine: scaleLinksPerSpine,
 					AccessGbps:    gbps,
 					FabricGbps:    gbps,
 				},
@@ -116,7 +109,7 @@ func (c ScaleConfig) expand() ([]FCTConfig, []ScalePoint) {
 			})
 			pts = append(pts, ScalePoint{
 				Leaves:     leaves,
-				Hosts:      leaves * c.HostsPerLeaf,
+				Hosts:      leaves * scaleHostsPerLeaf,
 				AccessGbps: gbps,
 			})
 		}
@@ -127,23 +120,14 @@ func (c ScaleConfig) expand() ([]FCTConfig, []ScalePoint) {
 // RunScaleStream executes the sweep across the parallel runner (one
 // engine, one network and one set of pools per cell) and returns points in
 // grid order. emit, when non-nil, fires once per cell in grid order as soon
-// as it (and all earlier cells) have finished.
+// as it (and all earlier cells) have finished. A sweep runs its cells
+// sequentially, so it refuses Parallel > 1.
 func RunScaleStream(cfg ScaleConfig, emit func(i int, p ScalePoint, err error)) ([]ScalePoint, error) {
-	cfg = cfg.withDefaults()
-	if got, max := cfg.Spines*cfg.LinksPerSpine, DefaultParams().MaxUplinks; got > max {
-		return nil, fmt.Errorf("conga: scale sweep needs %d uplinks per leaf, LBTag space allows %d", got, max)
-	}
-	cfgs, pts := cfg.expand()
-	// With space-parallel cells each run already occupies cfg.Parallel
-	// cores; divide the cell-level pool so total goroutines ≈ NumCPU.
-	workers := 0
 	if cfg.Parallel > 1 {
-		workers = runtime.NumCPU() / cfg.Parallel
-		if workers < 1 {
-			workers = 1
-		}
+		return nil, fmt.Errorf("conga: ScaleConfig.Parallel=%d is not supported by RunScaleStream (the sweep already runs its cells in parallel); run the sweep sequentially (Parallel <= 1)", cfg.Parallel)
 	}
-	results, err := runner.MapStream(workers, cfgs, RunFCT, func(i int, r *FCTResult, err error) {
+	cfgs, pts := cfg.withDefaults().expand()
+	results, err := runner.MapStream(0, cfgs, RunFCT, func(i int, r *FCTResult, err error) {
 		if emit != nil {
 			pts[i].Result = r
 			emit(i, pts[i], err)

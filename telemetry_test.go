@@ -2,7 +2,6 @@ package conga
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -16,6 +15,7 @@ import (
 // DRE and flowlet tickers, counters are plain field bumps, and sinks only
 // run post-engine, so nothing about the event sequence may change.
 func TestTelemetryDoesNotPerturbSimulation(t *testing.T) {
+	skipSingleGoroutine(t)
 	for _, scheme := range []Scheme{SchemeECMP, SchemeCONGA, SchemeMPTCPMarker} {
 		cfg := FCTConfig{
 			Topology: Topology{Leaves: 2, Spines: 2, HostsPerLeaf: 4, LinksPerSpine: 1,
@@ -78,78 +78,6 @@ func TestTelemetryDoesNotPerturbSimulation(t *testing.T) {
 				t.Fatal("conga: path load matrix empty")
 			}
 		}
-
-		// Space-parallel leg of the matrix: the same non-perturbation
-		// contract holds per worker count. Trace/Tap/Hub are rejected under
-		// Parallel>1 (single-engine machinery), so this leg runs the probes
-		// parallel mode supports — counters and series — and demands the
-		// bit-identical result parallel determinism guarantees.
-		pcfg := cfg
-		pcfg.Parallel = 2
-		pcfg.Telemetry = nil
-		poff, err := RunFCT(pcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Decision hooks are per-leaf and domain-owned, so they stay on
-		// under parallel; only the shared DecisionTrace buffer is rejected.
-		pcfg.Telemetry = &TelemetryOptions{Decisions: true}
-		pon, err := RunFCT(pcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pon.Telemetry == nil {
-			t.Fatalf("%s parallel: telemetry requested but result carries none", pon.Scheme)
-		}
-		preg := pon.Telemetry
-		pon.Telemetry = nil
-		poff.Wall, pon.Wall = 0, 0
-		if !reflect.DeepEqual(poff, pon) {
-			t.Fatalf("%s parallel: telemetry changed the simulation\noff: %+v\non:  %+v", poff.Scheme, poff, pon)
-		}
-		if enq, _, _, _ := preg.LinkTotals(); enq == 0 {
-			t.Fatalf("%s parallel: no enqueues counted", poff.Scheme)
-		}
-		if poff.Scheme == "conga" && preg.DecisionTotals().Sticky == 0 {
-			t.Fatal("conga parallel: decision hooks recorded nothing")
-		}
-	}
-}
-
-// TestDecisionTraceRejectedUnderParallel pins the loud-rejection contract:
-// the decision audit trail is one bounded buffer with no deterministic
-// per-domain merge, so asking for it under Parallel>1 must fail with an
-// error that names the sequential alternative rather than silently
-// dropping events or racing.
-func TestDecisionTraceRejectedUnderParallel(t *testing.T) {
-	cfg := FCTConfig{
-		Topology: Topology{Leaves: 2, Spines: 2, HostsPerLeaf: 4, LinksPerSpine: 1,
-			AccessGbps: 10, FabricGbps: 10},
-		Scheme:    SchemeCONGA,
-		Workload:  WorkloadEnterprise,
-		Load:      0.5,
-		Duration:  5 * time.Millisecond,
-		MaxFlows:  40,
-		Seed:      1,
-		Parallel:  2,
-		Telemetry: &TelemetryOptions{Decisions: true, DecisionTrace: true},
-	}
-	if _, err := RunFCT(cfg); err == nil {
-		t.Fatal("DecisionTrace with Parallel=2 should be rejected")
-	} else if !strings.Contains(err.Error(), "decision trace") {
-		t.Fatalf("rejection should name the decision trace, got: %v", err)
-	}
-	// Dropping just the trace keeps the rest of the decision plane working.
-	cfg.Telemetry = &TelemetryOptions{Decisions: true}
-	res, err := RunFCT(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Telemetry.DecisionTotals().Sticky == 0 {
-		t.Fatal("decision counters should work under Parallel=2")
-	}
-	if res.Telemetry.DecisionTrace() != nil {
-		t.Fatal("no trace was requested")
 	}
 }
 
