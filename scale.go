@@ -120,11 +120,12 @@ func (c ScaleConfig) expand() ([]FCTConfig, []ScalePoint) {
 // RunScaleStream executes the sweep across the parallel runner (one
 // engine, one network and one set of pools per cell) and returns points in
 // grid order. emit, when non-nil, fires once per cell in grid order as soon
-// as it (and all earlier cells) have finished. A sweep runs its cells
-// sequentially, so it refuses Parallel > 1.
+// as it (and all earlier cells) have finished. The sweep already runs its
+// cells in parallel, so Parallel is only for building a single cell through
+// Configs; RunScaleStream refuses Parallel > 1.
 func RunScaleStream(cfg ScaleConfig, emit func(i int, p ScalePoint, err error)) ([]ScalePoint, error) {
 	if cfg.Parallel > 1 {
-		return nil, fmt.Errorf("conga: ScaleConfig.Parallel=%d is not supported by RunScaleStream (the sweep already runs its cells in parallel); run the sweep sequentially (Parallel <= 1)", cfg.Parallel)
+		return nil, fmt.Errorf("conga: ScaleConfig.Parallel=%d is not supported by RunScaleStream: the sweep already runs its cells in parallel, and Parallel only builds a single cell through Configs; leave Parallel at 0 or 1", cfg.Parallel)
 	}
 	cfgs, pts := cfg.withDefaults().expand()
 	results, err := runner.MapStream(0, cfgs, RunFCT, func(i int, r *FCTResult, err error) {

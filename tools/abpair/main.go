@@ -13,7 +13,7 @@
 // -overlay FILE both come from the working tree, the change built with
 // `go build -overlay FILE`, so a probe needs no edit to the tree. Pair i runs
 // the base first when i is even and the change first when it is odd; the
-// run length is the benchmark's default unless -reps or -seconds is set.
+// run length is the benchmark's default unless -reps is set.
 // Every run is appended to -out as one JSON line. Run from the repo root.
 package main
 
@@ -58,18 +58,17 @@ func main() {
 		base     = flag.String("base", "", "git revision the base bench is built from")
 		overlay  = flag.String("overlay", "", "go build -overlay file the change bench is built with (base: the working tree)")
 		reps     = flag.Int("reps", 0, "bench -reps (0: the benchmark's default run length)")
-		seconds  = flag.Int("seconds", 0, "bench -seconds (0: the benchmark's default run length)")
 		out      = flag.String("out", "measurements/abpair.jsonl", "JSONL file every run is appended to")
 		label    = flag.String("label", "", "label stored with every run")
 	)
 	flag.Parse()
-	if err := run(*workload, *pairs, *base, *overlay, *reps, *seconds, *out, *label); err != nil {
+	if err := run(*workload, *pairs, *base, *overlay, *reps, *out, *label); err != nil {
 		fmt.Fprintln(os.Stderr, "abpair:", err)
 		os.Exit(1)
 	}
 }
 
-func run(workload string, pairs int, base, overlay string, reps, seconds int, out, label string) error {
+func run(workload string, pairs int, base, overlay string, reps int, out, label string) error {
 	if workload == "" || pairs < 1 || (base == "") == (overlay == "") {
 		return fmt.Errorf("need -workload, -pairs ≥ 1 and exactly one of -base and -overlay")
 	}
@@ -114,9 +113,6 @@ func run(workload string, pairs int, base, overlay string, reps, seconds int, ou
 	args := []string{"-workload", workload, "-dir", filepath.Join(tmp, "out")}
 	if reps > 0 {
 		args = append(args, "-reps", fmt.Sprint(reps))
-	}
-	if seconds > 0 {
-		args = append(args, "-seconds", fmt.Sprint(seconds))
 	}
 	f, err := os.OpenFile(out, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
