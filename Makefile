@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-time race vet lint memlat fuzz-smoke bench-engine bench-profile bench-repo bench-compare ab bench-smoke replay-smoke decision-smoke serve-smoke check-smoke check
+.PHONY: build test test-time race vet lint memlat fuzz-smoke bench-engine bench-profile bench-repo bench-compare ab bench-smoke replay-smoke decision-smoke check-smoke check
 
 build:
 	$(GO) build ./...
@@ -20,7 +20,7 @@ test-time:
 
 # Race-check the concurrency-bearing code: the parallel experiment runner,
 # the partitioned engine (plain-TCP cells on two to eight domains, the only
-# kind it runs), the live telemetry hub and everything they drive.
+# kind it runs) and everything they drive.
 # Engines are single-threaded, so a race here means experiment isolation is
 # broken. -short skips what gives the detector nothing to check or costs
 # minutes under it: the golden table's scale rows, and every root test whose
@@ -123,7 +123,7 @@ bench-compare:
 # Paired A/B of one workload (tools/abpair): PAIRS alternating runs of the
 # base and the change, every run appended to measurements/abpair.jsonl, and a
 # gain / regressed / unresolved verdict per end-to-end metric.
-# make ab W=incast BASE=HEAD~1        (base built from a git worktree of REV)
+# make ab W=incast BASE=HEAD~1        (base built from a git archive of REV)
 # make ab W=scale256 OVERLAY=probe.json  (change = working tree + overlay)
 PAIRS ?= 10
 ab:
@@ -166,21 +166,5 @@ decision-smoke:
 	$(GO) run ./cmd/congatrace -read decision-smoke.tel/decisions.ndjson
 	$(GO) run ./cmd/congaplot -heatmap -dir decision-smoke.tel -out decision-heatmap.svg
 	test -s decision-heatmap.svg
-
-# Live-plane smoke (~15 s): serve a short run, wait until it has finished
-# (the -linger line, so its final snapshot is up), then list and draw its
-# queue series through congaplot -url, which decodes the sink NDJSON the
-# endpoints serve. CI uploads the figure.
-serve-smoke:
-	$(GO) build -o /tmp/congasim ./cmd/congasim
-	$(GO) build -o /tmp/congaplot ./cmd/congaplot
-	@set -e; rm -f serve-smoke.log live.svg; \
-	/tmp/congasim -serve 127.0.0.1:18089 -linger 5s -duration 20ms -queues > serve-smoke.log 2>&1 & pid=$$!; \
-	trap 'kill $$pid 2>/dev/null || true' EXIT; \
-	for i in $$(seq 300); do grep -q '^run finished' serve-smoke.log && break; sleep 0.1; done; \
-	cat serve-smoke.log; \
-	/tmp/congaplot -url http://127.0.0.1:18089 -list; \
-	/tmp/congaplot -url http://127.0.0.1:18089 -series 'queue\.' -out live.svg; \
-	test -s live.svg
 
 check: build vet test race

@@ -47,7 +47,6 @@ var testOnlyFields = map[string]pin{
 	"internal/telemetry.Options.SeriesCap":   {"TestSeriesDownsampling", "test size: a series that fills"},
 	"internal/telemetry.Options.TraceCap":    {"TestReadReportsMatchGolden", "test size: a trace that fills"},
 	"internal/telemetry.Options.DecisionCap": {"TestReadReportsMatchGolden", "test size: a decision trace that fills"},
-	"internal/telemetry.Options.TapWall":     {"TestLiveTapConcurrentEngines", "publishing at every interval stresses the live readers"},
 	"internal/telemetry.Options.Dir":         {"TestSinkFilesGolden", "deployment: where sinks go; the CLIs set it through telemetry.All"},
 }
 

@@ -49,8 +49,9 @@ func TestCheckDoesNotPerturbSimulation(t *testing.T) {
 }
 
 // TestCheckNamesRunFaults plants the faults the run-level audit catches —
-// a completed flow short of its size, a packet held past drain — and
-// requires the error that names each.
+// a completed flow short of its size, a packet held past drain, a pooled
+// sender or receiver held past drain — and requires the error that names
+// each.
 func TestCheckNamesRunFaults(t *testing.T) {
 	skipSingleGoroutine(t)
 	newChecked := func() *run {
@@ -79,6 +80,20 @@ func TestCheckNamesRunFaults(t *testing.T) {
 	r.exec(sim.Millisecond)
 	if err := r.audit(); err == nil || !strings.Contains(err.Error(), "1 of 1 pooled packets are not back on a pool at drain") {
 		t.Fatalf("packet held past drain: audit() = %v", err)
+	}
+
+	r = newChecked()
+	r.doms[0].pool.NewSender(r.doms[0].eng, r.net.Host(0), 1, 1, r.net.Host(1).AllocPort(), r.tcpCfg)
+	r.exec(sim.Millisecond)
+	if err := r.audit(); err == nil || err.Error() != "check: domain 0's tcp pool leaked at drain: 0 of the 1 senders it allocated are back on its free list" {
+		t.Fatalf("sender held past drain: audit() = %v", err)
+	}
+
+	r = newChecked()
+	r.doms[0].pool.NewReceiver(r.net.Host(1), r.net.Host(1).AllocPort())
+	r.exec(sim.Millisecond)
+	if err := r.audit(); err == nil || err.Error() != "check: domain 0's tcp pool leaked at drain: 0 of the 1 receivers it allocated are back on its free list" {
+		t.Fatalf("receiver held past drain: audit() = %v", err)
 	}
 }
 

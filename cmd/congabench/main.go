@@ -61,32 +61,19 @@ var experiments = []experiment{
 var (
 	telemetryDir string
 	telemetrySeq int
-
-	// hub is non-nil when -serve is set; every run's tap attaches to it so
-	// the live endpoint can watch a whole figure sweep converge.
-	hub *conga.TelemetryHub
 )
 
 // telemetryFor returns per-run telemetry options flushing into a tagged
-// subdirectory, or nil when neither -telemetry nor -serve is set. Packet
-// traces stay off for sweeps — hundreds of runs × 64K events is noise, not
-// observability; use congasim -telemetry for a traced single run.
+// subdirectory, or nil when -telemetry is not set. Packet traces stay off
+// for sweeps — hundreds of runs × 64K events is noise, not observability;
+// use congasim -telemetry for a traced single run.
 func telemetryFor(tag string) *conga.TelemetryOptions {
-	if telemetryDir == "" && hub == nil {
+	if telemetryDir == "" {
 		return nil
 	}
 	telemetrySeq++
-	name := fmt.Sprintf("%03d_%s", telemetrySeq, tag)
-	dir := ""
-	if telemetryDir != "" {
-		dir = filepath.Join(telemetryDir, name)
-	}
-	opts := conga.TelemetryAll(dir)
+	opts := conga.TelemetryAll(filepath.Join(telemetryDir, fmt.Sprintf("%03d_%s", telemetrySeq, tag)))
 	opts.Trace = false
-	if hub != nil {
-		opts.Hub = hub
-		opts.RunName = name
-	}
 	return opts
 }
 
@@ -95,7 +82,6 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced scale for a fast pass")
 	list := flag.Bool("list", false, "list experiments and exit")
 	flag.StringVar(&telemetryDir, "telemetry", "", "emit telemetry counters and series for every run into tagged subdirectories of this directory")
-	serveAddr := flag.String("serve", "", "serve the live telemetry endpoint on this address (e.g. :8080) while sweeps run")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	flag.Parse()
@@ -117,14 +103,6 @@ func main() {
 			runtime.GC() // drop dead objects so the profile shows what's retained
 			check(pprof.WriteHeapProfile(f))
 		}()
-	}
-
-	if *serveAddr != "" {
-		hub = conga.NewTelemetryHub()
-		srv, err := conga.ServeTelemetry(*serveAddr, hub)
-		check(err)
-		defer srv.Close()
-		fmt.Printf("live telemetry on http://%s (endpoints: /, /counters, /paths, /series, /series/<name>, /stream; ?run=<name>; bodies are sink NDJSON)\n", srv.Addr)
 	}
 
 	if *list {

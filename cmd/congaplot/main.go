@@ -1,14 +1,12 @@
 // Command congaplot renders the paper-style figures (queue depth over
 // time, DRE register trajectories, congestion-table maxima — the shapes of
-// Figures 4 and 12) as standalone SVG files, from either a flushed
-// telemetry directory or a live -serve endpoint. The SVG renderer itself
-// lives in internal/plot, shared with the live dashboard.
+// Figures 4 and 12) as standalone SVG files, from a flushed telemetry
+// directory. The SVG renderer itself lives in internal/plot.
 //
 // Usage:
 //
 //	congasim -telemetry out/tel -queues
 //	congaplot -dir out/tel -series 'queue\.' -out queue.svg
-//	congaplot -url http://localhost:8080 -run fct -series 'dre\.' -out dre.svg
 //	congaplot -dir out/tel -list
 //
 //	congasim -scheme conga -cdfout out/cdf
@@ -22,10 +20,7 @@
 // (srcLeaf, uplink) × dstLeaf heatmap of bytes routed per path, with each
 // leaf's imbalance and entropy figures in the subtitle.
 //
-// Files are read through telemetry.ReadSinkFile: a flushed directory's
-// series_*.ndjson (or cdf_*.ndjson) files and the live endpoint's bodies are
-// the same NDJSON, so either source yields the same probe names, units and
-// values.
+// Every input file is read through telemetry.ReadSinkFile.
 //
 // The chart is a single-axis line chart: all selected series must share a
 // unit (mixing units would need a second y-axis, which congaplot refuses
@@ -40,8 +35,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
-	"net/url"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -63,8 +56,6 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("congaplot", flag.ContinueOnError)
 	var (
 		dir     = fs.String("dir", "", "telemetry directory flushed by a -telemetry run (its series_*.ndjson files); with -cdf, a directory of cdf_*.ndjson files")
-		liveURL = fs.String("url", "", "base URL of a live -serve endpoint (e.g. http://localhost:8080) instead of -dir")
-		runName = fs.String("run", "", "run name on the live endpoint (default: first attached run)")
 		sel     = fs.String("series", ".", "regexp selecting which series to plot, matched against probe names")
 		out     = fs.String("out", "congaplot.svg", "output SVG path")
 		title   = fs.String("title", "", "chart title (default: derived from the selected series)")
@@ -80,16 +71,10 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	if (*dir == "") == (*liveURL == "") {
-		return fmt.Errorf("exactly one of -dir or -url is required")
-	}
-	if *cdf && *liveURL != "" {
-		return fmt.Errorf("-cdf reads distribution files; use it with -dir")
+	if *dir == "" {
+		return fmt.Errorf("-dir is required")
 	}
 	if *heatmap {
-		if *liveURL != "" {
-			return fmt.Errorf("-heatmap reads path matrix files; use it with -dir")
-		}
 		if *cdf {
 			return fmt.Errorf("-heatmap and -cdf are separate figures; pick one")
 		}
@@ -100,15 +85,11 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	var all []plot.Series
-	switch {
-	case *cdf:
-		all, err = loadDir(*dir, "cdf_", telemetry.CDFTable)
-	case *dir != "":
-		all, err = loadDir(*dir, "series_", telemetry.SeriesTable)
-	default:
-		all, err = loadURL(*liveURL, *runName)
+	prefix, table := "series_", telemetry.SeriesTable
+	if *cdf {
+		prefix, table = "cdf_", telemetry.CDFTable
 	}
+	all, err := loadDir(*dir, prefix, table)
 	if err != nil {
 		return err
 	}
@@ -220,13 +201,15 @@ func defaultTitle(picked []plot.Series) string {
 }
 
 // loadDir reads the sink files of dir named prefix*.ndjson, which must all
-// hold the wanted table (series or cdf), as plot series.
+// hold the wanted table (series or cdf), as plot series. Files without
+// points are left out: they have nothing to list or plot (and an empty
+// series' file is empty, so it names no probe).
 func loadDir(dir, prefix string, table *telemetry.Table) ([]plot.Series, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, prefix+"*.ndjson"))
 	if err != nil {
 		return nil, err
 	}
-	var files []*telemetry.SinkFile
+	var out []plot.Series
 	for _, p := range paths {
 		f, err := telemetry.ReadSinkFile(p)
 		if err != nil {
@@ -235,57 +218,15 @@ func loadDir(dir, prefix string, table *telemetry.Table) ([]plot.Series, error) 
 		if f.Table != table && f.Table != nil {
 			return nil, fmt.Errorf("%s holds the %s table, not %s", p, f.Table.Name, table.Name)
 		}
-		files = append(files, f)
-	}
-	return plotSeries(files), nil
-}
-
-// loadURL reads series from a live -serve endpoint: /series lists the
-// names, and each /series/<name> body is that series' sink file.
-func loadURL(base, run string) ([]plot.Series, error) {
-	base, q := strings.TrimRight(base, "/"), ""
-	if run != "" {
-		q = "?run=" + url.QueryEscape(run)
-	}
-	index, err := get(base + "/series" + q)
-	var files []*telemetry.SinkFile
-	for _, name := range strings.Fields(string(index)) {
-		u := base + "/series/" + url.PathEscape(name) + q
-		var data []byte
-		var f *telemetry.SinkFile
-		if data, err = get(u); err == nil {
-			f, err = telemetry.DecodeSink(u, data)
+		// A series file holds (time_ns, value) points, a cdf file
+		// (value, fraction) ones.
+		s := plot.Series{Name: f.Probe, Unit: f.Unit, Points: f.CDF}
+		for _, pt := range f.Points {
+			s.Points = append(s.Points, [2]float64{float64(pt.T), pt.V})
 		}
-		if err != nil {
-			break
-		}
-		files = append(files, f)
-	}
-	return plotSeries(files), err
-}
-
-// plotSeries converts decoded series or cdf files to plot series, leaving
-// out those without points: they have nothing to list or plot (and an
-// empty series' file is empty, so it names no probe).
-func plotSeries(files []*telemetry.SinkFile) []plot.Series {
-	var out []plot.Series
-	for _, f := range files {
-		if s := f.PlotSeries(); len(s.Points) > 0 {
+		if len(s.Points) > 0 {
 			out = append(out, s)
 		}
 	}
-	return out
-}
-
-func get(u string) ([]byte, error) {
-	resp, err := http.Get(u)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err == nil && resp.StatusCode != http.StatusOK {
-		err = fmt.Errorf("GET %s: %s: %s", u, resp.Status, strings.TrimSpace(string(body)))
-	}
-	return body, err
+	return out, nil
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,16 +11,11 @@ import (
 	"conga"
 )
 
-// TestSameFiguresFromDirAndLive flushes one small run and drives run on its
-// directory and on the run's finished live endpoint, which serve the same
-// NDJSON. What congaplot lists, refuses and draws must not depend on which
-// it was given.
-func TestSameFiguresFromDirAndLive(t *testing.T) {
+// TestFiguresFromDir flushes one small run and drives run on its directory:
+// -list names every series with its unit, a figure mixing units is refused,
+// one unit draws, and the decision plane's paths file draws a heatmap.
+func TestFiguresFromDir(t *testing.T) {
 	dir := t.TempDir()
-	tel := conga.TelemetryAll(dir)
-	tel.Hub = conga.NewTelemetryHub()
-	srv := httptest.NewServer(tel.Hub.Handler())
-	defer srv.Close()
 	if _, err := conga.RunFCT(conga.FCTConfig{
 		Topology: conga.Topology{Leaves: 2, Spines: 2, HostsPerLeaf: 4, LinksPerSpine: 1,
 			AccessGbps: 10, FabricGbps: 10},
@@ -31,18 +25,17 @@ func TestSameFiguresFromDirAndLive(t *testing.T) {
 		Duration:  4 * time.Millisecond,
 		MaxFlows:  40,
 		Seed:      7,
-		Telemetry: tel,
+		Telemetry: conga.TelemetryAll(dir),
 	}); err != nil {
 		t.Fatal(err)
 	}
-	sources := map[string][]string{"dir": {"-dir", dir}, "live": {"-url", srv.URL}}
-	from := func(name string, args ...string) (string, error) {
+	from := func(args ...string) (string, error) {
 		var b bytes.Buffer
-		err := run(append(append([]string(nil), sources[name]...), args...), &b)
+		err := run(append([]string{"-dir", dir}, args...), &b)
 		return b.String(), err
 	}
 
-	list, err := from("dir", "-list")
+	list, err := from("-list")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,31 +48,19 @@ func TestSameFiguresFromDirAndLive(t *testing.T) {
 	if !strings.HasSuffix(queue, "unit=bytes") {
 		t.Errorf("the directory listing has no line for queue.l0->s0.0 in bytes:\n%s", list)
 	}
-	if got, err := from("live", "-list"); err != nil || got != list {
-		t.Errorf("-list of the live endpoint (error %v):\n%s\nwant the directory's:\n%s", err, got, list)
-	}
 
 	svg := filepath.Join(t.TempDir(), "out.svg")
-	var queues []byte
-	for _, name := range []string{"dir", "live"} {
-		if _, err := from(name, "-series", ".", "-out", svg); err == nil || !strings.Contains(err.Error(), "mix units (bytes, ") {
-			t.Errorf("%s: plotting every series on one axis: error %v, want a mixed-units refusal", name, err)
-		}
-		if got, err := from(name, "-series", `^queue\.l0`, "-out", svg); err != nil || !strings.Contains(got, "(2 series)") {
-			t.Errorf("%s: plotting the two leaf-0 queues: %q, error %v", name, got, err)
-		}
-		b, err := os.ReadFile(svg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if queues == nil {
-			queues = b
-		} else if !bytes.Equal(b, queues) {
-			t.Errorf("%s: the leaf-0 queue figure (%d bytes) differs from the directory's (%d bytes)", name, len(b), len(queues))
-		}
+	if _, err := from("-series", ".", "-out", svg); err == nil || !strings.Contains(err.Error(), "mix units (bytes, ") {
+		t.Errorf("plotting every series on one axis: error %v, want a mixed-units refusal", err)
+	}
+	if got, err := from("-series", `^queue\.l0`, "-out", svg); err != nil || !strings.Contains(got, "(2 series)") {
+		t.Errorf("plotting the two leaf-0 queues: %q, error %v", got, err)
+	}
+	if b, err := os.ReadFile(svg); err != nil || !bytes.Contains(b, []byte("queue.l0-&gt;s0.0")) {
+		t.Errorf("the leaf-0 queue figure (error %v) does not name queue.l0->s0.0", err)
 	}
 
-	if _, err := from("dir", "-heatmap", "-out", svg); err != nil {
+	if _, err := from("-heatmap", "-out", svg); err != nil {
 		t.Fatal(err)
 	}
 	if b, err := os.ReadFile(svg); err != nil || !bytes.Contains(b, []byte("imbalance")) {

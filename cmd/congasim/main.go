@@ -53,7 +53,7 @@ func main() {
 		mtu       = flag.Int("mtu", 1500, "MTU in bytes")
 		imbalance = flag.Bool("imbalance", false, "collect Figure-12 imbalance stats")
 		queues    = flag.Bool("queues", false, "collect queue occupancy stats")
-		check     = flag.Bool("check", false, "audit the run (fct, incast, hdfs): flowlet tables, link queues and host NIC packet conservation at every sweep, each completed flow's delivered bytes, no packet left and every packet accounted for at drain; exit 1 naming the first failure")
+		check     = flag.Bool("check", false, "audit the run (fct, incast, hdfs): flowlet tables, link queues and host NIC packet conservation at every sweep, each completed flow's delivered bytes, no packet left, every packet accounted for and every pooled flow and endpoint returned at drain; exit 1 naming the first failure")
 
 		fanout = flag.Int("fanout", 16, "incast fan-in (incast mode)")
 		reqMB  = flag.Int("reqmb", 10, "incast request size in MB")
@@ -67,9 +67,7 @@ func main() {
 		traceMode     = flag.String("trace-mode", "head", "packet-trace capture mode when full: head, tail (flight recorder), reservoir")
 		traceTrigger  = flag.String("trace-trigger", "none", "freeze the trace on a condition: none, first-drop, first-rto (|-combinable)")
 		traceStop     = flag.Int("trace-stop-after", 0, "record this many further events after the trigger before freezing")
-		decisions     = flag.Bool("decisions", false, "enable the decision plane (requires -telemetry or -serve): flowlet routing audit trail, path load matrices, feedback-staleness series")
-		serveAddr     = flag.String("serve", "", "serve the live telemetry endpoint on this address (e.g. :8080) while the run executes")
-		linger        = flag.Duration("linger", 0, "keep the -serve endpoint up this long after the run finishes")
+		decisions     = flag.Bool("decisions", false, "enable the decision plane (requires -telemetry): flowlet routing audit trail, path load matrices, feedback-staleness series")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -117,24 +115,11 @@ func main() {
 	}
 
 	tel, err := telemetryFlags{
-		dir: *telemetryDir, serve: *serveAddr, flow: *telemetryFlow,
+		dir: *telemetryDir, flow: *telemetryFlow,
 		traceMode: *traceMode, traceTrigger: *traceTrigger, traceStop: *traceStop,
 		decisions: *decisions,
 	}.options()
 	die(err)
-
-	// -serve exposes the run live: the engine publishes tap snapshots at
-	// its collector safe points and the HTTP readers only ever load them,
-	// so watching a run never changes it.
-	var srv *conga.TelemetryServer
-	if *serveAddr != "" {
-		hub := conga.NewTelemetryHub()
-		tel.Hub = hub
-		tel.RunName = *mode
-		srv, err = conga.ServeTelemetry(*serveAddr, hub)
-		die(err)
-		fmt.Printf("live telemetry on http://%s (endpoints: /, /counters, /paths, /series, /series/<name>, /stream; bodies are sink NDJSON)\n", srv.Addr)
-	}
 
 	switch *mode {
 	case "fct":
@@ -196,14 +181,6 @@ func main() {
 				res.Scheme, busy, res.LeafUplinkGbps[1][0], res.LeafUplinkGbps[1][1])
 		}
 	}
-
-	if srv != nil {
-		if *linger > 0 {
-			fmt.Printf("run finished; serving final snapshot for %v on http://%s\n", *linger, srv.Addr)
-			time.Sleep(*linger)
-		}
-		srv.Close()
-	}
 }
 
 // Every mode reads -mode, -scheme, -seed and the profiles; modeFlags lists
@@ -214,7 +191,7 @@ var (
 	commonFlags = []string{"mode", "scheme", "seed", "cpuprofile", "memprofile"}
 	fabricFlags = []string{"leaves", "spines", "hosts", "links", "access", "fabric", "fail",
 		"transport", "minrto", "mtu", "telemetry", "telemetry-flow", "trace-mode",
-		"trace-trigger", "trace-stop-after", "decisions", "serve", "linger"}
+		"trace-trigger", "trace-stop-after", "decisions"}
 	modeFlags = map[string][]string{
 		"fct": append([]string{"workload", "load", "duration", "maxflows", "imbalance",
 			"queues", "record", "replay", "cdfout", "check"}, fabricFlags...),
@@ -229,7 +206,7 @@ var (
 // already exited through die.
 func printCheck(on bool) {
 	if on {
-		fmt.Println("check: passed (flowlet tables, link queues and host NIC packet conservation at every sweep, completed flow sizes, drain and global packet conservation)")
+		fmt.Println("check: passed (flowlet tables, link queues and host NIC packet conservation at every sweep, completed flow sizes, drain, global packet conservation and pool returns)")
 	}
 }
 
@@ -251,19 +228,19 @@ func checkFlags(mode string, set []string) error {
 
 // telemetryFlags are the flags that decide what a run observes.
 type telemetryFlags struct {
-	dir, serve              string
+	dir                     string
 	flow                    int64
 	traceMode, traceTrigger string
 	traceStop               int
 	decisions               bool
 }
 
-// options resolves the flags into the run's telemetry options — nil with
-// neither -telemetry nor -serve.
+// options resolves the flags into the run's telemetry options — nil
+// without -telemetry.
 func (f telemetryFlags) options() (tel *conga.TelemetryOptions, err error) {
-	if f.dir == "" && f.serve == "" {
+	if f.dir == "" {
 		if f.decisions {
-			return nil, fmt.Errorf("-decisions needs telemetry enabled; add -telemetry DIR or -serve ADDR")
+			return nil, fmt.Errorf("-decisions needs telemetry enabled; add -telemetry DIR")
 		}
 		return nil, nil
 	}
@@ -357,11 +334,7 @@ func printTelemetry(reg *conga.TelemetryRegistry, dir string) {
 		}
 		fmt.Println()
 	}
-	dest := dir
-	if dest == "" {
-		dest = "(in memory)"
-	}
-	fmt.Printf("telemetry: %d series, %d trace events -> %s\n", len(reg.AllSeries()), reg.Trace().Len(), dest)
+	fmt.Printf("telemetry: %d series, %d trace events -> %s\n", len(reg.AllSeries()), reg.Trace().Len(), dir)
 	if tr := reg.Trace(); tr != nil {
 		info := tr.Info()
 		if info.Triggered {

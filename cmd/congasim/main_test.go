@@ -16,10 +16,10 @@ func TestSequentialTelemetryFlagsKeepTheTrace(t *testing.T) {
 		t.Fatalf("err %v, options %+v", err, tel)
 	}
 	if tel, err := (telemetryFlags{flow: -1}).options(); tel != nil || err != nil {
-		t.Fatalf("no -telemetry and no -serve: options %+v, err %v; want none", tel, err)
+		t.Fatalf("no -telemetry: options %+v, err %v; want none", tel, err)
 	}
 	if _, err := (telemetryFlags{decisions: true}).options(); err == nil {
-		t.Fatal("-decisions without -telemetry or -serve must be an error")
+		t.Fatal("-decisions without -telemetry must be an error")
 	}
 }
 
@@ -30,13 +30,13 @@ func TestModeRefusesFlagsItDoesNotRead(t *testing.T) {
 	rows := []struct{ args, want string }{
 		{"-mode hdfs -load 0.4", ""},
 		{"-mode incast -telemetry d", ""},
-		{"-mode incast -fanout 32 -reqmb 2 -minrto 1ms -serve :0 -linger 1s", ""},
+		{"-mode incast -fanout 32 -reqmb 2 -minrto 1ms -decisions", ""},
 		{"-scheme ecmp -record r.trace.gz -cdfout d -imbalance", ""},
 		{"-mode fig2 -scheme local -seed 3 -cpuprofile p", ""},
 		{"-mode incast -replay t.gz", "-mode incast does not read -replay"},
 		{"-mode incast -record x.trace.gz", "-mode incast does not read -record"},
 		{"-mode hdfs -record x.trace.gz", "-mode hdfs does not read -record"},
-		{"-mode fig2 -serve :8080", "-mode fig2 does not read -serve"},
+		{"-mode fig2 -decisions", "-mode fig2 does not read -decisions"},
 		{"-mode fig3 -leaves 4", "-mode fig3 does not read -leaves"},
 		{"-mode fig2 -telemetry d", "-mode fig2 does not read -telemetry"},
 		{"-mode fig3 -transport mptcp", "-mode fig3 does not read -transport"},

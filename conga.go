@@ -31,7 +31,6 @@ package conga
 
 import (
 	"fmt"
-	"net/http"
 	"time"
 
 	"conga/internal/core"
@@ -63,27 +62,6 @@ type TelemetryRegistry = telemetry.Registry
 func TelemetryAll(dir string) *TelemetryOptions {
 	o := telemetry.All(dir)
 	return &o
-}
-
-// TelemetryHub aggregates the live streaming taps of one or more runs so a
-// single HTTP endpoint can expose them while engines are still running;
-// see ServeTelemetry and internal/telemetry's safe-point handoff design.
-type TelemetryHub = telemetry.Hub
-
-// TelemetryServer is a running live-telemetry HTTP server; its Addr is the
-// bound address.
-type TelemetryServer = http.Server
-
-// NewTelemetryHub returns an empty hub; point TelemetryOptions.Hub at it so
-// runs attach their taps as they start.
-func NewTelemetryHub() *TelemetryHub { return telemetry.NewHub() }
-
-// ServeTelemetry starts the live-telemetry HTTP server for hub on addr
-// (e.g. ":8080", or ":0" for an ephemeral port reported in Server.Addr).
-// Its readers only ever load published immutable snapshots, so serving
-// during a run cannot perturb any engine.
-func ServeTelemetry(addr string, hub *TelemetryHub) (*TelemetryServer, error) {
-	return telemetry.Serve(addr, hub)
 }
 
 // Scheme selects the leaf load-balancing policy.

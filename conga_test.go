@@ -16,8 +16,8 @@ func quickTopo() Topology {
 }
 
 // skipSingleGoroutine skips, under -short, a test whose simulations all run
-// one engine on the test's own goroutine: no runner, no Parallel > 1, no
-// hub. -short is what `make race` runs, and the race detector has nothing to
+// one engine on the test's own goroutine: no runner, no Parallel > 1.
+// -short is what `make race` runs, and the race detector has nothing to
 // check in such a test.
 func skipSingleGoroutine(t *testing.T) {
 	t.Helper()

@@ -11,7 +11,6 @@ import (
 	"conga/internal/sim"
 	"conga/internal/stats"
 	"conga/internal/tcp"
-	"conga/internal/telemetry"
 	"conga/internal/workload"
 )
 
@@ -437,18 +436,6 @@ func runFCT(cfg FCTConfig) (*FCTResult, error) {
 		qs.Start(eng0)
 	}
 
-	// The streaming tap surfaces run progress in its snapshots; the
-	// closure runs on the engine goroutine at publish safe points (taps
-	// need one domain), so the plain reads need no synchronization.
-	rec := shards[0].rec
-	r.reg.SetProgress(func() telemetry.Progress {
-		return telemetry.Progress{
-			FlowsGenerated: r.started(),
-			FlowsCompleted: rec.Flows,
-			Events:         eng0.Executed(),
-		}
-	})
-
 	r.inject(flows)
 	endAt := r.exec(sim.Duration(cfg.Duration) + sim.Duration(cfg.DrainTimeout))
 	if cfg.Check {
@@ -457,6 +444,7 @@ func runFCT(cfg FCTConfig) (*FCTResult, error) {
 		}
 	}
 
+	rec := shards[0].rec
 	var retx, timeouts uint64
 	var flowLog []FlowFCT
 	for d, sh := range shards {
@@ -488,7 +476,7 @@ func runFCT(cfg FCTConfig) (*FCTResult, error) {
 		Events:         r.events(),
 		Trace:          trace,
 	}
-	if res.Telemetry, err = r.finish(endAt); err != nil {
+	if res.Telemetry, err = r.finish(); err != nil {
 		return nil, err
 	}
 	if cfg.CollectFlows {

@@ -7,7 +7,6 @@ import (
 	"conga/internal/fabric"
 	"conga/internal/hdfs"
 	"conga/internal/sim"
-	"conga/internal/telemetry"
 	"conga/internal/workload"
 )
 
@@ -168,15 +167,7 @@ func runHDFS(cfg HDFSConfig) (*HDFSResult, error) {
 		return nil, err
 	}
 
-	r.reg.SetProgress(func() telemetry.Progress {
-		p := telemetry.Progress{FlowsCompleted: bgDone, Events: eng.Executed()}
-		if gen != nil {
-			p.FlowsGenerated = gen.Generated
-		}
-		return p
-	})
-
-	endAt := r.exec(sim.Duration(cfg.Timeout))
+	r.exec(sim.Duration(cfg.Timeout))
 	if cfg.Check {
 		if err := r.audit(); err != nil {
 			return nil, err
@@ -199,7 +190,7 @@ func runHDFS(cfg HDFSConfig) (*HDFSResult, error) {
 	} else {
 		res.JobCompletion = cfg.Timeout
 	}
-	if res.Telemetry, err = r.finish(endAt); err != nil {
+	if res.Telemetry, err = r.finish(); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -8,7 +8,6 @@ import (
 	"conga/internal/sim"
 	"conga/internal/stats"
 	"conga/internal/tcp"
-	"conga/internal/telemetry"
 )
 
 // IncastConfig describes the §5.3 Incast micro-benchmark: one client
@@ -137,10 +136,11 @@ func runIncast(cfg IncastConfig) (*IncastResult, error) {
 	// Persistent connections: one sender per server, created up front, so
 	// RTT estimators are warm when the synchronized burst hits — matching
 	// the benchmark applications the paper cites. They live for the whole
-	// run, so the per-engine pool only uniformizes construction here; the
-	// rounds themselves allocate nothing.
+	// run and go back to the per-engine pool after it; the rounds
+	// themselves allocate nothing.
 	type server struct {
 		tcpSend *tcp.Sender
+		tcpRecv *tcp.Receiver
 		mpConn  *mptcp.Connection
 	}
 	servers := make([]server, cfg.Fanout)
@@ -176,7 +176,7 @@ func runIncast(cfg IncastConfig) (*IncastResult, error) {
 			servers[i].mpConn = conn
 		default:
 			port := client.AllocPort()
-			pool.NewReceiver(client, port)
+			servers[i].tcpRecv = pool.NewReceiver(client, port)
 			s := pool.NewSender(eng, srcHost, uint64(1000+i*16), client.ID, port, r.tcpCfg)
 			s.OnAllAcked = onServerDone
 			servers[i].tcpSend = s
@@ -194,21 +194,8 @@ func runIncast(cfg IncastConfig) (*IncastResult, error) {
 			}
 		}
 	}
-	r.reg.SetProgress(func() telemetry.Progress {
-		return telemetry.Progress{
-			FlowsGenerated: cfg.Rounds,
-			FlowsCompleted: roundsDone,
-			Events:         eng.Executed(),
-		}
-	})
-
 	eng.At(0, func(now sim.Time) { startRound(now) })
 	endAt := r.exec(sim.Duration(cfg.Timeout))
-	if cfg.Check {
-		if err := r.audit(); err != nil {
-			return nil, err
-		}
-	}
 
 	var rtos uint64
 	for _, sv := range servers {
@@ -218,6 +205,15 @@ func runIncast(cfg IncastConfig) (*IncastResult, error) {
 			}
 		} else {
 			rtos += sv.tcpSend.Stats().Timeouts
+			sv.tcpSend.Close()
+			sv.tcpRecv.Close()
+			pool.PutSender(sv.tcpSend)
+			pool.PutReceiver(sv.tcpRecv)
+		}
+	}
+	if cfg.Check {
+		if err := r.audit(); err != nil {
+			return nil, err
 		}
 	}
 
@@ -236,7 +232,7 @@ func runIncast(cfg IncastConfig) (*IncastResult, error) {
 		goodput := bytes * 8 / busyTime.Seconds()
 		res.GoodputFraction = goodput / (cfg.Topology.AccessGbps * 1e9)
 	}
-	if res.Telemetry, err = r.finish(endAt); err != nil {
+	if res.Telemetry, err = r.finish(); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -256,8 +256,7 @@ func (n *Network) wireTelemetry(reg *telemetry.Registry) {
 		l.trace = tr
 	})
 	// Dequeues is pulled, not pushed: it is the link's as-of-now tx
-	// count, so a tap snapshot taken mid-serialization shows what the
-	// wire has carried and the hot path bumps one counter, not two. The
+	// count, so the hot path bumps one counter, not two. The
 	// same walk totals how the links' starts were made — by a drain after
 	// queueing behind a claim, or (the rest) from an idle link — the first
 	// entries of the registry's engine group, followed by what the event
@@ -346,9 +345,8 @@ func (n *Network) sampleLinkSeries(now sim.Time) {
 // sampleStaleness drains each leaf's feedback-staleness window into its
 // series: the mean age of the winning remote metric over the
 // congestion-aware decisions since the previous sample. Called from the
-// DRE-decay ticker (the same safe point that samples link series and
-// publishes taps); windows with no aged decisions leave a gap instead of
-// fabricating a zero.
+// DRE-decay ticker (the same safe point that samples link series);
+// windows with no aged decisions leave a gap instead of fabricating a zero.
 func (n *Network) sampleStaleness(now sim.Time) {
 	for i, h := range n.telHooks {
 		if h == nil {

@@ -292,10 +292,6 @@ func NewPartitionedNetwork(engines []*sim.Engine, cfg Config) (*Network, error) 
 			}
 			n.sampleLinkSeries(now)
 			n.sampleStaleness(now)
-			// The streaming tap publishes here too: the DRE tick is an
-			// existing safe point, so snapshot handoff adds no events and the
-			// executed-event count stays identical with a tap attached.
-			n.tel.PublishTap(now)
 		})
 	}
 	// Flowlet age sweep per leaf, every Tfl, on the leaf's own domain;

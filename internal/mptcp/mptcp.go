@@ -291,6 +291,16 @@ func (p *Pool) PutConn(c *Connection) {
 	p.conns = append(p.conns, c)
 }
 
+// CheckReturned reports a pool whose free list does not hold exactly as
+// many connections as the pool allocated. A drained run, whose every flow
+// has completed, passes.
+func (p *Pool) CheckReturned() error {
+	if uint64(len(p.conns)) != p.ConnAllocs {
+		return fmt.Errorf("%d of the %d connections it allocated are back on its free list", len(p.conns), p.ConnAllocs)
+	}
+	return nil
+}
+
 // StartFlow begins an MPTCP transfer of size bytes from src to dst,
 // drawing the Flow and its Connection from the pool. The flow returns to
 // the pool right after onDone, so the callback must not retain the *Flow or

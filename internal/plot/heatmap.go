@@ -21,7 +21,7 @@ type HeatmapSpec struct {
 
 // Heatmap draws a matrix heatmap as a standalone SVG: one shaded cell per
 // (row, column) with its value printed when the cell is large enough, and
-// a min→max color scale. It shares the line/CDF charts' ink so dashboard
+// a min→max color scale. It shares the line/CDF charts' ink so the
 // figures read as one family. Intended for the decision plane's path
 // utilization matrix (rows = source uplinks, columns = destination
 // leaves), but takes any labeled matrix.

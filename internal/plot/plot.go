@@ -3,9 +3,8 @@
 // trajectories — the shapes of Figures 4 and 12) and a CDF chart
 // (throughput imbalance, queue-depth distributions — Figures 12 and 11b).
 //
-// The package is shared by the congaplot CLI and the live-telemetry HTML
-// dashboard, so it depends on nothing but the standard library and takes
-// its input as plain [][2]float64 point lists.
+// The congaplot CLI draws with it. It depends on nothing but the standard
+// library and takes its input as plain [][2]float64 point lists.
 package plot
 
 import (

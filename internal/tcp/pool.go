@@ -1,6 +1,8 @@
 package tcp
 
 import (
+	"fmt"
+
 	"conga/internal/fabric"
 	"conga/internal/sim"
 )
@@ -137,4 +139,20 @@ func (p *FlowPool) putFlow(f *Flow) {
 	f.onDone = nil
 	f.inPool = true
 	p.flows = append(p.flows, f)
+}
+
+// CheckReturned reports the first kind of object — flows, senders, then
+// receivers — of which the pool's free list does not hold exactly as many
+// as the pool allocated. A drained run, whose every flow has completed and
+// every endpoint been released, passes.
+func (p *FlowPool) CheckReturned() error {
+	switch {
+	case uint64(len(p.flows)) != p.FlowAllocs:
+		return fmt.Errorf("%d of the %d flows it allocated are back on its free list", len(p.flows), p.FlowAllocs)
+	case uint64(len(p.senders)) != p.SenderAllocs:
+		return fmt.Errorf("%d of the %d senders it allocated are back on its free list", len(p.senders), p.SenderAllocs)
+	case uint64(len(p.receivers)) != p.ReceiverAllocs:
+		return fmt.Errorf("%d of the %d receivers it allocated are back on its free list", len(p.receivers), p.ReceiverAllocs)
+	}
+	return nil
 }

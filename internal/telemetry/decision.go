@@ -1,13 +1,10 @@
 package telemetry
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
-	"conga/internal/plot"
 	"conga/internal/sim"
 )
 
@@ -366,26 +363,6 @@ func PathMatrix(rows []PathRow) (rowLabels, colLabels []string, values [][]float
 		values[len(values)-1][dstCol[r.DstLeaf]] = v
 	}
 	return rowLabels, colLabels, values, unit
-}
-
-// PathHeatmap draws a paths file in PathMatrix's layout, each leaf's
-// imbalance and entropy in the subtitle, under title ("" = the default); it
-// returns "" for a nil file or one without cells.
-func (f *SinkFile) PathHeatmap(title string, width int) string {
-	if f == nil {
-		return ""
-	}
-	rowLabels, colLabels, values, unit := PathMatrix(f.Paths)
-	if len(values) == 0 {
-		return ""
-	}
-	var sums []string
-	for _, sm := range f.Summaries {
-		sums = append(sums, fmt.Sprintf("l%d imbalance %.2f entropy %.2f", sm.Leaf, sm.Imbalance, sm.Entropy))
-	}
-	return plot.Heatmap(plot.HeatmapSpec{Title: cmp.Or(title, "path utilization (uplink × destination leaf)"),
-		Subtitle: strings.Join(sums, " · "), Width: width, Unit: unit,
-		RowLabels: rowLabels, ColLabels: colLabels, Values: values})
 }
 
 // DecisionTotals sums the per-leaf reason counters.

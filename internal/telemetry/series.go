@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"conga/internal/plot"
 	"conga/internal/sim"
 )
 
@@ -57,14 +56,4 @@ func (s *Series) Observe(t sim.Time, v float64) {
 	}
 	s.pts = append(s.pts, Point{T: t, V: v})
 	s.skip = s.stride - 1
-}
-
-// PlotSeries is a series or cdf file as one plot line: (time_ns, value) or
-// (value, fraction) points under the file's probe name and unit.
-func (f *SinkFile) PlotSeries() plot.Series {
-	s := plot.Series{Name: f.Probe, Unit: f.Unit, Points: f.CDF}
-	for _, p := range f.Points {
-		s.Points = append(s.Points, [2]float64{float64(p.T), p.V})
-	}
-	return s
 }

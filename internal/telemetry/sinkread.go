@@ -23,13 +23,13 @@ func ReadSinkFile(path string) (*SinkFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	return DecodeSink(path, data)
+	return decodeSink(path, data)
 }
 
-// DecodeSink decodes the bytes of one sink file, as ReadSinkFile does; name
-// stands for the file in errors. The live endpoints serve these same bytes.
-// An empty input is a valid file: an empty series flushes as one.
-func DecodeSink(name string, data []byte) (*SinkFile, error) {
+// decodeSink decodes the bytes of one sink file, as ReadSinkFile does; name
+// stands for the file in errors. An empty input is a valid file: an empty
+// series flushes as one.
+func decodeSink(name string, data []byte) (*SinkFile, error) {
 	d := &sinkDecoder{data: data, f: &SinkFile{}}
 	var err error
 	start := len(data) // of the record at fault

@@ -186,7 +186,7 @@ func TestReadSinkFileRejectsDamage(t *testing.T) {
 		{"json trace rows under a decision header", `{"capture":{"mode":"head","cap":1,"recorded":1,"seen":1,"suppressed":0}}` + "\n" +
 			`{"time_ns":5,"event":"send","where":"h4","flow":0,"src":4,"dst":2,"sport":1,"dport":2,"seq":0,"payload":5}` + "\n", "f:2: keys are not time_ns,src_leaf"},
 	} {
-		_, err := DecodeSink("f", []byte(c.data))
+		_, err := decodeSink("f", []byte(c.data))
 		if err == nil || !strings.HasPrefix(err.Error(), c.want) {
 			t.Errorf("%s: error %v, want %q…", c.name, err, c.want)
 		}
@@ -211,7 +211,7 @@ func FuzzReadSinkFile(f *testing.F) {
 		f.Add(bytes.Repeat(data, 2))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := DecodeSink("fuzz", data)
+		got, err := decodeSink("fuzz", data)
 		if err != nil {
 			return
 		}
@@ -225,7 +225,7 @@ func FuzzReadSinkFile(f *testing.F) {
 		if err := got.encode(&b); err != nil {
 			t.Fatal(err)
 		}
-		again, err := DecodeSink("re-encoded", b.Bytes())
+		again, err := decodeSink("re-encoded", b.Bytes())
 		if err != nil {
 			t.Fatalf("%v\nre-encoding of\n%q\nas\n%q", err, data, b.Bytes())
 		}

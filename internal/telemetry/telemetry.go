@@ -25,9 +25,7 @@ package telemetry
 
 import (
 	"fmt"
-	"slices"
 	"sort"
-	"time"
 )
 
 // Options selects which probes a Registry activates beyond the two every
@@ -70,18 +68,6 @@ type Options struct {
 	// DecisionMode selects what a full decision trace keeps, with the same
 	// head/tail/reservoir semantics as TraceMode.
 	DecisionMode CaptureMode
-	// TapWall is the minimum wall-clock time between tap snapshots
-	// (default 100ms; negative disables the wall gate). It bounds snapshot
-	// copying cost on fast runs without touching simulated behavior:
-	// whether a safe point publishes is invisible to the simulation.
-	TapWall time.Duration
-	// Hub, when non-nil, gives the registry a lock-free streaming tap — the
-	// engine publishes immutable snapshots at collector safe points for
-	// concurrent readers — and attaches it to the hub at New time under
-	// RunName, so an HTTP server can discover runs as a sweep starts them.
-	Hub *Hub
-	// RunName labels this registry's tap on the Hub ("" = auto "run-N").
-	RunName string
 	// Dir, when non-empty, is where Flush writes one NDJSON sink file per
 	// probe.
 	Dir string
@@ -104,9 +90,6 @@ func (o Options) withDefaults() Options {
 	o.TraceFilter = o.TraceFilter.normalized()
 	if o.DecisionCap <= 0 {
 		o.DecisionCap = 65536
-	}
-	if o.TapWall == 0 {
-		o.TapWall = 100 * time.Millisecond
 	}
 	return o
 }
@@ -182,9 +165,6 @@ type Registry struct {
 	decisions []*DecisionHooks
 	decTrace  *DecisionTrace
 
-	tap      *Tap
-	progress func() Progress
-
 	// provenance, when set, names the workload that drove the run (e.g. a
 	// replay trace's identity); sinks stamp it into their headers.
 	provenance string
@@ -206,10 +186,6 @@ func New(opts Options) *Registry {
 	}
 	if opts.Decisions && opts.DecisionTrace {
 		r.decTrace = newDecisionTrace(opts.DecisionCap, opts.DecisionMode)
-	}
-	if opts.Hub != nil {
-		r.tap = &Tap{wallMin: opts.TapWall}
-		r.opts.RunName = opts.Hub.attach(opts.RunName, r.tap)
 	}
 	return r
 }
@@ -433,7 +409,7 @@ func (r *Registry) FlushTo(dir string) error {
 		return nil
 	}
 	r.Collect()
-	for _, f := range r.sinkFiles(false) {
+	for _, f := range r.sinkFiles() {
 		if err := f.Write(dir); err != nil {
 			return err
 		}
@@ -441,24 +417,17 @@ func (r *Registry) FlushTo(dir string) error {
 	return nil
 }
 
-// sinkFiles returns the files a flush writes, in flush order. With live set
-// it returns the tap's share of them — the counters, series and paths, with
-// the series points copied so a published snapshot never aliases a buffer
-// the engine keeps writing.
-func (r *Registry) sinkFiles(live bool) []*SinkFile {
+// sinkFiles returns the files a flush writes, in flush order.
+func (r *Registry) sinkFiles() []*SinkFile {
 	files := []*SinkFile{{Table: CounterTable, Provenance: r.provenance, Counters: r.CounterRows()}}
 	for _, s := range r.series {
-		pts := s.pts
-		if live {
-			pts = slices.Clone(pts)
-		}
-		files = append(files, &SinkFile{Table: SeriesTable, Probe: s.name, Unit: s.unit, Points: pts})
+		files = append(files, &SinkFile{Table: SeriesTable, Probe: s.name, Unit: s.unit, Points: s.pts})
 	}
-	if r.trace != nil && !live {
+	if r.trace != nil {
 		info := r.trace.Info()
 		files = append(files, &SinkFile{Table: TraceTable, Provenance: r.provenance, Capture: &info, Trace: r.trace.Events()})
 	}
-	if r.decTrace != nil && !live {
+	if r.decTrace != nil {
 		info := r.decTrace.Info()
 		files = append(files, &SinkFile{Table: DecisionTable, Provenance: r.provenance, Capture: &info, Decisions: r.decTrace.Events()})
 	}
@@ -476,15 +445,4 @@ func (r *Registry) SetProvenance(s string) {
 		return
 	}
 	r.provenance = s
-}
-
-// ArchiveToHub lists the registry's flushed directory on its Hub run, so
-// the live dashboard keeps linking the run's sink files after it finishes.
-// A no-op unless the registry has both a Hub and a flush Dir; the harness
-// calls it once, after Flush succeeds.
-func (r *Registry) ArchiveToHub() {
-	if r == nil || r.opts.Hub == nil || r.opts.Dir == "" {
-		return
-	}
-	r.opts.Hub.archive(r.opts.RunName, r.opts.Dir)
 }

@@ -294,3 +294,54 @@ func TestSanitizeName(t *testing.T) {
 		}
 	}
 }
+
+// TestProvenanceInSinks: a registry stamped with replay provenance carries
+// it into the counters and trace files as a leading meta object, while
+// series files stay clean data rows.
+func TestProvenanceInSinks(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "out")
+	r := New(All(out))
+	r.SetProvenance("replay harness=fct scheme=conga workload=enterprise load=0.5 seed=7 flows=42 fp=0123456789abcdef")
+	r.Link("l0->s0.0").Enqueues = 1
+	s := r.NewSeries("queue.l0->s0.0", "bytes")
+	s.Observe(10, 1.5)
+	r.Trace().Record(5, TraceSend, "h0", 1, 0, 1, 100, 200, 0, 1460)
+	if err := r.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	read := func(name string) string {
+		b, err := os.ReadFile(filepath.Join(out, name))
+		if err != nil {
+			t.Fatalf("read %s: %v", name, err)
+		}
+		return string(b)
+	}
+	for _, name := range []string{"counters.ndjson", "trace.ndjson"} {
+		if got := read(name); !strings.HasPrefix(got, `{"provenance":"replay harness=fct`) {
+			t.Errorf("%s lacks provenance meta line:\n%.120s", name, got)
+		}
+	}
+	if got := read("series_queue.l0-s0.0.ndjson"); strings.Contains(got, "provenance") {
+		t.Errorf("series file polluted with provenance:\n%.120s", got)
+	}
+
+	// Unstamped registries emit exactly the old format.
+	r2 := New(All(filepath.Join(dir, "out2")))
+	r2.Link("a").Enqueues = 1
+	if err := r2.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, "out2", "counters.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(b), `{"group":`) {
+		t.Errorf("unstamped counters.ndjson changed:\n%.120s", b)
+	}
+
+	// nil-safety: stamping a nil registry is a no-op, not a panic.
+	var nilReg *Registry
+	nilReg.SetProvenance("x")
+}

@@ -86,7 +86,6 @@ func TestParallelRejectsUnsupportedOptions(t *testing.T) {
 		{"mptcp transport", "TransportMPTCP", func(c *FCTConfig) { c.Transport.Kind = TransportMPTCP }},
 		{"counters", "Telemetry", func(c *FCTConfig) { c.Telemetry = &TelemetryOptions{} }},
 		{"trace", "Telemetry", func(c *FCTConfig) { c.Telemetry = &TelemetryOptions{Trace: true} }},
-		{"hub", "Telemetry", func(c *FCTConfig) { c.Telemetry = &TelemetryOptions{Hub: NewTelemetryHub()} }},
 		{"decision trace", "Telemetry", func(c *FCTConfig) {
 			c.Telemetry = &TelemetryOptions{Decisions: true, DecisionTrace: true}
 		}},

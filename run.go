@@ -171,8 +171,10 @@ func (r *run) enableCheck() {
 // audit returns the first failure of an audited run after exec: a flow that
 // did not deliver exactly its size, then a sweep audit failure, then — when
 // the run drained, no live event left on any engine — the fabric's drain
-// audit. A run its horizon cut short may hold packets in flight, so the
-// drain audit does not apply to it.
+// audit and a leak from a domain's transport pools: every flow, endpoint and
+// MPTCP connection a pool allocated must be back on it. A run its horizon
+// cut short may hold packets and flows in flight, so the drain audits do
+// not apply to it.
 func (r *run) audit() error {
 	for _, dom := range r.doms {
 		if dom.checkErr != nil {
@@ -187,7 +189,18 @@ func (r *run) audit() error {
 			return nil
 		}
 	}
-	return r.net.CheckDrained()
+	if err := r.net.CheckDrained(); err != nil {
+		return err
+	}
+	for d, dom := range r.doms {
+		if err := dom.pool.CheckReturned(); err != nil {
+			return fmt.Errorf("check: domain %d's tcp pool leaked at drain: %w", d, err)
+		}
+		if err := dom.mpool.CheckReturned(); err != nil {
+			return fmt.Errorf("check: domain %d's mptcp pool leaked at drain: %w", d, err)
+		}
+	}
+	return nil
 }
 
 // start begins one flow on domain d, which must own a.src. It is the one
@@ -280,19 +293,16 @@ func (r *run) events() uint64 {
 	return n
 }
 
-// finish is the telemetry epilogue of a run that ended at now: pull the
-// as-of-now counters, publish the final tap snapshot, flush the sinks and
-// archive the directory. It returns the populated registry (nil when
+// finish is the telemetry epilogue of a run: pull the as-of-now counters
+// and flush the sinks. It returns the populated registry (nil when
 // telemetry is off) for the harness's result.
-func (r *run) finish(now sim.Time) (*telemetry.Registry, error) {
+func (r *run) finish() (*telemetry.Registry, error) {
 	if r.reg == nil {
 		return nil, nil
 	}
 	r.reg.Collect()
-	r.reg.FinishTap(now)
 	if err := r.reg.Flush(); err != nil {
 		return nil, fmt.Errorf("conga: telemetry flush: %w", err)
 	}
-	r.reg.ArchiveToHub()
 	return r.reg, nil
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"conga/internal/runner"
+	"conga/internal/telemetry"
 )
 
 // TestTelemetryDoesNotPerturbSimulation is the "probes observe, never
@@ -13,71 +14,116 @@ import (
 // bit-identical result — event count, FCTs, drops, everything — with
 // telemetry fully enabled as with it off. Samplers piggyback on the existing
 // DRE and flowlet tickers, counters are plain field bumps, and sinks only
-// run post-engine, so nothing about the event sequence may change.
+// run post-engine, so nothing about the event sequence may change. The
+// capped rows also hold a triggered flight-recorder trace (tail and
+// reservoir) to its cap, so the capture policies are under the same check.
 func TestTelemetryDoesNotPerturbSimulation(t *testing.T) {
 	skipSingleGoroutine(t)
-	for _, scheme := range []Scheme{SchemeECMP, SchemeCONGA, SchemeMPTCPMarker} {
-		cfg := FCTConfig{
-			Topology: Topology{Leaves: 2, Spines: 2, HostsPerLeaf: 4, LinksPerSpine: 1,
-				AccessGbps: 10, FabricGbps: 10},
-			Scheme:   scheme,
-			Workload: WorkloadEnterprise,
-			Load:     0.6,
-			Duration: 10 * time.Millisecond,
-			MaxFlows: 120,
-			Seed:     7,
-			// Per-flow FCT vectors sharpen the bit-identity check: any
-			// reordered completion shows up flow by flow, not just in the
-			// aggregate stats.
-			CollectFlows: true,
+	capped := func(mode telemetry.CaptureMode) func(*TelemetryOptions) {
+		return func(o *TelemetryOptions) {
+			o.TraceMode = mode
+			o.TraceCap = 256 // force suppression so the capture policy is exercised
+			o.TraceTrigger = telemetry.TriggerFirstRTO | telemetry.TriggerFirstDrop
+			o.TraceStopAfter = 32
 		}
-		off, err := RunFCT(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := TelemetryAll("") // every probe on, no flush dir
-		cfg.Telemetry = opts
-		on, err := RunFCT(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if on.Telemetry == nil {
-			t.Fatalf("%s: telemetry requested but result carries none", on.Scheme)
-		}
-		reg := on.Telemetry
-		on.Telemetry = nil
-		off.Wall, on.Wall = 0, 0 // wall clock is environment, not behavior
-		if !reflect.DeepEqual(off, on) {
-			t.Fatalf("%s: telemetry changed the simulation\noff: %+v\non:  %+v", off.Scheme, off, on)
-		}
-		// The probes must have actually observed something, or the test
-		// proves nothing.
-		if enq, _, _, _ := reg.LinkTotals(); enq == 0 {
-			t.Fatalf("%s: no enqueues counted", off.Scheme)
-		}
-		if len(reg.AllSeries()) == 0 {
-			t.Fatalf("%s: no series registered", off.Scheme)
-		}
-		// TelemetryAll includes the decision plane, so the bit-identity
-		// check above already covers it; here make sure it observed real
-		// decisions on the scheme that has a decision plane.
-		if off.Scheme == "conga" {
-			dt := reg.DecisionTotals()
-			if dt.Sticky+dt.NewFlowlet+dt.Expired+dt.Evicted == 0 {
-				t.Fatal("conga: decision hooks recorded nothing")
+	}
+	rows := []struct {
+		name   string
+		scheme Scheme
+		opts   func(*TelemetryOptions)
+	}{
+		{"ecmp", SchemeECMP, nil},
+		{"conga", SchemeCONGA, nil},
+		{"mptcp", SchemeMPTCPMarker, nil},
+		{"conga_tail_cap256", SchemeCONGA, capped(telemetry.CaptureTail)},
+		{"conga_reservoir_cap256", SchemeCONGA, capped(telemetry.CaptureReservoir)},
+	}
+	offs := map[Scheme]*FCTResult{} // the telemetry-off run, per scheme
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := FCTConfig{
+				Topology: Topology{Leaves: 2, Spines: 2, HostsPerLeaf: 4, LinksPerSpine: 1,
+					AccessGbps: 10, FabricGbps: 10},
+				Scheme:   row.scheme,
+				Workload: WorkloadEnterprise,
+				Load:     0.6,
+				Duration: 10 * time.Millisecond,
+				MaxFlows: 120,
+				Seed:     7,
+				// Per-flow FCT vectors sharpen the bit-identity check: any
+				// reordered completion shows up flow by flow, not just in
+				// the aggregate stats.
+				CollectFlows: true,
 			}
-			tr := reg.DecisionTrace()
-			if len(tr.Events()) == 0 {
-				t.Fatal("conga: decision trace empty")
+			off := offs[row.scheme]
+			if off == nil {
+				var err error
+				if off, err = RunFCT(cfg); err != nil {
+					t.Fatal(err)
+				}
+				offs[row.scheme] = off
 			}
-			if info := tr.Info(); info.Recorded+int(info.Suppressed) != info.Seen {
-				t.Fatalf("conga: capture accounting broken: recorded %d + suppressed %d != seen %d",
-					info.Recorded, info.Suppressed, info.Seen)
+			opts := TelemetryAll("") // every probe on, no flush dir
+			if row.opts != nil {
+				row.opts(opts)
 			}
-			if len(reg.PathRows()) == 0 {
-				t.Fatal("conga: path load matrix empty")
+			cfg.Telemetry = opts
+			on, err := RunFCT(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			if on.Telemetry == nil {
+				t.Fatal("telemetry requested but result carries none")
+			}
+			reg := on.Telemetry
+			on.Telemetry = nil
+			off.Wall, on.Wall = 0, 0 // wall clock is environment, not behavior
+			if !reflect.DeepEqual(off, on) {
+				t.Fatalf("telemetry changed the simulation\noff: %+v\non:  %+v", off, on)
+			}
+			// The probes must have actually observed something, or the
+			// test proves nothing.
+			if enq, _, _, _ := reg.LinkTotals(); enq == 0 {
+				t.Fatal("no enqueues counted")
+			}
+			if len(reg.AllSeries()) == 0 {
+				t.Fatal("no series registered")
+			}
+			if row.opts != nil {
+				// The trace must have really exercised the policy: capped,
+				// with suppression accounted for.
+				info := reg.Trace().Info()
+				if info.Mode != opts.TraceMode || info.Cap != 256 {
+					t.Fatalf("trace policy not applied: %+v", info)
+				}
+				if info.Recorded+int(info.Suppressed) != info.Seen {
+					t.Fatalf("trace capture accounting broken: %+v", info)
+				}
+				if info.Suppressed == 0 {
+					t.Fatalf("trace never hit its cap; the row proves nothing: %+v", info)
+				}
+			}
+			// TelemetryAll includes the decision plane, so the bit-identity
+			// check above already covers it; here make sure it observed
+			// real decisions on the scheme that has a decision plane.
+			if row.scheme == SchemeCONGA {
+				dt := reg.DecisionTotals()
+				if dt.Sticky+dt.NewFlowlet+dt.Expired+dt.Evicted == 0 {
+					t.Fatal("decision hooks recorded nothing")
+				}
+				tr := reg.DecisionTrace()
+				if len(tr.Events()) == 0 {
+					t.Fatal("decision trace empty")
+				}
+				if info := tr.Info(); info.Recorded+int(info.Suppressed) != info.Seen {
+					t.Fatalf("capture accounting broken: recorded %d + suppressed %d != seen %d",
+						info.Recorded, info.Suppressed, info.Seen)
+				}
+				if len(reg.PathRows()) == 0 {
+					t.Fatal("path load matrix empty")
+				}
+			}
+		})
 	}
 }
 

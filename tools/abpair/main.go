@@ -8,17 +8,20 @@
 //	go run ./tools/abpair -workload incast -pairs 10 -base HEAD~1
 //	go run ./tools/abpair -workload scale256 -pairs 10 -overlay probe.json -reps 3
 //
-// With -base REV the base bench is built from a temporary git worktree of
-// REV (removed afterwards) and the change from the working tree. With
+// With -base REV the base bench is built from a `git archive` of REV in a
+// temporary directory and the change from the working tree. With
 // -overlay FILE both come from the working tree, the change built with
 // `go build -overlay FILE`, so a probe needs no edit to the tree. Pair i runs
 // the base first when i is even and the change first when it is odd; the
-// run length is the benchmark's default unless -reps is set.
-// Every run is appended to -out as one JSON line. Run from the repo root.
+// run length is the benchmark's default unless -reps is set. Every run is
+// appended to -out as one JSON line, with a manifest of what its side was
+// built from and ran on. Run from the repo root.
 package main
 
 import (
 	"bytes"
+	"cmp"
+	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -26,16 +29,11 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"sort"
+	"strings"
 	"time"
 )
-
-// endToEnd is one BENCHMARK.json end-to-end metric.
-type endToEnd struct {
-	Name   string  `json:"name"`
-	Better string  `json:"better"`
-	Bound  float64 `json:"bound"`
-}
 
 // runRecord is one bench run, as appended to the JSONL file.
 type runRecord struct {
@@ -49,6 +47,44 @@ type runRecord struct {
 	Digest   string             `json:"digest"`
 	Events   string             `json:"events"`
 	Metrics  map[string]float64 `json:"metrics"`
+	Manifest manifest           `json:"manifest"`
+}
+
+// manifest says what a run's bench was built from and what it ran on.
+type manifest struct {
+	Rev        string `json:"rev"`                      // the commit the side was built from
+	Dirty      bool   `json:"dirty,omitempty"`          // working tree only: uncommitted changes on top of Rev
+	Overlay    string `json:"overlay_sha256,omitempty"` // of the -overlay file
+	Go         string `json:"go"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	CPU        string `json:"cpu"` // the model name in /proc/cpuinfo
+}
+
+var cpuModel = regexp.MustCompile(`(?m)^model name\s*:\s*(.+)$`)
+
+// manifests returns the base's and the change's manifests.
+func manifests(base, overlay string) (ms [2]manifest, err error) {
+	git := func(args ...string) string {
+		out, gitErr := exec.Command("git", args...).Output()
+		if gitErr != nil && err == nil {
+			err = fmt.Errorf("git %v: %w", args, gitErr)
+		}
+		return strings.TrimSpace(string(out))
+	}
+	ms[1] = manifest{Rev: git("rev-parse", "HEAD"), Dirty: git("status", "--porcelain") != "",
+		Go: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
+	info, _ := os.ReadFile("/proc/cpuinfo") // none off Linux: no model
+	if m := cpuModel.FindSubmatch(info); m != nil {
+		ms[1].CPU = string(m[1])
+	}
+	ms[0] = ms[1]
+	if base != "" {
+		ms[0].Rev, ms[0].Dirty = git("rev-parse", "--verify", base+"^{commit}"), false
+		return ms, err
+	}
+	raw, readErr := os.ReadFile(overlay)
+	ms[1].Overlay = fmt.Sprintf("%x", sha256.Sum256(raw))
+	return ms, cmp.Or(err, readErr)
 }
 
 func main() {
@@ -73,7 +109,10 @@ func run(workload string, pairs int, base, overlay string, reps int, out, label 
 		return fmt.Errorf("need -workload, -pairs ≥ 1 and exactly one of -base and -overlay")
 	}
 	var spec struct {
-		EndToEnd []endToEnd `json:"end_to_end"`
+		EndToEnd []struct {
+			Name, Better string
+			Bound        float64
+		} `json:"end_to_end"`
 	}
 	raw, err := os.ReadFile("BENCHMARK.json")
 	if err == nil {
@@ -82,29 +121,27 @@ func run(workload string, pairs int, base, overlay string, reps int, out, label 
 	if err != nil {
 		return fmt.Errorf("reading BENCHMARK.json (run from the repository root): %w", err)
 	}
+	mans, err := manifests(base, overlay)
+	if err != nil {
+		return err
+	}
 	tmp, err := os.MkdirTemp("", "abpair-")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(tmp)
 	bins := [2]string{filepath.Join(tmp, "bench-base"), filepath.Join(tmp, "bench-change")}
+	baseTree, change := filepath.Join(tmp, "base-tree"), []string{"build", "-o", bins[1]}
 	if base != "" {
-		wt := filepath.Join(tmp, "base-tree")
-		if err := sh("", "git", "worktree", "add", "--detach", wt, base); err != nil {
-			return err
-		}
-		err = sh(wt, "go", "build", "-o", bins[0], "./bench")
-		if rmErr := sh("", "git", "worktree", "remove", "--force", wt); err == nil {
-			err = rmErr
-		}
-		if err == nil {
-			err = sh("", "go", "build", "-o", bins[1], "./bench")
-		}
+		err = sh("", "sh", "-c", `mkdir "$1" && git archive "$0" | tar -x -C "$1"`, base, baseTree)
 	} else {
-		err = sh("", "go", "build", "-o", bins[0], "./bench")
-		if err == nil {
-			err = sh("", "go", "build", "-overlay", overlay, "-o", bins[1], "./bench")
-		}
+		baseTree, change = "", append(change, "-overlay", overlay)
+	}
+	if err == nil {
+		err = sh(baseTree, "go", "build", "-o", bins[0], "./bench")
+	}
+	if err == nil {
+		err = sh("", "go", append(change, "./bench")...)
 	}
 	if err != nil {
 		return err
@@ -131,6 +168,7 @@ func run(workload string, pairs int, base, overlay string, reps int, out, label 
 				return err
 			}
 			rec.Label, rec.Workload, rec.Side, rec.Pair, rec.Pos = label, workload, [2]string{"base", "change"}[side], i, pos
+			rec.Manifest = mans[side]
 			line, _ := json.Marshal(rec)
 			if _, err := f.Write(append(line, '\n')); err != nil {
 				return err
@@ -142,11 +180,7 @@ func run(workload string, pairs int, base, overlay string, reps int, out, label 
 			}
 		}
 	}
-	sides := [2]string{"-base " + base, "the working tree"}
-	if overlay != "" {
-		sides = [2]string{"the working tree", "-overlay " + overlay}
-	}
-	fmt.Printf("%s, %d pairs; base: %s, change: %s\n", workload, pairs, sides[0], sides[1])
+	fmt.Printf("%s, %d pairs; base: %s, change: %s\n", workload, pairs, cmp.Or(base, "the working tree"), cmp.Or(overlay, "the working tree"))
 	fmt.Printf("%-20s %-30s %-30s %7s %6s  %s\n", "metric", "base median [q1, q3]", "change median [q1, q3]", "ratio", "wins", "verdict")
 	for _, m := range spec.EndToEnd {
 		s := samples[m.Name]

@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"encoding/json"
+	"reflect"
+	"testing"
+)
 
 // TestVerdict pins the verdict rule on fixed samples: a gain needs ≥ 9/10
 // wins and a median shift past the base's interquartile range, a
@@ -44,5 +48,34 @@ func TestVerdict(t *testing.T) {
 	}
 	if q := quartiles([]float64{4, 1, 3, 2, 5}); q != [3]float64{2, 3, 4} {
 		t.Errorf("quartiles of 1..5 = %v, want [2 3 4]", q)
+	}
+}
+
+// TestRecordCarriesManifest decodes one JSONL record as run writes it: the
+// manifest's fields sit under "manifest" with their names, and the CPU model
+// is read off a /proc/cpuinfo line.
+func TestRecordCarriesManifest(t *testing.T) {
+	m := cpuModel.FindSubmatch([]byte("processor\t: 0\nvendor_id\t: GenuineIntel\nmodel name\t: Intel(R) Xeon(R) Processor\n"))
+	if m == nil || string(m[1]) != "Intel(R) Xeon(R) Processor" {
+		t.Fatalf("cpu model %q, want Intel(R) Xeon(R) Processor", m)
+	}
+	rec := runRecord{Workload: "incast", Side: "change", Metrics: map[string]float64{"wall_s": 1.5},
+		Manifest: manifest{Rev: "5e63a72", Dirty: true, Overlay: "9f86d0", Go: "go1.24.0", GOMAXPROCS: 2, CPU: string(m[1])}}
+	line, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got struct {
+		Side     string
+		Metrics  map[string]float64
+		Manifest map[string]any
+	}
+	if err := json.Unmarshal(line, &got); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]any{"rev": "5e63a72", "dirty": true, "overlay_sha256": "9f86d0", "go": "go1.24.0",
+		"gomaxprocs": 2.0, "cpu": "Intel(R) Xeon(R) Processor"}
+	if got.Side != "change" || got.Metrics["wall_s"] != 1.5 || !reflect.DeepEqual(got.Manifest, want) {
+		t.Errorf("decoded %s as %+v, want side change, wall_s 1.5 and manifest %v", line, got, want)
 	}
 }
