@@ -3,6 +3,8 @@ package conga
 import (
 	"testing"
 	"time"
+
+	"conga/internal/stats"
 )
 
 func TestRunHDFSCompletes(t *testing.T) {
@@ -59,7 +61,10 @@ func TestRunHDFSDeterministic(t *testing.T) {
 	}
 }
 
-// TestHDFSFailureDegradesECMPMore is the Figure 14 shape at test scale.
+// TestHDFSFailureDegradesECMPMore is the Figure 14 shape at test scale,
+// judged on the paired mean job time over ten seeds: one seed's job time
+// moves several-fold with the background draw, so a single seed's ordering
+// is noise.
 func TestHDFSFailureDegradesECMPMore(t *testing.T) {
 	skipSingleGoroutine(t)
 	// Paper-rate links matter here: at 10G the DRE metrics discriminate
@@ -85,13 +90,15 @@ func TestHDFSFailureDegradesECMPMore(t *testing.T) {
 		}
 		return res.JobCompletion
 	}
-	var ecmpFail, congaFail time.Duration
-	for seed := uint64(1); seed <= 3; seed++ {
-		ecmpFail += run(SchemeECMP, seed)
-		congaFail += run(SchemeCONGA, seed)
+	var job stats.PairedSample // A = ECMP, B = CONGA, per seed
+	for seed := uint64(1); seed <= 10; seed++ {
+		e, c := run(SchemeECMP, seed), run(SchemeCONGA, seed)
+		t.Logf("seed %2d: ECMP %v, CONGA %v", seed, e, c)
+		job.Add(e.Seconds(), c.Seconds())
 	}
-	if float64(congaFail) > float64(ecmpFail)*1.15 {
-		t.Fatalf("CONGA slower than ECMP on the degraded fabric: %v vs %v", congaFail, ecmpFail)
+	if job.MeanRatio() > 1.15 {
+		t.Fatalf("CONGA slower than ECMP on the degraded fabric: mean job time %.1f ms vs %.1f ms over %d seeds",
+			job.MeanB()*1e3, job.MeanA()*1e3, job.N())
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"conga/internal/core"
 	"conga/internal/fabric"
 	"conga/internal/sim"
+	"conga/internal/stats"
 	"conga/internal/tcp"
 )
 
@@ -147,15 +148,18 @@ func TestDeterministicBySeed(t *testing.T) {
 
 // TestFailureHurtsECMPMoreThanCONGA is Figure 14's claim at small scale:
 // with a degraded fabric and the job's replication traffic, CONGA's job
-// time degrades less than ECMP's.
+// time degrades less than ECMP's. A seed's degradation is within a few per
+// cent of 1 and moves with the job's placement draw, so the claim is judged
+// on the paired mean over ten seeds.
 func TestFailureHurtsECMPMoreThanCONGA(t *testing.T) {
-	run := func(scheme fabric.Scheme, fail bool) sim.Time {
+	run := func(scheme fabric.Scheme, fail bool, seed uint64) sim.Time {
 		eng, n := testNet(t, scheme)
 		if fail {
 			n.FailLink(0, 1, 0)
 		}
 		cfg := testCfg()
 		cfg.DiskBps = 2e9 // generous disks so the network is the binding constraint
+		cfg.Seed = seed
 		res, err := Run(eng, n, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -163,9 +167,17 @@ func TestFailureHurtsECMPMoreThanCONGA(t *testing.T) {
 		eng.Run(sim.MaxTime)
 		return res.CompletionTime
 	}
-	ecmpDeg := float64(run(fabric.SchemeECMP, true)) / float64(run(fabric.SchemeECMP, false))
-	congaDeg := float64(run(fabric.SchemeCONGA, true)) / float64(run(fabric.SchemeCONGA, false))
-	if congaDeg > ecmpDeg*1.05 {
-		t.Fatalf("CONGA degraded more than ECMP under failure: %.2f vs %.2f", congaDeg, ecmpDeg)
+	degradation := func(scheme fabric.Scheme, seed uint64) float64 {
+		return float64(run(scheme, true, seed)) / float64(run(scheme, false, seed))
+	}
+	var deg stats.PairedSample // A = ECMP, B = CONGA, per seed
+	for seed := uint64(1); seed <= 10; seed++ {
+		e, c := degradation(fabric.SchemeECMP, seed), degradation(fabric.SchemeCONGA, seed)
+		t.Logf("seed %2d: degradation ECMP %.3f, CONGA %.3f", seed, e, c)
+		deg.Add(e, c)
+	}
+	if deg.MeanRatio() > 1.05 {
+		t.Fatalf("CONGA degraded more than ECMP under failure: mean %.3f vs %.3f over %d seeds",
+			deg.MeanB(), deg.MeanA(), deg.N())
 	}
 }
