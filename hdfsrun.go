@@ -37,9 +37,13 @@ type HDFSConfig struct {
 	Telemetry *TelemetryOptions
 
 	// Check audits the trial as FCTConfig.Check does: flowlet tables and
-	// link queues at every sweep, each completed background flow's
-	// delivered bytes, and, when the run drains, no packet left. RunHDFS
-	// then returns an error naming the first failure.
+	// link queues at every sweep and each completed background flow's
+	// delivered bytes; then, once the result is read, it stops the
+	// background arrivals, runs the fabric until it drains and audits that
+	// no packet is left and every pooled object is back. RunHDFS then
+	// returns an error naming the first failure. The result is the one an
+	// unaudited trial returns; only the telemetry registry's live counters
+	// go on counting through the drain, after its sinks are flushed.
 	Check bool
 
 	Seed uint64
@@ -104,7 +108,11 @@ func RunHDFS(cfg HDFSConfig) (*HDFSResult, error) {
 	return res, err
 }
 
-func runHDFS(cfg HDFSConfig) (*HDFSResult, error) {
+func runHDFS(cfg HDFSConfig) (*HDFSResult, error) { return runHDFSPlanted(cfg, nil) }
+
+// runHDFSPlanted is runHDFS with plant, when non-nil, called on the built
+// run before anything executes: the audit's tests plant faults through it.
+func runHDFSPlanted(cfg HDFSConfig, plant func(*run)) (*HDFSResult, error) {
 	cfg = cfg.withDefaults()
 	switch {
 	case cfg.BackgroundLoad < 0:
@@ -150,6 +158,7 @@ func runHDFS(cfg HDFSConfig) (*HDFSResult, error) {
 
 	// The job itself replicates with TCP regardless of the background
 	// transport, as HDFS does.
+	draining := false
 	jobRes, err := hdfs.Run(eng, net, hdfs.Config{
 		Writers:        cfg.Writers,
 		BytesPerWriter: cfg.BytesPerWriter,
@@ -161,18 +170,18 @@ func runHDFS(cfg HDFSConfig) (*HDFSResult, error) {
 	}, func(*hdfs.Result, sim.Time) {
 		// Stop promptly once the job completes; lingering background
 		// flows don't affect the measurement.
-		eng.Stop()
+		if !draining {
+			eng.Stop()
+		}
 	})
 	if err != nil {
 		return nil, err
 	}
+	if plant != nil {
+		plant(r)
+	}
 
 	r.exec(sim.Duration(cfg.Timeout))
-	if cfg.Check {
-		if err := r.audit(); err != nil {
-			return nil, err
-		}
-	}
 
 	res := &HDFSResult{
 		Scheme:       SchemeName(cfg.Scheme),
@@ -192,6 +201,18 @@ func runHDFS(cfg HDFSConfig) (*HDFSResult, error) {
 	}
 	if res.Telemetry, err = r.finish(); err != nil {
 		return nil, err
+	}
+	if cfg.Check {
+		// The job's end stops the engine with background flows in flight;
+		// the drain audits need them finished and no new ones started.
+		draining = true
+		if gen != nil {
+			gen.Stop()
+		}
+		r.exec(sim.MaxTime)
+		if err := r.audit(); err != nil {
+			return nil, err
+		}
 	}
 	return res, nil
 }

@@ -48,6 +48,7 @@ type Generator struct {
 
 	start    Starter
 	arriveFn sim.Event // bound once so each arrival schedules allocation-free
+	next     sim.EventHandle
 	nextID   uint64
 	created  int
 
@@ -116,6 +117,10 @@ func (g *Generator) Start() {
 	g.scheduleNext(g.eng.Now())
 }
 
+// Stop cancels the pending arrival: no flow starts after it, and flows
+// already started run on.
+func (g *Generator) Stop() { g.next.Cancel() }
+
 func (g *Generator) scheduleNext(now sim.Time) {
 	if g.cfg.MaxFlows > 0 && g.created >= g.cfg.MaxFlows {
 		return
@@ -125,7 +130,7 @@ func (g *Generator) scheduleNext(now sim.Time) {
 	if next > g.cfg.Duration {
 		return
 	}
-	g.eng.At(next, g.arriveFn)
+	g.next = g.eng.At(next, g.arriveFn)
 }
 
 // arrive is the per-arrival event body (bound once as arriveFn): launch
