@@ -325,8 +325,8 @@ func printTelemetry(reg *conga.TelemetryRegistry, dir string) {
 	enq, deq, drops, ce := reg.LinkTotals()
 	tcp := reg.TCPTotals()
 	creates, expires, evicts := reg.FlowletTotals()
-	fmt.Printf("telemetry: links enq %d deq %d drops %d ce-marks %d; tcp retx %d rto %d dupacks %d; flowlets created %d expired %d evicted %d\n",
-		enq, deq, drops, ce, tcp.Retransmits, tcp.Timeouts, tcp.DupAcks, creates, expires, evicts)
+	fmt.Printf("telemetry: links enq %d deq %d drops %d ce-marks %d; tcp retx %d rto %d dupacks %d acks %d delayed %d; flowlets created %d expired %d evicted %d\n",
+		enq, deq, drops, ce, tcp.Retransmits, tcp.Timeouts, tcp.DupAcks, tcp.Acks, tcp.DelayedAcks, creates, expires, evicts)
 	if rows := reg.EngineRows(); len(rows) > 0 {
 		fmt.Print("engine:")
 		for _, row := range rows {

@@ -176,7 +176,7 @@ func runIncast(cfg IncastConfig) (*IncastResult, error) {
 			servers[i].mpConn = conn
 		default:
 			port := client.AllocPort()
-			servers[i].tcpRecv = pool.NewReceiver(client, port)
+			servers[i].tcpRecv = pool.NewReceiver(eng, client, port)
 			s := pool.NewSender(eng, srcHost, uint64(1000+i*16), client.ID, port, r.tcpCfg)
 			s.OnAllAcked = onServerDone
 			servers[i].tcpSend = s

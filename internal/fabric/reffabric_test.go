@@ -33,16 +33,11 @@ type refQueue []refEvent
 
 func (q refQueue) Len() int { return len(q) }
 func (q refQueue) Less(i, j int) bool {
-	return q[i].at < q[j].at || (q[i].at == q[j].at && q[i].seq < q[j].seq)
+	return q[i].at < q[j].at || q[i].at == q[j].at && q[i].seq < q[j].seq
 }
 func (q refQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
 func (q *refQueue) Push(x any)   { *q = append(*q, x.(refEvent)) }
-func (q *refQueue) Pop() any {
-	old := *q
-	ev := old[len(old)-1]
-	*q = old[:len(old)-1]
-	return ev
-}
+func (q *refQueue) Pop() any     { ev := (*q)[len(*q)-1]; *q = (*q)[:len(*q)-1]; return ev }
 
 type refEngine struct {
 	q   refQueue
@@ -63,22 +58,18 @@ func (e *refEngine) run(until sim.Time) {
 }
 
 type refPkt struct {
-	flow         uint64
-	src, dst     int
-	sport, dport int
-	seq          int64
-	payload      int
-	ack          bool
-	ackNo        int64
-	sack         [][2]int64
-	sent, echo   sim.Time
-	ce, tag      uint8
-	fb           refFB
+	flow                            uint64
+	src, dst, sport, dport, payload int
+	seq, ackNo                      int64
+	ack                             bool
+	sack                            [][2]int64
+	sent, echo                      sim.Time
+	ce, tag                         uint8
+	fb                              refFB
 }
 
 func (p *refPkt) hop(at sim.Time) hop {
-	h := hop{at: at, flow: p.flow, src: p.src, seq: p.seq, payload: p.payload, ackNo: p.ackNo, echo: p.echo,
-		ce: p.ce, tag: p.tag, fb: p.fb}
+	h := hop{at: at, flow: p.flow, src: p.src, seq: p.seq, payload: p.payload, ackNo: p.ackNo, echo: p.echo, ce: p.ce, tag: p.tag, fb: p.fb}
 	copy(h.sack[:], p.sack)
 	return h
 }
@@ -283,15 +274,12 @@ func (r *refLeaf) arrive(p *refPkt, srcLeaf int, now sim.Time) {
 	}
 }
 
-// sweep is the every-Tfl age-bit pass over the whole table.
+// sweep is the every-Tfl age-bit pass over the whole table: a valid entry
+// already aged goes invalid, any other valid one ages.
 func (r *refLeaf) sweep() {
 	for _, f := range r.slots {
-		switch {
-		case !f.valid:
-		case f.age:
-			f.valid = false
-		default:
-			f.age = true
+		if f.valid {
+			f.valid, f.age = !f.age, true
 		}
 	}
 }
@@ -371,8 +359,8 @@ func refNet(cfg Config, eng *refEngine, log hopLog, deliver func(*refPkt, sim.Ti
 // started at At.
 type (
 	refTCP struct {
-		MSS, InitCwnd, DupThresh, MaxCwnd int
-		MinRTO, MaxRTO, InitRTO           sim.Time
+		MSS, InitCwnd, DupThresh, MaxCwnd, QuickAcks int
+		MinRTO, MaxRTO, InitRTO, DelAck              sim.Time
 	}
 	refFlow struct {
 		ID       uint64
@@ -383,29 +371,29 @@ type (
 )
 
 // refConn is one connection, both ends, as a plain state machine: slow start
-// and Reno growth, SACK-based fast recovery with RFC 6675's pipe, an RFC 6298
-// timer with Karn's rule and go-back-N on expiry, and a receiver that ACKs
-// every segment with up to three SACK blocks, the one holding that segment
-// first. Scoreboard and reassembly buffer are sorted range lists.
+// and Reno growth counting acked bytes, SACK-based fast recovery with RFC
+// 6675's pipe, an RFC 6298 timer with Karn's rule and go-back-N on expiry,
+// and a receiver that ACKs as Linux does (see dataIn) with up to three SACK
+// blocks, the one holding the segment first. Scoreboard and reassembly
+// buffer are sorted range lists; a timer is a liveness flag.
 type refConn struct {
-	c                 refTCP
-	f                 refFlow
-	eng               *refEngine
-	out               func(*refPkt, sim.Time) // into the sending host's access link
-	done              func(sim.Time)
-	sport, dport      int
-	una, nxt, rcvNxt  int64
-	cwnd, ssthresh    float64
-	recovery          bool
-	recover, mark     int64 // the recovery point; where hole repair resumes
-	pipe              int64 // retransmitted bytes not yet cumulatively acked
-	dups              int
-	sacked, ooo       [][2]int64 // the sender's scoreboard; the receiver's out-of-order data
-	srtt, rttvar, rto sim.Time
-	backoff           uint
-	lastRetx          sim.Time
-	timer             *bool // the armed RTO's liveness; nil when none is armed
-	closed            bool
+	c                   refTCP
+	f                   refFlow
+	eng                 *refEngine
+	out                 func(*refPkt, sim.Time) // into the sending host's access link
+	done                func(sim.Time)
+	sport, dport        int
+	una, nxt, rcvNxt    int64
+	cwnd, ssthresh      float64
+	recovery, closed    bool
+	recover, mark       int64      // the recovery point; where hole repair resumes
+	pipe                int64      // retransmitted bytes not yet cumulatively acked
+	sacked, ooo         [][2]int64 // the sender's scoreboard; the receiver's out-of-order data
+	srtt, rttvar, rto   sim.Time
+	backoff             uint
+	lastRetx, heldTS    sim.Time // Karn's cut-off; what the next ACK echoes
+	timer, held         *bool    // the RTO; the delayed ACK, armed while an ACK is held
+	dups, quick, rcvMSS int      // dup ACKs seen; ACKs left in quick-ACK mode; the largest payload seen
 }
 
 // find returns the index of the range holding x, or −1.
@@ -473,22 +461,27 @@ func (k *refConn) trySend(now sim.Time) {
 	}
 }
 
-func (k *refConn) arm(now sim.Time) {
-	k.disarm()
+// after runs fn at t unless the returned flag is cleared first.
+func (k *refConn) after(t sim.Time, fn func(sim.Time)) *bool {
 	live := true
-	k.timer = &live
-	k.eng.at(now+min(k.rto<<k.backoff, k.c.MaxRTO), func(now sim.Time) {
+	k.eng.at(t, func(now sim.Time) {
 		if live {
-			k.timer = nil
-			k.timeout(now)
+			fn(now)
 		}
 	})
+	return &live
 }
 
-func (k *refConn) disarm() {
-	if k.timer != nil {
-		*k.timer, k.timer = false, nil
+// stop cancels the timer *t, if one is armed.
+func stop(t **bool) {
+	if *t != nil {
+		**t, *t = false, nil
 	}
+}
+
+func (k *refConn) arm(now sim.Time) {
+	stop(&k.timer)
+	k.timer = k.after(now+min(k.rto<<k.backoff, k.c.MaxRTO), func(now sim.Time) { k.timer = nil; k.timeout(now) })
 }
 
 func (k *refConn) halve() {
@@ -531,9 +524,9 @@ func (k *refConn) ackIn(p *refPkt, now sim.Time) {
 	case !k.recovery:
 		k.dups = 0
 		if k.cwnd < k.ssthresh {
-			k.grow(float64(min(acked, int64(k.c.MSS))))
+			k.grow(float64(min(acked, int64(2*k.c.MSS))))
 		} else {
-			k.grow(float64(k.c.MSS) * float64(k.c.MSS) / k.cwnd)
+			k.grow(float64(acked) * float64(k.c.MSS) / k.cwnd)
 		}
 	case p.ackNo > k.recover:
 		k.recovery, k.cwnd, k.dups, k.mark, k.pipe = false, k.ssthresh, 0, 0, 0
@@ -546,11 +539,12 @@ func (k *refConn) ackIn(p *refPkt, now sim.Time) {
 	if k.nxt > k.una {
 		k.arm(now)
 	} else {
-		k.disarm()
+		stop(&k.timer)
 	}
 	k.trySend(now)
 	if k.una >= k.f.Size {
 		k.closed = true
+		stop(&k.held)
 		k.done(now)
 	}
 }
@@ -624,16 +618,24 @@ func (k *refConn) sample(r sim.Time) {
 	if k.srtt == 0 {
 		k.srtt, k.rttvar = r, r/2
 	} else {
-		k.rttvar = (3*k.rttvar + max(k.srtt-r, r-k.srtt)) / 4
-		k.srtt = (7*k.srtt + r) / 8
+		k.rttvar, k.srtt = (3*k.rttvar+max(k.srtt-r, r-k.srtt))/4, (7*k.srtt+r)/8
 	}
 	k.rto = min(max(k.srtt+4*k.rttvar, k.c.MinRTO), k.c.MaxRTO)
 }
 
+// dataIn is the receiver. It ACKs at once in quick-ACK mode (the first
+// QuickAcks ACKs, and again after duplicate data), for data out of order or
+// duplicate, arriving with data buffered out of order, shorter than the
+// largest payload seen, or a second full in-order segment; a lone full
+// in-order segment's ACK is held for DelAck. An ACK covering a held segment
+// echoes that segment's timestamp.
 func (k *refConn) dataIn(p *refPkt, now sim.Time) {
 	start, end, at := p.seq, p.seq+int64(p.payload), 0
+	immediate := k.quick > 0 || len(k.ooo) > 0 || p.payload < k.rcvMSS || k.held != nil
+	k.rcvMSS = max(k.rcvMSS, p.payload)
 	switch {
 	case end <= k.rcvNxt:
+		k.quick, immediate = k.c.QuickAcks, true
 	case start <= k.rcvNxt:
 		k.rcvNxt = end
 		for len(k.ooo) > 0 && k.ooo[0][0] <= k.rcvNxt {
@@ -641,8 +643,23 @@ func (k *refConn) dataIn(p *refPkt, now sim.Time) {
 		}
 	default:
 		k.ooo, at = insertRange(k.ooo, start, end)
+		immediate = true
 	}
-	a := &refPkt{flow: k.f.ID, src: k.f.Dst, dst: k.f.Src, sport: k.dport, dport: k.sport, ack: true, ackNo: k.rcvNxt, echo: p.sent, sent: now}
+	if k.held == nil {
+		k.heldTS = p.sent
+	}
+	if immediate {
+		k.ack(k.heldTS, at, now)
+	} else {
+		k.held = k.after(now+k.c.DelAck, func(now sim.Time) { k.ack(k.heldTS, 0, now) })
+	}
+}
+
+// ack sends the cumulative ACK, with SACK blocks from the range at onward.
+func (k *refConn) ack(echo sim.Time, at int, now sim.Time) {
+	k.quick = max(k.quick-1, 0)
+	stop(&k.held)
+	a := &refPkt{flow: k.f.ID, src: k.f.Dst, dst: k.f.Src, sport: k.dport, dport: k.sport, ack: true, ackNo: k.rcvNxt, echo: echo, sent: now}
 	for i := range min(len(k.ooo), 3) {
 		a.sack = append(a.sack, k.ooo[(at+i)%len(k.ooo)])
 	}
@@ -656,8 +673,7 @@ func (k *refConn) dataIn(p *refPkt, now sim.Time) {
 func runRefTCP(cfg Config, c refTCP, flows []refFlow, until sim.Time) (hopLog, map[uint64]sim.Time) {
 	eng, log, fct := &refEngine{}, hopLog{}, map[uint64]sim.Time{}
 	conns, ports := map[uint64]*refConn{}, map[int]int{}
-	var links map[string]*refLinkFab
-	links = refNet(cfg, eng, log, func(p *refPkt, now sim.Time) {
+	links := refNet(cfg, eng, log, func(p *refPkt, now sim.Time) {
 		switch k := conns[p.flow]; {
 		case k == nil || k.closed:
 		case p.ack:
@@ -673,9 +689,8 @@ func runRefTCP(cfg Config, c refTCP, flows []refFlow, until sim.Time) (hopLog, m
 	for _, f := range flows {
 		eng.at(f.At, func(now sim.Time) {
 			k := &refConn{c: c, f: f, eng: eng, out: out, done: func(end sim.Time) { fct[f.ID] = end - f.At },
-				cwnd: float64(c.InitCwnd * c.MSS), ssthresh: float64(c.MaxCwnd), rto: c.InitRTO, lastRetx: -1}
-			k.dport = port(f.Dst)
-			k.sport = port(f.Src)
+				cwnd: float64(c.InitCwnd * c.MSS), ssthresh: float64(c.MaxCwnd), rto: c.InitRTO, lastRetx: -1, quick: c.QuickAcks}
+			k.dport, k.sport = port(f.Dst), port(f.Src)
 			conns[f.ID] = k
 			k.trySend(now)
 		})

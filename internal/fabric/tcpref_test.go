@@ -72,8 +72,8 @@ func TestTCPMatchesReference(t *testing.T) {
 			eng.Run(until)
 			got := logged()
 
-			want, wantFCT := fabric.RunRefTCP(cfg, fabric.RefTCP{MSS: c.MSS, InitCwnd: 10, DupThresh: 3, // Linux's, as tcp's
-				MaxCwnd: c.MaxCwnd, MinRTO: c.MinRTO, MaxRTO: 30 * sim.Second, InitRTO: c.InitRTO}, flows, until)
+			want, wantFCT := fabric.RunRefTCP(cfg, fabric.RefTCP{MSS: c.MSS, InitCwnd: 10, DupThresh: 3, QuickAcks: 16, // Linux's, as tcp's
+				MaxCwnd: c.MaxCwnd, MinRTO: c.MinRTO, MaxRTO: 30 * sim.Second, InitRTO: c.InitRTO, DelAck: 40 * sim.Microsecond}, flows, until)
 			fabric.CompareHops(t, got, want)
 			if !reflect.DeepEqual(fct, wantFCT) {
 				t.Fatalf("completion times differ:\nproduction %v\nreference  %v", fct, wantFCT)

@@ -78,7 +78,7 @@ func dial(eng *sim.Engine, src, dst *fabric.Host, flowIDBase uint64, cfg Config)
 	c := &Connection{eng: eng, cfg: cfg, Started: eng.Now()}
 	for i := 0; i < cfg.Subflows; i++ {
 		port := dst.AllocPort()
-		c.receivers = append(c.receivers, tcp.NewReceiver(dst, port))
+		c.receivers = append(c.receivers, tcp.NewReceiver(eng, dst, port))
 		s := tcp.NewSender(eng, src, flowIDBase+uint64(i), dst.ID, port, cfg.TCP)
 		idx := i
 		// These closures capture only (c, idx), both of which survive pool
@@ -108,7 +108,7 @@ func (c *Connection) rebind(eng *sim.Engine, src, dst *fabric.Host, flowIDBase u
 	c.closed = false
 	for i, s := range c.senders {
 		port := dst.AllocPort()
-		c.receivers[i].Rebind(dst, port)
+		c.receivers[i].Rebind(eng, dst, port)
 		s.Rebind(eng, src, flowIDBase+uint64(i), dst.ID, port, cfg.TCP)
 	}
 }

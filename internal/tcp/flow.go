@@ -35,7 +35,7 @@ type Flow struct {
 func (p *FlowPool) StartFlow(eng *sim.Engine, src, dst *fabric.Host, flowID uint64, size int64,
 	cfg Config, onDone func(f *Flow, now sim.Time)) *Flow {
 	dstPort := dst.AllocPort()
-	recv := p.NewReceiver(dst, dstPort)
+	recv := p.NewReceiver(eng, dst, dstPort)
 	f := p.StartFlowTo(eng, src, flowID, dst.ID, dstPort, size, cfg, onDone)
 	f.Receiver = recv
 	return f

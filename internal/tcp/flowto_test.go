@@ -17,7 +17,7 @@ func TestStartFlowToLeavesReceiverBound(t *testing.T) {
 	pool := NewFlowPool()
 	src, dst := n.Host(0), n.Host(4)
 	const dstPort, size = 1 << 25, 200_000
-	recv := NewReceiver(dst, dstPort)
+	recv := NewReceiver(eng, dst, dstPort)
 
 	var srcPort int
 	var fct sim.Time

@@ -82,25 +82,30 @@ func (p *FlowPool) PutSender(s *Sender) {
 }
 
 // NewReceiver is tcp.NewReceiver drawing from the pool.
-func (p *FlowPool) NewReceiver(host *fabric.Host, port int) *Receiver {
+func (p *FlowPool) NewReceiver(eng *sim.Engine, host *fabric.Host, port int) *Receiver {
 	if n := len(p.receivers); n > 0 {
 		r := p.receivers[n-1]
 		p.receivers[n-1] = nil
 		p.receivers = p.receivers[:n-1]
 		p.ReceiverRecycled++
 		r.inPool = false
-		r.rebind(host, port)
+		r.rebind(eng, host, port)
 		return r
 	}
 	p.ReceiverAllocs++
-	return NewReceiver(host, port)
+	return NewReceiver(eng, host, port)
 }
 
 // PutReceiver releases a closed receiver to the pool. Receivers that are
-// still bound or already pooled are left alone.
+// still bound or already pooled are left alone. Close cancels the
+// delayed-ACK timer, so a receiver whose timer is still pending panics: the
+// recycled receiver would inherit a firing.
 func (p *FlowPool) PutReceiver(r *Receiver) {
 	if r == nil || !r.freed || r.inPool {
 		return
+	}
+	if r.delAck.Pending() {
+		panic("tcp: PutReceiver of a receiver whose delayed-ACK timer is pending")
 	}
 	r.OnDelivered = nil
 	r.inPool = true

@@ -115,7 +115,7 @@ func TestPoolRefusesLiveEndpoints(t *testing.T) {
 	cfg := dcConfig()
 
 	port := n.Host(4).AllocPort()
-	r := pool.NewReceiver(n.Host(4), port)
+	r := pool.NewReceiver(eng, n.Host(4), port)
 	s := pool.NewSender(eng, n.Host(0), 1, n.Host(4).ID, port, cfg)
 
 	pool.PutSender(s) // still open: must be refused
@@ -124,7 +124,7 @@ func TestPoolRefusesLiveEndpoints(t *testing.T) {
 	if s2 == s {
 		t.Fatal("pool recycled a sender that was still open")
 	}
-	r2 := pool.NewReceiver(n.Host(4), port+1000)
+	r2 := pool.NewReceiver(eng, n.Host(4), port+1000)
 	if r2 == r {
 		t.Fatal("pool recycled a receiver that was still bound")
 	}
@@ -149,7 +149,7 @@ func TestRebindPanicsOnOpenEndpoint(t *testing.T) {
 	eng, n := testNet(t, fabric.SchemeECMP)
 	cfg := dcConfig()
 	port := n.Host(4).AllocPort()
-	NewReceiver(n.Host(4), port)
+	NewReceiver(eng, n.Host(4), port)
 	s := NewSender(eng, n.Host(0), 1, n.Host(4).ID, port, cfg)
 	defer func() {
 		if recover() == nil {

@@ -239,7 +239,7 @@ func TestReorderingUnderSprayStillCompletes(t *testing.T) {
 
 func TestSackCarriedOnWire(t *testing.T) {
 	eng, n := testNet(t, fabric.SchemeECMP)
-	r := NewReceiver(n.Host(0), 7100)
+	r := NewReceiver(eng, n.Host(0), 7100)
 	var lastSack [][2]int64 // offsets above lastAck, as carried
 	var lastAck int64
 	// Interpose: watch ACKs arriving back at a fake sender port. The packet
@@ -272,17 +272,17 @@ func TestSackCarriedOnWire(t *testing.T) {
 // TestSackBeyond32BitsPanics: a block must fit its 32-bit offset above the
 // ACK, or the receiver refuses to send it rather than wrap it.
 func TestSackBeyond32BitsPanics(t *testing.T) {
-	_, n := testNet(t, fabric.SchemeECMP)
+	eng, n := testNet(t, fabric.SchemeECMP)
 	seg := func(seq int64) *fabric.Packet {
 		return &fabric.Packet{FlowID: 3, SrcHost: 4, DstHost: 0, SrcPort: 7201, DstPort: 7200, Seq: seq, Payload: 100}
 	}
-	NewReceiver(n.Host(0), 7200).Receive(seg(1<<32-101), 0) // ends at offset 2³² − 1: fits
+	NewReceiver(eng, n.Host(0), 7200).Receive(seg(1<<32-101), 0) // ends at offset 2³² − 1: fits
 	defer func() {
 		if recover() == nil {
 			t.Fatal("a SACK block ending 2³² above the ACK was sent")
 		}
 	}()
-	NewReceiver(n.Host(0), 7202).Receive(seg(1<<32-100), 0)
+	NewReceiver(eng, n.Host(0), 7202).Receive(seg(1<<32-100), 0)
 }
 
 type recvProbe func(p *fabric.Packet)

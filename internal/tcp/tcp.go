@@ -1,13 +1,16 @@
 // Package tcp implements a NewReno-style TCP data transfer over the fabric
-// simulator: slow start, congestion avoidance, fast retransmit/recovery on
-// three duplicate ACKs, and an RFC 6298 retransmission timer with
-// configurable minimum RTO (the knob the paper's Incast experiments turn).
+// simulator: slow start and congestion avoidance that count acknowledged
+// bytes (RFC 3465), fast retransmit/recovery on three duplicate ACKs, and an
+// RFC 6298 retransmission timer with configurable minimum RTO (the knob the
+// paper's Incast experiments turn).
 //
 // It substitutes for the Linux stack the paper drives through the Network
 // Simulation Cradle. Connections are modelled post-handshake: a Receiver is
 // bound to a port, a Sender streams bytes at it, and ACKs flow back on the
 // reverse path through the same fabric (so they experience the same queues
-// and carry CONGA feedback).
+// and carry CONGA feedback). The receiver ACKs as Linux does: at once in
+// quick-ACK mode, for out-of-order, duplicate and short segments and for
+// every second full segment, otherwise after a short delayed-ACK timer.
 //
 // The congestion-avoidance window growth is pluggable (Config.CAIncrease),
 // which is how internal/mptcp couples subflows with LIA without forking the
@@ -146,9 +149,9 @@ type Sender struct {
 
 	// RTO state (RFC 6298). The retransmission timer is lazily re-armed:
 	// ACKs only advance the deadline field, and a fire before the deadline
-	// reschedules itself instead of timing out. With per-segment ACKs this
-	// turns a cancel+schedule pair per ACK into one field write — the
-	// engine event exists only at the (rarely reached) fire times.
+	// reschedules itself instead of timing out. With an ACK every segment
+	// or two this turns a cancel+schedule pair per ACK into one field write
+	// — the engine event exists only at the (rarely reached) fire times.
 	srtt, rttvar sim.Time
 	rto          sim.Time
 	backoff      uint
@@ -672,23 +675,20 @@ func (s *Sender) onNewAck(ack int64, echo sim.Time, now sim.Time) {
 	}
 }
 
+// grow opens the window by the bytes an ACK covers (RFC 3465): in slow
+// start by at most 2·MSS per ACK (its limit L), in congestion avoidance by
+// acked·MSS/cwnd, one MSS per window of acknowledged bytes however many ACKs
+// carry it.
 func (s *Sender) grow(acked int) {
 	if s.InSlowStart() {
-		inc := acked
-		if inc > s.cfg.MSS {
-			// One MSS per ACK, as without ABC; with per-segment ACKs
-			// the distinction is cosmetic.
-			inc = s.cfg.MSS
-		}
-		s.AddCwnd(float64(inc))
+		s.AddCwnd(float64(min(acked, 2*s.cfg.MSS)))
 		return
 	}
 	if s.CAIncrease != nil {
 		s.CAIncrease(acked)
 		return
 	}
-	// Reno: one MSS per RTT ≈ MSS²/cwnd per ACK.
-	s.AddCwnd(float64(s.cfg.MSS) * float64(s.cfg.MSS) / s.cwnd)
+	s.AddCwnd(float64(acked) * float64(s.cfg.MSS) / s.cwnd)
 }
 
 func (s *Sender) onDupAck(now sim.Time) {

@@ -288,7 +288,7 @@ func TestKarnNoRTTFromRetransmits(t *testing.T) {
 func TestReceiverReassemblesOutOfOrder(t *testing.T) {
 	eng, n := testNet(t, fabric.SchemeECMP)
 	h := n.Host(0)
-	r := NewReceiver(h, 4000)
+	r := NewReceiver(eng, h, 4000)
 	var delivered int64
 	r.OnDelivered = func(total int64, _ sim.Time) { delivered = total }
 
@@ -309,12 +309,11 @@ func TestReceiverReassemblesOutOfOrder(t *testing.T) {
 	if delivered != 300 {
 		t.Fatalf("delivered %d after hole filled, want 300", delivered)
 	}
-	_ = eng
 }
 
 func TestReceiverMergesOverlappingIntervals(t *testing.T) {
-	_, n := testNet(t, fabric.SchemeECMP)
-	r := NewReceiver(n.Host(0), 4001)
+	eng, n := testNet(t, fabric.SchemeECMP)
+	r := NewReceiver(eng, n.Host(0), 4001)
 	seg := func(seq int64, size int) *fabric.Packet {
 		return &fabric.Packet{SrcHost: 4, DstHost: 0, SrcPort: 9, DstPort: 4001, Seq: seq, Payload: int32(size)}
 	}
@@ -328,8 +327,8 @@ func TestReceiverMergesOverlappingIntervals(t *testing.T) {
 }
 
 func TestReceiverCountsDuplicates(t *testing.T) {
-	_, n := testNet(t, fabric.SchemeECMP)
-	r := NewReceiver(n.Host(0), 4002)
+	eng, n := testNet(t, fabric.SchemeECMP)
+	r := NewReceiver(eng, n.Host(0), 4002)
 	seg := &fabric.Packet{SrcHost: 4, DstHost: 0, SrcPort: 9, DstPort: 4002, Seq: 0, Payload: 100}
 	r.Receive(seg, 0)
 	r.Receive(seg, 0)
@@ -366,7 +365,7 @@ func TestQueuePanicsOnNonPositive(t *testing.T) {
 func TestMultipleQueuedTransfersOnOneConnection(t *testing.T) {
 	eng, n := testNet(t, fabric.SchemeECMP)
 	dst := n.Host(4)
-	r := NewReceiver(dst, 5001)
+	r := NewReceiver(eng, dst, 5001)
 	s := NewSender(eng, n.Host(0), 42, dst.ID, 5001, dcConfig())
 	completions := 0
 	s.OnAllAcked = func(now sim.Time) {

@@ -109,9 +109,10 @@ type LinkCounters struct {
 	CEMarks uint64
 }
 
-// TCPCounters aggregates loss-recovery activity across every sender on the
-// engine (MPTCP subflows included). One struct per registry: senders are
-// short-lived, so per-flow pull-at-end would miss closed flows.
+// TCPCounters aggregates loss-recovery activity across every sender, and
+// ACKs across every receiver, on the engine (MPTCP subflows included). One
+// struct per registry: endpoints are short-lived, so per-flow pull-at-end
+// would miss closed flows.
 type TCPCounters struct {
 	// Retransmits counts retransmitted segments (fast recovery and RTO).
 	Retransmits uint64
@@ -122,6 +123,9 @@ type TCPCounters struct {
 	// ReorderDefers counts dupACK thresholds that were deferred by the
 	// RACK-style reordering window instead of triggering recovery.
 	ReorderDefers uint64
+	// Acks counts ACKs receivers sent; DelayedAcks how many of those the
+	// delayed-ACK timer sent.
+	Acks, DelayedAcks uint64
 }
 
 // FlowletRow is the per-leaf flowlet-table counter snapshot, pulled from
@@ -316,7 +320,7 @@ func (r *Registry) CounterRows() []CounterRow {
 	if r == nil {
 		return nil
 	}
-	rows := make([]CounterRow, 0, 4*len(r.links)+5+3*len(r.flowlets))
+	rows := make([]CounterRow, 0, 4*len(r.links)+7+3*len(r.flowlets))
 	for _, l := range r.links {
 		rows = append(rows,
 			CounterRow{"link", l.Name, "enqueues", l.Enqueues},
@@ -332,6 +336,8 @@ func (r *Registry) CounterRows() []CounterRow {
 		CounterRow{"tcp", "", "fast_retx", tcp.FastRetx},
 		CounterRow{"tcp", "", "dup_acks", tcp.DupAcks},
 		CounterRow{"tcp", "", "reorder_defers", tcp.ReorderDefers},
+		CounterRow{"tcp", "", "acks", tcp.Acks},
+		CounterRow{"tcp", "", "delayed_acks", tcp.DelayedAcks},
 	)
 	fl := append([]FlowletRow(nil), r.flowlets...)
 	sort.Slice(fl, func(i, j int) bool { return fl[i].Leaf < fl[j].Leaf })

@@ -258,7 +258,7 @@ func (r *run) inject(flows []replay.Flow) {
 		if prebind {
 			a.dstPort = recvPortBase + nextRecv[f.Dst]
 			nextRecv[f.Dst]++
-			tcp.NewReceiver(r.net.Host(f.Dst), a.dstPort)
+			tcp.NewReceiver(r.doms[r.net.HostDomain(f.Dst)].eng, r.net.Host(f.Dst), a.dstPort)
 		}
 		d := r.net.HostDomain(f.Src)
 		lists[d] = append(lists[d], a)
