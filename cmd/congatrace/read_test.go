@@ -16,7 +16,8 @@ import (
 // TestReadReportsMatchGolden flushes one small recorded run and reads back
 // its packet trace and its decision trail. Each must print, below the line
 // naming the file, the report in testdata: what the hand-written CSV readers
-// printed for these files before telemetry.ReadSinkFile replaced them. Then
+// printed for these files before telemetry.ReadSinkFile replaced them,
+// re-pinned when receivers moved to delayed ACKs. Then
 // it feeds readTrace what those readers got wrong — a decision trail under
 // another name, a trace whose "where" needs quoting, sink files that are
 // neither table, a trace cut short — and a CSV copy of the kind flushes

@@ -164,87 +164,87 @@ func goldenRows() []goldenRow {
 	fig12.CollectQueues, fig12.CollectImbalance = true, true
 	return []goldenRow{
 		{name: "Fig09Enterprise", fct: fct(benchTopo(), SchemeCONGA, 20*ms, 250, 1, 0),
-			want: goldenResult{events: 3641193, drops: 2061, retx: 16840, timeouts: 2, norm: 1.912444021871854,
-				flows: 0xfb2cd4b160089510},
+			want: goldenResult{events: 2904282, drops: 1869, retx: 13407, norm: 1.9469699424546574,
+				flows: 0x5b497e33a816d245},
 			mallocs: 5248},
 		{name: "Fig09EnterpriseMPTCP", fct: fct(benchTopo(), SchemeMPTCPMarker, 20*ms, 250, 1, 0),
-			want: goldenResult{events: 3648584, drops: 23943, retx: 35888, timeouts: 74, norm: 2.5715703831641163,
-				flows: 0xbf7f522e05016fe6},
+			want: goldenResult{events: 3060754, drops: 22487, retx: 34149, timeouts: 74, norm: 2.349452635327834,
+				flows: 0x160d1d90503b3e9c},
 			mallocs: 10464},
 		{name: "Fig11LinkFailure", fct: fct(failed, SchemeCONGA, 20*ms, 250, 1, 0),
-			want: goldenResult{events: 3650017, drops: 2022, retx: 16778, timeouts: 1, norm: 2.0966610467882414,
-				flows: 0x1f3d7c336842afa6},
+			want: goldenResult{events: 3036890, drops: 2977, retx: 18184, timeouts: 1, norm: 1.9866996308432396,
+				flows: 0x323b50d6b8f65dc},
 			mallocs: 9073},
 		{name: "Fig13Incast",
 			incast: &IncastConfig{Topology: benchTopo(), Scheme: SchemeCONGA,
 				Transport: TransportConfig{MinRTO: ms},
 				Fanout:    8, RequestBytes: 2 << 20, Rounds: 2, Seed: 1},
-			want:    goldenResult{events: 1058126, norm: 0.9557652232862587, rounds: 2},
+			want:    goldenResult{events: 1055246, norm: 0.9557652232862587, rounds: 2},
 			mallocs: 1591},
-		// The fingerprints of the rows from here to Fig12/p1, and of
-		// Scale64/p1 and /p2, were recorded from the discrete
-		// transmit→txDone→deliver link before the virtual-time link claim
-		// replaced it (Fig09MPTCP's when MPTCP joined the shared run
-		// pipeline): the link model must reproduce every flow completion,
-		// drop, retransmit and sampled CDF of those runs.
+		// The rows from here to Fig12/p1, and Scale64/p1 and /p2, were
+		// first recorded from the discrete transmit→txDone→deliver link
+		// before the virtual-time link claim replaced it, and re-pinned
+		// when receivers moved to delayed ACKs; since then
+		// TestTCPMatchesReference holds the link model to the reference's
+		// discrete link hop by hop.
 		{name: "Fig09/p1", fct: fct(benchTopo(), SchemeCONGA, 10*ms, 150, 7, 0), linkModel: true,
-			want: goldenResult{events: 2390573, drops: 1053, retx: 6414, norm: 2.0616869845958354,
-				flows: 0xc9bad4369451c472},
+			want: goldenResult{events: 1984923, drops: 8199, retx: 9304, timeouts: 2, norm: 2.0661661451644115,
+				flows: 0xf2399e370096aa7f},
 			mallocs: 3505},
 		{name: "Fig09/p2", fct: fct(benchTopo(), SchemeCONGA, 10*ms, 150, 7, 2), linkModel: true,
-			want: goldenResult{events: 2244761, drops: 1196, retx: 6128, norm: 1.8501986638229373,
-				flows: 0x6e927c5dccb5e181},
-			mallocs: 5455},
+			want: goldenResult{events: 1792879, drops: 1134, retx: 5889, norm: 1.811172908481647,
+				flows: 0x9987d8b47bf29a5f},
+			mallocs: 56993},
 		{name: "Fig09MPTCP/p1", fct: fct(benchTopo(), SchemeMPTCPMarker, 10*ms, 150, 7, 0), linkModel: true,
-			want: goldenResult{events: 2498307, drops: 10681, retx: 22920, timeouts: 10, norm: 2.3454791276130007,
-				flows: 0x54d2c47c19f71aa4},
+			want: goldenResult{events: 2141963, drops: 12430, retx: 26755, timeouts: 10, norm: 2.4859304190960656,
+				flows: 0xfe6e0db5a00faeaa},
 			mallocs: 8825},
 		{name: "Fig11/p1", fct: fct(failed, SchemeCONGA, 10*ms, 150, 11, 0), linkModel: true,
-			want: goldenResult{events: 1121117, drops: 1990, retx: 11929, timeouts: 3, norm: 2.4975175352567356,
-				flows: 0xc4df7aff834d5489},
+			want: goldenResult{events: 931837, drops: 2274, retx: 11856, timeouts: 2, norm: 2.5682311168353777,
+				flows: 0x35366614cfb3cce3},
 			mallocs: 3925},
 		// Figure 12's queue and imbalance samplers read link counters
 		// mid-run; they need one engine.
 		{name: "Fig12/p1", fct: fig12, linkModel: true,
-			want: goldenResult{events: 4008700, drops: 1947, retx: 12345, timeouts: 2, norm: 3.557045297770783,
-				flows: 0x1dc067fe99b32cc1},
+			want: goldenResult{events: 3259506, drops: 2935, retx: 16662, timeouts: 3, norm: 3.279800511019497,
+				flows: 0x9ebefd4d49af6133},
 			mallocs: 7695},
 		{name: "Scale64Leaves40G", fct: fct(scale(64, 40), SchemeECMP, 10*ms, 2000, 1, 0), long: true,
-			want: goldenResult{events: 11659640, drops: 6910, retx: 31135, timeouts: 3, norm: 2.1039252665928054,
-				flows: 0xfd3b115b0d96acdc},
+			want: goldenResult{events: 9665665, drops: 8212, retx: 31026, timeouts: 3, norm: 2.1035324345144013,
+				flows: 0xd108094d6457d85a},
 			mallocs: 43379},
 		{name: "Scale64/p1", fct: fct(scale(64, 40), SchemeECMP, 10*ms, 600, 3, 0), long: true, linkModel: true,
-			want: goldenResult{events: 6209414, norm: 1.2434420644138062,
-				flows: 0xadd76d3276e8ece4},
+			want: goldenResult{events: 5169160, norm: 1.2427228165282376,
+				flows: 0x38727a2011bb0b52},
 			mallocs: 17299},
 		{name: "Scale64/p2", fct: fct(scale(64, 40), SchemeECMP, 10*ms, 600, 3, 2), long: true, linkModel: true,
-			want: goldenResult{events: 6076323, norm: 1.266317804320021,
-				flows: 0x57c2c57aeeec14a3},
-			mallocs: 20609},
+			want: goldenResult{events: 5048792, norm: 1.266071406689259,
+				flows: 0x9a3b4dc23ae36564},
+			mallocs: 71687},
 		{name: "Scale128Leaves40G", fct: fct(scale(128, 40), SchemeECMP, 10*ms, 2000, 1, 0), long: true,
-			want: goldenResult{events: 13275525, drops: 1241, retx: 8665, norm: 1.5026398260245148,
-				flows: 0x13365e313b92304},
+			want: goldenResult{events: 11109697, drops: 1661, retx: 9693, norm: 1.5064412245712488,
+				flows: 0x7df72294b10300cc},
 			mallocs: 44488},
 		{name: "Scale256Leaves40G", fct: fct(scale(256, 40), SchemeECMP, 10*ms, 2000, 1, 0), long: true,
-			want: goldenResult{events: 12297106, drops: 937, retx: 10868, norm: 1.2417476269005612,
-				flows: 0xd26dd4e8357e557f},
+			want: goldenResult{events: 10204261, drops: 1105, retx: 10124, norm: 1.2389591338617112,
+				flows: 0x6c8a0da702115c12},
 			mallocs: 57803},
 		{name: "Scale256Leaves100G", fct: fct(scale(256, 100), SchemeECMP, 10*ms, 2000, 1, 0), long: true,
-			want: goldenResult{events: 12311411, drops: 1267, retx: 8931, norm: 1.2298338424886623,
-				flows: 0xdded17adee2321ee},
+			want: goldenResult{events: 10187587, drops: 1280, retx: 7287, norm: 1.2278543842841585,
+				flows: 0xd993f3ef9ff59cb7},
 			mallocs: 59704},
 		{name: "Scale256Leaves40GParallel2", fct: fct(scale(256, 40), SchemeECMP, 10*ms, 2000, 1, 2), long: true,
-			want: goldenResult{events: 12196979, drops: 978, retx: 10695, norm: 1.2499963250302073,
-				flows: 0x47117bc67d82ab4c},
+			want: goldenResult{events: 10121216, drops: 1146, retx: 10546, norm: 1.2487473621779503,
+				flows: 0x46368e425b303023},
 			mallocs: 62783},
 		{name: "Scale256Leaves40GParallel4", fct: fct(scale(256, 40), SchemeECMP, 10*ms, 2000, 1, 4), long: true,
-			want: goldenResult{events: 12200775, drops: 977, retx: 10681, norm: 1.2499732838500441,
-				flows: 0x86cff50216ad4657},
-			mallocs: 64718},
+			want: goldenResult{events: 10125162, drops: 1146, retx: 10546, norm: 1.248748884576302,
+				flows: 0x5a4c9e83c0274a95},
+			mallocs: 121040},
 		{name: "Scale256Leaves40GParallel8", fct: fct(scale(256, 40), SchemeECMP, 10*ms, 2000, 1, 8), long: true,
-			want: goldenResult{events: 12208743, drops: 977, retx: 10681, norm: 1.2499661599131278,
-				flows: 0xf99d7f5ed60fca0f},
-			mallocs: 66937},
+			want: goldenResult{events: 10130288, drops: 1146, retx: 10546, norm: 1.2487474703264665,
+				flows: 0x15cfa1841662f4ba},
+			mallocs: 184638},
 	}
 }
 

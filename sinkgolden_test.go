@@ -51,12 +51,14 @@ func sinkDigests(t *testing.T, reg *TelemetryRegistry) map[string]string {
 	return out
 }
 
-// TestSinkFilesGolden pins the flushed bytes. The digests were taken at PR
-// 12 from the fmt.Fprintf emitters (ten hand-written functions, one per
-// sink × record type) that the schema-driven row writer replaced: every
-// file a TelemetryAll run flushes — counters, every series, packet trace,
-// decision trace, path matrix, with and without a provenance line — must
-// come out byte for byte the same, once each, as NDJSON. The run's own
+// TestSinkFilesGolden pins the flushed bytes. The digests were first taken
+// from the fmt.Fprintf emitters (ten hand-written functions, one per
+// sink × record type) that the schema-driven row writer replaced, and
+// re-pinned when receivers moved to delayed ACKs and the counters gained
+// the tcp acks and delayed_acks rows: every file a TelemetryAll run
+// flushes — counters, every series, packet trace, decision trace, path
+// matrix, with and without a provenance line — must come out byte for byte
+// the same, once each, as NDJSON. The run's own
 // probes never need escaping, so the test adds a link, a series and a trace
 // site whose names do, and series values JSON cannot carry (NaN, +Inf).
 // "series_*.ndjson" is the NDJSON half of the old combined series digest.
@@ -93,18 +95,18 @@ func TestSinkFilesGolden(t *testing.T) {
 
 	want := map[string]map[string]string{
 		"": {
-			"counters.ndjson":  "99b94fe9f81e9bbb",
-			"decisions.ndjson": "257aef626c4f42e0",
+			"counters.ndjson":  "9dce59e159ea4334",
+			"decisions.ndjson": "445fb38acabb7639",
 			"paths.ndjson":     "edc8882669400c88",
-			"series_*.ndjson":  "3e12e26d7e0a10b1",
-			"trace.ndjson":     "94c613d7749b23a3",
+			"series_*.ndjson":  "cdd83b6b15883672",
+			"trace.ndjson":     "4fafc8b358be0d20",
 		},
 		"replay \"x\", v1\\": {
-			"counters.ndjson":  "96dee9f0a52870e2",
-			"decisions.ndjson": "a9e71ffcd9b409e1",
+			"counters.ndjson":  "7f0c02219f0ecd06",
+			"decisions.ndjson": "8ca95e99212066a6",
 			"paths.ndjson":     "ffc3378ae20cd31a",
-			"series_*.ndjson":  "3e12e26d7e0a10b1",
-			"trace.ndjson":     "b3653d23bb18225a",
+			"series_*.ndjson":  "cdd83b6b15883672",
+			"trace.ndjson":     "6b686701ffd4c9e0",
 		},
 	}
 	for prov, golden := range want {
