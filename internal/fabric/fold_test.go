@@ -138,11 +138,11 @@ func TestSetUpDropsFoldedBacklogPerFrame(t *testing.T) {
 		t.Fatalf("Drops %d, DropBytes %d, telemetry %d; want 11, %d, 11", l.Drops, l.DropBytes, l.tel.Drops, wantBytes)
 	}
 	var seqs []int64
-	for _, ev := range cfg.Telemetry.Trace().Events() {
+	cfg.Telemetry.Trace().Each(func(ev telemetry.TraceEvent) {
 		if ev.Kind == telemetry.TraceDrop && ev.Where == l.Name {
 			seqs = append(seqs, ev.Seq)
 		}
-	}
+	})
 	if len(seqs) != 11 {
 		t.Fatalf("trace holds %d drops on %s, want 11", len(seqs), l.Name)
 	}

@@ -255,11 +255,11 @@ func runSetUpDropScenario(t *testing.T, observed bool) dropViews {
 	v.delivered = sink.packets
 	if observed {
 		v.telDrops = up.tel.Drops
-		for _, ev := range cfg.Telemetry.Trace().Events() {
+		cfg.Telemetry.Trace().Each(func(ev telemetry.TraceEvent) {
 			if ev.Kind == telemetry.TraceDrop && ev.Where == up.Name {
 				v.traced++
 			}
-		}
+		})
 	}
 	return v
 }

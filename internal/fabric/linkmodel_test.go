@@ -262,9 +262,9 @@ func TestLinkMatchesReferenceModel(t *testing.T) {
 			}
 			return link, &link.dre
 		})
-		for _, e := range tr.Events() {
+		tr.Each(func(e telemetry.TraceEvent) {
 			got = append(got, modelRec{kind: 'x', at: e.T, a: e.Seq})
-		}
+		})
 		want := runModel(ops, rate, fab, until, func(eng *sim.Engine, log *[]modelRec) (txLink, *core.DRE) {
 			r := &refLink{eng: eng, rate: rate, prop: prop, maxQ: maxQ, fab: fab, up: true, log: log}
 			if fab {

@@ -208,15 +208,18 @@ type Network struct {
 	// Telemetry series, parallel to fabricLinks / Leaves; all nil when
 	// telemetry is off, which it always is on several domains. Samples are
 	// taken inside the existing ticker callbacks (see NewNetwork) so
-	// telemetry adds no events.
+	// telemetry adds no events; each ticker's series share one sampling
+	// clock.
 	tel         *telemetry.Registry
-	telQueue    []*telemetry.Series   // queue depth per fabric link
-	telDRE      []*telemetry.Series   // DRE register per fabric link
-	telFlowlet  []*telemetry.Series   // live flowlet entries per leaf (nil entry: no table)
-	telFlTables []*core.FlowletTable  // table behind telFlowlet[i]
-	telTbl      [][]*telemetry.Series // CongestionToLeaf max metric per leaf per uplink
-	telLeafCore []*core.Leaf          // CONGA state behind telTbl[i]
-	telStale    []*telemetry.Series   // feedback staleness per leaf (nil entry: no hooks)
+	telLinkClk  *telemetry.SeriesGroup // clock of telQueue and telDRE (DRE ticker)
+	telLeafClk  *telemetry.SeriesGroup // clock of telFlowlet and telTbl (flowlet ticker)
+	telQueue    []*telemetry.Series    // queue depth per fabric link
+	telDRE      []*telemetry.Series    // DRE register per fabric link
+	telFlowlet  []*telemetry.Series    // live flowlet entries per leaf (nil entry: no table)
+	telFlTables []*core.FlowletTable   // table behind telFlowlet[i]
+	telTbl      [][]*telemetry.Series  // CongestionToLeaf max metric per leaf per uplink
+	telLeafCore []*core.Leaf           // CONGA state behind telTbl[i]
+	telStale    []*telemetry.Series    // feedback staleness per leaf (nil entry: no hooks)
 	telHooks    []*telemetry.DecisionHooks
 
 	// checkErrs, non-nil once EnableCheck ran, holds each domain's first
@@ -290,11 +293,12 @@ func (n *Network) wireTelemetry(reg *telemetry.Registry) {
 		h.traceName = fmt.Sprintf("h%d", h.ID)
 	}
 
+	n.telLinkClk, n.telLeafClk = reg.NewSeriesGroup(), reg.NewSeriesGroup()
 	n.telQueue = make([]*telemetry.Series, len(n.fabricLinks))
 	n.telDRE = make([]*telemetry.Series, len(n.fabricLinks))
 	for i, l := range n.fabricLinks {
-		n.telQueue[i] = reg.NewSeries("queue."+l.Name, "bytes")
-		n.telDRE[i] = reg.NewSeries("dre."+l.Name, "bytes")
+		n.telQueue[i] = n.telLinkClk.NewSeries("queue."+l.Name, "bytes")
+		n.telDRE[i] = n.telLinkClk.NewSeries("dre."+l.Name, "bytes")
 	}
 	n.telFlowlet = make([]*telemetry.Series, len(n.Leaves))
 	n.telFlTables = make([]*core.FlowletTable, len(n.Leaves))
@@ -311,7 +315,7 @@ func (n *Network) wireTelemetry(reg *telemetry.Registry) {
 		reg.AddCollector(func() {
 			reg.RecordFlowlets(leafID, table.Installs, table.Expired, table.Evicts)
 		})
-		n.telFlowlet[i] = reg.NewSeries(fmt.Sprintf("flowlets.leaf%d", leafID), "entries")
+		n.telFlowlet[i] = n.telLeafClk.NewSeries(fmt.Sprintf("flowlets.leaf%d", leafID), "entries")
 		n.telFlTables[i] = table
 		cc, ok := ls.strategy.(congaCarrier)
 		if !ok {
@@ -326,7 +330,7 @@ func (n *Network) wireTelemetry(reg *telemetry.Registry) {
 		}
 		row := make([]*telemetry.Series, len(ls.uplinks))
 		for u := range row {
-			row[u] = reg.NewSeries(fmt.Sprintf("congtbl.leaf%d.up%d", leafID, u), "metric")
+			row[u] = n.telLeafClk.NewSeries(fmt.Sprintf("congtbl.leaf%d.up%d", leafID, u), "metric")
 		}
 		n.telTbl[i] = row
 		n.telLeafCore[i] = cl
@@ -334,11 +338,15 @@ func (n *Network) wireTelemetry(reg *telemetry.Registry) {
 }
 
 // sampleLinkSeries records queue depth and DRE register for every fabric
-// link; called from the DRE-decay ticker when telemetry is on.
+// link on the ticks their clock keeps; called from the DRE-decay ticker when
+// telemetry is on.
 func (n *Network) sampleLinkSeries(now sim.Time) {
+	if !n.telLinkClk.Sample(now) {
+		return
+	}
 	for i, l := range n.fabricLinks {
-		n.telQueue[i].Observe(now, float64(l.qlen))
-		n.telDRE[i].Observe(now, l.dre.X())
+		n.telQueue[i].Put(float64(l.qlen))
+		n.telDRE[i].Put(l.dre.X())
 	}
 }
 
@@ -359,17 +367,20 @@ func (n *Network) sampleStaleness(now sim.Time) {
 }
 
 // sampleLeafSeries records flowlet-table occupancy and per-uplink
-// CongestionToLeaf max metrics for every leaf; called from the
-// flowlet-sweep ticker.
+// CongestionToLeaf max metrics for every leaf on the ticks their clock
+// keeps; called from the flowlet-sweep ticker.
 func (n *Network) sampleLeafSeries(now sim.Time) {
+	if !n.telLeafClk.Sample(now) {
+		return
+	}
 	for i, s := range n.telFlowlet {
 		if s != nil {
-			s.Observe(now, float64(n.telFlTables[i].Live()))
+			s.Put(float64(n.telFlTables[i].Live()))
 		}
 		if row := n.telTbl[i]; row != nil {
 			cl := n.telLeafCore[i]
 			for u, su := range row {
-				su.Observe(now, float64(cl.ToLeaf.MaxMetric(u, now)))
+				su.Put(float64(cl.ToLeaf.MaxMetric(u, now)))
 			}
 		}
 	}

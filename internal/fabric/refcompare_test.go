@@ -114,9 +114,9 @@ func logHops(t *testing.T, n *Network) func() hopLog {
 		if info := tr.Info(); info.Suppressed != 0 {
 			t.Fatalf("drop trace overflowed (%d suppressed)", info.Suppressed)
 		}
-		for _, ev := range tr.Events() {
+		tr.Each(func(ev telemetry.TraceEvent) {
 			log.add(ev.Where, true, hop{at: ev.T, flow: ev.FlowID, src: ev.Src, seq: ev.Seq, payload: ev.Payload})
-		}
+		})
 		return log
 	}
 }

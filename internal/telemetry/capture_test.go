@@ -3,7 +3,9 @@ package telemetry
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"conga/internal/sim"
 )
@@ -38,7 +40,7 @@ func packetRing(capacity int, mode CaptureMode, trigger Trigger, stopAfter int) 
 		},
 		times: func() ([]sim.Time, error) {
 			var ts []sim.Time
-			for _, e := range tr.Events() {
+			for _, e := range traceEvents(tr) {
 				if e.Seq != int64(e.T) {
 					return nil, fmt.Errorf("event at t=%d carries seq %d", e.T, e.Seq)
 				}
@@ -64,7 +66,7 @@ func decisionRing(capacity int, mode CaptureMode) ringUnderTest {
 		},
 		times: func() ([]sim.Time, error) {
 			var ts []sim.Time
-			for _, e := range tr.Events() {
+			for _, e := range decisionEvents(tr) {
 				if want := []uint8{uint8(e.T), uint8(e.T >> 8)}; !reflect.DeepEqual(e.Metrics, want) {
 					return nil, fmt.Errorf("event at t=%d carries metrics %v, want %v", e.T, e.Metrics, want)
 				}
@@ -148,5 +150,90 @@ func TestCaptureRingMatchesModel(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// traceEvents and decisionEvents collect a trace's Each walk.
+func traceEvents(tr *PacketTrace) []TraceEvent {
+	var evs []TraceEvent
+	tr.Each(func(e TraceEvent) { evs = append(evs, e) })
+	return evs
+}
+
+func decisionEvents(tr *DecisionTrace) []DecisionEvent {
+	var evs []DecisionEvent
+	tr.Each(func(e DecisionEvent) { evs = append(evs, e) })
+	return evs
+}
+
+// TestRecordSizes pins the retained record layouts: a full default trace
+// and decision trail (65,536 slots each) hold 3.1 MB and 2.1 MB.
+func TestRecordSizes(t *testing.T) {
+	if n := unsafe.Sizeof(traceRecord{}); n > 48 {
+		t.Errorf("traceRecord is %d bytes, want ≤ 48", n)
+	}
+	if n := unsafe.Sizeof(decisionRecord{}); n > 32 {
+		t.Errorf("decisionRecord is %d bytes, want ≤ 32", n)
+	}
+}
+
+// TestRecordRefusesValuesThatDoNotFit: a value wider than its record field
+// panics with the field's name instead of being truncated.
+func TestRecordRefusesValuesThatDoNotFit(t *testing.T) {
+	const wide = 1 << 40
+	cases := map[string]func(){
+		"src": func() {
+			newPacketTrace(4, MatchAll(), CaptureHead, 0, 0).Record(1, TraceSend, "h0", 1, wide, 1, 2, 3, 4, 5)
+		},
+		"dst": func() {
+			newPacketTrace(4, MatchAll(), CaptureHead, 0, 0).Record(1, TraceSend, "h0", 1, 0, -wide, 2, 3, 4, 5)
+		},
+		"sport": func() {
+			newPacketTrace(4, MatchAll(), CaptureHead, 0, 0).Record(1, TraceSend, "h0", 1, 0, 1, wide, 3, 4, 5)
+		},
+		"dport": func() {
+			newPacketTrace(4, MatchAll(), CaptureHead, 0, 0).Record(1, TraceSend, "h0", 1, 0, 1, 2, wide, 4, 5)
+		},
+		"payload": func() {
+			newPacketTrace(4, MatchAll(), CaptureHead, 0, 0).Record(1, TraceSend, "h0", 1, 0, 1, 2, 3, 4, wide)
+		},
+		"src_leaf": func() { newDecisionTrace(4, CaptureHead).record(1, wide, 1, 0, ReasonNewFlowlet, 0, nil) },
+		"dst_leaf": func() { newDecisionTrace(4, CaptureHead).record(1, 0, wide, 0, ReasonNewFlowlet, 0, nil) },
+		"uplink":   func() { newDecisionTrace(4, CaptureHead).record(1, 0, 1, 1<<15, ReasonNewFlowlet, 0, nil) },
+		"metrics":  func() { newDecisionTrace(4, CaptureHead).record(1, 0, 1, 0, ReasonNewFlowlet, 0, make([]uint8, 256)) },
+		"where": func() {
+			tr := newPacketTrace(1, MatchAll(), CaptureTail, 0, 0)
+			for i := 0; i <= 1<<16; i++ {
+				tr.Record(1, TraceSend, fmt.Sprint("h", i), 1, 0, 1, 2, 3, 4, 5)
+			}
+		},
+	}
+	for field, fn := range cases {
+		t.Run(field, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "telemetry: "+field+" ") {
+					t.Fatalf("panic %q, want one naming %s", msg, field)
+				}
+			}()
+			fn()
+		})
+	}
+}
+
+// TestDecisionSlabWidens: a vector longer than any before re-lays the slab
+// and keeps every retained slot's candidates.
+func TestDecisionSlabWidens(t *testing.T) {
+	tr := newDecisionTrace(4, CaptureTail)
+	want := [][]uint8{nil, {1}, {2, 3}, {4, 5, 6, 7}, {8}, {9, 10, 11}}
+	for i, m := range want {
+		tr.record(sim.Time(i), 0, 1, 0, ReasonNewFlowlet, 0, m)
+	}
+	var got [][]uint8
+	for _, e := range decisionEvents(tr) {
+		got = append(got, e.Metrics)
+	}
+	if !reflect.DeepEqual(got, want[2:]) {
+		t.Fatalf("retained metrics %v, want %v", got, want[2:])
 	}
 }

@@ -31,7 +31,8 @@ var reasonNames = []string{"sticky", "new-flowlet", "expired", "evicted"}
 // String returns the reason name used in flushed decision files.
 func (d DecisionReason) String() string { return nameOf(reasonNames, d) }
 
-// DecisionEvent is one recorded SelectUplink outcome.
+// DecisionEvent is one recorded SelectUplink outcome, as DecisionTrace.Each
+// hands it out and a decision sink file reads back.
 type DecisionEvent struct {
 	T       sim.Time
 	SrcLeaf int
@@ -49,34 +50,81 @@ type DecisionEvent struct {
 	Metrics []uint8
 }
 
-// DecisionTrace is a capture buffer of decision events: PacketTrace's
-// head/tail/reservoir policies without its filter and triggers.
-type DecisionTrace struct{ capture[DecisionEvent] }
-
-func newDecisionTrace(capacity int, mode CaptureMode) *DecisionTrace {
-	return &DecisionTrace{newCapture[DecisionEvent](capacity, mode)}
+// decisionRecord is a retained DecisionEvent in 32 bytes rather than 72 and
+// a metrics array of its own: the leaves take int32, the uplink int16, and
+// the candidate metrics live in the trace's slab, n of them at the slot's
+// stretch.
+type decisionRecord struct {
+	t      sim.Time
+	age    int64
+	src    int32
+	dst    int32
+	uplink int16
+	reason DecisionReason
+	n      uint8
 }
 
-// record offers an event. metrics is copied into the retained slot, over
-// the evictee's backing array when there is one, so a full trace stops
-// allocating.
+// DecisionTrace is a capture buffer of decision events: PacketTrace's
+// head/tail/reservoir policies without its filter and triggers.
+type DecisionTrace struct {
+	capture[decisionRecord]
+	// metrics holds slot i's candidate vector at [i*width, i*width+n): one
+	// slab for the trace, widened (and re-laid) when a vector longer than
+	// width arrives.
+	metrics []uint8
+	width   int
+}
+
+func newDecisionTrace(capacity int, mode CaptureMode) *DecisionTrace {
+	return &DecisionTrace{capture: newCapture[decisionRecord](capacity, mode)}
+}
+
+// record offers an event. metrics is copied into the retained slot's
+// stretch of the slab, so a trace stops allocating once the slab is as wide
+// as the longest vector.
 func (tr *DecisionTrace) record(t sim.Time, srcLeaf, dstLeaf, uplink int, reason DecisionReason, ageNs int64, metrics []uint8) {
 	if tr == nil {
 		return
 	}
-	if ev := tr.offer(); ev != nil {
-		*ev = DecisionEvent{T: t, SrcLeaf: srcLeaf, DstLeaf: dstLeaf, Uplink: uplink,
-			Reason: reason, AgeNs: ageNs, Metrics: append(ev.Metrics[:0], metrics...)}
+	i := tr.offer()
+	if i < 0 {
+		return
 	}
+	n := narrow[uint8]("metrics", len(metrics))
+	if len(metrics) > tr.width {
+		tr.widen(len(metrics))
+	}
+	tr.events[i] = decisionRecord{t: t, age: ageNs, reason: reason, n: n,
+		src: narrow[int32]("src_leaf", srcLeaf), dst: narrow[int32]("dst_leaf", dstLeaf),
+		uplink: narrow[int16]("uplink", uplink)}
+	copy(tr.metrics[i*tr.width:], metrics)
 }
 
-// Events returns the recorded events in time order (same aliasing contract
-// as PacketTrace.Events).
-func (tr *DecisionTrace) Events() []DecisionEvent {
-	if tr == nil {
-		return nil
+// widen re-lays the slab at width w, keeping every slot's vector.
+func (tr *DecisionTrace) widen(w int) {
+	slab := make([]uint8, cap(tr.events)*w)
+	for i, r := range tr.events {
+		copy(slab[i*w:], tr.metrics[i*tr.width:i*tr.width+int(r.n)])
 	}
-	return tr.ordered(func(e *DecisionEvent) sim.Time { return e.T })
+	tr.metrics, tr.width = slab, w
+}
+
+// Each calls fn with every recorded event in time order (see capture.each).
+// An event's Metrics aliases the trace's slab: it holds until the next
+// record. Safe on a nil receiver.
+func (tr *DecisionTrace) Each(fn func(DecisionEvent)) {
+	if tr == nil {
+		return
+	}
+	tr.each(func(r *decisionRecord) sim.Time { return r.t }, func(i int) {
+		r := &tr.events[i]
+		ev := DecisionEvent{T: r.t, SrcLeaf: int(r.src), DstLeaf: int(r.dst), Uplink: int(r.uplink),
+			Reason: r.reason, AgeNs: r.age}
+		if r.n > 0 {
+			ev.Metrics = tr.metrics[i*tr.width : i*tr.width+int(r.n)]
+		}
+		fn(ev)
+	})
 }
 
 // Info returns the trace's capture policy and outcome in the shared

@@ -31,7 +31,7 @@ func TestDecisionTraceHead(t *testing.T) {
 	if info.Recorded != 4 || info.Suppressed != 6 || info.Seen != 10 {
 		t.Fatalf("accounting: %+v", info)
 	}
-	evs := tr.Events()
+	evs := decisionEvents(tr)
 	for i, ev := range evs {
 		if ev.T != sim.Time(i) {
 			t.Fatalf("head event %d has T=%d, want %d", i, ev.T, i)
@@ -51,7 +51,7 @@ func TestDecisionTraceTail(t *testing.T) {
 		h.Decision(sim.Time(i), 1, 0, ReasonExpired, -1, []uint8{uint8(i)})
 	}
 	tr := r.DecisionTrace()
-	evs := tr.Events()
+	evs := decisionEvents(tr)
 	if len(evs) != 4 {
 		t.Fatalf("tail kept %d, want 4", len(evs))
 	}
@@ -84,7 +84,7 @@ func TestDecisionTraceReservoir(t *testing.T) {
 	if info := tr.Info(); int(info.Suppressed)+info.Recorded != info.Seen || info.Seen != 1000 {
 		t.Fatalf("accounting: %+v", info)
 	}
-	evs := tr.Events()
+	evs := decisionEvents(tr)
 	for i := 1; i < len(evs); i++ {
 		if evs[i].T < evs[i-1].T {
 			t.Fatal("reservoir events not in time order")

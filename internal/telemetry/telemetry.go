@@ -227,9 +227,9 @@ func (r *Registry) Trace() *PacketTrace {
 	return r.trace
 }
 
-// NewSeries registers a time-series probe and returns its buffer, or nil
-// on a nil registry. Registering the same name twice returns the
-// same buffer.
+// NewSeries registers a time-series probe on a clock of its own (a group
+// of one, driven through Series.Observe) and returns its buffer, or nil on
+// a nil registry. Registering the same name twice returns the same buffer.
 func (r *Registry) NewSeries(name, unit string) *Series {
 	if r == nil {
 		return nil
@@ -237,10 +237,7 @@ func (r *Registry) NewSeries(name, unit string) *Series {
 	if s, ok := r.byName[name]; ok {
 		return s
 	}
-	s := newSeries(name, unit, r.opts.SeriesCap)
-	r.byName[name] = s
-	r.series = append(r.series, s)
-	return s
+	return r.NewSeriesGroup().add(name, unit)
 }
 
 // AllSeries returns every registered series in registration order.
@@ -423,19 +420,26 @@ func (r *Registry) FlushTo(dir string) error {
 	return nil
 }
 
-// sinkFiles returns the files a flush writes, in flush order.
+// sinkFiles returns the files a flush writes, in flush order. Series and
+// traces stream their rows from the probes' own buffers (see SinkFile.fill).
 func (r *Registry) sinkFiles() []*SinkFile {
 	files := []*SinkFile{{Table: CounterTable, Provenance: r.provenance, Counters: r.CounterRows()}}
 	for _, s := range r.series {
-		files = append(files, &SinkFile{Table: SeriesTable, Probe: s.name, Unit: s.unit, Points: s.pts})
+		f := &SinkFile{Table: SeriesTable, Probe: s.name, Unit: s.unit, Points: make([]Point, 1)}
+		f.fill = func(emit func()) { s.each(func(p Point) { f.Points[0] = p; emit() }) }
+		files = append(files, f)
 	}
-	if r.trace != nil {
-		info := r.trace.Info()
-		files = append(files, &SinkFile{Table: TraceTable, Provenance: r.provenance, Capture: &info, Trace: r.trace.Events()})
+	if tr := r.trace; tr != nil {
+		info := tr.Info()
+		f := &SinkFile{Table: TraceTable, Provenance: r.provenance, Capture: &info, Trace: make([]TraceEvent, 1)}
+		f.fill = func(emit func()) { tr.Each(func(e TraceEvent) { f.Trace[0] = e; emit() }) }
+		files = append(files, f)
 	}
-	if r.decTrace != nil {
-		info := r.decTrace.Info()
-		files = append(files, &SinkFile{Table: DecisionTable, Provenance: r.provenance, Capture: &info, Decisions: r.decTrace.Events()})
+	if tr := r.decTrace; tr != nil {
+		info := tr.Info()
+		f := &SinkFile{Table: DecisionTable, Provenance: r.provenance, Capture: &info, Decisions: make([]DecisionEvent, 1)}
+		f.fill = func(emit func()) { tr.Each(func(e DecisionEvent) { f.Decisions[0] = e; emit() }) }
+		files = append(files, f)
 	}
 	if len(r.decisions) > 0 {
 		files = append(files, &SinkFile{Table: PathTable, Provenance: r.provenance, Summaries: r.PathSummaries(), Paths: r.PathRows()})

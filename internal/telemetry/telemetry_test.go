@@ -28,7 +28,7 @@ func TestNilRegistryIsOff(t *testing.T) {
 	s.Observe(1, 2)
 	var tr *PacketTrace
 	tr.Record(1, TraceSend, "h0", 1, 0, 1, 2, 3, 4, 5)
-	if tr.Len() != 0 || tr.Events() != nil {
+	if tr.Len() != 0 || traceEvents(tr) != nil {
 		t.Fatal("nil trace recorded")
 	}
 }
@@ -60,7 +60,7 @@ func TestSeriesDownsampling(t *testing.T) {
 	for i := 0; i < total; i++ {
 		s.Observe(sim.Time(i*10), float64(i))
 	}
-	pts, stride := s.pts, s.stride
+	pts, stride := seriesPoints(s), s.clock.stride
 	if len(pts) > capacity {
 		t.Fatalf("series grew to %d > cap %d", len(pts), capacity)
 	}

@@ -1,9 +1,9 @@
 package telemetry
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"conga/internal/sim"
@@ -150,7 +150,8 @@ func ParseTrigger(s string) (Trigger, error) {
 	return g, nil
 }
 
-// TraceEvent is one recorded packet event.
+// TraceEvent is one recorded packet event, as PacketTrace.Each hands it out
+// and a trace sink file reads back.
 type TraceEvent struct {
 	T       sim.Time
 	Kind    TraceKind
@@ -162,6 +163,31 @@ type TraceEvent struct {
 	DstPort int
 	Seq     int64
 	Payload int
+}
+
+// traceRecord is a retained TraceEvent in 48 bytes rather than 88: where is
+// an index into the trace's name table, hosts, ports and payload take the
+// int32 widths of the packet fields they come from, and the kind is a byte.
+type traceRecord struct {
+	t       sim.Time
+	flow    uint64
+	seq     int64
+	src     int32
+	dst     int32
+	sport   int32
+	dport   int32
+	payload int32
+	where   uint16
+	kind    TraceKind
+}
+
+// narrow returns v as an N. A value that does not fit panics with the
+// field's name: a retained record never holds a truncated value.
+func narrow[N int32 | int16 | uint16 | uint8](field string, v int) N {
+	if n := N(v); int(n) == v {
+		return n
+	}
+	panic(fmt.Sprintf("telemetry: %s %d does not fit a %T", field, v, N(0)))
 }
 
 // reservoirSeed is the fixed seed for the reservoir's private PRNG. The
@@ -197,22 +223,21 @@ func newCapture[T any](capacity int, mode CaptureMode) capture[T] {
 	return c
 }
 
-// offer accounts for one event and returns the slot the caller fills with
-// it, or nil when the mode does not retain it. A slot being overwritten
-// still holds its evictee, whose buffers the caller may reuse.
-func (c *capture[T]) offer() *T {
+// offer accounts for one event and returns the index of the slot the caller
+// fills with it, or -1 when the mode does not retain it.
+func (c *capture[T]) offer() int {
 	if c.headFull {
 		c.Suppressed++
-		return nil
+		return -1
 	}
 	return c.take()
 }
 
 // take is offer for every buffer but a head buffer known to be full.
-func (c *capture[T]) take() *T {
+func (c *capture[T]) take() int {
 	if n := len(c.events); n < cap(c.events) {
 		c.events = c.events[:n+1]
-		return &c.events[n]
+		return n
 	}
 	// Whether the event is turned away or takes a slot, one event more is
 	// outside the retained set.
@@ -221,7 +246,7 @@ func (c *capture[T]) take() *T {
 	case CaptureHead:
 		c.headFull = true
 	case CaptureTail:
-		slot := &c.events[c.start]
+		slot := c.start
 		if c.start++; c.start == len(c.events) {
 			c.start = 0
 		}
@@ -230,32 +255,38 @@ func (c *capture[T]) take() *T {
 		// Algorithm R: the n-th event seen replaces a uniform slot with
 		// probability cap/n.
 		if j := c.rng.Intn(c.seen()); j < len(c.events) {
-			return &c.events[j]
+			return j
 		}
 	}
-	return nil
+	return -1
 }
 
 func (c *capture[T]) seen() int { return len(c.events) + int(c.Suppressed) }
 
-// ordered returns the retained events in time order; at reads an event's
-// time. Head mode, and a tail ring that has not wrapped, hand out the buffer
-// itself, which callers must not modify; a wrapped ring is returned as a
-// rotated copy (oldest first) and a reservoir, whose replacements scramble
-// slots, as a time-sorted copy with ties in slot order — deterministic for
-// the fixed seed.
-func (c *capture[T]) ordered(at func(*T) sim.Time) []T {
-	switch {
-	case c.mode == CaptureTail && c.start != 0:
-		out := make([]T, 0, len(c.events))
-		out = append(out, c.events[c.start:]...)
-		return append(out, c.events[:c.start]...)
-	case c.mode == CaptureReservoir:
-		out := append([]T(nil), c.events...)
-		sort.SliceStable(out, func(i, j int) bool { return at(&out[i]) < at(&out[j]) })
-		return out
+// each calls fn with the index of every retained slot in time order; at
+// reads a record's time. Head mode and a tail ring are walked from their
+// oldest slot; a reservoir, whose replacements scramble slots, through a
+// time-sorted index with ties in slot order — deterministic for the fixed
+// seed. No record is copied.
+func (c *capture[T]) each(at func(*T) sim.Time, fn func(slot int)) {
+	n := len(c.events)
+	if c.mode == CaptureReservoir {
+		order := make([]int32, n)
+		for i := range order {
+			order[i] = int32(i)
+		}
+		slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(at(&c.events[a]), at(&c.events[b])) })
+		for _, i := range order {
+			fn(int(i))
+		}
+		return
 	}
-	return c.events
+	for i, j := 0, c.start; i < n; i++ {
+		fn(j)
+		if j++; j == n {
+			j = 0
+		}
+	}
 }
 
 func (c *capture[T]) info() CaptureInfo {
@@ -275,8 +306,12 @@ func (c *capture[T]) info() CaptureInfo {
 // the collapse" without post-processing. Matching events that arrive after
 // the freeze count as suppressed.
 type PacketTrace struct {
-	capture[TraceEvent]
+	capture[traceRecord]
 	filter Filter
+	// names is the table traceRecord.where indexes, interned as slots are
+	// taken; nameIdx finds a name's index.
+	names   []string
+	nameIdx map[string]uint16
 
 	trigger   Trigger
 	stopAfter int // matching events still let through once Triggered
@@ -290,8 +325,9 @@ type PacketTrace struct {
 
 func newPacketTrace(capacity int, f Filter, mode CaptureMode, trigger Trigger, stopAfter int) *PacketTrace {
 	return &PacketTrace{
-		capture:   newCapture[TraceEvent](capacity, mode),
+		capture:   newCapture[traceRecord](capacity, mode),
 		filter:    f,
+		nameIdx:   make(map[string]uint16),
 		trigger:   trigger,
 		stopAfter: max(stopAfter, 0),
 	}
@@ -323,11 +359,12 @@ func (tr *PacketTrace) Record(t sim.Time, kind TraceKind, where string, flowID u
 		tr.Suppressed++
 		return
 	}
-	if ev := tr.offer(); ev != nil {
-		*ev = TraceEvent{
-			T: t, Kind: kind, Where: where, FlowID: flowID,
-			Src: src, Dst: dst, SrcPort: sport, DstPort: dport,
-			Seq: seq, Payload: payload,
+	if i := tr.offer(); i >= 0 {
+		tr.events[i] = traceRecord{
+			t: t, kind: kind, where: tr.intern(where), flow: flowID,
+			src: narrow[int32]("src", src), dst: narrow[int32]("dst", dst),
+			sport: narrow[int32]("sport", sport), dport: narrow[int32]("dport", dport),
+			seq: seq, payload: narrow[int32]("payload", payload),
 		}
 	}
 	// The countdown runs on every matching event past the trigger, retained
@@ -335,6 +372,17 @@ func (tr *PacketTrace) Record(t sim.Time, kind TraceKind, where string, flowID u
 	if tr.Triggered && !firedNow && tr.stopAfter > 0 {
 		tr.stopAfter--
 	}
+}
+
+// intern returns where's index in the name table, adding it when new.
+func (tr *PacketTrace) intern(where string) uint16 {
+	i, ok := tr.nameIdx[where]
+	if !ok {
+		i = narrow[uint16]("where", len(tr.names))
+		tr.names = append(tr.names, where)
+		tr.nameIdx[where] = i
+	}
+	return i
 }
 
 // TriggerRTO notifies the trace that a TCP retransmission timeout fired;
@@ -359,13 +407,20 @@ func (tr *PacketTrace) Frozen() bool {
 	return tr != nil && tr.Triggered && tr.stopAfter == 0
 }
 
-// Events returns the recorded events in time order; see capture.ordered for
-// when the slice aliases the buffer.
-func (tr *PacketTrace) Events() []TraceEvent {
+// Each calls fn with every recorded event in time order. Safe on a nil
+// receiver.
+func (tr *PacketTrace) Each(fn func(TraceEvent)) {
 	if tr == nil {
-		return nil
+		return
 	}
-	return tr.ordered(func(e *TraceEvent) sim.Time { return e.T })
+	tr.each(func(r *traceRecord) sim.Time { return r.t }, func(i int) {
+		r := &tr.events[i]
+		fn(TraceEvent{
+			T: r.t, Kind: r.kind, Where: tr.names[r.where], FlowID: r.flow,
+			Src: int(r.src), Dst: int(r.dst), SrcPort: int(r.sport), DstPort: int(r.dport),
+			Seq: r.seq, Payload: int(r.payload),
+		})
+	})
 }
 
 // Len returns the number of recorded events.

@@ -28,7 +28,7 @@ func TestCaptureTailRing(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		rec(tr, sim.Time(i), TraceSend)
 	}
-	evs := tr.Events()
+	evs := traceEvents(tr)
 	if len(evs) != 4 {
 		t.Fatalf("tail ring holds %d events, want 4", len(evs))
 	}
@@ -55,7 +55,7 @@ func TestCaptureReservoirSample(t *testing.T) {
 		if got := tr.Info().Suppressed; got != total-capacity {
 			t.Fatalf("reservoir suppressed %d, want %d", got, total-capacity)
 		}
-		return tr.Events()
+		return traceEvents(tr)
 	}
 	evs := sample()
 	if len(evs) != capacity {
@@ -107,7 +107,7 @@ func TestTriggerFirstDropStopAfter(t *testing.T) {
 	if !tr.Frozen() {
 		t.Fatal("never froze after the countdown")
 	}
-	evs := tr.Events()
+	evs := traceEvents(tr)
 	// 3 sends + the triggering drop (retained, does not consume the
 	// countdown) + 2 post-trigger events.
 	if len(evs) != 6 || evs[3].Kind != TraceDrop || evs[5].T != 6 {
@@ -127,7 +127,7 @@ func TestTriggerFirstDropImmediate(t *testing.T) {
 	if !tr.Frozen() {
 		t.Fatal("stop-after 0 must freeze on the triggering drop")
 	}
-	evs := tr.Events()
+	evs := traceEvents(tr)
 	if len(evs) != 2 || evs[1].Kind != TraceDrop {
 		t.Fatalf("want [send drop], got %v", evs)
 	}
@@ -168,7 +168,7 @@ func TestTriggerDropOutsideFilter(t *testing.T) {
 		t.Fatal("drop outside the filter must still fire and freeze the trigger")
 	}
 	rec(tr, 3, TraceSend) // flow 1, but frozen
-	evs := tr.Events()
+	evs := traceEvents(tr)
 	if len(evs) != 1 || evs[0].T != 1 {
 		t.Fatalf("want only the pre-drop flow-1 event, got %v", evs)
 	}

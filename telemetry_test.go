@@ -112,7 +112,7 @@ func TestTelemetryDoesNotPerturbSimulation(t *testing.T) {
 					t.Fatal("decision hooks recorded nothing")
 				}
 				tr := reg.DecisionTrace()
-				if len(tr.Events()) == 0 {
+				if tr.Info().Recorded == 0 {
 					t.Fatal("decision trace empty")
 				}
 				if info := tr.Info(); info.Recorded+int(info.Suppressed) != info.Seen {
