@@ -168,12 +168,12 @@ func goldenRows() []goldenRow {
 				flows: 0x5b497e33a816d245},
 			mallocs: 5248},
 		{name: "Fig09EnterpriseMPTCP", fct: fct(benchTopo(), SchemeMPTCPMarker, 20*ms, 250, 1, 0),
-			want: goldenResult{events: 3060754, drops: 22487, retx: 34149, timeouts: 74, norm: 2.349452635327834,
-				flows: 0x160d1d90503b3e9c},
+			want: goldenResult{events: 3060754, drops: 22487, retx: 38147, timeouts: 74, norm: 2.349452635327834,
+				flows: 0xcc17727e345324ae},
 			mallocs: 10464},
 		{name: "Fig11LinkFailure", fct: fct(failed, SchemeCONGA, 20*ms, 250, 1, 0),
-			want: goldenResult{events: 3036890, drops: 2977, retx: 18184, timeouts: 1, norm: 1.9866996308432396,
-				flows: 0x323b50d6b8f65dc},
+			want: goldenResult{events: 3036890, drops: 2977, retx: 18192, timeouts: 1, norm: 1.9866996308432396,
+				flows: 0xf23c49004a9c91d4},
 			mallocs: 9073},
 		{name: "Fig13Incast",
 			incast: &IncastConfig{Topology: benchTopo(), Scheme: SchemeCONGA,
@@ -188,30 +188,30 @@ func goldenRows() []goldenRow {
 		// TestTCPMatchesReference holds the link model to the reference's
 		// discrete link hop by hop.
 		{name: "Fig09/p1", fct: fct(benchTopo(), SchemeCONGA, 10*ms, 150, 7, 0), linkModel: true,
-			want: goldenResult{events: 1984923, drops: 8199, retx: 9304, timeouts: 2, norm: 2.0661661451644115,
-				flows: 0xf2399e370096aa7f},
+			want: goldenResult{events: 1984923, drops: 8199, retx: 16021, timeouts: 2, norm: 2.0661661451644115,
+				flows: 0xdf7fe63b95be9f4},
 			mallocs: 3505},
 		{name: "Fig09/p2", fct: fct(benchTopo(), SchemeCONGA, 10*ms, 150, 7, 2), linkModel: true,
 			want: goldenResult{events: 1792879, drops: 1134, retx: 5889, norm: 1.811172908481647,
 				flows: 0x9987d8b47bf29a5f},
 			mallocs: 56993},
 		{name: "Fig09MPTCP/p1", fct: fct(benchTopo(), SchemeMPTCPMarker, 10*ms, 150, 7, 0), linkModel: true,
-			want: goldenResult{events: 2141963, drops: 12430, retx: 26755, timeouts: 10, norm: 2.4859304190960656,
-				flows: 0xfe6e0db5a00faeaa},
+			want: goldenResult{events: 2141963, drops: 12430, retx: 27339, timeouts: 10, norm: 2.4859304190960656,
+				flows: 0x88fbd63ea16e27cc},
 			mallocs: 8825},
 		{name: "Fig11/p1", fct: fct(failed, SchemeCONGA, 10*ms, 150, 11, 0), linkModel: true,
-			want: goldenResult{events: 931837, drops: 2274, retx: 11856, timeouts: 2, norm: 2.5682311168353777,
-				flows: 0x35366614cfb3cce3},
+			want: goldenResult{events: 931837, drops: 2274, retx: 11858, timeouts: 2, norm: 2.5682311168353777,
+				flows: 0xd71a2b5c2215989d},
 			mallocs: 3925},
 		// Figure 12's queue and imbalance samplers read link counters
 		// mid-run; they need one engine.
 		{name: "Fig12/p1", fct: fig12, linkModel: true,
-			want: goldenResult{events: 3259506, drops: 2935, retx: 16662, timeouts: 3, norm: 3.279800511019497,
-				flows: 0x9ebefd4d49af6133},
+			want: goldenResult{events: 3259506, drops: 2935, retx: 16742, timeouts: 3, norm: 3.279800511019497,
+				flows: 0xb7db70317c989f03},
 			mallocs: 7695},
 		{name: "Scale64Leaves40G", fct: fct(scale(64, 40), SchemeECMP, 10*ms, 2000, 1, 0), long: true,
-			want: goldenResult{events: 9665665, drops: 8212, retx: 31026, timeouts: 3, norm: 2.1035324345144013,
-				flows: 0xd108094d6457d85a},
+			want: goldenResult{events: 9665665, drops: 8212, retx: 31039, timeouts: 3, norm: 2.1035324345144013,
+				flows: 0xb6642fb7d73c0a63},
 			mallocs: 43379},
 		{name: "Scale64/p1", fct: fct(scale(64, 40), SchemeECMP, 10*ms, 600, 3, 0), long: true, linkModel: true,
 			want: goldenResult{events: 5169160, norm: 1.2427228165282376,

@@ -133,6 +133,7 @@ type Sender struct {
 	// Sequence space (bytes).
 	sndUna int64 // oldest unacknowledged
 	sndNxt int64 // next to send
+	sndMax int64 // one past the highest byte ever sent: a segment below it is a retransmit
 	avail  int64 // total bytes queued by the application
 
 	cwnd     float64
@@ -229,7 +230,7 @@ func (s *Sender) rebind(eng *sim.Engine, host *fabric.Host, flowID uint64, dstHo
 	s.dstHost = dstHost
 	s.dstPort = dstPort
 	s.lbHash = fabric.HashFlow(flowID, host.ID, dstHost, s.srcPort, dstPort)
-	s.sndUna, s.sndNxt, s.avail = 0, 0, 0
+	s.sndUna, s.sndNxt, s.sndMax, s.avail = 0, 0, 0, 0
 	s.cwnd = float64(initCwnd * cfg.MSS)
 	s.ssthresh = float64(cfg.MaxCwnd)
 	s.state = stateOpen
@@ -360,6 +361,18 @@ func (s *Sender) emit(seq int64, payload int, now sim.Time) {
 	p.SetLBHash(s.lbHash)
 	s.stats.SegmentsSent++
 	s.stats.BytesSent += uint64(payload)
+	// Every segment that starts below the high-water mark is a resend,
+	// whichever path sent it: a hole in recovery, or the go-back-N walk
+	// from snd.una after an RTO.
+	if seq < s.sndMax {
+		s.stats.RetxSegments++
+		if s.tel != nil {
+			s.tel.Retransmits++
+		}
+	}
+	if end := seq + int64(payload); end > s.sndMax {
+		s.sndMax = end
+	}
 	s.host.Send(p, now)
 }
 
@@ -419,12 +432,8 @@ func (s *Sender) onTimeout(now sim.Time) {
 		s.backoff++
 	}
 	s.lastRetx = now
-	s.stats.RetxSegments++
-	if s.tel != nil {
-		s.tel.Retransmits++
-	}
-	// Retransmit one segment; trySend re-arms the timer with the
-	// backed-off RTO.
+	// Go back to snd.una; trySend re-arms the timer with the backed-off
+	// RTO, and emit counts each resent segment.
 	s.trySend(now)
 }
 
@@ -548,10 +557,6 @@ func (s *Sender) retransmitNextHole(now sim.Time) bool {
 		return false
 	}
 	s.lastRetx = now
-	s.stats.RetxSegments++
-	if s.tel != nil {
-		s.tel.Retransmits++
-	}
 	s.emit(seq, size, now)
 	s.retxMark = seq + int64(size)
 	s.retxPipe += int64(size)

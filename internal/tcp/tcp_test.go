@@ -7,6 +7,7 @@ import (
 	"conga/internal/core"
 	"conga/internal/fabric"
 	"conga/internal/sim"
+	"conga/internal/telemetry"
 )
 
 // testNet builds a small 2-leaf fabric with 1 Gbps links for fast tests.
@@ -389,5 +390,62 @@ func BenchmarkFlow1MB(b *testing.B) {
 		eng, n := testNet(b, fabric.SchemeCONGA)
 		startFlow(eng, n.Host(0), n.Host(4), uint64(i), 1<<20, dcConfig(), nil)
 		eng.Run(sim.MaxTime)
+	}
+}
+
+// TestRetxCountsEveryResentSegment: after an RTO the go-back-N walk from
+// snd.una resends every unSACKed segment, and each is a retransmit. The
+// reference count is taken from the packet trace, independently of the
+// sender: a send whose first byte lies below the highest byte any earlier
+// send of the flow covered.
+func TestRetxCountsEveryResentSegment(t *testing.T) {
+	eng := sim.New()
+	p := core.DefaultParams()
+	p.FlowletTableSize = 4096
+	f := telemetry.MatchAll()
+	f.FlowID = 9
+	reg := telemetry.New(telemetry.Options{Trace: true, TraceFilter: f})
+	n := fabric.MustNetwork(eng, fabric.Config{
+		NumLeaves: 2, NumSpines: 2, HostsPerLeaf: 4, LinksPerSpine: 1,
+		AccessRateBps: 1e9, FabricRateBps: 1e9, Scheme: fabric.SchemeECMP,
+		Params: p, Seed: 11, Telemetry: reg,
+	})
+	var st Stats
+	startFlow(eng, n.Host(0), n.Host(4), 9, 1<<20, dcConfig(), func(f *Flow, _ sim.Time) { st = f.Sender.Stats() })
+	// Black-hole the fabric mid-transfer: a full window dies, so only the
+	// RTO recovers, and it resends the window from snd.una.
+	eng.At(2*sim.Millisecond, func(sim.Time) {
+		n.FailLink(0, 0, 0)
+		n.FailLink(0, 1, 0)
+	})
+	eng.At(15*sim.Millisecond, func(sim.Time) {
+		n.RestoreLink(0, 0, 0)
+		n.RestoreLink(0, 1, 0)
+	})
+	eng.Run(sim.MaxTime)
+	if st.BytesAcked != 1<<20 || st.Timeouts == 0 {
+		t.Fatalf("want a completed flow with an RTO: %+v", st)
+	}
+	if info := reg.Trace().Info(); info.Suppressed != 0 {
+		t.Fatalf("trace overflowed (%d suppressed)", info.Suppressed)
+	}
+	var high int64
+	var resent, sent uint64
+	reg.Trace().Each(func(e telemetry.TraceEvent) {
+		if e.Kind != telemetry.TraceSend || e.Where != "h0" {
+			return
+		}
+		sent++
+		if e.Seq < high {
+			resent++
+		}
+		high = max(high, e.Seq+int64(e.Payload))
+	})
+	if sent != st.SegmentsSent {
+		t.Fatalf("trace saw %d sends, sender counted %d", sent, st.SegmentsSent)
+	}
+	if resent <= 1 || st.RetxSegments != resent {
+		t.Fatalf("RetxSegments %d, want the %d segments sent below the high-water mark (%d timeouts)",
+			st.RetxSegments, resent, st.Timeouts)
 	}
 }
