@@ -66,8 +66,10 @@ memlat:
 # super-packets against a plain link queueing every packet (arrivals, drops
 # and the queue audit), tcp's span set (every SACK block's source)
 # against a byte map, the sink-file reader against the writer (whatever it
-# reads must re-encode to bytes that read back equal), and the replay-trace
-# reader on forged and damaged binary input (an error, never a panic). Their
+# reads must re-encode to bytes that read back equal), the replay-trace
+# reader on forged and damaged binary input (an error, never a panic), and a
+# group of series on one sampling clock against per-series clocks (nil
+# members and a standalone series beside the group). Their
 # seed corpora already run under plain `go test`; this lets the mutator look
 # past them. One target per invocation is a go test rule.
 fuzz-smoke:
@@ -81,6 +83,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSpanSetMatchesModel -fuzztime 20s ./internal/tcp
 	$(GO) test -run '^$$' -fuzz FuzzReadSinkFile -fuzztime 20s ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz FuzzReplayRead -fuzztime 20s ./internal/replay
+	$(GO) test -run '^$$' -fuzz FuzzSeriesGroupMatchesSeries -fuzztime 20s ./internal/telemetry
 
 # Run-audit smoke (~6 s): a short FCT run, a small Incast, whose hot access
 # port builds the deepest queue of any harness, and a 40G run of the scale
@@ -157,6 +160,12 @@ replay-smoke:
 # failed link and -decisions on, then assert the audit trail and path
 # matrix sinks are non-empty, summarize the trail with congatrace, and
 # render the path-utilization heatmap. CI uploads the sinks and figure.
+# Then the 32-leaf cell of check-smoke with every probe on, which drives the
+# grouped samplers at multi-leaf scale: it must flush 1,344 series (queue
+# and DRE on 512 fabric links, 8 congestion-table uplinks, flowlets and
+# staleness on 32 leaves) and congaplot -list must read every one and list
+# each that holds points (a leaf with no aged decisions leaves its staleness
+# file empty).
 decision-smoke:
 	$(GO) build -o /tmp/congasim ./cmd/congasim
 	/tmp/congasim -scheme conga -duration 20ms -maxflows 500 -minrto 10ms \
@@ -166,5 +175,11 @@ decision-smoke:
 	$(GO) run ./cmd/congatrace -read decision-smoke.tel/decisions.ndjson
 	$(GO) run ./cmd/congaplot -heatmap -dir decision-smoke.tel -out decision-heatmap.svg
 	test -s decision-heatmap.svg
+	rm -rf decision-smoke32.tel
+	/tmp/congasim -leaves 32 -hosts 4 -spines 4 -links 2 -access 40 -fabric 40 -duration 2ms \
+		-maxflows 300 -minrto 10ms -telemetry decision-smoke32.tel -decisions
+	test $$(ls decision-smoke32.tel | grep -c '^series_') -eq 1344
+	test $$($(GO) run ./cmd/congaplot -dir decision-smoke32.tel -list | grep -c ' points  unit=') \
+		-eq $$(find decision-smoke32.tel -name 'series_*' -size +0 | wc -l)
 
 check: build vet test race
