@@ -40,7 +40,8 @@ vet:
 # plain vet on an amd64 host, and vice versa), and a build for an
 # architecture that gets the empty fallback. Last, TestNoTestOnlyAPI (about
 # a second once the build cache is warm) fails on an exported function or
-# method that only tests use, and on a config field that only tests set.
+# method that only tests use, on a config field that only tests set, and on
+# an unexported declaration that no non-test file uses.
 lint: vet
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -163,9 +164,9 @@ replay-smoke:
 # Then the 32-leaf cell of check-smoke with every probe on, which drives the
 # grouped samplers at multi-leaf scale: it must flush 1,344 series (queue
 # and DRE on 512 fabric links, 8 congestion-table uplinks, flowlets and
-# staleness on 32 leaves) and congaplot -list must read every one and list
-# each that holds points (a leaf with no aged decisions leaves its staleness
-# file empty).
+# staleness on 32 leaves) and congaplot -list must read and list every one,
+# with 0 points where a series took none (a leaf with no aged decisions
+# leaves its staleness file empty).
 decision-smoke:
 	$(GO) build -o /tmp/congasim ./cmd/congasim
 	/tmp/congasim -scheme conga -duration 20ms -maxflows 500 -minrto 10ms \
@@ -179,7 +180,6 @@ decision-smoke:
 	/tmp/congasim -leaves 32 -hosts 4 -spines 4 -links 2 -access 40 -fabric 40 -duration 2ms \
 		-maxflows 300 -minrto 10ms -telemetry decision-smoke32.tel -decisions
 	test $$(ls decision-smoke32.tel | grep -c '^series_') -eq 1344
-	test $$($(GO) run ./cmd/congaplot -dir decision-smoke32.tel -list | grep -c ' points  unit=') \
-		-eq $$(find decision-smoke32.tel -name 'series_*' -size +0 | wc -l)
+	test $$($(GO) run ./cmd/congaplot -dir decision-smoke32.tel -list | grep -c ' points  unit=') -eq 1344
 
 check: build vet test race

@@ -36,7 +36,6 @@ var testOnlyFields = map[string]pin{
 	"internal/fabric.Config.FabricPropDelay": {"TestPartitionedValidation", "ROADMAP 12: propagation delay is a metamorphic factor"},
 	"internal/fabric.Config.HostBufBytes":    {"TestFabricMatchesReference", "ROADMAP 17: the host NIC's queue decides self-inflicted drops"},
 	"conga.FCTConfig.DrainTimeout":           {"TestHostileConfigsReturnErrors", "ROADMAP 21: how long a bounded run drains"},
-	"conga.FCTConfig.WCMPWeights":            {"TestRunFCTWCMPWithWeights", "§2.4: weighted WCMP; every production run is unweighted (ROADMAP 13)"},
 	"conga.Topology.EdgeBufBytes":            {"TestCheckIncastAndHDFS", "§5: per-port buffer; small buffers make drops testable"},
 	"conga.Topology.FabricBufBytes":          {"TestHostileConfigsReturnErrors", "§5: per-port buffer"},
 	"conga.TransportConfig.Subflows":         {"TestHostileConfigsReturnErrors", "§5.2: MPTCP's subflow count"},
@@ -60,7 +59,10 @@ var testOnlyFields = map[string]pin{
 // fields, recursively. A write is a composite-literal key, an assignment or
 // ++ through a selector chain, or &x.F; none counts in the struct's own
 // methods, in its package's functions that return it, or as a default fill
-// (if x.F == 0 { x.F = v }). The module is type-checked from source, with
+// (if x.F == 0 { x.F = v }). It also fails on an unexported package-level
+// function, method, type, variable or constant that no non-test file of its
+// package uses, unless the method implements an interface, as the handle
+// methods implement fabric's node. The module is type-checked from source, with
 // imports from the export data `go list -export` leaves in the build cache,
 // so names are matched by their full names, not by object.
 func TestNoTestOnlyAPI(t *testing.T) {
@@ -81,6 +83,8 @@ func TestNoTestOnlyAPI(t *testing.T) {
 	used, written := map[string]bool{}, map[string]bool{}                                   // by apiName; by pkg.Type.Field
 	ifaces := map[*types.Interface]bool{types.Universe.Lookup("error").Type().Underlying().(*types.Interface): true}
 	var declared []*types.Func
+	var unexported []types.Object      // package-level, and methods
+	usedObj := map[types.Object]bool{} // by a non-test file of their package
 	var testSrc strings.Builder
 	for _, line := range strings.Split(strings.TrimSuffix(string(out), "\n"), "\n") { // each package after its imports
 		f := strings.Split(line, "\t") // import path, export data, standard, dir, files, test files
@@ -125,16 +129,25 @@ func TestNoTestOnlyAPI(t *testing.T) {
 		for _, obj := range info.Uses {
 			if fn, ok := obj.(*types.Func); ok {
 				used[apiName(fn)] = true
+				obj = fn.Origin()
 			}
+			usedObj[obj] = true
 		}
 		for _, name := range pkg.Scope().Names() {
-			switch obj := pkg.Scope().Lookup(name).(type) {
+			obj := pkg.Scope().Lookup(name)
+			if !obj.Exported() && !(pkg.Name() == "main" && name == "main") {
+				unexported = append(unexported, obj)
+			}
+			switch obj := obj.(type) {
 			case *types.Func:
 				declared = append(declared, obj)
 			case *types.TypeName:
 				if named, ok := obj.Type().(*types.Named); ok && !obj.IsAlias() {
 					for i := 0; i < named.NumMethods(); i++ {
 						declared = append(declared, named.Method(i))
+						if m := named.Method(i); !m.Exported() {
+							unexported = append(unexported, m)
+						}
 					}
 				}
 			}
@@ -149,12 +162,25 @@ func TestNoTestOnlyAPI(t *testing.T) {
 	implements := func(fn *types.Func) bool {
 		recv := fn.Type().(*types.Signature).Recv()
 		for it := range ifaces {
-			if m, _, _ := types.LookupFieldOrMethod(it, false, nil, fn.Name()); m != nil && recv != nil &&
+			if m, _, _ := types.LookupFieldOrMethod(it, false, fn.Pkg(), fn.Name()); m != nil && recv != nil &&
 				(types.Implements(recv.Type(), it) || types.Implements(types.NewPointer(recv.Type()), it)) {
 				return true
 			}
 		}
 		return false
+	}
+
+	for _, obj := range unexported {
+		key := short.Replace(obj.Pkg().Path()) + "." + obj.Name()
+		if fn, ok := obj.(*types.Func); ok {
+			if implements(fn) {
+				continue
+			}
+			key = apiName(fn)
+		}
+		if !usedObj[obj] {
+			t.Errorf("%s: %s is unexported and no non-test file uses it: delete it", fset.Position(obj.Pos()), key)
+		}
 	}
 
 	names := map[string]bool{} // every name an allowlist entry may hold

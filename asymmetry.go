@@ -82,7 +82,7 @@ func runLongLivedLoad(topo Topology, scheme Scheme, seed uint64, pairs []pair,
 	if scheme == SchemeMPTCPMarker {
 		return nil, fmt.Errorf("conga: the §2.4 scenarios run TCP over a fabric scheme; mptcp is a host transport, not one")
 	}
-	r, err := newRun(topo, scheme, nil, TransportConfig{}.withDefaults(), nil, seed, nil, 1)
+	r, err := newRun(topo, scheme, nil, TransportConfig{}.withDefaults(), seed, nil, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -41,7 +41,7 @@ func benchIdleFabric(b *testing.B, leaves int) {
 	eng := sim.New()
 	topo := Topology{Leaves: leaves, Spines: 2, HostsPerLeaf: 2, LinksPerSpine: 2,
 		AccessGbps: 10, FabricGbps: 40}
-	if _, err := topo.build([]*sim.Engine{eng}, SchemeCONGA, DefaultParams(), nil, 1, nil); err != nil {
+	if _, err := topo.build([]*sim.Engine{eng}, SchemeCONGA, DefaultParams(), 1, nil); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()

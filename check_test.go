@@ -56,7 +56,7 @@ func TestCheckDoesNotPerturbSimulation(t *testing.T) {
 func TestCheckNamesRunFaults(t *testing.T) {
 	skipSingleGoroutine(t)
 	newChecked := func() *run {
-		r, err := newRun(quickTopo().withDefaults(), SchemeCONGA, nil, TransportConfig{}.withDefaults(), nil, 1, nil, 1)
+		r, err := newRun(quickTopo().withDefaults(), SchemeCONGA, nil, TransportConfig{}.withDefaults(), 1, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -513,7 +513,7 @@ func runFig14(quick bool) {
 				cfgs = append(cfgs, conga.HDFSConfig{
 					Topology:       t,
 					Scheme:         s,
-					Transport:      conga.TransportConfig{Kind: transportFor(s), MinRTO: 10 * time.Millisecond},
+					Transport:      conga.TransportConfig{MinRTO: 10 * time.Millisecond},
 					BytesPerWriter: bytesPer,
 					DiskMBps:       400,
 					BackgroundLoad: 0.4,
@@ -556,13 +556,6 @@ func runFig14(quick bool) {
 		check(err)
 	}
 	fmt.Println("Paper shape: failure ≈ doubles ECMP job times; CONGA nearly unaffected; MPTCP volatile.")
-}
-
-func transportFor(s conga.Scheme) conga.Transport {
-	if s == conga.SchemeMPTCPMarker {
-		return conga.TransportMPTCP
-	}
-	return conga.TransportTCP
 }
 
 // --- Figure 15 ---

@@ -19,7 +19,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strings"
 	"time"
 
@@ -147,16 +146,6 @@ func perfCols(events uint64, wall time.Duration) string {
 	}
 	return fmt.Sprintf(" %8.1fM %9s",
 		float64(events)/wall.Seconds()/1e6, wall.Round(10*time.Millisecond))
-}
-
-// sortedKeys returns map keys in order, for deterministic table output.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 func check(err error) {

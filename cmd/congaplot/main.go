@@ -109,16 +109,24 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	var picked []plot.Series
+	matched := 0
 	for _, s := range all {
+		if !re.MatchString(s.Name) {
+			continue
+		}
+		matched++
 		if !*cdf {
 			s.Points = clipWindow(s.Points, float64(tMin.Nanoseconds()), float64(tMax.Nanoseconds()))
 		}
-		if re.MatchString(s.Name) && len(s.Points) > 0 {
+		if len(s.Points) > 0 {
 			picked = append(picked, s)
 		}
 	}
-	if len(picked) == 0 {
+	switch {
+	case matched == 0:
 		return fmt.Errorf("no series match %q (use -list to see names)", *sel)
+	case len(picked) == 0:
+		return fmt.Errorf("the %d series matching %q hold no points to plot", matched, *sel)
 	}
 
 	// One axis: refuse mixed units rather than inventing a second scale.
@@ -201,9 +209,9 @@ func defaultTitle(picked []plot.Series) string {
 }
 
 // loadDir reads the sink files of dir named prefix*.ndjson, which must all
-// hold the wanted table (series or cdf), as plot series. Files without
-// points are left out: they have nothing to list or plot (and an empty
-// series' file is empty, so it names no probe).
+// hold the wanted table (series or cdf), as plot series. A series with no
+// points flushes as an empty file, which names no probe: its name is taken
+// from the file name, so it lists with 0 points (and no unit).
 func loadDir(dir, prefix string, table *telemetry.Table) ([]plot.Series, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, prefix+"*.ndjson"))
 	if err != nil {
@@ -221,12 +229,13 @@ func loadDir(dir, prefix string, table *telemetry.Table) ([]plot.Series, error) 
 		// A series file holds (time_ns, value) points, a cdf file
 		// (value, fraction) ones.
 		s := plot.Series{Name: f.Probe, Unit: f.Unit, Points: f.CDF}
+		if s.Name == "" {
+			s.Name = strings.TrimSuffix(strings.TrimPrefix(filepath.Base(p), prefix), ".ndjson")
+		}
 		for _, pt := range f.Points {
 			s.Points = append(s.Points, [2]float64{float64(pt.T), pt.V})
 		}
-		if len(s.Points) > 0 {
-			out = append(out, s)
-		}
+		out = append(out, s)
 	}
 	return out, nil
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"conga"
+	"conga/internal/telemetry"
 )
 
 // TestFiguresFromDir flushes one small run and drives run on its directory:
@@ -65,5 +66,30 @@ func TestFiguresFromDir(t *testing.T) {
 	}
 	if b, err := os.ReadFile(svg); err != nil || !bytes.Contains(b, []byte("imbalance")) {
 		t.Errorf("the heatmap (error %v) lacks the balance subtitle", err)
+	}
+}
+
+// TestListNamesEmptySeries: a series that took no points flushes as an
+// empty file; -list still names it, with 0 points, and plotting it alone is
+// refused.
+func TestListNamesEmptySeries(t *testing.T) {
+	dir := t.TempDir()
+	reg := telemetry.New(telemetry.Options{Dir: dir})
+	reg.NewSeries("queue.l0->s0.0", "bytes").Observe(1000, 3000)
+	reg.NewSeries("staleness.leaf1", "ns")
+	if err := reg.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	if err := run([]string{"-dir", dir, "-list"}, &b); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
+	if len(lines) != 2 || !strings.HasPrefix(lines[1], "staleness.leaf1 ") || !strings.Contains(lines[1], " 0 points  unit=") {
+		t.Errorf("-list of one series with points and one without:\n%s", b.String())
+	}
+	err := run([]string{"-dir", dir, "-series", "staleness", "-out", filepath.Join(t.TempDir(), "out.svg")}, &b)
+	if err == nil || !strings.Contains(err.Error(), "hold no points") {
+		t.Errorf("plotting the empty series: error %v, want a refusal", err)
 	}
 }

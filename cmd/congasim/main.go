@@ -96,7 +96,7 @@ func main() {
 		}()
 	}
 
-	sch, err := parseScheme(*scheme)
+	sch, err := conga.ParseScheme(*scheme)
 	die(err)
 	topo := conga.Topology{
 		Leaves: *leaves, Spines: *spines, HostsPerLeaf: *hosts, LinksPerSpine: *linksPer,
@@ -246,9 +246,8 @@ func (f telemetryFlags) options() (tel *conga.TelemetryOptions, err error) {
 	}
 	tel = conga.TelemetryAll(f.dir)
 	if f.flow >= 0 {
-		tel.TraceFilter.FlowID = f.flow
-		tel.TraceFilter.SrcHost, tel.TraceFilter.DstHost = -1, -1
-		tel.TraceFilter.SrcPort, tel.TraceFilter.DstPort = -1, -1
+		flow := uint64(f.flow)
+		tel.TraceFlow = &flow
 	}
 	if tel.TraceMode, err = telemetry.ParseCaptureMode(f.traceMode); err != nil {
 		return nil, err
@@ -259,8 +258,7 @@ func (f telemetryFlags) options() (tel *conga.TelemetryOptions, err error) {
 	tel.TraceStopAfter = f.traceStop
 	// The decision plane is opt-in on the CLI: the audit trail and path
 	// matrices only appear with -decisions.
-	tel.Decisions, tel.DecisionTrace = f.decisions, f.decisions
-	tel.DecisionMode = tel.TraceMode
+	tel.Decisions = f.decisions
 	return tel, nil
 }
 
@@ -358,13 +356,6 @@ func printTelemetry(reg *conga.TelemetryRegistry, dir string) {
 				sm.Leaf, sm.Flowlets, sm.Bytes>>20, sm.Imbalance, sm.Entropy)
 		}
 	}
-}
-
-func parseScheme(s string) (conga.Scheme, error) {
-	if s == "mptcp" {
-		return conga.SchemeMPTCPMarker, nil
-	}
-	return conga.ParseScheme(s)
 }
 
 func parseWorkload(s string) (conga.Workload, error) {

@@ -6,14 +6,18 @@ import (
 )
 
 // TestSequentialTelemetryFlagsKeepTheTrace pins how the telemetry flags
-// resolve: -telemetry keeps the trace and, with -decisions, the audit trail.
+// resolve: -telemetry keeps the trace of every flow, or of the one
+// -telemetry-flow names (flow 0 included), and -decisions the audit trail.
 func TestSequentialTelemetryFlagsKeepTheTrace(t *testing.T) {
 	tel, err := telemetryFlags{
 		dir: "d", flow: -1, traceMode: "tail", traceTrigger: "first-drop",
 		decisions: true,
 	}.options()
-	if err != nil || !tel.Trace || !tel.DecisionTrace {
+	if err != nil || !tel.Trace || !tel.Decisions || tel.TraceFlow != nil {
 		t.Fatalf("err %v, options %+v", err, tel)
+	}
+	if tel, err := (telemetryFlags{dir: "d", flow: 0}).options(); err != nil || tel.TraceFlow == nil || *tel.TraceFlow != 0 {
+		t.Fatalf("-telemetry-flow 0: options %+v, err %v; want flow 0 traced", tel, err)
 	}
 	if tel, err := (telemetryFlags{flow: -1}).options(); tel != nil || err != nil {
 		t.Fatalf("no -telemetry: options %+v, err %v; want none", tel, err)

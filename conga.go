@@ -44,9 +44,9 @@ import (
 // counters (per-link enqueue/dequeue/drop/CE-mark, flowlet
 // create/expire/evict, TCP loss recovery), fixed-capacity time series
 // (queue depth, DRE register, flowlet occupancy, congestion-table metrics,
-// feedback staleness), a 5-tuple-filterable packet trace, and the decision
-// plane (flowlet routing audit trail, per-(uplink, dstLeaf) path load
-// matrices). See internal/telemetry for the
+// feedback staleness), a packet trace of every flow or of one, and the
+// decision plane (flowlet routing audit trail, per-(uplink, dstLeaf) path
+// load matrices). See internal/telemetry for the
 // zero-overhead-when-off design and the determinism guarantee: probes
 // observe, they never schedule, so enabling telemetry changes no simulation
 // outcome.
@@ -78,8 +78,14 @@ const (
 )
 
 // ParseScheme converts a scheme name ("ecmp", "conga", "conga-flow",
-// "local", "spray", "wcmp") to a Scheme.
-func ParseScheme(name string) (Scheme, error) { return fabric.ParseScheme(name) }
+// "local", "spray", "wcmp", or "mptcp" for the MPTCP marker) to a Scheme;
+// it inverts SchemeName.
+func ParseScheme(name string) (Scheme, error) {
+	if name == SchemeName(SchemeMPTCPMarker) {
+		return SchemeMPTCPMarker, nil
+	}
+	return fabric.ParseScheme(name)
+}
 
 // AllSchemes lists every scheme in presentation order.
 func AllSchemes() []Scheme {
@@ -167,7 +173,7 @@ func (t Topology) withDefaults() Topology {
 }
 
 // fabricConfig lowers a Topology plus scheme/params onto the simulator.
-func (t Topology) fabricConfig(scheme Scheme, params core.Params, wcmpWeights []float64, seed uint64, tel *telemetry.Registry) fabric.Config {
+func (t Topology) fabricConfig(scheme Scheme, params core.Params, seed uint64, tel *telemetry.Registry) fabric.Config {
 	return fabric.Config{
 		NumLeaves:      t.Leaves,
 		NumSpines:      t.Spines,
@@ -180,7 +186,6 @@ func (t Topology) fabricConfig(scheme Scheme, params core.Params, wcmpWeights []
 		Scheme:         scheme,
 		Params:         params,
 		LinkRates:      t.LinkRates,
-		WCMPWeights:    wcmpWeights,
 		Seed:           seed,
 		Telemetry:      tel,
 	}
@@ -191,8 +196,8 @@ func (t Topology) fabricConfig(scheme Scheme, params core.Params, wcmpWeights []
 // are applied before the run starts, so the up/down flags are immutable
 // while domains execute concurrently. tel (nil when telemetry is off) is
 // wired through the fabric before any event runs.
-func (t Topology) build(engines []*sim.Engine, scheme Scheme, params core.Params, wcmp []float64, seed uint64, tel *telemetry.Registry) (*fabric.Network, error) {
-	n, err := fabric.NewPartitionedNetwork(engines, t.fabricConfig(scheme, params, wcmp, seed, tel))
+func (t Topology) build(engines []*sim.Engine, scheme Scheme, params core.Params, seed uint64, tel *telemetry.Registry) (*fabric.Network, error) {
+	n, err := fabric.NewPartitionedNetwork(engines, t.fabricConfig(scheme, params, seed, tel))
 	if err != nil {
 		return nil, err
 	}

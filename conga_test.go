@@ -298,9 +298,16 @@ func TestFigure3TrafficMatrixSensitivity(t *testing.T) {
 	}
 }
 
+// TestSchemeNameIncludesMPTCP: SchemeName names every scheme, the MPTCP
+// marker included, and ParseScheme reads each name back.
 func TestSchemeNameIncludesMPTCP(t *testing.T) {
 	if SchemeName(SchemeMPTCPMarker) != "mptcp" || SchemeName(SchemeCONGA) != "conga" {
 		t.Fatal("scheme naming broken")
+	}
+	for _, s := range AllSchemes() {
+		if got, err := ParseScheme(SchemeName(s)); got != s || err != nil {
+			t.Errorf("ParseScheme(%q) = %v, %v; want %v", SchemeName(s), got, err, s)
+		}
 	}
 }
 

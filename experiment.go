@@ -88,8 +88,6 @@ type FCTConfig struct {
 	// Enabling it never changes simulation outcomes.
 	Telemetry *TelemetryOptions
 
-	WCMPWeights []float64
-
 	// Record, when true, captures the exact flow-arrival sequence of this
 	// run; the sealed trace comes back in FCTResult.Trace, ready for
 	// Trace.Write and later replay. Recording observes arrivals as they
@@ -335,7 +333,7 @@ func runFCT(cfg FCTConfig) (*FCTResult, error) {
 			cfg.Duration = time.Duration(cfg.Replay.Header.DurationNs)
 		}
 	}
-	r, err := newRun(cfg.Topology, cfg.Scheme, cfg.Params, cfg.Transport, cfg.WCMPWeights, cfg.Seed, cfg.Telemetry, cfg.Parallel)
+	r, err := newRun(cfg.Topology, cfg.Scheme, cfg.Params, cfg.Transport, cfg.Seed, cfg.Telemetry, cfg.Parallel)
 	if err != nil {
 		return nil, err
 	}

@@ -120,7 +120,7 @@ func runHDFSPlanted(cfg HDFSConfig, plant func(*run)) (*HDFSResult, error) {
 	case cfg.Timeout < 0:
 		return nil, fmt.Errorf("conga: Timeout %v must not be negative (0 means the default, 30s)", cfg.Timeout)
 	}
-	r, err := newRun(cfg.Topology, cfg.Scheme, nil, cfg.Transport, nil, cfg.Seed, cfg.Telemetry, 1)
+	r, err := newRun(cfg.Topology, cfg.Scheme, nil, cfg.Transport, cfg.Seed, cfg.Telemetry, 1)
 	if err != nil {
 		return nil, err
 	}

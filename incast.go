@@ -118,7 +118,7 @@ func runIncast(cfg IncastConfig) (*IncastResult, error) {
 	if cfg.Fanout >= totalHosts {
 		return nil, fmt.Errorf("conga: fanout %d needs more than %d hosts", cfg.Fanout, totalHosts)
 	}
-	r, err := newRun(cfg.Topology, cfg.Scheme, nil, cfg.Transport, nil, cfg.Seed, cfg.Telemetry, 1)
+	r, err := newRun(cfg.Topology, cfg.Scheme, nil, cfg.Transport, cfg.Seed, cfg.Telemetry, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -251,12 +251,27 @@ func TestSprayRoundRobins(t *testing.T) {
 	_ = eng
 }
 
+// TestWCMPWeights: WCMP's weights come from the configured link rates. On a
+// symmetric fabric every weight is exactly 1, so the usable uplinks share
+// the flows evenly; a spine whose link down to the destination runs at half
+// rate gets half the weight, and a third of the flows.
 func TestWCMPWeights(t *testing.T) {
-	eng := sim.New()
+	sym := smallTestConfig(SchemeWCMP)
+	sym.NumSpines, sym.LinksPerSpine = 3, 2
+	for _, ls := range MustNetwork(sim.New(), sym).Leaves {
+		for i, w := range ls.Strategy().(*wcmpStrategy).weights {
+			if w != 1 {
+				t.Fatalf("symmetric fabric: leaf %d weight %d = %v, want exactly 1", ls.ID, i, w)
+			}
+		}
+	}
+
 	cfg := smallTestConfig(SchemeWCMP)
-	cfg.WCMPWeights = []float64{2, 1} // uplink 0 gets 2/3 of flows
-	n := MustNetwork(eng, cfg)
-	ls := n.Leaves[0]
+	cfg.LinkRates = []LinkRate{{Leaf: 1, Spine: 1, K: 0, Gbps: 0.5}} // spine 1's path to leaf 1 is thin
+	ls := MustNetwork(sim.New(), cfg).Leaves[0]
+	if w := ls.Strategy().(*wcmpStrategy).weights[2:4]; w[0] != 1 || w[1] != 0.5 {
+		t.Fatalf("leaf 0's weights toward leaf 1 = %v, want [1 0.5]", w)
+	}
 	counts := map[int]int{}
 	for f := uint64(0); f < 3000; f++ {
 		p := &Packet{FlowID: f, SrcHost: 0, DstHost: 4, SrcPort: int(f)}
@@ -266,7 +281,6 @@ func TestWCMPWeights(t *testing.T) {
 	if frac < 0.62 || frac > 0.71 {
 		t.Fatalf("WCMP uplink 0 got %.2f of flows, want ≈0.67 (%v)", frac, counts)
 	}
-	_ = eng
 }
 
 func TestFailLinkPanicsOutOfRange(t *testing.T) {

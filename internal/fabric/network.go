@@ -38,9 +38,8 @@ type Config struct {
 	// §2.4 capacity-asymmetry scenarios (Figures 2 and 3) are modelled.
 	LinkRates []LinkRate
 
-	Scheme      Scheme
-	Params      core.Params // zero value → core.DefaultParams (or CongaFlowParams for SchemeCONGAFlow)
-	WCMPWeights []float64   // SchemeWCMP only; per-uplink weights
+	Scheme Scheme
+	Params core.Params // zero value → core.DefaultParams (or CongaFlowParams for SchemeCONGAFlow)
 
 	Seed uint64
 
@@ -410,7 +409,7 @@ func (n *Network) newStrategy(ls *LeafSwitch) Strategy {
 	case SchemeSpray:
 		return &sprayStrategy{ls: ls}
 	case SchemeWCMP:
-		return newWCMPStrategy(ls, n.Cfg.WCMPWeights)
+		return newWCMPStrategy(ls)
 	default:
 		// Config.Validate has checked Scheme.
 		panic(fmt.Sprintf("fabric: no strategy for scheme %v of leaf %d", scheme, ls.ID))

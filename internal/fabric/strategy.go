@@ -30,7 +30,8 @@ const (
 	// (per-packet, DRB-style). Optimal balance, maximal reordering.
 	SchemeSpray
 	// SchemeWCMP is static weighted random per-flow splitting; weights
-	// are chosen from topology (§2.4's "oblivious routing" strawman).
+	// are taken from the path capacities of the topology (§2.4's
+	// "oblivious routing" strawman).
 	SchemeWCMP
 )
 
@@ -303,19 +304,36 @@ func (s *sprayStrategy) Tick(sim.Time)                          {}
 // --- Static weighted (WCMP) ---
 
 type wcmpStrategy struct {
-	ls      *LeafSwitch
-	weights []float64 // per uplink, need not be normalized
+	ls *LeafSwitch
+	// weights[dstLeaf*len(uplinks)+i] is uplink i's share toward dstLeaf,
+	// scaled so each row's largest entry is 1.
+	weights []float64
 }
 
-func newWCMPStrategy(ls *LeafSwitch, weights []float64) *wcmpStrategy {
-	n := len(ls.uplinks)
-	w := make([]float64, n)
-	if len(weights) == 0 {
-		for i := range w {
-			w[i] = 1
+// newWCMPStrategy derives the static weights from the configured link
+// rates: uplink i toward leaf d can carry min(its own rate, the mean rate
+// of its spine's links down to d), so a thin link on either hop of a path
+// lowers that path's weight. Link up/down state is left to PathUsable. On
+// a symmetric fabric every weight is exactly 1.
+func newWCMPStrategy(ls *LeafSwitch) *wcmpStrategy {
+	cfg := ls.net.Cfg
+	n, lps := len(ls.uplinks), cfg.LinksPerSpine
+	w := make([]float64, cfg.NumLeaves*n)
+	for d := 0; d < cfg.NumLeaves; d++ {
+		row := w[d*n : (d+1)*n]
+		top := 0.0
+		for i := range row {
+			spine := i / lps
+			down := 0.0
+			for k := 0; k < lps; k++ {
+				down += cfg.LinkBps(d, spine, k)
+			}
+			row[i] = min(cfg.LinkBps(ls.ID, spine, i%lps), down/float64(lps))
+			top = max(top, row[i])
 		}
-	} else {
-		copy(w, weights)
+		for i := range row {
+			row[i] /= top
+		}
 	}
 	return &wcmpStrategy{ls: ls, weights: w}
 }
@@ -324,10 +342,11 @@ func (s *wcmpStrategy) Name() string { return "wcmp" }
 
 func (s *wcmpStrategy) SelectUplink(p *Packet, dstLeaf int, _ sim.Time) int {
 	usable := s.ls.PathUsable(dstLeaf)
+	weights := s.weights[dstLeaf*len(usable):][:len(usable)]
 	total := 0.0
-	for i := range s.ls.uplinks {
-		if usable[i] {
-			total += s.weights[i]
+	for i, ok := range usable {
+		if ok {
+			total += weights[i]
 		}
 	}
 	if total <= 0 {
@@ -340,7 +359,7 @@ func (s *wcmpStrategy) SelectUplink(p *Packet, dstLeaf int, _ sim.Time) int {
 		if !usable[i] {
 			continue
 		}
-		u -= s.weights[i]
+		u -= weights[i]
 		if u < 0 {
 			return i
 		}

@@ -21,7 +21,7 @@ func TestAddSackMergesRanges(t *testing.T) {
 	s.addSack(1000, 2000)
 	s.addSack(3000, 4000)
 	s.addSack(1500, 3500) // bridges both
-	if len(s.sacked.spans) != 1 || s.sacked.spans[0] != (sackRange{1000, 4000}) {
+	if len(s.sacked.spans) != 1 || s.sacked.spans[0] != (span{1000, 4000}) {
 		t.Fatalf("scoreboard %v, want [{1000 4000}]", s.sacked.spans)
 	}
 }
@@ -31,7 +31,7 @@ func TestAddSackKeepsDisjointSorted(t *testing.T) {
 	s.addSack(5000, 6000)
 	s.addSack(1000, 2000)
 	s.addSack(3000, 4000)
-	want := []sackRange{{1000, 2000}, {3000, 4000}, {5000, 6000}}
+	want := []span{{1000, 2000}, {3000, 4000}, {5000, 6000}}
 	if len(s.sacked.spans) != 3 {
 		t.Fatalf("scoreboard %v", s.sacked.spans)
 	}
@@ -61,7 +61,7 @@ func TestPruneSack(t *testing.T) {
 	s.addSack(3000, 4000)
 	s.sndUna = 3500
 	s.pruneSack()
-	if len(s.sacked.spans) != 1 || s.sacked.spans[0] != (sackRange{3500, 4000}) {
+	if len(s.sacked.spans) != 1 || s.sacked.spans[0] != (span{3500, 4000}) {
 		t.Fatalf("prune result %v", s.sacked.spans)
 	}
 }
@@ -73,10 +73,10 @@ func TestPruneSack(t *testing.T) {
 func TestAddSackOverflowsInlineCapacity(t *testing.T) {
 	s, _, _ := newBareSender(t)
 	// Six disjoint ranges, inserted out of order.
-	for _, r := range []sackRange{{9000, 9500}, {1000, 1500}, {5000, 5500}, {3000, 3500}, {11000, 11500}, {7000, 7500}} {
+	for _, r := range []span{{9000, 9500}, {1000, 1500}, {5000, 5500}, {3000, 3500}, {11000, 11500}, {7000, 7500}} {
 		s.addSack(r.start, r.end)
 	}
-	want := []sackRange{{1000, 1500}, {3000, 3500}, {5000, 5500}, {7000, 7500}, {9000, 9500}, {11000, 11500}}
+	want := []span{{1000, 1500}, {3000, 3500}, {5000, 5500}, {7000, 7500}, {9000, 9500}, {11000, 11500}}
 	if len(s.sacked.spans) != len(want) {
 		t.Fatalf("scoreboard %v, want %v", s.sacked.spans, want)
 	}
@@ -91,12 +91,12 @@ func TestAddSackOverflowsInlineCapacity(t *testing.T) {
 	}
 	// One bridging range collapses everything back below inline capacity.
 	s.addSack(1000, 12000)
-	if len(s.sacked.spans) != 1 || s.sacked.spans[0] != (sackRange{1000, 12000}) {
+	if len(s.sacked.spans) != 1 || s.sacked.spans[0] != (span{1000, 12000}) {
 		t.Fatalf("collapse result %v", s.sacked.spans)
 	}
 	// And the set keeps working after the collapse.
 	s.addSack(20000, 21000)
-	if len(s.sacked.spans) != 2 || s.sacked.spans[1] != (sackRange{20000, 21000}) {
+	if len(s.sacked.spans) != 2 || s.sacked.spans[1] != (span{20000, 21000}) {
 		t.Fatalf("post-collapse insert %v", s.sacked.spans)
 	}
 }

@@ -437,10 +437,6 @@ func (s *Sender) onTimeout(now sim.Time) {
 	s.trySend(now)
 }
 
-// sackRange is the scoreboard's span type; the scoreboard itself is a
-// spanSet, which keeps the common ≤4-hole case in an inline array.
-type sackRange = span
-
 // Receive handles an ACK (the sender's bound port only ever sees ACKs).
 func (s *Sender) Receive(p *fabric.Packet, now sim.Time) {
 	if !p.IsAck || s.freed {

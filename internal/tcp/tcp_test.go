@@ -402,9 +402,8 @@ func TestRetxCountsEveryResentSegment(t *testing.T) {
 	eng := sim.New()
 	p := core.DefaultParams()
 	p.FlowletTableSize = 4096
-	f := telemetry.MatchAll()
-	f.FlowID = 9
-	reg := telemetry.New(telemetry.Options{Trace: true, TraceFilter: f})
+	flow := uint64(9)
+	reg := telemetry.New(telemetry.Options{Trace: true, TraceFlow: &flow})
 	n := fabric.MustNetwork(eng, fabric.Config{
 		NumLeaves: 2, NumSpines: 2, HostsPerLeaf: 4, LinksPerSpine: 1,
 		AccessRateBps: 1e9, FabricRateBps: 1e9, Scheme: fabric.SchemeECMP,

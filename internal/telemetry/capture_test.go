@@ -29,7 +29,7 @@ type ringUnderTest struct {
 }
 
 func packetRing(capacity int, mode CaptureMode, trigger Trigger, stopAfter int) ringUnderTest {
-	tr := newPacketTrace(capacity, MatchAll(), mode, trigger, stopAfter)
+	tr := newPacketTrace(capacity, nil, mode, trigger, stopAfter)
 	return ringUnderTest{
 		offer: func(i int, drop bool) {
 			kind := TraceSend
@@ -183,26 +183,26 @@ func TestRecordRefusesValuesThatDoNotFit(t *testing.T) {
 	const wide = 1 << 40
 	cases := map[string]func(){
 		"src": func() {
-			newPacketTrace(4, MatchAll(), CaptureHead, 0, 0).Record(1, TraceSend, "h0", 1, wide, 1, 2, 3, 4, 5)
+			newPacketTrace(4, nil, CaptureHead, 0, 0).Record(1, TraceSend, "h0", 1, wide, 1, 2, 3, 4, 5)
 		},
 		"dst": func() {
-			newPacketTrace(4, MatchAll(), CaptureHead, 0, 0).Record(1, TraceSend, "h0", 1, 0, -wide, 2, 3, 4, 5)
+			newPacketTrace(4, nil, CaptureHead, 0, 0).Record(1, TraceSend, "h0", 1, 0, -wide, 2, 3, 4, 5)
 		},
 		"sport": func() {
-			newPacketTrace(4, MatchAll(), CaptureHead, 0, 0).Record(1, TraceSend, "h0", 1, 0, 1, wide, 3, 4, 5)
+			newPacketTrace(4, nil, CaptureHead, 0, 0).Record(1, TraceSend, "h0", 1, 0, 1, wide, 3, 4, 5)
 		},
 		"dport": func() {
-			newPacketTrace(4, MatchAll(), CaptureHead, 0, 0).Record(1, TraceSend, "h0", 1, 0, 1, 2, wide, 4, 5)
+			newPacketTrace(4, nil, CaptureHead, 0, 0).Record(1, TraceSend, "h0", 1, 0, 1, 2, wide, 4, 5)
 		},
 		"payload": func() {
-			newPacketTrace(4, MatchAll(), CaptureHead, 0, 0).Record(1, TraceSend, "h0", 1, 0, 1, 2, 3, 4, wide)
+			newPacketTrace(4, nil, CaptureHead, 0, 0).Record(1, TraceSend, "h0", 1, 0, 1, 2, 3, 4, wide)
 		},
 		"src_leaf": func() { newDecisionTrace(4, CaptureHead).record(1, wide, 1, 0, ReasonNewFlowlet, 0, nil) },
 		"dst_leaf": func() { newDecisionTrace(4, CaptureHead).record(1, 0, wide, 0, ReasonNewFlowlet, 0, nil) },
 		"uplink":   func() { newDecisionTrace(4, CaptureHead).record(1, 0, 1, 1<<15, ReasonNewFlowlet, 0, nil) },
 		"metrics":  func() { newDecisionTrace(4, CaptureHead).record(1, 0, 1, 0, ReasonNewFlowlet, 0, make([]uint8, 256)) },
 		"where": func() {
-			tr := newPacketTrace(1, MatchAll(), CaptureTail, 0, 0)
+			tr := newPacketTrace(1, nil, CaptureTail, 0, 0)
 			for i := 0; i <= 1<<16; i++ {
 				tr.Record(1, TraceSend, fmt.Sprint("h", i), 1, 0, 1, 2, 3, 4, 5)
 			}

@@ -65,7 +65,7 @@ type decisionRecord struct {
 }
 
 // DecisionTrace is a capture buffer of decision events: PacketTrace's
-// head/tail/reservoir policies without its filter and triggers.
+// head/tail/reservoir policies without its flow test and triggers.
 type DecisionTrace struct {
 	capture[decisionRecord]
 	// metrics holds slot i's candidate vector at [i*width, i*width+n): one

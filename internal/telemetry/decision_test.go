@@ -11,8 +11,7 @@ import (
 )
 
 func decisionOpts(mode CaptureMode, capacity int) Options {
-	return Options{Decisions: true, DecisionTrace: true,
-		DecisionCap: capacity, DecisionMode: mode}
+	return Options{Decisions: true, DecisionCap: capacity, TraceMode: mode}
 }
 
 // TestDecisionTraceHead: head keeps the first cap events and counts the

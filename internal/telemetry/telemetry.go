@@ -43,9 +43,9 @@ type Options struct {
 	// TraceCap bounds the number of recorded trace events (default 65536);
 	// once full, further events only bump the trace's Suppressed counter.
 	TraceCap int
-	// TraceFilter restricts the trace to matching packets. The zero value
-	// matches everything.
-	TraceFilter Filter
+	// TraceFlow, when non-nil, restricts the trace to the packets of the
+	// flow with this ID; nil traces every flow.
+	TraceFlow *uint64
 	// TraceMode selects what a full trace keeps: the head of the run
 	// (default), the tail (flight recorder), or a uniform reservoir.
 	TraceMode CaptureMode
@@ -55,19 +55,15 @@ type Options struct {
 	// TraceStopAfter records this many further matching events after the
 	// trigger before freezing (0 = freeze at the trigger).
 	TraceStopAfter int
-	// Decisions enables the decision-plane hooks: per-leaf flowlet routing
-	// reason counters, per-(uplink, dstLeaf) path load matrices, and the
-	// feedback-staleness series. Like every probe, it needs one engine: the
-	// space-parallel engine refuses any telemetry.
+	// Decisions enables the decision plane: per-leaf flowlet routing
+	// reason counters, per-(uplink, dstLeaf) path load matrices, the
+	// feedback-staleness series, and the audit trail of individual
+	// SelectUplink outcomes in one bounded buffer that keeps what TraceMode
+	// says. Like every probe, it needs one engine: the space-parallel
+	// engine refuses any telemetry.
 	Decisions bool
-	// DecisionTrace additionally records individual SelectUplink outcomes
-	// into one bounded audit buffer (requires Decisions).
-	DecisionTrace bool
 	// DecisionCap bounds the decision trace (default 65536).
 	DecisionCap int
-	// DecisionMode selects what a full decision trace keeps, with the same
-	// head/tail/reservoir semantics as TraceMode.
-	DecisionMode CaptureMode
 	// Dir, when non-empty, is where Flush writes one NDJSON sink file per
 	// probe.
 	Dir string
@@ -76,7 +72,7 @@ type Options struct {
 // All returns Options with every probe enabled at default capacities,
 // flushing to dir ("" = keep in memory only).
 func All(dir string) Options {
-	return Options{Trace: true, Decisions: true, DecisionTrace: true, Dir: dir}
+	return Options{Trace: true, Decisions: true, Dir: dir}
 }
 
 func (o Options) withDefaults() Options {
@@ -87,7 +83,6 @@ func (o Options) withDefaults() Options {
 	if o.TraceCap <= 0 {
 		o.TraceCap = 65536
 	}
-	o.TraceFilter = o.TraceFilter.normalized()
 	if o.DecisionCap <= 0 {
 		o.DecisionCap = 65536
 	}
@@ -185,11 +180,11 @@ func New(opts Options) *Registry {
 		byName:  make(map[string]*Series),
 	}
 	if opts.Trace {
-		r.trace = newPacketTrace(opts.TraceCap, opts.TraceFilter,
+		r.trace = newPacketTrace(opts.TraceCap, opts.TraceFlow,
 			opts.TraceMode, opts.TraceTrigger, opts.TraceStopAfter)
 	}
-	if opts.Decisions && opts.DecisionTrace {
-		r.decTrace = newDecisionTrace(opts.DecisionCap, opts.DecisionMode)
+	if opts.Decisions {
+		r.decTrace = newDecisionTrace(opts.DecisionCap, opts.TraceMode)
 	}
 	return r
 }

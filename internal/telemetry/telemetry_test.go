@@ -111,23 +111,21 @@ func TestTraceFilter(t *testing.T) {
 		tr.Record(1, TraceSend, "h0", 7, 0, 1, 100, 200, 0, 1460)
 		tr.Record(2, TraceSend, "h0", 8, 0, 1, 100, 200, 0, 1460) // other flow
 		tr.Record(3, TraceSend, "h2", 7, 2, 1, 100, 200, 0, 1460) // other src
-		tr.Record(4, TraceRecv, "h1", 7, 0, 1, 100, 201, 0, 1460) // other dport
+		tr.Record(4, TraceRecv, "h1", 0, 1, 0, 200, 100, 0, 1460) // flow 0
 	}
+	seven, zero := uint64(7), uint64(0)
 	cases := []struct {
-		name   string
-		filter Filter
-		want   int
+		name string
+		flow *uint64
+		want int
 	}{
-		{"zero value matches all", Filter{}, 4},
-		{"match-all", MatchAll(), 4},
-		{"by flow", Filter{FlowID: 7, SrcHost: -1, DstHost: -1, SrcPort: -1, DstPort: -1}, 3},
-		{"by src host", Filter{FlowID: -1, SrcHost: 0, DstHost: -1, SrcPort: -1, DstPort: -1}, 3},
-		{"by dst port", Filter{FlowID: -1, SrcHost: -1, DstHost: -1, SrcPort: -1, DstPort: 200}, 3},
-		{"flow and src", Filter{FlowID: 7, SrcHost: 0, DstHost: -1, SrcPort: -1, DstPort: -1}, 2},
+		{"zero value matches all", nil, 4},
+		{"by flow", &seven, 2},
+		{"flow 0", &zero, 1},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			tr := newPacketTrace(16, c.filter.normalized(), CaptureHead, 0, 0)
+			tr := New(Options{Trace: true, TraceCap: 16, TraceFlow: c.flow}).Trace()
 			record(tr)
 			if tr.Len() != c.want {
 				t.Fatalf("recorded %d events, want %d", tr.Len(), c.want)
@@ -137,7 +135,7 @@ func TestTraceFilter(t *testing.T) {
 }
 
 func TestTraceCapAndSuppressed(t *testing.T) {
-	tr := newPacketTrace(4, MatchAll(), CaptureHead, 0, 0)
+	tr := newPacketTrace(4, nil, CaptureHead, 0, 0)
 	for i := 0; i < 10; i++ {
 		tr.Record(sim.Time(i), TraceDrop, "l0", 1, 0, 1, 1, 1, 0, 1)
 	}

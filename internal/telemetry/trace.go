@@ -45,30 +45,6 @@ func valueOf[T ~uint8](names []string, s string) (T, error) {
 	return 0, fmt.Errorf("telemetry: unknown %T %q (want %s)", T(0), s, strings.Join(names, ", "))
 }
 
-// Filter restricts the packet trace by flow 5-tuple. Negative fields match
-// anything; the zero value is normalized to match-all (flow IDs and host
-// indices of 0 are never used as filter targets via a zero value — start
-// from MatchAll and set a field to opt in).
-type Filter struct {
-	// FlowID matches Packet.FlowID when >= 0.
-	FlowID int64
-	// SrcHost, DstHost, SrcPort, DstPort match the corresponding packet
-	// fields when >= 0.
-	SrcHost, DstHost, SrcPort, DstPort int
-}
-
-// MatchAll returns the filter that keeps every event.
-func MatchAll() Filter {
-	return Filter{FlowID: -1, SrcHost: -1, DstHost: -1, SrcPort: -1, DstPort: -1}
-}
-
-func (f Filter) normalized() Filter {
-	if f == (Filter{}) {
-		return MatchAll()
-	}
-	return f
-}
-
 // CaptureMode selects which matching events a full PacketTrace retains.
 type CaptureMode uint8
 
@@ -105,8 +81,8 @@ type Trigger uint8
 
 const (
 	// TriggerFirstDrop freezes the trace when the first TraceDrop event is
-	// recorded (detected inside Record, before the filter runs, so a
-	// flow-filtered trace still stops on any drop in the fabric).
+	// recorded (detected inside Record, before the flow test, so a
+	// one-flow trace still stops on any drop in the fabric).
 	TriggerFirstDrop Trigger = 1 << iota
 	// TriggerFirstRTO freezes the trace when the first TCP retransmission
 	// timeout fires anywhere on the engine (via PacketTrace.TriggerRTO,
@@ -299,7 +275,8 @@ func (c *capture[T]) info() CaptureInfo {
 	}
 }
 
-// PacketTrace is a capture buffer of the packet events matched by a Filter.
+// PacketTrace is a capture buffer of packet events: every flow's, or one
+// flow's.
 //
 // A Trigger freezes the buffer when its condition first fires (after
 // StopAfter further matching events), answering "what happened right before
@@ -307,7 +284,9 @@ func (c *capture[T]) info() CaptureInfo {
 // the freeze count as suppressed.
 type PacketTrace struct {
 	capture[traceRecord]
-	filter Filter
+	// oneFlow restricts the trace to the events of flow.
+	oneFlow bool
+	flow    uint64
 	// names is the table traceRecord.where indexes, interned as slots are
 	// taken; nameIdx finds a name's index.
 	names   []string
@@ -323,18 +302,23 @@ type PacketTrace struct {
 	TriggerReason string
 }
 
-func newPacketTrace(capacity int, f Filter, mode CaptureMode, trigger Trigger, stopAfter int) *PacketTrace {
-	return &PacketTrace{
+// newPacketTrace returns a trace of flow's events, or of every flow's when
+// flow is nil.
+func newPacketTrace(capacity int, flow *uint64, mode CaptureMode, trigger Trigger, stopAfter int) *PacketTrace {
+	tr := &PacketTrace{
 		capture:   newCapture[traceRecord](capacity, mode),
-		filter:    f,
 		nameIdx:   make(map[string]uint16),
 		trigger:   trigger,
 		stopAfter: max(stopAfter, 0),
 	}
+	if flow != nil {
+		tr.oneFlow, tr.flow = true, *flow
+	}
+	return tr
 }
 
 // Record offers an event to the trace. Trigger conditions are evaluated
-// before the filter, then the event is recorded if it matches and the
+// before the flow test, then the event is recorded if it matches and the
 // buffer's capture mode retains it. Scalar parameters (rather than a packet
 // struct) keep telemetry free of a fabric dependency. Safe on a nil
 // receiver.
@@ -343,16 +327,14 @@ func (tr *PacketTrace) Record(t sim.Time, kind TraceKind, where string, flowID u
 		return
 	}
 	// Read before this event can fire the trigger: the triggering drop
-	// itself is the event of interest and is retained (when it matches the
-	// filter) even by a trace that freezes on it.
+	// itself is the event of interest and is retained (when it is of the
+	// traced flow) even by a trace that freezes on it.
 	frozen := tr.Frozen()
 	firedNow := kind == TraceDrop && tr.trigger&TriggerFirstDrop != 0 && !tr.Triggered
 	if firedNow {
 		tr.fire(t, "first-drop")
 	}
-	if f := &tr.filter; f.FlowID >= 0 && uint64(f.FlowID) != flowID ||
-		f.SrcHost >= 0 && f.SrcHost != src || f.DstHost >= 0 && f.DstHost != dst ||
-		f.SrcPort >= 0 && f.SrcPort != sport || f.DstPort >= 0 && f.DstPort != dport {
+	if tr.oneFlow && flowID != tr.flow {
 		return
 	}
 	if frozen {

@@ -24,7 +24,7 @@ func checkInvariant(t *testing.T, tr *PacketTrace) {
 }
 
 func TestCaptureTailRing(t *testing.T) {
-	tr := newPacketTrace(4, MatchAll(), CaptureTail, 0, 0)
+	tr := newPacketTrace(4, nil, CaptureTail, 0, 0)
 	for i := 1; i <= 10; i++ {
 		rec(tr, sim.Time(i), TraceSend)
 	}
@@ -47,7 +47,7 @@ func TestCaptureTailRing(t *testing.T) {
 func TestCaptureReservoirSample(t *testing.T) {
 	const capacity, total = 8, 200
 	sample := func() []TraceEvent {
-		tr := newPacketTrace(capacity, MatchAll(), CaptureReservoir, 0, 0)
+		tr := newPacketTrace(capacity, nil, CaptureReservoir, 0, 0)
 		for i := 1; i <= total; i++ {
 			rec(tr, sim.Time(i), TraceSend)
 		}
@@ -90,7 +90,7 @@ func TestCaptureReservoirSample(t *testing.T) {
 }
 
 func TestTriggerFirstDropStopAfter(t *testing.T) {
-	tr := newPacketTrace(64, MatchAll(), CaptureHead, TriggerFirstDrop, 2)
+	tr := newPacketTrace(64, nil, CaptureHead, TriggerFirstDrop, 2)
 	for i := 1; i <= 3; i++ {
 		rec(tr, sim.Time(i), TraceSend)
 	}
@@ -120,7 +120,7 @@ func TestTriggerFirstDropStopAfter(t *testing.T) {
 }
 
 func TestTriggerFirstDropImmediate(t *testing.T) {
-	tr := newPacketTrace(64, MatchAll(), CaptureHead, TriggerFirstDrop, 0)
+	tr := newPacketTrace(64, nil, CaptureHead, TriggerFirstDrop, 0)
 	rec(tr, 1, TraceSend)
 	rec(tr, 2, TraceDrop)
 	rec(tr, 3, TraceSend)
@@ -138,7 +138,7 @@ func TestTriggerFirstDropImmediate(t *testing.T) {
 // matching event past the trigger, retained or not, so a trigger that fires
 // after a head buffer filled still freezes the trace.
 func TestTriggerAfterHeadFull(t *testing.T) {
-	tr := newPacketTrace(2, MatchAll(), CaptureHead, TriggerFirstDrop, 1)
+	tr := newPacketTrace(2, nil, CaptureHead, TriggerFirstDrop, 1)
 	for i := 1; i <= 3; i++ {
 		rec(tr, sim.Time(i), TraceSend)
 	}
@@ -159,9 +159,8 @@ func TestTriggerAfterHeadFull(t *testing.T) {
 // filtered to one flow still freezes on the first drop anywhere in the
 // fabric — the drop event itself just isn't retained.
 func TestTriggerDropOutsideFilter(t *testing.T) {
-	f := MatchAll()
-	f.FlowID = 1
-	tr := newPacketTrace(64, f, CaptureHead, TriggerFirstDrop, 0)
+	flow := uint64(1)
+	tr := newPacketTrace(64, &flow, CaptureHead, TriggerFirstDrop, 0)
 	rec(tr, 1, TraceSend) // flow 1, retained
 	tr.Record(2, TraceDrop, "l1->s0.0", 99, 2, 3, 30, 40, 0, 1500)
 	if !tr.Triggered || !tr.Frozen() {
@@ -179,7 +178,7 @@ func TestTriggerRTO(t *testing.T) {
 	var nilTrace *PacketTrace
 	nilTrace.TriggerRTO(1) // must not panic: senders call unconditionally
 
-	tr := newPacketTrace(64, MatchAll(), CaptureTail, TriggerFirstRTO, 0)
+	tr := newPacketTrace(64, nil, CaptureTail, TriggerFirstRTO, 0)
 	rec(tr, 1, TraceSend)
 	tr.TriggerRTO(2)
 	tr.TriggerRTO(3) // second RTO is ignored; the first one wins
@@ -192,7 +191,7 @@ func TestTriggerRTO(t *testing.T) {
 		t.Fatalf("post-RTO event not suppressed: len %d suppressed %d", tr.Len(), info.Suppressed)
 	}
 	// A trace without the RTO trigger armed ignores the notification.
-	un := newPacketTrace(64, MatchAll(), CaptureHead, TriggerFirstDrop, 0)
+	un := newPacketTrace(64, nil, CaptureHead, TriggerFirstDrop, 0)
 	un.TriggerRTO(5)
 	if un.Triggered {
 		t.Fatal("TriggerRTO fired on a trace armed only for drops")
@@ -202,7 +201,7 @@ func TestTriggerRTO(t *testing.T) {
 // TestTriggerStopManual drives fire, the stop path every trigger shares,
 // with a reason no trigger uses: a tail capture freezes and keeps it.
 func TestTriggerStopManual(t *testing.T) {
-	tr := newPacketTrace(64, MatchAll(), CaptureTail, 0, 0)
+	tr := newPacketTrace(64, nil, CaptureTail, 0, 0)
 	rec(tr, 1, TraceSend)
 	tr.fire(2, "operator mark")
 	rec(tr, 3, TraceSend)

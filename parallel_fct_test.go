@@ -87,7 +87,7 @@ func TestParallelRejectsUnsupportedOptions(t *testing.T) {
 		{"counters", "Telemetry", func(c *FCTConfig) { c.Telemetry = &TelemetryOptions{} }},
 		{"trace", "Telemetry", func(c *FCTConfig) { c.Telemetry = &TelemetryOptions{Trace: true} }},
 		{"decision trace", "Telemetry", func(c *FCTConfig) {
-			c.Telemetry = &TelemetryOptions{Decisions: true, DecisionTrace: true}
+			c.Telemetry = &TelemetryOptions{Decisions: true}
 		}},
 		{"record", "Record", func(c *FCTConfig) { c.Record = true }},
 		{"replay", "Replay", func(c *FCTConfig) { c.Replay = &replay.Trace{} }},

@@ -68,8 +68,8 @@ type arrival struct {
 // domain. A nil params hands the fabric a zero Params, so its scheme-aware
 // default is the only place CONGA-Flow gets its 13 ms flowlet timeout. tc
 // must already have its defaults applied.
-func newRun(topo Topology, scheme Scheme, params *Params, tc TransportConfig, wcmp []float64,
-	seed uint64, tel *TelemetryOptions, domains int) (*run, error) {
+func newRun(topo Topology, scheme Scheme, params *Params, tc TransportConfig, seed uint64,
+	tel *TelemetryOptions, domains int) (*run, error) {
 	fabScheme, transport, err := schemeForFabric(scheme, tc.Kind)
 	if err != nil {
 		return nil, err
@@ -102,7 +102,7 @@ func newRun(topo Topology, scheme Scheme, params *Params, tc TransportConfig, wc
 	if tel != nil {
 		r.reg = telemetry.New(*tel)
 	}
-	if r.net, err = topo.build(engines, fabScheme, p, wcmp, seed, r.reg); err != nil {
+	if r.net, err = topo.build(engines, fabScheme, p, seed, r.reg); err != nil {
 		return nil, err
 	}
 	r.pe = sim.NewParallelEngine(engines, r.net.Cfg.FabricPropDelay)

@@ -36,7 +36,7 @@ func TestCongaFlowTimeoutReachesEveryHarness(t *testing.T) {
 			SchemeCONGAFlow: 13 * sim.Millisecond,
 			SchemeCONGA:     500 * sim.Microsecond,
 		} {
-			r, err := newRun(h.topo, scheme, h.params, h.transport, nil, 1, nil, 1)
+			r, err := newRun(h.topo, scheme, h.params, h.transport, 1, nil, 1)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", h.name, SchemeName(scheme), err)
 			}
