@@ -38,7 +38,11 @@ vet:
 # cover what the host's own build cannot: vet's asmdecl check of the arm64
 # prefetch stub against its Go prototype (the amd64 one is checked by the
 # plain vet on an amd64 host, and vice versa), and a build for an
-# architecture that gets the empty fallback. Last, TestNoTestOnlyAPI (about
+# architecture that gets the empty fallback. The arm64 assembly listing of
+# the root package and every package it imports must hold no fused
+# multiply-add (Go may fuse x*y + z where the CPU has FMA, which amd64 builds
+# never do, so a fused site would break the bit-identical results on arm64;
+# an explicit float64(x*y) forbids it). Last, TestNoTestOnlyAPI (about
 # a second once the build cache is warm) fails on an exported function or
 # method that only tests use, on a config field that only tests set, and on
 # an unexported declaration that no non-test file uses.
@@ -50,6 +54,12 @@ lint: vet
 	GOARCH=amd64 $(GO) vet ./internal/prefetch
 	GOARCH=arm64 $(GO) vet ./internal/prefetch
 	GOARCH=riscv64 $(GO) build ./...
+	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S -o /dev/null $$($(GO) list -deps . | grep '^conga') 2>&1) || { echo "$$asm"; exit 1; }; \
+	echo "$$asm" | grep -aq TEXT || { echo "arm64 build printed no assembly listing"; exit 1; }; \
+	fused=$$(echo "$$asm" | grep -aE 'FMADDD|FMSUBD|FNMADDD|FNMSUBD'); \
+	if [ -n "$$fused" ]; then \
+		echo "fused float ops in the arm64 build (round the product with float64(...)):"; echo "$$fused"; exit 1; \
+	fi
 	$(GO) test -count=1 -run '^TestNoTestOnlyAPI$$' .
 
 # Pointer-chase latency of this host's memory hierarchy (~30 s, 128 MB
@@ -143,8 +153,8 @@ bench-smoke:
 	$(GO) run ./bench -workload fig09_observed -seconds 3 | tail -n 1 | grep -q '"correct":true'
 
 # End-to-end record/replay smoke (~1 min): assert that a closed-loop mode
-# refuses -record, record a workload trace with congasim, verify congatrace
-# reads its header back, replay the identical arrival sequence into CONGA,
+# refuses -record, record a workload trace with congasim, verify
+# congaplot -summary reads its header back, replay the identical arrival sequence into CONGA,
 # then run the paired ECMP-vs-every-scheme comparison with bootstrap CIs at
 # -quick scale. CI uploads the recorded trace as an artifact.
 replay-smoke:
@@ -152,14 +162,14 @@ replay-smoke:
 	! /tmp/congasim -mode incast -record replay-smoke-incast.trace.gz
 	/tmp/congasim -scheme ecmp -leaves 2 -spines 2 -hosts 8 -duration 10ms \
 		-maxflows 300 -minrto 10ms -record replay-smoke.trace.gz
-	$(GO) run ./cmd/congatrace -read replay-smoke.trace.gz
+	$(GO) run ./cmd/congaplot -summary replay-smoke.trace.gz
 	/tmp/congasim -scheme conga -leaves 2 -spines 2 -hosts 8 -minrto 10ms \
 		-replay replay-smoke.trace.gz
 	$(GO) run ./cmd/congabench -fig replay -quick
 
 # End-to-end decision-plane smoke (~30 s): a short CONGA run with one
 # failed link and -decisions on, then assert the audit trail and path
-# matrix sinks are non-empty, summarize the trail with congatrace, and
+# matrix sinks are non-empty, summarize the trail with congaplot -summary, and
 # render the path-utilization heatmap. CI uploads the sinks and figure.
 # Then the 32-leaf cell of check-smoke with every probe on, which drives the
 # grouped samplers at multi-leaf scale: it must flush 1,344 series (queue
@@ -173,7 +183,7 @@ decision-smoke:
 		-fail 0,1,0 -telemetry decision-smoke.tel -decisions
 	test -s decision-smoke.tel/decisions.ndjson
 	test -s decision-smoke.tel/paths.ndjson
-	$(GO) run ./cmd/congatrace -read decision-smoke.tel/decisions.ndjson
+	$(GO) run ./cmd/congaplot -summary decision-smoke.tel/decisions.ndjson
 	$(GO) run ./cmd/congaplot -heatmap -dir decision-smoke.tel -out decision-heatmap.svg
 	test -s decision-heatmap.svg
 	rm -rf decision-smoke32.tel

@@ -126,7 +126,25 @@ func TestNoTestOnlyAPI(t *testing.T) {
 				}
 			}
 		}
-		for _, obj := range info.Uses {
+		// A method's receiver names its type, but declaring a method does
+		// not use the type: a type only its own methods name is dead.
+		recvIdents := map[*ast.Ident]bool{}
+		for _, file := range files {
+			for _, decl := range file.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil {
+					ast.Inspect(fd.Recv, func(n ast.Node) bool {
+						if id, ok := n.(*ast.Ident); ok {
+							recvIdents[id] = true
+						}
+						return true
+					})
+				}
+			}
+		}
+		for id, obj := range info.Uses {
+			if recvIdents[id] {
+				continue
+			}
 			if fn, ok := obj.(*types.Func); ok {
 				used[apiName(fn)] = true
 				obj = fn.Origin()

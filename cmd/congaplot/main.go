@@ -1,7 +1,8 @@
 // Command congaplot renders the paper-style figures (queue depth over
 // time, DRE register trajectories, congestion-table maxima — the shapes of
 // Figures 4 and 12) as standalone SVG files, from a flushed telemetry
-// directory. The SVG renderer itself lives in internal/plot.
+// directory, and summarizes trace files as text. The SVG renderer itself
+// lives in internal/plot.
 //
 // Usage:
 //
@@ -14,13 +15,27 @@
 //
 //	congasim -telemetry out/tel -decisions
 //	congaplot -heatmap -dir out/tel -out heatmap.svg
+//	congaplot -summary out/tel/trace.ndjson
+//	congaplot -summary out/tel/decisions.ndjson
+//
+//	congasim -scheme ecmp -record run.trace.gz
+//	congaplot -summary run.trace.gz
 //
 // With -heatmap the input is the decision plane's path load matrix (the
 // paths file of a congasim -decisions run) and the figure is a
 // (srcLeaf, uplink) × dstLeaf heatmap of bytes routed per path, with each
 // leaf's imbalance and entropy figures in the subtitle.
 //
-// Every input file is read through telemetry.ReadSinkFile.
+// With -summary FILE, congaplot prints a report of one trace file instead
+// of drawing. A packet trace (trace.ndjson) reports its capture policy —
+// mode, trigger, events suppressed — and its event-kind mix; a decision
+// trail (decisions.ndjson) its capture accounting, routing-reason mix,
+// feedback age of the winning remote metrics and hottest (srcLeaf, uplink,
+// dstLeaf) paths; a workload replay trace (congasim -record) its header and
+// arrival mix. Fig. 5's flowlet analysis is congabench -fig fig5.
+//
+// Every sink file is read through telemetry.ReadSinkFile, which tells the
+// table from the bytes, not the name, and names file:line of any damage.
 //
 // The chart is a single-axis line chart: all selected series must share a
 // unit (mixing units would need a second y-axis, which congaplot refuses
@@ -66,9 +81,16 @@ func run(args []string, stdout io.Writer) error {
 		heatmap = fs.Bool("heatmap", false, "heatmap input mode: read the decision plane's paths file (congasim -decisions) and render the path-utilization matrix")
 		tMin    = fs.Duration("tmin", 0, "clip points before this sim time (time-series mode only)")
 		tMax    = fs.Duration("tmax", 0, "clip points after this sim time (0 = no clip; time-series mode only)")
+		summary = fs.String("summary", "", "print a report of this trace file instead of drawing: a packet trace or decision trail sink file, or a workload replay trace; takes no other flag")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *summary != "" {
+		if fs.NFlag() > 1 || fs.NArg() > 0 {
+			return fmt.Errorf("-summary takes one file and no other flag")
+		}
+		return readTrace(stdout, *summary)
 	}
 
 	if *dir == "" {

@@ -14,7 +14,8 @@ import (
 
 // TestFiguresFromDir flushes one small run and drives run on its directory:
 // -list names every series with its unit, a figure mixing units is refused,
-// one unit draws, and the decision plane's paths file draws a heatmap.
+// one unit draws, -summary reports the packet trace but not beside another
+// flag, and the decision plane's paths file draws a heatmap.
 func TestFiguresFromDir(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := conga.RunFCT(conga.FCTConfig{
@@ -59,6 +60,14 @@ func TestFiguresFromDir(t *testing.T) {
 	}
 	if b, err := os.ReadFile(svg); err != nil || !bytes.Contains(b, []byte("queue.l0-&gt;s0.0")) {
 		t.Errorf("the leaf-0 queue figure (error %v) does not name queue.l0->s0.0", err)
+	}
+
+	var summary bytes.Buffer
+	if err := run([]string{"-summary", filepath.Join(dir, "trace.ndjson")}, &summary); err != nil || !strings.HasPrefix(summary.String(), "trace: ") {
+		t.Errorf("-summary of the packet trace: %q, error %v", summary.String(), err)
+	}
+	if _, err := from("-summary", filepath.Join(dir, "trace.ndjson")); err == nil || !strings.Contains(err.Error(), "no other flag") {
+		t.Errorf("-summary with -dir: error %v, want a refusal", err)
 	}
 
 	if _, err := from("-heatmap", "-out", svg); err != nil {

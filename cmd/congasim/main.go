@@ -64,9 +64,8 @@ func main() {
 
 		telemetryDir  = flag.String("telemetry", "", "enable telemetry and write one NDJSON sink file per probe into this directory")
 		telemetryFlow = flag.Int64("telemetry-flow", -1, "restrict the packet trace to this flow ID (-1 = all flows)")
-		traceMode     = flag.String("trace-mode", "head", "packet-trace capture mode when full: head, tail (flight recorder), reservoir")
-		traceTrigger  = flag.String("trace-trigger", "none", "freeze the trace on a condition: none, first-drop, first-rto (|-combinable)")
-		traceStop     = flag.Int("trace-stop-after", 0, "record this many further events after the trigger before freezing")
+		traceMode     = flag.String("trace-mode", "head", "packet-trace capture mode when full: head or tail (flight recorder)")
+		traceTrigger  = flag.String("trace-trigger", "none", "freeze the trace on a condition: none, first-drop or first-rto")
 		decisions     = flag.Bool("decisions", false, "enable the decision plane (requires -telemetry): flowlet routing audit trail, path load matrices, feedback-staleness series")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -116,7 +115,7 @@ func main() {
 
 	tel, err := telemetryFlags{
 		dir: *telemetryDir, flow: *telemetryFlow,
-		traceMode: *traceMode, traceTrigger: *traceTrigger, traceStop: *traceStop,
+		traceMode: *traceMode, traceTrigger: *traceTrigger,
 		decisions: *decisions,
 	}.options()
 	die(err)
@@ -191,7 +190,7 @@ var (
 	commonFlags = []string{"mode", "scheme", "seed", "cpuprofile", "memprofile"}
 	fabricFlags = []string{"leaves", "spines", "hosts", "links", "access", "fabric", "fail",
 		"transport", "minrto", "mtu", "telemetry", "telemetry-flow", "trace-mode",
-		"trace-trigger", "trace-stop-after", "decisions"}
+		"trace-trigger", "decisions"}
 	modeFlags = map[string][]string{
 		"fct": append([]string{"workload", "load", "duration", "maxflows", "imbalance",
 			"queues", "record", "replay", "cdfout", "check"}, fabricFlags...),
@@ -231,7 +230,6 @@ type telemetryFlags struct {
 	dir                     string
 	flow                    int64
 	traceMode, traceTrigger string
-	traceStop               int
 	decisions               bool
 }
 
@@ -255,7 +253,6 @@ func (f telemetryFlags) options() (tel *conga.TelemetryOptions, err error) {
 	if tel.TraceTrigger, err = telemetry.ParseTrigger(f.traceTrigger); err != nil {
 		return nil, err
 	}
-	tel.TraceStopAfter = f.traceStop
 	// The decision plane is opt-in on the CLI: the audit trail and path
 	// matrices only appear with -decisions.
 	tel.Decisions = f.decisions
@@ -336,8 +333,8 @@ func printTelemetry(reg *conga.TelemetryRegistry, dir string) {
 	if tr := reg.Trace(); tr != nil {
 		info := tr.Info()
 		if info.Triggered {
-			fmt.Printf("telemetry: trace capture=%s suppressed=%d trigger=%s fired at %v (%s)\n",
-				info.Mode, info.Suppressed, info.Trigger, time.Duration(info.TriggeredAt), info.TriggerReason)
+			fmt.Printf("telemetry: trace capture=%s suppressed=%d trigger=%s fired at %v\n",
+				info.Mode, info.Suppressed, info.Trigger, time.Duration(info.TriggeredAt))
 		} else if info.Mode != telemetry.CaptureHead || info.Trigger != 0 {
 			fmt.Printf("telemetry: trace capture=%s suppressed=%d trigger=%s (not fired)\n",
 				info.Mode, info.Suppressed, info.Trigger)

@@ -157,8 +157,12 @@ type CDF = [][2]float64
 
 // FlowFCT is one completed flow's identity and outcome, collected when
 // FCTConfig.CollectFlows is set. Matching slices from two runs of the same
-// trace pair one-to-one by ID.
+// trace, or of the same seed and workload, pair one-to-one by flow.
 type FlowFCT struct {
+	// ID is the flow's ID. A generated workload numbers its n-th arrival n
+	// under TCP but n·Subflows under MPTCP, whose subflows take the IDs in
+	// between, so an MPTCP run pairs with a TCP run by ID / Subflows, not
+	// by equal ID. A replay keeps the recorded IDs.
 	ID   uint64
 	Size int64
 	FCT  time.Duration
@@ -255,9 +259,10 @@ func OptimalFCT(t Topology, transport TransportConfig, size int64) time.Duration
 		lastWire*8/access // leaf→host
 
 	// Propagation out (2 access + 2 fabric hops) plus the last ACK's trip
-	// back (64 B over four hops plus the same propagation).
+	// back (64 B over four hops plus the same propagation). The float64
+	// keeps ack's product out of a fused multiply-add with the sum below.
 	const prop = 6e-6 // 2·2µs access + 2·1µs fabric
-	ack := 64 * 8 * (2/access + 2/fab)
+	ack := float64(64 * 8 * (2/access + 2/fab))
 	return time.Duration((transmit + 2*prop + ack) * 1e9)
 }
 

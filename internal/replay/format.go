@@ -105,7 +105,7 @@ func Read(path string) (*Trace, error) {
 
 // IsTraceFile sniffs whether path holds a replay trace — a gzip stream that
 // opens with the magic tag — without decoding the whole file. Tools that
-// accept several file types (congatrace -read) use it to route.
+// accept several file types (congaplot -summary) use it to route.
 func IsTraceFile(path string) bool {
 	f, err := os.Open(path)
 	if err != nil {

@@ -65,9 +65,12 @@ func (r *Rand) Intn(n int) int {
 	}
 }
 
-// Float64 returns a uniform float64 in [0, 1).
+// Float64 returns a uniform float64 in [0, 1). The outer conversion keeps
+// the scaling product out of a caller's fused multiply-add on FMA
+// architectures (DESIGN §3.9's determinism contract); so does each
+// float64(x*y) in this file.
 func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // ExpFloat64 returns an exponentially distributed value with mean 1, via
@@ -88,7 +91,7 @@ func (r *Rand) NormFloat64() float64 {
 	for {
 		u := 2*r.Float64() - 1
 		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		s := float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
 			return u * math.Sqrt(-2*math.Log(s)/s)
 		}

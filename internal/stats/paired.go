@@ -122,7 +122,7 @@ func (p *PairedSample) Bootstrap(stat func(a, b []float64) float64, resamples in
 		vals[r] = stat(ra, rb)
 	}
 	sort.Float64s(vals)
-	alpha := (1 - conf) / 2
+	alpha := float64((1 - conf) / 2) // float64: 1-alpha is never a fused multiply-add
 	idx := func(q float64) int {
 		k := int(math.Ceil(q*float64(len(vals)))) - 1
 		if k < 0 {

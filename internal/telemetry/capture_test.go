@@ -10,15 +10,6 @@ import (
 	"conga/internal/sim"
 )
 
-// reservoirKept is what Algorithm R retains, at capacity 8 and under
-// reservoirSeed, of offers 1..200 and 1..1000 — recorded from the two
-// hand-written rings PacketTrace and DecisionTrace carried before they
-// shared one (both drew the same stream, so one set serves both).
-var reservoirKept = map[int][]sim.Time{
-	200:  {9, 12, 15, 28, 52, 170, 171, 192},
-	1000: {9, 52, 170, 395, 468, 546, 579, 876},
-}
-
 // ringUnderTest drives one instantiation of the capture ring through the
 // surface its owner exposes: offer i is an event at time i (a drop when
 // drop is set, which only the packet trace can tell apart).
@@ -28,8 +19,8 @@ type ringUnderTest struct {
 	info  func() CaptureInfo
 }
 
-func packetRing(capacity int, mode CaptureMode, trigger Trigger, stopAfter int) ringUnderTest {
-	tr := newPacketTrace(capacity, nil, mode, trigger, stopAfter)
+func packetRing(capacity int, mode CaptureMode, trigger Trigger) ringUnderTest {
+	tr := newPacketTrace(capacity, nil, mode, trigger)
 	return ringUnderTest{
 		offer: func(i int, drop bool) {
 			kind := TraceSend
@@ -79,55 +70,50 @@ func decisionRing(capacity int, mode CaptureMode) ringUnderTest {
 }
 
 // TestCaptureRingMatchesModel holds both instantiations of the capture ring,
-// in every mode, against a model that keeps everything: of offers 1..n the
-// ring retains the first cap (head), the last cap (tail) or the recorded
-// Algorithm R sample (reservoir), hands them back in time order, and counts
-// every other offer as suppressed. A packet trace frozen by a trigger retains
-// what its mode keeps of the offers up to the freeze, whether or not the
-// buffer had filled before the trigger fired.
+// in both modes, against a model that keeps everything: of offers 1..n the
+// ring retains the first cap (head) or the last cap (tail), hands them back
+// in time order, and counts every other offer as suppressed. A packet trace
+// frozen by a trigger retains what its mode keeps of the offers up to the
+// freeze, whether or not the buffer had filled before the trigger fired.
 func TestCaptureRingMatchesModel(t *testing.T) {
 	const capacity = 8
-	seq := func(from, to int) []sim.Time {
+	model := func(mode CaptureMode, n int) []sim.Time {
+		from, to := 1, n
+		switch {
+		case n <= capacity:
+		case mode == CaptureHead:
+			to = capacity
+		default:
+			from = n - capacity + 1
+		}
 		var ts []sim.Time
 		for i := from; i <= to; i++ {
 			ts = append(ts, sim.Time(i))
 		}
 		return ts
 	}
-	model := func(mode CaptureMode, n int) []sim.Time {
-		switch {
-		case n <= capacity:
-			return seq(1, n)
-		case mode == CaptureHead:
-			return seq(1, capacity)
-		case mode == CaptureTail:
-			return seq(n-capacity+1, n)
-		}
-		return reservoirKept[n]
-	}
 	cases := []struct {
 		name   string
 		offers int
-		// dropAt, when nonzero, arms TriggerFirstDrop with a countdown of
-		// stopAfter and makes that offer a drop: offers past dropAt+stopAfter
-		// find the buffer frozen.
-		dropAt, stopAfter int
+		// dropAt, when nonzero, arms TriggerFirstDrop and makes that offer a
+		// drop: offers past dropAt find the buffer frozen.
+		dropAt int
 	}{
 		{name: "underfull", offers: 5},
 		{name: "exactly full", offers: capacity},
 		{name: "200 offers", offers: 200},
 		{name: "1000 offers", offers: 1000},
-		{name: "trigger before full", offers: 1000, dropAt: 3, stopAfter: 2},
-		{name: "trigger after full", offers: 1000, dropAt: 198, stopAfter: 2},
+		{name: "trigger before full", offers: 1000, dropAt: 5},
+		{name: "trigger after full", offers: 1000, dropAt: 200},
 	}
-	for _, mode := range []CaptureMode{CaptureHead, CaptureTail, CaptureReservoir} {
+	for _, mode := range []CaptureMode{CaptureHead, CaptureTail} {
 		for _, c := range cases {
 			// Only the packet trace has triggers; the other cases run on both.
-			rings := []ringUnderTest{packetRing(capacity, mode, 0, 0), decisionRing(capacity, mode)}
+			rings := []ringUnderTest{packetRing(capacity, mode, 0), decisionRing(capacity, mode)}
 			live := c.offers
 			if c.dropAt != 0 {
-				rings = []ringUnderTest{packetRing(capacity, mode, TriggerFirstDrop, c.stopAfter)}
-				live = c.dropAt + c.stopAfter
+				rings = []ringUnderTest{packetRing(capacity, mode, TriggerFirstDrop)}
+				live = c.dropAt
 			}
 			for i, r := range rings {
 				who := [...]string{"packet", "decision"}[i]
@@ -183,26 +169,26 @@ func TestRecordRefusesValuesThatDoNotFit(t *testing.T) {
 	const wide = 1 << 40
 	cases := map[string]func(){
 		"src": func() {
-			newPacketTrace(4, nil, CaptureHead, 0, 0).Record(1, TraceSend, "h0", 1, wide, 1, 2, 3, 4, 5)
+			newPacketTrace(4, nil, CaptureHead, 0).Record(1, TraceSend, "h0", 1, wide, 1, 2, 3, 4, 5)
 		},
 		"dst": func() {
-			newPacketTrace(4, nil, CaptureHead, 0, 0).Record(1, TraceSend, "h0", 1, 0, -wide, 2, 3, 4, 5)
+			newPacketTrace(4, nil, CaptureHead, 0).Record(1, TraceSend, "h0", 1, 0, -wide, 2, 3, 4, 5)
 		},
 		"sport": func() {
-			newPacketTrace(4, nil, CaptureHead, 0, 0).Record(1, TraceSend, "h0", 1, 0, 1, wide, 3, 4, 5)
+			newPacketTrace(4, nil, CaptureHead, 0).Record(1, TraceSend, "h0", 1, 0, 1, wide, 3, 4, 5)
 		},
 		"dport": func() {
-			newPacketTrace(4, nil, CaptureHead, 0, 0).Record(1, TraceSend, "h0", 1, 0, 1, 2, wide, 4, 5)
+			newPacketTrace(4, nil, CaptureHead, 0).Record(1, TraceSend, "h0", 1, 0, 1, 2, wide, 4, 5)
 		},
 		"payload": func() {
-			newPacketTrace(4, nil, CaptureHead, 0, 0).Record(1, TraceSend, "h0", 1, 0, 1, 2, 3, 4, wide)
+			newPacketTrace(4, nil, CaptureHead, 0).Record(1, TraceSend, "h0", 1, 0, 1, 2, 3, 4, wide)
 		},
 		"src_leaf": func() { newDecisionTrace(4, CaptureHead).record(1, wide, 1, 0, ReasonNewFlowlet, 0, nil) },
 		"dst_leaf": func() { newDecisionTrace(4, CaptureHead).record(1, 0, wide, 0, ReasonNewFlowlet, 0, nil) },
 		"uplink":   func() { newDecisionTrace(4, CaptureHead).record(1, 0, 1, 1<<15, ReasonNewFlowlet, 0, nil) },
 		"metrics":  func() { newDecisionTrace(4, CaptureHead).record(1, 0, 1, 0, ReasonNewFlowlet, 0, make([]uint8, 256)) },
 		"where": func() {
-			tr := newPacketTrace(1, nil, CaptureTail, 0, 0)
+			tr := newPacketTrace(1, nil, CaptureTail, 0)
 			for i := 0; i <= 1<<16; i++ {
 				tr.Record(1, TraceSend, fmt.Sprint("h", i), 1, 0, 1, 2, 3, 4, 5)
 			}

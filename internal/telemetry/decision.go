@@ -65,7 +65,7 @@ type decisionRecord struct {
 }
 
 // DecisionTrace is a capture buffer of decision events: PacketTrace's
-// head/tail/reservoir policies without its flow test and triggers.
+// head and tail policies without its flow test and trigger.
 type DecisionTrace struct {
 	capture[decisionRecord]
 	// metrics holds slot i's candidate vector at [i*width, i*width+n): one
@@ -116,7 +116,7 @@ func (tr *DecisionTrace) Each(fn func(DecisionEvent)) {
 	if tr == nil {
 		return
 	}
-	tr.each(func(r *decisionRecord) sim.Time { return r.t }, func(i int) {
+	tr.each(func(i int) {
 		r := &tr.events[i]
 		ev := DecisionEvent{T: r.t, SrcLeaf: int(r.src), DstLeaf: int(r.dst), Uplink: int(r.uplink),
 			Reason: r.reason, AgeNs: r.age}
@@ -362,7 +362,7 @@ func balance(perUp []uint64) (imbalance, entropy float64) {
 			continue
 		}
 		p := float64(b) / float64(total)
-		entropy -= p * math.Log2(p)
+		entropy -= float64(p * math.Log2(p)) // float64: never a fused multiply-add
 	}
 	entropy /= math.Log2(float64(len(perUp)))
 	return imbalance, entropy

@@ -68,35 +68,6 @@ func TestDecisionTraceTail(t *testing.T) {
 	}
 }
 
-// TestDecisionTraceReservoir: the reservoir retains a uniform sample in
-// time order with exact accounting, without touching engine randomness.
-func TestDecisionTraceReservoir(t *testing.T) {
-	r := New(decisionOpts(CaptureReservoir, 8))
-	h := r.Decisions(0, 2, 2)
-	for i := 0; i < 1000; i++ {
-		h.Decision(sim.Time(i), 1, 0, ReasonNewFlowlet, 0, nil)
-	}
-	tr := r.DecisionTrace()
-	if len(tr.events) != 8 {
-		t.Fatalf("reservoir kept %d, want 8", len(tr.events))
-	}
-	if info := tr.Info(); int(info.Suppressed)+info.Recorded != info.Seen || info.Seen != 1000 {
-		t.Fatalf("accounting: %+v", info)
-	}
-	evs := decisionEvents(tr)
-	for i := 1; i < len(evs); i++ {
-		if evs[i].T < evs[i-1].T {
-			t.Fatal("reservoir events not in time order")
-		}
-	}
-	// A sample of 8 from 1000 sequential offers that kept only the first 8
-	// would mean Algorithm R never replaced anything — astronomically
-	// unlikely with a working PRNG.
-	if evs[len(evs)-1].T < 8 {
-		t.Fatal("reservoir looks like head capture")
-	}
-}
-
 // TestDecisionHooksMatrixAndStaleness covers the per-leaf aggregation:
 // reason counters, the flowlets/bytes matrices, and the staleness window
 // drain semantics.

@@ -191,7 +191,7 @@ func (r *record) scan(cols []any) {
 		case *CaptureMode:
 			*p, err = valueOf[CaptureMode](captureModeNames, r.str(s))
 		case *Trigger:
-			*p, err = ParseTrigger(r.str(s))
+			*p, err = valueOf[Trigger](triggerNames, r.str(s))
 		case *[]uint8:
 			*p, err = r.metrics(s)
 		default:

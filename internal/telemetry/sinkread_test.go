@@ -32,7 +32,7 @@ func roundTripCases() map[string]SinkFile {
 			{0, 0.25}, {1500, 0.5}, {nan, 0.75}, {inf, 1}}},
 		"cdf-empty": {Table: CDFTable, Probe: "imbalance", Unit: "ratio"},
 		"decisions": {Table: DecisionTable, Provenance: "p",
-			Capture: &CaptureInfo{Mode: CaptureReservoir, Cap: 4, Recorded: 3, Seen: 9, Suppressed: 6},
+			Capture: &CaptureInfo{Mode: CaptureHead, Cap: 4, Recorded: 3, Seen: 9, Suppressed: 6},
 			Decisions: []DecisionEvent{
 				{T: 10, SrcLeaf: 0, DstLeaf: 1, Uplink: 2, Reason: ReasonSticky, AgeNs: -1},
 				{T: 20, SrcLeaf: 1, DstLeaf: 0, Uplink: 0, Reason: ReasonNewFlowlet, AgeNs: -1, Metrics: []uint8{3, 0, 7, 255}},
@@ -51,12 +51,14 @@ func roundTripCases() map[string]SinkFile {
 		{T: 6, Kind: TraceDrop, Where: odd, FlowID: 7, Src: 1, Dst: 2, SrcPort: 3, DstPort: 4, Seq: -1, Payload: 0},
 		{T: 7, Kind: TraceRecv, Where: "l0->s0.0", FlowID: 7, Src: 1, Dst: 2, SrcPort: 3, DstPort: 4, Seq: 1460, Payload: 1460},
 	}
-	for _, mode := range []CaptureMode{CaptureHead, CaptureTail, CaptureReservoir} {
-		armed := CaptureInfo{Mode: mode, Cap: 65536, Recorded: 3, Seen: 10, Suppressed: 7, Trigger: TriggerFirstDrop | TriggerFirstRTO}
-		fired := armed
-		fired.Trigger, fired.Triggered, fired.TriggeredAt, fired.TriggerReason = TriggerFirstRTO, true, 6, "first-rto"
-		cases["trace-"+mode.String()+"-armed"] = SinkFile{Table: TraceTable, Capture: &armed, Trace: events}
-		cases["trace-"+mode.String()+"-fired"] = SinkFile{Table: TraceTable, Provenance: "p", Capture: &fired, Trace: events}
+	for _, mode := range []CaptureMode{CaptureHead, CaptureTail} {
+		for _, g := range []Trigger{TriggerFirstDrop, TriggerFirstRTO} {
+			armed := CaptureInfo{Mode: mode, Cap: 65536, Recorded: 3, Seen: 10, Suppressed: 7, Trigger: g}
+			fired := armed
+			fired.Triggered, fired.TriggeredAt, fired.TriggerReason = true, 6, g.String()
+			cases["trace-"+mode.String()+"-"+g.String()+"-armed"] = SinkFile{Table: TraceTable, Capture: &armed, Trace: events}
+			cases["trace-"+mode.String()+"-"+g.String()+"-fired"] = SinkFile{Table: TraceTable, Provenance: "p", Capture: &fired, Trace: events}
+		}
 	}
 	manual := CaptureInfo{Mode: CaptureTail, Cap: 2, Triggered: true, TriggeredAt: 9, TriggerReason: "operator stop"}
 	cases["trace-empty-manual-stop"] = SinkFile{Table: TraceTable, Capture: &manual}

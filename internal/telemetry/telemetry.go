@@ -47,14 +47,11 @@ type Options struct {
 	// flow with this ID; nil traces every flow.
 	TraceFlow *uint64
 	// TraceMode selects what a full trace keeps: the head of the run
-	// (default), the tail (flight recorder), or a uniform reservoir.
+	// (default) or the tail (flight recorder).
 	TraceMode CaptureMode
-	// TraceTrigger freezes the trace when a condition first fires (first
-	// drop, first RTO); zero means never.
+	// TraceTrigger freezes the trace when its condition first fires (first
+	// drop or first RTO); zero means never.
 	TraceTrigger Trigger
-	// TraceStopAfter records this many further matching events after the
-	// trigger before freezing (0 = freeze at the trigger).
-	TraceStopAfter int
 	// Decisions enables the decision plane: per-leaf flowlet routing
 	// reason counters, per-(uplink, dstLeaf) path load matrices, the
 	// feedback-staleness series, and the audit trail of individual
@@ -180,8 +177,7 @@ func New(opts Options) *Registry {
 		byName:  make(map[string]*Series),
 	}
 	if opts.Trace {
-		r.trace = newPacketTrace(opts.TraceCap, opts.TraceFlow,
-			opts.TraceMode, opts.TraceTrigger, opts.TraceStopAfter)
+		r.trace = newPacketTrace(opts.TraceCap, opts.TraceFlow, opts.TraceMode, opts.TraceTrigger)
 	}
 	if opts.Decisions {
 		r.decTrace = newDecisionTrace(opts.DecisionCap, opts.TraceMode)

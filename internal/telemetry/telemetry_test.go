@@ -135,7 +135,7 @@ func TestTraceFilter(t *testing.T) {
 }
 
 func TestTraceCapAndSuppressed(t *testing.T) {
-	tr := newPacketTrace(4, nil, CaptureHead, 0, 0)
+	tr := newPacketTrace(4, nil, CaptureHead, 0)
 	for i := 0; i < 10; i++ {
 		tr.Record(sim.Time(i), TraceDrop, "l0", 1, 0, 1, 1, 1, 0, 1)
 	}

@@ -26,7 +26,8 @@ func (k TraceKind) String() string { return nameOf(traceKindNames, k) }
 
 var (
 	traceKindNames   = []string{"send", "recv", "drop"}
-	captureModeNames = []string{"head", "tail", "reservoir"}
+	captureModeNames = []string{"head", "tail"}
+	triggerNames     = []string{"none", "first-drop", "first-rto"}
 )
 
 // nameOf and valueOf take an enumeration's values to the names flushed files
@@ -56,74 +57,41 @@ const (
 	// oldest retained event, so the trace always holds the last TraceCap
 	// events before the run (or a trigger) stopped it.
 	CaptureTail
-	// CaptureReservoir keeps a uniform random sample of all matching
-	// events (Vitter's Algorithm R) using a private deterministic PRNG,
-	// for an unbiased whole-run picture at bounded memory.
-	CaptureReservoir
 )
 
 // String returns the mode name used in flushed trace headers.
 func (m CaptureMode) String() string { return nameOf(captureModeNames, m) }
 
-// ParseCaptureMode parses "head" (or ""), "tail" or "reservoir" (as accepted
-// by the CLI -trace-mode flags and emitted by String).
+// ParseCaptureMode parses "head" (or "") or "tail", the values of the CLI
+// -trace-mode flag and of String.
 func ParseCaptureMode(s string) (CaptureMode, error) {
-	if s == "" {
-		return CaptureHead, nil
-	}
-	return valueOf[CaptureMode](captureModeNames, s)
+	return valueOf[CaptureMode](captureModeNames, cmp.Or(s, "head"))
 }
 
-// Trigger is a bitmask of conditions that freeze the trace (after an
-// optional TraceStopAfter countdown), flight-recorder style: the buffer
-// stops evolving so it holds the events leading up to the condition.
+// Trigger is the condition that freezes the trace, flight-recorder style:
+// once it fires the buffer stops evolving, so it holds the events leading
+// up to the condition. The zero Trigger never fires.
 type Trigger uint8
 
 const (
 	// TriggerFirstDrop freezes the trace when the first TraceDrop event is
 	// recorded (detected inside Record, before the flow test, so a
 	// one-flow trace still stops on any drop in the fabric).
-	TriggerFirstDrop Trigger = 1 << iota
+	TriggerFirstDrop Trigger = iota + 1
 	// TriggerFirstRTO freezes the trace when the first TCP retransmission
 	// timeout fires anywhere on the engine (via PacketTrace.TriggerRTO,
 	// called from the sender's timeout path).
 	TriggerFirstRTO
 )
 
-// String returns the trigger names ("first-drop", "first-rto",
-// "first-drop|first-rto", or "none") used in flushed trace headers.
-func (g Trigger) String() string {
-	var parts []string
-	if g&TriggerFirstDrop != 0 {
-		parts = append(parts, "first-drop")
-	}
-	if g&TriggerFirstRTO != 0 {
-		parts = append(parts, "first-rto")
-	}
-	if len(parts) == 0 {
-		return "none"
-	}
-	return strings.Join(parts, "|")
-}
+// String returns the trigger name ("none", "first-drop" or "first-rto")
+// used in flushed trace headers.
+func (g Trigger) String() string { return nameOf(triggerNames, g) }
 
-// ParseTrigger parses a trigger spec: "", "none", or a |-separated list of
-// "first-drop" / "first-rto" / "drop" / "rto".
+// ParseTrigger parses "none" (or ""), "first-drop" or "first-rto", the
+// values of the CLI -trace-trigger flag and of String.
 func ParseTrigger(s string) (Trigger, error) {
-	var g Trigger
-	if s == "" || s == "none" {
-		return 0, nil
-	}
-	for _, part := range strings.Split(s, "|") {
-		switch part {
-		case "first-drop", "drop":
-			g |= TriggerFirstDrop
-		case "first-rto", "rto":
-			g |= TriggerFirstRTO
-		default:
-			return 0, fmt.Errorf("telemetry: unknown trace trigger %q (want first-drop, first-rto or none)", part)
-		}
-	}
-	return g, nil
+	return valueOf[Trigger](triggerNames, cmp.Or(s, "none"))
 }
 
 // TraceEvent is one recorded packet event, as PacketTrace.Each hands it out
@@ -166,25 +134,18 @@ func narrow[N int32 | int16 | uint16 | uint8](field string, v int) N {
 	panic(fmt.Sprintf("telemetry: %s %d does not fit a %T", field, v, N(0)))
 }
 
-// reservoirSeed is the fixed seed for the reservoir's private PRNG. The
-// stream is independent of every engine PRNG (a trace never consumes engine
-// randomness), so reservoir capture cannot perturb the simulation, and a
-// fixed seed keeps the retained sample reproducible across runs.
-const reservoirSeed = 0x9e3779b97f4a7c15
-
 // capture is the bounded buffer under PacketTrace and DecisionTrace. What a
 // full buffer does with the next event is its CaptureMode: head turns it
-// away, tail overwrites the oldest retained event, reservoir keeps a uniform
-// sample. Every event that is not in the retained set — turned away, evicted,
-// or counted by the owner without being offered — is in Suppressed, so
-// recorded + suppressed is the number of events seen.
+// away, tail overwrites the oldest retained event. Every event that is not
+// in the retained set — turned away, evicted, or counted by the owner
+// without being offered — is in Suppressed, so recorded + suppressed is the
+// number of events seen.
 type capture[T any] struct {
 	mode   CaptureMode
 	events []T
 	// Suppressed counts the events seen that are not in the retained set.
 	Suppressed uint64
-	start      int       // tail mode: ring index of the oldest retained event
-	rng        *sim.Rand // reservoir mode: private PRNG, never the engine's
+	start      int // tail mode: ring index of the oldest retained event
 	// headFull is set by the first offer a full head buffer turns away, so
 	// that every later one — nearly all the offers of a long run — is a
 	// counter bump inlined into the caller.
@@ -192,11 +153,7 @@ type capture[T any] struct {
 }
 
 func newCapture[T any](capacity int, mode CaptureMode) capture[T] {
-	c := capture[T]{mode: mode, events: make([]T, 0, capacity)}
-	if mode == CaptureReservoir {
-		c.rng = sim.NewRand(reservoirSeed)
-	}
-	return c
+	return capture[T]{mode: mode, events: make([]T, 0, capacity)}
 }
 
 // offer accounts for one event and returns the index of the slot the caller
@@ -218,45 +175,22 @@ func (c *capture[T]) take() int {
 	// Whether the event is turned away or takes a slot, one event more is
 	// outside the retained set.
 	c.Suppressed++
-	switch c.mode {
-	case CaptureHead:
+	if c.mode == CaptureHead {
 		c.headFull = true
-	case CaptureTail:
-		slot := c.start
-		if c.start++; c.start == len(c.events) {
-			c.start = 0
-		}
-		return slot
-	case CaptureReservoir:
-		// Algorithm R: the n-th event seen replaces a uniform slot with
-		// probability cap/n.
-		if j := c.rng.Intn(c.seen()); j < len(c.events) {
-			return j
-		}
+		return -1
 	}
-	return -1
+	slot := c.start
+	if c.start++; c.start == len(c.events) {
+		c.start = 0
+	}
+	return slot
 }
 
-func (c *capture[T]) seen() int { return len(c.events) + int(c.Suppressed) }
-
-// each calls fn with the index of every retained slot in time order; at
-// reads a record's time. Head mode and a tail ring are walked from their
-// oldest slot; a reservoir, whose replacements scramble slots, through a
-// time-sorted index with ties in slot order — deterministic for the fixed
-// seed. No record is copied.
-func (c *capture[T]) each(at func(*T) sim.Time, fn func(slot int)) {
+// each calls fn with the index of every retained slot in time order: from
+// the oldest slot, which is the first for head mode and the ring's start for
+// tail. No record is copied.
+func (c *capture[T]) each(fn func(slot int)) {
 	n := len(c.events)
-	if c.mode == CaptureReservoir {
-		order := make([]int32, n)
-		for i := range order {
-			order[i] = int32(i)
-		}
-		slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(at(&c.events[a]), at(&c.events[b])) })
-		for _, i := range order {
-			fn(int(i))
-		}
-		return
-	}
 	for i, j := 0, c.start; i < n; i++ {
 		fn(j)
 		if j++; j == n {
@@ -270,7 +204,7 @@ func (c *capture[T]) info() CaptureInfo {
 		Mode:       c.mode,
 		Cap:        cap(c.events),
 		Recorded:   len(c.events),
-		Seen:       c.seen(),
+		Seen:       len(c.events) + int(c.Suppressed),
 		Suppressed: c.Suppressed,
 	}
 }
@@ -278,10 +212,9 @@ func (c *capture[T]) info() CaptureInfo {
 // PacketTrace is a capture buffer of packet events: every flow's, or one
 // flow's.
 //
-// A Trigger freezes the buffer when its condition first fires (after
-// StopAfter further matching events), answering "what happened right before
-// the collapse" without post-processing. Matching events that arrive after
-// the freeze count as suppressed.
+// A Trigger freezes the buffer when its condition first fires, answering
+// "what happened right before the collapse" without post-processing.
+// Matching events that arrive after the freeze count as suppressed.
 type PacketTrace struct {
 	capture[traceRecord]
 	// oneFlow restricts the trace to the events of flow.
@@ -292,24 +225,20 @@ type PacketTrace struct {
 	names   []string
 	nameIdx map[string]uint16
 
-	trigger   Trigger
-	stopAfter int // matching events still let through once Triggered
-
-	// Triggered reports whether a trigger condition fired; TriggeredAt and
-	// TriggerReason record when and which ("first-drop" or "first-rto").
-	Triggered     bool
-	TriggeredAt   sim.Time
-	TriggerReason string
+	trigger Trigger
+	// Triggered reports whether the trigger fired, which froze the trace;
+	// TriggeredAt records when.
+	Triggered   bool
+	TriggeredAt sim.Time
 }
 
 // newPacketTrace returns a trace of flow's events, or of every flow's when
 // flow is nil.
-func newPacketTrace(capacity int, flow *uint64, mode CaptureMode, trigger Trigger, stopAfter int) *PacketTrace {
+func newPacketTrace(capacity int, flow *uint64, mode CaptureMode, trigger Trigger) *PacketTrace {
 	tr := &PacketTrace{
-		capture:   newCapture[traceRecord](capacity, mode),
-		nameIdx:   make(map[string]uint16),
-		trigger:   trigger,
-		stopAfter: max(stopAfter, 0),
+		capture: newCapture[traceRecord](capacity, mode),
+		nameIdx: make(map[string]uint16),
+		trigger: trigger,
 	}
 	if flow != nil {
 		tr.oneFlow, tr.flow = true, *flow
@@ -317,7 +246,7 @@ func newPacketTrace(capacity int, flow *uint64, mode CaptureMode, trigger Trigge
 	return tr
 }
 
-// Record offers an event to the trace. Trigger conditions are evaluated
+// Record offers an event to the trace. The first-drop trigger is evaluated
 // before the flow test, then the event is recorded if it matches and the
 // buffer's capture mode retains it. Scalar parameters (rather than a packet
 // struct) keep telemetry free of a fabric dependency. Safe on a nil
@@ -329,10 +258,9 @@ func (tr *PacketTrace) Record(t sim.Time, kind TraceKind, where string, flowID u
 	// Read before this event can fire the trigger: the triggering drop
 	// itself is the event of interest and is retained (when it is of the
 	// traced flow) even by a trace that freezes on it.
-	frozen := tr.Frozen()
-	firedNow := kind == TraceDrop && tr.trigger&TriggerFirstDrop != 0 && !tr.Triggered
-	if firedNow {
-		tr.fire(t, "first-drop")
+	frozen := tr.Triggered
+	if kind == TraceDrop && tr.trigger == TriggerFirstDrop && !frozen {
+		tr.fire(t)
 	}
 	if tr.oneFlow && flowID != tr.flow {
 		return
@@ -348,11 +276,6 @@ func (tr *PacketTrace) Record(t sim.Time, kind TraceKind, where string, flowID u
 			sport: narrow[int32]("sport", sport), dport: narrow[int32]("dport", dport),
 			seq: seq, payload: narrow[int32]("payload", payload),
 		}
-	}
-	// The countdown runs on every matching event past the trigger, retained
-	// or not; the triggering event itself does not consume it.
-	if tr.Triggered && !firedNow && tr.stopAfter > 0 {
-		tr.stopAfter--
 	}
 }
 
@@ -371,22 +294,15 @@ func (tr *PacketTrace) intern(where string) uint16 {
 // it freezes the buffer when TriggerFirstRTO is armed. Safe on a nil
 // receiver, so the sender's timeout path needs no enable check.
 func (tr *PacketTrace) TriggerRTO(now sim.Time) {
-	if tr == nil || tr.trigger&TriggerFirstRTO == 0 || tr.Triggered {
+	if tr == nil || tr.trigger != TriggerFirstRTO || tr.Triggered {
 		return
 	}
-	tr.fire(now, "first-rto")
+	tr.fire(now)
 }
 
-func (tr *PacketTrace) fire(now sim.Time, reason string) {
+func (tr *PacketTrace) fire(now sim.Time) {
 	tr.Triggered = true
 	tr.TriggeredAt = now
-	tr.TriggerReason = reason
-}
-
-// Frozen reports whether a trigger has stopped the trace: one fired and its
-// countdown is spent.
-func (tr *PacketTrace) Frozen() bool {
-	return tr != nil && tr.Triggered && tr.stopAfter == 0
 }
 
 // Each calls fn with every recorded event in time order. Safe on a nil
@@ -395,7 +311,7 @@ func (tr *PacketTrace) Each(fn func(TraceEvent)) {
 	if tr == nil {
 		return
 	}
-	tr.each(func(r *traceRecord) sim.Time { return r.t }, func(i int) {
+	tr.each(func(i int) {
 		r := &tr.events[i]
 		fn(TraceEvent{
 			T: r.t, Kind: r.kind, Where: tr.names[r.where], FlowID: r.flow,
@@ -414,7 +330,7 @@ func (tr *PacketTrace) Len() int {
 }
 
 // CaptureInfo is the trace's capture policy and outcome, emitted as a
-// header by the sinks and summarized by cmd/congatrace.
+// header by the sinks and summarized by congaplot -summary.
 type CaptureInfo struct {
 	Mode          CaptureMode
 	Cap           int
@@ -424,7 +340,7 @@ type CaptureInfo struct {
 	Trigger       Trigger
 	Triggered     bool
 	TriggeredAt   sim.Time
-	TriggerReason string
+	TriggerReason string // the trigger's name once it fired
 }
 
 // Info returns the trace's capture policy and outcome. Safe on a nil
@@ -437,6 +353,8 @@ func (tr *PacketTrace) Info() CaptureInfo {
 	info.Trigger = tr.trigger
 	info.Triggered = tr.Triggered
 	info.TriggeredAt = tr.TriggeredAt
-	info.TriggerReason = tr.TriggerReason
+	if tr.Triggered {
+		info.TriggerReason = tr.trigger.String()
+	}
 	return info
 }

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"reflect"
 	"testing"
 
 	"conga/internal/sim"
@@ -24,7 +23,7 @@ func checkInvariant(t *testing.T, tr *PacketTrace) {
 }
 
 func TestCaptureTailRing(t *testing.T) {
-	tr := newPacketTrace(4, nil, CaptureTail, 0, 0)
+	tr := newPacketTrace(4, nil, CaptureTail, 0)
 	for i := 1; i <= 10; i++ {
 		rec(tr, sim.Time(i), TraceSend)
 	}
@@ -44,88 +43,13 @@ func TestCaptureTailRing(t *testing.T) {
 	checkInvariant(t, tr)
 }
 
-func TestCaptureReservoirSample(t *testing.T) {
-	const capacity, total = 8, 200
-	sample := func() []TraceEvent {
-		tr := newPacketTrace(capacity, nil, CaptureReservoir, 0, 0)
-		for i := 1; i <= total; i++ {
-			rec(tr, sim.Time(i), TraceSend)
-		}
-		checkInvariant(t, tr)
-		if got := tr.Info().Suppressed; got != total-capacity {
-			t.Fatalf("reservoir suppressed %d, want %d", got, total-capacity)
-		}
-		return traceEvents(tr)
-	}
-	evs := sample()
-	if len(evs) != capacity {
-		t.Fatalf("reservoir holds %d events, want %d", len(evs), capacity)
-	}
-	seen := map[sim.Time]bool{}
-	for i, e := range evs {
-		if i > 0 && evs[i-1].T > e.T {
-			t.Fatalf("reservoir events not time-sorted: %d before %d", evs[i-1].T, e.T)
-		}
-		if e.T < 1 || e.T > total || seen[e.T] {
-			t.Fatalf("reservoir produced invalid or duplicate event t=%d", e.T)
-		}
-		seen[e.T] = true
-	}
-	// The sample must not degenerate to the head: with 200 offered events
-	// and capacity 8, retaining only the first 8 would mean Algorithm R
-	// never replaced anything.
-	allHead := true
-	for _, e := range evs {
-		if e.T > capacity {
-			allHead = false
-		}
-	}
-	if allHead {
-		t.Fatal("reservoir kept exactly the first events; replacement never happened")
-	}
-	// Private fixed-seed PRNG: the retained sample is reproducible.
-	if again := sample(); !reflect.DeepEqual(evs, again) {
-		t.Fatalf("reservoir sample not deterministic:\nfirst  %v\nsecond %v", evs, again)
-	}
-}
-
-func TestTriggerFirstDropStopAfter(t *testing.T) {
-	tr := newPacketTrace(64, nil, CaptureHead, TriggerFirstDrop, 2)
-	for i := 1; i <= 3; i++ {
-		rec(tr, sim.Time(i), TraceSend)
-	}
-	rec(tr, 4, TraceDrop)
-	if !tr.Triggered || tr.TriggeredAt != 4 || tr.TriggerReason != "first-drop" {
-		t.Fatalf("trigger state after drop: %+v", tr.Info())
-	}
-	if tr.Frozen() {
-		t.Fatal("froze before the stop-after countdown ran")
-	}
-	for i := 5; i <= 9; i++ {
-		rec(tr, sim.Time(i), TraceSend)
-	}
-	if !tr.Frozen() {
-		t.Fatal("never froze after the countdown")
-	}
-	evs := traceEvents(tr)
-	// 3 sends + the triggering drop (retained, does not consume the
-	// countdown) + 2 post-trigger events.
-	if len(evs) != 6 || evs[3].Kind != TraceDrop || evs[5].T != 6 {
-		t.Fatalf("retained %d events ending t=%d, want 6 ending t=6: %v", len(evs), evs[len(evs)-1].T, evs)
-	}
-	if got := tr.Info().Suppressed; got != 3 {
-		t.Fatalf("suppressed %d events after freeze, want 3", got)
-	}
-	checkInvariant(t, tr)
-}
-
 func TestTriggerFirstDropImmediate(t *testing.T) {
-	tr := newPacketTrace(64, nil, CaptureHead, TriggerFirstDrop, 0)
+	tr := newPacketTrace(64, nil, CaptureHead, TriggerFirstDrop)
 	rec(tr, 1, TraceSend)
 	rec(tr, 2, TraceDrop)
 	rec(tr, 3, TraceSend)
-	if !tr.Frozen() {
-		t.Fatal("stop-after 0 must freeze on the triggering drop")
+	if info := tr.Info(); !info.Triggered || info.TriggeredAt != 2 || info.TriggerReason != "first-drop" {
+		t.Fatalf("trigger state after the drop: %+v", info)
 	}
 	evs := traceEvents(tr)
 	if len(evs) != 2 || evs[1].Kind != TraceDrop {
@@ -134,25 +58,22 @@ func TestTriggerFirstDropImmediate(t *testing.T) {
 	checkInvariant(t, tr)
 }
 
-// TestTriggerAfterHeadFull pins the one countdown rule: it runs on every
-// matching event past the trigger, retained or not, so a trigger that fires
-// after a head buffer filled still freezes the trace.
+// TestTriggerAfterHeadFull: a trigger that fires after a head buffer filled
+// still fires, and every later event counts as suppressed.
 func TestTriggerAfterHeadFull(t *testing.T) {
-	tr := newPacketTrace(2, nil, CaptureHead, TriggerFirstDrop, 1)
+	tr := newPacketTrace(2, nil, CaptureHead, TriggerFirstDrop)
 	for i := 1; i <= 3; i++ {
 		rec(tr, sim.Time(i), TraceSend)
 	}
 	rec(tr, 4, TraceDrop)
-	if !tr.Triggered || tr.Frozen() {
-		t.Fatalf("after the drop: triggered %v frozen %v, want fired with the countdown still to run", tr.Triggered, tr.Frozen())
+	if !tr.Triggered || tr.TriggeredAt != 4 {
+		t.Fatalf("after the drop the full head buffer did not fire: %+v", tr.Info())
 	}
 	rec(tr, 5, TraceSend)
-	if !tr.Frozen() {
-		t.Fatal("the countdown did not run on an event the full head buffer turned away")
-	}
 	if info := tr.Info(); info.Recorded != 2 || info.Suppressed != 3 {
 		t.Fatalf("recorded %d suppressed %d, want 2 and 3", info.Recorded, info.Suppressed)
 	}
+	checkInvariant(t, tr)
 }
 
 // TestTriggerDropOutsideFilter pins the flight-recorder contract: a trace
@@ -160,10 +81,10 @@ func TestTriggerAfterHeadFull(t *testing.T) {
 // fabric — the drop event itself just isn't retained.
 func TestTriggerDropOutsideFilter(t *testing.T) {
 	flow := uint64(1)
-	tr := newPacketTrace(64, &flow, CaptureHead, TriggerFirstDrop, 0)
+	tr := newPacketTrace(64, &flow, CaptureHead, TriggerFirstDrop)
 	rec(tr, 1, TraceSend) // flow 1, retained
 	tr.Record(2, TraceDrop, "l1->s0.0", 99, 2, 3, 30, 40, 0, 1500)
-	if !tr.Triggered || !tr.Frozen() {
+	if !tr.Triggered {
 		t.Fatal("drop outside the filter must still fire and freeze the trigger")
 	}
 	rec(tr, 3, TraceSend) // flow 1, but frozen
@@ -178,7 +99,7 @@ func TestTriggerRTO(t *testing.T) {
 	var nilTrace *PacketTrace
 	nilTrace.TriggerRTO(1) // must not panic: senders call unconditionally
 
-	tr := newPacketTrace(64, nil, CaptureTail, TriggerFirstRTO, 0)
+	tr := newPacketTrace(64, nil, CaptureTail, TriggerFirstRTO)
 	rec(tr, 1, TraceSend)
 	tr.TriggerRTO(2)
 	tr.TriggerRTO(3) // second RTO is ignored; the first one wins
@@ -191,22 +112,22 @@ func TestTriggerRTO(t *testing.T) {
 		t.Fatalf("post-RTO event not suppressed: len %d suppressed %d", tr.Len(), info.Suppressed)
 	}
 	// A trace without the RTO trigger armed ignores the notification.
-	un := newPacketTrace(64, nil, CaptureHead, TriggerFirstDrop, 0)
+	un := newPacketTrace(64, nil, CaptureHead, TriggerFirstDrop)
 	un.TriggerRTO(5)
 	if un.Triggered {
 		t.Fatal("TriggerRTO fired on a trace armed only for drops")
 	}
 }
 
-// TestTriggerStopManual drives fire, the stop path every trigger shares,
-// with a reason no trigger uses: a tail capture freezes and keeps it.
+// TestTriggerStopManual drives fire, the stop path both triggers share,
+// directly: a tail capture freezes and names its trigger as the reason.
 func TestTriggerStopManual(t *testing.T) {
-	tr := newPacketTrace(64, nil, CaptureTail, 0, 0)
+	tr := newPacketTrace(64, nil, CaptureTail, TriggerFirstRTO)
 	rec(tr, 1, TraceSend)
-	tr.fire(2, "operator mark")
+	tr.fire(2)
 	rec(tr, 3, TraceSend)
 	info := tr.Info()
-	if !info.Triggered || info.TriggerReason != "operator mark" || !tr.Frozen() {
+	if !info.Triggered || info.TriggeredAt != 2 || info.TriggerReason != "first-rto" {
 		t.Fatalf("manual stop state: %+v", info)
 	}
 	if tr.Len() != 1 {
@@ -214,23 +135,36 @@ func TestTriggerStopManual(t *testing.T) {
 	}
 }
 
+// TestCaptureParseRoundTrips: every mode and trigger parses back from its
+// name, "" is the default, and anything else — a combination of triggers
+// or one of the aliases older flags took — is refused.
 func TestCaptureParseRoundTrips(t *testing.T) {
-	for _, m := range []CaptureMode{CaptureHead, CaptureTail, CaptureReservoir} {
+	for _, m := range []CaptureMode{CaptureHead, CaptureTail} {
 		got, err := ParseCaptureMode(m.String())
 		if err != nil || got != m {
 			t.Fatalf("mode %v round-trip: got %v err %v", m, got, err)
 		}
 	}
-	if _, err := ParseCaptureMode("ring"); err == nil {
-		t.Fatal("ParseCaptureMode accepted garbage")
-	}
-	for _, g := range []Trigger{0, TriggerFirstDrop, TriggerFirstRTO, TriggerFirstDrop | TriggerFirstRTO} {
+	for _, g := range []Trigger{0, TriggerFirstDrop, TriggerFirstRTO} {
 		got, err := ParseTrigger(g.String())
 		if err != nil || got != g {
 			t.Fatalf("trigger %v (%q) round-trip: got %v err %v", g, g.String(), got, err)
 		}
 	}
-	if _, err := ParseTrigger("on-fire"); err == nil {
-		t.Fatal("ParseTrigger accepted garbage")
+	if m, err := ParseCaptureMode(""); m != CaptureHead || err != nil {
+		t.Fatalf(`ParseCaptureMode(""): %v, %v`, m, err)
+	}
+	if g, err := ParseTrigger(""); g != 0 || err != nil {
+		t.Fatalf(`ParseTrigger(""): %v, %v`, g, err)
+	}
+	for _, s := range []string{"ring", "reservoir"} {
+		if _, err := ParseCaptureMode(s); err == nil {
+			t.Errorf("ParseCaptureMode accepted %q", s)
+		}
+	}
+	for _, s := range []string{"on-fire", "drop", "rto", "first-drop|first-rto", "first-drop,first-rto"} {
+		if _, err := ParseTrigger(s); err == nil {
+			t.Errorf("ParseTrigger accepted %q", s)
+		}
 	}
 }

@@ -111,8 +111,9 @@ func (e *Empirical) Quantile(u float64) float64 {
 		return e.sizes[hi]
 	}
 	frac := (u - e.cdf[lo]) / span
-	// Log-linear interpolation in size.
-	return math.Exp(e.logSizes[lo] + frac*(e.logSizes[hi]-e.logSizes[lo]))
+	// Log-linear interpolation in size. Each float64(x*y) in this file
+	// forbids a fused multiply-add (DESIGN §3.9's determinism contract).
+	return math.Exp(e.logSizes[lo] + float64(frac*(e.logSizes[hi]-e.logSizes[lo])))
 }
 
 // Sample implements SizeDist via inverse-transform sampling.
@@ -168,10 +169,10 @@ func (e *Empirical) CV() float64 {
 		u := (float64(i) + 0.5) / steps
 		q := e.Quantile(u)
 		sum += q
-		sumSq += q * q
+		sumSq += float64(q * q)
 	}
 	mean := sum / steps
-	variance := sumSq/steps - mean*mean
+	variance := sumSq/steps - float64(mean*mean)
 	if variance < 0 {
 		variance = 0
 	}

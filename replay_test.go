@@ -134,6 +134,51 @@ func TestReplayAcrossSchemesKeepsArrivals(t *testing.T) {
 	}
 }
 
+// TestGeneratedArrivalsAreCommonRandomNumbers pins what lets two
+// CollectFlows runs pair flow by flow with no replay step: the generator's
+// own seed fixes the arrivals whatever the scheme. Every single-path scheme
+// generates and completes the same flows, ID for ID and size for size. Under
+// MPTCP flow n takes ID n·Subflows (its subflows take the IDs between), so it
+// pairs with the TCP runs' flow n, and pairing by equal ID would mis-pair.
+func TestGeneratedArrivalsAreCommonRandomNumbers(t *testing.T) {
+	skipSingleGoroutine(t)
+	run := func(scheme Scheme) *FCTResult {
+		res, err := RunFCT(FCTConfig{Topology: Testbed(), Scheme: scheme, Workload: WorkloadEnterprise,
+			Load: 0.6, Duration: 20 * time.Millisecond, MaxFlows: 300, Seed: 3, CollectFlows: true})
+		if err != nil {
+			t.Fatalf("%s: %v", SchemeName(scheme), err)
+		}
+		return res
+	}
+	ecmp := run(SchemeECMP)
+	if ecmp.Generated != 300 || len(ecmp.FlowFCTs) != 300 {
+		t.Fatalf("ecmp generated %d and completed %d flows, want 300 and 300", ecmp.Generated, len(ecmp.FlowFCTs))
+	}
+	for i, f := range ecmp.FlowFCTs {
+		if f.ID != uint64(i) {
+			t.Fatalf("ecmp flow %d has ID %d", i, f.ID)
+		}
+	}
+	stride := TransportConfig{}.withDefaults().Subflows
+	for _, scheme := range []Scheme{SchemeCONGAFlow, SchemeCONGA, SchemeLocal, SchemeSpray, SchemeWCMP, SchemeMPTCPMarker} {
+		res, step := run(scheme), uint64(1)
+		if scheme == SchemeMPTCPMarker {
+			step = uint64(stride)
+		}
+		if res.Generated != ecmp.Generated || len(res.FlowFCTs) != len(ecmp.FlowFCTs) {
+			t.Errorf("%s: generated %d, completed %d; ecmp %d and %d", SchemeName(scheme),
+				res.Generated, len(res.FlowFCTs), ecmp.Generated, len(ecmp.FlowFCTs))
+			continue
+		}
+		for i, f := range res.FlowFCTs {
+			if want := ecmp.FlowFCTs[i]; f.ID != want.ID*step || f.Size != want.Size {
+				t.Errorf("%s: flow %d is (ID %d, %d B), want (ID %d, %d B)", SchemeName(scheme), i, f.ID, f.Size, want.ID*step, want.Size)
+				break
+			}
+		}
+	}
+}
+
 // TestReplayRejectsMismatchedTopology records on one fabric shape and
 // replays on another: the fingerprint check must refuse, naming both
 // shapes.

@@ -15,16 +15,15 @@ import (
 // telemetry fully enabled as with it off. Samplers piggyback on the existing
 // DRE and flowlet tickers, counters are plain field bumps, and sinks only
 // run post-engine, so nothing about the event sequence may change. The
-// capped rows also hold a triggered flight-recorder trace (tail and
-// reservoir) to its cap, so the capture policies are under the same check.
+// capped row also holds a flight-recorder trace (tail, frozen on the first
+// drop) to its cap, so the capture policy is under the same check.
 func TestTelemetryDoesNotPerturbSimulation(t *testing.T) {
 	skipSingleGoroutine(t)
 	capped := func(mode telemetry.CaptureMode) func(*TelemetryOptions) {
 		return func(o *TelemetryOptions) {
 			o.TraceMode = mode
 			o.TraceCap = 256 // force suppression so the capture policy is exercised
-			o.TraceTrigger = telemetry.TriggerFirstRTO | telemetry.TriggerFirstDrop
-			o.TraceStopAfter = 32
+			o.TraceTrigger = telemetry.TriggerFirstDrop
 		}
 	}
 	rows := []struct {
@@ -36,7 +35,6 @@ func TestTelemetryDoesNotPerturbSimulation(t *testing.T) {
 		{"conga", SchemeCONGA, nil},
 		{"mptcp", SchemeMPTCPMarker, nil},
 		{"conga_tail_cap256", SchemeCONGA, capped(telemetry.CaptureTail)},
-		{"conga_reservoir_cap256", SchemeCONGA, capped(telemetry.CaptureReservoir)},
 	}
 	offs := map[Scheme]*FCTResult{} // the telemetry-off run, per scheme
 	for _, row := range rows {
